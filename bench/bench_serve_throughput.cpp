@@ -1,7 +1,7 @@
-// bench_serve_throughput: queries/sec of the serving layer over a
-// warmed archive, the perf anchor for exploration-as-a-service.  Worker
-// threads hammer the full in-process query path — parse, ticket gate,
-// archive scan / memo-cache hit, rendering — under three admission
+// bench_serve_throughput: queries/sec of the serving layer over an
+// in-memory archive, the perf anchor for exploration-as-a-service.
+// Worker threads hammer the full in-process query path — parse, ticket
+// gate, archive scan / point lookup, rendering — under three admission
 // regimes:
 //
 //   gate=1    concurrency pinned to one ticket (the single-worker
@@ -29,8 +29,8 @@
 
 #include "core/app_params.hpp"
 #include "explore/engine.hpp"
-#include "search/run_log.hpp"
-#include "serve/archive.hpp"
+#include "search/archive.hpp"
+#include "serve/served_run.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -39,10 +39,9 @@ using namespace mergescale;
 
 namespace {
 
-/// The archive every regime serves: an asymmetric sweep big enough that
-/// topk/pareto scans do real work, warmed into the engine's memo cache
-/// exactly as serve_cli startup would.
-serve::Archive make_archive(explore::ExploreEngine& engine) {
+/// The records every regime serves: an asymmetric sweep big enough that
+/// topk/pareto scans do real work.
+std::vector<explore::EvalResult> make_records(serve::ServedRun* run) {
   explore::ScenarioSpec spec;
   spec.name = "serve-bench";
   spec.apps = {core::presets::kmeans(), core::presets::fuzzy(),
@@ -54,13 +53,11 @@ serve::Archive make_archive(explore::ExploreEngine& engine) {
   spec.small_core_sizes = {1.0, 2.0, 4.0, 8.0, 16.0};
   spec.sizes = {2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
 
-  serve::Archive archive;
-  archive.dir = "(in-memory)";
-  archive.config = "bench";
-  archive.spec = spec;
-  archive.records = engine.run(spec);
-  search::RunLog::warm(archive.records, spec, engine);
-  return archive;
+  run->dir = "(in-memory)";
+  run->config = "bench";
+  run->spec = spec;
+  explore::ExploreEngine engine;
+  return engine.run(spec);
 }
 
 /// Queries/sec of `clients` threads driving the mixed workload through
@@ -109,17 +106,22 @@ int main(int argc, char** argv) try {
   const int clients = static_cast<int>(cli.get_int("clients"));
   const double seconds = cli.get_double("seconds");
 
-  explore::ExploreEngine engine;
-  const serve::Archive archive = make_archive(engine);
-  std::cout << "archive: " << archive.records.size() << " records, "
-            << engine.threads() << " engine threads\n";
+  serve::ServedRun run;
+  const std::vector<explore::EvalResult> records = make_records(&run);
+  std::cout << "archive: " << records.size() << " records\n";
+  // Each server gets its own in-memory archive over the same records, as
+  // serve_cli builds one for a directory without archive.msca.
+  auto served = [&records] {
+    return serve::ServedRecords{search::ArchiveReader::from_records(records),
+                                {}};
+  };
 
   auto pinned = [&](int level) {
     serve::ServerOptions options;
     options.initial_concurrency = level;
     options.probe.min_concurrency = level;
     options.probe.max_concurrency = level;
-    serve::QueryServer server(archive, engine, nullptr, options);
+    serve::QueryServer server(run, served(), nullptr, options);
     return hammer(server, clients, seconds);
   };
   const double qps_gate1 = pinned(1);
@@ -131,7 +133,7 @@ int main(int argc, char** argv) try {
   options.probe.max_concurrency = clients * 2;
   options.probe_window =
       std::chrono::milliseconds(cli.get_int("probe-window-ms"));
-  serve::QueryServer probed(archive, engine, nullptr, options);
+  serve::QueryServer probed(run, served(), nullptr, options);
   probed.start();  // the probe loop only runs on a started server
   const double qps_probe = hammer(probed, clients, seconds);
   const std::uint64_t windows = probed.probe_windows();
@@ -146,7 +148,7 @@ int main(int argc, char** argv) try {
 
   std::ofstream json(cli.get_string("out"));
   json << "{\n"
-       << "  \"archive_records\": " << archive.records.size() << ",\n"
+       << "  \"archive_records\": " << records.size() << ",\n"
        << "  \"clients\": " << clients << ",\n"
        << "  \"seconds_per_regime\": " << seconds << ",\n"
        << "  \"qps_gate1\": " << qps_gate1 << ",\n"

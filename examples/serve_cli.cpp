@@ -1,7 +1,9 @@
 // serve_cli: exploration-as-a-service over a recorded run directory.
-// Startup loads (and optionally unions) run-log archives into the
-// explore engine's memo cache, then answers design-space queries over a
-// newline-delimited TCP protocol on 127.0.0.1:
+// Start-up reads meta.json, opens the directory's columnar archive
+// (archive.msca) in place and decodes only what it does not hold — result
+// logs written after it and any --merge-from sources — then answers
+// design-space queries over a newline-delimited TCP protocol on
+// 127.0.0.1:
 //
 //   best                      highest-speedup feasible design
 //   topk <k>                  top-k table
@@ -32,7 +34,6 @@
 #include <sstream>
 #include <thread>
 
-#include "explore/engine.hpp"
 #include "search/run_log.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
@@ -54,9 +55,9 @@ std::vector<std::string> split(const std::string& text, char sep = ',') {
 
 int main(int argc, char** argv) try {
   util::Cli cli("serve_cli",
-                "query server over recorded exploration runs: load run-log "
-                "archives into the memo cache and answer best / topk / "
-                "pareto / eval / stats over a line protocol, with "
+                "query server over recorded exploration runs: serve the "
+                "columnar archive in place and answer best / topk / pareto "
+                "/ eval / stats over a line protocol, with "
                 "throughput-probed admission control");
   cli.opt("run-dir", std::string(),
           "recorded run directory to serve (live evals append here)");
@@ -70,7 +71,7 @@ int main(int argc, char** argv) try {
   cli.opt("metrics", std::string(),
           "append one NDJSON probe-metrics line per window here");
   cli.opt("threads", static_cast<long long>(0),
-          "engine worker threads (0 = hardware concurrency)");
+          "accepted for compatibility; the server no longer uses it");
   cli.opt("live-budget", static_cast<long long>(100000),
           "live evaluations the server may spend on eval misses");
   cli.opt("probe-window-ms", static_cast<long long>(250),
@@ -103,20 +104,16 @@ int main(int argc, char** argv) try {
   }
   const std::vector<std::string> sources = split(cli.get_string("merge-from"));
 
-  serve::Archive archive = serve::load_archive(run_dir, sources);
-
-  explore::EngineOptions engine_options;
-  engine_options.threads = static_cast<int>(cli.get_int("threads"));
-  explore::ExploreEngine engine(engine_options);
-  const std::size_t warmed =
-      search::RunLog::warm(archive.records, archive.spec, engine);
-  std::cout << "serve: loaded " << archive.records.size() << " records ("
-            << warmed << " cache entries) from " << run_dir;
+  serve::ServedRun run = serve::open_served_run(run_dir, sources);
+  serve::ServedRecords records = serve::open_served_records(run_dir, sources);
+  std::cout << "serve: " << records.archive.row_count()
+            << " archived records + " << records.delta.size()
+            << " delta records from " << run_dir;
   if (!sources.empty()) std::cout << " + " << sources.size() << " more dir(s)";
   std::cout << "\n";
 
   // Live evals append to the *target* directory, in the format its log
-  // already uses (auto), so the archive and its growth stay one run.
+  // already uses (auto), so the run keeps one log format as it grows.
   search::LogFormat format = search::LogFormat::kNdjson;
   if (const std::string name = cli.get_string("log-format"); name == "auto") {
     if (std::filesystem::exists(
@@ -164,7 +161,8 @@ int main(int argc, char** argv) try {
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-  serve::QueryServer server(std::move(archive), engine, &log, options);
+  serve::QueryServer server(std::move(run), std::move(records), &log,
+                            options);
   server.start();
   std::cout << "serve: listening on 127.0.0.1:" << server.port()
             << " (concurrency " << options.initial_concurrency << " in ["

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <thread>
 
@@ -57,6 +58,47 @@ std::size_t claim_block(std::size_t jobs, int team_size) {
   const std::size_t per_worker =
       jobs / (static_cast<std::size_t>(team_size) * 4);
   return std::clamp<std::size_t>(per_worker, 1, kMaxClaimBlock);
+}
+
+/// Makes `from_cache` a function of job order instead of worker timing.
+/// Workers claim blocks concurrently, so when one design point appears
+/// at two positions, whichever copy looks the cache up first misses and
+/// the other may hit — or both miss when they share a block.  A miss
+/// proves the point was not cached before the run (entries are never
+/// erased), so the point's first job is marked fresh and every later
+/// copy cached.  Points whose every job hit were cached beforehand.
+/// Callers that persist only fresh results (explore_cli, sharded sweeps)
+/// thereby record the same positions on every run.
+void settle_freshness(std::span<const EvalJob> jobs,
+                      std::span<EvalResult> results) {
+  struct Slot {
+    std::size_t hash = 0;
+    std::size_t first = 0;  ///< first job's position + 1; 0 when empty
+  };
+  const std::size_t mask =
+      std::bit_ceil(std::max<std::size_t>(16, jobs.size() * 2)) - 1;
+  std::vector<Slot> slots(mask + 1);
+  std::vector<std::uint8_t> missed(jobs.size(), 0);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const CacheKey key = cache_key(jobs[i].request);
+    const std::size_t hash = CacheKeyHash{}(key);
+    for (std::size_t at = hash & mask;; at = (at + 1) & mask) {
+      Slot& slot = slots[at];
+      if (slot.first == 0) {
+        slot = {hash, i + 1};
+        missed[i] = results[i].from_cache ? 0 : 1;
+        break;
+      }
+      if (slot.hash == hash && cache_key(jobs[slot.first - 1].request) == key) {
+        if (!results[i].from_cache) missed[slot.first - 1] = 1;
+        results[i].from_cache = true;
+        break;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (missed[i] != 0) results[i].from_cache = false;
+  }
 }
 
 int resolve_threads(int requested) {
@@ -226,6 +268,7 @@ void ExploreEngine::run(std::span<const EvalJob> jobs,
                     options_.use_cache, scratch);
     }
   });
+  if (options_.use_cache) settle_freshness(jobs, results);
 }
 
 }  // namespace mergescale::explore

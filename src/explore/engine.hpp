@@ -7,10 +7,10 @@
 //
 // Determinism: result i always corresponds to job i (workers claim job
 // *indices* and write results into the matching slot), so the evaluated
-// fields are identical across thread counts and cache states.  The one
-// exception is the `from_cache` flag, which reports what the cache did
-// on *this* run — it flips on repeats and, for duplicate design points
-// inside one batch, can differ with scheduling.
+// fields are identical across thread counts and cache states.  The
+// `from_cache` flag is false exactly for the first job of each design
+// point the cache did not hold before *this* run: it flips on repeats,
+// but never with scheduling, even for duplicate points inside one batch.
 
 #include <cstddef>
 #include <optional>
@@ -90,9 +90,9 @@ struct BatchScratch {
 /// Semantically identical to evaluate_job per element, with one caveat:
 /// duplicate design points *within one block* are all treated as misses
 /// (the block is keyed before any insert), where the sequential loop
-/// could serve the second from the first's insert.  Cross-thread that
-/// was always scheduling-dependent, and the search funnel dedups by key
-/// before submitting, so budget accounting is unaffected.
+/// could serve the second from the first's insert.  ExploreEngine::run
+/// re-derives every `from_cache` flag from job order once its workers
+/// finish, so neither this nor cross-block timing reaches its callers.
 void evaluate_jobs(std::span<const EvalJob> jobs,
                    std::span<EvalResult> results, MemoCache* cache,
                    bool use_cache, BatchScratch& scratch);

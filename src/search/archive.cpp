@@ -4,6 +4,7 @@
 #include <array>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -14,6 +15,7 @@
 
 #include "util/interner.hpp"
 #include "util/io_env.hpp"
+#include "util/sync.hpp"
 
 namespace mergescale::search {
 
@@ -553,7 +555,65 @@ struct ArchiveReader::Impl {
   /// Validates the header and eagerly-loaded sections (zone maps, slice
   /// CRCs, dictionary).  Column data is validated lazily per slice.
   void parse();
+
+  /// find()'s table, open addressing over a power-of-two slot count:
+  /// each slot holds (hash >> 32) << 32 | (row + 1), 0 when empty.
+  /// Written once under key_mu, published by key_built.
+  mutable util::Mutex key_mu;
+  mutable std::atomic<bool> key_built{false};
+  mutable std::vector<std::uint64_t> key_slots;
+  mutable std::atomic<double> key_ms{0.0};
+
+  /// Fills key_slots from the variant/label/n/r/rl columns.
+  void build_key_table() const;
 };
+
+void ArchiveReader::Impl::build_key_table() const {
+  const auto start = std::chrono::steady_clock::now();
+  if (lay.rows >= 0xFFFFFFFFull) fail("too many rows for a point-lookup table");
+  std::vector<std::uint64_t> label_hash(names.size());
+  for (std::size_t id = 0; id < names.size(); ++id) {
+    label_hash[id] = DesignKeyHash::label(names[id]);
+  }
+  const std::uint64_t mask =
+      std::bit_ceil(std::max<std::uint64_t>(16, lay.rows * 2)) - 1;
+  std::vector<std::uint64_t> slots(static_cast<std::size_t>(mask + 1), 0);
+  std::array<std::string, 7> scratch;
+  for (std::uint32_t b = 0; b < lay.blocks; ++b) {
+    const std::string_view variant = slice(b, kColVariant, &scratch[0]);
+    const std::string_view app = slice(b, kColApp, &scratch[1]);
+    const std::string_view growth = slice(b, kColGrowth, &scratch[2]);
+    const std::string_view topology = slice(b, kColTopology, &scratch[3]);
+    const std::string_view n = slice(b, kColN, &scratch[4]);
+    const std::string_view r = slice(b, kColR, &scratch[5]);
+    const std::string_view rl = slice(b, kColRl, &scratch[6]);
+    const std::uint64_t rows_in = lay.rows_in_block(b);
+    const std::uint64_t first_row = std::uint64_t{b} * lay.block_rows;
+    for (std::uint64_t i = 0; i < rows_in; ++i) {
+      const auto label = [&](std::string_view column) {
+        const std::uint32_t id = get_u32(column.data() + i * 4);
+        if (id >= names.size()) {
+          fail("block " + std::to_string(b) +
+               " references a dictionary entry the archive does not hold");
+        }
+        return label_hash[id];
+      };
+      const std::uint64_t hash = DesignKeyHash::combine(
+          static_cast<core::ModelVariant>(
+              static_cast<unsigned char>(variant[i])),
+          get_f64(n.data() + i * 8), get_f64(r.data() + i * 8),
+          get_f64(rl.data() + i * 8), label(app), label(growth),
+          label(topology));
+      std::uint64_t at = hash & mask;
+      while (slots[at] != 0) at = (at + 1) & mask;
+      slots[at] = (hash >> 32 << 32) | (first_row + i + 1);
+    }
+  }
+  key_slots = std::move(slots);
+  key_ms.store(std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - start)
+                   .count());
+}
 
 void ArchiveReader::Impl::parse() {
   Impl& impl = *this;
@@ -948,6 +1008,33 @@ std::vector<explore::EvalResult> ArchiveReader::load_index_range(
     impl.materialize(b, matches, &out);
   }
   return out;
+}
+
+std::optional<explore::EvalResult> ArchiveReader::find(
+    const DesignKey& key) const {
+  const Impl& impl = *impl_;
+  if (!impl.key_built.load(std::memory_order_acquire)) {
+    util::MutexLock lock(impl.key_mu);
+    if (!impl.key_built.load(std::memory_order_relaxed)) {
+      impl.build_key_table();  // a throw leaves the table unbuilt
+      impl.key_built.store(true, std::memory_order_release);
+    }
+  }
+  // Linear probing never deletes, so equal keys sit in row order along
+  // one probe sequence: the first verified match is the first row.
+  const std::uint64_t hash = DesignKeyHash{}(key);
+  const std::uint64_t mask = impl.key_slots.size() - 1;
+  for (std::uint64_t at = hash & mask;; at = (at + 1) & mask) {
+    const std::uint64_t slot = impl.key_slots[at];
+    if (slot == 0) return std::nullopt;
+    if (slot >> 32 != hash >> 32) continue;
+    explore::EvalResult row = impl.row((slot & 0xFFFFFFFFull) - 1);
+    if (DesignKey::of(row) == key) return row;
+  }
+}
+
+double ArchiveReader::key_table_ms() const noexcept {
+  return impl_->key_ms.load(std::memory_order_relaxed);
 }
 
 std::vector<explore::EvalResult> ArchiveReader::load_all() const {

@@ -42,6 +42,7 @@
 #include <vector>
 
 #include "explore/engine.hpp"
+#include "search/design_key.hpp"
 
 namespace mergescale::search {
 
@@ -154,6 +155,19 @@ class ArchiveReader {
   /// warms from without loading the union.
   std::vector<explore::EvalResult> load_index_range(std::uint64_t begin,
                                                     std::uint64_t end) const;
+
+  /// The row holding `key`'s design point, or nullopt.  The first call
+  /// builds a table of row ids keyed by design point from the key
+  /// columns alone (once, under a once-guard, timed by key_table_ms());
+  /// later calls probe it and re-check the candidate row's columns, so a
+  /// hash collision never returns another point's row.  Among duplicate
+  /// rows the first wins, as RunLog::dedup would keep it.  open() stays
+  /// O(header) and best/top_k/pareto never pay for the table.
+  std::optional<explore::EvalResult> find(const DesignKey& key) const;
+
+  /// Milliseconds the first find() spent building its key table; 0
+  /// until then.
+  double key_table_ms() const noexcept;
 
   /// Every record, index-ascending (block by block; the one full
   /// materialization, for RunLog::load()).

@@ -185,31 +185,18 @@ class RunLog {
   static std::vector<explore::EvalResult> load_shard(const std::string& dir,
                                                      std::size_t shard);
 
-  /// First-occurrence deduplication by design point — the in-memory form
-  /// of the identity compact()/merge() rewrite under, for callers that
-  /// union archives without rewriting them (a query server answering
-  /// top-k/Pareto from a loaded union must not let a duplicate record
-  /// occupy two ranks).
+  /// Appends every result-log record under `dir` to `*records` — load()
+  /// without the columnar archive: what a query server decodes on top of
+  /// an archive it serves straight from the file.
+  static void load_logs(const std::string& dir,
+                        std::vector<explore::EvalResult>* records);
+
+  /// First-occurrence deduplication by design point (search/design_key)
+  /// — the in-memory form of the identity compact()/merge() rewrite
+  /// under, for callers that union records without rewriting them (an
+  /// archive must not let a duplicate record occupy two query ranks).
   static std::vector<explore::EvalResult> dedup(
       std::vector<explore::EvalResult> records);
-
-  /// A loaded (read-only) union of recorded runs.
-  struct LoadedRun {
-    /// The shared meta config, with any ";shards=K" token stripped —
-    /// the single-process-equivalent fingerprint of the union.
-    std::string config;
-    std::vector<explore::EvalResult> records;  ///< deduplicated union
-  };
-
-  /// Read-only analogue of merge(): loads `target`'s records followed by
-  /// every source's, deduplicates, and returns the union without
-  /// rewriting anything on disk.  Every participating directory must be
-  /// recorded under one configuration modulo the shard token (sharded
-  /// archives may be unioned with their compacted form); mismatches and
-  /// unrecorded directories throw std::runtime_error, exactly as
-  /// merge() refuses them.
-  static LoadedRun load_merged(const std::string& target,
-                               const std::vector<std::string>& sources = {});
 
   /// Decodes one NDJSON log line (exposed for round-trip tests).
   static std::optional<explore::EvalResult> parse_result(

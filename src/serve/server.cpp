@@ -14,7 +14,7 @@
 
 #include "core/comm_model.hpp"
 #include "core/design_space.hpp"
-#include "explore/memo_cache.hpp"
+#include "explore/engine.hpp"
 #include "explore/report.hpp"
 #include "noc/topology.hpp"
 
@@ -35,47 +35,24 @@ std::string sys_error(const char* what) {
 
 }  // namespace
 
-search::ArchiveReader QueryServer::make_reader(
-    Archive& archive, std::vector<explore::EvalResult>* delta) {
-  std::vector<explore::EvalResult> records = std::move(archive.records);
-  if (archive.archived > 0 && archive.archived <= records.size() &&
-      search::RunLog::has_archive(archive.dir)) {
-    search::ArchiveReader reader = search::ArchiveReader::open(
-        search::RunLog::archive_path(archive.dir));
-    if (reader.row_count() == archive.archived) {
-      // The union's first `archived` records ARE the file's rows (see
-      // Archive::archived), so the file-backed engine serves them from
-      // its mmap and only the post-archive tail rides in memory.
-      delta->assign(
-          std::make_move_iterator(records.begin() +
-                                  static_cast<std::ptrdiff_t>(
-                                      archive.archived)),
-          std::make_move_iterator(records.end()));
-      return reader;
-    }
-  }
-  // No archive on disk (or it does not cover the union's prefix): build
-  // the same engine in memory over the whole union.
-  return search::ArchiveReader::from_records(records);
-}
-
-QueryServer::QueryServer(Archive archive, explore::ExploreEngine& engine,
+QueryServer::QueryServer(ServedRun run, ServedRecords records,
                          search::RunLog* log, ServerOptions options)
-    : archive_(std::move(archive)),
-      engine_(engine),
+    : run_(std::move(run)),
       log_(log),
       options_(std::move(options)),
-      // The record list moves into the query engine + delta pair; what
-      // stays in archive_ (dir, config, spec) is immutable for the
-      // server's life.
-      reader_(make_reader(archive_, &delta_)),
+      archive_(std::move(records.archive)),
       gate_(std::clamp(options_.initial_concurrency,
                        options_.probe.min_concurrency,
                        options_.probe.max_concurrency)),
       probe_(options_.probe, options_.initial_concurrency) {
-  next_index_.store(static_cast<std::size_t>(reader_.row_count()) +
-                        delta_.size(),
-                    std::memory_order_relaxed);
+  util::WriterLock lock(delta_mu_);
+  for (explore::EvalResult& record : records.delta) {
+    delta_.push_back(std::move(record));
+    delta_keys_.emplace(search::DesignKey::of(delta_.back()), &delta_.back());
+  }
+  next_index_.store(
+      static_cast<std::size_t>(archive_.row_count()) + delta_.size(),
+      std::memory_order_relaxed);
 }
 
 QueryServer::~QueryServer() { stop(); }
@@ -147,23 +124,25 @@ void QueryServer::stop() {
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     util::MutexLock lock(sessions_mu_);
-    for (int fd : session_fds_) {
-      if (fd >= 0) ::shutdown(fd, SHUT_RDWR);
+    for (const Session& session : sessions_) {
+      if (session.fd >= 0) ::shutdown(session.fd, SHUT_RDWR);
     }
   }
   if (acceptor_.joinable()) acceptor_.join();
   if (prober_.joinable()) prober_.join();
-  // The acceptor is gone, so the registry is final.  Move the thread
-  // list out under the lock, then join lock-free: a session's last act
-  // is to retake sessions_mu_ and clear its fd slot, so joining while
-  // holding the lock would deadlock against it.
+  // The acceptor is gone, so the registry is final.  Move the threads
+  // out under the lock (the slots stay: a session's last act is to
+  // retake sessions_mu_ and clear its fd slot), then join lock-free —
+  // joining while holding the lock would deadlock against that.
   std::vector<std::thread> to_join;
   {
     util::MutexLock lock(sessions_mu_);
-    to_join.swap(sessions_);
+    for (Session& session : sessions_) {
+      to_join.push_back(std::move(session.thread));
+    }
   }
-  for (std::thread& session : to_join) {
-    if (session.joinable()) session.join();
+  for (std::thread& thread : to_join) {
+    if (thread.joinable()) thread.join();
   }
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
@@ -188,10 +167,26 @@ void QueryServer::acceptor_main() {
       ::close(fd);
       break;
     }
-    util::MutexLock lock(sessions_mu_);
-    const std::size_t slot = session_fds_.size();
-    session_fds_.push_back(fd);
-    sessions_.emplace_back(&QueryServer::session_main, this, fd, slot);
+    // Reap finished sessions (fd -1) and reuse the first one's slot; the
+    // joins run outside the lock, which a finished session never takes
+    // again.
+    std::vector<std::thread> finished;
+    {
+      util::MutexLock lock(sessions_mu_);
+      std::size_t slot = sessions_.size();
+      for (std::size_t i = 0; i < sessions_.size(); ++i) {
+        if (sessions_[i].fd >= 0) continue;
+        if (sessions_[i].thread.joinable()) {
+          finished.push_back(std::move(sessions_[i].thread));
+        }
+        if (slot == sessions_.size()) slot = i;
+      }
+      if (slot == sessions_.size()) sessions_.emplace_back();
+      sessions_[slot].fd = fd;
+      sessions_[slot].thread =
+          std::thread(&QueryServer::session_main, this, fd, slot);
+    }
+    for (std::thread& thread : finished) thread.join();
   }
 }
 
@@ -249,7 +244,7 @@ void QueryServer::session_main(int fd, std::size_t slot) {
   }
   ::close(fd);
   util::MutexLock lock(sessions_mu_);
-  session_fds_[slot] = -1;
+  sessions_[slot].fd = -1;
 }
 
 std::string QueryServer::execute_line(const std::string& line,
@@ -298,17 +293,17 @@ std::string QueryServer::execute(const Query& query) {
 // frontier of frontier(A) ∪ D is the frontier of A ∪ D, and likewise
 // for the k-best), so re-running the reference reduction over
 // engine-result + delta is byte-identical to the reference over the
-// full union, while touching only zone-admitted blocks.  archive_mu_ is
+// full union, while touching only zone-admitted blocks.  delta_mu_ is
 // held for the delta copy alone; the archive scan and the table render
 // both run outside it.
 
 std::string QueryServer::answer_best() const {
   std::vector<explore::EvalResult> pool;
-  if (std::optional<explore::EvalResult> archived = reader_.best()) {
+  if (std::optional<explore::EvalResult> archived = archive_.best()) {
     pool.push_back(std::move(*archived));
   }
   {
-    util::ReaderLock lock(archive_mu_);
+    util::ReaderLock lock(delta_mu_);
     pool.insert(pool.end(), delta_.begin(), delta_.end());
   }
   const explore::EvalResult* best = explore::best_result(pool);
@@ -322,9 +317,9 @@ std::string QueryServer::answer_best() const {
 }
 
 std::string QueryServer::answer_topk(std::size_t k) const {
-  std::vector<explore::EvalResult> pool = reader_.top_k(k);
+  std::vector<explore::EvalResult> pool = archive_.top_k(k);
   {
-    util::ReaderLock lock(archive_mu_);
+    util::ReaderLock lock(delta_mu_);
     pool.insert(pool.end(), delta_.begin(), delta_.end());
   }
   const std::string payload = explore::to_table(explore::top_k(pool, k))
@@ -333,9 +328,9 @@ std::string QueryServer::answer_topk(std::size_t k) const {
 }
 
 std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
-  std::vector<explore::EvalResult> pool = reader_.pareto(metric);
+  std::vector<explore::EvalResult> pool = archive_.pareto(metric);
   {
-    util::ReaderLock lock(archive_mu_);
+    util::ReaderLock lock(delta_mu_);
     pool.insert(pool.end(), delta_.begin(), delta_.end());
   }
   const std::string payload =
@@ -352,15 +347,15 @@ explore::EvalJob QueryServer::resolve_eval(const Query& query) const {
   explore::EvalJob job;
   core::EvalRequest& request = job.request;
   request.variant = core::parse_model_variant(query.variant);
-  request.chip = core::ChipConfig{query.n, archive_.spec.perf};
+  request.chip = core::ChipConfig{query.n, run_.spec.perf};
 
-  // Coordinates resolve against the archive's own scenario: what-if
-  // points may leave the recorded *grid* (any n/r/rl), but not the
-  // recorded *laws* — an app or growth outside the scenario could not be
-  // warmed back from the log on the next start, so the answer would
-  // silently stop being durable.
+  // Coordinates resolve against the run's own scenario: what-if points
+  // may leave the recorded *grid* (any n/r/rl), but not the recorded
+  // *laws* — an app or growth outside the scenario could not be resolved
+  // back from the log on the next start, so the answer would silently
+  // stop being durable.
   const core::AppParams* app = nullptr;
-  for (const auto& candidate : archive_.spec.apps) {
+  for (const auto& candidate : run_.spec.apps) {
     if (candidate.name == query.app) app = &candidate;
   }
   if (app == nullptr) {
@@ -369,7 +364,7 @@ explore::EvalJob QueryServer::resolve_eval(const Query& query) const {
   }
   request.app = *app;
   const core::GrowthFunction* growth = nullptr;
-  for (const auto& candidate : archive_.spec.growths) {
+  for (const auto& candidate : run_.spec.growths) {
     if (candidate.name() == query.growth) growth = &candidate;
   }
   if (growth == nullptr) {
@@ -378,27 +373,32 @@ explore::EvalJob QueryServer::resolve_eval(const Query& query) const {
   }
   request.growth = *growth;
   request.r = query.r;
-  request.rl = query.rl;
-  if (core::is_asymmetric_variant(request.variant) && !(query.rl > 0.0)) {
-    throw std::invalid_argument("eval: asymmetric variants need rl= > 0");
+  // Symmetric variants never read rl, and their recorded points hold 0:
+  // normalize it so any rl= finds the same design point.
+  request.rl = 0.0;
+  if (core::is_asymmetric_variant(request.variant)) {
+    if (!(query.rl > 0.0)) {
+      throw std::invalid_argument("eval: asymmetric variants need rl= > 0");
+    }
+    request.rl = query.rl;
   }
   if (core::is_comm_variant(request.variant)) {
     if (query.topology == "-") {
       throw std::invalid_argument("eval: comm variants need topology=");
     }
     const noc::Topology topology = noc::parse_topology(query.topology);
-    if (std::find(archive_.spec.topologies.begin(),
-                  archive_.spec.topologies.end(),
-                  topology) == archive_.spec.topologies.end()) {
+    if (std::find(run_.spec.topologies.begin(),
+                  run_.spec.topologies.end(),
+                  topology) == run_.spec.topologies.end()) {
       throw std::invalid_argument(
           "topology '" + query.topology +
           "' is not part of this archive's scenario");
     }
     request.comm_growth = core::comm_growth(topology);
-    request.comp_share = archive_.spec.comp_share;
+    request.comp_share = run_.spec.comp_share;
     job.topology = std::string(noc::topology_name(topology));
   }
-  job.scenario = archive_.spec.name;
+  job.scenario = run_.spec.name;
   job.index = 0;  // re-stamped when a live record is appended
   return job;
 }
@@ -421,11 +421,30 @@ std::string render_eval(const explore::EvalResult& result,
 
 }  // namespace
 
+std::optional<explore::EvalResult> QueryServer::find_delta(
+    const search::DesignKey& key) const {
+  util::ReaderLock lock(delta_mu_);
+  const auto it = delta_keys_.find(key);
+  if (it == delta_keys_.end()) return std::nullopt;
+  return *it->second;
+}
+
 std::string QueryServer::answer_eval(const Query& query) {
   const explore::EvalJob job = resolve_eval(query);
-  const explore::CacheKey key = explore::cache_key(job.request);
-  bool hit = engine_.cache().contains(key);
-  if (!hit) {
+  // The job's coordinates as a record: the design key both lookups
+  // probe, and the reply's coordinates on a hit.
+  explore::EvalResult point;
+  point.variant = job.request.variant;
+  point.n = job.request.chip.n;
+  point.app = job.request.app.name;
+  point.growth = job.request.growth.name();
+  point.topology = job.topology;
+  point.r = job.request.r;
+  point.rl = job.request.rl;
+  const search::DesignKey key = search::DesignKey::of(point);
+  std::optional<explore::EvalResult> held = archive_.find(key);
+  if (!held) held = find_delta(key);
+  if (!held) {
     // A sticky run-log failure means a fresh result could not be made
     // durable; shed the miss before spending compute on an answer the
     // next server start would not remember.
@@ -435,12 +454,12 @@ std::string QueryServer::answer_eval(const Query& query) {
           "degraded(archive-only): the run log is failing, so live "
           "evaluation is disabled; this point is not in the archive");
     }
-    // One miss at a time: budget spend, log append, and archive insert
+    // One miss at a time: budget spend, log append, and delta insert
     // are a single step, so two sessions racing on the same fresh point
     // cannot double-evaluate or double-record it.
     util::MutexLock live(live_mu_);
-    hit = engine_.cache().contains(key);
-    if (!hit) {
+    held = find_delta(key);
+    if (!held) {
       if (live_used_.load(std::memory_order_relaxed) >=
           options_.live_budget) {
         shed_busy_.fetch_add(1, std::memory_order_relaxed);
@@ -449,13 +468,12 @@ std::string QueryServer::answer_eval(const Query& query) {
                          " evaluations spent); this point is not in the "
                          "archive");
       }
-      // Evaluate WITHOUT touching the memo cache: the entry is inserted
-      // only after the record is durably logged, so a failed append
-      // cannot leave behind a cached answer a restarted server would
-      // not have.
       explore::EvalResult fresh =
           explore::evaluate_job(job, nullptr, /*use_cache=*/false);
       fresh.index = next_index_.fetch_add(1, std::memory_order_relaxed);
+      // The delta takes the record only after it is durably logged, so a
+      // failed append cannot leave behind an answer a restarted server
+      // would not have.
       if (log_ != nullptr) {
         try {
           log_->append(fresh);
@@ -470,43 +488,37 @@ std::string QueryServer::answer_eval(const Query& query) {
         }
       }
       live_used_.fetch_add(1, std::memory_order_relaxed);
-      explore::EvalOutcome outcome;
-      outcome.feasible = fresh.feasible;
-      if (fresh.feasible) {
-        outcome.point = core::DesignPoint{fresh.r, fresh.rl, fresh.speedup};
-      }
-      engine_.cache().insert(key, outcome);
       {
-        util::WriterLock archive(archive_mu_);
+        util::WriterLock lock(delta_mu_);
         delta_.push_back(fresh);
+        delta_keys_.emplace(search::DesignKey::of(delta_.back()),
+                            &delta_.back());
       }
       return render_eval(fresh, "live");
     }
   }
-  const explore::EvalResult result =
-      explore::evaluate_job(job, &engine_.cache(), /*use_cache=*/true);
-  return render_eval(result, "archive");
+  eval_hits_.fetch_add(1, std::memory_order_relaxed);
+  point.feasible = held->feasible;
+  point.cores = held->cores;
+  point.speedup = held->speedup;
+  return render_eval(point, "archive");
 }
 
 std::string QueryServer::answer_stats() {
   std::ostringstream os;
+  std::size_t delta_records = 0;
   {
-    util::ReaderLock lock(archive_mu_);
-    // Archived rows plus the live delta: the same total the record
-    // vector used to report.
-    os << "archive_records=" << reader_.row_count() + delta_.size() << "\n";
+    util::ReaderLock lock(delta_mu_);
+    delta_records = delta_.size();
   }
-  {
-    // dir/config are immutable after construction; no lock needed, but
-    // keeping the reads adjacent to the guarded count keeps the reply
-    // layout unchanged.
-    os << "archive_dir=" << archive_.dir << "\n"
-       << "config=" << archive_.config << "\n";
-  }
-  const auto cache_stats = engine_.cache().stats();
-  os << "cache_entries=" << engine_.cache().size() << "\n"
-     << "cache_hits=" << cache_stats.hits << "\n"
-     << "cache_misses=" << cache_stats.misses << "\n"
+  // Archived rows plus the delta: the whole union the server answers
+  // over.
+  os << "archive_records=" << archive_.row_count() + delta_records << "\n"
+     << "archive_dir=" << run_.dir << "\n"
+     << "config=" << run_.config << "\n"
+     << "delta_records=" << delta_records << "\n"
+     << "eval_hits=" << eval_hits_.load(std::memory_order_relaxed) << "\n"
+     << "eval_index_ms=" << compact(archive_.key_table_ms()) << "\n"
      << "queries=" << completed_.load(std::memory_order_relaxed) << "\n"
      << "live_evals=" << live_used_.load(std::memory_order_relaxed) << "\n"
      << "live_budget=" << options_.live_budget << "\n"

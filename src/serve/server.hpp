@@ -1,12 +1,14 @@
 #pragma once
-// Exploration-as-a-service: a TCP query server over a recorded run
-// archive.  Startup loads (and unions) run logs into the explore
-// engine's memo cache; clients then ask `best` / `topk` / `pareto` /
-// `eval` / `stats` over the newline-delimited protocol (serve/protocol),
-// answered from the archive — with `eval` falling back to budgeted live
-// evaluation through core::evaluate on a miss, every live answer
-// appended to the run log so the next server start (or any explore_cli
-// --resume) inherits it.
+// Exploration-as-a-service: a TCP query server over a recorded run.
+// Start-up opens the run's columnar archive (archive.msca) and decodes
+// only the records it does not hold (serve/served_run); clients then
+// ask `best` / `topk` / `pareto` / `eval` / `stats` over the
+// newline-delimited protocol (serve/protocol).  Every answer comes from
+// the memory-mapped archive plus that small in-memory delta — `eval`
+// looks its design point up in the archive, then in the delta, and
+// falls back to budgeted live evaluation through core::evaluate, every
+// live answer appended to the run log so the next server start (or any
+// explore_cli --resume) inherits it.
 //
 // Concurrency is ticket-gated and *measured*, not configured: each
 // session thread takes one ticket around a query's execution, and a
@@ -18,15 +20,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <fstream>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
-#include "explore/engine.hpp"
 #include "search/archive.hpp"
+#include "search/design_key.hpp"
 #include "search/run_log.hpp"
-#include "serve/archive.hpp"
+#include "serve/served_run.hpp"
 #include "serve/probe.hpp"
 #include "serve/protocol.hpp"
 #include "serve/ticket_gate.hpp"
@@ -49,18 +54,19 @@ struct ServerOptions {
   ProbeOptions probe;
   /// Probe measurement window.
   std::chrono::milliseconds probe_window{250};
-  /// Live (cache-missing) `eval` evaluations this server may run; once
-  /// spent, further misses get an ERR instead of compute time.
+  /// Live `eval` evaluations (points neither the archive nor the delta
+  /// holds) this server may run; once spent, further misses get an ERR
+  /// instead of compute time.
   std::uint64_t live_budget = 100000;
 };
 
 class QueryServer {
  public:
-  /// `engine`'s cache should already be warmed from `archive` (see
-  /// search::RunLog::warm); `log`, when non-null, receives every live
-  /// evaluation (flushed per record) and must outlive the server.
-  QueryServer(Archive archive, explore::ExploreEngine& engine,
-              search::RunLog* log, ServerOptions options);
+  /// Serves `run` from `records` (see open_served_records); `log`, when
+  /// non-null, receives every live evaluation (flushed per record) and
+  /// must outlive the server.
+  QueryServer(ServedRun run, ServedRecords records, search::RunLog* log,
+              ServerOptions options);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -115,26 +121,21 @@ class QueryServer {
   }
 
  private:
-  /// Builds the zone-map query engine over `archive`'s records —
-  /// file-backed (read-only, mmap-served) when <dir>/archive.msca holds
-  /// exactly the record union's prefix, else an in-memory archive over
-  /// the whole union — and moves any remaining union records into
-  /// `*delta`.  Consumes archive.records.
-  static search::ArchiveReader make_reader(
-      Archive& archive, std::vector<explore::EvalResult>* delta);
-
   /// Executes a parsed query (no gating) into a framed reply.
   std::string execute(const Query& query);
-  std::string answer_best() const MS_EXCLUDES(archive_mu_);
-  std::string answer_topk(std::size_t k) const MS_EXCLUDES(archive_mu_);
+  std::string answer_best() const MS_EXCLUDES(delta_mu_);
+  std::string answer_topk(std::size_t k) const MS_EXCLUDES(delta_mu_);
   std::string answer_pareto(explore::CostMetric metric) const
-      MS_EXCLUDES(archive_mu_);
+      MS_EXCLUDES(delta_mu_);
   std::string answer_eval(const Query& query)
-      MS_EXCLUDES(live_mu_, archive_mu_);
-  std::string answer_stats() MS_EXCLUDES(archive_mu_, probe_mu_);
-  /// Resolves eval coordinates against the archive's scenario into a
-  /// job; throws std::invalid_argument with a client-facing message.
-  /// Reads only the immutable archive fields — no lock needed.
+      MS_EXCLUDES(live_mu_, delta_mu_);
+  /// The delta's record for `key`, copied out under a reader lock.
+  std::optional<explore::EvalResult> find_delta(
+      const search::DesignKey& key) const MS_EXCLUDES(delta_mu_);
+  std::string answer_stats() MS_EXCLUDES(delta_mu_, probe_mu_);
+  /// Resolves eval coordinates against the run's scenario into a job;
+  /// throws std::invalid_argument with a client-facing message.  Reads
+  /// only the immutable run_ — no lock needed.
   explore::EvalJob resolve_eval(const Query& query) const;
 
   void acceptor_main() MS_EXCLUDES(sessions_mu_);
@@ -143,34 +144,31 @@ class QueryServer {
   void write_metrics_line(double qps, const ProbeDecision& decision,
                           std::uint64_t completed) MS_EXCLUDES(probe_mu_);
 
-  /// Immutable after construction (dir, config, spec — records are moved
-  /// out into reader_/delta_, the fields queries touch): resolve_eval
-  /// and answer_stats read these fields without a lock, and the
-  /// annotations hold the line between that and the guarded delta list.
-  Archive archive_;
-  explore::ExploreEngine& engine_;
+  /// Immutable after construction: resolve_eval and answer_stats read
+  /// it without a lock.
+  const ServedRun run_;
   search::RunLog* log_;
   ServerOptions options_;
 
-  /// Guards delta_ (readers: best/topk/pareto/stats; writer: the
-  /// live-eval append path).  Queries copy the delta out under a reader
-  /// lock and render OUTSIDE it — the lock is held for a vector copy,
-  /// never for an archive scan or a table render.
-  mutable util::SharedMutex archive_mu_;
-  /// Records recorded since the archive was built (result-log records
-  /// beyond the file-backed prefix) plus every live evaluation appended
-  /// since start — folded into every answer on top of reader_'s
-  /// archive.  Declared before reader_: make_reader fills it while
-  /// initializing reader_, so it must be constructed first.
-  std::vector<explore::EvalResult> delta_ MS_GUARDED_BY(archive_mu_);
   /// Zone-map query engine over the archived records (search/archive).
-  /// Immutable after construction; its query methods are const and
-  /// internally thread-safe, so best/topk/pareto run them without
-  /// holding archive_mu_ — queries prune blocks via zone maps instead
-  /// of scanning an O(archive) record vector per request.
-  search::ArchiveReader reader_;
-  /// Serializes live evaluations: re-check the cache, spend budget,
-  /// append to log + archive as one step, so a racing duplicate miss
+  /// Immutable; its query methods are const and internally thread-safe,
+  /// so every query runs them without holding delta_mu_.
+  const search::ArchiveReader archive_;
+  /// Guards the delta (readers: every query; writer: the live-eval
+  /// append path).  best/topk/pareto copy the delta out under a reader
+  /// lock and render OUTSIDE it — the lock is held for a copy, never
+  /// for an archive scan or a table render.
+  mutable util::SharedMutex delta_mu_;
+  /// Records the archive does not hold — decoded at start-up, then every
+  /// live evaluation — folded into every answer on top of archive_.  A
+  /// deque, so delta_keys_' views into its records stay valid as it
+  /// grows.
+  std::deque<explore::EvalResult> delta_ MS_GUARDED_BY(delta_mu_);
+  std::unordered_map<search::DesignKey, const explore::EvalResult*,
+                     search::DesignKeyHash>
+      delta_keys_ MS_GUARDED_BY(delta_mu_);
+  /// Serializes live evaluations: re-check the delta, spend budget,
+  /// append to log + delta as one step, so a racing duplicate miss
   /// cannot double-append or double-spend.
   util::Mutex live_mu_;
   std::atomic<std::uint64_t> live_used_{0};
@@ -180,6 +178,7 @@ class QueryServer {
   /// disk), so there is nothing to probe for recovery — degradation
   /// lasts until restart.
   std::atomic<bool> degraded_{false};
+  std::atomic<std::uint64_t> eval_hits_{0};  ///< evals the archive/delta held
   std::atomic<std::uint64_t> shed_busy_{0};
   std::atomic<std::uint64_t> shed_degraded_{0};
 
@@ -199,15 +198,17 @@ class QueryServer {
   std::ofstream metrics_;
 
   /// Session registry: fds are shut down at stop() to unblock recv(),
-  /// then every thread is joined — stop() moves the thread list out
-  /// under the lock and joins outside it (a session's last act is to
-  /// retake sessions_mu_ to clear its fd slot, so joining under the
-  /// lock would deadlock).  Slots are append-only (a serve process
-  /// hosts a bounded number of connections over its life; a closed
-  /// session marks its fd -1).
+  /// then every thread is joined.  A closing session marks its slot's
+  /// fd -1 as its last act under sessions_mu_; the acceptor reaps such
+  /// slots on each accept — moves their threads out, joins them outside
+  /// the lock, and reuses a slot — so the slots track the connections
+  /// open at once, not every connection the server ever accepted.
+  struct Session {
+    int fd = -1;
+    std::thread thread;
+  };
   util::Mutex sessions_mu_;
-  std::vector<int> session_fds_ MS_GUARDED_BY(sessions_mu_);
-  std::vector<std::thread> sessions_ MS_GUARDED_BY(sessions_mu_);
+  std::vector<Session> sessions_ MS_GUARDED_BY(sessions_mu_);
 };
 
 }  // namespace mergescale::serve

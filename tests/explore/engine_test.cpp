@@ -183,6 +183,29 @@ TEST(ExploreEngine, RejectsMisindexedJobsInDebugBuilds) {
 #endif
 }
 
+TEST(ExploreEngine, FreshnessFollowsJobOrderNotWorkerTiming) {
+  // Every point twice in a row (duplicates inside one claim block), then
+  // all of them again in reverse (duplicates across blocks that workers
+  // race on): only each point's first position may report a miss.
+  const std::vector<EvalJob> points = mixed_spec().expand();
+  std::vector<EvalJob> jobs;
+  for (const EvalJob& job : points) {
+    jobs.push_back(job);
+    jobs.push_back(job);
+  }
+  jobs.insert(jobs.end(), points.rbegin(), points.rend());
+  for (std::size_t i = 0; i < jobs.size(); ++i) jobs[i].index = i;
+  for (int round = 0; round < 20; ++round) {
+    ExploreEngine engine({.threads = 4});
+    const auto results = engine.run(jobs);
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      ASSERT_EQ(results[i].from_cache, !(i < 2 * points.size() && i % 2 == 0))
+          << "round " << round << ", job " << i;
+    }
+    for (const auto& result : engine.run(jobs)) EXPECT_TRUE(result.from_cache);
+  }
+}
+
 TEST(ExploreEngine, ClearCacheForcesReevaluation) {
   const ScenarioSpec spec = mixed_spec();
   ExploreEngine engine({.threads = 2});

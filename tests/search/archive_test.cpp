@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -397,6 +399,101 @@ TEST_F(ArchiveTest, ASliceFlipFailsExactlyTheQueriesThatTouchIt) {
   EXPECT_EQ(reader.row_count(), 256u);  // header intact
   EXPECT_THROW(reader.load_all(), std::runtime_error);
   EXPECT_THROW(reader.load_index_range(0, 10), std::runtime_error);
+}
+
+// ---------------------------------------------------------------------------
+// Point lookup: find() by design point.
+// ---------------------------------------------------------------------------
+
+TEST_F(ArchiveTest, FindReturnsTheFirstRowOfEveryDesignPoint) {
+  // synth_records repeats its design points every 420 indices, so the
+  // archive holds duplicates; find must answer with the first, as
+  // RunLog::dedup over the archive's row order would keep it.
+  const auto records = synth_records(1000, 5);
+  write_archive(path_, records, 64);
+  const ArchiveReader file = ArchiveReader::open(path_);
+  const ArchiveReader memory = ArchiveReader::from_records(records, 64);
+  EXPECT_EQ(file.key_table_ms(), 0.0);  // open() builds nothing
+  const auto firsts = RunLog::dedup(sorted_by_index(records));
+  ASSERT_LT(firsts.size(), records.size());
+  std::unordered_map<std::size_t, std::size_t> first_of;  // index -> first
+  for (const auto& record : sorted_by_index(records)) {
+    for (const auto& first : firsts) {
+      if (DesignKey::of(first) == DesignKey::of(record)) {
+        first_of[record.index] = first.index;
+        break;
+      }
+    }
+  }
+  for (const auto& record : records) {
+    for (const ArchiveReader* reader : {&file, &memory}) {
+      const auto found = reader->find(DesignKey::of(record));
+      ASSERT_TRUE(found.has_value()) << record.index;
+      EXPECT_EQ(found->index, first_of.at(record.index));
+      EXPECT_TRUE(DesignKey::of(*found) == DesignKey::of(record));
+    }
+  }
+  EXPECT_GT(file.key_table_ms(), 0.0);
+}
+
+TEST_F(ArchiveTest, FindMissesEveryOtherPoint) {
+  const auto records = synth_records(300, 9);
+  const ArchiveReader reader = ArchiveReader::from_records(records, 32);
+  for (const auto& record : records) {
+    auto probe = [&reader](explore::EvalResult point) {
+      return reader.find(DesignKey::of(point)).has_value();
+    };
+    explore::EvalResult other = record;
+    other.rl = -record.rl;  // symmetric rows hold +0.0: -0.0 is another point
+    EXPECT_FALSE(probe(other)) << record.index;
+    other = record;
+    other.app += ";";
+    EXPECT_FALSE(probe(other));
+    other = record;
+    other.n = std::numeric_limits<double>::quiet_NaN();
+    EXPECT_FALSE(probe(other));
+    other = record;
+    other.variant = core::ModelVariant::kAsymmetricComm;
+    EXPECT_FALSE(probe(other));
+    // Fields outside the identity do not matter.
+    other = record;
+    other.index += 100000;
+    other.scenario = "elsewhere";
+    other.speedup += 1.0;
+    EXPECT_TRUE(probe(other));
+  }
+  EXPECT_FALSE(ArchiveReader::from_records({}).find(DesignKey{}).has_value());
+}
+
+TEST_F(ArchiveTest, ConcurrentFirstFindsBuildOneTable) {
+  const auto records = synth_records(2000, 17);
+  const ArchiveReader reader = ArchiveReader::from_records(records, 128);
+  std::vector<std::thread> threads;
+  std::atomic<int> misses{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t i = static_cast<std::size_t>(t); i < records.size();
+           i += 4) {
+        if (!reader.find(DesignKey::of(records[i]))) misses.fetch_add(1);
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(misses.load(), 0);
+}
+
+TEST_F(ArchiveTest, FindRefusesACorruptKeyColumnEveryTime) {
+  const auto records = synth_records(256, 23);
+  std::string bytes = encode_archive(records, 64);
+  // Header (76 bytes) + the 8-byte index column over 256 rows: the
+  // variant column of block 0 starts at byte 2124.
+  bytes[2124 + 5] = static_cast<char>(bytes[2124 + 5] ^ '\x01');
+  const ArchiveReader reader = ArchiveReader::from_buffer(bytes);
+  const DesignKey key = DesignKey::of(records[0]);
+  EXPECT_THROW(reader.find(key), std::runtime_error);
+  // The failed build left no half-built table behind.
+  EXPECT_THROW(reader.find(key), std::runtime_error);
+  EXPECT_EQ(reader.key_table_ms(), 0.0);
 }
 
 // ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "search/run_log.hpp"
-#include "serve/archive.hpp"
+#include "serve/served_run.hpp"
 #include "serve/server.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_env.hpp"
@@ -59,22 +59,19 @@ class DegradedTest : public ::testing::Test {
   }
 
   struct Harness {
-    Archive archive;
-    explore::ExploreEngine engine;
     std::unique_ptr<search::RunLog> log;
     std::unique_ptr<QueryServer> server;
   };
 
   std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100) {
     auto harness = std::make_unique<Harness>();
-    harness->archive = load_archive(dir_);
-    search::RunLog::warm(harness->archive.records, harness->archive.spec,
-                         harness->engine);
+    ServedRun run = open_served_run(dir_);
+    ServedRecords records = open_served_records(dir_);
     harness->log = std::make_unique<search::RunLog>(dir_);
     ServerOptions options;
     options.live_budget = live_budget;
     harness->server = std::make_unique<QueryServer>(
-        harness->archive, harness->engine, harness->log.get(), options);
+        std::move(run), std::move(records), harness->log.get(), options);
     return harness;
   }
 
@@ -114,7 +111,7 @@ TEST_F(DegradedTest, LogFailureShedsLiveEvalsButKeepsServingTheArchive) {
   EXPECT_NE(stats.find("shed_busy=0"), std::string::npos) << stats;
 }
 
-TEST_F(DegradedTest, DegradedModeNeverPollutesTheCache) {
+TEST_F(DegradedTest, DegradedModeNeverPollutesTheDelta) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   auto harness = serve();
@@ -123,8 +120,8 @@ TEST_F(DegradedTest, DegradedModeNeverPollutesTheCache) {
   EXPECT_EQ(reply.rfind("ERR degraded(archive-only)", 0), 0u) << reply;
   util::FailPoints::instance().disarm_all();
 
-  // Had the failed answer been cached, a restarted server (whose log
-  // never recorded it) would disagree with this one.  The miss must
+  // Had the failed answer entered the delta, a restarted server (whose
+  // log never recorded it) would disagree with this one.  The miss must
   // still be a miss — and this server is degraded for good, so it sheds
   // even now that the disk recovered.
   const std::string after = harness->server->execute_line(kOffGridEval);

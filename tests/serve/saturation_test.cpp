@@ -20,7 +20,7 @@
 
 #include "explore/report.hpp"
 #include "search/run_log.hpp"
-#include "serve/archive.hpp"
+#include "serve/served_run.hpp"
 #include "serve/server.hpp"
 
 namespace mergescale::serve {
@@ -101,16 +101,14 @@ TEST(Saturation, ProbeAdaptsUnderMultiClientLoadWithoutCollapsing) {
     for (const auto& result : results) log.append(result);
   }
 
-  Archive archive = load_archive(dir);
-  explore::ExploreEngine engine(explore::EngineOptions{2});
-  search::RunLog::warm(archive.records, archive.spec, engine);
 
   ServerOptions options;
   options.probe_window = std::chrono::milliseconds(50);
   options.initial_concurrency = 1;
   options.probe.min_concurrency = 1;
   options.probe.max_concurrency = 8;
-  QueryServer server(archive, engine, nullptr, options);
+  QueryServer server(open_served_run(dir), open_served_records(dir), nullptr,
+                     options);
   server.start();
   ASSERT_GT(server.port(), 0);
 

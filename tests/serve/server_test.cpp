@@ -12,7 +12,7 @@
 #include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
-#include "serve/archive.hpp"
+#include "serve/served_run.hpp"
 
 namespace mergescale::serve {
 namespace {
@@ -52,31 +52,43 @@ class ServerTest : public ::testing::Test {
     log.flush();
   }
 
-  /// An in-process server over the recorded directory: archive loaded
-  /// through the real startup path, cache warmed, live appends going
-  /// back to the same run log.  Not start()ed — execute_line drives the
-  /// full query path (gate included) without sockets.
+  /// An in-process server over the recorded directory, opened through
+  /// the real start-up path, live appends going back to the same run
+  /// log.  Not start()ed — execute_line drives the full query path (gate
+  /// included) without sockets.
   struct Harness {
-    Archive archive;
-    explore::ExploreEngine engine;
     std::unique_ptr<search::RunLog> log;
     std::unique_ptr<QueryServer> server;
+
+    /// The value of one `stats` key.
+    std::string stat(const std::string& key) {
+      const std::string reply = server->execute_line("stats");
+      const std::size_t at = reply.find("\n" + key + "=");
+      if (at == std::string::npos) return "<missing>";
+      const std::size_t begin = at + key.size() + 2;
+      return reply.substr(begin, reply.find('\n', begin) - begin);
+    }
   };
 
   std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100,
                                  bool with_log = true) {
     auto harness = std::make_unique<Harness>();
-    harness->archive = load_archive(dir_);
-    search::RunLog::warm(harness->archive.records, harness->archive.spec,
-                         harness->engine);
+    ServedRun run = open_served_run(dir_);
+    ServedRecords records = open_served_records(dir_);
     if (with_log) {
       harness->log = std::make_unique<search::RunLog>(dir_);
     }
     ServerOptions options;
     options.live_budget = live_budget;
     harness->server = std::make_unique<QueryServer>(
-        harness->archive, harness->engine, harness->log.get(), options);
+        std::move(run), std::move(records), harness->log.get(), options);
     return harness;
+  }
+
+  /// Every record the directory holds, deduplicated: what the served
+  /// union must answer over.
+  std::vector<explore::EvalResult> union_records() const {
+    return search::RunLog::dedup(search::RunLog::load(dir_));
   }
 
   std::string dir_;
@@ -85,8 +97,8 @@ class ServerTest : public ::testing::Test {
 TEST_F(ServerTest, BestIsByteIdenticalToTheCliRendering) {
   record();
   auto harness = serve();
-  const explore::EvalResult* best =
-      explore::best_result(harness->archive.records);
+  const auto records = union_records();
+  const explore::EvalResult* best = explore::best_result(records);
   ASSERT_NE(best, nullptr);
   const std::string expected =
       ok_header(QueryKind::kBest, 1) + explore::best_line(*best) + "\nEND\n";
@@ -99,7 +111,7 @@ TEST_F(ServerTest, TopkIsByteIdenticalToTheCliTable) {
   record();
   auto harness = serve();
   const std::string payload =
-      explore::to_table(explore::top_k(harness->archive.records, 3))
+      explore::to_table(explore::top_k(union_records(), 3))
           .to_text("top-k designs by speedup");
   const std::string expected =
       ok_header(QueryKind::kTopK, count_lines(payload)) + payload + "END\n";
@@ -116,7 +128,7 @@ TEST_F(ServerTest, ParetoIsByteIdenticalToTheCliTable) {
                    "Pareto frontier (speedup vs. core count)"}}) {
     const std::string payload =
         explore::to_table(
-            explore::pareto_frontier(harness->archive.records, metric))
+            explore::pareto_frontier(union_records(), metric))
             .to_text(title);
     const std::string expected =
         ok_header(QueryKind::kPareto, count_lines(payload)) + payload + "END\n";
@@ -163,8 +175,8 @@ TEST_F(ServerTest, LiveEvalSurvivesARestart) {
     ASSERT_NE(first.find("source=live"), std::string::npos) << first;
   }  // server + log torn down: the record is on disk
   auto restarted = serve();
-  EXPECT_EQ(restarted->archive.records.size(),
-            spec_from_run_config(kConfig).job_count() + 1);
+  EXPECT_EQ(restarted->stat("archive_records"),
+            std::to_string(spec_from_run_config(kConfig).job_count() + 1));
   const std::string second = restarted->server->execute_line(query);
   EXPECT_NE(second.find("source=archive"), std::string::npos) << second;
   EXPECT_EQ(restarted->server->live_evals(), 0u);
@@ -181,7 +193,7 @@ TEST_F(ServerTest, ExhaustedLiveBudgetIsARefusalNotACrash) {
   EXPECT_EQ(reply.rfind("ERR ", 0), 0u) << reply;
   EXPECT_NE(reply.find("budget"), std::string::npos) << reply;
   EXPECT_EQ(harness->server->live_evals(), 0u);
-  // On-grid (warmed) answers still flow: the budget gates compute, not
+  // On-grid (archived) answers still flow: the budget gates compute, not
   // the archive.
   EXPECT_EQ(harness->server
                 ->execute_line(
@@ -194,8 +206,8 @@ TEST_F(ServerTest, ExhaustedLiveBudgetIsARefusalNotACrash) {
 TEST_F(ServerTest, EvalRefusesCoordinatesOutsideTheScenario) {
   record();
   auto harness = serve();
-  // Laws outside the archive could not be warmed back after a restart,
-  // so they are refused (the grid coordinates n/r/rl stay free).
+  // Laws outside the scenario could not be resolved back after a
+  // restart, so they are refused (the grid coordinates n/r/rl stay free).
   const std::string bad_app = harness->server->execute_line(
       "eval variant=asymmetric n=64 app=hop growth=linear r=1 rl=8");
   EXPECT_EQ(bad_app.rfind("ERR ", 0), 0u);
@@ -241,7 +253,8 @@ TEST_F(ServerTest, QuitAndStatsAreFramedReplies) {
   const std::string stats = harness->server->execute_line("stats");
   EXPECT_EQ(stats.rfind("OK stats", 0), 0u);
   for (const char* key :
-       {"archive_records=", "cache_entries=", "queries=", "live_budget=",
+       {"archive_records=", "delta_records=", "eval_hits=", "eval_index_ms=",
+        "queries=", "live_budget=",
         "concurrency_limit=", "probe_state=stable", "stable_concurrency=",
         "probe_windows="}) {
     EXPECT_NE(stats.find(key), std::string::npos) << key << "\n" << stats;
@@ -254,12 +267,12 @@ TEST_F(ServerTest, ServesWithoutALogButCannotPersist) {
   const std::string reply = harness->server->execute_line(
       "eval variant=asymmetric n=96 app=kmeans growth=linear r=2 rl=32");
   EXPECT_NE(reply.find("source=live"), std::string::npos) << reply;
-  // The answer was served (and cached in-process) even with nowhere to
+  // The answer was served (and held in the delta) even with nowhere to
   // persist it.
   EXPECT_EQ(harness->server->live_evals(), 1u);
 }
 
-TEST_F(ServerTest, LoadArchiveDedupsAndRefusesForeignConfigs) {
+TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
   record();
   // A second directory recorded under a different space must be refused,
   // exactly as RunLog::merge would refuse it.
@@ -280,14 +293,16 @@ TEST_F(ServerTest, LoadArchiveDedupsAndRefusesForeignConfigs) {
     log.append(result);
     log.flush();
   }
-  EXPECT_THROW(load_archive(dir_, {foreign}), std::runtime_error);
+  EXPECT_THROW(open_served_run(dir_, {foreign}), std::runtime_error);
   std::filesystem::remove_all(foreign);
 
-  // Unioning a directory with itself must not double-count: the archive
-  // is deduplicated by design point.
-  const Archive plain = load_archive(dir_);
-  const Archive self_union = load_archive(dir_, {dir_});
-  EXPECT_EQ(self_union.records.size(), plain.records.size());
+  // Unioning a directory with itself must not double-count: the served
+  // records are deduplicated by design point.
+  EXPECT_NO_THROW(open_served_run(dir_, {dir_}));
+  const ServedRecords plain = open_served_records(dir_);
+  const ServedRecords self_union = open_served_records(dir_, {dir_});
+  EXPECT_EQ(self_union.archive.row_count() + self_union.delta.size(),
+            plain.archive.row_count() + plain.delta.size());
 }
 
 TEST_F(ServerTest, ArchiveBackedAnswersAreByteIdenticalToLogBacked) {
@@ -309,10 +324,11 @@ TEST_F(ServerTest, ArchiveBackedAnswersAreByteIdenticalToLogBacked) {
   std::filesystem::remove(search::RunLog::results_path(dir_));
 
   auto archive_backed = serve();
-  // The startup path recognized the archive as the union's prefix, so
-  // the server is answering through the file-backed zone-map reader —
-  // not an O(archive) scan of a record vector.
-  EXPECT_EQ(archive_backed->archive.archived, records.size());
+  // Every record lives in the file-backed zone-map reader; nothing was
+  // decoded into the delta.
+  EXPECT_EQ(archive_backed->stat("archive_records"),
+            std::to_string(records.size()));
+  EXPECT_EQ(archive_backed->stat("delta_records"), "0");
   std::size_t at = 0;
   for (const char* line : {"best", "topk 5", "pareto area", "pareto cores"}) {
     EXPECT_EQ(archive_backed->server->execute_line(line), reference[at++])
@@ -329,7 +345,7 @@ TEST_F(ServerTest, LiveEvalsFoldIntoArchiveBackedAnswers) {
   // A live (off-grid) eval lands in the server's delta list; every
   // later answer must fold it in on top of the file-backed archive.
   auto harness = serve();
-  ASSERT_EQ(harness->archive.archived, records.size());
+  ASSERT_EQ(harness->stat("delta_records"), "0");
   const std::string reply = harness->server->execute_line(
       "eval variant=asymmetric n=96 app=kmeans growth=linear r=2 rl=32");
   ASSERT_NE(reply.find("source=live"), std::string::npos) << reply;
@@ -337,11 +353,13 @@ TEST_F(ServerTest, LiveEvalsFoldIntoArchiveBackedAnswers) {
   const std::string best_after = harness->server->execute_line("best");
   harness.reset();  // flush the live record into the run log
 
-  // A log-backed restart loads archive + appended record and must land
-  // on byte-identical answers — the delta fold is not a different query
-  // engine, just a deferred part of the same archive.
+  // A restart serves archive + the appended record (decoded into the
+  // delta) and must land on byte-identical answers — the delta fold is
+  // not a different query engine, just a deferred part of the archive.
   auto restarted = serve();
-  EXPECT_EQ(restarted->archive.records.size(), records.size() + 1);
+  EXPECT_EQ(restarted->stat("archive_records"),
+            std::to_string(records.size() + 1));
+  EXPECT_EQ(restarted->stat("delta_records"), "1");
   EXPECT_EQ(restarted->server->execute_line("topk 5"), topk_after);
   EXPECT_EQ(restarted->server->execute_line("best"), best_after);
 }
