@@ -1,42 +1,26 @@
 // bench_eval_throughput: points/sec of the evaluation/persistence
-// pipeline, the perf gate for million-evaluation design-space runs.
-// Three measurements:
+// pipeline for million-evaluation design-space runs.  Four
+// measurements:
 //
-//   eval      chunked exhaustive sweep, three ways.  per-job: the frozen
-//             PR 6 pipeline (a fresh EvalJob materialized per point, then
-//             key → probe → scalar evaluate → insert against a node-based
-//             sharded map — the uncached baseline this bench recorded at
-//             ~670k pts/s).  batch pipeline: the same sweep through
-//             SearchSpace::jobs_in slot reuse, block cache ops, and
-//             core::evaluate_batch — the path every caller now rides.
-//             Both use the same claim-block threading, so their ratio
-//             (batch_speedup, the ≥4x CI gate) isolates the API
-//             redesign.  cached: the warm-cache rerun (pure key+lookup)
+//   eval      chunked exhaustive sweep through SearchSpace::jobs_in slot
+//             reuse, block cache ops and core::evaluate_batch — the path
+//             every caller rides — cold (uncached) and as a warm-cache
+//             rerun (pure key+lookup)
 //   batch     the same mixed-variant requests through the scalar
 //             reference path (evaluate_reference, one point at a time)
 //             vs. core::evaluate_batch over engine-sized chunks with
 //             reused scratch.  Both sides single-threaded: the raw
 //             kernel-level comparison, advisory (the request walk is
 //             memory-bound, so this ratio only opens up on SIMD builds)
-//   persist   the same sweep persisted through a RunLog: NDJSON with
-//             flush-per-record (the historical baseline) vs. the binary
-//             format with buffered group flushes vs. binary with the
-//             double-buffered writer thread (--log-async's machinery).
-//             An unpersisted run of the same no-cache sweep anchors the
-//             *stall* — the wall-clock the log costs on top of pure
-//             evaluation — and the bench reports how much of the
-//             synchronous stall the writer thread removes (its whole
-//             point: with spare cores the encode+write work overlaps
-//             evaluation instead of serializing after it)
+//   persist   the same no-cache sweep unpersisted (the anchor) and
+//             persisted through a RunLog with buffered group flushes;
+//             the gap between the two is what the log costs
 //   anneal    the annealing strategy at --walkers 1 (the old sequential
 //             walker) vs. the parallel multi-walker front
 //
 // Emits a BENCH_throughput.json with every number so CI can archive the
-// perf trajectory, and exits nonzero when binary+buffered persistence
-// fails to beat the NDJSON per-line baseline by --min-persist-speedup,
-// or when the writer thread removes less than --min-stall-removed of
-// the synchronous persistence stall (default 0: advisory, because a
-// single-core box has no spare cycles to overlap into).
+// perf trajectory.  Exits nonzero only when the batch and scalar paths
+// disagree on the work they measured.
 //
 //   ./build/bench_eval_throughput                 # ~1.2M-grid-point space
 //   ./build/bench_eval_throughput --scale smoke   # CI-sized space
@@ -44,27 +28,19 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <array>
-#include <atomic>
-#include <bit>
 #include <chrono>
-#include <cmath>
-#include <shared_mutex>
-#include <span>
-#include <thread>
-#include <unordered_map>
-#include <utility>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/app_params.hpp"
 #include "core/eval_batch.hpp"
 #include "explore/engine.hpp"
-#include "runtime/thread_team.hpp"
 #include "search/run_log.hpp"
 #include "search/space.hpp"
 #include "search/strategy.hpp"
@@ -121,18 +97,13 @@ struct SweepStats {
   double pps() const { return seconds > 0.0 ? points / seconds : 0.0; }
 };
 
-// Batch-pipeline chunk: 2048 jobs (~1 MB of EvalJob slots plus result
-// slots) keeps the materialize-then-evaluate working set inside L2, which
-// is worth ~20% over the 8192-point chunk the per-job sweep inherited
-// from PR 6 — at 520 bytes per job the larger chunk streams ~4 MB
-// through the cache twice per chunk.  Still 8 claim blocks per thread
-// on a 1-thread engine, so the claim queue keeps its granularity.
+// Sweep chunk: 2048 jobs (~1 MB of EvalJob slots plus result slots)
+// keeps the materialize-then-evaluate working set inside L2, which is
+// worth ~20% over an 8192-point chunk — at 520 bytes per job the larger
+// chunk streams ~4 MB through the cache twice per chunk.  Still 8 claim
+// blocks per thread on a 1-thread engine, so the claim queue keeps its
+// granularity.
 constexpr std::uint64_t kSweepChunk = 2048;
-
-/// The sweep chunk the PR 6 bench used; the frozen per-job baseline
-/// keeps it (along with the PR 6 hash) so the batch_speedup denominator
-/// stays the pipeline PR 6 actually shipped.
-constexpr std::uint64_t kLegacyChunk = 8192;
 
 /// Chunked exhaustive sweep over `space` (memory stays bounded no matter
 /// the grid size).  When `log` is non-null every fresh result is
@@ -157,138 +128,12 @@ SweepStats sweep(explore::ExploreEngine& engine, const search::SearchSpace& spac
                std::span(results).first(slice.size()));
     if (log != nullptr) {
       for (std::size_t i = 0; i < slice.size(); ++i) {
-        if (!results[i].from_cache) log->append(std::move(results[i]));
+        if (!results[i].from_cache) log->append(results[i]);
       }
     }
     stats.points += slice.size();
   }
   if (log != nullptr) log->flush();
-  stats.seconds = seconds_since(start);
-  return stats;
-}
-
-/// The frozen PR 6 pipeline, kept verbatim as the batch_speedup
-/// baseline: one fresh EvalJob materialized (and moved) per point, and a
-/// per-job evaluate path — cache_key, shared-lock probe, scalar
-/// evaluate_reference on a miss, exclusive-lock insert — against a
-/// node-based sharded map (what MemoCache was before the flat-table
-/// rewrite).  Threaded with the engine's claim-block pattern so the
-/// ratio to the batch pipeline isolates the API redesign at equal
-/// thread count.
-/// PR 6's CacheKeyHash, frozen verbatim: a splitmix64 finalizer chained
-/// over all 13 key words.  The serial multiply chain costs ~180 cycles
-/// per hash, which this PR's two-lane rewrite removed — the baseline
-/// must keep paying it (four times per miss: shard pick, map find,
-/// shard pick again, map insert) or the ratio would credit the per-job
-/// path with batch-era components it never had.
-struct LegacyHash {
-  static std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
-    h ^= v;
-    h ^= h >> 30;
-    h *= 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 27;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 31;
-    return h;
-  }
-
-  std::size_t operator()(const explore::CacheKey& key) const noexcept {
-    std::uint64_t h = 1469598103934665603ull;
-    h = mix(h, (static_cast<std::uint64_t>(key.variant) << 16) |
-                   (static_cast<std::uint64_t>(key.growth_kind) << 8) |
-                   key.comm_growth_kind);
-    h = mix(h, (static_cast<std::uint64_t>(key.perf_name) << 32) |
-                   key.growth_name);
-    h = mix(h, key.comm_growth_name);
-    for (double v : key.nums) h = mix(h, std::bit_cast<std::uint64_t>(v));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-struct LegacyCache {
-  struct Shard {
-    std::shared_mutex mu;
-    std::unordered_map<explore::CacheKey, explore::EvalOutcome, LegacyHash>
-        map;
-  };
-  std::array<Shard, 16> shards;
-
-  Shard& shard_for(const explore::CacheKey& key) {
-    return shards[LegacyHash{}(key) % shards.size()];
-  }
-};
-
-SweepStats sweep_perjob(const search::SearchSpace& space, int threads) {
-  LegacyCache cache;
-  runtime::ThreadTeam team(threads);
-  SweepStats stats;
-  const auto start = std::chrono::steady_clock::now();
-  std::vector<explore::EvalJob> slice;
-  for (std::uint64_t begin = 0; begin < space.size(); begin += kLegacyChunk) {
-    const std::uint64_t end = std::min(begin + kLegacyChunk, space.size());
-    slice.clear();
-    for (std::uint64_t flat = begin; flat < end; ++flat) {
-      explore::EvalJob job;
-      if (space.job_at(space.decode(flat), &job)) {
-        job.index = slice.size();
-        slice.push_back(std::move(job));
-      }
-    }
-    std::vector<explore::EvalResult> results(slice.size());
-    constexpr std::size_t kBlock = 256;
-    std::atomic<std::size_t> next{0};
-    team.run([&](int, int) {
-      for (;;) {
-        const std::size_t block_begin = next.fetch_add(kBlock);
-        if (block_begin >= slice.size()) break;
-        const std::size_t block_end =
-            std::min(block_begin + kBlock, slice.size());
-        for (std::size_t i = block_begin; i < block_end; ++i) {
-          const explore::EvalJob& job = slice[i];
-          explore::EvalResult& result = results[i];
-          result.index = job.index;
-          result.scenario = job.scenario;
-          result.variant = job.request.variant;
-          result.n = job.request.chip.n;
-          result.app = job.request.app.name;
-          result.growth = job.request.growth.name();
-          result.topology = job.topology;
-          result.r = job.request.r;
-          result.rl = job.request.rl;
-          const explore::CacheKey key = explore::cache_key(job.request);
-          explore::EvalOutcome outcome;
-          bool hit = false;
-          {
-            LegacyCache::Shard& shard = cache.shard_for(key);
-            std::shared_lock<std::shared_mutex> lock(shard.mu);
-            auto it = shard.map.find(key);
-            if (it != shard.map.end()) {
-              outcome = it->second;
-              hit = true;
-            }
-          }
-          if (!hit) {
-            const auto point = core::evaluate_reference(job.request);
-            outcome = point && std::isfinite(point->speedup)
-                          ? explore::EvalOutcome{true, *point}
-                          : explore::EvalOutcome{};
-            LegacyCache::Shard& shard = cache.shard_for(key);
-            std::unique_lock<std::shared_mutex> lock(shard.mu);
-            shard.map[key] = outcome;
-          }
-          result.feasible = outcome.feasible;
-          if (outcome.feasible) {
-            result.speedup = outcome.point.speedup;
-            result.cores = core::is_asymmetric_variant(job.request.variant)
-                               ? job.request.chip.cores_asymmetric(
-                                     job.request.rl, job.request.r)
-                               : job.request.chip.cores_symmetric(job.request.r);
-          }
-        }
-      }
-    });
-    stats.points += slice.size();
-  }
   stats.seconds = seconds_since(start);
   return stats;
 }
@@ -336,8 +181,8 @@ SweepStats timed_anneal(const search::SearchSpace& space,
 
 int main(int argc, char** argv) try {
   util::Cli cli("bench_eval_throughput",
-                "points/sec for cached/uncached evaluation, NDJSON vs binary "
-                "persisted search, and sequential vs parallel annealing");
+                "points/sec for cached/uncached evaluation, persisted "
+                "search, and sequential vs parallel annealing");
   cli.opt("scale", std::string("full"), "full (~1.2M grid points) | smoke");
   cli.opt("threads", static_cast<long long>(0),
           "worker threads (0 = hardware concurrency)");
@@ -345,14 +190,6 @@ int main(int argc, char** argv) try {
           "parallel annealing walker count");
   cli.opt("flush-every", static_cast<long long>(1024),
           "binary log records per flush group");
-  cli.opt("min-persist-speedup", 1.0,
-          "fail when binary+buffered / ndjson-per-line falls below this");
-  cli.opt("min-stall-removed", 0.0,
-          "fail when the writer thread removes less than this fraction of "
-          "the synchronous persistence stall (needs a spare core)");
-  cli.opt("min-batch-speedup", 0.0,
-          "fail when the batch pipeline / PR 6 per-job baseline throughput "
-          "ratio falls below this (gate for the multi-core CI runner)");
   cli.opt("out", std::string("BENCH_throughput.json"), "JSON output path");
   cli.opt("work-dir", std::string(), "scratch dir (default: temp)");
   if (!cli.parse(argc, argv)) return 0;
@@ -376,33 +213,25 @@ int main(int argc, char** argv) try {
   std::cout << "space: " << space.size() << " grid points ("
             << scale << " scale)\n";
 
-  // The writer-thread and multi-walker comparisons measure *overlap*:
-  // with a single hardware thread there are no spare cycles to overlap
-  // into, so their ratios say nothing about the machinery.  The raw
-  // numbers are still measured and reported; only the two derived
-  // ratios are marked skipped (and their gates disarmed) so a one-core
-  // CI box archives honest JSON instead of a meaningless 1.0x.
+  // The multi-walker comparison measures *overlap*: with a single
+  // hardware thread there are no spare cycles to overlap into, so its
+  // ratio says nothing about the machinery.  The raw numbers are still
+  // measured and reported; only the derived ratio is marked skipped so
+  // a one-core box archives honest JSON instead of a meaningless 1.0x.
   const bool single_core = std::thread::hardware_concurrency() <= 1;
   if (single_core) {
-    std::cout << "note: single hardware thread — anneal_speedup, "
-                 "persist_stall_removed and batch_speedup are reported as "
-                 "\"skipped_single_core\"\n";
+    std::cout << "note: single hardware thread — anneal_speedup is "
+                 "reported as \"skipped_single_core\"\n";
   }
 
-  // --- eval: PR 6 per-job baseline vs. batch pipeline vs. warm cache -----
+  // --- eval: batch pipeline, cold and warm cache ---------------------------
   explore::ExploreEngine engine(engine_options);
-  const SweepStats perjob = sweep_perjob(space, engine.threads());
   const SweepStats uncached = sweep(engine, space, nullptr);
   const SweepStats cached = sweep(engine, space, nullptr);
-  const double batch_speedup =
-      perjob.pps() > 0.0 ? uncached.pps() / perjob.pps() : 0.0;
-  std::cout << "eval:    per-job " << util::format_double(perjob.pps(), 0)
-            << " pts/s, batch pipeline "
-            << util::format_double(uncached.pps(), 0) << " pts/s — "
-            << util::format_double(batch_speedup, 2) << "x, cached "
-            << util::format_double(cached.pps(), 0) << " pts/s ("
-            << uncached.points << " points, " << engine.threads()
-            << " threads)\n";
+  std::cout << "eval:    uncached " << util::format_double(uncached.pps(), 0)
+            << " pts/s, cached " << util::format_double(cached.pps(), 0)
+            << " pts/s (" << uncached.points << " points, "
+            << engine.threads() << " threads)\n";
 
   // --- batch: scalar reference loop vs. grouped SoA kernels ---------------
   // Both sides single-threaded over identical requests; the scalar side
@@ -411,8 +240,7 @@ int main(int argc, char** argv) try {
   // engine and the sweeps now ride.  Advisory: both sides stream the
   // same 450-byte requests, so this ratio is memory-bound near 1x on a
   // scalar build and only opens up where the plane kernels vectorize
-  // (the -march=x86-64-v3 CI build).  The gated number is batch_speedup
-  // above — the pipeline the redesign actually replaced.
+  // (the -march=x86-64-v3 CI build).
   const std::vector<core::EvalRequest> chunk = batch_requests();
   const std::uint64_t batch_passes = scale == "smoke" ? 48 : 512;
   double scalar_sink = 0.0;
@@ -459,7 +287,7 @@ int main(int argc, char** argv) try {
             << util::format_double(kernel_speedup, 2) << "x ("
             << batch_stats.points << " points, 1 thread)\n";
 
-  // --- persist: ndjson per-line vs. binary buffered vs. binary async -----
+  // --- persist: unpersisted anchor vs. the binary run log ----------------
   // The workload of `explore_cli --no-cache --run-dir <dir>`: a fresh
   // recorded exhaustive sweep.  Every cross-product point is distinct, so
   // the memo cache would be pure per-point overhead here — it is read
@@ -469,16 +297,9 @@ int main(int argc, char** argv) try {
   SweepStats bare;
   {
     // Unpersisted anchor: the same sweep with no log at all.  Whatever a
-    // persisted run takes beyond this is the persistence stall.
+    // persisted run takes beyond this is what the log costs.
     explore::ExploreEngine fresh(persist_options);
     bare = sweep(fresh, space, nullptr);
-  }
-  SweepStats ndjson;
-  {
-    explore::ExploreEngine fresh(persist_options);
-    search::RunLog log(work + "/ndjson",
-                       {search::LogFormat::kNdjson, 1});
-    ndjson = sweep(fresh, space, &log);
   }
   SweepStats binary;
   {
@@ -487,42 +308,12 @@ int main(int argc, char** argv) try {
                        {search::LogFormat::kBinary, flush_every});
     binary = sweep(fresh, space, &log);
   }
-  SweepStats async;
-  {
-    explore::ExploreEngine fresh(persist_options);
-    search::RunLogOptions log_options{search::LogFormat::kBinary,
-                                      flush_every};
-    log_options.async = true;
-    search::RunLog log(work + "/async", log_options);
-    async = sweep(fresh, space, &log);
-  }
-  const double persist_speedup =
-      ndjson.pps() > 0.0 ? binary.pps() / ndjson.pps() : 0.0;
-  // Stall removed by the writer thread, as a fraction of the synchronous
-  // binary log's stall.  Clamped into [0, 1]: timing noise can push the
-  // async sweep marginally below the unpersisted anchor.
-  const double stall_sync = binary.seconds - bare.seconds;
-  const double stall_async = async.seconds - bare.seconds;
-  const double stall_removed =
-      stall_sync > 0.0
-          ? std::min(1.0, std::max(0.0, 1.0 - stall_async / stall_sync))
-          : 0.0;
-  const auto ndjson_bytes = std::filesystem::file_size(
-      search::RunLog::results_path(work + "/ndjson"));
   const auto binary_bytes = std::filesystem::file_size(
       search::RunLog::binary_results_path(work + "/binary"));
   std::cout << "persist: bare " << util::format_double(bare.pps(), 0)
-            << " pts/s, ndjson/line " << util::format_double(ndjson.pps(), 0)
-            << " pts/s (" << ndjson_bytes << " B), binary/"
-            << flush_every << " " << util::format_double(binary.pps(), 0)
-            << " pts/s (" << binary_bytes << " B) — "
-            << util::format_double(persist_speedup, 2) << "x\n";
-  std::cout << "persist: binary+writer-thread "
-            << util::format_double(async.pps(), 0) << " pts/s — stall "
-            << util::format_double(stall_sync * 1e3, 2) << " ms sync vs "
-            << util::format_double(stall_async * 1e3, 2) << " ms async ("
-            << util::format_double(stall_removed * 100.0, 1)
-            << "% removed)\n";
+            << " pts/s, binary/" << flush_every << " "
+            << util::format_double(binary.pps(), 0) << " pts/s ("
+            << binary_bytes << " B)\n";
 
   // --- anneal: sequential walker vs. parallel front ----------------------
   const std::uint64_t budget = scale == "smoke" ? 4000 : 50000;
@@ -544,30 +335,15 @@ int main(int argc, char** argv) try {
          << "  \"scale\": \"" << scale << "\",\n"
          << "  \"grid_points\": " << space.size() << ",\n"
          << "  \"threads\": " << engine.threads() << ",\n"
-         << "  \"eval_perjob_pps\": " << perjob.pps() << ",\n"
          << "  \"eval_uncached_pps\": " << uncached.pps() << ",\n"
          << "  \"eval_cached_pps\": " << cached.pps() << ",\n"
          << "  \"eval_scalar_pps\": " << scalar_stats.pps() << ",\n"
          << "  \"eval_batch_pps\": " << batch_stats.pps() << ",\n"
          << "  \"kernel_speedup\": " << kernel_speedup << ",\n"
-         << "  \"batch_speedup\": "
-         << (single_core ? std::string("\"skipped_single_core\"")
-                         : std::to_string(batch_speedup))
-         << ",\n"
-         << "  \"persist_points\": " << ndjson.points << ",\n"
+         << "  \"persist_points\": " << binary.points << ",\n"
          << "  \"persist_bare_pps\": " << bare.pps() << ",\n"
-         << "  \"persist_ndjson_pps\": " << ndjson.pps() << ",\n"
          << "  \"persist_binary_pps\": " << binary.pps() << ",\n"
-         << "  \"persist_binary_async_pps\": " << async.pps() << ",\n"
-         << "  \"persist_ndjson_bytes\": " << ndjson_bytes << ",\n"
          << "  \"persist_binary_bytes\": " << binary_bytes << ",\n"
-         << "  \"persist_speedup\": " << persist_speedup << ",\n"
-         << "  \"persist_stall_sync_s\": " << stall_sync << ",\n"
-         << "  \"persist_stall_async_s\": " << stall_async << ",\n"
-         << "  \"persist_stall_removed\": "
-         << (single_core ? std::string("\"skipped_single_core\"")
-                         : std::to_string(stall_removed))
-         << ",\n"
          << "  \"anneal_budget\": " << budget << ",\n"
          << "  \"anneal_walkers\": " << walkers << ",\n"
          << "  \"anneal_seq_pps\": " << seq.pps() << ",\n"
@@ -585,40 +361,6 @@ int main(int argc, char** argv) try {
   }
   std::cout << "wrote " << cli.get_string("out") << "\n";
 
-  // Like min-stall-removed, the batch gate is disarmed on a one-core
-  // box: the ≥4x target assumes the multi-core CI runner, not the
-  // single-core reference VM whose timing noise swamps the ratio.
-  if (!single_core && batch_speedup < cli.get_double("min-batch-speedup")) {
-    std::cerr << "FAIL: the batch pipeline is only "
-              << util::format_double(batch_speedup, 2)
-              << "x the PR 6 per-job baseline (gate "
-              << util::format_double(cli.get_double("min-batch-speedup"), 2)
-              << "x)\n";
-    return 1;
-  }
-  if (persist_speedup < cli.get_double("min-persist-speedup")) {
-    std::cerr << "FAIL: binary+buffered persistence is only "
-              << util::format_double(persist_speedup, 2)
-              << "x the NDJSON per-line baseline (gate "
-              << util::format_double(cli.get_double("min-persist-speedup"), 2)
-              << "x)\n";
-    return 1;
-  }
-  // A non-positive synchronous stall means there is nothing to remove
-  // (timing noise can even push the persisted sweep below the bare
-  // anchor) — the gate is trivially satisfied, not failed.  On a
-  // single-core box the gate is disarmed outright: overlap needs a
-  // spare core to exist.
-  if (!single_core && stall_sync > 0.0 &&
-      stall_removed < cli.get_double("min-stall-removed")) {
-    std::cerr << "FAIL: the writer thread removed only "
-              << util::format_double(stall_removed * 100.0, 1)
-              << "% of the synchronous persistence stall (gate "
-              << util::format_double(
-                     cli.get_double("min-stall-removed") * 100.0, 1)
-              << "%)\n";
-    return 1;
-  }
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "bench_eval_throughput: " << e.what() << "\n";

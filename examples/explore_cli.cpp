@@ -6,9 +6,9 @@
 // pareto) under a hard evaluation budget.  The pareto strategy trades
 // speedup against a cost metric (--cost-metric area|cores) and reports
 // its incremental non-dominated archive with a hypervolume summary.
-// Results stream into an optional run directory as
-// append-only NDJSON, so a killed run resumed with --resume continues
-// where it stopped instead of recomputing.
+// Results stream into an optional run directory as an
+// append-only binary log, so a killed run resumed with --resume
+// continues where it stopped instead of recomputing.
 //
 //   ./build/explore_cli                                # paper defaults
 //   ./build/explore_cli --apps kmeans,hop --budgets 64,256,1024
@@ -20,13 +20,14 @@
 //   ./build/explore_cli --strategy hill-climb --budget 500
 //       --resume /tmp/run1               # warm-start from the run log
 //   ./build/explore_cli --strategy anneal --walkers 16 --budget 100000
-//       --run-dir /tmp/run2 --log-format binary --flush-every 1024
+//       --run-dir /tmp/run2 --flush-every 1024
 //                                        # million-point-scale persistence
-//   ./build/explore_cli --compact --run-dir /tmp/run2 --log-format binary
+//   ./build/explore_cli --compact --run-dir /tmp/run2
 //                                        # dedup + rewrite the run log
+//   ./build/explore_cli --dump --run-dir /tmp/run2 | grep hop
+//                                        # the records, one JSON per line
 //   for i in 0 1 2 3; do                 # multi-process sharded sweep
-//     ./build/explore_cli --shard $i/4 --run-dir /tmp/shards
-//       --log-format binary --log-async &
+//     ./build/explore_cli --shard $i/4 --run-dir /tmp/shards &
 //   done; wait                           # one results.shard-$i.msbin each
 //   ./build/explore_cli --merge --run-dir /tmp/shards
 //                                        # union + dedup into one log
@@ -35,12 +36,11 @@
 //                                        # columnar archive.msca
 //
 // Writes <out>.csv and <out>.ndjson (exhaustive runs), and
-// <dir>/results.ndjson or <dir>/results.msbin (--log-format;
-// results.shard-<i>.<ext> under --shard) + <dir>/meta.json when
-// persistence is on.  --archive replaces the result logs with
-// <dir>/archive.msca (search/archive): column-per-field blocks sorted by
-// flat index with per-block zone maps, which serve_cli and resume read
-// back without replaying a row-per-record log.
+// <dir>/results.msbin (results.shard-<i>.msbin under --shard) +
+// <dir>/meta.json when persistence is on.  --archive replaces the
+// result logs with <dir>/archive.msca (search/archive): column-per-field
+// blocks sorted by flat index with per-block zone maps, which serve_cli
+// and resume read back without replaying a row-per-record log.
 
 #include <algorithm>
 #include <chrono>
@@ -142,8 +142,8 @@ std::string run_config(const util::Cli& cli) {
   }
   // The walker count shapes the annealing proposal sequence (one
   // candidate per walker per round), so a resume must replay under the
-  // same value.  The log format and flush group do *not*: they encode
-  // the same records, and load() reads both formats.
+  // same value.  The flush group does *not*: it only decides when the
+  // same records reach disk.
   if (strategy == "anneal") {
     config << ";walkers=" << cli.get_int("walkers");
   }
@@ -226,6 +226,18 @@ std::vector<explore::EvalResult> run_shard_range(
   return results;
 }
 
+/// The run directory an action flag (--compact, --archive, --dump)
+/// works on: --run-dir, else --resume.
+std::string action_dir(const util::Cli& cli, const std::string& action) {
+  const std::string dir = cli.get_string("run-dir").empty()
+                              ? cli.get_string("resume")
+                              : cli.get_string("run-dir");
+  if (dir.empty()) {
+    throw std::invalid_argument(action + " needs --run-dir <dir>");
+  }
+  return dir;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -273,16 +285,13 @@ int main(int argc, char** argv) try {
   cli.opt("cost-metric", std::string("area"),
           "search Pareto-archive cost axis: area | cores");
   cli.opt("run-dir", std::string(),
-          "persist fresh evaluations to <dir>/results.<format>");
+          "persist fresh evaluations to <dir>/results.msbin");
   cli.opt("resume", std::string(),
           "resume from a previous --run-dir (implies --run-dir <dir>)");
-  cli.opt("log-format", std::string("ndjson"),
-          "run-log encoding: ndjson | binary (compact, for huge runs)");
+  cli.opt("log-format", std::string("binary"),
+          "run-log encoding: binary, the only one (--dump prints NDJSON)");
   cli.opt("flush-every", static_cast<long long>(1),
           "run-log records per flush group (crash loses at most one group)");
-  cli.flag("log-async",
-           "encode+write run-log groups on a writer thread (crash loses "
-           "at most the in-flight group plus the one being filled)");
   cli.flag("fsync",
            "fsync every flushed run-log group: the crash window holds "
            "under power loss, not just process death, at one fsync per "
@@ -291,20 +300,23 @@ int main(int argc, char** argv) try {
           "run shard i of a K-process exploration as i/K: exhaustive "
           "shards own contiguous slices of the space, adaptive shards "
           "are seed-derived walker groups; results go to "
-          "<run-dir>/results.shard-i.<format>");
+          "<run-dir>/results.shard-i.msbin");
   cli.flag("merge",
            "union --run-dir's shard logs (plus --merge-from dirs) into "
-           "one deduplicated results.<format>, then exit");
+           "one deduplicated results.msbin, then exit");
   cli.opt("merge-from", std::string(),
           "comma list of additional recorded run dirs to union into "
           "--run-dir during --merge (configs must match)");
   cli.flag("compact",
-           "rewrite --run-dir's log in --log-format, dropping duplicate "
-           "design points, then exit");
+           "rewrite --run-dir's log, dropping duplicate design points, "
+           "then exit");
   cli.flag("archive",
            "rewrite --run-dir's merged, deduplicated records into a "
            "columnar archive (<dir>/archive.msca, zone-mapped blocks "
            "sorted by flat index), remove the result logs, then exit");
+  cli.flag("dump",
+           "write --run-dir's recorded results to stdout, one JSON object "
+           "per line in file order, then exit");
   cli.flag("no-cache", "disable the memoization cache");
   cli.flag("quiet", "suppress the per-point result table");
   if (!cli.parse(argc, argv)) return 0;
@@ -314,33 +326,30 @@ int main(int argc, char** argv) try {
   const auto flush_every = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("flush-every")));
 
+  if (cli.get_flag("dump")) {
+    // The grep/diff view of a run: every record load() reads (archive,
+    // unsharded log, then shard logs), undeduplicated, in file order.
+    explore::write_ndjson(std::cout,
+                          search::RunLog::load(action_dir(cli, "--dump")));
+    return 0;
+  }
+
   if (cli.get_flag("compact")) {
-    const std::string dir = cli.get_string("run-dir").empty()
-                                ? cli.get_string("resume")
-                                : cli.get_string("run-dir");
-    if (dir.empty()) {
-      throw std::invalid_argument("--compact needs --run-dir <dir>");
-    }
+    const std::string dir = action_dir(cli, "--compact");
     // An empty or never-recorded directory is a no-op, not an error:
     // compact is idempotent cleanup, and "nothing to clean" is success.
-    const auto stats = search::RunLog::compact(dir, log_format, flush_every);
+    const auto stats = search::RunLog::compact(dir, flush_every);
     if (stats.loaded == 0) {
       std::cout << "compact: nothing to compact in " << dir << "\n";
     } else {
       std::cout << "compact: " << stats.loaded << " records -> "
-                << stats.kept << " unique design points ("
-                << search::log_format_name(log_format) << ")\n";
+                << stats.kept << " unique design points\n";
     }
     return 0;
   }
 
   if (cli.get_flag("archive")) {
-    const std::string dir = cli.get_string("run-dir").empty()
-                                ? cli.get_string("resume")
-                                : cli.get_string("run-dir");
-    if (dir.empty()) {
-      throw std::invalid_argument("--archive needs --run-dir <dir>");
-    }
+    const std::string dir = action_dir(cli, "--archive");
     const auto meta = search::RunLog::read_meta(dir);
     const bool sharded =
         meta && meta->find(";shards=") != std::string::npos;
@@ -373,8 +382,7 @@ int main(int argc, char** argv) try {
     std::vector<std::string> logs;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
       const std::string name = entry.path().filename().string();
-      if (name.starts_with("results.") &&
-          (name.ends_with(".ndjson") || name.ends_with(".msbin"))) {
+      if (name.starts_with("results.") && name.ends_with(".msbin")) {
         logs.push_back(entry.path().string());
       }
     }
@@ -413,12 +421,11 @@ int main(int argc, char** argv) try {
     const bool exhaustive_run =
         meta && meta->find(";strategy=exhaustive") != std::string::npos;
     const auto stats =
-        search::RunLog::merge(dir, sources, log_format, flush_every,
+        search::RunLog::merge(dir, sources, flush_every,
                               /*strip_shard_token=*/exhaustive_run);
     std::cout << "merge: " << stats.loaded << " records from "
               << (stats.sources + 1) << " dir(s) -> " << stats.kept
-              << " unique design points in " << dir << " ("
-              << search::log_format_name(log_format) << ")"
+              << " unique design points in " << dir
               << (exhaustive_run ? "; resumable as a single-process run"
                                  : "")
               << "\n";
@@ -501,11 +508,9 @@ int main(int argc, char** argv) try {
     const std::string config = run_config(cli);
     const auto meta = search::RunLog::read_meta(run_dir);
     const bool own_results =
-        shard ? std::filesystem::exists(search::RunLog::shard_results_path(
-                    run_dir, shard->index)) ||
-                    std::filesystem::exists(
-                        search::RunLog::shard_binary_results_path(
-                            run_dir, shard->index))
+        shard ? std::filesystem::exists(
+                    search::RunLog::shard_binary_results_path(run_dir,
+                                                              shard->index))
               : search::RunLog::has_results(run_dir);
     if (!resume_dir.empty()) {
       if (!meta) {
@@ -568,7 +573,6 @@ int main(int argc, char** argv) try {
       search::RunLog::write_meta(run_dir, config);
     }
     search::RunLogOptions log_options{log_format, flush_every};
-    log_options.async = cli.get_flag("log-async");
     log_options.fsync = cli.get_flag("fsync");
     if (shard) log_options.shard = shard->index;
     log = std::make_unique<search::RunLog>(run_dir, log_options);
@@ -627,16 +631,8 @@ int main(int argc, char** argv) try {
               << " ms\n";
     if (log) {
       log->flush();
-      const bool binary = log->format() == search::LogFormat::kBinary;
-      const std::string path =
-          shard ? (binary ? search::RunLog::shard_binary_results_path(
-                                run_dir, shard->index)
-                          : search::RunLog::shard_results_path(run_dir,
-                                                               shard->index))
-                : (binary ? search::RunLog::binary_results_path(run_dir)
-                          : search::RunLog::results_path(run_dir));
       std::cout << "log: " << log->appended()
-                << " fresh results appended to " << path << "\n";
+                << " fresh results appended to " << log->path() << "\n";
     }
     // The replayed trajectory normally re-surfaces the prior best (same
     // seed → same proposals), but if the budget was already exhausted at

@@ -29,7 +29,6 @@
 // was flushed to the run log before it was sent.
 
 #include <csignal>
-#include <filesystem>
 #include <iostream>
 #include <sstream>
 #include <thread>
@@ -88,9 +87,8 @@ int main(int argc, char** argv) try {
           "relative throughput change a probe must show");
   cli.opt("probe-backoff", static_cast<long long>(4),
           "stable windows between probe rounds");
-  cli.opt("log-format", std::string("auto"),
-          "append format for live evals: auto | ndjson | binary (auto "
-          "follows the existing log)");
+  cli.opt("log-format", std::string("binary"),
+          "append format for live evals: binary, the only one");
   cli.opt("max-seconds", 0.0,
           "exit after this long (0 = run until SIGINT/SIGTERM)");
   cli.flag("fsync",
@@ -98,6 +96,8 @@ int main(int argc, char** argv) try {
            "loss, not just process death");
   if (!cli.parse(argc, argv)) return 0;
 
+  const search::LogFormat log_format =
+      search::parse_log_format(cli.get_string("log-format"));
   const std::string run_dir = cli.get_string("run-dir");
   if (run_dir.empty()) {
     throw std::invalid_argument("serve_cli needs --run-dir <recorded dir>");
@@ -112,19 +112,8 @@ int main(int argc, char** argv) try {
   if (!sources.empty()) std::cout << " + " << sources.size() << " more dir(s)";
   std::cout << "\n";
 
-  // Live evals append to the *target* directory, in the format its log
-  // already uses (auto), so the run keeps one log format as it grows.
-  search::LogFormat format = search::LogFormat::kNdjson;
-  if (const std::string name = cli.get_string("log-format"); name == "auto") {
-    if (std::filesystem::exists(
-            search::RunLog::binary_results_path(run_dir)) &&
-        !std::filesystem::exists(search::RunLog::results_path(run_dir))) {
-      format = search::LogFormat::kBinary;
-    }
-  } else {
-    format = search::parse_log_format(name);
-  }
-  search::RunLogOptions log_options{format, 1};
+  // Live evals append to the *target* directory's results.msbin.
+  search::RunLogOptions log_options{log_format, 1};
   log_options.fsync = cli.get_flag("fsync");
   search::RunLog log(run_dir, log_options);
 

@@ -107,27 +107,6 @@ std::vector<double> power_of_two_sizes(double n) {
   return sizes;
 }
 
-// mslint: allow(deprecated-sweep) — the definition itself
-std::vector<DesignPoint> sweep_symmetric(const ChipConfig& chip,
-                                         const AppParams& app,
-                                         const GrowthFunction& growth,
-                                         const std::vector<double>& sizes) {
-  return evaluate_sweep(EvalRequest{ModelVariant::kSymmetric, chip, app,
-                                    growth},
-                        sizes);
-}
-
-// mslint: allow(deprecated-sweep) — the definition itself
-std::vector<DesignPoint> sweep_asymmetric(const ChipConfig& chip,
-                                          const AppParams& app,
-                                          const GrowthFunction& growth,
-                                          const std::vector<double>& sizes,
-                                          double r) {
-  EvalRequest request{ModelVariant::kAsymmetric, chip, app, growth};
-  request.r = r;
-  return evaluate_sweep(request, sizes);
-}
-
 DesignPoint best_point(const std::vector<DesignPoint>& sweep) {
   MS_CHECK(!sweep.empty(), "cannot take the best point of an empty sweep");
   return *try_best_point(sweep);
@@ -162,27 +141,6 @@ DesignPoint optimal_asymmetric(const ChipConfig& chip, const AppParams& app,
     }
   }
   return best;
-}
-
-// mslint: allow(deprecated-sweep) — the definition itself
-std::vector<DesignPoint> sweep_symmetric_comm(
-    const ChipConfig& chip, const CommAppParams& app,
-    const GrowthFunction& grow_comp, const GrowthFunction& grow_comm,
-    const std::vector<double>& sizes) {
-  return evaluate_sweep(make_comm_request(ModelVariant::kSymmetricComm, chip,
-                                          app, grow_comp, grow_comm),
-                        sizes);
-}
-
-// mslint: allow(deprecated-sweep) — the definition itself
-std::vector<DesignPoint> sweep_asymmetric_comm(
-    const ChipConfig& chip, const CommAppParams& app,
-    const GrowthFunction& grow_comp, const GrowthFunction& grow_comm,
-    const std::vector<double>& sizes, double r) {
-  EvalRequest request = make_comm_request(ModelVariant::kAsymmetricComm, chip,
-                                          app, grow_comp, grow_comm);
-  request.r = r;
-  return evaluate_sweep(request, sizes);
 }
 
 }  // namespace mergescale::core

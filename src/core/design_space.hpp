@@ -45,8 +45,7 @@ bool is_comm_variant(ModelVariant variant) noexcept;
 bool is_asymmetric_variant(ModelVariant variant) noexcept;
 
 /// Everything needed to evaluate one candidate design under one model —
-/// the unified entry point behind the sweep_* helpers and the explore
-/// engine.  For the comm variants the AppParams are split into
+/// the unified entry point behind evaluate_sweep and the explore engine.  For the comm variants the AppParams are split into
 /// computation/communication shares via `comp_share` (paper: 0.5) and
 /// `growth` acts as the computation growth g_comp while `comm_growth`
 /// supplies the interconnect growth g_comm.
@@ -116,32 +115,11 @@ EvalRequest make_comm_request(ModelVariant variant, const ChipConfig& chip,
 /// paper's Figs. 4/5/7.
 std::vector<double> power_of_two_sizes(double n);
 
-/// Evaluates Eq. 4 for each r in `sizes` (paper Fig. 4 series).
-[[deprecated("legacy sweep entry point; build an EvalRequest and call "
-             "evaluate_sweep / evaluate_batch")]]
-// mslint: allow(deprecated-sweep) — the declaration itself
-std::vector<DesignPoint> sweep_symmetric(const ChipConfig& chip,
-                                         const AppParams& app,
-                                         const GrowthFunction& growth,
-                                         const std::vector<double>& sizes);
-
-/// Evaluates Eq. 5 for each rl in `sizes` at fixed small-core size r
-/// (paper Fig. 5 series; points where small cores no longer fit are
-/// skipped).
-[[deprecated("legacy sweep entry point; build an EvalRequest and call "
-             "evaluate_sweep / evaluate_batch")]]
-// mslint: allow(deprecated-sweep) — the declaration itself
-std::vector<DesignPoint> sweep_asymmetric(const ChipConfig& chip,
-                                          const AppParams& app,
-                                          const GrowthFunction& growth,
-                                          const std::vector<double>& sizes,
-                                          double r);
-
 /// Best (highest-speedup) point of a sweep.
 ///
 /// Contract: throws std::invalid_argument when `sweep` is empty.  Callers
-/// must be aware that sweep_asymmetric / sweep_asymmetric_comm silently
-/// *skip* infeasible points and can therefore return an empty vector (e.g.
+/// must be aware that evaluate_sweep over an asymmetric variant silently
+/// *skips* infeasible points and can therefore return an empty vector (e.g.
 /// r larger than every n − rl); use try_best_point when an empty sweep is
 /// an expected outcome rather than a caller bug.
 DesignPoint best_point(const std::vector<DesignPoint>& sweep);
@@ -160,23 +138,5 @@ DesignPoint optimal_symmetric(const ChipConfig& chip, const AppParams& app,
 /// Speedup-optimal asymmetric design over power-of-two (rl, r) pairs.
 DesignPoint optimal_asymmetric(const ChipConfig& chip, const AppParams& app,
                                const GrowthFunction& growth);
-
-/// Symmetric sweep under the communication model (Fig. 7(a)).
-[[deprecated("legacy sweep entry point; use make_comm_request + "
-             "evaluate_sweep / evaluate_batch")]]
-// mslint: allow(deprecated-sweep) — the declaration itself
-std::vector<DesignPoint> sweep_symmetric_comm(
-    const ChipConfig& chip, const CommAppParams& app,
-    const GrowthFunction& grow_comp, const GrowthFunction& grow_comm,
-    const std::vector<double>& sizes);
-
-/// Asymmetric sweep under the communication model (Fig. 7(b)).
-[[deprecated("legacy sweep entry point; use make_comm_request + "
-             "evaluate_sweep / evaluate_batch")]]
-// mslint: allow(deprecated-sweep) — the declaration itself
-std::vector<DesignPoint> sweep_asymmetric_comm(
-    const ChipConfig& chip, const CommAppParams& app,
-    const GrowthFunction& grow_comp, const GrowthFunction& grow_comm,
-    const std::vector<double>& sizes, double r);
 
 }  // namespace mergescale::core

@@ -13,9 +13,8 @@ namespace mergescale::explore {
 namespace {
 
 /// Wraps core::evaluate, demoting a non-finite speedup to infeasible: a
-/// value no design comparison can use, and one the NDJSON persistence
-/// has no number form for (it writes `null`, which loads back as
-/// infeasible) — demoting at evaluation time keeps live runs and
+/// value no design comparison can use, and one the run log loads back
+/// as infeasible — demoting at evaluation time keeps live runs and
 /// log-resumed replays identical.
 EvalOutcome to_outcome(const std::optional<core::DesignPoint>& point) {
   if (!point || !std::isfinite(point->speedup)) return EvalOutcome{};

@@ -30,9 +30,9 @@
 // fabricates a record.  Writes are crash-safe: encode in memory, write
 // a temp file, fsync, rename into place.
 //
-// Non-finite numeric fields are stored the way the log loaders surface
-// them (the NDJSON `null` convention): the design point is kept but
-// archived as infeasible with cores/speedup zeroed.
+// Non-finite numeric fields are stored the way the log loader surfaces
+// them: the design point is kept but archived as infeasible with
+// cores/speedup zeroed.
 
 #include <cstddef>
 #include <cstdint>

@@ -213,8 +213,7 @@ BinaryLog::BinaryLog(std::string path, std::size_t flush_every,
   // Walk the frames: rebuild the string table and find the end of the
   // last CRC-verified frame.  Truncating the unverifiable suffix (not
   // just an incomplete final frame) keeps appends from extending a
-  // region a reader could never walk — the binary analogue of
-  // terminating a torn NDJSON line.
+  // region a reader could never walk.
   std::size_t verified_end = kHeaderSize;
   std::size_t offset = kHeaderSize;
   Frame frame;
@@ -374,7 +373,7 @@ std::vector<explore::EvalResult> BinaryLog::load(const std::string& path) {
         result.growth = growth->second;
         result.topology = topology->second;
         if (!is_finite_record(result)) {
-          // Mirror the NDJSON `null` convention: the design point is
+          // A non-finite value is no usable design: the design point is
           // kept (so resume does not re-spend budget on it) but loads
           // as infeasible.
           result.feasible = false;

@@ -1,9 +1,8 @@
 #pragma once
-// Compact binary run-log format for multi-million-evaluation searches.
-// NDJSON costs ~180 B and one ostringstream round-trip per point; this
-// format stores the same EvalResult in a fixed-width ~75 B frame that is
-// encoded with plain byte writes, so a persisted search is bounded by
-// the models, not the log.
+// The run log's on-disk format (results.msbin), built for
+// multi-million-evaluation searches: each EvalResult is a fixed-width
+// ~75 B frame encoded with plain byte writes, so a persisted search is
+// bounded by the models, not the log.
 //
 // File layout (all integers little-endian):
 //
@@ -23,7 +22,7 @@
 //      cached, pad u8 each; scenario/app/growth/topology IDs u32 each;
 //      n, r, rl, cores, speedup f64 each.
 //
-// Durability semantics match the NDJSON log:
+// Durability semantics:
 //   - Appends are buffered and flushed every `flush_every` records (and
 //     on destruction), so a SIGKILL loses at most the unflushed group.
 //   - Opening for append repairs a torn tail: the file is truncated to
@@ -32,7 +31,7 @@
 //   - load() skips a CRC-corrupted record and keeps reading (the frame
 //     length still delimits it); only corruption that destroys the
 //     framing itself — a torn or overwritten length — ends the readable
-//     prefix, exactly like a torn NDJSON tail.
+//     prefix.
 
 #include <cstdint>
 #include <memory>
@@ -46,7 +45,7 @@
 namespace mergescale::search {
 
 /// Append-side writer.  One instance owns the file; see RunLog for the
-/// format-dispatching facade the search layer uses.
+/// run-directory facade the search layer uses.
 class BinaryLog {
  public:
   /// Size of the file header (magic + version + schema + reserved).
@@ -92,8 +91,8 @@ class BinaryLog {
 
   /// Decodes every readable record of `path`.  A missing file yields an
   /// empty vector; CRC-corrupted records are skipped; records with any
-  /// non-finite double load as infeasible (mirroring the NDJSON `null`
-  /// convention).  Throws std::runtime_error for a magic/version/schema
+  /// non-finite double load as infeasible (the design point is kept, so
+  /// a resume does not re-spend budget on it).  Throws std::runtime_error for a magic/version/schema
   /// mismatch — misparsing a foreign layout would be corruption, not
   /// tolerance.
   static std::vector<explore::EvalResult> load(const std::string& path);

@@ -1,10 +1,10 @@
 #pragma once
-// Minimal NDJSON record parsing for the run log.  The log writer
-// (explore::write_ndjson) emits flat objects — string, number, and
-// boolean fields only — so this parser handles exactly that subset and
-// rejects everything else.  A rejected line returns std::nullopt rather
-// than throwing: a killed run may leave a torn final line, and resume
-// must shrug it off.
+// Minimal flat-JSON parsing for a run directory's meta.json record.
+// The writers (RunLog::write_meta, explore::write_ndjson) emit flat
+// objects — string, number, and boolean fields only — so this parser
+// handles exactly that subset and rejects everything else.  A rejected
+// line returns std::nullopt rather than throwing; the caller decides
+// whether that is corruption.
 
 #include <map>
 #include <optional>

@@ -5,19 +5,18 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
-#include <cstdlib>
 #include <filesystem>
-#include <sstream>
 #include <stdexcept>
 #include <unordered_map>
 
 #include "core/comm_model.hpp"
 #include "explore/memo_cache.hpp"
-#include "explore/report.hpp"
 #include "noc/topology.hpp"
 #include "search/archive.hpp"
 #include "search/design_key.hpp"
+#include "search/ndjson.hpp"
 #include "search/space.hpp"
+#include "util/io_env.hpp"
 #include "util/json.hpp"
 
 namespace mergescale::search {
@@ -31,15 +30,6 @@ void check_io(const util::IoResult& result, const char* what,
     throw std::runtime_error("run log: " + std::string(what) + " " + path +
                              " failed: " + result.message);
   }
-}
-
-/// Strict double parse of a JSON number token.
-std::optional<double> to_double(const std::string& text) {
-  if (text.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end != text.c_str() + text.size()) return std::nullopt;
-  return value;
 }
 
 /// keep[i] is set when records[i] is the first record of its design
@@ -66,293 +56,84 @@ std::vector<std::uint8_t> first_occurrences(
   return keep;
 }
 
-/// Parses "results.shard-<i>.<ext>" file names; returns the shard index
-/// or std::nullopt when `name` is not a shard result file of `ext`.
-std::optional<std::size_t> shard_index_of(const std::string& name,
-                                          std::string_view ext) {
-  constexpr std::string_view kPrefix = "results.shard-";
-  if (name.size() <= kPrefix.size() + ext.size() ||
-      name.compare(0, kPrefix.size(), kPrefix) != 0 ||
-      name.compare(name.size() - ext.size(), ext.size(), ext.data(),
-                   ext.size()) != 0) {
-    return std::nullopt;
+/// The entry names of `dir`; none when it cannot be listed (a missing
+/// directory holds no results).  Throws when one is a result log of the
+/// retired NDJSON format (results.ndjson, results.shard-<i>.ndjson):
+/// skipping it would make a resume recompute every record it holds.
+std::vector<std::string> result_dir_names(const std::string& dir) {
+  std::vector<std::string> names;
+  if (!util::io_env().list_dir(dir, &names).ok()) return {};
+  for (const std::string& name : names) {
+    if (name.starts_with("results.") && name.ends_with(".ndjson")) {
+      throw std::runtime_error(
+          "run log: " + (std::filesystem::path(dir) / name).string() +
+          " is an NDJSON run log, a format this build no longer reads; "
+          "convert it with an older build's `explore_cli --compact "
+          "--log-format binary` or re-record the run");
+    }
   }
-  const char* begin = name.data() + kPrefix.size();
-  const char* end = name.data() + name.size() - ext.size();
-  std::size_t shard = 0;
-  const auto result = std::from_chars(begin, end, shard);
-  if (result.ec != std::errc{} || result.ptr != end) return std::nullopt;
-  return shard;
+  return names;
 }
 
-/// Every shard index with at least one result file under `dir`,
-/// ascending — the deterministic file order load() unions shards in.
-/// An unlistable directory yields no shards, like the missing files it
-/// would contain.
-std::vector<std::size_t> shard_indices(const std::string& dir) {
+/// Every shard index with a result log among `names`, ascending — the
+/// deterministic file order load() unions shards in.
+std::vector<std::size_t> shard_indices(const std::vector<std::string>& names) {
+  constexpr std::string_view kPrefix = "results.shard-";
+  constexpr std::string_view kExt = ".msbin";
   std::vector<std::size_t> shards;
-  std::vector<std::string> names;
-  if (!util::io_env().list_dir(dir, &names).ok()) return shards;
   for (const std::string& name : names) {
-    std::optional<std::size_t> shard = shard_index_of(name, ".ndjson");
-    if (!shard) shard = shard_index_of(name, ".msbin");
-    if (shard) shards.push_back(*shard);
+    if (name.size() <= kPrefix.size() + kExt.size() ||
+        !name.starts_with(kPrefix) || !name.ends_with(kExt)) {
+      continue;
+    }
+    const char* begin = name.data() + kPrefix.size();
+    const char* end = name.data() + name.size() - kExt.size();
+    std::size_t shard = 0;
+    const auto parsed = std::from_chars(begin, end, shard);
+    if (parsed.ec == std::errc{} && parsed.ptr == end) shards.push_back(shard);
   }
   std::sort(shards.begin(), shards.end());
-  shards.erase(std::unique(shards.begin(), shards.end()), shards.end());
   return shards;
 }
 
-/// Appends every well-formed record of the NDJSON file at `path` (if
-/// any) followed by the binary file at `binary_path` (if any).
-void load_pair(const std::string& path, const std::string& binary_path,
+/// Appends every readable record of the binary log at `path` (if any).
+void load_file(const std::string& path,
                std::vector<explore::EvalResult>* records) {
-  util::IoEnv& env = util::io_env();
-  std::string bytes;
-  if (env.read_file(path, &bytes).ok()) {
-    std::string_view rest = bytes;
-    while (!rest.empty()) {
-      const std::size_t newline = rest.find('\n');
-      const std::string_view line = rest.substr(0, newline);
-      rest = newline == std::string_view::npos ? std::string_view{}
-                                               : rest.substr(newline + 1);
-      if (auto record = RunLog::parse_result(line)) {
-        records->push_back(std::move(*record));
-      }
-    }
-  }
-  if (env.exists(binary_path)) {
-    auto binary = BinaryLog::load(binary_path);
-    records->insert(records->end(), std::make_move_iterator(binary.begin()),
-                    std::make_move_iterator(binary.end()));
-  }
+  std::vector<explore::EvalResult> loaded = BinaryLog::load(path);
+  records->insert(records->end(), std::make_move_iterator(loaded.begin()),
+                  std::make_move_iterator(loaded.end()));
+}
+
+/// Creates `dir`, refuses a retired NDJSON log in it, and returns the
+/// result file a log with `options` appends to.
+std::string prepare_append(const std::string& dir,
+                           const RunLogOptions& options) {
+  check_io(util::io_env().create_directories(dir), "create", dir);
+  result_dir_names(dir);  // refuses a retired NDJSON log
+  return options.shard == kUnsharded
+             ? RunLog::binary_results_path(dir)
+             : RunLog::shard_binary_results_path(dir, options.shard);
 }
 
 }  // namespace
 
-std::string_view log_format_name(LogFormat format) noexcept {
-  switch (format) {
-    case LogFormat::kNdjson: return "ndjson";
-    case LogFormat::kBinary: return "binary";
-  }
-  return "unknown";
-}
-
 LogFormat parse_log_format(std::string_view name) {
-  if (name == "ndjson") return LogFormat::kNdjson;
   if (name == "binary") return LogFormat::kBinary;
+  if (name == "ndjson") {
+    throw std::invalid_argument(
+        "the NDJSON run log was removed; run logs are binary (results.msbin) "
+        "only — `explore_cli --dump --run-dir <dir>` prints a run's records "
+        "as NDJSON");
+  }
   throw std::invalid_argument("unknown log format: " + std::string(name) +
-                              " (expected ndjson|binary)");
+                              " (expected binary)");
 }
 
-RunLog::RunLog(std::string dir, RunLogOptions options)
-    : dir_(std::move(dir)), options_(options), env_(&util::io_env()) {
-  if (options_.flush_every == 0) options_.flush_every = 1;
-  check_io(env_->create_directories(dir_), "create", dir_);
-  const std::string path = append_path();
-  if (options_.format == LogFormat::kBinary) {
-    binary_ = std::make_unique<BinaryLog>(path, options_.flush_every,
-                                          options_.fsync);
-  } else {
-    // A kill mid-write can leave a torn final line with no newline;
-    // without repair, the next append would glue onto the fragment and
-    // corrupt a *second* record.  Terminating the fragment keeps it an
-    // isolated unparseable line that load() skips.
-    bool torn_tail = false;
-    std::uint64_t size = 0;
-    if (env_->exists(path)) {
-      check_io(env_->file_size(path, &size), "stat", path);
-    }
-    if (size > 0) {
-      std::string last;
-      check_io(env_->read_file_range(path, size - 1, 1, &last), "read", path);
-      torn_tail = last.empty() || last[0] != '\n';
-    }
-    check_io(env_->new_writable(path, /*truncate=*/false, &out_), "open",
-             path);
-    if (torn_tail) {
-      check_io(out_->append("\n"), "write to", path);
-      check_io(out_->flush(), "flush", path);
-    }
-  }
-  if (options_.async) {
-    filling_.reserve(options_.flush_every);
-    in_flight_.reserve(options_.flush_every);
-    writer_ = std::thread([this] { writer_main(); });
-  }
-}
-
-RunLog::~RunLog() {
-  try {
-    flush();
-  } catch (...) {
-    // Destructors must not throw; an unflushable tail is the documented
-    // crash-loss window.
-  }
-  if (writer_.joinable()) {
-    {
-      util::MutexLock lock(mutex_);
-      stopping_ = true;
-    }
-    writer_cv_.notify_one();
-    writer_.join();
-  }
-}
-
-std::string RunLog::append_path() const {
-  if (options_.shard == kUnsharded) {
-    return options_.format == LogFormat::kBinary ? binary_results_path(dir_)
-                                                 : results_path(dir_);
-  }
-  return options_.format == LogFormat::kBinary
-             ? shard_binary_results_path(dir_, options_.shard)
-             : shard_results_path(dir_, options_.shard);
-}
-
-void RunLog::write_group(const std::vector<explore::EvalResult>& group) {
-  if (binary_) {
-    for (const explore::EvalResult& result : group) {
-      binary_->append(result);
-    }
-    binary_->flush();
-    return;
-  }
-  std::ostringstream text;
-  explore::write_ndjson(text, group);
-  const std::string path = append_path();
-  check_io(out_->append(text.str()), "write to", path);
-  check_io(out_->flush(), "flush", path);
-  if (options_.fsync) check_io(out_->sync(), "fsync", path);
-}
-
-void RunLog::enqueue_group() {
-  util::MutexLock lock(mutex_);
-  while (in_flight_ready_ && writer_error_ == nullptr) {
-    producer_cv_.wait(lock);
-  }
-  // A writer-side failure is sticky: the writer thread has exited, so
-  // handing it more work would block forever.  Every later append/flush
-  // resurfaces the same error.
-  if (writer_error_ != nullptr) std::rethrow_exception(writer_error_);
-  in_flight_.swap(filling_);
-  in_flight_ready_ = true;
-  filling_.clear();
-  lock.unlock();
-  writer_cv_.notify_one();
-}
-
-void RunLog::writer_main() {
-  std::vector<explore::EvalResult> group;
-  group.reserve(options_.flush_every);
-  for (;;) {
-    util::MutexLock lock(mutex_);
-    while (!in_flight_ready_ && !stopping_) writer_cv_.wait(lock);
-    if (!in_flight_ready_) break;  // stopping, queue drained
-    group.swap(in_flight_);
-    in_flight_ready_ = false;
-    writer_busy_ = true;
-    lock.unlock();
-    producer_cv_.notify_all();
-
-    std::exception_ptr error;
-    try {
-      write_group(group);
-    } catch (...) {
-      error = std::current_exception();
-    }
-    group.clear();
-
-    lock.lock();
-    writer_busy_ = false;
-    if (error != nullptr) {
-      writer_error_ = error;
-      writer_failed_.store(true, std::memory_order_release);
-    }
-    const bool stop = stopping_ || error != nullptr;
-    lock.unlock();
-    producer_cv_.notify_all();
-    if (stop) break;
-  }
-}
-
-void RunLog::append(const explore::EvalResult& result) {
-  if (options_.async) {
-    ++appended_;
-    filling_.push_back(result);
-    // A failed writer surfaces on the very next append (the relaxed
-    // atomic keeps the hot path mutex-free): enqueue_group rethrows
-    // the stored error instead of queueing work for a dead thread.
-    if (filling_.size() >= options_.flush_every ||
-        writer_failed_.load(std::memory_order_relaxed)) {
-      enqueue_group();
-    }
-    return;
-  }
-  ++appended_;
-  if (binary_) {
-    binary_->append(result);
-    return;
-  }
-  std::ostringstream line;
-  explore::write_ndjson(line, {result});
-  buffer_ += line.str();
-  if (++buffered_records_ >= options_.flush_every) flush();
-}
-
-void RunLog::append(explore::EvalResult&& result) {
-  if (options_.async) {
-    ++appended_;
-    filling_.push_back(std::move(result));
-    if (filling_.size() >= options_.flush_every ||
-        writer_failed_.load(std::memory_order_relaxed)) {
-      enqueue_group();
-    }
-    return;
-  }
-  append(result);  // the sync path encodes in place, no copy to save
-}
-
-void RunLog::flush() {
-  if (options_.async) {
-    if (!filling_.empty()) enqueue_group();
-    util::MutexLock lock(mutex_);
-    while ((in_flight_ready_ || writer_busy_) && writer_error_ == nullptr) {
-      producer_cv_.wait(lock);
-    }
-    if (writer_error_ != nullptr) std::rethrow_exception(writer_error_);
-    return;  // the writer flushes the stream after every group
-  }
-  if (binary_) {
-    binary_->flush();
-    return;
-  }
-  // Hand the group off before writing: a failed group is lost (the
-  // documented crash window), never silently re-attempted by the
-  // destructor after the caller was already told it failed.
-  std::string group;
-  group.swap(buffer_);
-  buffered_records_ = 0;
-  const std::string path = append_path();
-  if (!group.empty()) {
-    check_io(out_->append(group), "write to", path);
-    check_io(out_->flush(), "flush", path);
-  }
-  if (options_.fsync) check_io(out_->sync(), "fsync", path);
-}
-
-std::string RunLog::results_path(const std::string& dir) {
-  return (std::filesystem::path(dir) / "results.ndjson").string();
-}
+RunLog::RunLog(const std::string& dir, RunLogOptions options)
+    : log_(prepare_append(dir, options), options.flush_every, options.fsync) {}
 
 std::string RunLog::binary_results_path(const std::string& dir) {
   return (std::filesystem::path(dir) / "results.msbin").string();
-}
-
-std::string RunLog::shard_results_path(const std::string& dir,
-                                       std::size_t shard) {
-  return (std::filesystem::path(dir) /
-          ("results.shard-" + std::to_string(shard) + ".ndjson"))
-      .string();
 }
 
 std::string RunLog::shard_binary_results_path(const std::string& dir,
@@ -375,23 +156,22 @@ bool RunLog::has_archive(const std::string& dir) {
 }
 
 bool RunLog::has_results(const std::string& dir) {
-  util::IoEnv& env = util::io_env();
-  return env.exists(results_path(dir)) ||
-         env.exists(binary_results_path(dir)) ||
-         env.exists(archive_path(dir)) || !shard_indices(dir).empty();
+  const std::vector<std::string> names = result_dir_names(dir);
+  return util::io_env().exists(binary_results_path(dir)) ||
+         has_archive(dir) || !shard_indices(names).empty();
 }
 
 void RunLog::load_logs(const std::string& dir,
                        std::vector<explore::EvalResult>* records) {
-  // The unsharded pair, then every shard's files in ascending shard
-  // order — for an exhaustive sharded run (contiguous flat ranges) the
-  // union therefore loads in global flat order, which is what makes the
+  // The unsharded log, then every shard's log in ascending shard order —
+  // for an exhaustive sharded run (contiguous flat ranges) the union
+  // therefore loads in global flat order, which is what makes the
   // merged log record-identical to a single-process recording after
   // first-occurrence dedup.
-  load_pair(results_path(dir), binary_results_path(dir), records);
-  for (const std::size_t shard : shard_indices(dir)) {
-    load_pair(shard_results_path(dir, shard),
-              shard_binary_results_path(dir, shard), records);
+  const std::vector<std::size_t> shards = shard_indices(result_dir_names(dir));
+  load_file(binary_results_path(dir), records);
+  for (const std::size_t shard : shards) {
+    load_file(shard_binary_results_path(dir, shard), records);
   }
 }
 
@@ -430,9 +210,9 @@ std::vector<explore::EvalResult> RunLog::load_range(const std::string& dir,
 
 std::vector<explore::EvalResult> RunLog::load_shard(const std::string& dir,
                                                     std::size_t shard) {
+  result_dir_names(dir);  // refuses a retired NDJSON log
   std::vector<explore::EvalResult> records;
-  load_pair(shard_results_path(dir, shard),
-            shard_binary_results_path(dir, shard), &records);
+  load_file(shard_binary_results_path(dir, shard), &records);
   return records;
 }
 
@@ -447,83 +227,6 @@ std::vector<explore::EvalResult> RunLog::dedup(
   }
   records.resize(kept);
   return records;
-}
-
-std::optional<explore::EvalResult> RunLog::parse_result(
-    std::string_view line) {
-  const auto object = parse_flat_object(line);
-  if (!object) return std::nullopt;
-
-  auto text = [&](std::string_view key) -> const std::string* {
-    const auto it = object->find(key);
-    return it == object->end() ? nullptr : &it->second;
-  };
-  // Non-finite doubles have no JSON number form; the writer emits `null`
-  // for them.  Parse null as 0.0 but remember we saw one: the record
-  // loads as infeasible rather than being dropped, so a resumed run
-  // still charges it to the warm cache instead of re-spending budget.
-  bool saw_null = false;
-  auto number = [&](std::string_view key) -> std::optional<double> {
-    const std::string* raw = text(key);
-    if (raw == nullptr) return std::nullopt;
-    if (*raw == "null") {
-      saw_null = true;
-      return 0.0;
-    }
-    return to_double(*raw);
-  };
-  auto boolean = [&](std::string_view key) -> std::optional<bool> {
-    const std::string* raw = text(key);
-    if (!raw) return std::nullopt;
-    if (*raw == "true") return true;
-    if (*raw == "false") return false;
-    return std::nullopt;
-  };
-
-  explore::EvalResult result;
-  const auto index = number("index");
-  const auto n = number("n");
-  const auto r = number("r");
-  const auto rl = number("rl");
-  const auto cores = number("cores");
-  const auto speedup = number("speedup");
-  const auto feasible = boolean("feasible");
-  const auto cached = boolean("cached");
-  const std::string* scenario = text("scenario");
-  const std::string* variant = text("variant");
-  const std::string* app = text("app");
-  const std::string* growth = text("growth");
-  const std::string* topology = text("topology");
-  if (!index || !n || !r || !rl || !cores || !speedup || !feasible ||
-      !cached || !scenario || !variant || !app || !growth || !topology) {
-    return std::nullopt;
-  }
-  try {
-    result.variant = core::parse_model_variant(*variant);
-  } catch (const std::invalid_argument&) {
-    return std::nullopt;
-  }
-  result.index = static_cast<std::size_t>(*index);
-  result.scenario = *scenario;
-  result.n = *n;
-  result.app = *app;
-  result.growth = *growth;
-  result.topology = *topology;
-  result.r = *r;
-  result.rl = *rl;
-  result.cores = *cores;
-  result.feasible = *feasible;
-  result.speedup = *speedup;
-  result.from_cache = *cached;
-  if (saw_null) {
-    // A non-finite value means the evaluation produced nothing a model
-    // comparison can use; keep the design point (so resume still skips
-    // it) but mark it infeasible.
-    result.feasible = false;
-    result.cores = 0.0;
-    result.speedup = 0.0;
-  }
-  return result;
 }
 
 std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
@@ -564,11 +267,11 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
     if (record.feasible) {
       outcome.point = core::DesignPoint{record.r, record.rl, record.speedup};
     }
-    // Count *distinct* keys, not records: load() concatenates both log
-    // formats, so a directory that holds overlapping files (a format
-    // switch on resume, or a kill between compact()'s rename and its
-    // cleanup of the other format) yields duplicate records.  Each
-    // unique design point was one budget-charged evaluation; counting
+    // Count *distinct* keys, not records: load() concatenates the
+    // archive, the unsharded log and every shard log, so a directory can
+    // yield duplicate records (live evals after an archive, a kill
+    // between compact()'s rename and its shard cleanup).  Each unique
+    // design point was one budget-charged evaluation; counting
     // duplicates would inflate `already_spent` and make a resumed run
     // silently under-spend its budget.  insert() reports newness, so
     // one shard probe both stores the outcome and counts the key.
@@ -582,32 +285,11 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
 namespace {
 
 /// Dedups `records` (first occurrence wins) and atomically rewrites
-/// `dir`'s result log in `format`, removing every other result file —
-/// the shared tail of compact() and merge().
+/// `dir`'s result log, removing every shard log — the shared tail of
+/// compact() and merge().
 RunLog::CompactStats dedup_rewrite(
     const std::string& dir, const std::vector<explore::EvalResult>& records,
-    LogFormat format, std::size_t flush_every);
-
-}  // namespace
-
-RunLog::CompactStats RunLog::compact(const std::string& dir,
-                                     LogFormat format,
-                                     std::size_t flush_every) {
-  const std::vector<explore::EvalResult> records = load(dir);
-  if (records.empty()) {
-    // Nothing recorded (no result files, or only empty / header-only
-    // ones): compacting is a no-op, not an error — rewriting would only
-    // fabricate result files in a directory that holds no results.
-    return CompactStats{};
-  }
-  return dedup_rewrite(dir, records, format, flush_every);
-}
-
-namespace {
-
-RunLog::CompactStats dedup_rewrite(
-    const std::string& dir, const std::vector<explore::EvalResult>& records,
-    LogFormat format, std::size_t flush_every) {
+    std::size_t flush_every) {
   RunLog::CompactStats stats;
   stats.loaded = records.size();
 
@@ -622,62 +304,52 @@ RunLog::CompactStats dedup_rewrite(
   // Write the survivors to a temp file, then rename over the target: a
   // kill (or an injected I/O failure) mid-compaction leaves the
   // original log untouched, and the partial temp file is removed on the
-  // way out of a failed rewrite so no later load can see it.
+  // way out of a failed rewrite so no later load can see it.  The temp
+  // file is fsynced before the rename: renaming a file whose bytes
+  // could still vanish in a power loss would replace good records with
+  // a hole.
   util::IoEnv& env = util::io_env();
   check_io(env.create_directories(dir), "create", dir);
   const std::string tmp =
       (std::filesystem::path(dir) / ".compact.tmp").string();
   check_io(env.remove_file(tmp), "remove", tmp);
   try {
-    if (format == LogFormat::kBinary) {
-      BinaryLog log(tmp, flush_every);
-      for (const explore::EvalResult* record : kept) log.append(*record);
-      log.flush();
-      log.sync();
-    } else {
-      std::unique_ptr<util::WritableFile> out;
-      check_io(env.new_writable(tmp, /*truncate=*/true, &out), "open", tmp);
-      std::ostringstream text;
-      for (const explore::EvalResult* record : kept) {
-        explore::write_ndjson(text, {*record});
-      }
-      check_io(out->append(text.str()), "write to", tmp);
-      check_io(out->flush(), "flush", tmp);
-      // Sync before the rename below: renaming a file whose bytes could
-      // still vanish in a power loss would replace good records with a
-      // hole.
-      check_io(out->sync(), "fsync", tmp);
-      check_io(out->close(), "close", tmp);
-    }
+    BinaryLog log(tmp, flush_every);
+    for (const explore::EvalResult* record : kept) log.append(*record);
+    log.flush();
+    log.sync();
   } catch (...) {
     static_cast<void>(env.remove_file(tmp));
     throw;
   }
-  const std::string target = format == LogFormat::kBinary
-                                 ? RunLog::binary_results_path(dir)
-                                 : RunLog::results_path(dir);
-  check_io(env.rename_file(tmp, target), "rename", tmp);
-  // Exactly one result file must survive (load() reads every one), so a
-  // cross-format compaction is also the migration path and compacting a
-  // sharded directory is the shard-union merge.
-  const std::string other = format == LogFormat::kBinary
-                                ? RunLog::results_path(dir)
-                                : RunLog::binary_results_path(dir);
-  check_io(env.remove_file(other), "remove", other);
-  for (const std::size_t shard : shard_indices(dir)) {
-    check_io(env.remove_file(RunLog::shard_results_path(dir, shard)),
-             "remove", RunLog::shard_results_path(dir, shard));
-    check_io(env.remove_file(RunLog::shard_binary_results_path(dir, shard)),
-             "remove", RunLog::shard_binary_results_path(dir, shard));
+  check_io(env.rename_file(tmp, RunLog::binary_results_path(dir)), "rename",
+           tmp);
+  // Exactly one result file must survive (load() reads every one), so
+  // compacting a sharded directory is the shard-union merge.
+  for (const std::size_t shard : shard_indices(result_dir_names(dir))) {
+    const std::string path = RunLog::shard_binary_results_path(dir, shard);
+    check_io(env.remove_file(path), "remove", path);
   }
   return stats;
 }
 
 }  // namespace
 
+RunLog::CompactStats RunLog::compact(const std::string& dir,
+                                     std::size_t flush_every) {
+  const std::vector<explore::EvalResult> records = load(dir);
+  if (records.empty()) {
+    // Nothing recorded (no result files, or only empty / header-only
+    // ones): compacting is a no-op, not an error — rewriting would only
+    // fabricate result files in a directory that holds no results.
+    return CompactStats{};
+  }
+  return dedup_rewrite(dir, records, flush_every);
+}
+
 RunLog::MergeStats RunLog::merge(const std::string& target,
                                  const std::vector<std::string>& sources,
-                                 LogFormat format, std::size_t flush_every,
+                                 std::size_t flush_every,
                                  bool strip_shard_token) {
   // Refuse mismatched shards up front: every participating directory
   // must have been recorded, and under one identical configuration.
@@ -730,7 +402,7 @@ RunLog::MergeStats RunLog::merge(const std::string& target,
   }
   if (!records.empty()) {
     const CompactStats compacted =
-        dedup_rewrite(target, records, format, flush_every);
+        dedup_rewrite(target, records, flush_every);
     stats.loaded = compacted.loaded;
     stats.kept = compacted.kept;
   }

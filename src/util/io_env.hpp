@@ -165,7 +165,7 @@ class ScopedIoEnv {
 ///   io.rename  io.remove  io.truncate  io.mkdir  io.list
 ///
 // — passing the file path as the argument, so specs can target
-/// individual files (`io.write=after:3@results.ndjson`).  io.short-write
+/// individual files (`io.write=after:3@results.msbin`).  io.short-write
 /// is special: when it fires, the first half of the buffer reaches the
 /// base env before the error returns, modeling a torn write.
 ///

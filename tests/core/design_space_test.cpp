@@ -157,37 +157,5 @@ TEST(SweepAsymmetricComm, SkipsInfeasiblePoints) {
   }
 }
 
-// The deprecated sweep_* entry points must stay thin wrappers over
-// evaluate_sweep until they are removed — pinned here (and only here,
-// under a pragma) so a drift between the legacy and batch paths cannot
-// ship silently.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(DeprecatedSweeps, RemainWrappersOverEvaluateSweep) {
-  const auto sizes = power_of_two_sizes(kChip.n);
-  const auto legacy_sym = sweep_symmetric(kChip, sample(), kLinear, sizes);
-  const auto batch_sym = evaluate_sweep(symmetric_request(), sizes);
-  ASSERT_EQ(legacy_sym.size(), batch_sym.size());
-  for (std::size_t i = 0; i < legacy_sym.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy_sym[i].speedup, batch_sym[i].speedup);
-  }
-
-  const CommAppParams comm_app = CommAppParams::from(sample());
-  const auto legacy_comm = sweep_asymmetric_comm(
-      kChip, comm_app, GrowthFunction::parallel(), mesh_comm_growth(), sizes,
-      16);
-  EvalRequest request =
-      make_comm_request(ModelVariant::kAsymmetricComm, kChip, comm_app,
-                        GrowthFunction::parallel(), mesh_comm_growth());
-  request.r = 16;
-  const auto batch_comm = evaluate_sweep(request, sizes);
-  ASSERT_EQ(legacy_comm.size(), batch_comm.size());
-  for (std::size_t i = 0; i < legacy_comm.size(); ++i) {
-    EXPECT_DOUBLE_EQ(legacy_comm[i].rl, batch_comm[i].rl);
-    EXPECT_DOUBLE_EQ(legacy_comm[i].speedup, batch_comm[i].speedup);
-  }
-}
-#pragma GCC diagnostic pop
-
 }  // namespace
 }  // namespace mergescale::core

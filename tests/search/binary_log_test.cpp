@@ -80,32 +80,6 @@ TEST_F(BinaryLogTest, AppendThenLoadRoundTrips) {
   }
 }
 
-TEST_F(BinaryLogTest, NdjsonAndBinaryLogsLoadIdentically) {
-  // The facade's contract: the two formats are interchangeable
-  // encodings of the same records.
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  const std::string ndjson_dir = dir_ + "_ndjson";
-  const std::string binary_dir = dir_ + "_binary";
-  {
-    RunLog ndjson(ndjson_dir, {LogFormat::kNdjson, 1});
-    RunLog binary(binary_dir, {LogFormat::kBinary, 7});
-    for (const auto& result : results) {
-      ndjson.append(result);
-      binary.append(result);
-    }
-  }
-  const auto from_ndjson = RunLog::load(ndjson_dir);
-  const auto from_binary = RunLog::load(binary_dir);
-  ASSERT_EQ(from_ndjson.size(), results.size());
-  ASSERT_EQ(from_binary.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    expect_equal(from_binary[i], from_ndjson[i]);
-  }
-  std::filesystem::remove_all(ndjson_dir);
-  std::filesystem::remove_all(binary_dir);
-}
-
 TEST_F(BinaryLogTest, RoundTripsAwkwardLabels) {
   explore::EvalResult result;
   result.index = 3;
@@ -240,7 +214,7 @@ TEST_F(BinaryLogTest, NonFiniteValuesLoadAsInfeasible) {
   EXPECT_EQ(loaded[0].index, 2u);
   EXPECT_EQ(loaded[0].app, "kmeans");
   EXPECT_DOUBLE_EQ(loaded[0].r, 4.0);
-  EXPECT_FALSE(loaded[0].feasible);  // mirrors the NDJSON null convention
+  EXPECT_FALSE(loaded[0].feasible);  // non-finite -> infeasible
   EXPECT_DOUBLE_EQ(loaded[0].speedup, 0.0);
   EXPECT_DOUBLE_EQ(loaded[0].cores, 0.0);
 }
@@ -274,7 +248,7 @@ TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
   const SearchOutcome reference = run_search(uninterrupted, space, options);
 
   // "Killed" slice of the same budget, persisted to binary.
-  const std::string run_dir = dir_ + "_run";
+  const std::string run_dir = dir_ + "/run";
   SearchOptions slice = options;
   slice.budget = 25;
   {
@@ -297,10 +271,9 @@ TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
   if (reference.found) {
     EXPECT_DOUBLE_EQ(continued.best.speedup, reference.best.speedup);
   }
-  std::filesystem::remove_all(run_dir);
 }
 
-TEST_F(BinaryLogTest, CompactDropsDuplicateKeysAndIsFormatPreserving) {
+TEST_F(BinaryLogTest, CompactDropsDuplicateKeys) {
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
   {
@@ -308,14 +281,24 @@ TEST_F(BinaryLogTest, CompactDropsDuplicateKeysAndIsFormatPreserving) {
     for (const auto& result : results) log.append(result);
     for (const auto& result : results) log.append(result);  // duplicates
   }
-  ASSERT_EQ(RunLog::load(dir_).size(), 2 * results.size());
-  const auto stats = RunLog::compact(dir_, LogFormat::kBinary);
+  const auto before = RunLog::load(dir_);
+  ASSERT_EQ(before.size(), 2 * results.size());
+  const auto stats = RunLog::compact(dir_);
   EXPECT_EQ(stats.loaded, 2 * results.size());
   // The spec's symmetric jobs are duplicated across the small-core axis
   // (inert for them), so compaction folds more than the doubled append.
   EXPECT_LE(stats.kept, results.size());
   const auto compacted = RunLog::load(dir_);
   EXPECT_EQ(compacted.size(), stats.kept);
+  // Every surviving record equals its first occurrence in the original.
+  std::size_t cursor = 0;
+  for (const auto& record : compacted) {
+    while (cursor < before.size() && before[cursor].index != record.index) {
+      ++cursor;
+    }
+    ASSERT_LT(cursor, before.size());
+    expect_equal(record, before[cursor]);
+  }
   // Compaction must not lose any design point: the warmed cache covers
   // the full spec exactly like the uncompacted log would.
   explore::ExploreEngine warmed;
@@ -324,21 +307,23 @@ TEST_F(BinaryLogTest, CompactDropsDuplicateKeysAndIsFormatPreserving) {
   EXPECT_EQ(warmed.cache().stats().misses, 0u);
 }
 
-TEST_F(BinaryLogTest, WarmCountsDistinctKeysWhenBothFormatsOverlap) {
-  // A directory can legitimately hold both result files with duplicate
-  // records (format switch on resume; a kill between compact()'s rename
-  // and its cleanup of the other format).  warm() must count *unique*
-  // design points, or already_spent would double and a resumed search
-  // would silently under-spend its budget.
+TEST_F(BinaryLogTest, WarmCountsDistinctKeysWhenFilesOverlap) {
+  // A directory can legitimately hold duplicate records across its
+  // result files (a kill between compact()'s rename and its cleanup of
+  // the shard logs).  warm() must count *unique* design points, or
+  // already_spent would double and a resumed search would silently
+  // under-spend its budget.
   const explore::ScenarioSpec spec = sample_spec();
   explore::ExploreEngine engine;
   const auto results = engine.run(spec);
   {
-    RunLog ndjson(dir_, {LogFormat::kNdjson, 1});
-    RunLog binary(dir_, {LogFormat::kBinary, 8});
+    RunLog unsharded(dir_, {LogFormat::kBinary, 1});
+    RunLogOptions options{LogFormat::kBinary, 8};
+    options.shard = 0;
+    RunLog shard(dir_, options);
     for (const auto& result : results) {
-      ndjson.append(result);
-      binary.append(result);
+      unsharded.append(result);
+      shard.append(result);
     }
   }
   const auto records = RunLog::load(dir_);
@@ -616,32 +601,6 @@ TEST_F(BinaryLogTest, FuzzInterleavedAppendChunksNeverCrashTheLoader) {
       EXPECT_DOUBLE_EQ(record.r, it->second->r);
       EXPECT_DOUBLE_EQ(record.rl, it->second->rl);
     }
-  }
-}
-
-TEST_F(BinaryLogTest, CompactMigratesBetweenFormats) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  {
-    RunLog log(dir_, {LogFormat::kNdjson, 1});
-    for (const auto& result : results) log.append(result);
-  }
-  const auto before = RunLog::load(dir_);
-  const auto stats = RunLog::compact(dir_, LogFormat::kBinary);
-  EXPECT_EQ(stats.loaded, results.size());
-  EXPECT_FALSE(std::filesystem::exists(RunLog::results_path(dir_)));
-  EXPECT_TRUE(
-      std::filesystem::exists(RunLog::binary_results_path(dir_)));
-  const auto after = RunLog::load(dir_);
-  ASSERT_EQ(after.size(), stats.kept);
-  // Every surviving record equals its first occurrence in the original.
-  std::size_t cursor = 0;
-  for (const auto& record : after) {
-    while (cursor < before.size() && before[cursor].index != record.index) {
-      ++cursor;
-    }
-    ASSERT_LT(cursor, before.size());
-    expect_equal(record, before[cursor]);
   }
 }
 

@@ -3,8 +3,7 @@
 // named fail points, then replays recovery and checks the documented
 // contract — what load() returns is a PREFIX of what was appended
 // (never a fabricated or reordered record), and the loss is bounded by
-// the documented crash window: one flush group in sync mode, the
-// in-flight plus filling groups in async mode.
+// the documented crash window: the one flush group still filling.
 
 #include <filesystem>
 #include <string>
@@ -19,7 +18,7 @@
 namespace mergescale::search {
 namespace {
 
-class CrashConsistencyTest : public ::testing::TestWithParam<LogFormat> {
+class CrashConsistencyTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = (std::filesystem::temp_directory_path() /
@@ -36,15 +35,10 @@ class CrashConsistencyTest : public ::testing::TestWithParam<LogFormat> {
     std::filesystem::remove_all(dir_);
   }
 
-  static LogFormat format() { return GetParam(); }
-
-  static RunLogOptions options(std::size_t flush_every, bool fsync,
-                               bool async = false) {
+  static RunLogOptions options(std::size_t flush_every, bool fsync) {
     RunLogOptions opts;
-    opts.format = format();
     opts.flush_every = flush_every;
     opts.fsync = fsync;
-    opts.async = async;
     return opts;
   }
 
@@ -53,21 +47,26 @@ class CrashConsistencyTest : public ::testing::TestWithParam<LogFormat> {
 
 /// Synthetic records with distinct design points (r = index), so
 /// deduplication never collapses them and a loaded prefix is countable.
-/// noinline: GCC 12's -Wrestrict false-positives on the inlined string
-/// literal assignments.
-[[gnu::noinline]] std::vector<explore::EvalResult> make_records(
-    std::size_t count) {
+std::vector<explore::EvalResult> make_records(std::size_t count) {
+  // std::string (not const char*) sources: assigning a string literal
+  // through operator=(const char*) trips GCC 12's -Wrestrict false
+  // positive (PR105329) under -O2, and -Werror turns that into a build
+  // break.
+  const std::string scenario = "crash-harness";
+  const std::string app = "kmeans";
+  const std::string growth = "n";
+  const std::string topology = "mesh";
   std::vector<explore::EvalResult> records;
   records.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
     explore::EvalResult result;
     result.index = i;
-    result.scenario = "crash-harness";
+    result.scenario = scenario;
     result.variant = core::ModelVariant::kAsymmetric;
     result.n = 256.0;
-    result.app = "kmeans";
-    result.growth = "n";
-    result.topology = "mesh";
+    result.app = app;
+    result.growth = growth;
+    result.topology = topology;
     result.r = static_cast<double>(i + 1);
     result.rl = 4.0;
     result.feasible = true;
@@ -90,7 +89,7 @@ void expect_prefix(const std::vector<explore::EvalResult>& loaded,
   }
 }
 
-TEST_P(CrashConsistencyTest, PowerLossKeepsEveryFsyncedGroup) {
+TEST_F(CrashConsistencyTest, PowerLossKeepsEveryFsyncedGroup) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(5);
@@ -108,7 +107,7 @@ TEST_P(CrashConsistencyTest, PowerLossKeepsEveryFsyncedGroup) {
   EXPECT_EQ(loaded.size(), 4u);  // loss == the filling group, nothing more
 }
 
-TEST_P(CrashConsistencyTest, PowerLossWithoutFsyncLosesCleanly) {
+TEST_F(CrashConsistencyTest, PowerLossWithoutFsyncLosesCleanly) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(3);
@@ -129,7 +128,7 @@ TEST_P(CrashConsistencyTest, PowerLossWithoutFsyncLosesCleanly) {
   EXPECT_FALSE(RunLog::load(dir_).empty());
 }
 
-TEST_P(CrashConsistencyTest, TornTailIsDroppedAndRepaired) {
+TEST_F(CrashConsistencyTest, TornTailIsDroppedAndRepaired) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(4);
@@ -163,7 +162,7 @@ TEST_P(CrashConsistencyTest, TornTailIsDroppedAndRepaired) {
   EXPECT_EQ(repaired.size(), 4u);
 }
 
-TEST_P(CrashConsistencyTest, StickyWriteFailureSurfacesAndKeepsPrefix) {
+TEST_F(CrashConsistencyTest, StickyWriteFailureSurfacesAndKeepsPrefix) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(6);
@@ -189,7 +188,7 @@ TEST_P(CrashConsistencyTest, StickyWriteFailureSurfacesAndKeepsPrefix) {
   EXPECT_EQ(loaded.size(), accepted);
 }
 
-TEST_P(CrashConsistencyTest, ShortWriteTearsExactlyOneRecord) {
+TEST_F(CrashConsistencyTest, ShortWriteTearsExactlyOneRecord) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(3);
@@ -216,15 +215,14 @@ TEST_P(CrashConsistencyTest, ShortWriteTearsExactlyOneRecord) {
   EXPECT_EQ(repaired.size(), 3u);
 }
 
-TEST_P(CrashConsistencyTest, AsyncFlushIsADurabilityBarrier) {
+TEST_F(CrashConsistencyTest, FlushIsADurabilityBarrier) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(10);
   {
-    RunLog log(dir_, options(/*flush_every=*/4, /*fsync=*/true,
-                             /*async=*/true));
+    RunLog log(dir_, options(/*flush_every=*/4, /*fsync=*/true));
     for (const auto& record : records) log.append(record);
-    log.flush();  // drains the writer and fsyncs — a real barrier
+    log.flush();  // writes the partial group and fsyncs — a real barrier
     faulty.lose_power();
   }
   faulty.reset_power();
@@ -233,28 +231,7 @@ TEST_P(CrashConsistencyTest, AsyncFlushIsADurabilityBarrier) {
   EXPECT_EQ(loaded.size(), records.size());  // zero loss behind the barrier
 }
 
-TEST_P(CrashConsistencyTest, AsyncPowerLossLosesAtMostTheDocumentedWindow) {
-  util::FaultyIoEnv faulty;
-  util::ScopedIoEnv scope(&faulty);
-  constexpr std::size_t kFlushEvery = 2;
-  const auto records = make_records(12);
-  {
-    RunLog log(dir_, options(kFlushEvery, /*fsync=*/true, /*async=*/true));
-    for (const auto& record : records) log.append(record);
-    faulty.lose_power();
-    // Destruction races the dead disk; it must not fabricate records.
-  }
-  faulty.reset_power();
-  const auto loaded = RunLog::load(dir_);
-  expect_prefix(loaded, records);
-  // Window: one group queued/being written (in flight), one group
-  // filling.  By the time append #12 returned, every earlier group had
-  // cleared the depth-one queue, so at most 2 * flush_every records
-  // (in-flight + filling) can be lost.
-  EXPECT_GE(loaded.size(), records.size() - 2 * kFlushEvery);
-}
-
-TEST_P(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {
+TEST_F(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(8);
@@ -266,7 +243,7 @@ TEST_P(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {
 
   // The rewrite's temp file hits ENOSPC.
   util::FailPoints::instance().arm("io.write", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::compact(dir_, format()), std::exception);
+  EXPECT_THROW(RunLog::compact(dir_), std::exception);
   util::FailPoints::instance().disarm_all();
 
   // Original intact, partial output removed.
@@ -277,12 +254,12 @@ TEST_P(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {
       std::filesystem::exists(std::filesystem::path(dir_) / ".compact.tmp"));
 
   // The retry on a healthy disk succeeds.
-  const auto stats = RunLog::compact(dir_, format());
+  const auto stats = RunLog::compact(dir_);
   EXPECT_EQ(stats.kept, records.size());
   expect_prefix(RunLog::load(dir_), records);
 }
 
-TEST_P(CrashConsistencyTest, FailedRenameMidCompactLeavesOriginalLoadable) {
+TEST_F(CrashConsistencyTest, FailedRenameMidCompactLeavesOriginalLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(4);
@@ -292,18 +269,17 @@ TEST_P(CrashConsistencyTest, FailedRenameMidCompactLeavesOriginalLoadable) {
     for (const auto& record : records) log.append(record);
   }
   util::FailPoints::instance().arm("io.rename", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::compact(dir_, format()), std::exception);
+  EXPECT_THROW(RunLog::compact(dir_), std::exception);
   util::FailPoints::instance().disarm_all();
   const auto loaded = RunLog::load(dir_);
   expect_prefix(loaded, records);
   EXPECT_EQ(loaded.size(), records.size());
 }
 
-TEST_P(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
+TEST_F(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
-  const std::string source_dir = dir_ + "_source";
-  std::filesystem::remove_all(source_dir);
+  const std::string source_dir = dir_ + "/source";
   const auto records = make_records(8);
   RunLog::write_meta(dir_, "crash-harness-config");
   RunLog::write_meta(source_dir, "crash-harness-config");
@@ -315,7 +291,7 @@ TEST_P(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
   }
 
   util::FailPoints::instance().arm("io.write", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::merge(dir_, {source_dir}, format()), std::exception);
+  EXPECT_THROW(RunLog::merge(dir_, {source_dir}), std::exception);
   util::FailPoints::instance().disarm_all();
 
   // Target and source both still load their own records.
@@ -325,13 +301,12 @@ TEST_P(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
   EXPECT_EQ(RunLog::load(source_dir).size(), 4u);
 
   // Retry completes the union.
-  const auto stats = RunLog::merge(dir_, {source_dir}, format());
+  const auto stats = RunLog::merge(dir_, {source_dir});
   EXPECT_EQ(stats.kept, records.size());
   EXPECT_EQ(RunLog::load(dir_).size(), records.size());
-  std::filesystem::remove_all(source_dir);
 }
 
-TEST_P(CrashConsistencyTest, MetaWriteFailureLeavesNoMetaBehind) {
+TEST_F(CrashConsistencyTest, MetaWriteFailureLeavesNoMetaBehind) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   util::FailPoints::instance().arm("io.write", "always@.meta.");
@@ -353,15 +328,6 @@ TEST_P(CrashConsistencyTest, MetaWriteFailureLeavesNoMetaBehind) {
   RunLog::write_meta(dir_, "config");
   EXPECT_EQ(RunLog::read_meta(dir_).value_or(""), "config");
 }
-
-INSTANTIATE_TEST_SUITE_P(Formats, CrashConsistencyTest,
-                         ::testing::Values(LogFormat::kNdjson,
-                                           LogFormat::kBinary),
-                         [](const auto& info) {
-                           return info.param == LogFormat::kNdjson
-                                      ? "ndjson"
-                                      : "binary";
-                         });
 
 }  // namespace
 }  // namespace mergescale::search

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -16,10 +15,8 @@
 // search mid-flight (simulated by byte-truncating its log, which also
 // leaves a torn tail to repair), resume by warm-loading, and the
 // continued run must reproduce the uninterrupted run's SearchOutcome —
-// not just the best point but the whole observable outcome, and
-// *identically across log formats*.  CI has long smoke-tested this at
-// the shell level for one format at a time; this pins it in ctest,
-// NDJSON and binary side by side.
+// not just the best point but the whole observable outcome.  CI
+// smoke-tests this at the shell level; this pins it in ctest.
 
 namespace mergescale::search {
 namespace {
@@ -102,7 +99,7 @@ void truncate_to_fraction(const std::string& path, double fraction) {
   std::filesystem::resize_file(path, cut);
 }
 
-TEST_F(ResumeReplayTest, KilledAnnealResumesIdenticallyFromBothFormats) {
+TEST_F(ResumeReplayTest, KilledAnnealResumesIdentically) {
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
   SearchOptions options;
@@ -115,51 +112,31 @@ TEST_F(ResumeReplayTest, KilledAnnealResumesIdenticallyFromBothFormats) {
   const SearchOutcome reference = run_search(uninterrupted, space, options);
   ASSERT_TRUE(reference.found);
 
-  std::vector<SearchOutcome> resumed_outcomes;
-  std::vector<std::size_t> warmed_counts;
-  for (const LogFormat format : {LogFormat::kNdjson, LogFormat::kBinary}) {
-    const std::string label{log_format_name(format)};
-    const std::string run_dir = dir_ + "_" + label;
-    // Record the full run, then "kill" it by keeping ~55% of the log in
-    // bytes: a torn final record plus a lost flush-group tail.
-    {
-      explore::ExploreEngine engine;
-      RunLog log(run_dir, {format, 8});
-      run_search(engine, space, options, &log);
-    }
-    const std::string path = format == LogFormat::kBinary
-                                 ? RunLog::binary_results_path(run_dir)
-                                 : RunLog::results_path(run_dir);
-    truncate_to_fraction(path, 0.55);
-
-    // Resume: warm from the damaged log, charge what survived against
-    // the same budget, and replay.
+  // Record the full run, then "kill" it by keeping ~55% of the log in
+  // bytes: a torn final record plus a lost flush-group tail.
+  {
     explore::ExploreEngine engine;
-    const auto records = RunLog::load(run_dir);
-    ASSERT_FALSE(records.empty()) << label;
-    const std::size_t warmed = RunLog::warm(records, spec, engine);
-    ASSERT_GT(warmed, 0u) << label;
-    ASSERT_LT(warmed, reference.evaluations) << label;  // really mid-run
-    SearchOptions rest = options;
-    rest.already_spent = warmed;
-    RunLog log(run_dir, {format, 8});  // repairs the torn tail
-    resumed_outcomes.push_back(run_search(engine, space, rest, &log));
-    warmed_counts.push_back(warmed);
-    expect_same_outcome(resumed_outcomes.back(), reference, warmed,
-                        "resume-from-" + label);
-    std::filesystem::remove_all(run_dir);
+    RunLog log(dir_, {LogFormat::kBinary, 8});
+    run_search(engine, space, options, &log);
   }
-  // The two formats' byte sizes differ, so the truncation kills them at
-  // different records — yet both resumes replay onto the same
-  // trajectory.  Comparing each against the reference above already
-  // proves it; cross-check the endpoints directly too.
-  EXPECT_EQ(resumed_outcomes[0].evaluations, resumed_outcomes[1].evaluations);
-  EXPECT_EQ(resumed_outcomes[0].proposals, resumed_outcomes[1].proposals);
-  EXPECT_DOUBLE_EQ(resumed_outcomes[0].best.speedup,
-                   resumed_outcomes[1].best.speedup);
+  truncate_to_fraction(RunLog::binary_results_path(dir_), 0.55);
+
+  // Resume: warm from the damaged log, charge what survived against the
+  // same budget, and replay.
+  explore::ExploreEngine engine;
+  const auto records = RunLog::load(dir_);
+  ASSERT_FALSE(records.empty());
+  const std::size_t warmed = RunLog::warm(records, spec, engine);
+  ASSERT_GT(warmed, 0u);
+  ASSERT_LT(warmed, reference.evaluations);  // really mid-run
+  SearchOptions rest = options;
+  rest.already_spent = warmed;
+  RunLog log(dir_, {LogFormat::kBinary, 8});  // repairs the torn tail
+  expect_same_outcome(run_search(engine, space, rest, &log), reference,
+                      warmed, "anneal-resume");
 }
 
-TEST_F(ResumeReplayTest, KilledGeneticResumesIdenticallyFromBothFormats) {
+TEST_F(ResumeReplayTest, KilledGeneticResumesIdentically) {
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
   SearchOptions options;
@@ -172,30 +149,20 @@ TEST_F(ResumeReplayTest, KilledGeneticResumesIdenticallyFromBothFormats) {
   const SearchOutcome reference = run_search(uninterrupted, space, options);
   ASSERT_TRUE(reference.found);
 
-  for (const LogFormat format : {LogFormat::kNdjson, LogFormat::kBinary}) {
-    const std::string label{log_format_name(format)};
-    const std::string run_dir = dir_ + "_" + label;
-    {
-      explore::ExploreEngine engine;
-      RunLog log(run_dir, {format, 4});
-      run_search(engine, space, options, &log);
-    }
-    const std::string path = format == LogFormat::kBinary
-                                 ? RunLog::binary_results_path(run_dir)
-                                 : RunLog::results_path(run_dir);
-    truncate_to_fraction(path, 0.6);
-
+  {
     explore::ExploreEngine engine;
-    const std::size_t warmed =
-        RunLog::warm(RunLog::load(run_dir), spec, engine);
-    ASSERT_GT(warmed, 0u) << label;
-    SearchOptions rest = options;
-    rest.already_spent = warmed;
-    const SearchOutcome continued = run_search(engine, space, rest);
-    expect_same_outcome(continued, reference, warmed,
-                        "genetic-resume-" + label);
-    std::filesystem::remove_all(run_dir);
+    RunLog log(dir_, {LogFormat::kBinary, 4});
+    run_search(engine, space, options, &log);
   }
+  truncate_to_fraction(RunLog::binary_results_path(dir_), 0.6);
+
+  explore::ExploreEngine engine;
+  const std::size_t warmed = RunLog::warm(RunLog::load(dir_), spec, engine);
+  ASSERT_GT(warmed, 0u);
+  SearchOptions rest = options;
+  rest.already_spent = warmed;
+  const SearchOutcome continued = run_search(engine, space, rest);
+  expect_same_outcome(continued, reference, warmed, "genetic-resume");
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
-#include <sstream>
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
@@ -74,7 +73,7 @@ TEST_F(RunLogTest, AppendThenLoadRoundTrips) {
 }
 
 TEST_F(RunLogTest, LoadOfAMissingDirectoryIsEmpty) {
-  EXPECT_TRUE(RunLog::load(dir_ + "_nonexistent").empty());
+  EXPECT_TRUE(RunLog::load(dir_ + "/nonexistent").empty());
 }
 
 TEST_F(RunLogTest, RoundTripsAwkwardLabels) {
@@ -100,28 +99,6 @@ TEST_F(RunLogTest, RoundTripsAwkwardLabels) {
   expect_equal(loaded[0], result);
 }
 
-TEST_F(RunLogTest, SkipsTornAndMalformedLines) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  {
-    RunLog log(dir_);
-    log.append(results[0]);
-    log.append(results[1]);
-  }
-  {
-    // A kill mid-write leaves a torn final line; earlier corruption can
-    // leave arbitrary garbage.  Neither may break load().
-    std::ofstream out(RunLog::results_path(dir_), std::ios::app);
-    out << "not json at all\n";
-    out << "{\"index\":7,\"nested\":{\"x\":1}}\n";
-    out << "{\"index\":9,\"scenario\":\"torn";  // no closing quote/brace
-  }
-  const auto loaded = RunLog::load(dir_);
-  ASSERT_EQ(loaded.size(), 2u);
-  expect_equal(loaded[0], results[0]);
-  expect_equal(loaded[1], results[1]);
-}
-
 TEST_F(RunLogTest, RepairsATornTailBeforeAppending) {
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
@@ -129,35 +106,24 @@ TEST_F(RunLogTest, RepairsATornTailBeforeAppending) {
     RunLog log(dir_);
     log.append(results[0]);
   }
+  const std::string path = RunLog::binary_results_path(dir_);
+  const auto intact = std::filesystem::file_size(path);
   {
-    // Kill mid-write: the file ends in a torn fragment with no newline.
-    std::ofstream out(RunLog::results_path(dir_), std::ios::app);
-    out << "{\"index\":9,\"scenario\":\"torn";
+    RunLog log(dir_);
+    log.append(results[2]);
   }
+  // Kill mid-write: only half of the second record's bytes reached disk.
+  std::filesystem::resize_file(
+      path, intact + (std::filesystem::file_size(path) - intact) / 2);
   {
-    // A resumed run's first append must NOT glue onto the fragment.
+    // A resumed run's first append must NOT extend the fragment.
     RunLog log(dir_);
     log.append(results[1]);
   }
   const auto loaded = RunLog::load(dir_);
-  ASSERT_EQ(loaded.size(), 2u);  // torn line skipped, both records intact
+  ASSERT_EQ(loaded.size(), 2u);  // torn record dropped, both others intact
   expect_equal(loaded[0], results[0]);
   expect_equal(loaded[1], results[1]);
-}
-
-TEST_F(RunLogTest, ParseResultRejectsMissingFields) {
-  EXPECT_FALSE(RunLog::parse_result("{}").has_value());
-  EXPECT_FALSE(RunLog::parse_result("{\"index\":1}").has_value());
-  EXPECT_FALSE(RunLog::parse_result("").has_value());
-  // A full record parses.
-  std::ostringstream line;
-  explore::write_ndjson(line, {explore::EvalResult{}});
-  EXPECT_TRUE(RunLog::parse_result(line.str()).has_value());
-  // ... but an unknown variant name does not.
-  std::string broken = line.str();
-  const auto at = broken.find("symmetric");
-  broken.replace(at, 9, "symmetrix");
-  EXPECT_FALSE(RunLog::parse_result(broken).has_value());
 }
 
 TEST_F(RunLogTest, WarmedCacheServesAResumedRunWithoutRecompute) {
@@ -217,10 +183,9 @@ TEST_F(RunLogTest, WarmSkipsRecordsForeignToTheSpec) {
 }
 
 TEST_F(RunLogTest, NonFiniteValuesRoundTripAsInfeasible) {
-  // %.17g would render inf/nan literally, which is not JSON — load()
-  // would silently drop the line and a resumed run would re-spend
-  // budget on the point.  The writer emits `null` instead, and the
-  // record loads back as an (infeasible) design point.
+  // A non-finite value is no design a model comparison can use, but
+  // dropping the record would make a resumed run re-spend budget on the
+  // point: it loads back as an (infeasible) design point.
   explore::EvalResult result;
   result.index = 2;
   result.scenario = "nonfinite";
@@ -235,14 +200,6 @@ TEST_F(RunLogTest, NonFiniteValuesRoundTripAsInfeasible) {
   {
     RunLog log(dir_);
     log.append(result);
-  }
-  {
-    std::ifstream in(RunLog::results_path(dir_));
-    std::string line;
-    ASSERT_TRUE(std::getline(in, line));
-    EXPECT_EQ(line.find("inf"), std::string::npos);
-    EXPECT_EQ(line.find("nan"), std::string::npos);
-    EXPECT_NE(line.find("null"), std::string::npos);
   }
   const auto loaded = RunLog::load(dir_);
   ASSERT_EQ(loaded.size(), 1u);  // the record is kept, not dropped
@@ -286,49 +243,10 @@ TEST_F(RunLogTest, ReadMetaDistinguishesMissingFromCorrupt) {
   EXPECT_EQ(*read, "config");
 }
 
-TEST_F(RunLogTest, AsyncWriterMatchesTheSyncLogByteForByte) {
-  // The writer thread is a scheduling change, not a format change: the
-  // same records through the same flush grouping must produce identical
-  // files in both formats.
+TEST_F(RunLogTest, FlushIsTheCheckpointBarrier) {
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
-  for (const LogFormat format : {LogFormat::kNdjson, LogFormat::kBinary}) {
-    const std::string sync_dir = dir_ + "_sync";
-    const std::string async_dir = dir_ + "_async";
-    {
-      RunLog sync_log(sync_dir, {format, 16});
-      RunLogOptions async_options{format, 16};
-      async_options.async = true;
-      RunLog async_log(async_dir, async_options);
-      for (const auto& result : results) {
-        sync_log.append(result);
-        async_log.append(result);
-      }
-      EXPECT_EQ(async_log.appended(), results.size());
-    }
-    const auto path = [&](const std::string& dir) {
-      return format == LogFormat::kBinary ? RunLog::binary_results_path(dir)
-                                          : RunLog::results_path(dir);
-    };
-    std::ifstream sync_in(path(sync_dir), std::ios::binary);
-    std::ifstream async_in(path(async_dir), std::ios::binary);
-    const std::string sync_bytes((std::istreambuf_iterator<char>(sync_in)),
-                                 std::istreambuf_iterator<char>());
-    const std::string async_bytes((std::istreambuf_iterator<char>(async_in)),
-                                  std::istreambuf_iterator<char>());
-    EXPECT_FALSE(async_bytes.empty());
-    EXPECT_EQ(async_bytes, sync_bytes);
-    std::filesystem::remove_all(sync_dir);
-    std::filesystem::remove_all(async_dir);
-  }
-}
-
-TEST_F(RunLogTest, AsyncFlushDrainsTheWriterThread) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  RunLogOptions options{LogFormat::kBinary, 1024};  // group never fills
-  options.async = true;
-  RunLog log(dir_, options);
+  RunLog log(dir_, {LogFormat::kBinary, 1024});  // group never fills
   for (const auto& result : results) log.append(result);
   // Nothing guaranteed on disk yet (the group is still filling) — but
   // after flush() every appended record must be loadable: flush is the
@@ -337,25 +255,9 @@ TEST_F(RunLogTest, AsyncFlushDrainsTheWriterThread) {
   EXPECT_EQ(RunLog::load(dir_).size(), results.size());
 }
 
-TEST_F(RunLogTest, AsyncMoveAppendKeepsRecordsIntact) {
-  explore::ExploreEngine engine;
-  const auto results = engine.run(sample_spec());
-  {
-    RunLogOptions options{LogFormat::kNdjson, 4};
-    options.async = true;
-    RunLog log(dir_, options);
-    for (auto result : results) log.append(std::move(result));
-  }
-  const auto loaded = RunLog::load(dir_);
-  ASSERT_EQ(loaded.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    expect_equal(loaded[i], results[i]);
-  }
-}
-
 TEST_F(RunLogTest, CompactOnAnEmptyOrHeaderOnlyLogIsANoOp) {
   // Never-recorded directory: no error, no fabricated files.
-  auto stats = RunLog::compact(dir_, LogFormat::kBinary);
+  auto stats = RunLog::compact(dir_);
   EXPECT_EQ(stats.loaded, 0u);
   EXPECT_EQ(stats.kept, 0u);
   EXPECT_FALSE(RunLog::has_results(dir_));
@@ -365,20 +267,52 @@ TEST_F(RunLogTest, CompactOnAnEmptyOrHeaderOnlyLogIsANoOp) {
   { RunLog log(dir_, {LogFormat::kBinary, 1}); }
   const auto bytes_before =
       std::filesystem::file_size(RunLog::binary_results_path(dir_));
-  stats = RunLog::compact(dir_, LogFormat::kBinary);
+  stats = RunLog::compact(dir_);
   EXPECT_EQ(stats.loaded, 0u);
   EXPECT_EQ(stats.kept, 0u);
   EXPECT_EQ(std::filesystem::file_size(RunLog::binary_results_path(dir_)),
             bytes_before);
+}
 
-  // Empty NDJSON log: same story, and a cross-format "migration" of
-  // nothing must not delete the existing (empty) log either.
-  std::filesystem::remove(RunLog::binary_results_path(dir_));
-  { RunLog log(dir_, {LogFormat::kNdjson, 1}); }
-  stats = RunLog::compact(dir_, LogFormat::kBinary);
-  EXPECT_EQ(stats.loaded, 0u);
-  EXPECT_TRUE(std::filesystem::exists(RunLog::results_path(dir_)));
-  EXPECT_FALSE(std::filesystem::exists(RunLog::binary_results_path(dir_)));
+TEST_F(RunLogTest, RefusesDirectoriesHoldingARetiredNdjsonLog) {
+  // A directory recorded by an older build may still hold NDJSON row
+  // logs.  Skipping them silently would make a resume recompute every
+  // record they hold, so every entry point refuses, naming the file.
+  explore::ExploreEngine engine;
+  const auto results = engine.run(sample_spec());
+  for (const std::string name :
+       {"results.ndjson", "results.shard-2.ndjson"}) {
+    SCOPED_TRACE(name);
+    std::filesystem::remove_all(dir_);
+    RunLog::write_meta(dir_, "config");
+    {
+      RunLog log(dir_);
+      log.append(results[0]);
+    }
+    std::ofstream(std::filesystem::path(dir_) / name) << "{\"index\":0}\n";
+    const auto expect_refused = [&name](const auto& call) {
+      try {
+        call();
+        ADD_FAILURE() << "accepted a directory holding " << name;
+      } catch (const std::runtime_error& error) {
+        EXPECT_NE(std::string(error.what()).find(name), std::string::npos)
+            << error.what();
+      }
+    };
+    expect_refused([&] { RunLog::load(dir_); });                // load
+    expect_refused([&] { RunLog::load_range(dir_, 0, 100); });  // shard resume
+    expect_refused([&] { RunLog::load_shard(dir_, 0); });       // shard resume
+    expect_refused([&] { RunLog log(dir_); });                  // resume append
+    expect_refused([&] { RunLog::has_results(dir_); });         // fresh start
+    expect_refused([&] { RunLog::compact(dir_); });
+    expect_refused([&] { RunLog::merge(dir_, {}); });            // merge target
+    const std::string target = dir_ + "/target";
+    RunLog::write_meta(target, "config");
+    expect_refused([&] { RunLog::merge(target, {dir_}); });      // merge source
+    // Nothing was rewritten or removed on the way to the refusal.
+    EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir_) / name));
+    EXPECT_EQ(BinaryLog::load(RunLog::binary_results_path(dir_)).size(), 1u);
+  }
 }
 
 TEST(NdjsonParser, HandlesTheFlatObjectSubset) {

@@ -78,7 +78,7 @@ void sweep_shard(const SearchSpace& space, const ShardRange& range,
     std::vector<explore::EvalResult> part = engine.run(slice);
     for (std::size_t i = 0; i < part.size(); ++i) {
       part[i].index = static_cast<std::size_t>(flats[i]);
-      if (!part[i].from_cache) log->append(std::move(part[i]));
+      if (!part[i].from_cache) log->append(part[i]);
     }
   }
   log->flush();
@@ -161,7 +161,6 @@ TEST_F(ShardTest, ShardLogsAreSeparateFilesUnionedByLoad) {
     options.shard = 0;
     RunLog shard0(dir_, options);
     options.shard = 1;
-    options.format = LogFormat::kNdjson;
     RunLog shard1(dir_, options);
     shard0.append(results[0]);
     shard0.append(results[1]);
@@ -169,7 +168,8 @@ TEST_F(ShardTest, ShardLogsAreSeparateFilesUnionedByLoad) {
   }
   EXPECT_TRUE(std::filesystem::exists(
       RunLog::shard_binary_results_path(dir_, 0)));
-  EXPECT_TRUE(std::filesystem::exists(RunLog::shard_results_path(dir_, 1)));
+  EXPECT_TRUE(std::filesystem::exists(
+      RunLog::shard_binary_results_path(dir_, 1)));
   EXPECT_TRUE(RunLog::has_results(dir_));
 
   // load() unions shards in shard order; load_shard() isolates one.
@@ -191,8 +191,8 @@ TEST_F(ShardTest, ShardUnionInvariant) {
   // for point, to the single-process (1-shard) run of the same space.
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
-  const std::string merged_dir = dir_ + "_merged";
-  const std::string reference_dir = dir_ + "_reference";
+  const std::string merged_dir = dir_ + "/merged";
+  const std::string reference_dir = dir_ + "/reference";
 
   constexpr std::size_t kShards = 4;
   const ShardPlan plan(space.size(), kShards);
@@ -211,8 +211,8 @@ TEST_F(ShardTest, ShardUnionInvariant) {
     sweep_shard(space, ShardPlan(space.size(), 1).range(0), engine, &log);
   }
 
-  const auto merged = RunLog::compact(merged_dir, LogFormat::kBinary);
-  const auto reference = RunLog::compact(reference_dir, LogFormat::kBinary);
+  const auto merged = RunLog::compact(merged_dir);
+  const auto reference = RunLog::compact(reference_dir);
   EXPECT_EQ(merged.kept, reference.kept);
   // Shard files are gone; exactly one unsharded log remains.
   EXPECT_FALSE(std::filesystem::exists(
@@ -224,12 +224,10 @@ TEST_F(ShardTest, ShardUnionInvariant) {
   for (std::size_t i = 0; i < merged_records.size(); ++i) {
     expect_equal(merged_records[i], reference_records[i]);
   }
-  std::filesystem::remove_all(merged_dir);
-  std::filesystem::remove_all(reference_dir);
 }
 
 TEST_F(ShardTest, MergeRefusesMismatchedConfigsAndStripsTheShardToken) {
-  const std::string other_dir = dir_ + "_other";
+  const std::string other_dir = dir_ + "/other";
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
 
@@ -249,20 +247,18 @@ TEST_F(ShardTest, MergeRefusesMismatchedConfigsAndStripsTheShardToken) {
     RunLog log(other_dir, options);
     log.append(results[1]);
   }
-  EXPECT_THROW(RunLog::merge(dir_, {other_dir}, LogFormat::kBinary),
-               std::runtime_error);
+  EXPECT_THROW(RunLog::merge(dir_, {other_dir}), std::runtime_error);
   // An unrecorded source (no meta.json) is refused too.
-  const std::string unrecorded = dir_ + "_unrecorded";
+  const std::string unrecorded = dir_ + "/unrecorded";
   std::filesystem::create_directories(unrecorded);
-  EXPECT_THROW(RunLog::merge(dir_, {unrecorded}, LogFormat::kBinary),
-               std::runtime_error);
+  EXPECT_THROW(RunLog::merge(dir_, {unrecorded}), std::runtime_error);
 
   // Matching configs union; with strip_shard_token (the exhaustive
   // case) the merged meta drops the token so the directory resumes as
   // a single-process run.
   RunLog::write_meta(other_dir, "apps=a;seed=1;shards=2");
-  const auto stats = RunLog::merge(dir_, {other_dir}, LogFormat::kBinary,
-                                   256, /*strip_shard_token=*/true);
+  const auto stats = RunLog::merge(dir_, {other_dir}, 256,
+                                   /*strip_shard_token=*/true);
   EXPECT_EQ(stats.sources, 1u);
   EXPECT_EQ(stats.loaded, 2u);
   EXPECT_EQ(stats.kept, 2u);
@@ -273,9 +269,6 @@ TEST_F(ShardTest, MergeRefusesMismatchedConfigsAndStripsTheShardToken) {
   ASSERT_EQ(merged.size(), 2u);
   expect_equal(merged[0], results[0]);
   expect_equal(merged[1], results[1]);
-
-  std::filesystem::remove_all(other_dir);
-  std::filesystem::remove_all(unrecorded);
 }
 
 TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
@@ -283,7 +276,7 @@ TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
   const auto results = engine.run(sample_spec());
   RunLog::write_meta(dir_, "config;shards=2");
   {
-    RunLogOptions options{LogFormat::kNdjson, 1};
+    RunLogOptions options{LogFormat::kBinary, 1};
     options.shard = 0;
     RunLog shard0(dir_, options);
     options.shard = 1;
@@ -292,7 +285,7 @@ TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
     shard1.append(results[1]);
     shard1.append(results[0]);  // cross-shard duplicate design point
   }
-  const auto stats = RunLog::merge(dir_, {}, LogFormat::kNdjson);
+  const auto stats = RunLog::merge(dir_, {});
   EXPECT_EQ(stats.sources, 0u);
   EXPECT_EQ(stats.loaded, 3u);
   EXPECT_EQ(stats.kept, 2u);
@@ -301,7 +294,8 @@ TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
   // refused instead of mis-charging sibling shards' records against
   // one seed's trajectory.
   EXPECT_EQ(*RunLog::read_meta(dir_), "config;shards=2");
-  EXPECT_FALSE(std::filesystem::exists(RunLog::shard_results_path(dir_, 0)));
+  EXPECT_FALSE(
+      std::filesystem::exists(RunLog::shard_binary_results_path(dir_, 0)));
   const auto merged = RunLog::load(dir_);
   ASSERT_EQ(merged.size(), 2u);
   expect_equal(merged[0], results[0]);
@@ -309,8 +303,7 @@ TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
 }
 
 TEST_F(ShardTest, MergeWithNothingRecordedAnywhereIsRefused) {
-  EXPECT_THROW(RunLog::merge(dir_, {}, LogFormat::kNdjson),
-               std::runtime_error);
+  EXPECT_THROW(RunLog::merge(dir_, {}), std::runtime_error);
 }
 
 }  // namespace

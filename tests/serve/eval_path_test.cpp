@@ -205,7 +205,7 @@ class EvalPathTest : public ::testing::Test {
   static void archive(const std::string& dir) {
     const auto records = search::RunLog::dedup(search::RunLog::load(dir));
     search::write_archive(search::RunLog::archive_path(dir), records);
-    fs::remove(search::RunLog::results_path(dir));
+    fs::remove(search::RunLog::binary_results_path(dir));
   }
 
   /// Off-grid records the scenario's laws still resolve, numbered from

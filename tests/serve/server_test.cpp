@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -276,7 +277,7 @@ TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
   record();
   // A second directory recorded under a different space must be refused,
   // exactly as RunLog::merge would refuse it.
-  const std::string foreign = dir_ + "_foreign";
+  const std::string foreign = dir_ + "/foreign";
   search::RunLog::write_meta(
       foreign,
       "apps=hop;budgets=32;growths=log;variants=symmetric;topologies=ring;"
@@ -305,6 +306,23 @@ TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
             plain.archive.row_count() + plain.delta.size());
 }
 
+TEST_F(ServerTest, OpenServedRecordsRefusesARetiredNdjsonLog) {
+  // Archived, so the refusal cannot hide behind the archive fast path:
+  // the delta decode must refuse an NDJSON log, not skip it.
+  record();
+  search::write_archive(search::RunLog::archive_path(dir_), union_records());
+  std::filesystem::remove(search::RunLog::binary_results_path(dir_));
+  std::ofstream(std::filesystem::path(dir_) / "results.ndjson") << "{}\n";
+  try {
+    open_served_records(dir_);
+    FAIL() << "served a directory holding results.ndjson";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("results.ndjson"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
 TEST_F(ServerTest, ArchiveBackedAnswersAreByteIdenticalToLogBacked) {
   record();
   // Capture the log-backed server's answers first.
@@ -321,7 +339,7 @@ TEST_F(ServerTest, ArchiveBackedAnswersAreByteIdenticalToLogBacked) {
   const auto records = search::RunLog::dedup(search::RunLog::load(dir_));
   ASSERT_FALSE(records.empty());
   search::write_archive(search::RunLog::archive_path(dir_), records);
-  std::filesystem::remove(search::RunLog::results_path(dir_));
+  std::filesystem::remove(search::RunLog::binary_results_path(dir_));
 
   auto archive_backed = serve();
   // Every record lives in the file-backed zone-map reader; nothing was
@@ -340,7 +358,7 @@ TEST_F(ServerTest, LiveEvalsFoldIntoArchiveBackedAnswers) {
   record();
   const auto records = search::RunLog::dedup(search::RunLog::load(dir_));
   search::write_archive(search::RunLog::archive_path(dir_), records);
-  std::filesystem::remove(search::RunLog::results_path(dir_));
+  std::filesystem::remove(search::RunLog::binary_results_path(dir_));
 
   // A live (off-grid) eval lands in the server's delta list; every
   // later answer must fold it in on top of the file-backed archive.

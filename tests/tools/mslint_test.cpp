@@ -93,15 +93,6 @@ TEST(MslintRules, RaiiGuardsPass) {
   EXPECT_TRUE(lint_file(fixture("bare_lock_good.cpp")).empty());
 }
 
-TEST(MslintRules, DeprecatedSweepFires) {
-  const auto got = lines_of(lint_file(fixture("deprecated_sweep_bad.cpp")));
-  const std::vector<std::pair<int, std::string>> want = {
-      {13, "deprecated-sweep"},
-      {14, "deprecated-sweep"},
-  };
-  EXPECT_EQ(got, want);
-}
-
 TEST(MslintRules, AllowSuppressesNamedRulesOnly) {
   const auto got = lines_of(lint_file(fixture("suppressions.cpp")));
   // allow(bare-lock), allow(hot-alloc, hot-string), and the
@@ -197,7 +188,7 @@ TEST(MslintCli, ListRulesCoversEveryRule) {
   for (const std::string& rule : mergescale::lint::rule_ids()) {
     EXPECT_FALSE(rule.empty());
   }
-  EXPECT_EQ(mergescale::lint::rule_ids().size(), 7u);
+  EXPECT_EQ(mergescale::lint::rule_ids().size(), 6u);
   EXPECT_EQ(run_mslint("--list-rules"), 0);
 }
 

@@ -381,32 +381,14 @@ struct Scanner {
       }
     }
   }
-
-  void deprecated_sweep() const {
-    const std::string_view code = line->code;
-    const std::string_view prefix = "sweep_";
-    for (std::size_t pos = code.find(prefix); pos != std::string_view::npos;
-         pos = code.find(prefix, pos + prefix.size())) {
-      if (pos > 0 && is_ident_char(code[pos - 1])) continue;
-      std::size_t end = pos + prefix.size();
-      while (end < code.size() && is_ident_char(code[end])) ++end;
-      if (end == pos + prefix.size()) continue;  // bare "sweep_"
-      const std::size_t after = skip_spaces(code, end);
-      if (after == std::string_view::npos || code[after] != '(') continue;
-      report("deprecated-sweep",
-             std::string(code.substr(pos, end - pos)) +
-                 " is deprecated; enumerate jobs through "
-                 "explore::make_eval_jobs / the batch API");
-    }
-  }
 };
 
 }  // namespace
 
 const std::vector<std::string>& rule_ids() {
   static const std::vector<std::string> kRules = {
-      "hot-alloc", "hot-string",       "hot-iostream", "raw-law-name",
-      "bare-lock", "deprecated-sweep", "raw-io",
+      "hot-alloc", "hot-string", "hot-iostream", "raw-law-name",
+      "bare-lock", "raw-io",
   };
   return kRules;
 }
@@ -441,7 +423,6 @@ std::vector<Finding> lint_source(std::string_view path,
     scanner.line = &line;
     scanner.lineno = static_cast<int>(i + 1);
     scanner.bare_lock();
-    scanner.deprecated_sweep();
     scanner.raw_io();
     if (hot) {
       scanner.hot_alloc();

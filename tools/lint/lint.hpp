@@ -23,7 +23,6 @@
 //                    laws by interned name_id, never by string
 //   bare-lock        .lock()/.unlock() on a mutex-named receiver outside
 //                    a RAII guard (mu/mu_/mtx/mutex/*_mu/*_mutex)
-//   deprecated-sweep call of a [[deprecated]] sweep_* entry point
 //   raw-io           direct file primitives (fopen/fwrite/fread and
 //                    global-qualified ::open/::write/::fsync/::rename
 //                    and friends) outside util/io_env.cpp — the fault
