@@ -1,5 +1,5 @@
 // bench_eval_throughput: points/sec of the evaluation/persistence
-// pipeline for million-evaluation design-space runs.  Four
+// pipeline for million-evaluation design-space runs.  Five
 // measurements:
 //
 //   eval      chunked exhaustive sweep through SearchSpace::jobs_in slot
@@ -17,6 +17,9 @@
 //             the gap between the two is what the log costs
 //   anneal    the annealing strategy at --walkers 1 (the old sequential
 //             walker) vs. the parallel multi-walker front
+//   report    explore::write_csv and write_ndjson over the sweep's full
+//             result set, rows/sec, into a stream that drops the bytes
+//             (rendering cost, not disk speed)
 //
 // Emits a BENCH_throughput.json with every number so CI can archive the
 // perf trajectory.  Exits nonzero only when the batch and scalar paths
@@ -34,6 +37,7 @@
 #include <fstream>
 #include <iostream>
 #include <span>
+#include <streambuf>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +45,7 @@
 #include "core/app_params.hpp"
 #include "core/eval_batch.hpp"
 #include "explore/engine.hpp"
+#include "explore/report.hpp"
 #include "search/run_log.hpp"
 #include "search/space.hpp"
 #include "search/strategy.hpp"
@@ -135,6 +140,52 @@ SweepStats sweep(explore::ExploreEngine& engine, const search::SearchSpace& spac
   }
   if (log != nullptr) log->flush();
   stats.seconds = seconds_since(start);
+  return stats;
+}
+
+/// Every result of `space` in flat order: the set a sweep's reports are
+/// written from.
+std::vector<explore::EvalResult> all_results(explore::ExploreEngine& engine,
+                                             const search::SearchSpace& space) {
+  std::vector<explore::EvalResult> all(space.size());
+  std::vector<explore::EvalJob> slice;
+  for (std::uint64_t begin = 0; begin < space.size(); begin += kSweepChunk) {
+    const std::uint64_t end = std::min(begin + kSweepChunk, space.size());
+    space.jobs_in(begin, end, slice);
+    engine.run(std::span(slice), std::span(all).subspan(begin, slice.size()));
+  }
+  return all;
+}
+
+/// A stream buffer that counts the bytes written to it and drops them.
+class CountingBuf : public std::streambuf {
+ public:
+  std::uint64_t bytes = 0;
+
+ protected:
+  std::streamsize xsputn(const char*, std::streamsize n) override {
+    bytes += static_cast<std::uint64_t>(n);
+    return n;
+  }
+  int_type overflow(int_type c) override {
+    ++bytes;
+    return traits_type::not_eof(c);
+  }
+};
+
+/// Rows/sec of one report writer over `results`; `bytes` gets its size.
+SweepStats timed_report(const std::vector<explore::EvalResult>& results,
+                        void (*write)(std::ostream&,
+                                      const std::vector<explore::EvalResult>&),
+                        std::uint64_t& bytes) {
+  CountingBuf sink;
+  std::ostream os(&sink);
+  const auto start = std::chrono::steady_clock::now();
+  write(os, results);
+  SweepStats stats;
+  stats.seconds = seconds_since(start);
+  stats.points = results.size();
+  bytes = sink.bytes;
   return stats;
 }
 
@@ -327,6 +378,21 @@ int main(int argc, char** argv) try {
             << util::format_double(par.pps(), 0) << " evals/s — "
             << util::format_double(anneal_speedup, 2) << "x\n";
 
+  // --- report: the sweep's CSV and NDJSON writers ------------------------
+  std::uint64_t csv_bytes = 0;
+  std::uint64_t ndjson_bytes = 0;
+  SweepStats csv_stats;
+  SweepStats ndjson_stats;
+  {
+    const std::vector<explore::EvalResult> results = all_results(engine, space);
+    csv_stats = timed_report(results, explore::write_csv, csv_bytes);
+    ndjson_stats = timed_report(results, explore::write_ndjson, ndjson_bytes);
+  }
+  std::cout << "report:  csv " << util::format_double(csv_stats.pps(), 0)
+            << " rows/s (" << csv_bytes << " B), ndjson "
+            << util::format_double(ndjson_stats.pps(), 0) << " rows/s ("
+            << ndjson_bytes << " B)\n";
+
   std::filesystem::remove_all(work);
 
   {
@@ -348,6 +414,11 @@ int main(int argc, char** argv) try {
          << "  \"anneal_walkers\": " << walkers << ",\n"
          << "  \"anneal_seq_pps\": " << seq.pps() << ",\n"
          << "  \"anneal_par_pps\": " << par.pps() << ",\n"
+         << "  \"report_rows\": " << csv_stats.points << ",\n"
+         << "  \"report_csv_pps\": " << csv_stats.pps() << ",\n"
+         << "  \"report_csv_bytes\": " << csv_bytes << ",\n"
+         << "  \"report_ndjson_pps\": " << ndjson_stats.pps() << ",\n"
+         << "  \"report_ndjson_bytes\": " << ndjson_bytes << ",\n"
          << "  \"anneal_speedup\": "
          << (single_core ? std::string("\"skipped_single_core\"")
                          : std::to_string(anneal_speedup))

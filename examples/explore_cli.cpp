@@ -238,6 +238,21 @@ std::string action_dir(const util::Cli& cli, const std::string& action) {
   return dir;
 }
 
+/// Writes one report file through `write`.  False, after naming the file
+/// on stderr, when it cannot be created or a write (the final flush
+/// included) fails — a full disk must not pass for a written report.
+template <typename Write>
+bool write_report(const std::string& path, Write write) {
+  std::ofstream file(path);
+  if (file) {
+    write(file);
+    file.close();
+  }
+  if (file) return true;
+  std::cerr << "explore_cli: cannot write " << path << "\n";
+  return false;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) try {
@@ -724,12 +739,15 @@ int main(int argc, char** argv) try {
 
   // Persist the full result set.
   const std::string prefix = cli.get_string("out");
-  {
-    std::ofstream csv(prefix + ".csv");
-    explore::write_csv(csv, results);
-    std::ofstream ndjson(prefix + ".ndjson");
-    explore::write_ndjson(ndjson, results);
-  }
+  const bool written =
+      write_report(prefix + ".csv",
+                   [&](std::ostream& os) {
+                     explore::write_csv(os, results);
+                   }) &&
+      write_report(prefix + ".ndjson", [&](std::ostream& os) {
+        explore::write_ndjson(os, results);
+      });
+  if (!written) return 1;
   std::cout << "wrote " << prefix << ".csv and " << prefix << ".ndjson\n\n";
 
   if (!cli.get_flag("quiet")) {

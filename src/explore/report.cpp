@@ -1,19 +1,19 @@
 #include "explore/report.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
+#include <cstring>
 #include <ostream>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.hpp"
-#include "util/json.hpp"
+#include "util/format.hpp"
 
 namespace mergescale::explore {
 
 namespace {
-
-using util::json_escape;
 
 /// speedup-descending, index-ascending on ties.
 bool better(const EvalResult& a, const EvalResult& b) {
@@ -21,25 +21,38 @@ bool better(const EvalResult& a, const EvalResult& b) {
   return a.index < b.index;
 }
 
-/// Shortest exact-enough rendering of a value that may be fractional
-/// (core sizes and counts are usually integers but need not be).
-std::string compact(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
+/// What top_k and pareto_frontier sort instead of whole EvalResults
+/// (which carry four strings each): the ranking fields of one feasible
+/// result plus its position in the input.  Position is the last
+/// tiebreak, so the order is total and reproduces a stable sort of the
+/// records themselves; only the winners are copied out.
+struct RankKey {
+  double cost = 0.0;  ///< pareto_frontier's cost axis (0 for top_k)
+  double speedup = 0.0;
+  std::size_t index = 0;
+  std::size_t position = 0;
+};
+
+/// `better` on keys, with input position as the final tiebreak.
+bool ranks_before(const RankKey& a, const RankKey& b) {
+  if (a.speedup != b.speedup) return a.speedup > b.speedup;
+  if (a.index != b.index) return a.index < b.index;
+  return a.position < b.position;
 }
 
-/// Full-precision rendering for the NDJSON persistence path: 17
-/// significant digits round-trip any double exactly, so a resumed run
-/// re-reads the very values it computed.  Non-finite values have no JSON
-/// number form — "%.17g" would emit `inf`/`nan` and invalidate the whole
-/// line, which RunLog::load silently skips — so they render as `null`
-/// and load back as infeasible.
-std::string precise(double value) {
-  if (!std::isfinite(value)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", value);
-  return buf;
+/// Keys of the feasible results, in input order, costed by `cost`.
+template <typename Cost>
+std::vector<RankKey> feasible_keys(const std::vector<EvalResult>& results,
+                                   Cost cost) {
+  std::vector<RankKey> keys;
+  keys.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const EvalResult& result = results[i];
+    if (result.feasible) {
+      keys.push_back({cost(result), result.speedup, result.index, i});
+    }
+  }
+  return keys;
 }
 
 }  // namespace
@@ -65,41 +78,37 @@ std::string best_line(const EvalResult& best) {
 
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k) {
-  std::vector<EvalResult> feasible;
-  feasible.reserve(results.size());
-  for (const auto& result : results) {
-    if (result.feasible) feasible.push_back(result);
+  std::vector<RankKey> keys =
+      feasible_keys(results, [](const EvalResult&) { return 0.0; });
+  const std::size_t keep = std::min(k, keys.size());
+  std::partial_sort(keys.begin(), keys.begin() + keep, keys.end(),
+                    ranks_before);
+  std::vector<EvalResult> top;
+  top.reserve(keep);
+  for (std::size_t i = 0; i < keep; ++i) {
+    top.push_back(results[keys[i].position]);
   }
-  const std::size_t keep = std::min(k, feasible.size());
-  std::partial_sort(feasible.begin(), feasible.begin() + keep, feasible.end(),
-                    better);
-  feasible.resize(keep);
-  return feasible;
+  return top;
 }
 
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric) {
-  std::vector<EvalResult> feasible;
-  feasible.reserve(results.size());
-  for (const auto& result : results) {
-    if (result.feasible) feasible.push_back(result);
-  }
+  std::vector<RankKey> keys =
+      feasible_keys(results, [metric](const EvalResult& result) {
+        return cost_of(result, metric);
+      });
   // Cost ascending; within one cost the best candidate first.
-  std::stable_sort(feasible.begin(), feasible.end(),
-                   [metric](const EvalResult& a, const EvalResult& b) {
-                     const double ca = cost_of(a, metric);
-                     const double cb = cost_of(b, metric);
-                     if (ca != cb) return ca < cb;
-                     return better(a, b);
-                   });
+  std::sort(keys.begin(), keys.end(), [](const RankKey& a, const RankKey& b) {
+    if (a.cost != b.cost) return a.cost < b.cost;
+    return ranks_before(a, b);
+  });
   std::vector<EvalResult> frontier;
-  double last_cost = 0.0;
-  for (const auto& result : feasible) {
-    const double cost = cost_of(result, metric);
-    if (!frontier.empty() && cost == last_cost) continue;  // dominated twin
-    if (frontier.empty() || result.speedup > frontier.back().speedup) {
-      frontier.push_back(result);
-      last_cost = cost;
+  const RankKey* last = nullptr;  // the last point kept
+  for (const RankKey& key : keys) {
+    if (last != nullptr && key.cost == last->cost) continue;  // dominated twin
+    if (last == nullptr || key.speedup > last->speedup) {
+      frontier.push_back(results[key.position]);
+      last = &key;
     }
   }
   return frontier;
@@ -151,16 +160,16 @@ util::Table archive_summary(const std::vector<EvalResult>& archive,
       share = (next - cost) * clean[i].speedup;
     }
     table.new_row()
-        .cell(compact(cost))
+        .cell(util::format_general(cost, 9))
         .num(clean[i].speedup, 3)
         .num(share, 3)
         .cell(std::string(core::model_variant_name(clean[i].variant)))
-        .cell(compact(clean[i].n))
+        .cell(util::format_general(clean[i].n, 9))
         .cell(clean[i].app)
         .cell(clean[i].growth)
         .cell(clean[i].topology)
-        .cell(compact(clean[i].r))
-        .cell(compact(clean[i].rl));
+        .cell(util::format_general(clean[i].r, 9))
+        .cell(util::format_general(clean[i].rl, 9));
   }
   return table;
 }
@@ -172,22 +181,18 @@ util::Table to_table(const std::vector<EvalResult>& results) {
     table.new_row()
         .cell(result.scenario)
         .cell(std::string(core::model_variant_name(result.variant)))
-        .cell(compact(result.n))
+        .cell(util::format_general(result.n, 9))
         .cell(result.app)
         .cell(result.growth)
         .cell(result.topology)
-        .cell(compact(result.r))
-        .cell(compact(result.rl))
-        .cell(compact(result.cores))
+        .cell(util::format_general(result.r, 9))
+        .cell(util::format_general(result.rl, 9))
+        .cell(util::format_general(result.cores, 9))
         .cell(result.feasible ? "yes" : "no")
         .num(result.speedup, 3)
         .cell(result.from_cache ? "yes" : "no");
   }
   return table;
-}
-
-void write_csv(std::ostream& os, const std::vector<EvalResult>& results) {
-  os << to_table(results).to_csv();
 }
 
 util::Table strategy_comparison(
@@ -220,26 +225,162 @@ util::Table strategy_comparison(
   return table;
 }
 
-void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results) {
-  for (const auto& result : results) {
-    std::ostringstream line;
-    line << "{\"index\":" << result.index                                //
-         << ",\"scenario\":\"" << json_escape(result.scenario) << '"'    //
-         << ",\"variant\":\"" << core::model_variant_name(result.variant)
-         << '"'                                                          //
-         << ",\"n\":" << precise(result.n)                               //
-         << ",\"app\":\"" << json_escape(result.app) << '"'              //
-         << ",\"growth\":\"" << json_escape(result.growth) << '"'        //
-         << ",\"topology\":\"" << json_escape(result.topology) << '"'    //
-         << ",\"r\":" << precise(result.r)                               //
-         << ",\"rl\":" << precise(result.rl)                             //
-         << ",\"cores\":" << precise(result.cores)                       //
-         << ",\"feasible\":" << (result.feasible ? "true" : "false")     //
-         << ",\"speedup\":" << precise(result.speedup)                   //
-         << ",\"cached\":" << (result.from_cache ? "true" : "false")     //
-         << "}\n";
-    os << line.str();
+// The report writers.  A million-row sweep report costs about as much as
+// writing its bytes: rows render straight into one reused chunk buffer
+// that is handed to the stream whole, with no per-row or per-cell
+// strings.  report.hpp states the byte-level format they keep.
+
+namespace {
+
+/// Report bytes buffered per stream write.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+
+/// Streams text through one fixed-size buffer, handing full chunks to an
+/// ostream.  The caller flush()es once at the end.
+class ChunkWriter {
+ public:
+  explicit ChunkWriter(std::ostream& os) : os_(os), buf_(kChunkBytes) {}
+
+  // mslint: hot-path — everything down to the end of write_ndjson runs
+  // once per report row or cell.
+  void put(char c) {
+    if (used_ == buf_.size()) flush();
+    buf_[used_++] = c;
   }
+
+  void put(std::string_view text) {
+    if (text.size() > buf_.size() - used_) {
+      flush();
+      if (text.size() > buf_.size()) {
+        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
+        return;
+      }
+    }
+    std::memcpy(buf_.data() + used_, text.data(), text.size());
+    used_ += text.size();
+  }
+
+  /// printf("%.*g").
+  void general(double value, int precision) {
+    commit(util::put_general(room(util::kGeneralChars), value, precision));
+  }
+
+  /// printf("%.*f").
+  void fixed(double value, int precision) {
+    commit(util::put_fixed(room(util::fixed_chars(precision)), value,
+                           precision));
+  }
+
+  /// printf("%.17g") — 17 significant digits round-trip any double — or
+  /// `null` for a non-finite value, which has no JSON number form.
+  void precise(double value) {
+    if (std::isfinite(value)) {
+      general(value, 17);
+    } else {
+      put("null");
+    }
+  }
+
+  void integer(std::size_t value) {
+    constexpr std::size_t kDigits = 20;  // SIZE_MAX in decimal
+    char* out = room(kDigits);
+    commit(std::to_chars(out, out + kDigits, value).ptr);
+  }
+
+  /// One CSV field, quoted when it holds a comma, quote or newline.
+  void csv(std::string_view text) {
+    util::csv_field(text, [this](std::string_view piece) { put(piece); });
+  }
+
+  /// A JSON string literal: quoted and escaped.
+  void json(std::string_view text) {
+    put('"');
+    util::json_escaped(text, [this](std::string_view piece) { put(piece); });
+    put('"');
+  }
+
+  void flush() {
+    os_.write(buf_.data(), static_cast<std::streamsize>(used_));
+    used_ = 0;
+  }
+
+ private:
+  /// `n` (<= kChunkBytes) contiguous free bytes at the write position.
+  char* room(std::size_t n) {
+    if (buf_.size() - used_ < n) flush();
+    return buf_.data() + used_;
+  }
+
+  void commit(const char* end) {
+    used_ = static_cast<std::size_t>(end - buf_.data());
+  }
+
+  std::ostream& os_;
+  std::vector<char> buf_;
+  std::size_t used_ = 0;
+};
+
+}  // namespace
+
+void write_csv(std::ostream& os, const std::vector<EvalResult>& results) {
+  ChunkWriter out(os);
+  out.put("scenario,variant,n,app,growth,topology,r,rl,cores,feasible,"
+          "speedup,cached\n");
+  for (const auto& result : results) {
+    out.csv(result.scenario);
+    out.put(',');
+    out.csv(core::model_variant_name(result.variant));
+    out.put(',');
+    out.general(result.n, 9);
+    out.put(',');
+    out.csv(result.app);
+    out.put(',');
+    out.csv(result.growth);
+    out.put(',');
+    out.csv(result.topology);
+    out.put(',');
+    out.general(result.r, 9);
+    out.put(',');
+    out.general(result.rl, 9);
+    out.put(',');
+    out.general(result.cores, 9);
+    out.put(result.feasible ? ",yes," : ",no,");
+    out.fixed(result.speedup, 3);
+    out.put(result.from_cache ? ",yes\n" : ",no\n");
+  }
+  out.flush();
 }
+
+void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results) {
+  ChunkWriter out(os);
+  for (const auto& result : results) {
+    out.put("{\"index\":");
+    out.integer(result.index);
+    out.put(",\"scenario\":");
+    out.json(result.scenario);
+    out.put(",\"variant\":\"");
+    out.put(core::model_variant_name(result.variant));
+    out.put("\",\"n\":");
+    out.precise(result.n);
+    out.put(",\"app\":");
+    out.json(result.app);
+    out.put(",\"growth\":");
+    out.json(result.growth);
+    out.put(",\"topology\":");
+    out.json(result.topology);
+    out.put(",\"r\":");
+    out.precise(result.r);
+    out.put(",\"rl\":");
+    out.precise(result.rl);
+    out.put(",\"cores\":");
+    out.precise(result.cores);
+    out.put(result.feasible ? ",\"feasible\":true" : ",\"feasible\":false");
+    out.put(",\"speedup\":");
+    out.precise(result.speedup);
+    out.put(result.from_cache ? ",\"cached\":true}\n" : ",\"cached\":false}\n");
+  }
+  out.flush();
+}
+// mslint: cold
 
 }  // namespace mergescale::explore

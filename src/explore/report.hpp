@@ -25,14 +25,16 @@ const EvalResult* best_result(const std::vector<EvalResult>& results) noexcept;
 std::string best_line(const EvalResult& best);
 
 /// The k highest-speedup feasible results, speedup-descending; ties break
-/// toward the lower job index so the output is deterministic.
+/// toward the lower job index (then the earlier input position) so the
+/// output is deterministic.  Sorts compact keys, copies only the winners.
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k);
 
 /// 2-D Pareto frontier over feasible results: maximize speedup, minimize
 /// cost.  Returns the non-dominated set sorted by cost ascending (one
-/// result per cost value, the speedup-best; ties toward lower index), so
-/// speedup is strictly increasing along the returned vector.
+/// result per cost value, the speedup-best; ties toward lower index, then
+/// the earlier input position), so speedup is strictly increasing along
+/// the returned vector.  Sorts compact keys, copies only the frontier.
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric);
 
@@ -60,13 +62,21 @@ util::Table archive_summary(const std::vector<EvalResult>& archive,
 
 /// Renders results as a util::Table (one row per result, header
 /// scenario/variant/n/app/growth/topology/r/rl/cores/feasible/speedup/
-/// cached).
+/// cached): n, r, rl and cores as printf "%.9g", speedup as "%.3f".
 util::Table to_table(const std::vector<EvalResult>& results);
 
-/// Writes to_table(results).to_csv() to `os`.
+/// Writes the CSV report: the to_table() header and cells, one line per
+/// result, with a cell double-quoted (inner quotes doubled) when it holds
+/// a comma, quote or newline.  The bytes are a contract — the same as
+/// to_table(results).to_csv() — so reports stay cmp-comparable across
+/// versions; rows stream through a fixed buffer, never a Table.
 void write_csv(std::ostream& os, const std::vector<EvalResult>& results);
 
-/// Writes one JSON object per line (NDJSON) to `os`.
+/// Writes one JSON object per line (NDJSON): index, scenario, variant, n,
+/// app, growth, topology, r, rl, cores, feasible, speedup, cached in that
+/// order, numbers as printf "%.17g" (exact round-trip; `null` when not
+/// finite) and strings escaped as util::json_escaped does.  Byte-stable
+/// like write_csv; `explore_cli --dump` prints records this way.
 void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results);
 
 /// One row of a strategy-vs-baseline comparison (filled in by callers —

@@ -16,8 +16,8 @@
 #include "search/design_key.hpp"
 #include "search/ndjson.hpp"
 #include "search/space.hpp"
+#include "util/format.hpp"
 #include "util/io_env.hpp"
-#include "util/json.hpp"
 
 namespace mergescale::search {
 

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <sstream>
@@ -17,17 +16,14 @@
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
 #include "noc/topology.hpp"
+#include "util/format.hpp"
 
 namespace mergescale::serve {
 
 namespace {
 
 /// Shortest exact-enough value rendering (matches report's table cells).
-std::string compact(double value) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.9g", value);
-  return buf;
-}
+std::string compact(double value) { return util::format_general(value, 9); }
 
 std::string sys_error(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);

@@ -1,18 +1,11 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
 namespace mergescale::util {
-
-std::string format_double(double value, int precision) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.*f", precision, value);
-  return buf;
-}
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
   if (headers_.empty()) {
@@ -75,30 +68,21 @@ std::string Table::to_text(std::string_view title) const {
 }
 
 std::string Table::to_csv() const {
-  auto quote = [](const std::string& s) {
-    if (s.find_first_of(",\"\n") == std::string::npos) return s;
-    std::string q = "\"";
-    for (char ch : s) {
-      if (ch == '"') q += '"';
-      q += ch;
-    }
-    q += '"';
-    return q;
-  };
-  std::ostringstream out;
+  std::string out;
+  auto put = [&out](std::string_view piece) { out += piece; };
   for (std::size_t c = 0; c < columns(); ++c) {
-    if (c) out << ',';
-    out << quote(headers_[c]);
+    if (c) out += ',';
+    csv_field(headers_[c], put);
   }
-  out << '\n';
+  out += '\n';
   for (const auto& row : rows_) {
     for (std::size_t c = 0; c < columns(); ++c) {
-      if (c) out << ',';
-      if (c < row.size()) out << quote(row[c]);
+      if (c) out += ',';
+      if (c < row.size()) csv_field(row[c], put);
     }
-    out << '\n';
+    out += '\n';
   }
-  return out.str();
+  return out;
 }
 
 void Table::print(std::ostream& os, std::string_view title) const {

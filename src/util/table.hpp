@@ -8,6 +8,8 @@
 #include <string_view>
 #include <vector>
 
+#include "util/format.hpp"
+
 namespace mergescale::util {
 
 /// A simple column-oriented table: set headers once, append rows of cells,
@@ -51,8 +53,5 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
-
-/// Formats a double with fixed precision (helper shared with Table::num).
-std::string format_double(double value, int precision);
 
 }  // namespace mergescale::util
