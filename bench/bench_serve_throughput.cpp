@@ -1,15 +1,11 @@
 // bench_serve_throughput: queries/sec of the serving layer over an
 // in-memory archive, the perf anchor for exploration-as-a-service.
-// Worker threads hammer the full in-process query path — parse, ticket
-// gate, archive scan / point lookup, rendering — under three admission
-// regimes:
+// Worker threads hammer the full in-process query path — parse, archive
+// scan / point lookup, rendering — in two regimes:
 //
-//   gate=1    concurrency pinned to one ticket (the single-worker
+//   1 client  one thread, one query in flight (the single-worker
 //             baseline the load test's no-collapse criterion refers to)
-//   gate=N    concurrency pinned to the client thread count (a static
-//             "just trust the box" configuration)
-//   probe     the ThroughputProbe controller governing the limit from
-//             live window measurements (serve_cli's default)
+//   N clients --clients threads at once, as N connections' sessions run
 //
 // The socket layer is deliberately bypassed (QueryServer::execute_line):
 // this bench isolates what the serving core can sustain; transport cost
@@ -94,12 +90,10 @@ double hammer(serve::QueryServer& server, int clients, double seconds) {
 
 int main(int argc, char** argv) try {
   util::Cli cli("bench_serve_throughput",
-                "queries/sec of the in-process serving core under pinned "
-                "and probe-governed admission");
+                "queries/sec of the in-process serving core with one "
+                "client and with --clients clients");
   cli.opt("clients", static_cast<long long>(8), "hammering threads");
   cli.opt("seconds", 0.5, "wall clock per regime");
-  cli.opt("probe-window-ms", static_cast<long long>(50),
-          "probe measurement window (probe regime)");
   cli.opt("out", std::string("BENCH_serve.json"), "JSON output path");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -116,46 +110,24 @@ int main(int argc, char** argv) try {
                                 {}};
   };
 
-  auto pinned = [&](int level) {
-    serve::ServerOptions options;
-    options.initial_concurrency = level;
-    options.probe.min_concurrency = level;
-    options.probe.max_concurrency = level;
-    serve::QueryServer server(run, served(), nullptr, options);
-    return hammer(server, clients, seconds);
+  auto measure = [&](int threads) {
+    serve::QueryServer server(run, served(), nullptr, serve::ServerOptions{});
+    return hammer(server, threads, seconds);
   };
-  const double qps_gate1 = pinned(1);
-  const double qps_gateN = pinned(clients);
+  const double qps_1 = measure(1);
+  const double qps_n = measure(clients);
 
-  serve::ServerOptions options;
-  options.initial_concurrency = 2;
-  options.probe.min_concurrency = 1;
-  options.probe.max_concurrency = clients * 2;
-  options.probe_window =
-      std::chrono::milliseconds(cli.get_int("probe-window-ms"));
-  serve::QueryServer probed(run, served(), nullptr, options);
-  probed.start();  // the probe loop only runs on a started server
-  const double qps_probe = hammer(probed, clients, seconds);
-  const std::uint64_t windows = probed.probe_windows();
-  const int converged = probed.concurrency_limit();
-  probed.stop();
-
-  std::cout << "serve:   gate=1 " << util::format_double(qps_gate1, 0)
-            << " q/s, gate=" << clients << " "
-            << util::format_double(qps_gateN, 0) << " q/s, probe "
-            << util::format_double(qps_probe, 0) << " q/s (limit "
-            << converged << " after " << windows << " windows)\n";
+  std::cout << "serve:   1 client " << util::format_double(qps_1, 0)
+            << " q/s, " << clients << " clients "
+            << util::format_double(qps_n, 0) << " q/s\n";
 
   std::ofstream json(cli.get_string("out"));
   json << "{\n"
        << "  \"archive_records\": " << records.size() << ",\n"
        << "  \"clients\": " << clients << ",\n"
        << "  \"seconds_per_regime\": " << seconds << ",\n"
-       << "  \"qps_gate1\": " << qps_gate1 << ",\n"
-       << "  \"qps_gate_clients\": " << qps_gateN << ",\n"
-       << "  \"qps_probe\": " << qps_probe << ",\n"
-       << "  \"probe_windows\": " << windows << ",\n"
-       << "  \"probe_final_limit\": " << converged << "\n"
+       << "  \"qps_1_client\": " << qps_1 << ",\n"
+       << "  \"qps_clients\": " << qps_n << "\n"
        << "}\n";
   json.flush();
   if (!json.good()) {
@@ -164,14 +136,14 @@ int main(int argc, char** argv) try {
   }
   std::cout << "wrote " << cli.get_string("out") << "\n";
 
-  // The probe regime must not collapse below the single-ticket
+  // N concurrent clients must not collapse below the single-client
   // baseline: that is the acceptance bar the load test also holds the
   // full server to, checked here on the in-process core.
-  if (qps_probe < qps_gate1 * 0.5) {
-    std::cerr << "FAIL: probe-governed throughput "
-              << util::format_double(qps_probe, 0)
-              << " q/s collapsed below half the gate=1 baseline "
-              << util::format_double(qps_gate1, 0) << " q/s\n";
+  if (qps_n < qps_1 * 0.5) {
+    std::cerr << "FAIL: " << clients << "-client throughput "
+              << util::format_double(qps_n, 0)
+              << " q/s collapsed below half the 1-client baseline "
+              << util::format_double(qps_1, 0) << " q/s\n";
     return 1;
   }
   return 0;

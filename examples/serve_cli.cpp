@@ -11,13 +11,15 @@
 //   eval variant=.. n=.. app=.. growth=.. r=.. [rl=..] [topology=..]
 //                             what-if point: archive hit or budgeted
 //                             live evaluation (appended to the run log)
-//   stats                     server + probe counters
+//   stats                     server + eval counters
 //   quit                      close the connection
 //
-// Admitted concurrency is governed by a throughput probe: a background
-// controller perturbs the ticket limit between measurement windows and
-// keeps what observably improves completed-queries/s (see
-// src/serve/probe.hpp).  --metrics streams one NDJSON line per window.
+// Each connection's session thread runs its own queries; nothing limits
+// how many execute at once.  With --metrics <path>, the main thread
+// appends one NDJSON line per 250 ms window while it waits for a signal,
+// e.g. {"window":3,"qps":41210.5,"completed":30977}: the window number
+// from 1, queries answered per second in that window, and the running
+// (never decreasing) total of queries answered.
 //
 //   ./build/explore_cli --run-dir /tmp/run --variants asymmetric
 //   ./build/serve_cli --run-dir /tmp/run --port-file /tmp/run.port &
@@ -28,14 +30,17 @@
 // --max-seconds); a kill -9 loses at most nothing — every live answer
 // was flushed to the run log before it was sent.
 
+#include <algorithm>
+#include <chrono>
 #include <csignal>
+#include <fstream>
 #include <iostream>
 #include <sstream>
-#include <thread>
 
 #include "search/run_log.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
+#include "util/format.hpp"
 
 using namespace mergescale;
 
@@ -56,8 +61,7 @@ int main(int argc, char** argv) try {
   util::Cli cli("serve_cli",
                 "query server over recorded exploration runs: serve the "
                 "columnar archive in place and answer best / topk / pareto "
-                "/ eval / stats over a line protocol, with "
-                "throughput-probed admission control");
+                "/ eval / stats over a line protocol");
   cli.opt("run-dir", std::string(),
           "recorded run directory to serve (live evals append here)");
   cli.opt("merge-from", std::string(),
@@ -68,25 +72,12 @@ int main(int argc, char** argv) try {
   cli.opt("port-file", std::string(),
           "write the bound port here (atomically) for scripts");
   cli.opt("metrics", std::string(),
-          "append one NDJSON probe-metrics line per window here");
+          "append one NDJSON line per 250 ms window here: window, qps, "
+          "completed");
   cli.opt("threads", static_cast<long long>(0),
           "accepted for compatibility; the server no longer uses it");
   cli.opt("live-budget", static_cast<long long>(100000),
           "live evaluations the server may spend on eval misses");
-  cli.opt("probe-window-ms", static_cast<long long>(250),
-          "throughput measurement window");
-  cli.opt("min-concurrency", static_cast<long long>(1),
-          "probe floor for admitted concurrency");
-  cli.opt("max-concurrency", static_cast<long long>(0),
-          "probe ceiling (0 = 4x hardware concurrency)");
-  cli.opt("initial-concurrency", static_cast<long long>(2),
-          "admitted concurrency before the first probe window");
-  cli.opt("probe-step", 1.25, "probe step multiple (> 1)");
-  cli.opt("probe-smoothing", 0.5, "EWMA weight of the newest window");
-  cli.opt("probe-tolerance", 0.05,
-          "relative throughput change a probe must show");
-  cli.opt("probe-backoff", static_cast<long long>(4),
-          "stable windows between probe rounds");
   cli.opt("log-format", std::string("binary"),
           "append format for live evals: binary, the only one");
   cli.opt("max-seconds", 0.0,
@@ -103,6 +94,18 @@ int main(int argc, char** argv) try {
     throw std::invalid_argument("serve_cli needs --run-dir <recorded dir>");
   }
   const std::vector<std::string> sources = split(cli.get_string("merge-from"));
+  const long long port = cli.get_int("port");
+  if (port < 0 || port > 65535) {
+    throw std::invalid_argument("--port must be in [0, 65535], got " +
+                                std::to_string(port));
+  }
+  std::ofstream metrics;
+  if (const std::string path = cli.get_string("metrics"); !path.empty()) {
+    metrics.open(path, std::ios::app);
+    if (!metrics.good()) {
+      throw std::runtime_error("cannot open metrics file " + path);
+    }
+  }
 
   serve::ServedRun run = serve::open_served_run(run_dir, sources);
   serve::ServedRecords records = serve::open_served_records(run_dir, sources);
@@ -118,32 +121,13 @@ int main(int argc, char** argv) try {
   search::RunLog log(run_dir, log_options);
 
   serve::ServerOptions options;
-  options.port = static_cast<int>(cli.get_int("port"));
+  options.port = static_cast<int>(port);
   options.port_file = cli.get_string("port-file");
-  options.metrics_path = cli.get_string("metrics");
-  options.initial_concurrency =
-      static_cast<int>(std::max<long long>(1, cli.get_int("initial-concurrency")));
-  options.probe.min_concurrency =
-      static_cast<int>(std::max<long long>(1, cli.get_int("min-concurrency")));
-  long long max_concurrency = cli.get_int("max-concurrency");
-  if (max_concurrency <= 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    max_concurrency = 4ll * (hw == 0 ? 1 : hw);
-  }
-  options.probe.max_concurrency = static_cast<int>(
-      std::max<long long>(options.probe.min_concurrency, max_concurrency));
-  options.probe.step_multiple = cli.get_double("probe-step");
-  options.probe.smoothing = cli.get_double("probe-smoothing");
-  options.probe.stable_tolerance = cli.get_double("probe-tolerance");
-  options.probe.stable_backoff =
-      static_cast<int>(std::max<long long>(0, cli.get_int("probe-backoff")));
-  options.probe_window = std::chrono::milliseconds(
-      std::max<long long>(10, cli.get_int("probe-window-ms")));
   options.live_budget = static_cast<std::uint64_t>(
       std::max<long long>(0, cli.get_int("live-budget")));
 
   // Block the exit signals before the server spawns threads (they
-  // inherit the mask), so sigwait below is the one place they land.
+  // inherit the mask), so sigtimedwait below is the one place they land.
   sigset_t signals;
   sigemptyset(&signals);
   sigaddset(&signals, SIGINT);
@@ -154,29 +138,43 @@ int main(int argc, char** argv) try {
                             options);
   server.start();
   std::cout << "serve: listening on 127.0.0.1:" << server.port()
-            << " (concurrency " << options.initial_concurrency << " in ["
-            << options.probe.min_concurrency << ", "
-            << options.probe.max_concurrency << "], window "
-            << options.probe_window.count() << " ms, live budget "
-            << options.live_budget << ")\n"
+            << " (live budget " << options.live_budget << ")\n"
             << std::flush;
 
+  // Wait for SIGINT/SIGTERM (or --max-seconds) in 250 ms slices,
+  // appending a --metrics line after each one.
+  using Clock = std::chrono::steady_clock;
+  const auto since = [](Clock::time_point from) {
+    return std::chrono::duration<double>(Clock::now() - from).count();
+  };
   const double max_seconds = cli.get_double("max-seconds");
-  if (max_seconds > 0.0) {
-    timespec deadline;
-    deadline.tv_sec = static_cast<time_t>(max_seconds);
-    deadline.tv_nsec = static_cast<long>(
-        (max_seconds - static_cast<double>(deadline.tv_sec)) * 1e9);
-    sigtimedwait(&signals, nullptr, &deadline);
-  } else {
-    int signal = 0;
-    sigwait(&signals, &signal);
+  const Clock::time_point started = Clock::now();
+  Clock::time_point window_start = started;
+  std::uint64_t window = 0;
+  std::uint64_t last_completed = 0;
+  for (;;) {
+    double wait = 0.25;
+    if (max_seconds > 0.0) {
+      wait = std::min(wait, max_seconds - since(started));
+      if (wait <= 0.0) break;
+    }
+    const timespec slice{0, static_cast<long>(wait * 1e9)};
+    if (sigtimedwait(&signals, nullptr, &slice) >= 0) break;
+    if (!metrics.is_open()) continue;
+    const std::uint64_t completed = server.queries_answered();
+    const double qps =
+        static_cast<double>(completed - last_completed) / since(window_start);
+    window_start = Clock::now();
+    last_completed = completed;
+    metrics << "{\"window\":" << ++window
+            << ",\"qps\":" << util::format_general(qps, 9)
+            << ",\"completed\":" << completed << "}\n"
+            << std::flush;
   }
 
   server.stop();
   std::cout << "serve: " << server.queries_answered() << " queries answered, "
-            << server.live_evals() << " live evaluations, "
-            << server.probe_windows() << " probe windows\n";
+            << server.live_evals() << " live evaluations\n";
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "serve_cli: " << e.what() << "\n";

@@ -7,7 +7,7 @@
 //   pareto area|cores         Pareto-frontier table for a cost metric
 //   eval k=v ...              what-if point (variant/n/app/growth/r/rl,
 //                             topology for the comm variants)
-//   stats                     server + probe counters, one k=v per line
+//   stats                     server + eval counters, one k=v per line
 //   quit                      close this connection
 //
 // Replies are framed so a client can read them without knowing the

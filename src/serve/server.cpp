@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 #include <stdexcept>
 
@@ -36,11 +37,7 @@ QueryServer::QueryServer(ServedRun run, ServedRecords records,
     : run_(std::move(run)),
       log_(log),
       options_(std::move(options)),
-      archive_(std::move(records.archive)),
-      gate_(std::clamp(options_.initial_concurrency,
-                       options_.probe.min_concurrency,
-                       options_.probe.max_concurrency)),
-      probe_(options_.probe, options_.initial_concurrency) {
+      archive_(std::move(records.archive)) {
   util::WriterLock lock(delta_mu_);
   for (explore::EvalResult& record : records.delta) {
     delta_.push_back(std::move(record));
@@ -97,26 +94,13 @@ void QueryServer::start() {
     }
     std::filesystem::rename(tmp, options_.port_file);
   }
-  if (!options_.metrics_path.empty()) {
-    metrics_.open(options_.metrics_path, std::ios::app);
-    if (!metrics_.good()) {
-      throw std::runtime_error("serve: cannot open metrics file " +
-                               options_.metrics_path);
-    }
-  }
 
   acceptor_ = std::thread(&QueryServer::acceptor_main, this);
-  prober_ = std::thread(&QueryServer::probe_main, this);
 }
 
 void QueryServer::stop() {
   bool expected = false;
   if (!stopping_.compare_exchange_strong(expected, true)) return;
-  {
-    util::MutexLock lock(stop_mu_);
-  }
-  stop_cv_.notify_all();
-  gate_.close();
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   {
     util::MutexLock lock(sessions_mu_);
@@ -125,7 +109,6 @@ void QueryServer::stop() {
     }
   }
   if (acceptor_.joinable()) acceptor_.join();
-  if (prober_.joinable()) prober_.join();
   // The acceptor is gone, so the registry is final.  Move the threads
   // out under the lock (the slots stay: a session's last act is to
   // retake sessions_mu_ and clear its fd slot), then join lock-free —
@@ -144,7 +127,6 @@ void QueryServer::stop() {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (metrics_.is_open()) metrics_.close();
 }
 
 void QueryServer::acceptor_main() {
@@ -255,8 +237,6 @@ std::string QueryServer::execute_line(const std::string& line,
     reply = err_reply(error);
   } else if (query->kind == QueryKind::kQuit) {
     reply = ok_header(QueryKind::kQuit, 0) + "END\n";
-  } else if (!gate_.acquire()) {
-    reply = err_reply("server is stopping");
   } else {
     try {
       reply = execute(*query);
@@ -265,7 +245,6 @@ std::string QueryServer::execute_line(const std::string& line,
     } catch (...) {
       reply = err_reply("internal error");
     }
-    gate_.release();
   }
   completed_.fetch_add(1, std::memory_order_relaxed);
   return reply;
@@ -500,7 +479,7 @@ std::string QueryServer::answer_eval(const Query& query) {
   return render_eval(point, "archive");
 }
 
-std::string QueryServer::answer_stats() {
+std::string QueryServer::answer_stats() const {
   std::ostringstream os;
   std::size_t delta_records = 0;
   {
@@ -522,74 +501,10 @@ std::string QueryServer::answer_stats() {
      << "\n"
      << "shed_busy=" << shed_busy_.load(std::memory_order_relaxed) << "\n"
      << "shed_degraded=" << shed_degraded_.load(std::memory_order_relaxed)
-     << "\n"
-     << "concurrency_limit=" << gate_.limit() << "\n"
-     << "in_use=" << gate_.in_use() << "\n";
-  {
-    util::MutexLock lock(probe_mu_);
-    const auto& counters = probe_.counters();
-    os << "probe_state=" << probe_state_name(probe_.state()) << "\n"
-       << "stable_concurrency=" << probe_.stable_concurrency() << "\n"
-       << "smoothed_qps=" << compact(probe_.smoothed_qps()) << "\n"
-       << "probe_windows=" << counters.windows << "\n"
-       << "probes_up=" << counters.probes_up << "\n"
-       << "probes_down=" << counters.probes_down << "\n"
-       << "accepted_up=" << counters.accepted_up << "\n"
-       << "accepted_down=" << counters.accepted_down << "\n"
-       << "reverted=" << counters.reverted << "\n";
-  }
+     << "\n";
   const std::string payload = os.str();
   return ok_header(QueryKind::kStats, count_lines(payload)) + payload +
          "END\n";
-}
-
-void QueryServer::probe_main() {
-  std::uint64_t last = completed_.load(std::memory_order_relaxed);
-  const double seconds =
-      std::chrono::duration<double>(options_.probe_window).count();
-  for (;;) {
-    {
-      // The predicate reads only the stopping_ atomic, so the lambda is
-      // safe under thread-safety analysis (no guarded members touched).
-      util::MutexLock lock(stop_mu_);
-      if (stop_cv_.wait_for(lock, options_.probe_window,
-                            [this] { return stopping_.load(); })) {
-        break;
-      }
-    }
-    const std::uint64_t done = completed_.load(std::memory_order_relaxed);
-    const std::uint64_t delta = done - last;
-    last = done;
-    // Idle windows (nothing finished, nothing running) carry no signal —
-    // folding a 0 in would evict a perfectly good throughput estimate.
-    if (delta == 0 && gate_.in_use() == 0) continue;
-    const double qps = static_cast<double>(delta) / seconds;
-    ProbeDecision decision;
-    {
-      util::MutexLock lock(probe_mu_);
-      decision = probe_.on_window(qps);
-    }
-    gate_.set_limit(decision.concurrency);
-    windows_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_.is_open()) write_metrics_line(qps, decision, done);
-  }
-}
-
-void QueryServer::write_metrics_line(double qps, const ProbeDecision& decision,
-                                     std::uint64_t completed) {
-  double smoothed;
-  {
-    util::MutexLock lock(probe_mu_);
-    smoothed = probe_.smoothed_qps();
-  }
-  metrics_ << "{\"window\":" << windows_.load(std::memory_order_relaxed)
-           << ",\"qps\":" << compact(qps)
-           << ",\"smoothed_qps\":" << compact(smoothed)
-           << ",\"concurrency\":" << decision.concurrency << ",\"state\":\""
-           << probe_state_name(decision.state)
-           << "\",\"in_use\":" << gate_.in_use()
-           << ",\"completed\":" << completed << "}\n";
-  metrics_.flush();
 }
 
 }  // namespace mergescale::serve

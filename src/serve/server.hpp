@@ -10,18 +10,15 @@
 // live answer appended to the run log so the next server start (or any
 // explore_cli --resume) inherits it.
 //
-// Concurrency is ticket-gated and *measured*, not configured: each
-// session thread takes one ticket around a query's execution, and a
-// background ThroughputProbe controller perturbs the admitted limit
-// between measurement windows, keeping what observably improves
-// completed-queries/s (serve/probe).  Decisions surface through the
-// `stats` query and an optional NDJSON metrics stream.
+// Each connection gets one session thread, and that thread runs its own
+// queries: there is no admission limit in front of execution.  Queries
+// synchronize only on the data they touch — a reader lock for the
+// delta copy, one mutex around a live evaluation — so a limit below the
+// client count could only idle clients the archive could have answered.
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,9 +29,7 @@
 #include "search/design_key.hpp"
 #include "search/run_log.hpp"
 #include "serve/served_run.hpp"
-#include "serve/probe.hpp"
 #include "serve/protocol.hpp"
-#include "serve/ticket_gate.hpp"
 #include "util/sync.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -47,13 +42,6 @@ struct ServerOptions {
   /// When non-empty, the bound port is written here (write + rename, so
   /// a polling client never reads a partial file).
   std::string port_file;
-  /// When non-empty, one NDJSON line per probe window is appended here.
-  std::string metrics_path;
-  /// Admitted concurrency before the first probe window completes.
-  int initial_concurrency = 2;
-  ProbeOptions probe;
-  /// Probe measurement window.
-  std::chrono::milliseconds probe_window{250};
   /// Live `eval` evaluations (points neither the archive nor the delta
   /// holds) this server may run; once spent, further misses get an ERR
   /// instead of compute time.
@@ -72,7 +60,7 @@ class QueryServer {
   QueryServer(const QueryServer&) = delete;
   QueryServer& operator=(const QueryServer&) = delete;
 
-  /// Binds, listens, and starts the acceptor + probe threads.  Throws
+  /// Binds, listens, and starts the acceptor thread.  Throws
   /// std::runtime_error when the socket cannot be set up.
   void start();
 
@@ -83,8 +71,8 @@ class QueryServer {
   /// Bound port (valid after start()).
   int port() const noexcept { return port_; }
 
-  /// Parses and executes one request line exactly as a session would —
-  /// ticket gate included — returning the full framed reply.  `kind_out`
+  /// Parses and executes one request line exactly as a session would,
+  /// returning the full framed reply.  `kind_out`
   /// (optional) reports the parsed query kind, kQuit included; callers
   /// without a socket use this to drive the server in-process.
   std::string execute_line(const std::string& line,
@@ -97,12 +85,6 @@ class QueryServer {
   /// Live evaluations spent against ServerOptions::live_budget.
   std::uint64_t live_evals() const noexcept {
     return live_used_.load(std::memory_order_relaxed);
-  }
-  /// Current admitted-concurrency limit.
-  int concurrency_limit() const { return gate_.limit(); }
-  /// Probe windows folded so far.
-  std::uint64_t probe_windows() const noexcept {
-    return windows_.load(std::memory_order_relaxed);
   }
 
   /// True once a run-log append failed: the server keeps answering
@@ -121,7 +103,7 @@ class QueryServer {
   }
 
  private:
-  /// Executes a parsed query (no gating) into a framed reply.
+  /// Executes a parsed query into a framed reply.
   std::string execute(const Query& query);
   std::string answer_best() const MS_EXCLUDES(delta_mu_);
   std::string answer_topk(std::size_t k) const MS_EXCLUDES(delta_mu_);
@@ -132,7 +114,7 @@ class QueryServer {
   /// The delta's record for `key`, copied out under a reader lock.
   std::optional<explore::EvalResult> find_delta(
       const search::DesignKey& key) const MS_EXCLUDES(delta_mu_);
-  std::string answer_stats() MS_EXCLUDES(delta_mu_, probe_mu_);
+  std::string answer_stats() const MS_EXCLUDES(delta_mu_);
   /// Resolves eval coordinates against the run's scenario into a job;
   /// throws std::invalid_argument with a client-facing message.  Reads
   /// only the immutable run_ — no lock needed.
@@ -140,9 +122,6 @@ class QueryServer {
 
   void acceptor_main() MS_EXCLUDES(sessions_mu_);
   void session_main(int fd, std::size_t slot) MS_EXCLUDES(sessions_mu_);
-  void probe_main() MS_EXCLUDES(probe_mu_);
-  void write_metrics_line(double qps, const ProbeDecision& decision,
-                          std::uint64_t completed) MS_EXCLUDES(probe_mu_);
 
   /// Immutable after construction: resolve_eval and answer_stats read
   /// it without a lock.
@@ -182,20 +161,12 @@ class QueryServer {
   std::atomic<std::uint64_t> shed_busy_{0};
   std::atomic<std::uint64_t> shed_degraded_{0};
 
-  TicketGate gate_;
-  util::Mutex probe_mu_;  ///< guards probe_ (probe thread vs `stats`)
-  ThroughputProbe probe_ MS_GUARDED_BY(probe_mu_);
   std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> windows_{0};
 
   int listen_fd_ = -1;
   int port_ = 0;
   std::atomic<bool> stopping_{false};
   std::thread acceptor_;
-  std::thread prober_;
-  util::Mutex stop_mu_;
-  util::CondVar stop_cv_;  ///< wakes the probe thread early
-  std::ofstream metrics_;
 
   /// Session registry: fds are shut down at stop() to unblock recv(),
   /// then every thread is joined.  A closing session marks its slot's

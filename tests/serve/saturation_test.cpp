@@ -1,5 +1,5 @@
 // Socket-level saturation test: real TCP clients hammer a started
-// server while the throughput probe adjusts admitted concurrency.
+// server whose session threads each run their own queries.
 // Kept in its own file so sanitizer CI can include the serve unit tests
 // while excluding this deliberately timing-sensitive load test.
 
@@ -82,7 +82,7 @@ std::string read_reply(int fd, std::string* buffer) {
   }
 }
 
-TEST(Saturation, ProbeAdaptsUnderMultiClientLoadWithoutCollapsing) {
+TEST(Saturation, MultiClientLoadDoesNotCollapseThroughput) {
   namespace fs = std::filesystem;
   const std::string dir =
       (fs::temp_directory_path() /
@@ -101,14 +101,8 @@ TEST(Saturation, ProbeAdaptsUnderMultiClientLoadWithoutCollapsing) {
     for (const auto& result : results) log.append(result);
   }
 
-
-  ServerOptions options;
-  options.probe_window = std::chrono::milliseconds(50);
-  options.initial_concurrency = 1;
-  options.probe.min_concurrency = 1;
-  options.probe.max_concurrency = 8;
   QueryServer server(open_served_run(dir), open_served_records(dir), nullptr,
-                     options);
+                     ServerOptions{});
   server.start();
   ASSERT_GT(server.port(), 0);
 
@@ -146,21 +140,16 @@ TEST(Saturation, ProbeAdaptsUnderMultiClientLoadWithoutCollapsing) {
   // Saturating load over 3x the wall clock must not collapse below the
   // single-client volume — an extremely generous floor (a healthy
   // server beats it by an order of magnitude even on one core), but one
-  // a livelocked or collapsed gate would miss.
+  // a livelocked or collapsed server would miss.
   EXPECT_GT(saturated, baseline)
       << "throughput collapsed under load (baseline " << baseline << ")";
 
-  // The probe actually ran: windows were folded while load was applied,
-  // and the admitted limit stayed inside the configured range.
-  EXPECT_GT(server.probe_windows(), 0u);
-  EXPECT_GE(server.concurrency_limit(), 1);
-  EXPECT_LE(server.concurrency_limit(), 8);
   EXPECT_GT(server.queries_answered(),
             static_cast<std::uint64_t>(baseline + saturated) - 1);
 
   // Stats flow concurrently with a clean shutdown.
   const std::string stats = server.execute_line("stats");
-  EXPECT_NE(stats.find("probe_windows="), std::string::npos);
+  EXPECT_NE(stats.find("queries="), std::string::npos);
   server.stop();
   fs::remove_all(dir);
 }
