@@ -49,11 +49,9 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "core/app_params.hpp"
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
 #include "search/archive.hpp"
@@ -66,37 +64,6 @@
 using namespace mergescale;
 
 namespace {
-
-std::vector<std::string> split(const std::string& text, char sep = ',') {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  for (std::string part; std::getline(in, part, sep);) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
-
-core::AppParams app_from_name(const std::string& name, const util::Cli& cli) {
-  if (name == "kmeans") return core::presets::kmeans();
-  if (name == "fuzzy") return core::presets::fuzzy();
-  if (name == "hop") return core::presets::hop();
-  if (name == "custom") {
-    core::AppParams app{"custom", cli.get_double("f"), cli.get_double("fcon"),
-                        cli.get_double("fored")};
-    app.validate();
-    return app;
-  }
-  throw std::invalid_argument("unknown app: " + name +
-                              " (expected kmeans|fuzzy|hop|custom)");
-}
-
-core::GrowthFunction growth_from_name(const std::string& name) {
-  if (name == "linear") return core::GrowthFunction::linear();
-  if (name == "log") return core::GrowthFunction::logarithmic();
-  if (name == "parallel") return core::GrowthFunction::parallel();
-  throw std::invalid_argument("unknown growth function: " + name +
-                              " (expected linear|log|parallel)");
-}
 
 explore::CostMetric cost_metric_from(const std::string& name) {
   if (name == "area") return explore::CostMetric::kCoreArea;
@@ -112,55 +79,52 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 }
 
 /// Canonical fingerprint of the options a resume must replay under: the
-/// axes that define the search space, plus — for the adaptive
-/// strategies — everything that shapes the proposal sequence (strategy,
-/// seed, batch).  Resuming under a different space would silently warm
-/// the cache with foreign points; resuming under a different proposal
-/// sequence would charge the prior run's spend against an unrelated
-/// trajectory.  Budget is deliberately *not* pinned: extending a
-/// finished search with a larger budget is a legitimate continuation.
-/// A sharded run additionally pins the shard *count* (the partition of
-/// the space / the walker-group derivation); the shard *index* lives in
-/// the result-file name, so all K processes share one meta record.
+/// axes that define the search space (explore::to_config), plus — for
+/// the adaptive strategies — everything that shapes the proposal
+/// sequence (strategy, seed, batch).  Resuming under a different space
+/// would silently warm the cache with foreign points; resuming under a
+/// different proposal sequence would charge the prior run's spend
+/// against an unrelated trajectory.  Budget is deliberately *not*
+/// pinned: extending a finished search with a larger budget is a
+/// legitimate continuation.  A sharded run additionally pins the shard
+/// *count* (the partition of the space / the walker-group derivation);
+/// the shard *index* lives in the result-file name, so all K processes
+/// share one meta record.
 std::string run_config(const util::Cli& cli) {
-  std::ostringstream config;
-  config << "apps=" << cli.get_string("apps")
-         << ";budgets=" << cli.get_string("budgets")
-         << ";growths=" << cli.get_string("growths")
-         << ";variants=" << cli.get_string("variants")
-         << ";topologies=" << cli.get_string("topologies")
-         << ";small-cores=" << cli.get_string("small-cores")
-         << ";sizes=" << cli.get_string("sizes")
-         << ";comp-share=" << cli.get_double("comp-share")
-         << ";f=" << cli.get_double("f") << ";fcon=" << cli.get_double("fcon")
-         << ";fored=" << cli.get_double("fored")
-         << ";strategy=" << cli.get_string("strategy");
+  std::string config = explore::to_config(
+      {cli.get_string("apps"), cli.get_string("budgets"),
+       cli.get_string("growths"), cli.get_string("variants"),
+       cli.get_string("topologies"), cli.get_string("small-cores"),
+       cli.get_string("sizes"), cli.get_double("comp-share"),
+       cli.get_double("f"), cli.get_double("fcon"), cli.get_double("fored")});
   const std::string strategy = cli.get_string("strategy");
+  explore::append_config_token(config, "strategy", strategy);
+  const auto pin = [&cli, &config](const char* key) {
+    explore::append_config_token(config, key,
+                                 std::to_string(cli.get_int(key)));
+  };
   if (strategy != "exhaustive") {
-    config << ";seed=" << cli.get_int("seed")
-           << ";batch=" << cli.get_int("batch");
+    pin("seed");
+    pin("batch");
   }
   // The walker count shapes the annealing proposal sequence (one
   // candidate per walker per round), so a resume must replay under the
   // same value.  The flush group does *not*: it only decides when the
   // same records reach disk.
-  if (strategy == "anneal") {
-    config << ";walkers=" << cli.get_int("walkers");
-  }
+  if (strategy == "anneal") pin("walkers");
   // Population shapes the generation batches and the cost metric shapes
   // the pareto parent pool, so both are part of the proposal sequence
   // those strategies would replay on resume.
-  if (strategy == "genetic" || strategy == "pareto") {
-    config << ";population=" << cli.get_int("population");
-  }
+  if (strategy == "genetic" || strategy == "pareto") pin("population");
   if (strategy == "pareto") {
-    config << ";cost-metric=" << cli.get_string("cost-metric");
+    explore::append_config_token(config, "cost-metric",
+                                 cli.get_string("cost-metric"));
   }
   if (const std::string shard = cli.get_string("shard"); !shard.empty()) {
-    config << search::shard_config_token(
+    config += explore::shard_config_token(
         search::parse_shard_spec(shard).count);
   }
-  return config.str();
+  return config;
 }
 
 /// Runs `jobs` in chunks, appending each chunk's fresh (non-cached)
@@ -366,11 +330,8 @@ int main(int argc, char** argv) try {
   if (cli.get_flag("archive")) {
     const std::string dir = action_dir(cli, "--archive");
     const auto meta = search::RunLog::read_meta(dir);
-    const bool sharded =
-        meta && meta->find(";shards=") != std::string::npos;
-    const bool exhaustive_run =
-        meta && meta->find(";strategy=exhaustive") != std::string::npos;
-    if (sharded && !exhaustive_run) {
+    if (meta && explore::config_token(*meta, "shards") &&
+        explore::config_token(*meta, "strategy") != "exhaustive") {
       // An adaptive shard resumes *its own trajectory* from its own
       // log; one merged archive cannot stand in for K per-shard logs
       // without mis-charging every sibling's records as one stream's
@@ -423,7 +384,7 @@ int main(int argc, char** argv) try {
       throw std::invalid_argument("--merge needs --run-dir <dir>");
     }
     const std::vector<std::string> sources =
-        split(cli.get_string("merge-from"));
+        util::split_list(cli.get_string("merge-from"));
     // Exhaustive recordings are position-independent, so the merged
     // union equals a single-process run and may shed the shard token
     // (becoming resumable as one).  Adaptive unions keep it: resuming
@@ -434,7 +395,7 @@ int main(int argc, char** argv) try {
       meta = search::RunLog::read_meta(sources[i]);
     }
     const bool exhaustive_run =
-        meta && meta->find(";strategy=exhaustive") != std::string::npos;
+        meta && explore::config_token(*meta, "strategy") == "exhaustive";
     const auto stats =
         search::RunLog::merge(dir, sources, flush_every,
                               /*strip_shard_token=*/exhaustive_run);
@@ -447,35 +408,12 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  explore::ScenarioSpec spec;
-  spec.name = "explore_cli";
-  spec.chip_budgets.clear();
-  for (const auto& n : split(cli.get_string("budgets"))) {
-    spec.chip_budgets.push_back(std::stod(n));
-  }
-  for (const auto& name : split(cli.get_string("apps"))) {
-    spec.apps.push_back(app_from_name(name, cli));
-  }
-  spec.growths.clear();
-  for (const auto& name : split(cli.get_string("growths"))) {
-    spec.growths.push_back(growth_from_name(name));
-  }
-  spec.variants.clear();
-  for (const auto& name : split(cli.get_string("variants"))) {
-    spec.variants.push_back(core::parse_model_variant(name));
-  }
-  spec.topologies.clear();
-  for (const auto& name : split(cli.get_string("topologies"))) {
-    spec.topologies.push_back(noc::parse_topology(name));
-  }
-  spec.small_core_sizes.clear();
-  for (const auto& r : split(cli.get_string("small-cores"))) {
-    spec.small_core_sizes.push_back(std::stod(r));
-  }
-  for (const auto& size : split(cli.get_string("sizes"))) {
-    spec.sizes.push_back(std::stod(size));
-  }
-  spec.comp_share = cli.get_double("comp-share");
+  // The scenario comes from the config text this run records, so what
+  // explore_cli evaluates, what --resume verifies and what serve_cli
+  // serves are one parse of the same bytes.
+  const std::string config = run_config(cli);
+  const explore::ScenarioSpec spec =
+      explore::from_config(config, "explore_cli");
 
   const explore::CostMetric cost = cost_metric_from(cli.get_string("cost"));
   // Validated up front so a typo fails loudly even when the exhaustive
@@ -520,7 +458,6 @@ int main(int argc, char** argv) try {
   std::vector<explore::EvalResult> prior_records;
   std::size_t warmed = 0;
   if (!run_dir.empty()) {
-    const std::string config = run_config(cli);
     const auto meta = search::RunLog::read_meta(run_dir);
     const bool own_results =
         shard ? std::filesystem::exists(

@@ -35,7 +35,6 @@
 #include <csignal>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 
 #include "search/run_log.hpp"
 #include "serve/server.hpp"
@@ -43,19 +42,6 @@
 #include "util/format.hpp"
 
 using namespace mergescale;
-
-namespace {
-
-std::vector<std::string> split(const std::string& text, char sep = ',') {
-  std::vector<std::string> parts;
-  std::istringstream in(text);
-  for (std::string part; std::getline(in, part, sep);) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) try {
   util::Cli cli("serve_cli",
@@ -93,7 +79,8 @@ int main(int argc, char** argv) try {
   if (run_dir.empty()) {
     throw std::invalid_argument("serve_cli needs --run-dir <recorded dir>");
   }
-  const std::vector<std::string> sources = split(cli.get_string("merge-from"));
+  const std::vector<std::string> sources =
+      util::split_list(cli.get_string("merge-from"));
   const long long port = cli.get_int("port");
   if (port < 0 || port > 65535) {
     throw std::invalid_argument("--port must be in [0, 65535], got " +

@@ -13,11 +13,14 @@
 #include <unordered_map>
 #include <utility>
 
+#include "search/byte_codec.hpp"
 #include "util/interner.hpp"
 #include "util/io_env.hpp"
 #include "util/sync.hpp"
 
 namespace mergescale::search {
+
+using namespace bytes;
 
 namespace {
 
@@ -60,86 +63,6 @@ constexpr std::uint64_t row_bytes() {
 /// Zone-map entry: 2 x u64 index bounds, u32 feasible-row count, then
 /// min/max of speedup, cores, n as f64 pairs.
 constexpr std::size_t kZoneBytes = 8 + 8 + 4 + 6 * 8;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the same zlib
-// polynomial the binary log frames with (its implementation is
-// file-local there).
-// ---------------------------------------------------------------------------
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const char* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-std::uint32_t crc32(std::string_view data) {
-  return crc32(data.data(), data.size());
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian encode/decode, independent of host byte order.
-// ---------------------------------------------------------------------------
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void poke_u32(char* p, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    *p++ = static_cast<char>((v >> shift) & 0xFF);
-  }
-}
-
-void poke_u64(char* p, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    *p++ = static_cast<char>((v >> shift) & 0xFF);
-  }
-}
-
-void poke_f64(char* p, double v) { poke_u64(p, std::bit_cast<std::uint64_t>(v)); }
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-double get_f64(const char* p) { return std::bit_cast<double>(get_u64(p)); }
 
 bool is_finite_record(const explore::EvalResult& r) {
   return std::isfinite(r.n) && std::isfinite(r.r) && std::isfinite(r.rl) &&

@@ -1,13 +1,14 @@
 #include "search/binary_log.hpp"
 
-#include <array>
-#include <bit>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
+#include "search/byte_codec.hpp"
+
 namespace mergescale::search {
+
+using namespace bytes;
 
 namespace {
 
@@ -23,77 +24,6 @@ constexpr std::size_t kFrameOverhead = 7;  // crc u32 + len u16 + type u8
 constexpr std::uint8_t kStringFrame = 0;
 constexpr std::uint8_t kEvalFrame = 1;
 constexpr std::size_t kEvalPayload = 68;
-
-// ---------------------------------------------------------------------------
-// CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) — the ubiquitous zlib
-// polynomial, table-driven.
-// ---------------------------------------------------------------------------
-
-std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-std::uint32_t crc32(const char* data, std::size_t size) {
-  static const std::array<std::uint32_t, 256> table = make_crc_table();
-  std::uint32_t crc = 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) {
-    crc = table[(crc ^ static_cast<unsigned char>(data[i])) & 0xFFu] ^
-          (crc >> 8);
-  }
-  return crc ^ 0xFFFFFFFFu;
-}
-
-// ---------------------------------------------------------------------------
-// Little-endian encode/decode, independent of host byte order.
-// ---------------------------------------------------------------------------
-
-void put_u16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xFF));
-  out.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int shift = 0; shift < 64; shift += 8) {
-    out.push_back(static_cast<char>((v >> shift) & 0xFF));
-  }
-}
-
-std::uint16_t get_u16(const char* p) {
-  return static_cast<std::uint16_t>(static_cast<unsigned char>(p[0]) |
-                                    (static_cast<unsigned char>(p[1]) << 8));
-}
-
-std::uint32_t get_u32(const char* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-std::uint64_t get_u64(const char* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) {
-    v = (v << 8) | static_cast<unsigned char>(p[i]);
-  }
-  return v;
-}
-
-double get_f64(const char* p) { return std::bit_cast<double>(get_u64(p)); }
 
 std::string encode_header() {
   std::string header;
@@ -270,40 +200,24 @@ void BinaryLog::append(const explore::EvalResult& result) {
   // buffer — appending a record must not allocate, it runs once per
   // evaluation of a million-point search.
   char frame[kFrameOverhead + kEvalPayload];
-  char* p = frame + 4;  // crc patched last
-  auto u16 = [&p](std::uint16_t v) {
-    *p++ = static_cast<char>(v & 0xFF);
-    *p++ = static_cast<char>((v >> 8) & 0xFF);
-  };
-  auto u32 = [&p](std::uint32_t v) {
-    for (int shift = 0; shift < 32; shift += 8) {
-      *p++ = static_cast<char>((v >> shift) & 0xFF);
-    }
-  };
-  auto u64 = [&p](std::uint64_t v) {
-    for (int shift = 0; shift < 64; shift += 8) {
-      *p++ = static_cast<char>((v >> shift) & 0xFF);
-    }
-  };
-  u16(static_cast<std::uint16_t>(kEvalPayload));
-  *p++ = static_cast<char>(kEvalFrame);
-  u64(result.index);
-  *p++ = static_cast<char>(result.variant);
-  *p++ = static_cast<char>(result.feasible ? 1 : 0);
-  *p++ = static_cast<char>(result.from_cache ? 1 : 0);
-  *p++ = 0;  // pad
-  u32(scenario);
-  u32(app);
-  u32(growth);
-  u32(topology);
-  u64(std::bit_cast<std::uint64_t>(result.n));
-  u64(std::bit_cast<std::uint64_t>(result.r));
-  u64(std::bit_cast<std::uint64_t>(result.rl));
-  u64(std::bit_cast<std::uint64_t>(result.cores));
-  u64(std::bit_cast<std::uint64_t>(result.speedup));
-  const std::uint32_t crc = crc32(frame + 4, 3 + kEvalPayload);
-  p = frame;
-  u32(crc);
+  poke_u16(frame + 4, static_cast<std::uint16_t>(kEvalPayload));
+  frame[6] = static_cast<char>(kEvalFrame);
+  char* p = frame + kFrameOverhead;  // the payload, as load() reads it
+  poke_u64(p, result.index);
+  p[8] = static_cast<char>(result.variant);
+  p[9] = static_cast<char>(result.feasible ? 1 : 0);
+  p[10] = static_cast<char>(result.from_cache ? 1 : 0);
+  p[11] = 0;  // pad
+  poke_u32(p + 12, scenario);
+  poke_u32(p + 16, app);
+  poke_u32(p + 20, growth);
+  poke_u32(p + 24, topology);
+  poke_f64(p + 28, result.n);
+  poke_f64(p + 36, result.r);
+  poke_f64(p + 44, result.rl);
+  poke_f64(p + 52, result.cores);
+  poke_f64(p + 60, result.speedup);
+  poke_u32(frame, crc32(frame + 4, 3 + kEvalPayload));  // crc last
   buffer_.append(frame, sizeof frame);
   ++appended_;
   if (++buffered_records_ >= flush_every_) flush();

@@ -7,15 +7,11 @@
 #include <charconv>
 #include <filesystem>
 #include <stdexcept>
-#include <unordered_map>
 
-#include "core/comm_model.hpp"
 #include "explore/memo_cache.hpp"
-#include "noc/topology.hpp"
 #include "search/archive.hpp"
 #include "search/design_key.hpp"
 #include "search/ndjson.hpp"
-#include "search/space.hpp"
 #include "util/format.hpp"
 #include "util/io_env.hpp"
 
@@ -232,35 +228,22 @@ std::vector<explore::EvalResult> RunLog::dedup(
 std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
                          const explore::ScenarioSpec& spec,
                          explore::ExploreEngine& engine) {
-  // Label → axis value maps (labels are how the log names spec entries).
-  std::unordered_map<std::string, const core::AppParams*> apps;
-  for (const auto& app : spec.apps) apps.emplace(app.name, &app);
-  std::unordered_map<std::string, const core::GrowthFunction*> growths;
-  for (const auto& growth : spec.growths) growths.emplace(growth.name(), &growth);
-  std::unordered_map<std::string, noc::Topology> topologies;
-  for (noc::Topology topology : spec.topologies) {
-    topologies.emplace(std::string(noc::topology_name(topology)), topology);
-  }
-
+  const std::vector<core::GrowthFunction> comms = explore::comm_laws(spec);
   std::size_t warmed = 0;
   for (const auto& record : records) {
-    const auto app = apps.find(record.app);
-    const auto growth = growths.find(record.growth);
-    if (app == apps.end() || growth == growths.end()) continue;
-
-    core::EvalRequest request;
-    request.variant = record.variant;
-    request.chip = core::ChipConfig{record.n, spec.perf};
-    request.app = *app->second;
-    request.growth = *growth->second;
-    request.r = record.r;
-    request.rl = record.rl;
+    // Labels are how the log names spec entries.
+    const core::AppParams* app = explore::find_label(spec.apps, record.app);
+    const core::GrowthFunction* growth =
+        explore::find_label(spec.growths, record.growth);
+    if (app == nullptr || growth == nullptr) continue;
+    const core::GrowthFunction* comm = nullptr;
     if (core::is_comm_variant(record.variant)) {
-      const auto topology = topologies.find(record.topology);
-      if (topology == topologies.end()) continue;
-      request.comm_growth = core::comm_growth(topology->second);
-      request.comp_share = spec.comp_share;
+      comm = explore::find_label(comms, record.topology);
+      if (comm == nullptr) continue;
     }
+    const explore::EvalJob job = explore::point_job(
+        spec, record.variant, record.n, *app, *growth, comm, record.r,
+        record.rl);
 
     explore::EvalOutcome outcome;
     outcome.feasible = record.feasible;
@@ -275,7 +258,7 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
     // duplicates would inflate `already_spent` and make a resumed run
     // silently under-spend its budget.  insert() reports newness, so
     // one shard probe both stores the outcome and counts the key.
-    if (engine.cache().insert(explore::cache_key(request), outcome)) {
+    if (engine.cache().insert(explore::cache_key(job.request), outcome)) {
       ++warmed;
     }
   }
@@ -413,7 +396,8 @@ RunLog::MergeStats RunLog::merge(const std::string& target,
   // resume (which would mis-charge the union against one seed's
   // trajectory) is refused rather than silently wrong.
   write_meta(target,
-             strip_shard_token ? strip_shard_config(*config) : *config);
+             strip_shard_token ? explore::strip_shard_config(*config)
+                               : *config);
   return stats;
 }
 

@@ -5,7 +5,9 @@
 //   <dir>/results.msbin    one CRC-framed fixed-width record per *fresh*
 //                          evaluation (search/binary_log), ~75 B/point
 //   <dir>/meta.json        the run configuration fingerprint, used to
-//                          refuse resuming under a different setup
+//                          refuse resuming under a different setup; its
+//                          text is the run config explore/scenario writes
+//                          (to_config) and parses (from_config)
 //
 // Appends are buffered and flushed every `flush_every` records (and on
 // destruction), so a killed run loses at most the unflushed group — with
@@ -159,10 +161,12 @@ class RunLog {
   static std::vector<explore::EvalResult> dedup(
       std::vector<explore::EvalResult> records);
 
-  /// Seeds `engine`'s memo cache from `records`, reconstructing each
-  /// record's EvalRequest against `spec` (labels are matched to the
-  /// spec's axes; records that no longer match any axis are skipped).
-  /// Returns the number of cache entries written.
+  /// Seeds `engine`'s memo cache from `records`, rebuilding each
+  /// record's request with explore::point_job — the builder expand()
+  /// and job_at use, so a warmed key is the key the run evaluated.
+  /// Labels are matched to the spec's axes with explore::find_label;
+  /// records that no longer match any axis are skipped.  Returns the
+  /// number of cache entries written.
   static std::size_t warm(const std::vector<explore::EvalResult>& records,
                           const explore::ScenarioSpec& spec,
                           explore::ExploreEngine& engine);

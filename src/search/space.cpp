@@ -22,6 +22,7 @@ SearchSpace::SearchSpace(explore::ScenarioSpec spec) : spec_(std::move(spec)) {
   // Inert axes still need one value so the grid stays a plain product.
   smalls_ = spec_.small_core_sizes.empty() ? std::vector<double>{1.0}
                                            : spec_.small_core_sizes;
+  comm_laws_ = explore::comm_laws(spec_);
   size_ = 1;
   for (std::size_t dim = 0; dim < kDims; ++dim) size_ *= axis_size(dim);
 }
@@ -71,27 +72,11 @@ bool SearchSpace::job_at(const Coords& coords, explore::EvalJob* out) const {
   if (size > n) return false;
   if (asym && small > n) return false;
 
-  explore::EvalJob job;
-  job.index = 0;
-  job.scenario = spec_.name;
-  job.request.variant = variant;
-  job.request.chip = core::ChipConfig{n, spec_.perf};
-  job.request.app = spec_.apps[coords[1]];
-  job.request.growth = spec_.growths[coords[2]];
-  if (core::is_comm_variant(variant)) {
-    const noc::Topology topology = spec_.topologies[coords[4]];
-    job.request.comm_growth = core::comm_growth(topology);
-    job.request.comp_share = spec_.comp_share;
-    job.topology = std::string(noc::topology_name(topology));
-  }
-  if (asym) {
-    job.request.r = small;
-    job.request.rl = size;
-  } else {
-    job.request.r = size;
-    job.request.rl = 0.0;
-  }
-  *out = std::move(job);
+  const core::GrowthFunction* comm =
+      core::is_comm_variant(variant) ? &comm_laws_[coords[4]] : nullptr;
+  *out = explore::point_job(spec_, variant, n, spec_.apps[coords[1]],
+                            spec_.growths[coords[2]], comm,
+                            asym ? small : size, size);
   return true;
 }
 
@@ -242,19 +227,6 @@ ShardSpec parse_shard_spec(std::string_view text) {
   parse_field(count_text, &spec.count);
   if (spec.count == 0 || spec.index >= spec.count) fail();
   return spec;
-}
-
-std::string shard_config_token(std::size_t shard_count) {
-  return ";shards=" + std::to_string(shard_count);
-}
-
-std::string strip_shard_config(std::string config) {
-  const std::size_t at = config.find(";shards=");
-  if (at == std::string::npos) return config;
-  std::size_t end = config.find(';', at + 1);
-  if (end == std::string::npos) end = config.size();
-  config.erase(at, end - at);
-  return config;
 }
 
 }  // namespace mergescale::search

@@ -81,6 +81,7 @@ class SearchSpace {
   explore::ScenarioSpec spec_;
   std::vector<double> sizes_;   ///< resolved size grid
   std::vector<double> smalls_;  ///< small-core grid (>= 1 entry)
+  std::vector<core::GrowthFunction> comm_laws_;  ///< per spec topology
   std::uint64_t size_ = 0;
 };
 
@@ -139,18 +140,5 @@ struct ShardSpec {
 /// Parses "i/K" (throws std::invalid_argument on malformed input,
 /// K == 0, or i >= K).
 ShardSpec parse_shard_spec(std::string_view text);
-
-/// The meta.json config token that pins a run's shard topology
-/// (";shards=K").  Every shard of one run shares the same token — the
-/// per-shard identity i lives in the shard's result-file name — so K
-/// processes can verify one shared meta record without racing on
-/// per-process contents, and a shard launched under a different K (a
-/// different partition of the same space) is refused at resume time.
-std::string shard_config_token(std::size_t shard_count);
-
-/// Removes a shard_config_token from `config`, yielding the base config
-/// a merged (single-log) run directory is equivalent to.  Configs
-/// without a token pass through unchanged.
-std::string strip_shard_config(std::string config);
 
 }  // namespace mergescale::search

@@ -1,10 +1,12 @@
 #pragma once
 // What a query server serves: a recorded run directory (plus optional
 // --merge-from sources) and the scenario it was recorded under.  The
-// scenario is *reconstructed from the run meta itself* (the same config
-// fingerprint resume verifies against), so a server pointed at a run
-// directory serves exactly the space that was explored — no
-// re-specification on the serve command line to drift out of sync.
+// scenario is *parsed from the run meta itself* by the one run-config
+// codec (explore::from_config) — the same text explore_cli parsed into
+// the spec it evaluated, and the fingerprint resume verifies against —
+// so a server pointed at a run directory serves exactly the space that
+// was explored, numbers bit-exact, with no re-specification on the
+// serve command line to drift out of sync.
 //
 // The records are served where they lie.  A directory's columnar
 // archive (archive.msca) is opened, never decoded: queries run against
@@ -38,20 +40,11 @@ struct ServedRecords {
   std::vector<explore::EvalResult> delta;
 };
 
-/// Rebuilds the ScenarioSpec encoded in a run-log meta config string
-/// ("apps=..;budgets=..;...", the fingerprint explore_cli records).
-/// Search-only tokens (strategy, seed, batch, walkers, population,
-/// cost-metric, shards) are ignored: they shape a proposal sequence, not
-/// the space.  Throws std::runtime_error on a missing axis or an
-/// unparsable value — a config this function cannot round-trip is one a
-/// resume could not verify either.
-explore::ScenarioSpec spec_from_run_config(const std::string& config);
-
 /// Reads the meta config of `dir` and every source.  They must agree
 /// modulo the shard token (a sharded run may be unioned with its
 /// compacted form); an unrecorded directory or a mismatch throws
 /// std::runtime_error, exactly as RunLog::merge refuses them.  The spec
-/// comes from spec_from_run_config on the shared config.
+/// is explore::from_config of the shared config, named "serve".
 ServedRun open_served_run(const std::string& dir,
                           const std::vector<std::string>& sources = {});
 

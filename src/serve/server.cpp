@@ -12,7 +12,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/comm_model.hpp"
 #include "core/design_space.hpp"
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
@@ -35,6 +34,7 @@ std::string sys_error(const char* what) {
 QueryServer::QueryServer(ServedRun run, ServedRecords records,
                          search::RunLog* log, ServerOptions options)
     : run_(std::move(run)),
+      comm_laws_(explore::comm_laws(run_.spec)),
       log_(log),
       options_(std::move(options)),
       archive_(std::move(records.archive)) {
@@ -319,63 +319,43 @@ std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
 }
 
 explore::EvalJob QueryServer::resolve_eval(const Query& query) const {
-  explore::EvalJob job;
-  core::EvalRequest& request = job.request;
-  request.variant = core::parse_model_variant(query.variant);
-  request.chip = core::ChipConfig{query.n, run_.spec.perf};
-
+  const core::ModelVariant variant = core::parse_model_variant(query.variant);
   // Coordinates resolve against the run's own scenario: what-if points
   // may leave the recorded *grid* (any n/r/rl), but not the recorded
   // *laws* — an app or growth outside the scenario could not be resolved
   // back from the log on the next start, so the answer would silently
   // stop being durable.
-  const core::AppParams* app = nullptr;
-  for (const auto& candidate : run_.spec.apps) {
-    if (candidate.name == query.app) app = &candidate;
-  }
+  const core::AppParams* app = explore::find_label(run_.spec.apps, query.app);
   if (app == nullptr) {
     throw std::invalid_argument("app '" + query.app +
                                 "' is not part of this archive's scenario");
   }
-  request.app = *app;
-  const core::GrowthFunction* growth = nullptr;
-  for (const auto& candidate : run_.spec.growths) {
-    if (candidate.name() == query.growth) growth = &candidate;
-  }
+  const core::GrowthFunction* growth =
+      explore::find_label(run_.spec.growths, query.growth);
   if (growth == nullptr) {
     throw std::invalid_argument("growth '" + query.growth +
                                 "' is not part of this archive's scenario");
   }
-  request.growth = *growth;
-  request.r = query.r;
   // Symmetric variants never read rl, and their recorded points hold 0:
-  // normalize it so any rl= finds the same design point.
-  request.rl = 0.0;
-  if (core::is_asymmetric_variant(request.variant)) {
-    if (!(query.rl > 0.0)) {
-      throw std::invalid_argument("eval: asymmetric variants need rl= > 0");
-    }
-    request.rl = query.rl;
+  // the builder normalizes it so any rl= finds the same design point.
+  if (core::is_asymmetric_variant(variant) && !(query.rl > 0.0)) {
+    throw std::invalid_argument("eval: asymmetric variants need rl= > 0");
   }
-  if (core::is_comm_variant(request.variant)) {
+  const core::GrowthFunction* comm = nullptr;
+  if (core::is_comm_variant(variant)) {
     if (query.topology == "-") {
       throw std::invalid_argument("eval: comm variants need topology=");
     }
-    const noc::Topology topology = noc::parse_topology(query.topology);
-    if (std::find(run_.spec.topologies.begin(),
-                  run_.spec.topologies.end(),
-                  topology) == run_.spec.topologies.end()) {
+    noc::parse_topology(query.topology);  // an unknown name throws here
+    comm = explore::find_label(comm_laws_, query.topology);
+    if (comm == nullptr) {
       throw std::invalid_argument(
           "topology '" + query.topology +
           "' is not part of this archive's scenario");
     }
-    request.comm_growth = core::comm_growth(topology);
-    request.comp_share = run_.spec.comp_share;
-    job.topology = std::string(noc::topology_name(topology));
   }
-  job.scenario = run_.spec.name;
-  job.index = 0;  // re-stamped when a live record is appended
-  return job;
+  return explore::point_job(run_.spec, variant, query.n, *app, *growth, comm,
+                            query.r, query.rl);
 }
 
 namespace {

@@ -102,6 +102,12 @@ class QueryServer {
     return shed_degraded_.load(std::memory_order_relaxed);
   }
 
+  /// Resolves eval coordinates against the run's scenario into a job
+  /// through explore::find_label and explore::point_job, the lookup and
+  /// builder resume and expansion use; throws std::invalid_argument with
+  /// a client-facing message.  Reads only immutable state — no lock.
+  explore::EvalJob resolve_eval(const Query& query) const;
+
  private:
   /// Executes a parsed query into a framed reply.
   std::string execute(const Query& query);
@@ -115,17 +121,14 @@ class QueryServer {
   std::optional<explore::EvalResult> find_delta(
       const search::DesignKey& key) const MS_EXCLUDES(delta_mu_);
   std::string answer_stats() const MS_EXCLUDES(delta_mu_);
-  /// Resolves eval coordinates against the run's scenario into a job;
-  /// throws std::invalid_argument with a client-facing message.  Reads
-  /// only the immutable run_ — no lock needed.
-  explore::EvalJob resolve_eval(const Query& query) const;
-
   void acceptor_main() MS_EXCLUDES(sessions_mu_);
   void session_main(int fd, std::size_t slot) MS_EXCLUDES(sessions_mu_);
 
   /// Immutable after construction: resolve_eval and answer_stats read
   /// it without a lock.
   const ServedRun run_;
+  /// explore::comm_laws(run_.spec), built once for resolve_eval.
+  const std::vector<core::GrowthFunction> comm_laws_;
   search::RunLog* log_;
   ServerOptions options_;
 

@@ -1,5 +1,6 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <sstream>
 #include <stdexcept>
@@ -147,6 +148,16 @@ std::string Cli::help_text() const {
   }
   out << "  --help\n      Show this message.\n";
   return out.str();
+}
+
+std::vector<std::string> split_list(std::string_view text, char sep) {
+  std::vector<std::string> items;
+  while (!text.empty()) {
+    const std::size_t end = std::min(text.find(sep), text.size());
+    if (end > 0) items.emplace_back(text.substr(0, end));
+    text.remove_prefix(std::min(end + 1, text.size()));
+  }
+  return items;
 }
 
 }  // namespace mergescale::util

@@ -58,4 +58,8 @@ class Cli {
   std::map<std::string, Option, std::less<>> options_;
 };
 
+/// Splits `text` at `sep`, dropping empty items: the comma lists of the
+/// list-valued options, and the tokens of a run config.
+std::vector<std::string> split_list(std::string_view text, char sep = ',');
+
 }  // namespace mergescale::util

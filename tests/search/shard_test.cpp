@@ -146,10 +146,12 @@ TEST(ShardSpecParse, AcceptsWellFormedAndRejectsTheRest) {
 }
 
 TEST(ShardConfigToken, StripRemovesExactlyTheToken) {
-  EXPECT_EQ(shard_config_token(4), ";shards=4");
-  EXPECT_EQ(strip_shard_config("apps=a;seed=1;shards=4"), "apps=a;seed=1");
-  EXPECT_EQ(strip_shard_config("apps=a;shards=4;seed=1"), "apps=a;seed=1");
-  EXPECT_EQ(strip_shard_config("apps=a;seed=1"), "apps=a;seed=1");
+  EXPECT_EQ(explore::shard_config_token(4), ";shards=4");
+  EXPECT_EQ(explore::strip_shard_config("apps=a;seed=1;shards=4"),
+            "apps=a;seed=1");
+  EXPECT_EQ(explore::strip_shard_config("apps=a;shards=4;seed=1"),
+            "apps=a;seed=1");
+  EXPECT_EQ(explore::strip_shard_config("apps=a;seed=1"), "apps=a;seed=1");
 }
 
 TEST_F(ShardTest, ShardLogsAreSeparateFilesUnionedByLoad) {

@@ -44,7 +44,7 @@ class DegradedTest : public ::testing::Test {
                .string();
     std::filesystem::remove_all(dir_);
 
-    const explore::ScenarioSpec spec = spec_from_run_config(kConfig);
+    const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
     explore::ExploreEngine engine(explore::EngineOptions{2});
     const std::vector<explore::EvalResult> results = engine.run(spec);
     ASSERT_FALSE(results.empty());

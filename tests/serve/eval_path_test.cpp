@@ -185,7 +185,7 @@ class EvalPathTest : public ::testing::Test {
   /// Records `config`'s whole grid into `dir`, as explore_cli does.
   static std::vector<explore::EvalResult> record(const std::string& dir,
                                                  const std::string& config) {
-    const explore::ScenarioSpec spec = spec_from_run_config(config);
+    const explore::ScenarioSpec spec = explore::from_config(config, "serve");
     explore::ExploreEngine engine(explore::EngineOptions{2});
     const std::vector<explore::EvalResult> results = engine.run(spec);
     search::RunLog::write_meta(dir, config);
@@ -211,7 +211,7 @@ class EvalPathTest : public ::testing::Test {
   /// Off-grid records the scenario's laws still resolve, numbered from
   /// `index`, evaluated like a live eval would be.
   static std::vector<explore::EvalResult> off_grid(std::size_t index) {
-    const explore::ScenarioSpec spec = spec_from_run_config(kConfig);
+    const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
     std::vector<explore::EvalResult> out;
     for (const double rl : {24.0, 40.0, 48.0}) {
       explore::EvalJob job;
@@ -313,7 +313,7 @@ TEST_F(EvalPathTest, EveryRowAnswersAsTheMemoCachePathDid) {
     if (archived) archive(dir_);
 
     const auto records = search::RunLog::dedup(search::RunLog::load(dir_));
-    MemoCacheOracle oracle(records, spec_from_run_config(kConfig));
+    MemoCacheOracle oracle(records, explore::from_config(kConfig, "serve"));
     auto served = serve(dir_);
     std::size_t infeasible = 0;
     for (const auto& record : records) {
@@ -351,7 +351,7 @@ TEST_F(EvalPathTest, ALogTailOverTheArchiveNeverRanksAPointTwice) {
   EXPECT_EQ(served->stat("archive_records"), std::to_string(records.size()));
   EXPECT_EQ(served->stat("delta_records"), std::to_string(fresh.size()));
   EXPECT_EQ(scans(*served->server), reference_scans(records));
-  MemoCacheOracle oracle(records, spec_from_run_config(kConfig));
+  MemoCacheOracle oracle(records, explore::from_config(kConfig, "serve"));
   for (const auto& record : tail) {
     EXPECT_EQ(served->server->execute_line(eval_line(record)),
               oracle.reply(record));
@@ -378,7 +378,7 @@ TEST_F(EvalPathTest, MergeFromUnionsSourcesAndRefusesMismatches) {
   auto served = serve(dir_, {source, dir_});
   EXPECT_EQ(served->stat("archive_records"), std::to_string(records.size()));
   EXPECT_EQ(scans(*served->server), reference_scans(records));
-  MemoCacheOracle oracle(records, spec_from_run_config(kConfig));
+  MemoCacheOracle oracle(records, explore::from_config(kConfig, "serve"));
   for (const auto& record : foreign) {
     EXPECT_EQ(served->server->execute_line(eval_line(record)),
               oracle.reply(record));
@@ -441,7 +441,7 @@ TEST_F(EvalPathTest, StartUpReadsUnderOnePercentOfTheArchive) {
     config += std::to_string(size);
   }
   config += ";comp-share=0.5;f=0.9;fcon=0.01;fored=0.01;strategy=exhaustive";
-  const explore::ScenarioSpec spec = spec_from_run_config(config);
+  const explore::ScenarioSpec spec = explore::from_config(config, "serve");
   explore::ExploreEngine engine(explore::EngineOptions{2});
   const std::vector<explore::EvalResult> records = engine.run(spec);
   search::RunLog::write_meta(dir_, config);

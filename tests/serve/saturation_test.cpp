@@ -92,7 +92,7 @@ TEST(Saturation, MultiClientLoadDoesNotCollapseThroughput) {
   fs::remove_all(dir);
 
   // Record a tiny archive, then serve it.
-  const explore::ScenarioSpec spec = spec_from_run_config(kConfig);
+  const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
   explore::ExploreEngine recorder(explore::EngineOptions{2});
   const auto results = recorder.run(spec);
   search::RunLog::write_meta(dir, kConfig);

@@ -43,7 +43,7 @@ class ServerTest : public ::testing::Test {
   /// Records a real run directory: meta + one result per job of the
   /// config's scenario, exactly what explore_cli leaves behind.
   void record() {
-    const explore::ScenarioSpec spec = spec_from_run_config(kConfig);
+    const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
     explore::ExploreEngine engine(explore::EngineOptions{2});
     const std::vector<explore::EvalResult> results = engine.run(spec);
     ASSERT_FALSE(results.empty());
@@ -177,7 +177,8 @@ TEST_F(ServerTest, LiveEvalSurvivesARestart) {
   }  // server + log torn down: the record is on disk
   auto restarted = serve();
   EXPECT_EQ(restarted->stat("archive_records"),
-            std::to_string(spec_from_run_config(kConfig).job_count() + 1));
+            std::to_string(
+                explore::from_config(kConfig, "serve").job_count() + 1));
   const std::string second = restarted->server->execute_line(query);
   EXPECT_NE(second.find("source=archive"), std::string::npos) << second;
   EXPECT_EQ(restarted->server->live_evals(), 0u);

@@ -82,7 +82,7 @@ class SoakTest : public ::testing::Test {
                .string();
     std::filesystem::remove_all(dir_);
     explore::ExploreEngine engine(explore::EngineOptions{1});
-    const auto results = engine.run(spec_from_run_config(kConfig));
+    const auto results = engine.run(explore::from_config(kConfig, "serve"));
     search::RunLog::write_meta(dir_, kConfig);
     search::RunLog log(dir_);
     for (const auto& result : results) log.append(result);
