@@ -339,10 +339,11 @@ int main(int argc, char** argv) try {
             << batch_stats.points << " points, 1 thread)\n";
 
   // --- persist: unpersisted anchor vs. the binary run log ----------------
-  // The workload of `explore_cli --no-cache --run-dir <dir>`: a fresh
-  // recorded exhaustive sweep.  Every cross-product point is distinct, so
-  // the memo cache would be pure per-point overhead here — it is read
-  // back at *resume* time, not during a fresh recording.
+  // The workload of a fresh `explore_cli --run-dir <dir>` sweep over a
+  // spec that repeats no point, which explore_cli runs without the memo
+  // cache: every point is distinct, so the cache would be pure per-point
+  // overhead here — it is read back at *resume* time, not during a
+  // fresh recording.
   explore::EngineOptions persist_options = engine_options;
   persist_options.use_cache = false;
   SweepStats bare;

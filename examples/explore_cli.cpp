@@ -7,8 +7,13 @@
 // speedup against a cost metric (--cost-metric area|cores) and reports
 // its incremental non-dominated archive with a hypervolume summary.
 // Results stream into an optional run directory as an
-// append-only binary log, so a killed run resumed with --resume
-// continues where it stopped instead of recomputing.
+// append-only binary log, written in groups of --flush-every records
+// (default 64), so a killed run resumed with --resume continues where
+// it stopped instead of recomputing: it loses at most one unflushed
+// group.  A fresh, unsharded exhaustive sweep whose grid holds no
+// point twice runs without the memo cache (it could never hit) and,
+// once it finishes, writes archive.msca from its in-memory results and
+// removes the log it no longer needs.
 //
 //   ./build/explore_cli                                # paper defaults
 //   ./build/explore_cli --apps kmeans,hop --budgets 64,256,1024
@@ -40,7 +45,10 @@
 // <dir>/meta.json when persistence is on.  --archive replaces the
 // result logs with <dir>/archive.msca (search/archive): column-per-field
 // blocks sorted by flat index with per-block zone maps, which serve_cli
-// and resume read back without replaying a row-per-record log.
+// and resume read back without replaying a row-per-record log.  On a
+// directory that already holds an archive and no result logs (what a
+// fresh sweep leaves), --archive checks every block CRC and rewrites
+// nothing.
 
 #include <algorithm>
 #include <chrono>
@@ -129,9 +137,10 @@ std::string run_config(const util::Cli& cli) {
 
 /// Runs `jobs` in chunks, appending each chunk's fresh (non-cached)
 /// results to `log` as soon as the chunk completes — the checkpoint
-/// granularity a killed exhaustive run resumes at.  Without a log there
-/// is nothing to checkpoint, so the whole batch goes to the engine in
-/// one dispatch (no per-chunk barriers or job copies).
+/// granularity a killed exhaustive run resumes at — and flushes the log
+/// at the end.  Without a log there is nothing to checkpoint, so the
+/// whole batch goes to the engine in one dispatch (no per-chunk
+/// barriers or job copies).
 std::vector<explore::EvalResult> run_chunked(explore::ExploreEngine& engine,
                                              std::vector<explore::EvalJob> jobs,
                                              search::RunLog* log,
@@ -147,10 +156,11 @@ std::vector<explore::EvalResult> run_chunked(explore::ExploreEngine& engine,
     std::vector<explore::EvalResult> part = engine.run(slice);
     for (std::size_t i = 0; i < part.size(); ++i) {
       part[i].index = begin + i;  // restore global expansion order
-      if (log != nullptr && !part[i].from_cache) log->append(part[i]);
+      if (!part[i].from_cache) log->append(part[i]);
       results.push_back(std::move(part[i]));
     }
   }
+  log->flush();  // a failed final group must fail the run, not vanish
   return results;
 }
 
@@ -200,6 +210,16 @@ std::string action_dir(const util::Cli& cli, const std::string& action) {
     throw std::invalid_argument(action + " needs --run-dir <dir>");
   }
   return dir;
+}
+
+/// The `archive:` line --archive prints, and a sweep that archives
+/// itself.
+void print_archive(const search::ArchiveStats& stats, const std::string& dir) {
+  std::cout << "archive: " << stats.rows << " unique design points ("
+            << stats.feasible_rows << " feasible) -> " << stats.blocks
+            << " block(s) of " << stats.block_rows << " rows, "
+            << stats.dict_entries << " dictionary entries, " << stats.bytes
+            << " bytes in " << search::RunLog::archive_path(dir) << "\n";
 }
 
 /// Writes one report file through `write`.  False, after naming the file
@@ -269,8 +289,9 @@ int main(int argc, char** argv) try {
           "resume from a previous --run-dir (implies --run-dir <dir>)");
   cli.opt("log-format", std::string("binary"),
           "run-log encoding: binary, the only one (--dump prints NDJSON)");
-  cli.opt("flush-every", static_cast<long long>(1),
-          "run-log records per flush group (crash loses at most one group)");
+  cli.opt("flush-every", static_cast<long long>(search::kSweepFlushEvery),
+          "run-log records per flush group: a crash loses at most one "
+          "unflushed group");
   cli.flag("fsync",
            "fsync every flushed run-log group: the crash window holds "
            "under power loss, not just process death, at one fsync per "
@@ -292,11 +313,12 @@ int main(int argc, char** argv) try {
   cli.flag("archive",
            "rewrite --run-dir's merged, deduplicated records into a "
            "columnar archive (<dir>/archive.msca, zone-mapped blocks "
-           "sorted by flat index), remove the result logs, then exit");
+           "sorted by flat index), remove the result logs, then exit; a "
+           "directory holding an archive and no result logs (a fresh "
+           "sweep ends so) has its block CRCs checked and is left as is");
   cli.flag("dump",
            "write --run-dir's recorded results to stdout, one JSON object "
            "per line in file order, then exit");
-  cli.flag("no-cache", "disable the memoization cache");
   cli.flag("quiet", "suppress the per-point result table");
   if (!cli.parse(argc, argv)) return 0;
 
@@ -342,39 +364,13 @@ int main(int argc, char** argv) try {
           "): each shard resumes its own trajectory from its own log, "
           "which one merged archive cannot stand in for");
     }
-    const std::vector<explore::EvalResult> records =
-        search::RunLog::dedup(search::RunLog::load(dir));
-    if (records.empty()) {
+    // An already archived directory (a fresh sweep ends so) is checked,
+    // not rewritten.
+    if (const auto stats = search::RunLog::archive(dir)) {
+      print_archive(*stats, dir);
+    } else {
       std::cout << "archive: nothing to archive in " << dir << "\n";
-      return 0;
     }
-    const std::string path = search::RunLog::archive_path(dir);
-    const search::ArchiveStats stats = search::write_archive(path, records);
-    // The archive now holds the entire (deduplicated) history, so the
-    // row-per-record logs it was built from come off disk — meta.json
-    // stays, it still fingerprints the configuration a resume verifies.
-    // A crash before the removals is benign: load() reads the archive
-    // first and dedups the overlap away.
-    std::vector<std::string> logs;
-    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-      const std::string name = entry.path().filename().string();
-      if (name.starts_with("results.") && name.ends_with(".msbin")) {
-        logs.push_back(entry.path().string());
-      }
-    }
-    util::IoEnv& env = util::io_env();
-    for (const auto& path_to_remove : logs) {
-      const util::IoResult removed = env.remove_file(path_to_remove);
-      if (!removed.ok()) {
-        throw std::runtime_error("archive: cannot remove " + path_to_remove +
-                                 ": " + removed.message);
-      }
-    }
-    std::cout << "archive: " << stats.rows << " unique design points ("
-              << stats.feasible_rows << " feasible) -> " << stats.blocks
-              << " block(s) of " << stats.block_rows << " rows, "
-              << stats.dict_entries << " dictionary entries, " << stats.bytes
-              << " bytes in " << path << "\n";
     return 0;
   }
 
@@ -433,17 +429,16 @@ int main(int argc, char** argv) try {
   const std::string run_dir =
       resume_dir.empty() ? cli.get_string("run-dir") : resume_dir;
 
+  const long long repeat = std::max<long long>(1, cli.get_int("repeat"));
   explore::EngineOptions options;
   options.threads = static_cast<int>(cli.get_int("threads"));
-  options.use_cache = !cli.get_flag("no-cache");
-  if (!options.use_cache && (adaptive || !resume_dir.empty())) {
-    throw std::invalid_argument(
-        "--no-cache is incompatible with adaptive strategies and with "
-        "--resume: budgets and warm-loading both work through the memo "
-        "cache.  (A *fresh* exhaustive --run-dir is fine without the cache: "
-        "every cross-product point is distinct, so the cache would only be "
-        "read back at resume time.)");
-  }
+  // The memo cache serves points evaluated before: an adaptive search's
+  // repeated proposals, a resume's warmed records, a later --repeat, a
+  // shard grid's inert-axis twins, or a spec that lists a point twice.
+  // A fresh, unsharded, single-pass sweep of a spec with none of those
+  // could never hit it, so it runs without one.
+  options.use_cache = adaptive || shard || !resume_dir.empty() ||
+                      repeat > 1 || spec.can_repeat_point();
   explore::ExploreEngine engine(options);
 
   // Persistence: --run-dir starts a *fresh* recorded run (the directory
@@ -659,7 +654,6 @@ int main(int argc, char** argv) try {
               << engine.threads() << " thread(s), cache "
               << (options.use_cache ? "on" : "off") << "\n";
 
-    const long long repeat = std::max<long long>(1, cli.get_int("repeat"));
     for (long long run = 0; run < repeat; ++run) {
       const auto start = std::chrono::steady_clock::now();
       results = run_chunked(engine, spec.expand(), log.get());
@@ -671,6 +665,13 @@ int main(int argc, char** argv) try {
                 << " evals/s); cache hits " << stats.hits << ", misses "
                 << stats.misses << ", entries " << engine.cache().size()
                 << "\n";
+    }
+    if (log && !options.use_cache && log->appended() == results.size()) {
+      // The directory held no records and the log holds exactly
+      // `results`, so archive them from memory — the bytes --archive
+      // would write from dedup(load(dir)) — instead of reloading them.
+      log.reset();
+      print_archive(search::RunLog::archive(run_dir, results), run_dir);
     }
   }
 

@@ -1,5 +1,6 @@
 #include "explore/scenario.hpp"
 
+#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <map>
@@ -40,6 +41,35 @@ std::size_t variant_jobs(const ScenarioSpec& spec, core::ModelVariant variant,
   const std::size_t pairs =
       core::is_asymmetric_variant(variant) ? n_smalls * n_sizes : n_sizes;
   return topo * pairs;
+}
+
+/// True when two entries of `axis` are `same`.  Quadratic: for the
+/// short label axes (apps, growth laws, variants, topologies).
+template <typename Entry, typename Same>
+bool has_twins(const std::vector<Entry>& axis, Same same) {
+  for (std::size_t i = 0; i < axis.size(); ++i) {
+    for (std::size_t j = i + 1; j < axis.size(); ++j) {
+      if (same(axis[i], axis[j])) return true;
+    }
+  }
+  return false;
+}
+
+/// True when `values` holds one value twice, at most `limit`.  Sorts a
+/// copy: a size axis can hold thousands of entries.
+bool has_twin_values(std::vector<double> values, double limit) {
+  std::sort(values.begin(), values.end());
+  return std::adjacent_find(values.begin(), values.end(),
+                            [limit](double a, double b) {
+                              return a == b && a <= limit;
+                            }) != values.end();
+}
+
+/// Growth laws the cache key cannot tell apart (it keys kind, exponent
+/// and interned name).
+bool same_law(const core::GrowthFunction& a, const core::GrowthFunction& b) {
+  return a.kind() == b.kind() && a.exponent() == b.exponent() &&
+         a.name_id() == b.name_id();
 }
 
 }  // namespace
@@ -121,6 +151,28 @@ std::vector<EvalJob> ScenarioSpec::expand() const {
     }
   }
   return jobs;
+}
+
+bool ScenarioSpec::can_repeat_point() const {
+  const auto same = [](const auto& a, const auto& b) { return a == b; };
+  const auto same_params = [](const core::AppParams& a,
+                              const core::AppParams& b) {
+    return a.f == b.f && a.fcon == b.fcon && a.fored == b.fored;
+  };
+  const bool comm = std::any_of(variants.begin(), variants.end(),
+                                core::is_comm_variant);
+  const bool asym = std::any_of(variants.begin(), variants.end(),
+                                core::is_asymmetric_variant);
+  const double largest =
+      chip_budgets.empty()
+          ? 0.0
+          : *std::max_element(chip_budgets.begin(), chip_budgets.end());
+  return has_twin_values(chip_budgets, largest) ||
+         has_twins(apps, same_params) || has_twins(growths, same_law) ||
+         has_twins(variants, same) ||
+         (comm && has_twins(comm_laws(*this), same_law)) ||
+         has_twin_values(sizes, largest) ||
+         (asym && has_twin_values(small_core_sizes, largest));
 }
 
 namespace {

@@ -89,6 +89,15 @@ struct ScenarioSpec {
 
   /// Materializes the cross product in deterministic order.
   std::vector<EvalJob> expand() const;
+
+  /// True when two jobs of expand() can share a cache_key (memo_cache):
+  /// an axis repeats a value (a budget, app, growth law, variant, the
+  /// topology of a comm variant, or a core size that fits a budget), or
+  /// two apps have equal f/fcon/fored, since the key ignores app names.
+  /// False means every job is a distinct point, so a fresh sweep has
+  /// nothing for a memo cache to serve.  It may answer true for a
+  /// repeated value no job reaches (a repeated size every budget drops).
+  bool can_repeat_point() const;
 };
 
 // ---------------------------------------------------------------------------

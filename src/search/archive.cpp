@@ -974,4 +974,12 @@ std::vector<explore::EvalResult> ArchiveReader::load_all() const {
   return out;
 }
 
+void ArchiveReader::verify() const {
+  const Impl& impl = *impl_;
+  std::string scratch;
+  for (std::uint32_t b = 0; b < impl.lay.blocks; ++b) {
+    for (int col = 0; col < kColumnCount; ++col) impl.slice(b, col, &scratch);
+  }
+}
+
 }  // namespace mergescale::search

@@ -173,6 +173,11 @@ class ArchiveReader {
   /// materialization, for RunLog::load()).
   std::vector<explore::EvalResult> load_all() const;
 
+  /// Checks every (block, column) slice against its CRC at once — the
+  /// check queries make lazily, slice by slice.  Throws
+  /// std::runtime_error naming the first slice that fails.
+  void verify() const;
+
  private:
   struct Impl;
   explicit ArchiveReader(std::unique_ptr<Impl> impl);

@@ -24,7 +24,12 @@
 //
 // Durability semantics:
 //   - Appends are buffered and flushed every `flush_every` records (and
-//     on destruction), so a SIGKILL loses at most the unflushed group.
+//     on destruction), so a SIGKILL loses at most the unflushed group:
+//     one record at this class's default, up to 64 at explore_cli's
+//     (search::kSweepFlushEvery), which writes a sweep's log in about
+//     one write per engine claim block.  A failed group write throws
+//     and the group is lost, never retried; callers flush() before
+//     reporting success, since the destructor swallows errors.
 //   - Opening for append repairs a torn tail: the file is truncated to
 //     the end of its last CRC-verified frame, so new appends can never
 //     glue onto a fragment.

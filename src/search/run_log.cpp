@@ -52,13 +52,19 @@ std::vector<std::uint8_t> first_occurrences(
   return keep;
 }
 
-/// The entry names of `dir`; none when it cannot be listed (a missing
-/// directory holds no results).  Throws when one is a result log of the
-/// retired NDJSON format (results.ndjson, results.shard-<i>.ndjson):
-/// skipping it would make a resume recompute every record it holds.
-std::vector<std::string> result_dir_names(const std::string& dir) {
+/// The entry names of `dir`; none when it is missing.  A directory that
+/// cannot be listed also yields none, unless `must_list` makes that
+/// throw.  Throws when one is a result log of the retired NDJSON format
+/// (results.ndjson, results.shard-<i>.ndjson): skipping it would make a
+/// resume recompute every record it holds.
+std::vector<std::string> result_dir_names(const std::string& dir,
+                                          bool must_list = false) {
   std::vector<std::string> names;
-  if (!util::io_env().list_dir(dir, &names).ok()) return {};
+  const util::IoResult listed = util::io_env().list_dir(dir, &names);
+  if (!listed.ok()) {
+    if (must_list) check_io(listed, "list", dir);
+    return {};
+  }
   for (const std::string& name : names) {
     if (name.starts_with("results.") && name.ends_with(".ndjson")) {
       throw std::runtime_error(
@@ -155,6 +161,43 @@ bool RunLog::has_results(const std::string& dir) {
   const std::vector<std::string> names = result_dir_names(dir);
   return util::io_env().exists(binary_results_path(dir)) ||
          has_archive(dir) || !shard_indices(names).empty();
+}
+
+std::vector<std::string> RunLog::result_logs(const std::string& dir) {
+  const std::vector<std::string> names =
+      result_dir_names(dir, /*must_list=*/true);
+  std::vector<std::string> logs;
+  if (std::find(names.begin(), names.end(), "results.msbin") != names.end()) {
+    logs.push_back(binary_results_path(dir));
+  }
+  for (const std::size_t shard : shard_indices(names)) {
+    logs.push_back(shard_binary_results_path(dir, shard));
+  }
+  return logs;
+}
+
+ArchiveStats RunLog::archive(const std::string& dir,
+                             const std::vector<explore::EvalResult>& records) {
+  const ArchiveStats stats = write_archive(archive_path(dir), records);
+  // The archive now holds every record the logs did, so the logs come
+  // off disk; meta.json stays, it still fingerprints the configuration a
+  // resume verifies.
+  util::IoEnv& env = util::io_env();
+  for (const std::string& path : result_logs(dir)) {
+    check_io(env.remove_file(path), "remove", path);
+  }
+  return stats;
+}
+
+std::optional<ArchiveStats> RunLog::archive(const std::string& dir) {
+  if (result_logs(dir).empty() && has_archive(dir)) {
+    const ArchiveReader reader = ArchiveReader::open(archive_path(dir));
+    reader.verify();
+    return reader.stats();
+  }
+  const std::vector<explore::EvalResult> records = dedup(load(dir));
+  if (records.empty()) return std::nullopt;
+  return archive(dir, records);
 }
 
 void RunLog::load_logs(const std::string& dir,

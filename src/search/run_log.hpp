@@ -10,12 +10,21 @@
 //                          (to_config) and parses (from_config)
 //
 // Appends are buffered and flushed every `flush_every` records (and on
-// destruction), so a killed run loses at most the unflushed group — with
-// the default flush_every = 1 that is the single record being written.
-// Opening for append repairs a torn tail (truncating past the last
-// CRC-verified frame), load() skips corrupt records, and resume is cache
-// warming.  `explore_cli --dump` prints a directory's records as one
-// JSON object per line for grep and diff.
+// destruction), so a killed run loses at most the one unflushed group.
+// The library default is one record per group; explore_cli writes
+// groups of kSweepFlushEvery = 64 records, so a killed sweep or search
+// loses at most 64 records (with `fsync`, also under power loss) and a
+// resume evaluates exactly those again.  Opening for append repairs a
+// torn tail (truncating past the last CRC-verified frame), load() skips
+// corrupt records, and resume is cache warming.  `explore_cli --dump`
+// prints a directory's records as one JSON object per line for grep and
+// diff.
+//
+// archive() folds a directory's records into <dir>/archive.msca and
+// removes its logs.  `explore_cli --archive` calls it with
+// dedup(load(dir)); a fresh exhaustive sweep whose log holds exactly
+// its results calls it with those results from memory, so such a run
+// ends as meta.json + archive.msca with no results.msbin.
 //
 // Directories from older builds may still hold the retired NDJSON row
 // log (results.ndjson, results.shard-<i>.ndjson).  Every entry point
@@ -40,6 +49,7 @@
 #include <vector>
 
 #include "explore/engine.hpp"
+#include "search/archive.hpp"
 #include "search/binary_log.hpp"
 
 namespace mergescale::search {
@@ -56,6 +66,11 @@ enum class LogFormat {
 /// line-per-record view that replaced the NDJSON log; anything else
 /// throws std::invalid_argument too.
 LogFormat parse_log_format(std::string_view name);
+
+/// The flush group explore_cli appends with unless --flush-every says
+/// otherwise: about one write per engine claim block of a sweep instead
+/// of one per record.  RunLogOptions keeps its default of 1.
+inline constexpr std::size_t kSweepFlushEvery = 64;
 
 /// Sentinel shard index: the run is not sharded.
 inline constexpr std::size_t kUnsharded = static_cast<std::size_t>(-1);
@@ -115,6 +130,32 @@ class RunLog {
 
   /// True when `dir` holds a columnar archive.
   static bool has_archive(const std::string& dir);
+
+  /// Paths of the result logs under `dir`, listed through
+  /// util::io_env(): results.msbin when present, then every shard's log
+  /// in shard order.  A missing directory holds none.  Throws
+  /// std::runtime_error when `dir` cannot be listed or holds a retired
+  /// NDJSON log.
+  static std::vector<std::string> result_logs(const std::string& dir);
+
+  /// Writes `records` as `dir`'s columnar archive, then removes every
+  /// result log in `dir` (meta.json stays).  `records` must already be
+  /// deduplicated: `explore_cli --archive` passes dedup(load(dir)), and a
+  /// fresh exhaustive sweep whose log holds exactly its results passes
+  /// those from memory — the same records, so the same bytes.  A crash
+  /// between the archive's rename and the removals is benign: load()
+  /// reads the archive first and dedup() drops the logged overlap.
+  /// Throws std::runtime_error on I/O failure.
+  static ArchiveStats archive(const std::string& dir,
+                              const std::vector<explore::EvalResult>& records);
+
+  /// `explore_cli --archive`: a directory that holds an archive and no
+  /// result logs (what a fresh sweep leaves) has every block CRC checked
+  /// (ArchiveReader::verify) and is left as it is; any other directory
+  /// is archived from dedup(load(dir)).  Returns the archive's stats,
+  /// the same either way; std::nullopt when `dir` holds no records.
+  /// Throws std::runtime_error on I/O failure or a corrupt archive.
+  static std::optional<ArchiveStats> archive(const std::string& dir);
 
   /// True when `dir` holds recorded results: a result log — unsharded
   /// or belonging to any shard — or a columnar archive.

@@ -1,0 +1,152 @@
+# One-pass persisted sweep, end to end through the real explore_cli
+# binary:
+#   - a fresh exhaustive sweep over a grid with no repeated point ends
+#     archived: meta.json + archive.msca, no results.msbin;
+#   - the same spec with --repeat 2 keeps its log, and --archive on it
+#     writes the same archive.msca byte for byte, with the same --dump;
+#   - --archive on an archived directory rewrites nothing and prints the
+#     same line, and a flipped byte in a column slice makes it exit 1;
+#   - specs that can repeat a point (a repeated budget, an app with
+#     another app's f/fcon/fored) keep the memo cache, and the second
+#     still logs one record per design point.
+# Invoked by ctest as:
+#   cmake -DCLI=<path-to-explore_cli> -DWORK=<scratch dir>
+#         -P expect_sweep_archive.cmake
+if(NOT DEFINED CLI OR NOT DEFINED WORK)
+  message(FATAL_ERROR "pass -DCLI=<path to explore_cli> -DWORK=<scratch dir>")
+endif()
+file(REMOVE_RECURSE "${WORK}")
+file(MAKE_DIRECTORY "${WORK}")
+
+set(spec --quiet --apps kmeans --budgets 64)
+
+# Runs explore_cli with the given arguments; fails the test unless it
+# exits 0.  Leaves its stdout in `out`.
+function(run_cli)
+  execute_process(
+      COMMAND ${CLI} ${ARGN}
+      RESULT_VARIABLE status
+      OUTPUT_VARIABLE stdout
+      ERROR_VARIABLE stderr)
+  if(NOT status EQUAL 0)
+    message(FATAL_ERROR "explore_cli ${ARGN} failed (${status}): ${stderr}")
+  endif()
+  set(out "${stdout}" PARENT_SCOPE)
+endfunction()
+
+# The `archive:` line of `text`, in `line`.
+function(archive_line text)
+  if(NOT text MATCHES "(archive: [^\n]*)")
+    message(FATAL_ERROR "no 'archive:' line in: ${text}")
+  endif()
+  set(line "${CMAKE_MATCH_1}" PARENT_SCOPE)
+endfunction()
+
+function(expect_equal_files a b what)
+  execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files "${a}" "${b}"
+                  RESULT_VARIABLE differs)
+  if(NOT differs EQUAL 0)
+    message(FATAL_ERROR "${what}: ${a} and ${b} differ")
+  endif()
+endfunction()
+
+# A fresh sweep archives itself from memory.
+run_cli(${spec} --run-dir "${WORK}/fresh" --out "${WORK}/fresh")
+if(NOT out MATCHES "cache off")
+  message(FATAL_ERROR "a repeat-free fresh sweep kept the memo cache: ${out}")
+endif()
+archive_line("${out}")
+set(sweep_line "${line}")
+foreach(name meta.json archive.msca)
+  if(NOT EXISTS "${WORK}/fresh/${name}")
+    message(FATAL_ERROR "a fresh sweep left no ${name}")
+  endif()
+endforeach()
+if(EXISTS "${WORK}/fresh/results.msbin")
+  message(FATAL_ERROR "a fresh sweep left its results.msbin behind")
+endif()
+
+# The same spec with --repeat 2 keeps its log; --archive folds it into
+# the same bytes.
+run_cli(${spec} --repeat 2 --run-dir "${WORK}/logged" --out "${WORK}/logged")
+if(NOT out MATCHES "cache on")
+  message(FATAL_ERROR "--repeat 2 ran without the memo cache: ${out}")
+endif()
+if(NOT EXISTS "${WORK}/logged/results.msbin")
+  message(FATAL_ERROR "--repeat 2 left no results.msbin")
+endif()
+run_cli(--archive --run-dir "${WORK}/logged")
+expect_equal_files("${WORK}/fresh/archive.msca" "${WORK}/logged/archive.msca"
+                   "archive from memory vs archive from the log")
+run_cli(--dump --run-dir "${WORK}/fresh")
+set(fresh_dump "${out}")
+run_cli(--dump --run-dir "${WORK}/logged")
+if(NOT out STREQUAL fresh_dump OR fresh_dump STREQUAL "")
+  message(FATAL_ERROR "--dump differs between the two directories:\n"
+                      "${fresh_dump}\nvs\n${out}")
+endif()
+
+# --archive on an archived directory checks it and rewrites nothing.
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy
+                "${WORK}/fresh/archive.msca" "${WORK}/before.msca")
+run_cli(--archive --run-dir "${WORK}/fresh")
+archive_line("${out}")
+if(NOT line STREQUAL sweep_line)
+  message(FATAL_ERROR "--archive printed '${line}', the sweep '${sweep_line}'")
+endif()
+run_cli(--archive --run-dir "${WORK}/fresh")
+archive_line("${out}")
+if(NOT line STREQUAL sweep_line)
+  message(FATAL_ERROR "a second --archive printed '${line}', not '${sweep_line}'")
+endif()
+expect_equal_files("${WORK}/before.msca" "${WORK}/fresh/archive.msca"
+                   "--archive rewrote an archived directory")
+
+# One flipped byte in the index column (offset 80: past the 76-byte
+# header, inside row 0's index) fails the check.
+set(flip_at 80)
+file(READ "${WORK}/fresh/archive.msca" original OFFSET ${flip_at} LIMIT 1 HEX)
+file(WRITE "${WORK}/flip.byte" "A")
+execute_process(
+    COMMAND dd "of=${WORK}/fresh/archive.msca" bs=1 seek=${flip_at} count=1
+        conv=notrunc
+    INPUT_FILE "${WORK}/flip.byte"
+    RESULT_VARIABLE status
+    OUTPUT_QUIET ERROR_QUIET)
+file(READ "${WORK}/fresh/archive.msca" flipped OFFSET ${flip_at} LIMIT 1 HEX)
+if(NOT status EQUAL 0 OR flipped STREQUAL original)
+  message(FATAL_ERROR "could not flip byte ${flip_at} of the archive")
+endif()
+execute_process(
+    COMMAND ${CLI} --archive --run-dir "${WORK}/fresh"
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT status EQUAL 1)
+  message(FATAL_ERROR "--archive over a corrupt archive exited ${status}, "
+                      "not 1: ${out}${err}")
+endif()
+if(NOT err MATCHES "CRC")
+  message(FATAL_ERROR "the corrupt-archive error names no CRC: ${err}")
+endif()
+
+# Specs that can repeat a point keep the memo cache.
+run_cli(--quiet --apps kmeans --budgets 64,64 --out "${WORK}/twin_budgets")
+if(NOT out MATCHES "cache on")
+  message(FATAL_ERROR "--budgets 64,64 ran without the memo cache: ${out}")
+endif()
+run_cli(--quiet --apps kmeans,custom --f 0.99985 --fcon 0.57 --fored 0.72
+        --budgets 64 --run-dir "${WORK}/twin_apps" --out "${WORK}/twin_apps")
+if(NOT out MATCHES "cache on")
+  message(FATAL_ERROR "an app with kmeans' parameters ran without the memo "
+                      "cache: ${out}")
+endif()
+run_cli(--dump --run-dir "${WORK}/twin_apps")
+string(REGEX MATCHALL "[^\n]+\n" lines "${out}")
+list(LENGTH lines records)
+if(NOT records EQUAL 35)
+  message(FATAL_ERROR "kmeans,custom logged ${records} records, not one per "
+                      "design point (35)")
+endif()
+
+file(REMOVE_RECURSE "${WORK}")

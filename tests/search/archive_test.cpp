@@ -401,6 +401,20 @@ TEST_F(ArchiveTest, ASliceFlipFailsExactlyTheQueriesThatTouchIt) {
   EXPECT_THROW(reader.load_index_range(0, 10), std::runtime_error);
 }
 
+TEST_F(ArchiveTest, VerifyChecksEverySlice) {
+  const auto records = synth_records(256, 23);
+  const std::string pristine = encode_archive(records, 64);
+  EXPECT_NO_THROW(ArchiveReader::from_buffer(pristine).verify());
+  // Flip the last column byte: the speedup of the last row, in the last
+  // block — a slice best() and top_k() may never touch.  76 header bytes
+  // plus 67 column bytes per row precede the zone maps.
+  std::string bytes = pristine;
+  const std::size_t last = 76 + 256 * 67 - 1;
+  bytes[last] = static_cast<char>(bytes[last] ^ '\x01');
+  const ArchiveReader reader = ArchiveReader::from_buffer(bytes);
+  EXPECT_THROW(reader.verify(), std::runtime_error);
+}
+
 // ---------------------------------------------------------------------------
 // Point lookup: find() by design point.
 // ---------------------------------------------------------------------------

@@ -4,13 +4,19 @@
 // contract — what load() returns is a PREFIX of what was appended
 // (never a fabricated or reordered record), and the loss is bounded by
 // the documented crash window: the one flush group still filling.
+// The sweep tests drive the engine the way explore_cli does (512-job
+// chunks, fresh results appended in groups of kSweepFlushEvery) and
+// check that a killed disk costs at most one group, which a resume
+// evaluates again and nothing more.
 
+#include <algorithm>
 #include <filesystem>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "explore/report.hpp"
 #include "search/run_log.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_env.hpp"
@@ -87,6 +93,196 @@ void expect_prefix(const std::vector<explore::EvalResult>& loaded,
     EXPECT_DOUBLE_EQ(loaded[i].speedup, appended[i].speedup)
         << "record " << i;
   }
+}
+
+/// 2,000 distinct points, so a fresh sweep runs without the memo cache,
+/// as explore_cli's does.
+explore::ScenarioSpec sweep_spec() {
+  explore::ScenarioSpec spec;
+  spec.name = "crash-sweep";
+  spec.chip_budgets = {256.0};
+  spec.apps = {core::presets::kmeans(), core::presets::hop()};
+  spec.small_core_sizes = {1.0, 2.0, 4.0, 8.0};
+  for (int size = 1; size <= 200; ++size) spec.sizes.push_back(size);
+  return spec;
+}
+
+struct Sweep {
+  std::vector<explore::EvalResult> results;
+  std::size_t appended = 0;  ///< appends begun, a throwing one included
+  bool failed = false;       ///< an append or the final flush threw
+};
+
+/// explore_cli's checkpointing sweep: `jobs` in 512-job chunks, each
+/// chunk's fresh results appended to `log`, then a final flush.  An I/O
+/// failure ends the sweep, as it ends the CLI run.
+Sweep sweep(explore::ExploreEngine& engine, RunLog& log,
+            const std::vector<explore::EvalJob>& jobs) {
+  constexpr std::size_t kChunk = 512;
+  Sweep run;
+  try {
+    for (std::size_t begin = 0; begin < jobs.size(); begin += kChunk) {
+      std::vector<explore::EvalJob> slice(
+          jobs.begin() + static_cast<std::ptrdiff_t>(begin),
+          jobs.begin() + static_cast<std::ptrdiff_t>(
+                             std::min(begin + kChunk, jobs.size())));
+      for (std::size_t i = 0; i < slice.size(); ++i) slice[i].index = i;
+      for (explore::EvalResult& result : engine.run(slice)) {
+        result.index += begin;
+        if (!result.from_cache) {
+          ++run.appended;
+          log.append(result);
+        }
+        run.results.push_back(std::move(result));
+      }
+    }
+    log.flush();
+  } catch (const std::exception&) {
+    run.failed = true;
+  }
+  return run;
+}
+
+/// Resumes an interrupted sweep of `spec` in `dir` the way explore_cli
+/// --resume does (reopen the log, warm the cache, sweep again) and checks
+/// that it evaluates exactly the points the log lost, reaches the
+/// uninterrupted run's best, and leaves every point logged once.
+void expect_resume_completes(const std::string& dir,
+                             const explore::ScenarioSpec& spec,
+                             std::size_t persisted) {
+  const std::vector<explore::EvalJob> jobs = spec.expand();
+  explore::ExploreEngine reference({2, false});
+  const std::vector<explore::EvalResult> uninterrupted = reference.run(jobs);
+  {
+    RunLog log(dir, RunLogOptions{LogFormat::kBinary, kSweepFlushEvery});
+    explore::ExploreEngine engine({2, true});
+    EXPECT_EQ(RunLog::warm(RunLog::load(dir), spec, engine), persisted);
+    const Sweep resumed = sweep(engine, log, jobs);
+    ASSERT_FALSE(resumed.failed);
+    EXPECT_EQ(resumed.appended, jobs.size() - persisted);
+    EXPECT_EQ(engine.cache().stats().misses, jobs.size() - persisted);
+    ASSERT_NE(explore::best_result(resumed.results), nullptr);
+    EXPECT_EQ(explore::best_line(*explore::best_result(resumed.results)),
+              explore::best_line(*explore::best_result(uninterrupted)));
+  }
+  const std::vector<explore::EvalResult> logged = RunLog::load(dir);
+  EXPECT_EQ(logged.size(), jobs.size());
+  EXPECT_EQ(RunLog::dedup(logged).size(), jobs.size());
+}
+
+TEST_F(CrashConsistencyTest, PowerLossMidSweepLosesAtMostOneGroup) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  const explore::ScenarioSpec spec = sweep_spec();
+  ASSERT_FALSE(spec.can_repeat_point());
+  const std::vector<explore::EvalJob> jobs = spec.expand();
+  // The power dies while the tenth group is being made durable: its
+  // fsync never returns, and all of it but the last byte reaches the
+  // platter, a torn final frame.
+  util::FailPoints::instance().arm("io.sync", "nth:10@results");
+  Sweep run;
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/true));
+    explore::ExploreEngine engine({2, false});
+    run = sweep(engine, log, jobs);
+    faulty.lose_power([](std::uint64_t unsynced) { return unsynced - 1; });
+  }
+  util::FailPoints::instance().disarm_all();
+  faulty.reset_power();
+  ASSERT_TRUE(run.failed);
+  ASSERT_LT(run.appended, jobs.size());
+
+  const auto loaded = RunLog::load(dir_);
+  expect_prefix(loaded, run.results);
+  EXPECT_GT(loaded.size(), 0u);
+  EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
+
+  // Reopening cuts the torn frame off; the resume re-spends only the
+  // lost points.
+  const std::string path = RunLog::binary_results_path(dir_);
+  const std::uint64_t torn = std::filesystem::file_size(path);
+  { RunLog reopened(dir_, options(kSweepFlushEvery, true)); }
+  EXPECT_LT(std::filesystem::file_size(path), torn);
+  expect_resume_completes(dir_, spec, loaded.size());
+}
+
+TEST_F(CrashConsistencyTest, StickyWriteFailureMidSweepLosesAtMostOneGroup) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  const explore::ScenarioSpec spec = sweep_spec();
+  const std::vector<explore::EvalJob> jobs = spec.expand();
+  // The disk dies after the header and nine groups.
+  util::FailPoints::instance().arm("io.write", "after:10@results");
+  Sweep run;
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
+    explore::ExploreEngine engine({2, false});
+    run = sweep(engine, log, jobs);
+  }
+  util::FailPoints::instance().disarm_all();
+  ASSERT_TRUE(run.failed);
+  ASSERT_LT(run.appended, jobs.size());
+
+  const auto loaded = RunLog::load(dir_);
+  expect_prefix(loaded, run.results);
+  EXPECT_EQ(loaded.size(), 9 * kSweepFlushEvery);
+  EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
+  expect_resume_completes(dir_, spec, loaded.size());
+}
+
+TEST_F(CrashConsistencyTest, FailedLogRemovalAfterArchiveRenameIsBenign) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  const auto records = make_records(100);
+  RunLog::write_meta(dir_, "crash-harness-config");
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
+    for (const auto& record : records) log.append(record);
+  }
+  // The archive is renamed into place, then removing the log fails.
+  util::FailPoints::instance().arm("io.remove", "always@results");
+  EXPECT_THROW(RunLog::archive(dir_), std::runtime_error);
+  util::FailPoints::instance().disarm_all();
+  ASSERT_TRUE(RunLog::has_archive(dir_));
+  ASSERT_EQ(RunLog::result_logs(dir_).size(), 1u);
+
+  // Archive plus log load as the full record set once deduplicated.
+  EXPECT_EQ(RunLog::load(dir_).size(), 2 * records.size());
+  const auto unique = RunLog::dedup(RunLog::load(dir_));
+  expect_prefix(unique, records);
+  EXPECT_EQ(unique.size(), records.size());
+
+  // The next --archive folds the leftover log in to the same bytes and
+  // removes it; the one after that only checks the archive.
+  std::string first;
+  ASSERT_TRUE(util::io_env().read_file(RunLog::archive_path(dir_), &first).ok());
+  for (int pass = 0; pass < 2; ++pass) {
+    const auto stats = RunLog::archive(dir_);
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->rows, records.size());
+    EXPECT_TRUE(RunLog::result_logs(dir_).empty());
+    std::string again;
+    ASSERT_TRUE(
+        util::io_env().read_file(RunLog::archive_path(dir_), &again).ok());
+    EXPECT_EQ(again, first) << "pass " << pass;
+  }
+}
+
+TEST_F(CrashConsistencyTest, UnlistableDirectoryIsNotArchived) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  const auto records = make_records(10);
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
+    for (const auto& record : records) log.append(record);
+  }
+  // --archive lists the logs it folds in and removes through the env: a
+  // failed listing stops it before anything is written.
+  util::FailPoints::instance().arm("io.list", "always");
+  EXPECT_THROW(RunLog::archive(dir_), std::runtime_error);
+  util::FailPoints::instance().disarm_all();
+  EXPECT_FALSE(RunLog::has_archive(dir_));
+  EXPECT_EQ(RunLog::load(dir_).size(), records.size());
 }
 
 TEST_F(CrashConsistencyTest, PowerLossKeepsEveryFsyncedGroup) {
