@@ -27,28 +27,30 @@
 //   ./build/explore_cli --strategy anneal --walkers 16 --budget 100000
 //       --run-dir /tmp/run2 --flush-every 1024
 //                                        # million-point-scale persistence
-//   ./build/explore_cli --compact --run-dir /tmp/run2
-//                                        # dedup + rewrite the run log
+//   ./build/explore_cli --archive --run-dir /tmp/run2
+//                                        # dedup the log into archive.msca
 //   ./build/explore_cli --dump --run-dir /tmp/run2 | grep hop
 //                                        # the records, one JSON per line
 //   for i in 0 1 2 3; do                 # multi-process sharded sweep
 //     ./build/explore_cli --shard $i/4 --run-dir /tmp/shards &
 //   done; wait                           # one results.shard-$i.msbin each
-//   ./build/explore_cli --merge --run-dir /tmp/shards
-//                                        # union + dedup into one log
 //   ./build/explore_cli --archive --run-dir /tmp/shards
-//                                        # rewrite the merged log into a
-//                                        # columnar archive.msca
+//                                        # fold the shards into one archive
+//                                        # that resumes without --shard
+//   ./build/explore_cli --archive --run-dir /tmp/a --merge-from /tmp/b
+//                                        # fold another recorded dir in
 //
 // Writes <out>.csv and <out>.ndjson (exhaustive runs), and
 // <dir>/results.msbin (results.shard-<i>.msbin under --shard) +
-// <dir>/meta.json when persistence is on.  --archive replaces the
-// result logs with <dir>/archive.msca (search/archive): column-per-field
-// blocks sorted by flat index with per-block zone maps, which serve_cli
-// and resume read back without replaying a row-per-record log.  On a
+// <dir>/meta.json when persistence is on.  --archive is the one way to
+// fold a run directory (search::RunLog::fold): it replaces the result
+// logs with <dir>/archive.msca (search/archive), column-per-field blocks
+// sorted by flat index with per-block zone maps, which serve_cli and
+// resume read back without replaying a row-per-record log.  On a
 // directory that already holds an archive and no result logs (what a
 // fresh sweep leaves), --archive checks every block CRC and rewrites
-// nothing.
+// nothing.  It refuses an adaptive sharded run, whose shards each resume
+// from their own log.
 
 #include <algorithm>
 #include <chrono>
@@ -200,8 +202,8 @@ std::vector<explore::EvalResult> run_shard_range(
   return results;
 }
 
-/// The run directory an action flag (--compact, --archive, --dump)
-/// works on: --run-dir, else --resume.
+/// The run directory an action flag (--archive, --dump) works on:
+/// --run-dir, else --resume.
 std::string action_dir(const util::Cli& cli, const std::string& action) {
   const std::string dir = cli.get_string("run-dir").empty()
                               ? cli.get_string("resume")
@@ -301,26 +303,28 @@ int main(int argc, char** argv) try {
           "shards own contiguous slices of the space, adaptive shards "
           "are seed-derived walker groups; results go to "
           "<run-dir>/results.shard-i.msbin");
-  cli.flag("merge",
-           "union --run-dir's shard logs (plus --merge-from dirs) into "
-           "one deduplicated results.msbin, then exit");
   cli.opt("merge-from", std::string(),
-          "comma list of additional recorded run dirs to union into "
-          "--run-dir during --merge (configs must match)");
-  cli.flag("compact",
-           "rewrite --run-dir's log, dropping duplicate design points, "
-           "then exit");
+          "comma list of additional recorded run dirs --archive folds "
+          "into --run-dir (configs must match)");
   cli.flag("archive",
-           "rewrite --run-dir's merged, deduplicated records into a "
-           "columnar archive (<dir>/archive.msca, zone-mapped blocks "
-           "sorted by flat index), remove the result logs, then exit; a "
-           "directory holding an archive and no result logs (a fresh "
-           "sweep ends so) has its block CRCs checked and is left as is");
+           "fold --run-dir's records (shard logs and --merge-from dirs "
+           "included) into one deduplicated columnar archive "
+           "(<dir>/archive.msca, zone-mapped blocks sorted by flat index), "
+           "remove the result logs and drop the shard count from "
+           "meta.json, then exit; a directory holding an archive and no "
+           "result logs (a fresh sweep ends so) has its block CRCs "
+           "checked and is left as is");
   cli.flag("dump",
            "write --run-dir's recorded results to stdout, one JSON object "
            "per line in file order, then exit");
   cli.flag("quiet", "suppress the per-point result table");
   if (!cli.parse(argc, argv)) return 0;
+
+  const std::vector<std::string> merge_from =
+      util::split_list(cli.get_string("merge-from"));
+  if (!merge_from.empty() && !cli.get_flag("archive")) {
+    throw std::invalid_argument("--merge-from only works with --archive");
+  }
 
   const search::LogFormat log_format =
       search::parse_log_format(cli.get_string("log-format"));
@@ -335,72 +339,15 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  if (cli.get_flag("compact")) {
-    const std::string dir = action_dir(cli, "--compact");
-    // An empty or never-recorded directory is a no-op, not an error:
-    // compact is idempotent cleanup, and "nothing to clean" is success.
-    const auto stats = search::RunLog::compact(dir, flush_every);
-    if (stats.loaded == 0) {
-      std::cout << "compact: nothing to compact in " << dir << "\n";
-    } else {
-      std::cout << "compact: " << stats.loaded << " records -> "
-                << stats.kept << " unique design points\n";
-    }
-    return 0;
-  }
-
   if (cli.get_flag("archive")) {
     const std::string dir = action_dir(cli, "--archive");
-    const auto meta = search::RunLog::read_meta(dir);
-    if (meta && explore::config_token(*meta, "shards") &&
-        explore::config_token(*meta, "strategy") != "exhaustive") {
-      // An adaptive shard resumes *its own trajectory* from its own
-      // log; one merged archive cannot stand in for K per-shard logs
-      // without mis-charging every sibling's records as one stream's
-      // spend.  Exhaustive shards are position-independent, so their
-      // union archives cleanly (resume seeks its flat range back out).
-      throw std::runtime_error(
-          "--archive refuses adaptive sharded run dirs (" + dir +
-          "): each shard resumes its own trajectory from its own log, "
-          "which one merged archive cannot stand in for");
-    }
     // An already archived directory (a fresh sweep ends so) is checked,
     // not rewritten.
-    if (const auto stats = search::RunLog::archive(dir)) {
+    if (const auto stats = search::RunLog::fold(dir, merge_from)) {
       print_archive(*stats, dir);
     } else {
       std::cout << "archive: nothing to archive in " << dir << "\n";
     }
-    return 0;
-  }
-
-  if (cli.get_flag("merge")) {
-    const std::string dir = cli.get_string("run-dir");
-    if (dir.empty()) {
-      throw std::invalid_argument("--merge needs --run-dir <dir>");
-    }
-    const std::vector<std::string> sources =
-        util::split_list(cli.get_string("merge-from"));
-    // Exhaustive recordings are position-independent, so the merged
-    // union equals a single-process run and may shed the shard token
-    // (becoming resumable as one).  Adaptive unions keep it: resuming
-    // the union under one seed would mis-charge every sibling shard's
-    // records as that trajectory's own spend.
-    auto meta = search::RunLog::read_meta(dir);
-    for (std::size_t i = 0; !meta && i < sources.size(); ++i) {
-      meta = search::RunLog::read_meta(sources[i]);
-    }
-    const bool exhaustive_run =
-        meta && explore::config_token(*meta, "strategy") == "exhaustive";
-    const auto stats =
-        search::RunLog::merge(dir, sources, flush_every,
-                              /*strip_shard_token=*/exhaustive_run);
-    std::cout << "merge: " << stats.loaded << " records from "
-              << (stats.sources + 1) << " dir(s) -> " << stats.kept
-              << " unique design points in " << dir
-              << (exhaustive_run ? "; resumable as a single-process run"
-                                 : "")
-              << "\n";
     return 0;
   }
 
@@ -447,7 +394,7 @@ int main(int argc, char** argv) try {
   // already-done points are served as hits instead of recomputed.  A
   // shard warms from (and appends to) only its own results.shard-<i>
   // file: sibling shards' records must not skip this shard's appends or
-  // inflate its already-spent budget — the merged union, not any single
+  // inflate its already-spent budget — the folded union, not any single
   // shard, is what covers the whole run.
   std::unique_ptr<search::RunLog> log;
   std::vector<explore::EvalResult> prior_records;
@@ -470,17 +417,16 @@ int main(int argc, char** argv) try {
                                  ": it was recorded under a different "
                                  "configuration (" + *meta + ")");
       }
-      if (shard && !adaptive) {
-        // Exhaustive shards own contiguous flat-index ranges, so after
-        // --archive folded the per-shard logs into one archive this
-        // shard's records sit in a contiguous block band — load_range
-        // seeks just those blocks instead of materializing the union.
-        const search::SearchSpace space(spec);
-        const search::ShardPlan plan(space.size(), shard->count);
-        const search::ShardRange range = plan.range(shard->index);
-        prior_records =
-            search::RunLog::load_range(run_dir, range.begin, range.end);
-      } else if (shard) {
+      if (shard && search::RunLog::has_archive(run_dir)) {
+        // --archive drops the shard count from meta.json.  A directory
+        // archived with it kept (by an older build) still matches
+        // `config` but holds no shard log to warm from.
+        throw std::runtime_error(
+            run_dir + " was archived with its shard count kept; run "
+            "`explore_cli --archive --run-dir " + run_dir +
+            "` and resume without --shard");
+      }
+      if (shard) {
         prior_records = search::RunLog::load_shard(run_dir, shard->index);
       } else {
         prior_records = search::RunLog::load(run_dir);
@@ -629,7 +575,7 @@ int main(int argc, char** argv) try {
   if (shard) {
     // Sharded exhaustive sweep: this process owns one contiguous slice
     // of the SearchSpace's flat-index grid (the same uniform grid the
-    // adaptive strategies walk), enumerated space-ordered so the merged
+    // adaptive strategies walk), enumerated space-ordered so the folded
     // union of all shards reads back in global flat order.
     const search::SearchSpace space(spec);
     const search::ShardPlan plan(space.size(), shard->count);

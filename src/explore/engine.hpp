@@ -56,13 +56,13 @@ double cost_of(const EvalResult& result, CostMetric metric) noexcept;
 
 /// Evaluates one job into a result — the per-job path inside
 /// ExploreEngine::run, exposed for callers that already hold their own
-/// threads.  A query-server's session workers each evaluate single
-/// what-if points concurrently: ExploreEngine::run is not reentrant (the
-/// thread team is one shared resource), but MemoCache is fully
-/// thread-safe, so sharing the engine's cache through this entry point
-/// gives every worker the warmed archive without the team dispatch.
-/// With `use_cache` the outcome is memoized (and served) via `cache`;
-/// `cache` may be null only when `use_cache` is false.
+/// threads: ExploreEngine::run is not reentrant (the thread team is one
+/// shared resource).  The query server's session workers evaluate
+/// off-archive what-if points through it with no cache
+/// (`evaluate_job(job, nullptr, false)`); the server keeps its own
+/// delta of live answers.  With `use_cache` the outcome is memoized (and
+/// served) via `cache`, which is thread-safe; `cache` may be null only
+/// when `use_cache` is false.
 EvalResult evaluate_job(const EvalJob& job, MemoCache* cache, bool use_cache);
 
 /// cache_key over a job block: fills `keys[i] = cache_key(jobs[i].request)`.

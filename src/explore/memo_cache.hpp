@@ -78,10 +78,10 @@ struct CacheKeyHash {
 /// Thread-safe memoization cache, sharded to keep lock contention off the
 /// explore engine's hot path.  Shard count is fixed at construction.
 ///
-/// Reads take a shared lock: a warmed cache serving a query-server's
-/// worker pool is almost entirely lookups against an archive that never
-/// shrinks, so concurrent readers must not serialize on each other —
-/// only an insert (a live-evaluation miss) takes a shard exclusively.
+/// Reads take a shared lock: a warmed cache probed from several threads
+/// (a resumed run's engine workers) is mostly lookups of entries that
+/// are never erased, so concurrent readers must not serialize on each
+/// other — only an insert (a miss) takes a shard exclusively.
 ///
 /// Storage is a per-shard open-addressing table (linear probing over
 /// hash fingerprints, entries never erased individually) rather than a

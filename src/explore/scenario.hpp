@@ -160,7 +160,7 @@ ScenarioSpec from_config(std::string_view config, std::string name);
 std::string shard_config_token(std::size_t shard_count);
 
 /// Removes a shard_config_token from `config`, yielding the base config
-/// a merged (single-log) run directory is equivalent to.  Configs
+/// a folded (single-archive) run directory is equivalent to.  Configs
 /// without a token pass through unchanged.
 std::string strip_shard_config(std::string config);
 

@@ -159,7 +159,7 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
   const Layout lay = Layout::make(rows, block_rows);
 
   // Stable index sort: equal indices (possible after cross-directory
-  // merges) keep their load order, so the archive reproduces the exact
+  // folds) keep their load order, so the archive reproduces the exact
   // record order a full-scan consumer saw.
   std::vector<std::uint64_t> perm(records.size());
   std::iota(perm.begin(), perm.end(), std::uint64_t{0});
@@ -906,31 +906,6 @@ std::uint32_t ArchiveReader::candidate_blocks(
     if (zone_admits(zone, predicate)) ++count;
   }
   return count;
-}
-
-std::vector<explore::EvalResult> ArchiveReader::load_index_range(
-    std::uint64_t begin, std::uint64_t end) const {
-  const Impl& impl = *impl_;
-  std::vector<explore::EvalResult> out;
-  if (begin >= end) return out;
-  std::string index_scratch;
-  std::vector<std::uint32_t> matches;
-  for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
-    if (impl.zones[b].max_index < begin || impl.zones[b].min_index >= end) {
-      continue;
-    }
-    const std::string_view index = impl.slice(b, kColIndex, &index_scratch);
-    matches.clear();
-    const std::uint64_t rows_in = impl.lay.rows_in_block(b);
-    for (std::uint64_t i = 0; i < rows_in; ++i) {
-      const std::uint64_t value = get_u64(index.data() + i * 8);
-      if (value >= begin && value < end) {
-        matches.push_back(static_cast<std::uint32_t>(i));
-      }
-    }
-    impl.materialize(b, matches, &out);
-  }
-  return out;
 }
 
 std::optional<explore::EvalResult> ArchiveReader::find(

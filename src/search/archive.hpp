@@ -1,5 +1,5 @@
 #pragma once
-// Columnar archive over merged run logs: the storage format top-k,
+// Columnar archive over folded run logs: the storage format top-k,
 // Pareto, and predicate queries run against without replaying the log.
 //
 //   <dir>/archive.msca   one file, little-endian throughout:
@@ -8,8 +8,7 @@
 //                 geometry, section offsets, header CRC
 //     columns     per-column fixed-width arrays over all rows, sorted
 //                 by the primary key (flat job index, ascending — the
-//                 order RunLog::load() yields), so a shard's flat-index
-//                 range is a contiguous band of blocks
+//                 order RunLog::load() yields)
 //     zone maps   per block of `block_rows` rows: min/max index,
 //                 min/max speedup / cores / n, feasible-row count —
 //                 CRC'd, loaded eagerly, consulted to prune blocks
@@ -148,13 +147,6 @@ class ArchiveReader {
   /// Blocks query(predicate) would scan after zone pruning — exposed
   /// so tests can assert pruning actually happens.
   std::uint32_t candidate_blocks(const ArchivePredicate& predicate) const;
-
-  /// Records with begin <= index < end, index-ascending.  Rows are
-  /// index-sorted, so this touches exactly the contiguous band of
-  /// blocks whose zone index range intersects — what a resumed shard
-  /// warms from without loading the union.
-  std::vector<explore::EvalResult> load_index_range(std::uint64_t begin,
-                                                    std::uint64_t end) const;
 
   /// The row holding `key`'s design point, or nullopt.  The first call
   /// builds a table of row ids keyed by design point from the key

@@ -45,7 +45,7 @@ void check_header(const std::string& bytes, const std::string& path) {
     throw std::runtime_error(
         "binary log: " + path +
         " was written under a different format version/schema; refusing to "
-        "read it (re-record or compact with a matching build)");
+        "read it (re-record or fold it with a matching build)");
   }
 }
 
@@ -237,8 +237,6 @@ void BinaryLog::flush() {
   }
   if (sync_every_flush_) check_io(out_->sync(), "fsync", path_);
 }
-
-void BinaryLog::sync() { check_io(out_->sync(), "fsync", path_); }
 
 std::vector<explore::EvalResult> BinaryLog::load(const std::string& path) {
   std::vector<explore::EvalResult> records;

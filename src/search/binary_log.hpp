@@ -85,10 +85,6 @@ class BinaryLog {
   /// exception is the caller's signal that the window closed.
   void flush();
 
-  /// fsyncs the file (flush any buffered records first).  Used by the
-  /// compaction path before its atomic rename.
-  void sync();
-
   /// Records appended through this instance (not the file total).
   std::uint64_t appended() const noexcept { return appended_; }
 

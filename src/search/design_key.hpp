@@ -1,6 +1,6 @@
 #pragma once
 // Design-point identity: the (variant, n, r, rl, app, growth, topology)
-// tuple under which RunLog::dedup, compact()/merge(), the archive's
+// tuple under which RunLog::dedup (and so RunLog::fold), the archive's
 // point lookup (ArchiveReader::find) and the query server's delta map
 // decide that two records describe the same design.
 //

@@ -29,7 +29,7 @@ void check_io(const util::IoResult& result, const char* what,
 }
 
 /// keep[i] is set when records[i] is the first record of its design
-/// point — the rule dedup(), compact() and merge() share.  An
+/// point — the rule dedup() applies.  An
 /// open-addressing table of record positions rather than a node set:
 /// on a million-record archive build it is ~4x faster.
 std::vector<std::uint8_t> first_occurrences(
@@ -70,8 +70,8 @@ std::vector<std::string> result_dir_names(const std::string& dir,
       throw std::runtime_error(
           "run log: " + (std::filesystem::path(dir) / name).string() +
           " is an NDJSON run log, a format this build no longer reads; "
-          "convert it with an older build's `explore_cli --compact "
-          "--log-format binary` or re-record the run");
+          "re-record the run, or convert it to results.msbin with an "
+          "older build");
     }
   }
   return names;
@@ -178,26 +178,83 @@ std::vector<std::string> RunLog::result_logs(const std::string& dir) {
 
 ArchiveStats RunLog::archive(const std::string& dir,
                              const std::vector<explore::EvalResult>& records) {
+  util::IoEnv& env = util::io_env();
+  check_io(env.create_directories(dir), "create", dir);
   const ArchiveStats stats = write_archive(archive_path(dir), records);
   // The archive now holds every record the logs did, so the logs come
   // off disk; meta.json stays, it still fingerprints the configuration a
   // resume verifies.
-  util::IoEnv& env = util::io_env();
   for (const std::string& path : result_logs(dir)) {
     check_io(env.remove_file(path), "remove", path);
   }
   return stats;
 }
 
-std::optional<ArchiveStats> RunLog::archive(const std::string& dir) {
-  if (result_logs(dir).empty() && has_archive(dir)) {
+std::optional<ArchiveStats> RunLog::fold(
+    const std::string& dir, const std::vector<std::string>& sources) {
+  // Refuse before reading a record: unioning a member recorded under
+  // another space, strategy or shard count would poison every later
+  // resume of the archive.
+  const std::optional<std::string> own_meta = read_meta(dir);
+  std::optional<std::string> config = own_meta;
+  for (const std::string& source : sources) {
+    const auto meta = read_meta(source);
+    if (!meta) {
+      throw std::runtime_error(
+          "fold: " + source +
+          " holds no meta.json — was it recorded with --run-dir?");
+    }
+    if (config && *meta != *config) {
+      throw std::runtime_error(
+          "fold: " + source + " was recorded under a different "
+          "configuration (" + *meta + " vs " + *config +
+          "); refusing to union mismatched runs");
+    }
+    config = meta;
+  }
+  if (!config) {
+    throw std::runtime_error("fold: " + dir +
+                             " holds no meta.json and no sources were "
+                             "given — nothing recorded to fold");
+  }
+  if (explore::config_token(*config, "shards") &&
+      explore::config_token(*config, "strategy") != "exhaustive") {
+    throw std::runtime_error(
+        "fold: " + dir + " is an adaptive sharded run: each shard resumes "
+        "its own trajectory from its own log, which one archive cannot "
+        "stand in for");
+  }
+
+  std::optional<ArchiveStats> stats;
+  if (sources.empty() && result_logs(dir).empty() && has_archive(dir)) {
     const ArchiveReader reader = ArchiveReader::open(archive_path(dir));
     reader.verify();
-    return reader.stats();
+    stats = reader.stats();
+  } else {
+    // The directory's own records (archive, unsharded log, shards in
+    // order) then each source's: for contiguous exhaustive shards that
+    // is global flat order, so first-occurrence dedup keeps what a
+    // single process would have recorded.
+    std::vector<explore::EvalResult> records = load(dir);
+    for (const std::string& source : sources) {
+      std::error_code ec;
+      if (source == dir || std::filesystem::equivalent(source, dir, ec)) {
+        continue;
+      }
+      std::vector<explore::EvalResult> foreign = load(source);
+      records.insert(records.end(), std::make_move_iterator(foreign.begin()),
+                     std::make_move_iterator(foreign.end()));
+    }
+    records = dedup(std::move(records));
+    if (records.empty()) return std::nullopt;
+    stats = archive(dir, records);
   }
-  const std::vector<explore::EvalResult> records = dedup(load(dir));
-  if (records.empty()) return std::nullopt;
-  return archive(dir, records);
+  // Also on the check-only path, so a retry after a crash between the
+  // archive and this write (or an archive an older build left with its
+  // token) still ends single-process.
+  const std::string folded = explore::strip_shard_config(*config);
+  if (own_meta != folded) write_meta(dir, folded);
+  return stats;
 }
 
 void RunLog::load_logs(const std::string& dir,
@@ -205,7 +262,7 @@ void RunLog::load_logs(const std::string& dir,
   // The unsharded log, then every shard's log in ascending shard order —
   // for an exhaustive sharded run (contiguous flat ranges) the union
   // therefore loads in global flat order, which is what makes the
-  // merged log record-identical to a single-process recording after
+  // folded union record-identical to a single-process recording after
   // first-occurrence dedup.
   const std::vector<std::size_t> shards = shard_indices(result_dir_names(dir));
   load_file(binary_results_path(dir), records);
@@ -216,7 +273,7 @@ void RunLog::load_logs(const std::string& dir,
 
 std::vector<explore::EvalResult> RunLog::load(const std::string& dir) {
   std::vector<explore::EvalResult> records;
-  // Archived records first: the archive is the compacted prefix of the
+  // Archived records first: the archive is the folded prefix of the
   // directory's history (index-ascending), and any result logs written
   // after archiving append behind it — so first-occurrence dedup keeps
   // the archive's record for any design point both hold.  A corrupt
@@ -225,25 +282,6 @@ std::vector<explore::EvalResult> RunLog::load(const std::string& dir) {
     records = ArchiveReader::open(archive_path(dir)).load_all();
   }
   load_logs(dir, &records);
-  return records;
-}
-
-std::vector<explore::EvalResult> RunLog::load_range(const std::string& dir,
-                                                    std::size_t begin,
-                                                    std::size_t end) {
-  std::vector<explore::EvalResult> records;
-  if (begin >= end) return records;
-  if (has_archive(dir)) {
-    records = ArchiveReader::open(archive_path(dir))
-                  .load_index_range(begin, end);
-  }
-  std::vector<explore::EvalResult> logged;
-  load_logs(dir, &logged);
-  for (auto& record : logged) {
-    if (record.index >= begin && record.index < end) {
-      records.push_back(std::move(record));
-    }
-  }
   return records;
 }
 
@@ -296,7 +334,7 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
     // Count *distinct* keys, not records: load() concatenates the
     // archive, the unsharded log and every shard log, so a directory can
     // yield duplicate records (live evals after an archive, a kill
-    // between compact()'s rename and its shard cleanup).  Each unique
+    // between an archive's rename and its log cleanup).  Each unique
     // design point was one budget-charged evaluation; counting
     // duplicates would inflate `already_spent` and make a resumed run
     // silently under-spend its budget.  insert() reports newness, so
@@ -306,142 +344,6 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
     }
   }
   return warmed;
-}
-
-namespace {
-
-/// Dedups `records` (first occurrence wins) and atomically rewrites
-/// `dir`'s result log, removing every shard log — the shared tail of
-/// compact() and merge().
-RunLog::CompactStats dedup_rewrite(
-    const std::string& dir, const std::vector<explore::EvalResult>& records,
-    std::size_t flush_every) {
-  RunLog::CompactStats stats;
-  stats.loaded = records.size();
-
-  const std::vector<std::uint8_t> keep = first_occurrences(records);
-  std::vector<const explore::EvalResult*> kept;
-  kept.reserve(records.size());
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    if (keep[i]) kept.push_back(&records[i]);
-  }
-  stats.kept = kept.size();
-
-  // Write the survivors to a temp file, then rename over the target: a
-  // kill (or an injected I/O failure) mid-compaction leaves the
-  // original log untouched, and the partial temp file is removed on the
-  // way out of a failed rewrite so no later load can see it.  The temp
-  // file is fsynced before the rename: renaming a file whose bytes
-  // could still vanish in a power loss would replace good records with
-  // a hole.
-  util::IoEnv& env = util::io_env();
-  check_io(env.create_directories(dir), "create", dir);
-  const std::string tmp =
-      (std::filesystem::path(dir) / ".compact.tmp").string();
-  check_io(env.remove_file(tmp), "remove", tmp);
-  try {
-    BinaryLog log(tmp, flush_every);
-    for (const explore::EvalResult* record : kept) log.append(*record);
-    log.flush();
-    log.sync();
-  } catch (...) {
-    static_cast<void>(env.remove_file(tmp));
-    throw;
-  }
-  check_io(env.rename_file(tmp, RunLog::binary_results_path(dir)), "rename",
-           tmp);
-  // Exactly one result file must survive (load() reads every one), so
-  // compacting a sharded directory is the shard-union merge.
-  for (const std::size_t shard : shard_indices(result_dir_names(dir))) {
-    const std::string path = RunLog::shard_binary_results_path(dir, shard);
-    check_io(env.remove_file(path), "remove", path);
-  }
-  return stats;
-}
-
-}  // namespace
-
-RunLog::CompactStats RunLog::compact(const std::string& dir,
-                                     std::size_t flush_every) {
-  const std::vector<explore::EvalResult> records = load(dir);
-  if (records.empty()) {
-    // Nothing recorded (no result files, or only empty / header-only
-    // ones): compacting is a no-op, not an error — rewriting would only
-    // fabricate result files in a directory that holds no results.
-    return CompactStats{};
-  }
-  return dedup_rewrite(dir, records, flush_every);
-}
-
-RunLog::MergeStats RunLog::merge(const std::string& target,
-                                 const std::vector<std::string>& sources,
-                                 std::size_t flush_every,
-                                 bool strip_shard_token) {
-  // Refuse mismatched shards up front: every participating directory
-  // must have been recorded, and under one identical configuration.
-  // Unioning a shard of a different space/strategy/shard-count would
-  // silently poison every later resume of the merged log.
-  std::optional<std::string> config = read_meta(target);
-  auto require_match = [&config](const std::string& dir) {
-    const auto meta = read_meta(dir);
-    if (!meta) {
-      throw std::runtime_error(
-          "merge: " + dir +
-          " holds no meta.json — was it recorded with --run-dir?");
-    }
-    if (config && *meta != *config) {
-      throw std::runtime_error("merge: " + dir +
-                               " was recorded under a different "
-                               "configuration (" +
-                               *meta + " vs " + *config + "); refusing to "
-                               "union mismatched shards");
-    }
-    config = *meta;
-  };
-  MergeStats stats;
-  for (const std::string& source : sources) {
-    require_match(source);
-    ++stats.sources;
-  }
-  if (!config) {
-    throw std::runtime_error("merge: " + target +
-                             " holds no meta.json and no sources were "
-                             "given — nothing to merge");
-  }
-
-  // Union in deterministic order — the target's own records (unsharded
-  // file first, then shards ascending) followed by each source in the
-  // order given — then dedup-rewrite the whole set into one file.  For
-  // contiguous exhaustive shards that order is the global flat order,
-  // which is what makes the merged log record-identical to a
-  // single-process recording.
-  std::vector<explore::EvalResult> records = load(target);
-  for (const std::string& source : sources) {
-    std::error_code ec;
-    if (source == target ||
-        std::filesystem::equivalent(source, target, ec)) {
-      continue;  // the target's own records are already loaded
-    }
-    std::vector<explore::EvalResult> foreign = load(source);
-    records.insert(records.end(), std::make_move_iterator(foreign.begin()),
-                   std::make_move_iterator(foreign.end()));
-  }
-  if (!records.empty()) {
-    const CompactStats compacted =
-        dedup_rewrite(target, records, flush_every);
-    stats.loaded = compacted.loaded;
-    stats.kept = compacted.kept;
-  }
-  // The merged directory now holds one log covering the whole union.
-  // For exhaustive recordings the caller strips the shard token so the
-  // directory verifies — and resumes — as the equivalent
-  // single-process run; adaptive unions keep it, so a single-process
-  // resume (which would mis-charge the union against one seed's
-  // trajectory) is refused rather than silently wrong.
-  write_meta(target,
-             strip_shard_token ? explore::strip_shard_config(*config)
-                               : *config);
-  return stats;
 }
 
 void RunLog::write_meta(const std::string& dir, const std::string& config) {

@@ -20,11 +20,13 @@
 // prints a directory's records as one JSON object per line for grep and
 // diff.
 //
-// archive() folds a directory's records into <dir>/archive.msca and
-// removes its logs.  `explore_cli --archive` calls it with
-// dedup(load(dir)); a fresh exhaustive sweep whose log holds exactly
-// its results calls it with those results from memory, so such a run
-// ends as meta.json + archive.msca with no results.msbin.
+// fold() is the one way to collapse a directory: it unions the
+// directory's records (and any source directories' records), dedups
+// them, and writes <dir>/archive.msca through archive(), which removes
+// the logs.  `explore_cli --archive [--merge-from a,b]` calls it; a
+// fresh exhaustive sweep whose log holds exactly its results calls
+// archive() with those results from memory, so such a run ends as
+// meta.json + archive.msca with no results.msbin.
 //
 // Directories from older builds may still hold the retired NDJSON row
 // log (results.ndjson, results.shard-<i>.ndjson).  Every entry point
@@ -39,8 +41,8 @@
 // shard starts cannot tear it) pins the shared configuration including
 // the shard count.  load() unions every result file in shard order,
 // load_shard() reads one shard's file (what that shard's resume warms
-// from), and merge()/compact() collapse the union into the single
-// deduplicated log a single-process run would have produced.
+// from), and fold() turns an exhaustive union into the archive and
+// meta.json a single-process run would have left.
 
 #include <cstdint>
 #include <optional>
@@ -123,9 +125,8 @@ class RunLog {
                                                std::size_t shard);
   static std::string meta_path(const std::string& dir);
 
-  /// Columnar archive of a compacted run: <dir>/archive.msca
-  /// (search/archive).  `explore_cli --archive` rewrites a merged log
-  /// into it; load()/load_range() read it back.
+  /// Columnar archive of a folded run: <dir>/archive.msca
+  /// (search/archive).  fold() writes it; load() reads it back.
   static std::string archive_path(const std::string& dir);
 
   /// True when `dir` holds a columnar archive.
@@ -140,29 +141,36 @@ class RunLog {
 
   /// Writes `records` as `dir`'s columnar archive, then removes every
   /// result log in `dir` (meta.json stays).  `records` must already be
-  /// deduplicated: `explore_cli --archive` passes dedup(load(dir)), and a
-  /// fresh exhaustive sweep whose log holds exactly its results passes
-  /// those from memory — the same records, so the same bytes.  A crash
+  /// deduplicated: fold() passes its deduplicated union, and a fresh
+  /// exhaustive sweep whose log holds exactly its results passes those
+  /// from memory — the same records, so the same bytes.  A crash
   /// between the archive's rename and the removals is benign: load()
   /// reads the archive first and dedup() drops the logged overlap.
   /// Throws std::runtime_error on I/O failure.
   static ArchiveStats archive(const std::string& dir,
                               const std::vector<explore::EvalResult>& records);
 
-  /// `explore_cli --archive`: a directory that holds an archive and no
-  /// result logs (what a fresh sweep leaves) has every block CRC checked
-  /// (ArchiveReader::verify) and is left as it is; any other directory
-  /// is archived from dedup(load(dir)).  Returns the archive's stats,
-  /// the same either way; std::nullopt when `dir` holds no records.
-  /// Throws std::runtime_error on I/O failure or a corrupt archive.
-  static std::optional<ArchiveStats> archive(const std::string& dir);
+  /// `explore_cli --archive [--merge-from a,b]`: folds `dir` and every
+  /// source directory into `dir`'s archive.  Every source, and `dir` if
+  /// it has a meta.json, must carry the same meta config, and at least
+  /// one must have one; an adaptive sharded run is refused (each shard
+  /// resumes its own trajectory from its own log).  With no sources and
+  /// no result logs, an existing archive only has its block CRCs checked
+  /// (ArchiveReader::verify); otherwise dedup(load(dir) + load(source)
+  /// ...) goes through archive().  meta.json then drops its ";shards=K"
+  /// token, so a folded exhaustive union resumes as the single-process
+  /// run it equals.  Returns the archive's stats; std::nullopt, touching
+  /// nothing, when no member holds a record.  Throws std::runtime_error
+  /// on a refusal, an I/O failure or a corrupt archive.
+  static std::optional<ArchiveStats> fold(
+      const std::string& dir, const std::vector<std::string>& sources = {});
 
   /// True when `dir` holds recorded results: a result log — unsharded
   /// or belonging to any shard — or a columnar archive.
   static bool has_results(const std::string& dir);
 
   /// Parses every well-formed record under `dir`: the columnar archive
-  /// first when one exists (its records are the compacted history, so
+  /// first when one exists (its records are the folded history, so
   /// first-occurrence dedup favors them), then the unsharded log
   /// followed by every shard's log in shard order, so the union of a
   /// sharded run loads in ascending flat-index order.  A missing file
@@ -171,16 +179,6 @@ class RunLog {
   /// rather than being dropped, so a resumed run does not re-spend
   /// budget on them.  A retired NDJSON log in `dir` throws.
   static std::vector<explore::EvalResult> load(const std::string& dir);
-
-  /// Records with begin <= flat index < end, from the archive (which
-  /// seeks only the blocks whose zone index ranges intersect — the
-  /// index-sorted layout makes a flat range a contiguous block band)
-  /// plus any result-log records in range.  What an exhaustive shard
-  /// resuming against an archived directory warms from: the union is
-  /// never materialized.  A corrupt archive throws, exactly as load().
-  static std::vector<explore::EvalResult> load_range(const std::string& dir,
-                                                     std::size_t begin,
-                                                     std::size_t end);
 
   /// Parses only shard `shard`'s log under `dir` — what a resumed
   /// shard warms its cache (and counts its already-spent budget) from.
@@ -196,9 +194,9 @@ class RunLog {
                         std::vector<explore::EvalResult>* records);
 
   /// First-occurrence deduplication by design point (search/design_key)
-  /// — the in-memory form of the identity compact()/merge() rewrite
-  /// under, for callers that union records without rewriting them (an
-  /// archive must not let a duplicate record occupy two query ranks).
+  /// — the identity fold() archives under, and what callers that union
+  /// records without rewriting them apply (an archive must not let a
+  /// duplicate record occupy two query ranks).
   static std::vector<explore::EvalResult> dedup(
       std::vector<explore::EvalResult> records);
 
@@ -211,54 +209,6 @@ class RunLog {
   static std::size_t warm(const std::vector<explore::EvalResult>& records,
                           const explore::ScenarioSpec& spec,
                           explore::ExploreEngine& engine);
-
-  struct CompactStats {
-    std::size_t loaded = 0;  ///< records read across all result files
-    std::size_t kept = 0;    ///< records surviving deduplication
-  };
-
-  /// Rewrites `dir`'s result log, dropping all but the first record of
-  /// every duplicate design point (same variant, n, app, growth,
-  /// topology, r, rl — duplicates accumulate when logs are merged).  The
-  /// rewrite is atomic (temp file + rename) and leaves exactly one
-  /// result file, so compacting is also how a sharded directory's
-  /// per-shard files are unioned into one log (shard files are removed
-  /// after the rewrite).  An empty or never-recorded directory — no
-  /// result files, or only header-only ones — is a no-op returning
-  /// {0, 0}: nothing is created, removed, or rewritten.  Throws
-  /// std::runtime_error on I/O failure.
-  static CompactStats compact(const std::string& dir,
-                              std::size_t flush_every = 256);
-
-  struct MergeStats {
-    std::size_t sources = 0;  ///< source directories unioned in
-    std::size_t loaded = 0;   ///< records read across target + sources
-    std::size_t kept = 0;     ///< unique design points after dedup
-  };
-
-  /// Unions recorded runs into `target`: the target's records (shard
-  /// files included, in shard order) followed by every source
-  /// directory's are deduplicated and atomically rewritten as one
-  /// result file.  Every source, and `target` itself when it already
-  /// holds a run, must carry an identical meta config: a shard
-  /// recorded under a different space, strategy, or shard count is
-  /// refused (std::runtime_error) rather than silently unioned.
-  /// Sources equal to `target` contribute their records without
-  /// re-appending.  At least one of target/sources must be recorded.
-  ///
-  /// `strip_shard_token` rewrites meta.json without the ";shards=K"
-  /// token, making the merged directory resumable as a single-process
-  /// run.  Pass true ONLY for position-independent recordings
-  /// (exhaustive sweeps, where the union covers exactly what one
-  /// process would have recorded).  For adaptive strategies the token
-  /// must stay: a single-process resume would charge the whole union
-  /// as already-spent against one seed's trajectory — the cross-shard
-  /// warm poisoning load_shard() exists to prevent — so keeping the
-  /// token makes such a resume refuse loudly instead.
-  static MergeStats merge(const std::string& target,
-                          const std::vector<std::string>& sources,
-                          std::size_t flush_every = 256,
-                          bool strip_shard_token = false);
 
   /// Writes `<dir>/meta.json` recording `config` (creates `dir`).  The
   /// write goes to a temp file, is flushed and verified, then renamed

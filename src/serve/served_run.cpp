@@ -10,7 +10,7 @@ namespace mergescale::serve {
 ServedRun open_served_run(const std::string& dir,
                           const std::vector<std::string>& sources) {
   // Configs compare modulo the shard token: a read-only union of a
-  // sharded run with its compacted (token-stripped) form is harmless —
+  // sharded run with its folded (token-stripped) form is harmless —
   // nothing resumes against the served union, so the token's
   // mis-charging hazard does not apply.
   const auto config_of = [](const std::string& member) {

@@ -42,8 +42,8 @@ struct ServedRecords {
 
 /// Reads the meta config of `dir` and every source.  They must agree
 /// modulo the shard token (a sharded run may be unioned with its
-/// compacted form); an unrecorded directory or a mismatch throws
-/// std::runtime_error, exactly as RunLog::merge refuses them.  The spec
+/// folded form); an unrecorded directory or a mismatch throws
+/// std::runtime_error, as RunLog::fold refuses them.  The spec
 /// is explore::from_config of the shared config, named "serve".
 ServedRun open_served_run(const std::string& dir,
                           const std::vector<std::string>& sources = {});

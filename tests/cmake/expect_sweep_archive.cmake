@@ -8,7 +8,14 @@
 #     same line, and a flipped byte in a column slice makes it exit 1;
 #   - specs that can repeat a point (a repeated budget, an app with
 #     another app's f/fcon/fored) keep the memo cache, and the second
-#     still logs one record per design point.
+#     still logs one record per design point;
+#   - --archive refuses adaptive shards and leaves their logs as they
+#     were, so each shard still resumes from its own log;
+#   - --archive folds 4 exhaustive shards into the archive a 1-shard run
+#     folds to, drops ";shards=" from meta.json, and the directory
+#     resumes single-process with "misses 0"; a --merge-from source
+#     recorded under another config is refused before anything is
+#     written.
 # Invoked by ctest as:
 #   cmake -DCLI=<path-to-explore_cli> -DWORK=<scratch dir>
 #         -P expect_sweep_archive.cmake
@@ -32,6 +39,24 @@ function(run_cli)
     message(FATAL_ERROR "explore_cli ${ARGN} failed (${status}): ${stderr}")
   endif()
   set(out "${stdout}" PARENT_SCOPE)
+endfunction()
+
+# Runs explore_cli with the given arguments; fails the test unless it
+# exits 1 with stderr matching `pattern`.
+function(expect_refused pattern)
+  execute_process(
+      COMMAND ${CLI} ${ARGN}
+      RESULT_VARIABLE status
+      OUTPUT_VARIABLE stdout
+      ERROR_VARIABLE stderr)
+  if(NOT status EQUAL 1)
+    message(FATAL_ERROR "explore_cli ${ARGN} exited ${status}, not 1: "
+                        "${stdout}${stderr}")
+  endif()
+  if(NOT stderr MATCHES "${pattern}")
+    message(FATAL_ERROR "explore_cli ${ARGN}: stderr does not match "
+                        "'${pattern}': ${stderr}")
+  endif()
 endfunction()
 
 # The `archive:` line of `text`, in `line`.
@@ -89,6 +114,8 @@ endif()
 # --archive on an archived directory checks it and rewrites nothing.
 execute_process(COMMAND ${CMAKE_COMMAND} -E copy
                 "${WORK}/fresh/archive.msca" "${WORK}/before.msca")
+execute_process(COMMAND ${CMAKE_COMMAND} -E copy
+                "${WORK}/fresh/meta.json" "${WORK}/before.json")
 run_cli(--archive --run-dir "${WORK}/fresh")
 archive_line("${out}")
 if(NOT line STREQUAL sweep_line)
@@ -101,6 +128,13 @@ if(NOT line STREQUAL sweep_line)
 endif()
 expect_equal_files("${WORK}/before.msca" "${WORK}/fresh/archive.msca"
                    "--archive rewrote an archived directory")
+expect_equal_files("${WORK}/before.json" "${WORK}/fresh/meta.json"
+                   "--archive rewrote an archived directory's meta.json")
+file(GLOB fresh_files RELATIVE "${WORK}/fresh" "${WORK}/fresh/*")
+list(SORT fresh_files)
+if(NOT fresh_files STREQUAL "archive.msca;meta.json")
+  message(FATAL_ERROR "--archive left ${fresh_files} in an archived directory")
+endif()
 
 # One flipped byte in the index column (offset 80: past the 76-byte
 # header, inside row 0's index) fails the check.
@@ -147,6 +181,80 @@ list(LENGTH lines records)
 if(NOT records EQUAL 35)
   message(FATAL_ERROR "kmeans,custom logged ${records} records, not one per "
                       "design point (35)")
+endif()
+
+# Adaptive shards: --archive refuses them and rewrites nothing, so a
+# shard resumes from its own log and spends nothing again.
+set(anneal --quiet --strategy anneal --budgets 64,256 --budget 120)
+foreach(i 0 1)
+  run_cli(${anneal} --shard ${i}/2 --run-dir "${WORK}/anneal")
+  execute_process(COMMAND ${CMAKE_COMMAND} -E copy
+                  "${WORK}/anneal/results.shard-${i}.msbin"
+                  "${WORK}/anneal-${i}.msbin")
+endforeach()
+expect_refused("adaptive sharded" --archive --run-dir "${WORK}/anneal")
+foreach(i 0 1)
+  expect_equal_files("${WORK}/anneal-${i}.msbin"
+                     "${WORK}/anneal/results.shard-${i}.msbin"
+                     "a refused --archive changed shard ${i}'s log")
+endforeach()
+if(EXISTS "${WORK}/anneal/archive.msca")
+  message(FATAL_ERROR "a refused --archive left an archive.msca")
+endif()
+run_cli(${anneal} --shard 0/2 --resume "${WORK}/anneal")
+if(NOT out MATCHES "resume: warmed ([0-9]+) cache entries" OR
+   CMAKE_MATCH_1 EQUAL 0)
+  message(FATAL_ERROR "shard 0 resumed without warming its log: ${out}")
+endif()
+if(NOT out MATCHES "log: 0 fresh results appended")
+  message(FATAL_ERROR "a fully spent shard spent again on resume: ${out}")
+endif()
+
+# Four exhaustive shards fold into the archive a 1-shard run folds to.
+foreach(i 0 1 2 3)
+  run_cli(${spec} --shard ${i}/4 --run-dir "${WORK}/shards"
+          --out "${WORK}/shards")
+endforeach()
+run_cli(${spec} --shard 0/1 --run-dir "${WORK}/shards_ref"
+        --out "${WORK}/shards_ref")
+file(READ "${WORK}/shards/meta.json" sharded_meta)
+if(NOT sharded_meta MATCHES ";shards=4")
+  message(FATAL_ERROR "a sharded run recorded no shard count: ${sharded_meta}")
+endif()
+# A source recorded under another configuration is refused before
+# anything is written.
+expect_refused("different configuration" --archive --run-dir "${WORK}/shards"
+               --merge-from "${WORK}/twin_apps")
+if(EXISTS "${WORK}/shards/archive.msca")
+  message(FATAL_ERROR "a refused --merge-from left an archive.msca")
+endif()
+run_cli(--archive --run-dir "${WORK}/shards")
+run_cli(--archive --run-dir "${WORK}/shards_ref")
+expect_equal_files("${WORK}/shards/archive.msca"
+                   "${WORK}/shards_ref/archive.msca"
+                   "4 folded shards vs a folded 1-shard run")
+file(GLOB leftover_logs "${WORK}/shards/results*")
+if(leftover_logs)
+  message(FATAL_ERROR "--archive left result logs: ${leftover_logs}")
+endif()
+file(READ "${WORK}/shards/meta.json" folded_meta)
+if(folded_meta MATCHES ";shards=")
+  message(FATAL_ERROR "--archive kept the shard count: ${folded_meta}")
+endif()
+# A directory archived by an older build kept its shard count: a shard
+# resume is refused with the way out, and --archive then drops it.
+file(WRITE "${WORK}/shards/meta.json" "${sharded_meta}")
+expect_refused("resume without --shard" ${spec} --shard 1/4
+               --resume "${WORK}/shards" --out "${WORK}/shards")
+run_cli(--archive --run-dir "${WORK}/shards")
+file(READ "${WORK}/shards/meta.json" refolded_meta)
+if(NOT refolded_meta STREQUAL folded_meta)
+  message(FATAL_ERROR "--archive on a kept-token archive left "
+                      "${refolded_meta}, not ${folded_meta}")
+endif()
+run_cli(${spec} --resume "${WORK}/shards" --out "${WORK}/shards")
+if(NOT out MATCHES "misses 0,")
+  message(FATAL_ERROR "the folded shards resumed with misses: ${out}")
 endif()
 
 file(REMOVE_RECURSE "${WORK}")

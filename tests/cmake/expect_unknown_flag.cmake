@@ -1,6 +1,8 @@
 # Regression driver for the CLI's unknown-flag path: the real explore_cli
 # binary, run with a typo'd option, must exit nonzero and print a usage
-# message (the unknown name plus the option list) on stderr.  Invoked by
+# message (the unknown name plus the option list) on stderr; a flag used
+# without the action it belongs to (--merge-from without --archive) must
+# exit 1 naming it.  Invoked by
 # ctest as:  cmake -DCLI=<path-to-explore_cli> -P expect_unknown_flag.cmake
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<path to explore_cli>")
@@ -35,4 +37,19 @@ if(status2 EQUAL 0)
 endif()
 if(NOT err2 MATCHES "expects an integer")
   message(FATAL_ERROR "stderr does not explain the bad value: ${err2}")
+endif()
+
+# --merge-from only means something to --archive: alone it must fail
+# naming the flag instead of running a sweep that ignores it.
+execute_process(
+    COMMAND ${CLI} --merge-from /nonexistent --quiet
+    RESULT_VARIABLE status3
+    OUTPUT_VARIABLE out3
+    ERROR_VARIABLE err3)
+if(NOT status3 EQUAL 1)
+  message(FATAL_ERROR "--merge-from without --archive exited ${status3}, "
+                      "not 1: ${out3}")
+endif()
+if(NOT err3 MATCHES "--merge-from")
+  message(FATAL_ERROR "stderr does not name --merge-from: ${err3}")
 endif()

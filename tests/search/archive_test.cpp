@@ -254,26 +254,6 @@ TEST_F(ArchiveTest, ZoneMapsPruneBlocksForSelectiveQueries) {
   EXPECT_TRUE(reader.query(none).empty());
 }
 
-TEST_F(ArchiveTest, LoadIndexRangeMatchesAFilteredScan) {
-  const auto records = synth_records(777, 5);
-  const auto archived = sorted_by_index(records);
-  const ArchiveReader reader = ArchiveReader::from_records(records, 64);
-  util::Xoshiro256 rng(6);
-  for (int trial = 0; trial < 30; ++trial) {
-    const auto a = rng.bounded(800);
-    const auto b = rng.bounded(800);
-    const std::uint64_t begin = std::min(a, b);
-    const std::uint64_t end = std::max(a, b);
-    std::vector<explore::EvalResult> want;
-    for (const auto& r : archived) {
-      if (r.index >= begin && r.index < end) want.push_back(r);
-    }
-    expect_all_equal(reader.load_index_range(begin, end), want);
-  }
-  EXPECT_TRUE(reader.load_index_range(5000, 6000).empty());
-  EXPECT_TRUE(reader.load_index_range(10, 10).empty());
-}
-
 TEST_F(ArchiveTest, NonFiniteValuesArchiveAsInfeasible) {
   explore::EvalResult r;
   r.index = 0;
@@ -398,7 +378,6 @@ TEST_F(ArchiveTest, ASliceFlipFailsExactlyTheQueriesThatTouchIt) {
   const ArchiveReader reader = ArchiveReader::from_buffer(bytes);
   EXPECT_EQ(reader.row_count(), 256u);  // header intact
   EXPECT_THROW(reader.load_all(), std::runtime_error);
-  EXPECT_THROW(reader.load_index_range(0, 10), std::runtime_error);
 }
 
 TEST_F(ArchiveTest, VerifyChecksEverySlice) {
@@ -511,8 +490,7 @@ TEST_F(ArchiveTest, FindRefusesACorruptKeyColumnEveryTime) {
 }
 
 // ---------------------------------------------------------------------------
-// RunLog integration: load() folds the archive in, load_range() seeks
-// only the blocks a shard needs.
+// RunLog integration: load() reads the archive first.
 // ---------------------------------------------------------------------------
 
 TEST_F(ArchiveTest, RunLogLoadFoldsTheArchiveInFirst) {
@@ -552,25 +530,6 @@ TEST_F(ArchiveTest, RunLogLoadFoldsTheArchiveInFirst) {
     file.put('\x7F');
   }
   EXPECT_THROW(RunLog::load(dir_), std::runtime_error);
-}
-
-TEST_F(ArchiveTest, RunLogLoadRangeSeeksOnlyTheShardsBand) {
-  const auto records = synth_records(512, 31);
-  const auto archived = sorted_by_index(records);
-  write_archive(RunLog::archive_path(dir_), archived, 64);
-  explore::EvalResult extra = archived[0];
-  extra.index = 130;  // an in-range log record joins the band
-  {
-    RunLog log(dir_);
-    log.append(extra);
-  }
-  const auto band = RunLog::load_range(dir_, 128, 192);
-  ASSERT_EQ(band.size(), 65u);  // 64 archived + 1 logged
-  for (std::size_t i = 0; i < 64; ++i) {
-    expect_equal(band[i], archived[128 + i]);
-  }
-  expect_equal(band[64], extra);
-  EXPECT_TRUE(RunLog::load_range(dir_, 4000, 5000).empty());
 }
 
 }  // namespace

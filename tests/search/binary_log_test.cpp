@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -10,6 +11,7 @@
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
+#include "search/design_key.hpp"
 #include "search/run_log.hpp"
 #include "search/space.hpp"
 #include "search/strategy.hpp"
@@ -273,9 +275,10 @@ TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
   }
 }
 
-TEST_F(BinaryLogTest, CompactDropsDuplicateKeys) {
+TEST_F(BinaryLogTest, FoldDropsDuplicateKeys) {
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
+  RunLog::write_meta(dir_, "strategy=exhaustive");
   {
     RunLog log(dir_, {LogFormat::kBinary, 16});
     for (const auto& result : results) log.append(result);
@@ -283,34 +286,35 @@ TEST_F(BinaryLogTest, CompactDropsDuplicateKeys) {
   }
   const auto before = RunLog::load(dir_);
   ASSERT_EQ(before.size(), 2 * results.size());
-  const auto stats = RunLog::compact(dir_);
-  EXPECT_EQ(stats.loaded, 2 * results.size());
+  const auto stats = RunLog::fold(dir_);
+  ASSERT_TRUE(stats.has_value());
   // The spec's symmetric jobs are duplicated across the small-core axis
-  // (inert for them), so compaction folds more than the doubled append.
-  EXPECT_LE(stats.kept, results.size());
-  const auto compacted = RunLog::load(dir_);
-  EXPECT_EQ(compacted.size(), stats.kept);
-  // Every surviving record equals its first occurrence in the original.
-  std::size_t cursor = 0;
-  for (const auto& record : compacted) {
-    while (cursor < before.size() && before[cursor].index != record.index) {
-      ++cursor;
-    }
-    ASSERT_LT(cursor, before.size());
-    expect_equal(record, before[cursor]);
+  // (inert for them), so folding drops more than the doubled append.
+  EXPECT_LE(stats->rows, results.size());
+  const auto folded = RunLog::load(dir_);
+  EXPECT_EQ(folded.size(), stats->rows);
+  // Every surviving record is the first occurrence of its design point.
+  for (const auto& record : folded) {
+    const DesignKey key = DesignKey::of(record);
+    const auto first =
+        std::find_if(before.begin(), before.end(), [&key](const auto& r) {
+          return DesignKey::of(r) == key;
+        });
+    ASSERT_NE(first, before.end());
+    expect_equal(record, *first);
   }
-  // Compaction must not lose any design point: the warmed cache covers
-  // the full spec exactly like the uncompacted log would.
+  // Folding must not lose any design point: warming from the archive
+  // covers the full spec exactly like the unfolded log would.
   explore::ExploreEngine warmed;
-  RunLog::warm(compacted, sample_spec(), warmed);
+  RunLog::warm(folded, sample_spec(), warmed);
   warmed.run(sample_spec());
   EXPECT_EQ(warmed.cache().stats().misses, 0u);
 }
 
 TEST_F(BinaryLogTest, WarmCountsDistinctKeysWhenFilesOverlap) {
   // A directory can legitimately hold duplicate records across its
-  // result files (a kill between compact()'s rename and its cleanup of
-  // the shard logs).  warm() must count *unique* design points, or
+  // result files (a kill between an archive's rename and its cleanup of
+  // the logs).  warm() must count *unique* design points, or
   // already_spent would double and a resumed search would silently
   // under-spend its budget.
   const explore::ScenarioSpec spec = sample_spec();

@@ -51,6 +51,10 @@ class CrashConsistencyTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// The meta config the harness records under: a well-formed exhaustive
+/// run, which RunLog::fold accepts.
+constexpr const char* kConfig = "apps=crash-harness;strategy=exhaustive";
+
 /// Synthetic records with distinct design points (r = index), so
 /// deduplication never collapses them and a loaded prefix is countable.
 std::vector<explore::EvalResult> make_records(std::size_t count) {
@@ -234,14 +238,14 @@ TEST_F(CrashConsistencyTest, FailedLogRemovalAfterArchiveRenameIsBenign) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(100);
-  RunLog::write_meta(dir_, "crash-harness-config");
+  RunLog::write_meta(dir_, kConfig);
   {
     RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
     for (const auto& record : records) log.append(record);
   }
   // The archive is renamed into place, then removing the log fails.
   util::FailPoints::instance().arm("io.remove", "always@results");
-  EXPECT_THROW(RunLog::archive(dir_), std::runtime_error);
+  EXPECT_THROW(RunLog::fold(dir_), std::runtime_error);
   util::FailPoints::instance().disarm_all();
   ASSERT_TRUE(RunLog::has_archive(dir_));
   ASSERT_EQ(RunLog::result_logs(dir_).size(), 1u);
@@ -257,7 +261,7 @@ TEST_F(CrashConsistencyTest, FailedLogRemovalAfterArchiveRenameIsBenign) {
   std::string first;
   ASSERT_TRUE(util::io_env().read_file(RunLog::archive_path(dir_), &first).ok());
   for (int pass = 0; pass < 2; ++pass) {
-    const auto stats = RunLog::archive(dir_);
+    const auto stats = RunLog::fold(dir_);
     ASSERT_TRUE(stats.has_value());
     EXPECT_EQ(stats->rows, records.size());
     EXPECT_TRUE(RunLog::result_logs(dir_).empty());
@@ -272,6 +276,7 @@ TEST_F(CrashConsistencyTest, UnlistableDirectoryIsNotArchived) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(10);
+  RunLog::write_meta(dir_, kConfig);
   {
     RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
     for (const auto& record : records) log.append(record);
@@ -279,7 +284,7 @@ TEST_F(CrashConsistencyTest, UnlistableDirectoryIsNotArchived) {
   // --archive lists the logs it folds in and removes through the env: a
   // failed listing stops it before anything is written.
   util::FailPoints::instance().arm("io.list", "always");
-  EXPECT_THROW(RunLog::archive(dir_), std::runtime_error);
+  EXPECT_THROW(RunLog::fold(dir_), std::runtime_error);
   util::FailPoints::instance().disarm_all();
   EXPECT_FALSE(RunLog::has_archive(dir_));
   EXPECT_EQ(RunLog::load(dir_).size(), records.size());
@@ -427,58 +432,67 @@ TEST_F(CrashConsistencyTest, FlushIsADurabilityBarrier) {
   EXPECT_EQ(loaded.size(), records.size());  // zero loss behind the barrier
 }
 
-TEST_F(CrashConsistencyTest, EnospcMidCompactLeavesOriginalLoadable) {
+/// True when `dir` holds archive.msca's temp file.
+bool holds_archive_temp(const std::string& dir) {
+  return std::filesystem::exists(RunLog::archive_path(dir) + ".tmp");
+}
+
+TEST_F(CrashConsistencyTest, EnospcMidFoldLeavesTheLogLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(8);
-  RunLog::write_meta(dir_, "crash-harness-config");
+  RunLog::write_meta(dir_, kConfig);
   {
     RunLog log(dir_, options(/*flush_every=*/1, /*fsync=*/false));
     for (const auto& record : records) log.append(record);
   }
 
-  // The rewrite's temp file hits ENOSPC.
-  util::FailPoints::instance().arm("io.write", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::compact(dir_), std::exception);
+  // The archive's temp file hits ENOSPC.
+  util::FailPoints::instance().arm("io.write", "always@archive.msca.tmp");
+  EXPECT_THROW(RunLog::fold(dir_), std::exception);
   util::FailPoints::instance().disarm_all();
 
-  // Original intact, partial output removed.
+  // Log intact, partial output removed, no archive installed.
   const auto loaded = RunLog::load(dir_);
   expect_prefix(loaded, records);
   EXPECT_EQ(loaded.size(), records.size());
-  EXPECT_FALSE(
-      std::filesystem::exists(std::filesystem::path(dir_) / ".compact.tmp"));
+  EXPECT_FALSE(holds_archive_temp(dir_));
+  EXPECT_FALSE(RunLog::has_archive(dir_));
 
   // The retry on a healthy disk succeeds.
-  const auto stats = RunLog::compact(dir_);
-  EXPECT_EQ(stats.kept, records.size());
+  const auto stats = RunLog::fold(dir_);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->rows, records.size());
+  EXPECT_TRUE(RunLog::result_logs(dir_).empty());
   expect_prefix(RunLog::load(dir_), records);
 }
 
-TEST_F(CrashConsistencyTest, FailedRenameMidCompactLeavesOriginalLoadable) {
+TEST_F(CrashConsistencyTest, FailedRenameMidFoldLeavesTheLogLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const auto records = make_records(4);
-  RunLog::write_meta(dir_, "crash-harness-config");
+  RunLog::write_meta(dir_, kConfig);
   {
     RunLog log(dir_, options(1, false));
     for (const auto& record : records) log.append(record);
   }
-  util::FailPoints::instance().arm("io.rename", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::compact(dir_), std::exception);
+  util::FailPoints::instance().arm("io.rename", "always@archive.msca.tmp");
+  EXPECT_THROW(RunLog::fold(dir_), std::exception);
   util::FailPoints::instance().disarm_all();
   const auto loaded = RunLog::load(dir_);
   expect_prefix(loaded, records);
   EXPECT_EQ(loaded.size(), records.size());
+  EXPECT_FALSE(holds_archive_temp(dir_));
+  EXPECT_FALSE(RunLog::has_archive(dir_));
 }
 
-TEST_F(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
+TEST_F(CrashConsistencyTest, EnospcMidFoldWithASourceLeavesEveryLogLoadable) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const std::string source_dir = dir_ + "/source";
   const auto records = make_records(8);
-  RunLog::write_meta(dir_, "crash-harness-config");
-  RunLog::write_meta(source_dir, "crash-harness-config");
+  RunLog::write_meta(dir_, kConfig);
+  RunLog::write_meta(source_dir, kConfig);
   {
     RunLog target_log(dir_, options(1, false));
     for (std::size_t i = 0; i < 4; ++i) target_log.append(records[i]);
@@ -486,8 +500,8 @@ TEST_F(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
     for (std::size_t i = 4; i < 8; ++i) source_log.append(records[i]);
   }
 
-  util::FailPoints::instance().arm("io.write", "always@.compact.tmp");
-  EXPECT_THROW(RunLog::merge(dir_, {source_dir}), std::exception);
+  util::FailPoints::instance().arm("io.write", "always@archive.msca.tmp");
+  EXPECT_THROW(RunLog::fold(dir_, {source_dir}), std::exception);
   util::FailPoints::instance().disarm_all();
 
   // Target and source both still load their own records.
@@ -495,11 +509,15 @@ TEST_F(CrashConsistencyTest, EnospcMidMergeLeavesTargetLoadable) {
   expect_prefix(target_loaded, records);
   EXPECT_EQ(target_loaded.size(), 4u);
   EXPECT_EQ(RunLog::load(source_dir).size(), 4u);
+  EXPECT_FALSE(holds_archive_temp(dir_));
 
-  // Retry completes the union.
-  const auto stats = RunLog::merge(dir_, {source_dir});
-  EXPECT_EQ(stats.kept, records.size());
+  // Retry completes the union; the source is only read.
+  const auto stats = RunLog::fold(dir_, {source_dir});
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->rows, records.size());
+  expect_prefix(RunLog::load(dir_), records);
   EXPECT_EQ(RunLog::load(dir_).size(), records.size());
+  EXPECT_EQ(RunLog::load(source_dir).size(), 4u);
 }
 
 TEST_F(CrashConsistencyTest, MetaWriteFailureLeavesNoMetaBehind) {

@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 
 #include "core/app_params.hpp"
@@ -255,23 +256,26 @@ TEST_F(RunLogTest, FlushIsTheCheckpointBarrier) {
   EXPECT_EQ(RunLog::load(dir_).size(), results.size());
 }
 
-TEST_F(RunLogTest, CompactOnAnEmptyOrHeaderOnlyLogIsANoOp) {
-  // Never-recorded directory: no error, no fabricated files.
-  auto stats = RunLog::compact(dir_);
-  EXPECT_EQ(stats.loaded, 0u);
-  EXPECT_EQ(stats.kept, 0u);
+TEST_F(RunLogTest, FoldOnAnEmptyOrHeaderOnlyDirectoryIsANoOp) {
+  // A recorded directory with no results yet: no error, no fabricated
+  // files.
+  RunLog::write_meta(dir_, "strategy=exhaustive;shards=2");
+  EXPECT_FALSE(RunLog::fold(dir_).has_value());
   EXPECT_FALSE(RunLog::has_results(dir_));
+  EXPECT_EQ(std::distance(std::filesystem::directory_iterator(dir_),
+                          std::filesystem::directory_iterator()),
+            1);  // meta.json alone
+  EXPECT_EQ(*RunLog::read_meta(dir_), "strategy=exhaustive;shards=2");
 
   // Header-only binary log (a run killed before its first flush): still
   // a no-op — and the header-only file survives untouched.
   { RunLog log(dir_, {LogFormat::kBinary, 1}); }
   const auto bytes_before =
       std::filesystem::file_size(RunLog::binary_results_path(dir_));
-  stats = RunLog::compact(dir_);
-  EXPECT_EQ(stats.loaded, 0u);
-  EXPECT_EQ(stats.kept, 0u);
+  EXPECT_FALSE(RunLog::fold(dir_).has_value());
   EXPECT_EQ(std::filesystem::file_size(RunLog::binary_results_path(dir_)),
             bytes_before);
+  EXPECT_FALSE(RunLog::has_archive(dir_));
 }
 
 TEST_F(RunLogTest, RefusesDirectoriesHoldingARetiredNdjsonLog) {
@@ -284,7 +288,7 @@ TEST_F(RunLogTest, RefusesDirectoriesHoldingARetiredNdjsonLog) {
        {"results.ndjson", "results.shard-2.ndjson"}) {
     SCOPED_TRACE(name);
     std::filesystem::remove_all(dir_);
-    RunLog::write_meta(dir_, "config");
+    RunLog::write_meta(dir_, "strategy=exhaustive");
     {
       RunLog log(dir_);
       log.append(results[0]);
@@ -299,16 +303,14 @@ TEST_F(RunLogTest, RefusesDirectoriesHoldingARetiredNdjsonLog) {
             << error.what();
       }
     };
-    expect_refused([&] { RunLog::load(dir_); });                // load
-    expect_refused([&] { RunLog::load_range(dir_, 0, 100); });  // shard resume
-    expect_refused([&] { RunLog::load_shard(dir_, 0); });       // shard resume
-    expect_refused([&] { RunLog log(dir_); });                  // resume append
-    expect_refused([&] { RunLog::has_results(dir_); });         // fresh start
-    expect_refused([&] { RunLog::compact(dir_); });
-    expect_refused([&] { RunLog::merge(dir_, {}); });            // merge target
+    expect_refused([&] { RunLog::load(dir_); });           // load
+    expect_refused([&] { RunLog::load_shard(dir_, 0); });  // shard resume
+    expect_refused([&] { RunLog log(dir_); });             // resume append
+    expect_refused([&] { RunLog::has_results(dir_); });    // fresh start
+    expect_refused([&] { RunLog::fold(dir_); });           // fold target
     const std::string target = dir_ + "/target";
-    RunLog::write_meta(target, "config");
-    expect_refused([&] { RunLog::merge(target, {dir_}); });      // merge source
+    RunLog::write_meta(target, "strategy=exhaustive");
+    expect_refused([&] { RunLog::fold(target, {dir_}); });  // fold source
     // Nothing was rewritten or removed on the way to the refusal.
     EXPECT_TRUE(std::filesystem::exists(std::filesystem::path(dir_) / name));
     EXPECT_EQ(BinaryLog::load(RunLog::binary_results_path(dir_)).size(), 1u);

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <set>
 #include <string>
 #include <vector>
@@ -186,11 +188,20 @@ TEST_F(ShardTest, ShardLogsAreSeparateFilesUnionedByLoad) {
   EXPECT_TRUE(RunLog::load_shard(dir_, 7).empty());
 }
 
+/// The bytes of `path`.
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+constexpr const char* kExhaustive = "apps=a;strategy=exhaustive";
+
 TEST_F(ShardTest, ShardUnionInvariant) {
   // The headline guarantee: a K-shard run — each shard a separate
   // process with its own cold cache, appending to its own file in one
-  // shared directory — merged via compact() is record-identical, point
-  // for point, to the single-process (1-shard) run of the same space.
+  // shared directory — folded by RunLog::fold is record-identical,
+  // point for point, to the single-process (1-shard) run of the same
+  // space, down to the archive's bytes.
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
   const std::string merged_dir = dir_ + "/merged";
@@ -198,6 +209,7 @@ TEST_F(ShardTest, ShardUnionInvariant) {
 
   constexpr std::size_t kShards = 4;
   const ShardPlan plan(space.size(), kShards);
+  RunLog::write_meta(merged_dir, std::string(kExhaustive) + ";shards=4");
   for (std::size_t shard = 0; shard < kShards; ++shard) {
     explore::ExploreEngine engine;  // per-process cold cache
     RunLogOptions options{LogFormat::kBinary, 7};
@@ -205,6 +217,7 @@ TEST_F(ShardTest, ShardUnionInvariant) {
     RunLog log(merged_dir, options);
     sweep_shard(space, plan.range(shard), engine, &log);
   }
+  RunLog::write_meta(reference_dir, std::string(kExhaustive) + ";shards=1");
   {
     explore::ExploreEngine engine;
     RunLogOptions options{LogFormat::kBinary, 7};
@@ -213,12 +226,16 @@ TEST_F(ShardTest, ShardUnionInvariant) {
     sweep_shard(space, ShardPlan(space.size(), 1).range(0), engine, &log);
   }
 
-  const auto merged = RunLog::compact(merged_dir);
-  const auto reference = RunLog::compact(reference_dir);
-  EXPECT_EQ(merged.kept, reference.kept);
-  // Shard files are gone; exactly one unsharded log remains.
-  EXPECT_FALSE(std::filesystem::exists(
-      RunLog::shard_binary_results_path(merged_dir, 0)));
+  const auto merged = RunLog::fold(merged_dir);
+  const auto reference = RunLog::fold(reference_dir);
+  ASSERT_TRUE(merged.has_value() && reference.has_value());
+  EXPECT_EQ(merged->rows, reference->rows);
+  // Shard files are gone and both resume as the single-process run.
+  EXPECT_TRUE(RunLog::result_logs(merged_dir).empty());
+  EXPECT_EQ(*RunLog::read_meta(merged_dir), kExhaustive);
+  EXPECT_EQ(*RunLog::read_meta(reference_dir), kExhaustive);
+  EXPECT_EQ(file_bytes(RunLog::archive_path(merged_dir)),
+            file_bytes(RunLog::archive_path(reference_dir)));
   const auto merged_records = RunLog::load(merged_dir);
   const auto reference_records = RunLog::load(reference_dir);
   ASSERT_EQ(merged_records.size(), reference_records.size());
@@ -228,12 +245,13 @@ TEST_F(ShardTest, ShardUnionInvariant) {
   }
 }
 
-TEST_F(ShardTest, MergeRefusesMismatchedConfigsAndStripsTheShardToken) {
+TEST_F(ShardTest, FoldRefusesMismatchedConfigsAndStripsTheShardToken) {
   const std::string other_dir = dir_ + "/other";
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
+  const std::string sharded = std::string(kExhaustive) + ";shards=2";
 
-  RunLog::write_meta(dir_, "apps=a;seed=1;shards=2");
+  RunLog::write_meta(dir_, sharded);
   {
     RunLogOptions options{LogFormat::kBinary, 1};
     options.shard = 0;
@@ -242,41 +260,39 @@ TEST_F(ShardTest, MergeRefusesMismatchedConfigsAndStripsTheShardToken) {
   }
 
   // A source recorded under a different configuration is refused.
-  RunLog::write_meta(other_dir, "apps=OTHER;seed=9;shards=2");
+  RunLog::write_meta(other_dir, "apps=OTHER;strategy=exhaustive;shards=2");
   {
     RunLogOptions options{LogFormat::kBinary, 1};
     options.shard = 1;
     RunLog log(other_dir, options);
     log.append(results[1]);
   }
-  EXPECT_THROW(RunLog::merge(dir_, {other_dir}), std::runtime_error);
+  EXPECT_THROW(RunLog::fold(dir_, {other_dir}), std::runtime_error);
   // An unrecorded source (no meta.json) is refused too.
   const std::string unrecorded = dir_ + "/unrecorded";
   std::filesystem::create_directories(unrecorded);
-  EXPECT_THROW(RunLog::merge(dir_, {unrecorded}), std::runtime_error);
+  EXPECT_THROW(RunLog::fold(dir_, {unrecorded}), std::runtime_error);
+  EXPECT_FALSE(RunLog::has_archive(dir_));
+  EXPECT_EQ(*RunLog::read_meta(dir_), sharded);
 
-  // Matching configs union; with strip_shard_token (the exhaustive
-  // case) the merged meta drops the token so the directory resumes as
-  // a single-process run.
-  RunLog::write_meta(other_dir, "apps=a;seed=1;shards=2");
-  const auto stats = RunLog::merge(dir_, {other_dir}, 256,
-                                   /*strip_shard_token=*/true);
-  EXPECT_EQ(stats.sources, 1u);
-  EXPECT_EQ(stats.loaded, 2u);
-  EXPECT_EQ(stats.kept, 2u);
-  const auto meta = RunLog::read_meta(dir_);
-  ASSERT_TRUE(meta.has_value());
-  EXPECT_EQ(*meta, "apps=a;seed=1");
+  // Matching configs union, and the folded meta drops the token so the
+  // directory resumes as a single-process run.  The source is only read.
+  RunLog::write_meta(other_dir, sharded);
+  const auto stats = RunLog::fold(dir_, {other_dir});
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->rows, 2u);
+  EXPECT_EQ(*RunLog::read_meta(dir_), kExhaustive);
   const auto merged = RunLog::load(dir_);
   ASSERT_EQ(merged.size(), 2u);
   expect_equal(merged[0], results[0]);
   expect_equal(merged[1], results[1]);
+  EXPECT_EQ(RunLog::load_shard(other_dir, 1).size(), 1u);
 }
 
-TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
+TEST_F(ShardTest, InPlaceFoldUnionsAShardedDirectory) {
   explore::ExploreEngine engine;
   const auto results = engine.run(sample_spec());
-  RunLog::write_meta(dir_, "config;shards=2");
+  RunLog::write_meta(dir_, std::string(kExhaustive) + ";shards=2");
   {
     RunLogOptions options{LogFormat::kBinary, 1};
     options.shard = 0;
@@ -287,25 +303,46 @@ TEST_F(ShardTest, InPlaceMergeUnionsAShardedDirectory) {
     shard1.append(results[1]);
     shard1.append(results[0]);  // cross-shard duplicate design point
   }
-  const auto stats = RunLog::merge(dir_, {});
-  EXPECT_EQ(stats.sources, 0u);
-  EXPECT_EQ(stats.loaded, 3u);
-  EXPECT_EQ(stats.kept, 2u);
-  // Without strip_shard_token (the default — what adaptive unions
-  // need) the token stays, so a single-process resume of the union is
-  // refused instead of mis-charging sibling shards' records against
-  // one seed's trajectory.
-  EXPECT_EQ(*RunLog::read_meta(dir_), "config;shards=2");
-  EXPECT_FALSE(
-      std::filesystem::exists(RunLog::shard_binary_results_path(dir_, 0)));
+  const auto stats = RunLog::fold(dir_);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->rows, 2u);
+  EXPECT_EQ(*RunLog::read_meta(dir_), kExhaustive);
+  EXPECT_TRUE(RunLog::result_logs(dir_).empty());
   const auto merged = RunLog::load(dir_);
   ASSERT_EQ(merged.size(), 2u);
   expect_equal(merged[0], results[0]);
   expect_equal(merged[1], results[1]);
 }
 
-TEST_F(ShardTest, MergeWithNothingRecordedAnywhereIsRefused) {
-  EXPECT_THROW(RunLog::merge(dir_, {}), std::runtime_error);
+TEST_F(ShardTest, FoldRefusesAnAdaptiveShardedRun) {
+  // Each adaptive shard resumes its own trajectory from its own log, so
+  // folding them would strand every shard's resume: refused, with every
+  // file left as it was.
+  explore::ExploreEngine engine;
+  const auto results = engine.run(sample_spec());
+  const std::string config = "apps=a;strategy=anneal;seed=1;shards=2";
+  RunLog::write_meta(dir_, config);
+  {
+    RunLogOptions options{LogFormat::kBinary, 1};
+    options.shard = 0;
+    RunLog shard0(dir_, options);
+    options.shard = 1;
+    RunLog shard1(dir_, options);
+    shard0.append(results[0]);
+    shard1.append(results[1]);
+  }
+  const std::string shard0_log = RunLog::shard_binary_results_path(dir_, 0);
+  const std::string shard0 = file_bytes(shard0_log);
+  EXPECT_THROW(RunLog::fold(dir_), std::runtime_error);
+  EXPECT_FALSE(RunLog::has_archive(dir_));
+  EXPECT_EQ(*RunLog::read_meta(dir_), config);
+  EXPECT_EQ(file_bytes(shard0_log), shard0);
+  EXPECT_EQ(RunLog::load_shard(dir_, 1).size(), 1u);
+}
+
+TEST_F(ShardTest, FoldWithNothingRecordedAnywhereIsRefused) {
+  EXPECT_THROW(RunLog::fold(dir_), std::runtime_error);
+  EXPECT_FALSE(std::filesystem::exists(dir_));
 }
 
 }  // namespace

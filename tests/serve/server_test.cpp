@@ -275,7 +275,7 @@ TEST_F(ServerTest, ServesWithoutALogButCannotPersist) {
 TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
   record();
   // A second directory recorded under a different space must be refused,
-  // exactly as RunLog::merge would refuse it.
+  // exactly as RunLog::fold would refuse it.
   const std::string foreign = dir_ + "/foreign";
   search::RunLog::write_meta(
       foreign,
