@@ -1,6 +1,7 @@
 #include "explore/report.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
 #include <cstring>
@@ -21,13 +22,12 @@ bool better(const EvalResult& a, const EvalResult& b) {
   return a.index < b.index;
 }
 
-/// What top_k and pareto_frontier sort instead of whole EvalResults
-/// (which carry four strings each): the ranking fields of one feasible
-/// result plus its position in the input.  Position is the last
-/// tiebreak, so the order is total and reproduces a stable sort of the
-/// records themselves; only the winners are copied out.
+/// What top_k sorts instead of whole EvalResults (which carry four
+/// strings each): the ranking fields of one feasible result plus its
+/// position in the input.  Position is the last tiebreak, so the order
+/// is total and reproduces a stable sort of the records themselves; only
+/// the winners are copied out.
 struct RankKey {
-  double cost = 0.0;  ///< pareto_frontier's cost axis (0 for top_k)
   double speedup = 0.0;
   std::size_t index = 0;
   std::size_t position = 0;
@@ -40,19 +40,14 @@ bool ranks_before(const RankKey& a, const RankKey& b) {
   return a.position < b.position;
 }
 
-/// Keys of the feasible results, in input order, costed by `cost`.
-template <typename Cost>
-std::vector<RankKey> feasible_keys(const std::vector<EvalResult>& results,
-                                   Cost cost) {
-  std::vector<RankKey> keys;
-  keys.reserve(results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const EvalResult& result = results[i];
-    if (result.feasible) {
-      keys.push_back({cost(result), result.speedup, result.index, i});
-    }
-  }
-  return keys;
+/// ParetoReduction's slot hash of a cost; -0.0 hashes as 0.0, which it
+/// equals.
+std::size_t cost_hash(double cost) {
+  std::uint64_t bits = std::bit_cast<std::uint64_t>(cost == 0.0 ? 0.0 : cost);
+  bits ^= bits >> 33;
+  bits *= 0xff51afd7ed558ccdull;
+  bits ^= bits >> 33;
+  return static_cast<std::size_t>(bits);
 }
 
 }  // namespace
@@ -78,8 +73,13 @@ std::string best_line(const EvalResult& best) {
 
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k) {
-  std::vector<RankKey> keys =
-      feasible_keys(results, [](const EvalResult&) { return 0.0; });
+  std::vector<RankKey> keys;
+  keys.reserve(results.size());
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (results[i].feasible) {
+      keys.push_back({results[i].speedup, results[i].index, i});
+    }
+  }
   const std::size_t keep = std::min(k, keys.size());
   std::partial_sort(keys.begin(), keys.begin() + keep, keys.end(),
                     ranks_before);
@@ -91,25 +91,71 @@ std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
   return top;
 }
 
+void ParetoReduction::offer(double cost, double speedup, std::size_t index,
+                            std::size_t id) {
+  if (std::isnan(cost)) return;
+  if (2 * (winners_.size() + 1) > slots_.size()) grow();
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t at = cost_hash(cost) & mask;; at = (at + 1) & mask) {
+    const std::uint32_t slot = slots_[at];
+    if (slot == 0) {
+      slots_[at] = static_cast<std::uint32_t>(winners_.size() + 1);
+      winners_.push_back({cost, speedup, index, id});
+      return;
+    }
+    Winner& winner = winners_[slot - 1];
+    if (winner.cost == cost) {
+      // Strictly better only: on a full tie the earlier offer stays.
+      if (speedup > winner.speedup ||
+          (speedup == winner.speedup && index < winner.index)) {
+        winner = {cost, speedup, index, id};
+      }
+      return;
+    }
+  }
+}
+
+void ParetoReduction::grow() {
+  slots_.assign(std::max<std::size_t>(64, 2 * slots_.size()), 0);
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = 0; i < winners_.size(); ++i) {
+    std::size_t at = cost_hash(winners_[i].cost) & mask;
+    while (slots_[at] != 0) at = (at + 1) & mask;
+    slots_[at] = static_cast<std::uint32_t>(i + 1);
+  }
+}
+
+std::vector<std::size_t> ParetoReduction::frontier() const {
+  std::vector<const Winner*> by_cost;
+  by_cost.reserve(winners_.size());
+  for (const Winner& winner : winners_) by_cost.push_back(&winner);
+  // Costs are distinct and never NaN, so this order is total.
+  std::sort(by_cost.begin(), by_cost.end(),
+            [](const Winner* a, const Winner* b) { return a->cost < b->cost; });
+  std::vector<std::size_t> ids;
+  const Winner* last = nullptr;  // the last winner kept
+  for (const Winner* winner : by_cost) {
+    if (last == nullptr || winner->speedup > last->speedup) {
+      ids.push_back(winner->id);
+      last = winner;
+    }
+  }
+  return ids;
+}
+
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric) {
-  std::vector<RankKey> keys =
-      feasible_keys(results, [metric](const EvalResult& result) {
-        return cost_of(result, metric);
-      });
-  // Cost ascending; within one cost the best candidate first.
-  std::sort(keys.begin(), keys.end(), [](const RankKey& a, const RankKey& b) {
-    if (a.cost != b.cost) return a.cost < b.cost;
-    return ranks_before(a, b);
-  });
-  std::vector<EvalResult> frontier;
-  const RankKey* last = nullptr;  // the last point kept
-  for (const RankKey& key : keys) {
-    if (last != nullptr && key.cost == last->cost) continue;  // dominated twin
-    if (last == nullptr || key.speedup > last->speedup) {
-      frontier.push_back(results[key.position]);
-      last = &key;
+  ParetoReduction reduction;
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    const EvalResult& result = results[i];
+    if (result.feasible) {
+      reduction.offer(cost_of(result, metric), result.speedup, result.index,
+                      i);
     }
+  }
+  std::vector<EvalResult> frontier;
+  for (const std::size_t i : reduction.frontier()) {
+    frontier.push_back(results[i]);
   }
   return frontier;
 }

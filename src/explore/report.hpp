@@ -30,11 +30,43 @@ std::string best_line(const EvalResult& best);
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k);
 
+/// The per-cost reduction every Pareto frontier is built from.  Only the
+/// best candidate at each distinct cost (compared with ==) can reach the
+/// frontier, so a caller offer()s its feasible candidates in input order,
+/// each under an id of its own (input position, archive row, ...), and
+/// materializes only frontier()'s ids.  Per cost the highest speedup
+/// wins, ties toward the lower index, then the earlier offer.  Memory is
+/// one entry per distinct cost; a NaN cost is never kept.
+class ParetoReduction {
+ public:
+  void offer(double cost, double speedup, std::size_t index, std::size_t id);
+
+  /// Ids of the frontier, cost ascending: the per-cost winners whose
+  /// speedup strictly exceeds every cheaper winner's.
+  std::vector<std::size_t> frontier() const;
+
+ private:
+  struct Winner {
+    double cost = 0.0;
+    double speedup = 0.0;
+    std::size_t index = 0;
+    std::size_t id = 0;
+  };
+  /// Rebuilds slots_ at twice the size.
+  void grow();
+
+  std::vector<Winner> winners_;  ///< one per distinct cost, first-seen order
+  /// Open addressing by cost: winners_ position + 1, 0 when empty.  A
+  /// power of two, at most half full.
+  std::vector<std::uint32_t> slots_;
+};
+
 /// 2-D Pareto frontier over feasible results: maximize speedup, minimize
 /// cost.  Returns the non-dominated set sorted by cost ascending (one
 /// result per cost value, the speedup-best; ties toward lower index, then
 /// the earlier input position), so speedup is strictly increasing along
-/// the returned vector.  Sorts compact keys, copies only the frontier.
+/// the returned vector.  A ParetoReduction over the input; copies only
+/// the frontier.
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric);
 

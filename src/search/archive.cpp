@@ -13,6 +13,7 @@
 #include <unordered_map>
 #include <utility>
 
+#include "explore/report.hpp"
 #include "search/byte_codec.hpp"
 #include "util/interner.hpp"
 #include "util/io_env.hpp"
@@ -67,14 +68,6 @@ constexpr std::size_t kZoneBytes = 8 + 8 + 4 + 6 * 8;
 bool is_finite_record(const explore::EvalResult& r) {
   return std::isfinite(r.n) && std::isfinite(r.r) && std::isfinite(r.rl) &&
          std::isfinite(r.cores) && std::isfinite(r.speedup);
-}
-
-/// The canonical result order (explore::better's semantics): speedup
-/// descending, ties toward the lower job index.
-bool better(double speedup_a, std::uint64_t index_a, double speedup_b,
-            std::uint64_t index_b) {
-  if (speedup_a != speedup_b) return speedup_a > speedup_b;
-  return index_a < index_b;
 }
 
 /// Section geometry derived from (rows, block_rows) alone; the header's
@@ -150,6 +143,53 @@ bool zone_admits(const Zone& zone, const ArchivePredicate& p) {
 
 namespace {
 
+/// Dense dictionary ids for the four label columns, assigned in
+/// first-seen order through util::intern: the process-wide interner
+/// dedups label strings once; the archive stores a dense remap of the
+/// interner ids it saw plus the sidecar name map.  Neighbouring rows
+/// mostly repeat their labels, so each column remembers its last label
+/// and only a change pays for the interner's lock and hash.
+class LabelDict {
+ public:
+  std::uint32_t id(int col, const std::string& name) {
+    Last& last = last_[static_cast<std::size_t>(col - kColScenario)];
+    if (last.name != nullptr && *last.name == name) return last.id;
+    const std::uint32_t intern_id = util::intern(name);
+    const auto [it, inserted] = dense_of_intern_.emplace(
+        intern_id, static_cast<std::uint32_t>(interns_.size()));
+    if (inserted) interns_.push_back(intern_id);
+    last = {&name, it->second};
+    return it->second;
+  }
+
+  std::uint32_t entries() const {
+    return static_cast<std::uint32_t>(interns_.size());
+  }
+
+  /// The dictionary section: entry count, length-prefixed names in id
+  /// order, section CRC.
+  std::string encode() const {
+    std::string out;
+    put_u32(out, entries());
+    for (const std::uint32_t intern_id : interns_) {
+      const std::string& name = util::interned_name(intern_id);
+      put_u32(out, static_cast<std::uint32_t>(name.size()));
+      out += name;
+    }
+    put_u32(out, crc32(out));
+    return out;
+  }
+
+ private:
+  struct Last {
+    const std::string* name = nullptr;
+    std::uint32_t id = 0;
+  };
+  std::array<Last, kColTopology - kColScenario + 1> last_{};
+  std::unordered_map<std::uint32_t, std::uint32_t> dense_of_intern_;
+  std::vector<std::uint32_t> interns_;
+};
+
 std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
                               std::uint32_t block_rows, ArchiveStats* stats) {
   if (block_rows == 0) {
@@ -169,20 +209,20 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
                             records[static_cast<std::size_t>(b)].index;
                    });
 
-  // Dictionary ids flow through util::intern — the process-wide
-  // interner dedups label strings once; the archive stores a dense
-  // remap of the interner ids it saw plus the sidecar name map.
-  std::unordered_map<std::uint32_t, std::uint32_t> dense_of_intern;
-  std::vector<std::uint32_t> dict_interns;
-  const auto dict_id = [&](const std::string& name) {
-    const std::uint32_t intern_id = util::intern(name);
-    const auto [it, inserted] = dense_of_intern.emplace(
-        intern_id, static_cast<std::uint32_t>(dict_interns.size()));
-    if (inserted) dict_interns.push_back(intern_id);
-    return it->second;
-  };
-
-  std::string bytes(lay.dict_off, '\0');
+  // The dictionary first, in the row loop's own order (so its ids are
+  // the ones the loop writes): its size completes the file's, and the
+  // buffer is allocated once at full size — never grown, which would
+  // briefly hold two copies of the archive.
+  LabelDict dict;
+  for (const std::uint64_t i : perm) {
+    const explore::EvalResult& r = records[static_cast<std::size_t>(i)];
+    dict.id(kColScenario, r.scenario);
+    dict.id(kColApp, r.app);
+    dict.id(kColGrowth, r.growth);
+    dict.id(kColTopology, r.topology);
+  }
+  const std::string dict_section = dict.encode();
+  std::string bytes(lay.dict_off + dict_section.size(), '\0');
   std::vector<Zone> zones(lay.blocks);
   std::uint64_t feasible_total = 0;
 
@@ -203,10 +243,10 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
     *slot(kColVariant) = static_cast<char>(r.variant);
     *slot(kColFeasible) = static_cast<char>(feasible ? 1 : 0);
     *slot(kColFromCache) = static_cast<char>(r.from_cache ? 1 : 0);
-    poke_u32(slot(kColScenario), dict_id(r.scenario));
-    poke_u32(slot(kColApp), dict_id(r.app));
-    poke_u32(slot(kColGrowth), dict_id(r.growth));
-    poke_u32(slot(kColTopology), dict_id(r.topology));
+    poke_u32(slot(kColScenario), dict.id(kColScenario, r.scenario));
+    poke_u32(slot(kColApp), dict.id(kColApp, r.app));
+    poke_u32(slot(kColGrowth), dict.id(kColGrowth, r.growth));
+    poke_u32(slot(kColTopology), dict.id(kColTopology, r.topology));
     poke_f64(slot(kColN), r.n);
     poke_f64(slot(kColR), r.r);
     poke_f64(slot(kColRl), r.rl);
@@ -280,16 +320,8 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
       bytes.data() + lay.crcs_off + crcs_size,
       crc32(bytes.data() + lay.crcs_off, static_cast<std::size_t>(crcs_size)));
 
-  // Dictionary section (+ section CRC).
-  std::string dict;
-  put_u32(dict, static_cast<std::uint32_t>(dict_interns.size()));
-  for (const std::uint32_t intern_id : dict_interns) {
-    const std::string& name = util::interned_name(intern_id);
-    put_u32(dict, static_cast<std::uint32_t>(name.size()));
-    dict += name;
-  }
-  put_u32(dict, crc32(dict));
-  bytes += dict;
+  std::memcpy(bytes.data() + lay.dict_off, dict_section.data(),
+              dict_section.size());
 
   // Header, CRC'd over everything before its own trailing CRC.
   std::string header;
@@ -313,7 +345,7 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
     stats->feasible_rows = feasible_total;
     stats->block_rows = block_rows;
     stats->blocks = lay.blocks;
-    stats->dict_entries = static_cast<std::uint32_t>(dict_interns.size());
+    stats->dict_entries = dict.entries();
     stats->bytes = bytes.size();
   }
   return bytes;
@@ -489,7 +521,90 @@ struct ArchiveReader::Impl {
 
   /// Fills key_slots from the variant/label/n/r/rl columns.
   void build_key_table() const;
+
+  /// The rows of the k best feasible records, best first: top_k's scan.
+  std::vector<std::uint64_t> rank_rows(std::size_t k) const;
+
+  /// top_k's ranking, memoized: the rows of the largest k ranked so
+  /// far.  The archive never changes and the order is total, so any
+  /// smaller k is a prefix — best() and repeated top_k calls materialize
+  /// rows instead of rescanning blocks.
+  mutable util::Mutex rank_mu;
+  mutable std::shared_ptr<const std::vector<std::uint64_t>> ranked
+      MS_GUARDED_BY(rank_mu);
 };
+
+std::vector<std::uint64_t> ArchiveReader::Impl::rank_rows(
+    std::size_t k) const {
+  // Candidate selection never materializes records: it scans the
+  // feasible/speedup/index columns of blocks visited in descending zone
+  // max-speedup, stopping once no remaining block can displace the
+  // current k-th best.
+  struct Cand {
+    double speedup = 0.0;
+    std::uint64_t index = 0;
+    std::uint64_t row = 0;
+  };
+  // explore::top_k's order: speedup descending, then the lower index,
+  // then the earlier row (its input position) — equal indices do occur
+  // in folded and adaptive runs, and the order must be total for the
+  // output to be.
+  const auto cand_better = [](const Cand& a, const Cand& b) {
+    if (a.speedup != b.speedup) return a.speedup > b.speedup;
+    if (a.index != b.index) return a.index < b.index;
+    return a.row < b.row;
+  };
+
+  std::vector<std::uint32_t> order;
+  order.reserve(zones.size());
+  for (std::uint32_t b = 0; b < zones.size(); ++b) {
+    if (zones[b].feasible_rows > 0) order.push_back(b);
+  }
+  std::sort(order.begin(), order.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              if (zones[a].max_speedup != zones[b].max_speedup) {
+                return zones[a].max_speedup > zones[b].max_speedup;
+              }
+              return a < b;
+            });
+
+  // `kept` is a heap with the WORST kept candidate on top (cand_better
+  // as the strict weak order makes the heap's max the least-good).
+  std::vector<Cand> kept;
+  kept.reserve(std::min<std::size_t>(k, 1024));
+  std::string feas_scratch, speedup_scratch, index_scratch;
+  for (const std::uint32_t b : order) {
+    if (kept.size() == k &&
+        zones[b].max_speedup < kept.front().speedup) {
+      break;  // nothing below this zone ceiling can displace the k-th
+    }
+    const std::string_view feas = slice(b, kColFeasible, &feas_scratch);
+    const std::string_view speedup =
+        slice(b, kColSpeedup, &speedup_scratch);
+    const std::string_view index = slice(b, kColIndex, &index_scratch);
+    const std::uint64_t rows_in = lay.rows_in_block(b);
+    const std::uint64_t first_row = std::uint64_t{b} * lay.block_rows;
+    for (std::uint64_t i = 0; i < rows_in; ++i) {
+      if (static_cast<unsigned char>(feas[i]) == 0) continue;
+      const Cand cand{get_f64(speedup.data() + i * 8),
+                      get_u64(index.data() + i * 8), first_row + i};
+      if (kept.size() < k) {
+        kept.push_back(cand);
+        std::push_heap(kept.begin(), kept.end(), cand_better);
+      } else if (cand_better(cand, kept.front())) {
+        std::pop_heap(kept.begin(), kept.end(), cand_better);
+        kept.back() = cand;
+        std::push_heap(kept.begin(), kept.end(), cand_better);
+      }
+    }
+  }
+
+  std::sort(kept.begin(), kept.end(), cand_better);
+  std::vector<std::uint64_t> rows;
+  rows.reserve(kept.size());
+  for (const Cand& cand : kept) rows.push_back(cand.row);
+  return rows;
+}
 
 void ArchiveReader::Impl::build_key_table() const {
   const auto start = std::chrono::steady_clock::now();
@@ -713,69 +828,25 @@ std::optional<explore::EvalResult> ArchiveReader::best() const {
 
 std::vector<explore::EvalResult> ArchiveReader::top_k(std::size_t k) const {
   const Impl& impl = *impl_;
+  const auto want =
+      static_cast<std::size_t>(std::min<std::uint64_t>(k, impl.feasible));
+  if (want == 0) return {};
+  std::shared_ptr<const std::vector<std::uint64_t>> ranked;
+  {
+    util::MutexLock lock(impl.rank_mu);
+    ranked = impl.ranked;
+  }
+  if (ranked == nullptr || ranked->size() < want) {
+    ranked = std::make_shared<const std::vector<std::uint64_t>>(
+        impl.rank_rows(want));
+    util::MutexLock lock(impl.rank_mu);
+    if (impl.ranked == nullptr || impl.ranked->size() < ranked->size()) {
+      impl.ranked = ranked;
+    }
+  }
   std::vector<explore::EvalResult> out;
-  if (k == 0 || impl.feasible == 0) return out;
-
-  // Candidate selection never materializes records: it scans the
-  // feasible/speedup/index columns of blocks visited in descending zone
-  // max-speedup, stopping once no remaining block can displace the
-  // current k-th best.
-  struct Cand {
-    double speedup = 0.0;
-    std::uint64_t index = 0;
-    std::uint64_t row = 0;
-  };
-  const auto cand_better = [](const Cand& a, const Cand& b) {
-    return better(a.speedup, a.index, b.speedup, b.index);
-  };
-
-  std::vector<std::uint32_t> order;
-  order.reserve(impl.zones.size());
-  for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
-    if (impl.zones[b].feasible_rows > 0) order.push_back(b);
-  }
-  std::sort(order.begin(), order.end(),
-            [&impl](std::uint32_t a, std::uint32_t b) {
-              if (impl.zones[a].max_speedup != impl.zones[b].max_speedup) {
-                return impl.zones[a].max_speedup > impl.zones[b].max_speedup;
-              }
-              return a < b;
-            });
-
-  // `kept` is a heap with the WORST kept candidate on top (cand_better
-  // as the strict weak order makes the heap's max the least-good).
-  std::vector<Cand> kept;
-  kept.reserve(std::min<std::size_t>(k, 1024));
-  std::string feas_scratch, speedup_scratch, index_scratch;
-  for (const std::uint32_t b : order) {
-    if (kept.size() == k &&
-        impl.zones[b].max_speedup < kept.front().speedup) {
-      break;  // nothing below this zone ceiling can displace the k-th
-    }
-    const std::string_view feas = impl.slice(b, kColFeasible, &feas_scratch);
-    const std::string_view speedup =
-        impl.slice(b, kColSpeedup, &speedup_scratch);
-    const std::string_view index = impl.slice(b, kColIndex, &index_scratch);
-    const std::uint64_t rows_in = impl.lay.rows_in_block(b);
-    const std::uint64_t first_row = std::uint64_t{b} * impl.lay.block_rows;
-    for (std::uint64_t i = 0; i < rows_in; ++i) {
-      if (static_cast<unsigned char>(feas[i]) == 0) continue;
-      const Cand cand{get_f64(speedup.data() + i * 8),
-                      get_u64(index.data() + i * 8), first_row + i};
-      if (kept.size() < k) {
-        kept.push_back(cand);
-        std::push_heap(kept.begin(), kept.end(), cand_better);
-      } else if (cand_better(cand, kept.front())) {
-        std::pop_heap(kept.begin(), kept.end(), cand_better);
-        kept.back() = cand;
-        std::push_heap(kept.begin(), kept.end(), cand_better);
-      }
-    }
-  }
-
-  std::sort(kept.begin(), kept.end(), cand_better);
-  out.reserve(kept.size());
-  for (const Cand& cand : kept) out.push_back(impl.row(cand.row));
+  out.reserve(want);
+  for (std::size_t i = 0; i < want; ++i) out.push_back(impl.row((*ranked)[i]));
   return out;
 }
 
@@ -783,19 +854,11 @@ std::vector<explore::EvalResult> ArchiveReader::pareto(
     explore::CostMetric metric) const {
   const Impl& impl = *impl_;
 
-  // Project feasible rows to (row, cost, speedup, index) — 32 bytes per
-  // point, never the records — then run exactly the reference frontier
-  // walk (stable cost-ascending sort, one rep per cost, strictly
-  // increasing speedup) so the output is byte-identical to
-  // explore::pareto_frontier over the same records.
-  struct Point {
-    std::uint64_t row = 0;
-    double cost = 0.0;
-    double speedup = 0.0;
-    std::uint64_t index = 0;
-  };
-  std::vector<Point> points;
-  points.reserve(static_cast<std::size_t>(impl.feasible));
+  // One explore::ParetoReduction over the feasible rows in row order,
+  // fed from the feasible/index/speedup/cost columns alone, so the
+  // frontier is byte-identical to explore::pareto_frontier over the same
+  // records while holding one candidate per distinct cost.
+  explore::ParetoReduction reduction;
   std::string feas_scratch, speedup_scratch, index_scratch, cost_a_scratch,
       cost_b_scratch;
   for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
@@ -820,30 +883,16 @@ std::vector<explore::EvalResult> ArchiveReader::pareto(
               ? std::max(get_f64(cost_a.data() + i * 8),
                          get_f64(cost_b.data() + i * 8))
               : get_f64(cost_a.data() + i * 8);
-      points.push_back({first_row + i, cost, get_f64(speedup.data() + i * 8),
-                        get_u64(index.data() + i * 8)});
-    }
-  }
-
-  std::stable_sort(points.begin(), points.end(),
-                   [](const Point& a, const Point& b) {
-                     if (a.cost != b.cost) return a.cost < b.cost;
-                     return better(a.speedup, a.index, b.speedup, b.index);
-                   });
-
-  std::vector<Point> frontier;
-  double last_cost = 0.0;
-  for (const Point& point : points) {
-    if (!frontier.empty() && point.cost == last_cost) continue;
-    if (frontier.empty() || point.speedup > frontier.back().speedup) {
-      frontier.push_back(point);
-      last_cost = point.cost;
+      reduction.offer(cost, get_f64(speedup.data() + i * 8),
+                      static_cast<std::size_t>(get_u64(index.data() + i * 8)),
+                      static_cast<std::size_t>(first_row + i));
     }
   }
 
   std::vector<explore::EvalResult> out;
-  out.reserve(frontier.size());
-  for (const Point& point : frontier) out.push_back(impl.row(point.row));
+  for (const std::size_t row : reduction.frontier()) {
+    out.push_back(impl.row(row));
+  }
   return out;
 }
 

@@ -126,16 +126,20 @@ class ArchiveReader {
   /// over the archived records.
   std::optional<explore::EvalResult> best() const;
 
-  /// The k best feasible records under (speedup desc, index asc) —
-  /// byte-equal to explore::top_k over the archived records.  Blocks
-  /// are visited in descending zone max-speedup and the scan stops
-  /// once no remaining block can beat the current k-th candidate.
+  /// The k best feasible records under (speedup desc, index asc, row
+  /// asc) — byte-equal to explore::top_k over load_all(), ties between
+  /// equal indices included.  Blocks are visited in descending zone
+  /// max-speedup and the scan stops once no remaining block can beat
+  /// the current k-th candidate.  The ranked rows are memoized, so a
+  /// later call for a k no larger than one already ranked (best()
+  /// included) only materializes its rows.
   std::vector<explore::EvalResult> top_k(std::size_t k) const;
 
   /// The speedup-vs-cost Pareto frontier, cost ascending — byte-equal
-  /// to explore::pareto_frontier over the archived records.  Scans
-  /// only the feasible/index/speedup/cost columns; materializes only
-  /// the frontier.
+  /// to explore::pareto_frontier over load_all().  Feeds the feasible
+  /// rows' index/speedup/cost columns, in row order, to one
+  /// explore::ParetoReduction: memory is one candidate per distinct
+  /// cost, and only the frontier's rows are materialized.
   std::vector<explore::EvalResult> pareto(explore::CostMetric metric) const;
 
   /// Records matching `predicate`, in archive (index-ascending) order.

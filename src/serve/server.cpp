@@ -40,8 +40,7 @@ QueryServer::QueryServer(ServedRun run, ServedRecords records,
       archive_(std::move(records.archive)) {
   util::WriterLock lock(delta_mu_);
   for (explore::EvalResult& record : records.delta) {
-    delta_.push_back(std::move(record));
-    delta_keys_.emplace(search::DesignKey::of(delta_.back()), &delta_.back());
+    add_delta(std::move(record));
   }
   next_index_.store(
       static_cast<std::size_t>(archive_.row_count()) + delta_.size(),
@@ -49,6 +48,22 @@ QueryServer::QueryServer(ServedRun run, ServedRecords records,
 }
 
 QueryServer::~QueryServer() { stop(); }
+
+void QueryServer::add_delta(explore::EvalResult record) {
+  const explore::EvalResult& added = delta_.emplace_back(std::move(record));
+  delta_keys_.emplace(search::DesignKey::of(added), &added);
+  if (!added.feasible) return;
+  // After every entry that ranks equal: ties keep insertion order.
+  const auto at = std::upper_bound(
+      delta_rank_.begin(), delta_rank_.end(), &added,
+      [](const explore::EvalResult* a, const explore::EvalResult* b) {
+        if (a->speedup != b->speedup) return a->speedup > b->speedup;
+        return a->index < b->index;
+      });
+  if (at == delta_rank_.end() && delta_rank_.size() == kMaxTopK) return;
+  delta_rank_.insert(at, &added);
+  if (delta_rank_.size() > kMaxTopK) delta_rank_.pop_back();
+}
 
 void QueryServer::start() {
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -268,9 +283,11 @@ std::string QueryServer::execute(const Query& query) {
 // frontier of frontier(A) ∪ D is the frontier of A ∪ D, and likewise
 // for the k-best), so re-running the reference reduction over
 // engine-result + delta is byte-identical to the reference over the
-// full union, while touching only zone-admitted blocks.  delta_mu_ is
-// held for the delta copy alone; the archive scan and the table render
-// both run outside it.
+// full union, while touching only zone-admitted blocks.  The archive's
+// candidates go first and the delta's follow in insertion order (the
+// rank index keeps that order among equals), so ties resolve as in the
+// reference.  delta_mu_ is held while the delta is read; the archive
+// scan and the table render both run outside it.
 
 std::string QueryServer::answer_best() const {
   std::vector<explore::EvalResult> pool;
@@ -279,7 +296,7 @@ std::string QueryServer::answer_best() const {
   }
   {
     util::ReaderLock lock(delta_mu_);
-    pool.insert(pool.end(), delta_.begin(), delta_.end());
+    if (!delta_rank_.empty()) pool.push_back(*delta_rank_.front());
   }
   const explore::EvalResult* best = explore::best_result(pool);
   if (best == nullptr) {
@@ -295,7 +312,8 @@ std::string QueryServer::answer_topk(std::size_t k) const {
   std::vector<explore::EvalResult> pool = archive_.top_k(k);
   {
     util::ReaderLock lock(delta_mu_);
-    pool.insert(pool.end(), delta_.begin(), delta_.end());
+    const std::size_t head = std::min(k, delta_rank_.size());
+    for (std::size_t i = 0; i < head; ++i) pool.push_back(*delta_rank_[i]);
   }
   const std::string payload = explore::to_table(explore::top_k(pool, k))
                                   .to_text("top-k designs by speedup");
@@ -303,17 +321,35 @@ std::string QueryServer::answer_topk(std::size_t k) const {
 }
 
 std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
-  std::vector<explore::EvalResult> pool = archive_.pareto(metric);
+  const std::vector<explore::EvalResult> archived = archive_.pareto(metric);
+  explore::ParetoReduction reduction;
+  for (std::size_t i = 0; i < archived.size(); ++i) {
+    reduction.offer(explore::cost_of(archived[i], metric), archived[i].speedup,
+                    archived[i].index, i);
+  }
+  // Ids past the archive's candidates name delta positions.
+  std::vector<explore::EvalResult> frontier;
   {
     util::ReaderLock lock(delta_mu_);
-    pool.insert(pool.end(), delta_.begin(), delta_.end());
+    for (std::size_t i = 0; i < delta_.size(); ++i) {
+      const explore::EvalResult& record = delta_[i];
+      if (record.feasible) {
+        reduction.offer(explore::cost_of(record, metric), record.speedup,
+                        record.index, archived.size() + i);
+      }
+    }
+    for (const std::size_t id : reduction.frontier()) {
+      frontier.push_back(id < archived.size()
+                             ? archived[id]
+                             : delta_[id - archived.size()]);
+    }
   }
   const std::string payload =
-      explore::to_table(explore::pareto_frontier(pool, metric))
-          .to_text(std::string("Pareto frontier (speedup vs. ") +
-                   (metric == explore::CostMetric::kCoreArea ? "core area"
-                                                             : "core count") +
-                   ")");
+      explore::to_table(frontier).to_text(
+          std::string("Pareto frontier (speedup vs. ") +
+          (metric == explore::CostMetric::kCoreArea ? "core area"
+                                                    : "core count") +
+          ")");
   return ok_header(QueryKind::kPareto, count_lines(payload)) + payload +
          "END\n";
 }
@@ -445,9 +481,7 @@ std::string QueryServer::answer_eval(const Query& query) {
       live_used_.fetch_add(1, std::memory_order_relaxed);
       {
         util::WriterLock lock(delta_mu_);
-        delta_.push_back(fresh);
-        delta_keys_.emplace(search::DesignKey::of(delta_.back()),
-                            &delta_.back());
+        add_delta(fresh);
       }
       return render_eval(fresh, "live");
     }

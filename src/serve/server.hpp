@@ -10,11 +10,17 @@
 // live answer appended to the run log so the next server start (or any
 // explore_cli --resume) inherits it.
 //
+// Each ranking query costs what it returns, not what the delta holds:
+// `best` and `topk k` read at most k records off the head of a rank
+// index over the delta, and `pareto` folds the delta into one per-cost
+// reduction (explore::ParetoReduction) and copies only its winners.
+//
 // Each connection gets one session thread, and that thread runs its own
 // queries: there is no admission limit in front of execution.  Queries
-// synchronize only on the data they touch — a reader lock for the
-// delta copy, one mutex around a live evaluation — so a limit below the
-// client count could only idle clients the archive could have answered.
+// synchronize only on the data they touch — a reader lock while a query
+// reads the delta, one mutex around a live evaluation — so a limit below
+// the client count could only idle clients the archive could have
+// answered.
 
 #include <atomic>
 #include <cstdint>
@@ -117,6 +123,8 @@ class QueryServer {
       MS_EXCLUDES(delta_mu_);
   std::string answer_eval(const Query& query)
       MS_EXCLUDES(live_mu_, delta_mu_);
+  /// Appends `record` to the delta, its key table and its rank index.
+  void add_delta(explore::EvalResult record) MS_REQUIRES(delta_mu_);
   /// The delta's record for `key`, copied out under a reader lock.
   std::optional<explore::EvalResult> find_delta(
       const search::DesignKey& key) const MS_EXCLUDES(delta_mu_);
@@ -136,19 +144,26 @@ class QueryServer {
   /// Immutable; its query methods are const and internally thread-safe,
   /// so every query runs them without holding delta_mu_.
   const search::ArchiveReader archive_;
-  /// Guards the delta (readers: every query; writer: the live-eval
-  /// append path).  best/topk/pareto copy the delta out under a reader
-  /// lock and render OUTSIDE it — the lock is held for a copy, never
-  /// for an archive scan or a table render.
+  /// Guards the delta and its indexes (readers: every query; writer:
+  /// the live-eval append path).  best/topk copy at most k records off
+  /// delta_rank_ under a reader lock, pareto folds the delta into its
+  /// reduction and copies the winners; the archive scans and the table
+  /// renders run OUTSIDE the lock.
   mutable util::SharedMutex delta_mu_;
   /// Records the archive does not hold — decoded at start-up, then every
   /// live evaluation — folded into every answer on top of archive_.  A
-  /// deque, so delta_keys_' views into its records stay valid as it
+  /// deque, so the indexes' views into its records stay valid as it
   /// grows.
   std::deque<explore::EvalResult> delta_ MS_GUARDED_BY(delta_mu_);
   std::unordered_map<search::DesignKey, const explore::EvalResult*,
                      search::DesignKeyHash>
       delta_keys_ MS_GUARDED_BY(delta_mu_);
+  /// The delta's feasible records in rank order — speedup descending,
+  /// then index ascending, then insertion order — capped at kMaxTopK
+  /// entries: the delta only grows, so a record pushed past the cap can
+  /// never again reach a best/topk reply.
+  std::vector<const explore::EvalResult*> delta_rank_
+      MS_GUARDED_BY(delta_mu_);
   /// Serializes live evaluations: re-check the delta, spend budget,
   /// append to log + delta as one step, so a racing duplicate miss
   /// cannot double-append or double-spend.

@@ -180,6 +180,42 @@ TEST_F(ArchiveTest, ParetoMatchesTheExploreReferenceOnBothMetrics) {
   }
 }
 
+TEST_F(ArchiveTest, CostTiedArchivesRankAsTheExploreReference) {
+  // Costs, speedups and indices from small value sets, so every cost
+  // recurs in many of the ~40 blocks and ties run through whole rows;
+  // a distinct n per record tells tied twins apart.
+  for (const std::uint64_t seed : {31u, 32u, 33u}) {
+    util::Xoshiro256 rng(seed);
+    std::vector<explore::EvalResult> records(640);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      explore::EvalResult& r = records[i];
+      r.index = static_cast<std::size_t>(rng.bounded(200));
+      r.scenario = "archive-test";
+      r.variant = core::ModelVariant::kAsymmetric;
+      r.n = 64.0 + static_cast<double>(i);
+      r.app = "kmeans";
+      r.growth = "linear";
+      r.r = static_cast<double>(1 + rng.bounded(3));
+      r.rl = 2.0 * static_cast<double>(rng.bounded(3));
+      r.cores = 4.0 * static_cast<double>(1 + rng.bounded(3));
+      r.speedup = static_cast<double>(rng.bounded(6));
+      r.feasible = rng.bounded(6) != 0;
+    }
+    const auto archived = sorted_by_index(records);
+    const ArchiveReader reader = ArchiveReader::from_records(records, 16);
+    for (const auto metric :
+         {explore::CostMetric::kCoreArea, explore::CostMetric::kCoreCount}) {
+      expect_all_equal(reader.pareto(metric),
+                       explore::pareto_frontier(archived, metric));
+    }
+    // Out of order: a k below one already ranked reads a prefix of the
+    // memoized ranking, a k above it ranks afresh.
+    for (const std::size_t k : {50u, 1u, 3u, 640u, 50u}) {
+      expect_all_equal(reader.top_k(k), explore::top_k(archived, k));
+    }
+  }
+}
+
 TEST_F(ArchiveTest, BestMatchesTheExploreReference) {
   const auto records = synth_records(300, 21);
   const auto archived = sorted_by_index(records);

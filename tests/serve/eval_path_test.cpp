@@ -25,6 +25,8 @@
 #include "serve/server.hpp"
 #include "util/io_env.hpp"
 
+#include "reference_scans.hpp"
+
 namespace mergescale::serve {
 namespace {
 
@@ -265,31 +267,6 @@ class EvalPathTest : public ::testing::Test {
         std::move(run), std::move(records), served->log.get(),
         ServerOptions{});
     return served;
-  }
-
-  /// best/topk/pareto replies over `records`, rendered like the CLI.
-  static std::vector<std::string> reference_scans(
-      const std::vector<explore::EvalResult>& records) {
-    std::vector<std::string> out;
-    const explore::EvalResult* best = explore::best_result(records);
-    out.push_back(ok_header(QueryKind::kBest, 1) + explore::best_line(*best) +
-                  "\nEND\n");
-    const std::string topk = explore::to_table(explore::top_k(records, 1000))
-                                 .to_text("top-k designs by speedup");
-    out.push_back(ok_header(QueryKind::kTopK, count_lines(topk)) + topk +
-                  "END\n");
-    for (const auto& [metric, title] :
-         {std::pair{explore::CostMetric::kCoreArea,
-                    "Pareto frontier (speedup vs. core area)"},
-          std::pair{explore::CostMetric::kCoreCount,
-                    "Pareto frontier (speedup vs. core count)"}}) {
-      const std::string payload =
-          explore::to_table(explore::pareto_frontier(records, metric))
-              .to_text(title);
-      out.push_back(ok_header(QueryKind::kPareto, count_lines(payload)) +
-                    payload + "END\n");
-    }
-    return out;
   }
 
   static std::vector<std::string> scans(QueryServer& server) {
