@@ -2,10 +2,10 @@
 // pipeline for million-evaluation design-space runs.  Five
 // measurements:
 //
-//   eval      chunked exhaustive sweep through SearchSpace::jobs_in slot
-//             reuse, block cache ops and core::evaluate_batch — the path
-//             every caller rides — cold (uncached) and as a warm-cache
-//             rerun (pure key+lookup)
+//   eval      explore_cli's exhaustive sweep (search::run_sweep: chunked
+//             job building, block cache ops and core::evaluate_batch —
+//             the path every caller rides), cold (uncached) and as a
+//             warm-cache rerun (pure key+lookup)
 //   batch     the same mixed-variant requests through the scalar
 //             reference path (evaluate_reference, one point at a time)
 //             vs. core::evaluate_batch over engine-sized chunks with
@@ -36,7 +36,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
-#include <span>
 #include <streambuf>
 #include <string>
 #include <thread>
@@ -102,20 +101,9 @@ struct SweepStats {
   double pps() const { return seconds > 0.0 ? points / seconds : 0.0; }
 };
 
-// Sweep chunk: 2048 jobs (~1 MB of EvalJob slots plus result slots)
-// keeps the materialize-then-evaluate working set inside L2, which is
-// worth ~20% over an 8192-point chunk — at 520 bytes per job the larger
-// chunk streams ~4 MB through the cache twice per chunk.  Still 8 claim
-// blocks per thread on a 1-thread engine, so the claim queue keeps its
-// granularity.
-constexpr std::uint64_t kSweepChunk = 2048;
-
-/// Chunked exhaustive sweep over `space` (memory stays bounded no matter
-/// the grid size).  When `log` is non-null every fresh result is
-/// appended — the persisted-search workload.  Jobs and results live in
-/// two buffers reused across chunks (SearchSpace::jobs_in and the
-/// span-based run), so steady-state chunks materialize and evaluate
-/// without per-point allocation.
+/// explore_cli's exhaustive sweep (search::run_sweep) over all of
+/// `space`.  When `log` is non-null every fresh result is appended — the
+/// persisted-sweep workload.
 SweepStats sweep(explore::ExploreEngine& engine, const search::SearchSpace& space,
                  search::RunLog* log) {
   SweepStats stats;
@@ -123,38 +111,12 @@ SweepStats sweep(explore::ExploreEngine& engine, const search::SearchSpace& spac
   // An exhaustive sweep knows its insert count up front; pre-sizing the
   // cache removes every mid-sweep rehash (no-op when already warm).
   engine.cache().reserve(space.size());
-  std::vector<explore::EvalJob> slice;
-  std::vector<explore::EvalResult> results;
-  for (std::uint64_t begin = 0; begin < space.size(); begin += kSweepChunk) {
-    const std::uint64_t end = std::min(begin + kSweepChunk, space.size());
-    space.jobs_in(begin, end, slice);
-    if (results.size() < slice.size()) results.resize(slice.size());
-    engine.run(std::span(slice),
-               std::span(results).first(slice.size()));
-    if (log != nullptr) {
-      for (std::size_t i = 0; i < slice.size(); ++i) {
-        if (!results[i].from_cache) log->append(results[i]);
-      }
-    }
-    stats.points += slice.size();
-  }
-  if (log != nullptr) log->flush();
+  stats.points = search::run_sweep(engine, space,
+                                   search::ShardPlan(space.size(), 1).range(0),
+                                   log)
+                     .size();
   stats.seconds = seconds_since(start);
   return stats;
-}
-
-/// Every result of `space` in flat order: the set a sweep's reports are
-/// written from.
-std::vector<explore::EvalResult> all_results(explore::ExploreEngine& engine,
-                                             const search::SearchSpace& space) {
-  std::vector<explore::EvalResult> all(space.size());
-  std::vector<explore::EvalJob> slice;
-  for (std::uint64_t begin = 0; begin < space.size(); begin += kSweepChunk) {
-    const std::uint64_t end = std::min(begin + kSweepChunk, space.size());
-    space.jobs_in(begin, end, slice);
-    engine.run(std::span(slice), std::span(all).subspan(begin, slice.size()));
-  }
-  return all;
 }
 
 /// A stream buffer that counts the bytes written to it and drops them.
@@ -385,7 +347,8 @@ int main(int argc, char** argv) try {
   SweepStats csv_stats;
   SweepStats ndjson_stats;
   {
-    const std::vector<explore::EvalResult> results = all_results(engine, space);
+    const std::vector<explore::EvalResult> results = search::run_sweep(
+        engine, space, search::ShardPlan(space.size(), 1).range(0));
     csv_stats = timed_report(results, explore::write_csv, csv_bytes);
     ndjson_stats = timed_report(results, explore::write_ndjson, ndjson_bytes);
   }

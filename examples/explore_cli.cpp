@@ -6,20 +6,25 @@
 // pareto) under a hard evaluation budget.  The pareto strategy trades
 // speedup against a cost metric (--cost-metric area|cores) and reports
 // its incremental non-dominated archive with a hypervolume summary.
+// Every record carries its design point's canonical flat index
+// (search::SearchSpace::canonical): the exhaustive sweep
+// (search::run_sweep, sharded or not) evaluates each canonical point
+// once, in ascending flat order, skipping the grid coordinates an inert
+// axis or a repeated value makes twins, so a fresh sweep runs without
+// the memo cache (it could never hit).
 // Results stream into an optional run directory as an
 // append-only binary log, written in groups of --flush-every records
 // (default 64), so a killed run resumed with --resume continues where
 // it stopped instead of recomputing: it loses at most one unflushed
-// group.  A fresh, unsharded exhaustive sweep whose grid holds no
-// point twice runs without the memo cache (it could never hit) and,
-// once it finishes, writes archive.msca from its in-memory results and
-// removes the log it no longer needs.
+// group.  A fresh, unsharded exhaustive sweep, once it finishes, writes
+// archive.msca from its in-memory results and removes the log it no
+// longer needs.
 //
 //   ./build/explore_cli                                # paper defaults
 //   ./build/explore_cli --apps kmeans,hop --budgets 64,256,1024
 //       --variants symmetric,asymmetric,symmetric-comm
 //       --growths linear,log --topologies mesh,bus --threads 8
-//       --repeat 2 --out /tmp/explore
+//       --out /tmp/explore
 //   ./build/explore_cli --strategy hill-climb --budget 500
 //       --run-dir /tmp/run1              # persist fresh evaluations
 //   ./build/explore_cli --strategy hill-climb --budget 500
@@ -35,8 +40,10 @@
 //     ./build/explore_cli --shard $i/4 --run-dir /tmp/shards &
 //   done; wait                           # one results.shard-$i.msbin each
 //   ./build/explore_cli --archive --run-dir /tmp/shards
-//                                        # fold the shards into one archive
-//                                        # that resumes without --shard
+//                                        # fold the shards into one archive,
+//                                        # byte-identical to an unsharded
+//                                        # sweep's, that resumes without
+//                                        # --shard
 //   ./build/explore_cli --archive --run-dir /tmp/a --merge-from /tmp/b
 //                                        # fold another recorded dir in
 //
@@ -137,71 +144,6 @@ std::string run_config(const util::Cli& cli) {
   return config;
 }
 
-/// Runs `jobs` in chunks, appending each chunk's fresh (non-cached)
-/// results to `log` as soon as the chunk completes — the checkpoint
-/// granularity a killed exhaustive run resumes at — and flushes the log
-/// at the end.  Without a log there is nothing to checkpoint, so the
-/// whole batch goes to the engine in one dispatch (no per-chunk
-/// barriers or job copies).
-std::vector<explore::EvalResult> run_chunked(explore::ExploreEngine& engine,
-                                             std::vector<explore::EvalJob> jobs,
-                                             search::RunLog* log,
-                                             std::size_t chunk = 512) {
-  if (log == nullptr) return engine.run(jobs);
-  std::vector<explore::EvalResult> results;
-  results.reserve(jobs.size());
-  for (std::size_t begin = 0; begin < jobs.size(); begin += chunk) {
-    const std::size_t end = std::min(begin + chunk, jobs.size());
-    std::vector<explore::EvalJob> slice(jobs.begin() + begin,
-                                        jobs.begin() + end);
-    for (std::size_t i = 0; i < slice.size(); ++i) slice[i].index = i;
-    std::vector<explore::EvalResult> part = engine.run(slice);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      part[i].index = begin + i;  // restore global expansion order
-      if (!part[i].from_cache) log->append(part[i]);
-      results.push_back(std::move(part[i]));
-    }
-  }
-  log->flush();  // a failed final group must fail the run, not vanish
-  return results;
-}
-
-/// Exhaustive sweep over one shard's contiguous flat-index range of
-/// `space`, chunked like run_chunked.  Result (and log-record) indices
-/// are the *global* flat indices, so the union of all shards' logs is
-/// indistinguishable from a single process recording the whole space.
-/// Out-of-bounds grid points (size > budget) are skipped, mirroring the
-/// search funnel.
-std::vector<explore::EvalResult> run_shard_range(
-    explore::ExploreEngine& engine, const search::SearchSpace& space,
-    const search::ShardRange& range, search::RunLog* log,
-    std::size_t chunk = 8192) {
-  std::vector<explore::EvalResult> results;
-  std::vector<explore::EvalJob> slice;
-  std::vector<std::uint64_t> flats;
-  for (std::uint64_t begin = range.begin; begin < range.end; begin += chunk) {
-    const std::uint64_t end =
-        std::min<std::uint64_t>(begin + chunk, range.end);
-    slice.clear();
-    flats.clear();
-    for (std::uint64_t flat = begin; flat < end; ++flat) {
-      explore::EvalJob job;
-      if (!space.job_at(space.decode(flat), &job)) continue;
-      job.index = slice.size();
-      slice.push_back(std::move(job));
-      flats.push_back(flat);
-    }
-    std::vector<explore::EvalResult> part = engine.run(slice);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      part[i].index = static_cast<std::size_t>(flats[i]);
-      if (log != nullptr && !part[i].from_cache) log->append(part[i]);
-      results.push_back(std::move(part[i]));
-    }
-  }
-  if (log != nullptr) log->flush();
-  return results;
-}
-
 /// The run directory an action flag (--archive, --dump) works on:
 /// --run-dir, else --resume.
 std::string action_dir(const util::Cli& cli, const std::string& action) {
@@ -243,9 +185,10 @@ bool write_report(const std::string& path, Write write) {
 
 int main(int argc, char** argv) try {
   util::Cli cli("explore_cli",
-                "parallel design-space exploration: expand a scenario spec, "
-                "evaluate it over a thread team with memoization, and report "
-                "best / top-k / Pareto-frontier designs");
+                "parallel design-space exploration: sweep a scenario spec's "
+                "distinct design points (or search them adaptively) over a "
+                "thread team, and report best / top-k / Pareto-frontier "
+                "designs");
   cli.opt("apps", std::string("kmeans,fuzzy,hop"),
           "comma list: kmeans|fuzzy|hop|custom");
   cli.opt("budgets", std::string("64,256"), "comma list of chip budgets (BCEs)");
@@ -265,8 +208,6 @@ int main(int argc, char** argv) try {
   cli.opt("fored", 0.80, "reduction growth coefficient (apps=custom)");
   cli.opt("threads", static_cast<long long>(0),
           "worker threads (0 = hardware concurrency)");
-  cli.opt("repeat", static_cast<long long>(1),
-          "run the sweep this many times (later runs hit the memo cache)");
   cli.opt("top", static_cast<long long>(5), "top-k designs to print");
   cli.opt("cost", std::string("area"),
           "Pareto cost metric: area | cores");
@@ -300,8 +241,9 @@ int main(int argc, char** argv) try {
            "group");
   cli.opt("shard", std::string(),
           "run shard i of a K-process exploration as i/K: exhaustive "
-          "shards own contiguous slices of the space, adaptive shards "
-          "are seed-derived walker groups; results go to "
+          "shards own contiguous slices of the space's flat indices "
+          "(folded, they equal an unsharded sweep), adaptive shards are "
+          "seed-derived walker groups; results go to "
           "<run-dir>/results.shard-i.msbin");
   cli.opt("merge-from", std::string(),
           "comma list of additional recorded run dirs --archive folds "
@@ -376,16 +318,13 @@ int main(int argc, char** argv) try {
   const std::string run_dir =
       resume_dir.empty() ? cli.get_string("run-dir") : resume_dir;
 
-  const long long repeat = std::max<long long>(1, cli.get_int("repeat"));
   explore::EngineOptions options;
   options.threads = static_cast<int>(cli.get_int("threads"));
   // The memo cache serves points evaluated before: an adaptive search's
-  // repeated proposals, a resume's warmed records, a later --repeat, a
-  // shard grid's inert-axis twins, or a spec that lists a point twice.
-  // A fresh, unsharded, single-pass sweep of a spec with none of those
-  // could never hit it, so it runs without one.
-  options.use_cache = adaptive || shard || !resume_dir.empty() ||
-                      repeat > 1 || spec.can_repeat_point();
+  // repeated proposals or a resume's warmed records.  A fresh exhaustive
+  // sweep visits each canonical design point once, so it could never
+  // hit one and runs without it.
+  options.use_cache = adaptive || !resume_dir.empty();
   explore::ExploreEngine engine(options);
 
   // Persistence: --run-dir starts a *fresh* recorded run (the directory
@@ -571,54 +510,40 @@ int main(int argc, char** argv) try {
     return 0;
   }
 
-  std::vector<explore::EvalResult> results;
+  // The exhaustive sweep: this process's range of the SearchSpace's flat
+  // indices (all of them unsharded: shard 0 of 1), each canonical design
+  // point evaluated once, in ascending flat order, so the union of all
+  // shards' logs is what one process would record.
+  const search::SearchSpace space(spec);
+  const search::ShardSpec part = shard.value_or(search::ShardSpec{});
+  const search::ShardRange range =
+      search::ShardPlan(space.size(), part.count).range(part.index);
+  // Counted from the axes: nothing is enumerated before this line.
+  std::cout << "scenario: " << space.point_count() << " jobs over "
+            << engine.threads() << " thread(s), cache "
+            << (options.use_cache ? "on" : "off");
   if (shard) {
-    // Sharded exhaustive sweep: this process owns one contiguous slice
-    // of the SearchSpace's flat-index grid (the same uniform grid the
-    // adaptive strategies walk), enumerated space-ordered so the folded
-    // union of all shards reads back in global flat order.
-    const search::SearchSpace space(spec);
-    const search::ShardPlan plan(space.size(), shard->count);
-    const search::ShardRange range = plan.range(shard->index);
-    std::cout << "scenario: shard " << shard->index << "/" << shard->count
+    std::cout << "; shard " << part.index << "/" << part.count
               << " owns grid points [" << range.begin << ", " << range.end
-              << ") of " << space.size() << ", " << engine.threads()
-              << " thread(s), cache " << (options.use_cache ? "on" : "off")
-              << "\n";
-    const auto start = std::chrono::steady_clock::now();
-    results = run_shard_range(engine, space, range, log.get());
-    const double elapsed = seconds_since(start);
-    const auto stats = engine.cache().stats();
-    std::cout << "shard run: " << results.size() << " points in "
-              << util::format_double(elapsed * 1e3, 2) << " ms ("
-              << util::format_double(results.size() / elapsed, 0)
-              << " evals/s); cache hits " << stats.hits << ", misses "
-              << stats.misses << "\n";
-  } else {
-    const std::size_t total_jobs = spec.job_count();  // validates the spec
-    std::cout << "scenario: " << total_jobs << " jobs over "
-              << engine.threads() << " thread(s), cache "
-              << (options.use_cache ? "on" : "off") << "\n";
-
-    for (long long run = 0; run < repeat; ++run) {
-      const auto start = std::chrono::steady_clock::now();
-      results = run_chunked(engine, spec.expand(), log.get());
-      const double elapsed = seconds_since(start);
-      const auto stats = engine.cache().stats();
-      std::cout << "run " << (run + 1) << ": " << results.size()
-                << " points in " << util::format_double(elapsed * 1e3, 2)
-                << " ms (" << util::format_double(results.size() / elapsed, 0)
-                << " evals/s); cache hits " << stats.hits << ", misses "
-                << stats.misses << ", entries " << engine.cache().size()
-                << "\n";
-    }
-    if (log && !options.use_cache && log->appended() == results.size()) {
-      // The directory held no records and the log holds exactly
-      // `results`, so archive them from memory — the bytes --archive
-      // would write from dedup(load(dir)) — instead of reloading them.
-      log.reset();
-      print_archive(search::RunLog::archive(run_dir, results), run_dir);
-    }
+              << ") of " << space.size();
+  }
+  std::cout << "\n";
+  const auto start = std::chrono::steady_clock::now();
+  const std::vector<explore::EvalResult> results =
+      search::run_sweep(engine, space, range, log.get());
+  const double elapsed = seconds_since(start);
+  const auto stats = engine.cache().stats();
+  std::cout << "run 1: " << results.size() << " points in "
+            << util::format_double(elapsed * 1e3, 2) << " ms ("
+            << util::format_double(results.size() / elapsed, 0)
+            << " evals/s); cache hits " << stats.hits << ", misses "
+            << stats.misses << ", entries " << engine.cache().size() << "\n";
+  if (log && !shard && !options.use_cache) {
+    // A fresh unsharded sweep's log holds exactly `results`, so archive
+    // them from memory — the bytes --archive would write from
+    // dedup(load(dir)) — instead of reloading them.
+    log.reset();
+    print_archive(search::RunLog::archive(run_dir, results), run_dir);
   }
 
   // Persist the full result set.

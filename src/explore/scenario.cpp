@@ -1,6 +1,5 @@
 #include "explore/scenario.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cstdlib>
 #include <map>
@@ -30,46 +29,6 @@ std::vector<double> fitting(const std::vector<double>& candidates, double n) {
 std::vector<double> sizes_for(const ScenarioSpec& spec, double n) {
   return spec.sizes.empty() ? core::power_of_two_sizes(n)
                             : fitting(spec.sizes, n);
-}
-
-/// Number of (topology, size-grid) combinations one variant contributes
-/// per (budget, app, growth) cell.
-std::size_t variant_jobs(const ScenarioSpec& spec, core::ModelVariant variant,
-                         std::size_t n_sizes, std::size_t n_smalls) {
-  const std::size_t topo =
-      core::is_comm_variant(variant) ? spec.topologies.size() : 1;
-  const std::size_t pairs =
-      core::is_asymmetric_variant(variant) ? n_smalls * n_sizes : n_sizes;
-  return topo * pairs;
-}
-
-/// True when two entries of `axis` are `same`.  Quadratic: for the
-/// short label axes (apps, growth laws, variants, topologies).
-template <typename Entry, typename Same>
-bool has_twins(const std::vector<Entry>& axis, Same same) {
-  for (std::size_t i = 0; i < axis.size(); ++i) {
-    for (std::size_t j = i + 1; j < axis.size(); ++j) {
-      if (same(axis[i], axis[j])) return true;
-    }
-  }
-  return false;
-}
-
-/// True when `values` holds one value twice, at most `limit`.  Sorts a
-/// copy: a size axis can hold thousands of entries.
-bool has_twin_values(std::vector<double> values, double limit) {
-  std::sort(values.begin(), values.end());
-  return std::adjacent_find(values.begin(), values.end(),
-                            [limit](double a, double b) {
-                              return a == b && a <= limit;
-                            }) != values.end();
-}
-
-/// Growth laws the cache key cannot tell apart (it keys kind, exponent
-/// and interned name).
-bool same_law(const core::GrowthFunction& a, const core::GrowthFunction& b) {
-  return a.kind() == b.kind() && a.exponent() == b.exponent() &&
-         a.name_id() == b.name_id();
 }
 
 }  // namespace
@@ -102,25 +61,9 @@ void ScenarioSpec::validate() const {
   }
 }
 
-std::size_t ScenarioSpec::job_count() const {
-  validate();
-  std::size_t count = 0;
-  for (double n : chip_budgets) {
-    const std::size_t n_sizes = sizes_for(*this, n).size();
-    const std::size_t n_smalls = fitting(small_core_sizes, n).size();
-    std::size_t per_cell = 0;
-    for (core::ModelVariant variant : variants) {
-      per_cell += variant_jobs(*this, variant, n_sizes, n_smalls);
-    }
-    count += apps.size() * growths.size() * per_cell;
-  }
-  return count;
-}
-
 std::vector<EvalJob> ScenarioSpec::expand() const {
   validate();
   std::vector<EvalJob> jobs;
-  jobs.reserve(job_count());
   const std::vector<core::GrowthFunction> comms = comm_laws(*this);
 
   for (double n : chip_budgets) {
@@ -151,28 +94,6 @@ std::vector<EvalJob> ScenarioSpec::expand() const {
     }
   }
   return jobs;
-}
-
-bool ScenarioSpec::can_repeat_point() const {
-  const auto same = [](const auto& a, const auto& b) { return a == b; };
-  const auto same_params = [](const core::AppParams& a,
-                              const core::AppParams& b) {
-    return a.f == b.f && a.fcon == b.fcon && a.fored == b.fored;
-  };
-  const bool comm = std::any_of(variants.begin(), variants.end(),
-                                core::is_comm_variant);
-  const bool asym = std::any_of(variants.begin(), variants.end(),
-                                core::is_asymmetric_variant);
-  const double largest =
-      chip_budgets.empty()
-          ? 0.0
-          : *std::max_element(chip_budgets.begin(), chip_budgets.end());
-  return has_twin_values(chip_budgets, largest) ||
-         has_twins(apps, same_params) || has_twins(growths, same_law) ||
-         has_twins(variants, same) ||
-         (comm && has_twins(comm_laws(*this), same_law)) ||
-         has_twin_values(sizes, largest) ||
-         (asym && has_twin_values(small_core_sizes, largest));
 }
 
 namespace {
@@ -336,23 +257,75 @@ std::vector<core::GrowthFunction> comm_laws(const ScenarioSpec& spec) {
   return laws;
 }
 
+namespace {
+
+/// Copies `src` into `dst` unless `dst` already holds it, so refilling a
+/// reused job slot skips the string and std::function copies.  Laws are
+/// judged by (kind, interned name, exponent), as the cache key and the
+/// batch grouping judge them.
+void assign(core::GrowthFunction& dst, const core::GrowthFunction& src) {
+  if (dst.kind() != src.kind() || dst.name_id() != src.name_id() ||
+      dst.exponent() != src.exponent()) {
+    dst = src;
+  }
+}
+
+void assign(core::PerfLaw& dst, const core::PerfLaw& src) {
+  if (dst.name_id() != src.name_id() || dst.exponent() != src.exponent()) {
+    dst = src;
+  }
+}
+
+void assign(core::AppParams& dst, const core::AppParams& src) {
+  if (dst.f != src.f || dst.fcon != src.fcon || dst.fored != src.fored ||
+      dst.name != src.name) {
+    dst = src;
+  }
+}
+
+void assign(std::string& dst, std::string_view src) {
+  if (dst != src) dst = src;
+}
+
+/// A job holding the request defaults, built once: copying it interns
+/// no law names.
+const EvalJob& blank_job() {
+  static const EvalJob kBlank;
+  return kBlank;
+}
+
+}  // namespace
+
+void point_job(EvalJob& job, const ScenarioSpec& spec,
+               core::ModelVariant variant, double n,
+               const core::AppParams& app, const core::GrowthFunction& growth,
+               const core::GrowthFunction* comm, double r, double rl) {
+  // Fields a variant never reads keep the request defaults.
+  const core::EvalRequest& defaults = blank_job().request;
+  const bool with_comm = core::is_comm_variant(variant);
+  MS_CHECK(!with_comm || comm != nullptr, "comm variants need a comm law");
+  core::EvalRequest& request = job.request;
+  job.index = 0;
+  request.variant = variant;
+  request.chip.n = n;
+  assign(request.chip.perf, spec.perf);
+  assign(request.app, app);
+  assign(request.growth, growth);
+  assign(request.comm_growth, with_comm ? *comm : defaults.comm_growth);
+  request.comp_share = with_comm ? spec.comp_share : defaults.comp_share;
+  request.r = r;
+  request.rl = core::is_asymmetric_variant(variant) ? rl : 0.0;
+  assign(job.scenario, spec.name);
+  assign(job.topology, with_comm ? label_of(*comm) : std::string_view("-"));
+}
+
 EvalJob point_job(const ScenarioSpec& spec, core::ModelVariant variant,
                   double n, const core::AppParams& app,
                   const core::GrowthFunction& growth,
                   const core::GrowthFunction* comm, double r, double rl) {
-  // Fields a variant never reads keep the request defaults, built once.
-  static const core::EvalRequest kDefaults;
-  const bool with_comm = core::is_comm_variant(variant);
-  MS_CHECK(!with_comm || comm != nullptr, "comm variants need a comm law");
-  return EvalJob{
-      0,
-      core::EvalRequest{
-          variant, core::ChipConfig{n, spec.perf}, app, growth,
-          with_comm ? *comm : kDefaults.comm_growth,
-          with_comm ? spec.comp_share : kDefaults.comp_share, r,
-          core::is_asymmetric_variant(variant) ? rl : 0.0},
-      spec.name,
-      std::string(with_comm ? label_of(*comm) : std::string_view("-"))};
+  EvalJob job = blank_job();
+  point_job(job, spec, variant, n, app, growth, comm, r, rl);
+  return job;
 }
 
 }  // namespace mergescale::explore

@@ -82,22 +82,10 @@ struct ScenarioSpec {
   /// Throws std::invalid_argument when an axis is empty or out of range.
   void validate() const;
 
-  /// Number of jobs expand() will produce, without materializing them.
-  /// Infeasible asymmetric points are *included* (the engine marks them
-  /// infeasible), so the count is the exact cross product.
-  std::size_t job_count() const;
-
-  /// Materializes the cross product in deterministic order.
+  /// Materializes the cross product in deterministic order.  Infeasible
+  /// asymmetric points are *included* (the engine marks them
+  /// infeasible); a repeated axis value repeats its jobs.
   std::vector<EvalJob> expand() const;
-
-  /// True when two jobs of expand() can share a cache_key (memo_cache):
-  /// an axis repeats a value (a budget, app, growth law, variant, the
-  /// topology of a comm variant, or a core size that fits a budget), or
-  /// two apps have equal f/fcon/fored, since the key ignores app names.
-  /// False means every job is a distinct point, so a fresh sweep has
-  /// nothing for a memo cache to serve.  It may answer true for a
-  /// repeated value no job reaches (a repeated size every budget drops).
-  bool can_repeat_point() const;
 };
 
 // ---------------------------------------------------------------------------
@@ -207,5 +195,13 @@ EvalJob point_job(const ScenarioSpec& spec, core::ModelVariant variant,
                   double n, const core::AppParams& app,
                   const core::GrowthFunction& growth,
                   const core::GrowthFunction* comm, double r, double rl);
+
+/// The same job, written into `job`.  Fields `job` already holds are
+/// kept (a law judged by kind, interned name and exponent), so refilling
+/// a reused slot costs a few compares, not a fresh EvalJob.
+void point_job(EvalJob& job, const ScenarioSpec& spec,
+               core::ModelVariant variant, double n,
+               const core::AppParams& app, const core::GrowthFunction& growth,
+               const core::GrowthFunction* comm, double r, double rl);
 
 }  // namespace mergescale::explore

@@ -26,7 +26,10 @@ using namespace bytes;
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4143534Du;  // "MSCA" little-endian
-constexpr std::uint32_t kVersion = 1;
+// Version 2: a record's index is its canonical flat index
+// (search::SearchSpace::canonical).  Version 1 archives numbered an
+// unsharded sweep by expansion order and adaptive records by batch slot.
+constexpr std::uint32_t kVersion = 2;
 // Fingerprint of the column set (order, widths, zone/dict shape).  Bump
 // together with kVersion whenever the layout changes; readers refuse
 // anything else.
@@ -807,6 +810,14 @@ std::uint64_t ArchiveReader::row_count() const noexcept {
 
 std::uint64_t ArchiveReader::feasible_count() const noexcept {
   return impl_->feasible;
+}
+
+std::uint64_t ArchiveReader::index_end() const noexcept {
+  std::uint64_t end = 0;
+  for (const Zone& zone : impl_->zones) {
+    end = std::max(end, zone.max_index + 1);
+  }
+  return end;
 }
 
 ArchiveStats ArchiveReader::stats() const noexcept {

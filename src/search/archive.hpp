@@ -119,6 +119,9 @@ class ArchiveReader {
 
   std::uint64_t row_count() const noexcept;
   std::uint64_t feasible_count() const noexcept;
+  /// One past the largest index a row holds (from the zone maps); 0 for
+  /// an empty archive.
+  std::uint64_t index_end() const noexcept;
   ArchiveStats stats() const noexcept;
 
   /// Highest-speedup feasible record (ties toward the lower index);

@@ -13,7 +13,10 @@ using namespace bytes;
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4C42534Du;  // "MSBL" little-endian
-constexpr std::uint32_t kVersion = 1;
+// Version 2: a record's index is its canonical flat index
+// (search::SearchSpace::canonical).  Version 1 logs numbered an
+// unsharded sweep by expansion order and adaptive records by batch slot.
+constexpr std::uint32_t kVersion = 2;
 // Fingerprint of the record layout (field order, widths, frame shape).
 // Bump together with kVersion whenever the layout changes; readers
 // refuse anything else.

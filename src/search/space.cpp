@@ -2,13 +2,39 @@
 
 #include <algorithm>
 #include <charconv>
+#include <numeric>
 #include <stdexcept>
+#include <tuple>
 
-#include "core/comm_model.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace mergescale::search {
+
+namespace {
+
+/// For each entry of `axis`, the position of the first entry with the
+/// same key_of(): the value a repeated entry is canonicalized to.  Sorts
+/// positions by key, so a long size axis costs one allocation.
+template <typename Entry, typename KeyOf>
+std::vector<std::size_t> first_occurrences(const std::vector<Entry>& axis,
+                                           KeyOf key_of) {
+  std::vector<std::size_t> order(axis.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  const auto less = [&](std::size_t a, std::size_t b) {
+    return key_of(axis[a]) < key_of(axis[b]);
+  };
+  // Stable: equal keys stay in position order, first occurrence first.
+  std::stable_sort(order.begin(), order.end(), less);
+  std::vector<std::size_t> first(axis.size());
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const bool repeat = k > 0 && !less(order[k - 1], order[k]);
+    first[order[k]] = repeat ? first[order[k - 1]] : order[k];
+  }
+  return first;
+}
+
+}  // namespace
 
 SearchSpace::SearchSpace(explore::ScenarioSpec spec) : spec_(std::move(spec)) {
   spec_.validate();
@@ -23,22 +49,32 @@ SearchSpace::SearchSpace(explore::ScenarioSpec spec) : spec_(std::move(spec)) {
   smalls_ = spec_.small_core_sizes.empty() ? std::vector<double>{1.0}
                                            : spec_.small_core_sizes;
   comm_laws_ = explore::comm_laws(spec_);
+  // Equal values are equal points: apps by label and parameters, laws
+  // by (kind, exponent, interned name).
+  const auto value_of = [](double value) { return value; };
+  first_[0] = first_occurrences(spec_.chip_budgets, value_of);
+  first_[1] = first_occurrences(spec_.apps, [](const core::AppParams& app) {
+    return std::tie(app.name, app.f, app.fcon, app.fored);
+  });
+  first_[2] =
+      first_occurrences(spec_.growths, [](const core::GrowthFunction& law) {
+        return std::make_tuple(law.kind(), law.exponent(), law.name_id());
+      });
+  first_[3] = first_occurrences(
+      spec_.variants, [](core::ModelVariant variant) { return variant; });
+  first_[4] = spec_.topologies.empty()
+                  ? std::vector<std::size_t>{0}
+                  : first_occurrences(spec_.topologies,
+                                      [](noc::Topology t) { return t; });
+  first_[5] = first_occurrences(smalls_, value_of);
+  first_[6] = first_occurrences(sizes_, value_of);
   size_ = 1;
   for (std::size_t dim = 0; dim < kDims; ++dim) size_ *= axis_size(dim);
 }
 
 std::size_t SearchSpace::axis_size(std::size_t dim) const {
-  switch (dim) {
-    case 0: return spec_.chip_budgets.size();
-    case 1: return spec_.apps.size();
-    case 2: return spec_.growths.size();
-    case 3: return spec_.variants.size();
-    case 4: return std::max<std::size_t>(1, spec_.topologies.size());
-    case 5: return smalls_.size();
-    case 6: return sizes_.size();
-  }
-  MS_CHECK(false, "axis dimension out of range");
-  return 0;
+  MS_CHECK(dim < kDims, "axis dimension out of range");
+  return first_[dim].size();  // one entry per axis value
 }
 
 Coords SearchSpace::decode(std::uint64_t flat) const {
@@ -61,104 +97,71 @@ std::uint64_t SearchSpace::encode(const Coords& coords) const {
   return flat;
 }
 
+std::optional<std::uint64_t> SearchSpace::canonical(std::uint64_t flat) const {
+  Coords coords = decode(flat);
+  for (std::size_t dim = 0; dim < kDims; ++dim) {
+    coords[dim] = first_[dim][coords[dim]];
+  }
+  const core::ModelVariant variant = spec_.variants[coords[3]];
+  if (!core::is_comm_variant(variant)) coords[4] = 0;
+  if (!core::is_asymmetric_variant(variant)) coords[5] = 0;
+  if (!in_bounds(coords)) return std::nullopt;
+  return encode(coords);
+}
+
+std::uint64_t SearchSpace::point_count() const {
+  // Axis `dim`'s first occurrences at which `fits` holds.
+  const auto distinct = [this](std::size_t dim, const auto& fits) {
+    std::uint64_t count = 0;
+    for (std::size_t i = 0; i < first_[dim].size(); ++i) {
+      if (first_[dim][i] == i && fits(i)) ++count;
+    }
+    return count;
+  };
+  const auto any = [](std::size_t) { return true; };
+  const std::uint64_t cells = distinct(1, any) * distinct(2, any);
+  std::uint64_t count = 0;
+  for (std::size_t b = 0; b < spec_.chip_budgets.size(); ++b) {
+    if (first_[0][b] != b) continue;
+    const double n = spec_.chip_budgets[b];
+    const std::uint64_t sizes =
+        distinct(6, [&](std::size_t i) { return sizes_[i] <= n; });
+    const std::uint64_t smalls =
+        distinct(5, [&](std::size_t i) { return smalls_[i] <= n; });
+    std::uint64_t per_cell = 0;
+    for (std::size_t v = 0; v < spec_.variants.size(); ++v) {
+      if (first_[3][v] != v) continue;
+      const core::ModelVariant variant = spec_.variants[v];
+      per_cell += (core::is_comm_variant(variant) ? distinct(4, any) : 1) *
+                  (core::is_asymmetric_variant(variant) ? smalls : 1) * sizes;
+    }
+    count += cells * per_cell;
+  }
+  return count;
+}
+
+bool SearchSpace::in_bounds(const Coords& coords) const {
+  // The shared size grid spans the largest budget; reject candidates that
+  // do not fit this point's own chip.
+  const double n = spec_.chip_budgets[coords[0]];
+  return sizes_[coords[6]] <= n &&
+         (!core::is_asymmetric_variant(spec_.variants[coords[3]]) ||
+          smalls_[coords[5]] <= n);
+}
+
 bool SearchSpace::job_at(const Coords& coords, explore::EvalJob* out) const {
+  if (!in_bounds(coords)) return false;
   const double n = spec_.chip_budgets[coords[0]];
   const core::ModelVariant variant = spec_.variants[coords[3]];
   const bool asym = core::is_asymmetric_variant(variant);
   const double size = sizes_[coords[6]];
   const double small = smalls_[coords[5]];
-  // The shared size grid spans the largest budget; reject candidates that
-  // do not fit this point's own chip.
-  if (size > n) return false;
-  if (asym && small > n) return false;
-
   const core::GrowthFunction* comm =
       core::is_comm_variant(variant) ? &comm_laws_[coords[4]] : nullptr;
-  *out = explore::point_job(spec_, variant, n, spec_.apps[coords[1]],
-                            spec_.growths[coords[2]], comm,
-                            asym ? small : size, size);
+  explore::point_job(*out, spec_, variant, n, spec_.apps[coords[1]],
+                     spec_.growths[coords[2]], comm, asym ? small : size,
+                     size);
   return true;
-}
-
-namespace {
-
-/// Assign-if-different helpers for slot reuse: identity is judged the
-/// way the rest of the hot path judges it — (kind, interned name,
-/// exponent) for law objects, value fields for app parameters — so an
-/// unchanged field costs a few POD compares instead of a string and
-/// std::function copy.
-void assign_growth(core::GrowthFunction& dst, const core::GrowthFunction& src) {
-  if (dst.kind() != src.kind() || dst.name_id() != src.name_id() ||
-      dst.exponent() != src.exponent()) {
-    dst = src;
-  }
-}
-
-void assign_perf(core::PerfLaw& dst, const core::PerfLaw& src) {
-  if (dst.name_id() != src.name_id() || dst.exponent() != src.exponent()) {
-    dst = src;
-  }
-}
-
-void assign_app(core::AppParams& dst, const core::AppParams& src) {
-  if (dst.f != src.f || dst.fcon != src.fcon || dst.fored != src.fored ||
-      dst.name != src.name) {
-    dst = src;
-  }
-}
-
-void assign_string(std::string& dst, std::string_view src) {
-  if (dst != src) dst = src;
-}
-
-}  // namespace
-
-void SearchSpace::jobs_in(std::uint64_t begin, std::uint64_t end,
-                          std::vector<explore::EvalJob>& out) const {
-  MS_CHECK(begin <= end && end <= size_, "job range out of bounds");
-  std::size_t count = 0;
-  Coords coords = begin < end ? decode(begin) : Coords{};
-  for (std::uint64_t flat = begin; flat < end; ++flat) {
-    const double n = spec_.chip_budgets[coords[0]];
-    const core::ModelVariant variant = spec_.variants[coords[3]];
-    const bool asym = core::is_asymmetric_variant(variant);
-    const double size = sizes_[coords[6]];
-    const double small = smalls_[coords[5]];
-    const bool in_bounds = size <= n && (!asym || small <= n);
-    if (in_bounds) {
-      if (count == out.size()) out.emplace_back();
-      explore::EvalJob& job = out[count];
-      job.index = count;
-      assign_string(job.scenario, spec_.name);
-      job.request.variant = variant;
-      job.request.chip.n = n;
-      assign_perf(job.request.chip.perf, spec_.perf);
-      assign_app(job.request.app, spec_.apps[coords[1]]);
-      assign_growth(job.request.growth, spec_.growths[coords[2]]);
-      if (core::is_comm_variant(variant)) {
-        const noc::Topology topology = spec_.topologies[coords[4]];
-        assign_growth(job.request.comm_growth, core::comm_growth(topology));
-        job.request.comp_share = spec_.comp_share;
-        assign_string(job.topology, noc::topology_name(topology));
-      } else {
-        assign_string(job.topology, "-");
-      }
-      if (asym) {
-        job.request.r = small;
-        job.request.rl = size;
-      } else {
-        job.request.r = size;
-        job.request.rl = 0.0;
-      }
-      ++count;
-    }
-    // Mixed-radix increment, innermost axis first.
-    for (std::size_t dim = kDims; dim-- > 0;) {
-      if (++coords[dim] < axis_size(dim)) break;
-      coords[dim] = 0;
-    }
-  }
-  out.resize(count);
 }
 
 ShardPlan::ShardPlan(std::uint64_t space_size, std::size_t shard_count)

@@ -9,15 +9,18 @@
 // 10^5..10^9 points are searchable without ever enumerating them.
 //
 // The grid is deliberately *uniform*: the topology coordinate is inert
-// for the non-comm variants and the small-core coordinate is inert for
-// the symmetric ones, so several coordinates can denote the same design
-// point.  The engine's memo cache collapses those duplicates to a single
-// model evaluation, which keeps the budget accounting (unique
-// evaluations, i.e. cache misses) honest.
+// for the non-comm variants (Eqs. 4/5 have no interconnect), the
+// small-core coordinate is inert for the symmetric ones, and an axis may
+// list one value twice, so several coordinates can denote the same
+// design point.  canonical() picks one of them, the design point's one
+// identity: every record a run logs carries its canonical flat index,
+// and the exhaustive sweep (search::run_sweep) evaluates exactly the
+// flats that are their own canonical index.
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +53,18 @@ class SearchSpace {
   /// Inverse of decode().
   std::uint64_t encode(const Coords& coords) const;
 
+  /// The canonical flat index of the design point `flat` denotes: the
+  /// inert axes zeroed (small-core for the symmetric variants, topology
+  /// for the non-comm ones) and every repeated axis value mapped to its
+  /// first occurrence.  std::nullopt when the point is out of bounds (see
+  /// job_at).  Two in-bounds flats denote the same design point exactly
+  /// when their canonical indices are equal.
+  std::optional<std::uint64_t> canonical(std::uint64_t flat) const;
+
+  /// Number of distinct design points: the flats with canonical(flat) ==
+  /// flat, counted from the axes without enumerating the grid.
+  std::uint64_t point_count() const;
+
   /// Builds the evaluation job for `coords` (job index 0; callers
   /// renumber for batching).  Returns false — without touching `*out` —
   /// when the point is out of bounds for its own budget: a candidate
@@ -57,31 +72,21 @@ class SearchSpace {
   /// artifact of sharing one size grid across budgets.
   bool job_at(const Coords& coords, explore::EvalJob* out) const;
 
-  /// Materializes the in-bounds jobs of the flat range [begin, end) into
-  /// `out`, renumbered so out[i].index == i — ready for
-  /// ExploreEngine::run.  The batch counterpart of job_at for the
-  /// chunked sweeps: `out`'s slots are reused across calls (strings and
-  /// law objects are assigned in place, and fields a slot already holds
-  /// — the spec name, an unchanged perf law or growth — are left
-  /// untouched), so a steady-state chunk loop materializes a point for a
-  /// fraction of a fresh EvalJob construction.  Like the cache key and
-  /// the batch grouping, law identity is judged by (kind, interned name,
-  /// exponent).  Note: fields the variant never reads (comm growth,
-  /// comp_share of a non-comm point) may hold stale values from the
-  /// slot's previous occupant; every consumer normalizes them away.
-  void jobs_in(std::uint64_t begin, std::uint64_t end,
-               std::vector<explore::EvalJob>& out) const;
-
   /// The resolved candidate-size grid (never empty).
   const std::vector<double>& sizes() const noexcept { return sizes_; }
 
   const explore::ScenarioSpec& spec() const noexcept { return spec_; }
 
  private:
+  /// False when `coords` is out of bounds for its own budget.
+  bool in_bounds(const Coords& coords) const;
+
   explore::ScenarioSpec spec_;
   std::vector<double> sizes_;   ///< resolved size grid
   std::vector<double> smalls_;  ///< small-core grid (>= 1 entry)
   std::vector<core::GrowthFunction> comm_laws_;  ///< per spec topology
+  /// Per axis, the position of each value's first occurrence.
+  std::array<std::vector<std::size_t>, kDims> first_;
   std::uint64_t size_ = 0;
 };
 

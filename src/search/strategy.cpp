@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
@@ -137,10 +138,12 @@ class Funnel {
   /// fingerprint to the same cache key — inert-axis twins, revisited
   /// neighbors — are submitted once and fanned back out, so the cache
   /// miss count (the budget currency) is independent of thread
-  /// scheduling inside the engine.
+  /// scheduling inside the engine.  Each result carries the canonical
+  /// flat index of the proposal that produced its job.
   std::vector<explore::EvalResult> evaluate(const std::vector<Coords>& batch) {
     constexpr std::size_t kNone = static_cast<std::size_t>(-1);
     std::vector<explore::EvalJob> jobs;
+    std::vector<std::uint64_t> flats;
     std::vector<std::size_t> job_of(batch.size(), kNone);
     std::unordered_map<explore::CacheKey, std::size_t, explore::CacheKeyHash>
         unique;
@@ -159,12 +162,15 @@ class Funnel {
       if (inserted) {
         job.index = jobs.size();
         jobs.push_back(std::move(job));
+        flats.push_back(*space_.canonical(space_.encode(batch[i])));
       }
       job_of[i] = it->second;
     }
 
-    const std::vector<explore::EvalResult> evaluated = engine_.run(jobs);
-    for (const explore::EvalResult& result : evaluated) {
+    std::vector<explore::EvalResult> evaluated = engine_.run(jobs);
+    for (std::size_t k = 0; k < evaluated.size(); ++k) {
+      explore::EvalResult& result = evaluated[k];
+      result.index = static_cast<std::size_t>(flats[k]);
       if (log_ != nullptr && !result.from_cache) log_->append(result);
       if (result.feasible &&
           (!outcome_->found || result.speedup > outcome_->best.speedup)) {
@@ -679,6 +685,42 @@ std::optional<TracePoint> SearchOutcome::first_within(
     if (point.best_speedup >= target * (1.0 - fraction)) return point;
   }
   return std::nullopt;
+}
+
+std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
+                                           const SearchSpace& space,
+                                           const ShardRange& range,
+                                           RunLog* log) {
+  std::vector<explore::EvalResult> results;
+  results.reserve(static_cast<std::size_t>(
+      std::min(range.size(), space.point_count())));
+  // Job slots are reused across chunks: a fresh EvalJob costs more to
+  // construct than to fill.
+  std::vector<explore::EvalJob> jobs;
+  std::vector<std::uint64_t> flats;
+  for (std::uint64_t begin = range.begin; begin < range.end;
+       begin += kSweepChunk) {
+    const std::uint64_t end = std::min(begin + kSweepChunk, range.end);
+    flats.clear();
+    for (std::uint64_t flat = begin; flat < end; ++flat) {
+      if (space.canonical(flat) != flat) continue;
+      if (flats.size() == jobs.size()) jobs.emplace_back();
+      space.job_at(space.decode(flat), &jobs[flats.size()]);
+      jobs[flats.size()].index = flats.size();
+      flats.push_back(flat);
+    }
+    const std::size_t first = results.size();
+    results.resize(first + flats.size());
+    engine.run(std::span(jobs).first(flats.size()),
+               std::span(results).subspan(first));
+    for (std::size_t i = 0; i < flats.size(); ++i) {
+      explore::EvalResult& result = results[first + i];
+      result.index = static_cast<std::size_t>(flats[i]);
+      if (log != nullptr && !result.from_cache) log->append(result);
+    }
+  }
+  if (log != nullptr) log->flush();
+  return results;
 }
 
 SearchOutcome run_search(explore::ExploreEngine& engine,

@@ -16,6 +16,9 @@
 // submission, so `SearchOutcome::evaluations <= budget` holds for every
 // strategy — the budget is a hard cap, never overshot.
 //
+// run_sweep is the exhaustive counterpart: every canonical design point
+// of a flat-index range, in ascending order, each evaluated once.
+//
 // Determinism: given the same space, options, and engine cache state,
 // every strategy proposes the same point sequence (util::Xoshiro256
 // seeded from `seed`), and same-key points inside one batch are deduped
@@ -129,6 +132,25 @@ struct SearchOutcome {
 void fold_archive(std::vector<explore::EvalResult>& archive,
                   const explore::EvalResult& result,
                   explore::CostMetric metric);
+
+/// Flat indices one run_sweep chunk spans.  A chunk is one engine
+/// dispatch; its fresh results reach the log when it completes.
+inline constexpr std::uint64_t kSweepChunk = 8192;
+
+/// The exhaustive sweep over `range` of `space` — a whole run is
+/// ShardPlan(space.size(), 1).range(0), shard i of K is
+/// ShardPlan(space.size(), K).range(i).  Evaluates, in ascending chunks
+/// of kSweepChunk flats, exactly the flats that are their own
+/// SearchSpace::canonical index, and returns their results in flat
+/// order, each with its flat as its index.  So the sweep meets no design
+/// point twice, and the union of a K-shard run's results is the 1-shard
+/// run's.  When `log` is non-null each chunk's fresh (non-cached)
+/// results are appended as the chunk completes, and the log is flushed
+/// at the end: a failed final group fails the sweep.
+std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
+                                           const SearchSpace& space,
+                                           const ShardRange& range,
+                                           RunLog* log = nullptr);
 
 /// Runs `options.strategy` over `space` through `engine` (which must have
 /// memoization enabled — budgets are measured as cache misses).  When

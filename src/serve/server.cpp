@@ -16,6 +16,7 @@
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
 #include "noc/topology.hpp"
+#include "search/space.hpp"
 #include "util/format.hpp"
 
 namespace mergescale::serve {
@@ -38,13 +39,16 @@ QueryServer::QueryServer(ServedRun run, ServedRecords records,
       log_(log),
       options_(std::move(options)),
       archive_(std::move(records.archive)) {
+  // Live evals are numbered past every on-grid index and every index
+  // already held, so none collides with a recorded point's.
+  std::uint64_t next = std::max(search::SearchSpace(run_.spec).size(),
+                                archive_.index_end());
   util::WriterLock lock(delta_mu_);
   for (explore::EvalResult& record : records.delta) {
+    next = std::max<std::uint64_t>(next, record.index + 1);
     add_delta(std::move(record));
   }
-  next_index_.store(
-      static_cast<std::size_t>(archive_.row_count()) + delta_.size(),
-      std::memory_order_relaxed);
+  next_index_.store(static_cast<std::size_t>(next), std::memory_order_relaxed);
 }
 
 QueryServer::~QueryServer() { stop(); }

@@ -169,6 +169,7 @@ class QueryServer {
   /// cannot double-append or double-spend.
   util::Mutex live_mu_;
   std::atomic<std::uint64_t> live_used_{0};
+  /// Index of the next live eval: past the grid and every held index.
   std::atomic<std::size_t> next_index_{0};
   /// Sticky archive-only mode: set when a run-log append throws.  The
   /// log's own errors are sticky too (a dead writer thread / full

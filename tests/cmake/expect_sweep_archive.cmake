@@ -1,14 +1,17 @@
 # One-pass persisted sweep, end to end through the real explore_cli
 # binary:
-#   - a fresh exhaustive sweep over a grid with no repeated point ends
-#     archived: meta.json + archive.msca, no results.msbin;
-#   - the same spec with --repeat 2 keeps its log, and --archive on it
+#   - a fresh exhaustive sweep ends archived: meta.json + archive.msca,
+#     no results.msbin;
+#   - the same spec as shard 0/1 keeps its log, and --archive on it
 #     writes the same archive.msca byte for byte, with the same --dump;
 #   - --archive on an archived directory rewrites nothing and prints the
 #     same line, and a flipped byte in a column slice makes it exit 1;
-#   - specs that can repeat a point (a repeated budget, an app with
-#     another app's f/fcon/fored) keep the memo cache, and the second
-#     still logs one record per design point;
+#   - on a grid with inert axes, a repeated size and an out-of-bounds
+#     size, the plain sweep's archive.msca equals its 1-, 3- and 4-shard
+#     folds byte for byte;
+#   - a repeated budget is one budget, swept without the memo cache, and
+#     an app with another app's f/fcon/fored is a design point of its
+#     own;
 #   - --archive refuses adaptive shards and leaves their logs as they
 #     were, so each shard still resumes from its own log;
 #   - --archive folds 4 exhaustive shards into the archive a 1-shard run
@@ -91,14 +94,11 @@ if(EXISTS "${WORK}/fresh/results.msbin")
   message(FATAL_ERROR "a fresh sweep left its results.msbin behind")
 endif()
 
-# The same spec with --repeat 2 keeps its log; --archive folds it into
-# the same bytes.
-run_cli(${spec} --repeat 2 --run-dir "${WORK}/logged" --out "${WORK}/logged")
-if(NOT out MATCHES "cache on")
-  message(FATAL_ERROR "--repeat 2 ran without the memo cache: ${out}")
-endif()
-if(NOT EXISTS "${WORK}/logged/results.msbin")
-  message(FATAL_ERROR "--repeat 2 left no results.msbin")
+# The same spec as shard 0/1 keeps its log; --archive folds it into the
+# same bytes.
+run_cli(${spec} --shard 0/1 --run-dir "${WORK}/logged" --out "${WORK}/logged")
+if(NOT EXISTS "${WORK}/logged/results.shard-0.msbin")
+  message(FATAL_ERROR "--shard 0/1 left no results.shard-0.msbin")
 endif()
 run_cli(--archive --run-dir "${WORK}/logged")
 expect_equal_files("${WORK}/fresh/archive.msca" "${WORK}/logged/archive.msca"
@@ -164,24 +164,55 @@ if(NOT err MATCHES "CRC")
   message(FATAL_ERROR "the corrupt-archive error names no CRC: ${err}")
 endif()
 
-# Specs that can repeat a point keep the memo cache.
-run_cli(--quiet --apps kmeans --budgets 64,64 --out "${WORK}/twin_budgets")
-if(NOT out MATCHES "cache on")
-  message(FATAL_ERROR "--budgets 64,64 ran without the memo cache: ${out}")
+# Inert axes (the symmetric small core, the topology of the non-comm
+# variants), a repeated size and a size past the budget: the plain
+# sweep records each design point once, under its canonical flat index,
+# so every K-shard fold is the same archive.
+set(twins --quiet --apps kmeans --budgets 64
+    --variants symmetric,asymmetric,symmetric-comm --topologies mesh,bus
+    --small-cores 1,4 --sizes 2,4,4,16,128)
+run_cli(${twins} --run-dir "${WORK}/twins" --out "${WORK}/twins")
+# symmetric 3 + asymmetric 2 x 3 + symmetric-comm 2 x 3 distinct sizes
+if(NOT out MATCHES "scenario: 15 jobs" OR NOT out MATCHES "cache off")
+  message(FATAL_ERROR "the twin grid is not 15 points, cache off: ${out}")
 endif()
+foreach(count 1 3 4)
+  math(EXPR last "${count} - 1")
+  foreach(i RANGE ${last})
+    run_cli(${twins} --shard ${i}/${count} --run-dir "${WORK}/twins${count}"
+            --out "${WORK}/twins${count}")
+  endforeach()
+  run_cli(--archive --run-dir "${WORK}/twins${count}")
+  expect_equal_files("${WORK}/twins/archive.msca"
+                     "${WORK}/twins${count}/archive.msca"
+                     "a plain sweep vs its ${count}-shard fold")
+endforeach()
+
+# A repeated budget is one budget: the same points, no memo cache.
+run_cli(--quiet --apps kmeans --budgets 64 --out "${WORK}/one_budget")
+if(NOT out MATCHES "scenario: ([0-9]+) jobs")
+  message(FATAL_ERROR "no scenario line: ${out}")
+endif()
+set(one_budget_points "${CMAKE_MATCH_1}")
+run_cli(--quiet --apps kmeans --budgets 64,64 --out "${WORK}/twin_budgets")
+if(NOT out MATCHES "scenario: ${one_budget_points} jobs" OR
+   NOT out MATCHES "cache off" OR
+   NOT out MATCHES "run 1: ${one_budget_points} points")
+  message(FATAL_ERROR "--budgets 64,64 is not --budgets 64's "
+                      "${one_budget_points} points, cache off: ${out}")
+endif()
+# An app with kmeans' parameters under its own label is its own point.
 run_cli(--quiet --apps kmeans,custom --f 0.99985 --fcon 0.57 --fored 0.72
         --budgets 64 --run-dir "${WORK}/twin_apps" --out "${WORK}/twin_apps")
-if(NOT out MATCHES "cache on")
-  message(FATAL_ERROR "an app with kmeans' parameters ran without the memo "
-                      "cache: ${out}")
-endif()
 run_cli(--dump --run-dir "${WORK}/twin_apps")
-string(REGEX MATCHALL "[^\n]+\n" lines "${out}")
-list(LENGTH lines records)
-if(NOT records EQUAL 35)
-  message(FATAL_ERROR "kmeans,custom logged ${records} records, not one per "
-                      "design point (35)")
-endif()
+foreach(app kmeans custom)
+  string(REGEX MATCHALL "\"app\":\"${app}\"" lines "${out}")
+  list(LENGTH lines records)
+  if(NOT records EQUAL 35)
+    message(FATAL_ERROR "kmeans,custom logged ${records} ${app} records, "
+                        "not one per design point (35)")
+  endif()
+endforeach()
 
 # Adaptive shards: --archive refuses them and rewrites nothing, so a
 # shard resumes from its own log and spends nothing again.

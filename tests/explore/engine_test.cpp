@@ -70,12 +70,21 @@ TEST(ExploreEngine, DeterministicAcrossThreadCounts) {
 }
 
 TEST(ExploreEngine, CachedAndUncachedResultsAgree) {
+  // A fresh sweep of distinct points runs without the cache: both ways
+  // must give the same records, `from_cache` and `scenario` included.
   const ScenarioSpec spec = mixed_spec();
   ExploreEngine cached({.threads = 3, .use_cache = true});
   ExploreEngine uncached({.threads = 3, .use_cache = false});
-  expect_same_results(cached.run(spec), uncached.run(spec));
+  const std::vector<EvalResult> on = cached.run(spec);
+  const std::vector<EvalResult> off = uncached.run(spec);
+  expect_same_results(on, off);
+  for (std::size_t i = 0; i < on.size(); ++i) {
+    EXPECT_EQ(on[i].scenario, off[i].scenario);
+    EXPECT_EQ(on[i].from_cache, off[i].from_cache);
+    EXPECT_FALSE(on[i].from_cache);
+  }
   EXPECT_EQ(uncached.cache().size(), 0u);
-  EXPECT_GT(cached.cache().size(), 0u);
+  EXPECT_EQ(cached.cache().size(), on.size());
 }
 
 TEST(ExploreEngine, RepeatedRunIsServedFromCache) {

@@ -4,15 +4,11 @@
 
 #include <algorithm>
 #include <optional>
-#include <random>
 #include <stdexcept>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "core/app_params.hpp"
-#include "explore/engine.hpp"
-#include "explore/memo_cache.hpp"
 
 namespace mergescale::explore {
 namespace {
@@ -27,18 +23,13 @@ ScenarioSpec two_by_two() {
   return spec;
 }
 
-TEST(ScenarioSpec, JobCountMatchesCrossProduct) {
+TEST(ScenarioSpec, ExpandProducesTheCrossProductWithSequentialIndices) {
   const ScenarioSpec spec = two_by_two();
+  const auto jobs = spec.expand();
   // Defaults: 1 growth, variants {symmetric, asymmetric}, 3 small-core
   // sizes, power-of-two grids of 7 (n=64) and 9 (n=256) sizes.
   // Per budget: apps(2) × growths(1) × (sizes + 3·sizes) = 2 × 4·sizes.
-  EXPECT_EQ(spec.job_count(), 2u * 4u * 7u + 2u * 4u * 9u);
-}
-
-TEST(ScenarioSpec, ExpandProducesJobCountJobsWithSequentialIndices) {
-  const ScenarioSpec spec = two_by_two();
-  const auto jobs = spec.expand();
-  ASSERT_EQ(jobs.size(), spec.job_count());
+  ASSERT_EQ(jobs.size(), 2u * 4u * 7u + 2u * 4u * 9u);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     EXPECT_EQ(jobs[i].index, i);
     EXPECT_EQ(jobs[i].scenario, "test");
@@ -66,9 +57,8 @@ TEST(ScenarioSpec, CommVariantsMultiplyByTopologies) {
   spec.apps = {core::presets::kmeans()};
   spec.variants = {ModelVariant::kSymmetricComm};
   spec.topologies = {noc::Topology::kMesh2D, noc::Topology::kBus};
-  EXPECT_EQ(spec.job_count(), 2u * 9u);
   const auto jobs = spec.expand();
-  ASSERT_EQ(jobs.size(), 18u);
+  ASSERT_EQ(jobs.size(), 2u * 9u);
   EXPECT_EQ(jobs.front().topology, "mesh");
   EXPECT_EQ(jobs.back().topology, "bus");
 }
@@ -80,8 +70,9 @@ TEST(ScenarioSpec, ReductionVariantsIgnoreTopologies) {
   spec.variants = {ModelVariant::kSymmetric};
   spec.topologies = {noc::Topology::kMesh2D, noc::Topology::kBus,
                      noc::Topology::kRing};
-  EXPECT_EQ(spec.job_count(), 9u);
-  for (const auto& job : spec.expand()) EXPECT_EQ(job.topology, "-");
+  const auto jobs = spec.expand();
+  EXPECT_EQ(jobs.size(), 9u);
+  for (const auto& job : jobs) EXPECT_EQ(job.topology, "-");
 }
 
 TEST(ScenarioSpec, ExplicitSizesOverridePowerOfTwoGrid) {
@@ -90,7 +81,7 @@ TEST(ScenarioSpec, ExplicitSizesOverridePowerOfTwoGrid) {
   spec.apps = {core::presets::kmeans()};
   spec.variants = {ModelVariant::kSymmetric};
   spec.sizes = {1.0, 3.0, 9.0, 27.0};
-  EXPECT_EQ(spec.job_count(), 2u * 4u);
+  EXPECT_EQ(spec.expand().size(), 2u * 4u);
 }
 
 TEST(ScenarioSpec, SizesBeyondABudgetAreDroppedForThatBudget) {
@@ -100,9 +91,8 @@ TEST(ScenarioSpec, SizesBeyondABudgetAreDroppedForThatBudget) {
   spec.variants = {ModelVariant::kSymmetric};
   spec.sizes = {1.0, 64.0, 128.0, 256.0};
   // n = 64 keeps {1, 64}; n = 256 keeps all four.
-  EXPECT_EQ(spec.job_count(), 2u + 4u);
   const auto jobs = spec.expand();
-  ASSERT_EQ(jobs.size(), spec.job_count());
+  ASSERT_EQ(jobs.size(), 2u + 4u);
   for (const auto& job : jobs) {
     EXPECT_LE(job.request.r, job.request.chip.n);
   }
@@ -121,144 +111,6 @@ TEST(ScenarioSpec, AsymmetricJobsCoverSmallCoreTimesGrid) {
   EXPECT_EQ(jobs[0].request.rl, 1.0);
   EXPECT_EQ(jobs[8].request.rl, 256.0);
   EXPECT_EQ(jobs[9].request.r, 4.0);
-}
-
-TEST(ScenarioSpec, CanRepeatPointNamesEachRepeatedAxis) {
-  ScenarioSpec spec = two_by_two();
-  EXPECT_FALSE(spec.can_repeat_point());
-
-  ScenarioSpec twin_budgets = spec;
-  twin_budgets.chip_budgets = {64.0, 64.0};
-  EXPECT_TRUE(twin_budgets.can_repeat_point());
-
-  // The cache key ignores app names: equal f/fcon/fored repeat a point.
-  ScenarioSpec twin_apps = spec;
-  core::AppParams custom = core::presets::kmeans();
-  custom.name = "custom";
-  twin_apps.apps.push_back(custom);
-  EXPECT_TRUE(twin_apps.can_repeat_point());
-
-  ScenarioSpec twin_sizes = spec;
-  twin_sizes.sizes = {1.0, 2.0, 2.0};
-  EXPECT_TRUE(twin_sizes.can_repeat_point());
-  // A repeated size no budget fits never reaches a job.
-  twin_sizes.sizes = {1.0, 2.0, 512.0, 512.0};
-  EXPECT_FALSE(twin_sizes.can_repeat_point());
-
-  // Topologies repeat points only for the comm variants, small cores
-  // only for the asymmetric ones.
-  ScenarioSpec twin_topologies = spec;
-  twin_topologies.topologies = {noc::Topology::kMesh2D,
-                                noc::Topology::kMesh2D};
-  EXPECT_FALSE(twin_topologies.can_repeat_point());
-  twin_topologies.variants.push_back(ModelVariant::kSymmetricComm);
-  EXPECT_TRUE(twin_topologies.can_repeat_point());
-  ScenarioSpec twin_smalls = spec;
-  twin_smalls.small_core_sizes = {4.0, 4.0};
-  EXPECT_TRUE(twin_smalls.can_repeat_point());
-  twin_smalls.variants = {ModelVariant::kSymmetric};
-  EXPECT_FALSE(twin_smalls.can_repeat_point());
-}
-
-/// A random small spec whose axes hold distinct values, except that now
-/// and then one axis repeats a value or a custom app copies kmeans'
-/// parameters — so both answers of can_repeat_point() come up often.
-ScenarioSpec random_spec(std::mt19937_64& rng) {
-  const auto below = [&rng](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
-  // 1..max distinct entries of `pool`, plus (one time in six) a repeat.
-  const auto pick = [&](auto pool, std::size_t max) {
-    std::shuffle(pool.begin(), pool.end(), rng);
-    pool.erase(pool.begin() + 1 + below(std::min(max, pool.size())),
-               pool.end());
-    if (below(6) == 0) pool.push_back(pool[below(pool.size())]);
-    return pool;
-  };
-  ScenarioSpec spec;
-  spec.name = "differential";
-  spec.chip_budgets = pick(std::vector<double>{8, 16, 40, 64}, 2);
-  core::AppParams custom = core::presets::kmeans();
-  custom.name = "custom";
-  if (below(4) != 0) custom.fored = 0.25 + 0.5 * (below(100) / 100.0);
-  spec.apps = pick(std::vector<core::AppParams>{core::presets::kmeans(),
-                                                core::presets::fuzzy(),
-                                                core::presets::hop(), custom},
-                   3);
-  spec.growths = pick(
-      std::vector<core::GrowthFunction>{core::GrowthFunction::linear(),
-                                        core::GrowthFunction::logarithmic(),
-                                        core::GrowthFunction::parallel()},
-      2);
-  spec.variants = pick(
-      std::vector<ModelVariant>{
-          ModelVariant::kSymmetric, ModelVariant::kAsymmetric,
-          ModelVariant::kSymmetricComm, ModelVariant::kAsymmetricComm},
-      3);
-  spec.topologies = pick(
-      std::vector<noc::Topology>{noc::Topology::kBus, noc::Topology::kRing,
-                                 noc::Topology::kMesh2D},
-      2);
-  spec.small_core_sizes = pick(std::vector<double>{1, 2, 3, 4}, 2);
-  if (below(2) == 0) {
-    spec.sizes = pick(std::vector<double>{1, 2, 3, 5, 8, 12, 24, 50}, 5);
-  }
-  return spec;
-}
-
-// Differential check of the predicate a fresh sweep decides its memo
-// cache by.  Whenever it says no point repeats, the engine's results
-// with the cache on and off match field for field (from_cache
-// included); whenever two jobs share a cache_key, it says a point can
-// repeat.
-TEST(ScenarioSpec, CanRepeatPointIsSoundAgainstTheEngine) {
-  std::size_t unique_specs = 0;
-  std::size_t repeating_specs = 0;
-  explore::ExploreEngine cached({2, true});
-  for (std::uint64_t seed = 1; seed <= 80; ++seed) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    std::mt19937_64 rng(seed);
-    const ScenarioSpec spec = random_spec(rng);
-    const std::vector<EvalJob> jobs = spec.expand();
-
-    std::unordered_set<CacheKey, CacheKeyHash> keys;
-    bool shared_key = false;
-    for (const EvalJob& job : jobs) {
-      shared_key |= !keys.insert(cache_key(job.request)).second;
-    }
-    if (shared_key) {
-      EXPECT_TRUE(spec.can_repeat_point());
-      ++repeating_specs;
-      continue;
-    }
-    if (spec.can_repeat_point()) continue;
-    ++unique_specs;
-
-    cached.clear_cache();
-    explore::ExploreEngine uncached({2, false});
-    const std::vector<EvalResult> on = cached.run(jobs);
-    const std::vector<EvalResult> off = uncached.run(jobs);
-    ASSERT_EQ(on.size(), off.size());
-    for (std::size_t i = 0; i < on.size(); ++i) {
-      SCOPED_TRACE("job " + std::to_string(i));
-      EXPECT_EQ(on[i].index, off[i].index);
-      EXPECT_EQ(on[i].scenario, off[i].scenario);
-      EXPECT_EQ(on[i].variant, off[i].variant);
-      EXPECT_EQ(on[i].n, off[i].n);
-      EXPECT_EQ(on[i].app, off[i].app);
-      EXPECT_EQ(on[i].growth, off[i].growth);
-      EXPECT_EQ(on[i].topology, off[i].topology);
-      EXPECT_EQ(on[i].r, off[i].r);
-      EXPECT_EQ(on[i].rl, off[i].rl);
-      EXPECT_EQ(on[i].feasible, off[i].feasible);
-      EXPECT_EQ(on[i].cores, off[i].cores);
-      EXPECT_EQ(on[i].speedup, off[i].speedup);
-      EXPECT_EQ(on[i].from_cache, off[i].from_cache);
-    }
-  }
-  // Both branches must have run often enough to mean something.
-  EXPECT_GE(unique_specs, 10u);
-  EXPECT_GE(repeating_specs, 10u);
 }
 
 TEST(ScenarioSpec, ValidateRejectsEmptyAxes) {

@@ -4,10 +4,10 @@
 // contract — what load() returns is a PREFIX of what was appended
 // (never a fabricated or reordered record), and the loss is bounded by
 // the documented crash window: the one flush group still filling.
-// The sweep tests drive the engine the way explore_cli does (512-job
-// chunks, fresh results appended in groups of kSweepFlushEvery) and
-// check that a killed disk costs at most one group, which a resume
-// evaluates again and nothing more.
+// The sweep tests run explore_cli's sweep (search::run_sweep: chunks of
+// kSweepChunk flat indices, fresh results appended in groups of
+// kSweepFlushEvery) and check that a killed disk costs at most one
+// group, which a resume evaluates again and nothing more.
 
 #include <algorithm>
 #include <filesystem>
@@ -18,6 +18,7 @@
 
 #include "explore/report.hpp"
 #include "search/run_log.hpp"
+#include "search/strategy.hpp"
 #include "util/failpoint.hpp"
 #include "util/io_env.hpp"
 
@@ -99,8 +100,7 @@ void expect_prefix(const std::vector<explore::EvalResult>& loaded,
   }
 }
 
-/// 2,000 distinct points, so a fresh sweep runs without the memo cache,
-/// as explore_cli's does.
+/// 2,000 distinct points.
 explore::ScenarioSpec sweep_spec() {
   explore::ScenarioSpec spec;
   spec.name = "crash-sweep";
@@ -113,38 +113,32 @@ explore::ScenarioSpec sweep_spec() {
 
 struct Sweep {
   std::vector<explore::EvalResult> results;
-  std::size_t appended = 0;  ///< appends begun, a throwing one included
-  bool failed = false;       ///< an append or the final flush threw
+  std::uint64_t appended = 0;  ///< records the log accepted
+  bool failed = false;         ///< an append or the final flush threw
 };
 
-/// explore_cli's checkpointing sweep: `jobs` in 512-job chunks, each
-/// chunk's fresh results appended to `log`, then a final flush.  An I/O
-/// failure ends the sweep, as it ends the CLI run.
+/// explore_cli's checkpointing sweep of `spec`, unsharded, into `log`.
+/// An I/O failure ends the sweep, as it ends the CLI run.
 Sweep sweep(explore::ExploreEngine& engine, RunLog& log,
-            const std::vector<explore::EvalJob>& jobs) {
-  constexpr std::size_t kChunk = 512;
+            const explore::ScenarioSpec& spec) {
+  const SearchSpace space(spec);
   Sweep run;
   try {
-    for (std::size_t begin = 0; begin < jobs.size(); begin += kChunk) {
-      std::vector<explore::EvalJob> slice(
-          jobs.begin() + static_cast<std::ptrdiff_t>(begin),
-          jobs.begin() + static_cast<std::ptrdiff_t>(
-                             std::min(begin + kChunk, jobs.size())));
-      for (std::size_t i = 0; i < slice.size(); ++i) slice[i].index = i;
-      for (explore::EvalResult& result : engine.run(slice)) {
-        result.index += begin;
-        if (!result.from_cache) {
-          ++run.appended;
-          log.append(result);
-        }
-        run.results.push_back(std::move(result));
-      }
-    }
-    log.flush();
+    run.results =
+        run_sweep(engine, space, ShardPlan(space.size(), 1).range(0), &log);
   } catch (const std::exception&) {
     run.failed = true;
   }
+  run.appended = log.appended();
   return run;
+}
+
+/// The records an uninterrupted sweep of `spec` logs, in order.
+std::vector<explore::EvalResult> uninterrupted(
+    const explore::ScenarioSpec& spec) {
+  const SearchSpace space(spec);
+  explore::ExploreEngine engine({2, false});
+  return run_sweep(engine, space, ShardPlan(space.size(), 1).range(0));
 }
 
 /// Resumes an interrupted sweep of `spec` in `dir` the way explore_cli
@@ -154,32 +148,29 @@ Sweep sweep(explore::ExploreEngine& engine, RunLog& log,
 void expect_resume_completes(const std::string& dir,
                              const explore::ScenarioSpec& spec,
                              std::size_t persisted) {
-  const std::vector<explore::EvalJob> jobs = spec.expand();
-  explore::ExploreEngine reference({2, false});
-  const std::vector<explore::EvalResult> uninterrupted = reference.run(jobs);
+  const std::vector<explore::EvalResult> reference = uninterrupted(spec);
   {
     RunLog log(dir, RunLogOptions{LogFormat::kBinary, kSweepFlushEvery});
     explore::ExploreEngine engine({2, true});
     EXPECT_EQ(RunLog::warm(RunLog::load(dir), spec, engine), persisted);
-    const Sweep resumed = sweep(engine, log, jobs);
+    const Sweep resumed = sweep(engine, log, spec);
     ASSERT_FALSE(resumed.failed);
-    EXPECT_EQ(resumed.appended, jobs.size() - persisted);
-    EXPECT_EQ(engine.cache().stats().misses, jobs.size() - persisted);
+    EXPECT_EQ(resumed.appended, reference.size() - persisted);
+    EXPECT_EQ(engine.cache().stats().misses, reference.size() - persisted);
     ASSERT_NE(explore::best_result(resumed.results), nullptr);
     EXPECT_EQ(explore::best_line(*explore::best_result(resumed.results)),
-              explore::best_line(*explore::best_result(uninterrupted)));
+              explore::best_line(*explore::best_result(reference)));
   }
   const std::vector<explore::EvalResult> logged = RunLog::load(dir);
-  EXPECT_EQ(logged.size(), jobs.size());
-  EXPECT_EQ(RunLog::dedup(logged).size(), jobs.size());
+  EXPECT_EQ(logged.size(), reference.size());
+  EXPECT_EQ(RunLog::dedup(logged).size(), reference.size());
 }
 
 TEST_F(CrashConsistencyTest, PowerLossMidSweepLosesAtMostOneGroup) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const explore::ScenarioSpec spec = sweep_spec();
-  ASSERT_FALSE(spec.can_repeat_point());
-  const std::vector<explore::EvalJob> jobs = spec.expand();
+  const std::vector<explore::EvalResult> reference = uninterrupted(spec);
   // The power dies while the tenth group is being made durable: its
   // fsync never returns, and all of it but the last byte reaches the
   // platter, a torn final frame.
@@ -188,16 +179,16 @@ TEST_F(CrashConsistencyTest, PowerLossMidSweepLosesAtMostOneGroup) {
   {
     RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/true));
     explore::ExploreEngine engine({2, false});
-    run = sweep(engine, log, jobs);
+    run = sweep(engine, log, spec);
     faulty.lose_power([](std::uint64_t unsynced) { return unsynced - 1; });
   }
   util::FailPoints::instance().disarm_all();
   faulty.reset_power();
   ASSERT_TRUE(run.failed);
-  ASSERT_LT(run.appended, jobs.size());
+  ASSERT_LT(run.appended, reference.size());
 
   const auto loaded = RunLog::load(dir_);
-  expect_prefix(loaded, run.results);
+  expect_prefix(loaded, reference);
   EXPECT_GT(loaded.size(), 0u);
   EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
 
@@ -214,21 +205,21 @@ TEST_F(CrashConsistencyTest, StickyWriteFailureMidSweepLosesAtMostOneGroup) {
   util::FaultyIoEnv faulty;
   util::ScopedIoEnv scope(&faulty);
   const explore::ScenarioSpec spec = sweep_spec();
-  const std::vector<explore::EvalJob> jobs = spec.expand();
+  const std::vector<explore::EvalResult> reference = uninterrupted(spec);
   // The disk dies after the header and nine groups.
   util::FailPoints::instance().arm("io.write", "after:10@results");
   Sweep run;
   {
     RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
     explore::ExploreEngine engine({2, false});
-    run = sweep(engine, log, jobs);
+    run = sweep(engine, log, spec);
   }
   util::FailPoints::instance().disarm_all();
   ASSERT_TRUE(run.failed);
-  ASSERT_LT(run.appended, jobs.size());
+  ASSERT_LT(run.appended, reference.size());
 
   const auto loaded = RunLog::load(dir_);
-  expect_prefix(loaded, run.results);
+  expect_prefix(loaded, reference);
   EXPECT_EQ(loaded.size(), 9 * kSweepFlushEvery);
   EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
   expect_resume_completes(dir_, spec, loaded.size());

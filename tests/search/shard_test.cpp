@@ -12,6 +12,7 @@
 #include "core/app_params.hpp"
 #include "explore/engine.hpp"
 #include "search/run_log.hpp"
+#include "search/strategy.hpp"
 
 namespace mergescale::search {
 namespace {
@@ -57,33 +58,6 @@ void expect_equal(const explore::EvalResult& a, const explore::EvalResult& b) {
   EXPECT_EQ(a.feasible, b.feasible);
   EXPECT_DOUBLE_EQ(a.cores, b.cores);
   EXPECT_DOUBLE_EQ(a.speedup, b.speedup);
-}
-
-/// What a sharded explore_cli process does for its slice: enumerate the
-/// shard's flat range space-ordered, evaluate through a (per-process)
-/// engine, and append every fresh result with its global flat index.
-void sweep_shard(const SearchSpace& space, const ShardRange& range,
-                 explore::ExploreEngine& engine, RunLog* log) {
-  constexpr std::uint64_t kChunk = 64;
-  for (std::uint64_t begin = range.begin; begin < range.end;
-       begin += kChunk) {
-    const std::uint64_t end = std::min(begin + kChunk, range.end);
-    std::vector<explore::EvalJob> slice;
-    std::vector<std::uint64_t> flats;
-    for (std::uint64_t flat = begin; flat < end; ++flat) {
-      explore::EvalJob job;
-      if (!space.job_at(space.decode(flat), &job)) continue;
-      job.index = slice.size();
-      slice.push_back(std::move(job));
-      flats.push_back(flat);
-    }
-    std::vector<explore::EvalResult> part = engine.run(slice);
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      part[i].index = static_cast<std::size_t>(flats[i]);
-      if (!part[i].from_cache) log->append(part[i]);
-    }
-  }
-  log->flush();
 }
 
 TEST(ShardPlan, RangesTileTheSpaceExactlyAndBalanced) {
@@ -215,7 +189,7 @@ TEST_F(ShardTest, ShardUnionInvariant) {
     RunLogOptions options{LogFormat::kBinary, 7};
     options.shard = shard;
     RunLog log(merged_dir, options);
-    sweep_shard(space, plan.range(shard), engine, &log);
+    run_sweep(engine, space, plan.range(shard), &log);
   }
   RunLog::write_meta(reference_dir, std::string(kExhaustive) + ";shards=1");
   {
@@ -223,13 +197,14 @@ TEST_F(ShardTest, ShardUnionInvariant) {
     RunLogOptions options{LogFormat::kBinary, 7};
     options.shard = 0;
     RunLog log(reference_dir, options);
-    sweep_shard(space, ShardPlan(space.size(), 1).range(0), engine, &log);
+    run_sweep(engine, space, ShardPlan(space.size(), 1).range(0), &log);
   }
 
   const auto merged = RunLog::fold(merged_dir);
   const auto reference = RunLog::fold(reference_dir);
   ASSERT_TRUE(merged.has_value() && reference.has_value());
   EXPECT_EQ(merged->rows, reference->rows);
+  EXPECT_EQ(merged->rows, space.point_count());
   // Shard files are gone and both resume as the single-process run.
   EXPECT_TRUE(RunLog::result_logs(merged_dir).empty());
   EXPECT_EQ(*RunLog::read_meta(merged_dir), kExhaustive);

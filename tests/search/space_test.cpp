@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <random>
+#include <string>
+#include <tuple>
+#include <vector>
+
 #include "core/app_params.hpp"
 #include "explore/memo_cache.hpp"
 
@@ -106,6 +113,126 @@ TEST(SearchSpace, InertTopologyCoordinatesShareACacheKey) {
   ASSERT_TRUE(space.job_at(Coords{0, 0, 0, 0, 1, 0, 0}, &bus_coord));
   EXPECT_EQ(explore::cache_key(mesh_coord.request),
             explore::cache_key(bus_coord.request));
+}
+
+TEST(SearchSpace, CanonicalZeroesInertAxesAndFirstOccurrences) {
+  explore::ScenarioSpec spec = sample_spec();
+  spec.sizes = {1.0, 16.0, 16.0, 128.0};
+  const SearchSpace space(spec);
+  const auto canonical = [&space](const Coords& coords) {
+    return space.canonical(space.encode(coords));
+  };
+  // Symmetric: topology and small-core coordinates are inert.
+  EXPECT_EQ(canonical({1, 0, 0, 0, 1, 1, 1}),
+            space.encode({1, 0, 0, 0, 0, 0, 1}));
+  // Asymmetric: the small core counts, the topology does not.
+  EXPECT_EQ(canonical({1, 0, 0, 1, 1, 1, 1}),
+            space.encode({1, 0, 0, 1, 0, 1, 1}));
+  // Symmetric-comm: the topology counts, the small core does not.
+  EXPECT_EQ(canonical({1, 0, 0, 2, 1, 1, 1}),
+            space.encode({1, 0, 0, 2, 1, 0, 1}));
+  // The second 16 is the first one.
+  EXPECT_EQ(canonical({1, 0, 0, 2, 1, 0, 2}),
+            space.encode({1, 0, 0, 2, 1, 0, 1}));
+  // 128 does not fit the 64-BCE budget.
+  EXPECT_EQ(canonical({0, 0, 0, 0, 0, 0, 3}), std::nullopt);
+  // budgets(2) × apps(2) × growths(2) × [symmetric 1 + asymmetric 2 +
+  // symmetric-comm 2] × distinct fitting sizes (2 at 64, 3 at 256).
+  EXPECT_EQ(space.point_count(), 2u * 2 * 5 * (2 + 3));
+}
+
+/// A random small spec whose axes hold distinct values, except that now
+/// and then one axis repeats a value, and a custom app may copy kmeans'
+/// parameters under its own label.
+explore::ScenarioSpec random_spec(std::mt19937_64& rng) {
+  const auto below = [&rng](std::size_t n) {
+    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
+  };
+  // 1..max distinct entries of `pool`, plus (one time in three) a repeat.
+  const auto pick = [&](auto pool, std::size_t max) {
+    std::shuffle(pool.begin(), pool.end(), rng);
+    pool.erase(pool.begin() + 1 + below(std::min(max, pool.size())),
+               pool.end());
+    if (below(3) == 0) pool.push_back(pool[below(pool.size())]);
+    return pool;
+  };
+  explore::ScenarioSpec spec;
+  spec.name = "canonical";
+  spec.chip_budgets = pick(std::vector<double>{8, 16, 40, 64}, 2);
+  core::AppParams custom = core::presets::kmeans();
+  custom.name = "custom";
+  if (below(2) != 0) custom.fored = 0.25 + 0.5 * (below(100) / 100.0);
+  spec.apps = pick(std::vector<core::AppParams>{core::presets::kmeans(),
+                                                core::presets::hop(), custom},
+                   3);
+  spec.growths = pick(
+      std::vector<core::GrowthFunction>{core::GrowthFunction::linear(),
+                                        core::GrowthFunction::logarithmic(),
+                                        core::GrowthFunction::parallel()},
+      2);
+  spec.variants = pick(
+      std::vector<core::ModelVariant>{core::ModelVariant::kSymmetric,
+                                      core::ModelVariant::kAsymmetric,
+                                      core::ModelVariant::kSymmetricComm,
+                                      core::ModelVariant::kAsymmetricComm},
+      3);
+  spec.topologies = pick(
+      std::vector<noc::Topology>{noc::Topology::kBus, noc::Topology::kRing,
+                                 noc::Topology::kMesh2D},
+      2);
+  spec.small_core_sizes = pick(std::vector<double>{1, 2, 3, 12}, 2);
+  if (below(2) == 0) {
+    spec.sizes = pick(std::vector<double>{1, 2, 3, 5, 8, 12, 24, 50}, 5);
+  }
+  return spec;
+}
+
+/// The design point a job evaluates, by its labels and sizes.
+using Design =
+    std::tuple<core::ModelVariant, double, std::string, std::string,
+               std::string, double, double>;
+
+Design design_of(const explore::EvalJob& job) {
+  const core::EvalRequest& request = job.request;
+  return {request.variant, request.chip.n, request.app.name,
+          request.growth.name(), job.topology, request.r, request.rl};
+}
+
+// canonical() is the design-point identity on random grids with inert
+// axes and repeated values: two in-bounds flats share a canonical index
+// exactly when their jobs are the same design point, the canonical flats
+// are counted by point_count(), and in ascending order they are
+// ScenarioSpec::expand()'s jobs with each repeated point dropped.
+TEST(SearchSpace, CanonicalIsTheDesignPointIdentity) {
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const explore::ScenarioSpec spec = random_spec(rng);
+    const SearchSpace space(spec);
+    std::map<Design, std::uint64_t> canonical_of;
+    std::vector<Design> ascending;
+    for (std::uint64_t flat = 0; flat < space.size(); ++flat) {
+      const std::optional<std::uint64_t> canonical = space.canonical(flat);
+      explore::EvalJob job;
+      ASSERT_EQ(canonical.has_value(), space.job_at(space.decode(flat), &job));
+      if (!canonical) continue;
+      ASSERT_LE(*canonical, flat);
+      EXPECT_EQ(space.canonical(*canonical), canonical);
+      const auto [it, fresh] = canonical_of.try_emplace(design_of(job), flat);
+      EXPECT_EQ(it->second, *canonical);
+      if (fresh) ascending.push_back(design_of(job));
+    }
+    EXPECT_EQ(space.point_count(), canonical_of.size());
+
+    std::vector<Design> expanded;
+    std::map<Design, bool> seen;
+    for (const explore::EvalJob& job : spec.expand()) {
+      if (seen.emplace(design_of(job), true).second) {
+        expanded.push_back(design_of(job));
+      }
+    }
+    EXPECT_EQ(ascending, expanded);
+  }
 }
 
 TEST(SearchSpace, RejectsAnInvalidSpec) {

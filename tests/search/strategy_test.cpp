@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <set>
+#include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
+#include "search/design_key.hpp"
 #include "util/rng.hpp"
 
 namespace mergescale::search {
@@ -172,6 +177,54 @@ TEST(Strategy, BudgetHoldsAcrossKillAndResume) {
           << strategy_name(strategy) << " slice " << slice_budget;
     }
   }
+}
+
+TEST(Strategy, RecordsCarryTheCanonicalIndexOfTheirDesignPoint) {
+  // Inert axes (the symmetric small core, every non-comm topology) and a
+  // repeated size give most points several coordinates.
+  explore::ScenarioSpec spec = sample_spec();
+  spec.variants.push_back(core::ModelVariant::kSymmetricComm);
+  spec.topologies = {noc::Topology::kMesh2D, noc::Topology::kBus};
+  spec.sizes = {1.0, 2.0, 4.0, 4.0, 16.0, 64.0, 256.0};
+  const SearchSpace space(spec);
+  // The exhaustive sweep records each design point under its canonical
+  // flat index: the oracle.
+  explore::ExploreEngine sweeper({.threads = 2, .use_cache = false});
+  const std::vector<explore::EvalResult> swept =
+      run_sweep(sweeper, space, ShardPlan(space.size(), 1).range(0));
+  std::unordered_map<DesignKey, std::size_t, DesignKeyHash> flat_of;
+  for (const explore::EvalResult& result : swept) {
+    flat_of.emplace(DesignKey::of(result), result.index);
+  }
+  ASSERT_EQ(flat_of.size(), swept.size());
+
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("mergescale_strategy_index_" +
+        std::to_string(::testing::UnitTest::GetInstance()->random_seed())))
+          .string();
+  for (Strategy strategy : kAllStrategies) {
+    std::filesystem::remove_all(dir);
+    {
+      RunLog log(dir, RunLogOptions{});
+      explore::ExploreEngine engine({.threads = 2});
+      SearchOptions options;
+      options.strategy = strategy;
+      options.budget = space.point_count() / 2;
+      run_search(engine, space, options, &log);
+    }
+    const std::vector<explore::EvalResult> records = RunLog::load(dir);
+    ASSERT_GT(records.size(), 8u) << strategy_name(strategy);
+    std::set<std::size_t> indices;
+    for (const explore::EvalResult& record : records) {
+      EXPECT_EQ(record.index, flat_of.at(DesignKey::of(record)))
+          << strategy_name(strategy);
+      indices.insert(record.index);
+    }
+    // The log holds each point once, so its indices are all distinct.
+    EXPECT_EQ(indices.size(), records.size()) << strategy_name(strategy);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Strategy, ProposalsCountOnlyInBoundsPoints) {

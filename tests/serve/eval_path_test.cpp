@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <limits>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,8 @@
 #include "noc/topology.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
+#include "search/space.hpp"
+#include "search/strategy.hpp"
 #include "serve/served_run.hpp"
 #include "serve/server.hpp"
 #include "util/io_env.hpp"
@@ -187,12 +190,20 @@ class EvalPathTest : public ::testing::Test {
   /// Records `config`'s whole grid into `dir`, as explore_cli does.
   static std::vector<explore::EvalResult> record(const std::string& dir,
                                                  const std::string& config) {
-    const explore::ScenarioSpec spec = explore::from_config(config, "serve");
+    const search::SearchSpace space(explore::from_config(config, "serve"));
     explore::ExploreEngine engine(explore::EngineOptions{2});
-    const std::vector<explore::EvalResult> results = engine.run(spec);
+    const std::vector<explore::EvalResult> results = search::run_sweep(
+        engine, space, search::ShardPlan(space.size(), 1).range(0));
     search::RunLog::write_meta(dir, config);
     append(dir, results);
     return results;
+  }
+
+  /// One past kConfig's largest flat index: off-grid records are
+  /// numbered from here, as the server numbers its live evaluations.
+  static std::size_t grid_end() {
+    return static_cast<std::size_t>(
+        search::SearchSpace(explore::from_config(kConfig, "serve")).size());
   }
 
   static void append(const std::string& dir,
@@ -286,7 +297,7 @@ TEST_F(EvalPathTest, EveryRowAnswersAsTheMemoCachePathDid) {
     SCOPED_TRACE(archived ? "archive.msca" : "result log only");
     fs::remove_all(dir_);
     const auto grid = record(dir_, kConfig);
-    append(dir_, non_finite(grid.size()));
+    append(dir_, non_finite(grid_end()));
     if (archived) archive(dir_);
 
     const auto records = search::RunLog::dedup(search::RunLog::load(dir_));
@@ -317,7 +328,7 @@ TEST_F(EvalPathTest, ALogTailOverTheArchiveNeverRanksAPointTwice) {
     copy.speedup *= 10.0;
     tail.push_back(copy);
   }
-  const auto fresh = off_grid(grid.size());
+  const auto fresh = off_grid(grid_end());
   tail.insert(tail.end(), fresh.begin(), fresh.end());
   tail.push_back(fresh[1]);
   append(dir_, tail);
@@ -342,7 +353,7 @@ TEST_F(EvalPathTest, MergeFromUnionsSourcesAndRefusesMismatches) {
   // ignored, its archived-point duplicates lose to the target's rows.
   const std::string source = base_ + "/shard";
   search::RunLog::write_meta(source, std::string(kConfig) + ";shards=2");
-  std::vector<explore::EvalResult> foreign = off_grid(grid.size());
+  std::vector<explore::EvalResult> foreign = off_grid(grid_end());
   explore::EvalResult duplicate = grid[5];
   duplicate.speedup *= 10.0;
   foreign.push_back(duplicate);
@@ -383,16 +394,16 @@ TEST_F(EvalPathTest, ALiveEvalIsArchivedAndFoundAfterARestart) {
     live = served->server->execute_line(eval_line(point));
     ASSERT_NE(live.find(" source=live\n"), std::string::npos) << live;
   }
-  // The live record carries the server's next row number — neither its
-  // expand() position (it has none: it is off the grid) nor a
-  // SearchSpace index, so no flat-index lookup could find it.
+  // The live record is numbered past every flat index of the grid (it
+  // has none: it is off the grid), so no flat-index lookup could find
+  // it.
   const auto logged = [&] {
     std::vector<explore::EvalResult> out;
     search::RunLog::load_logs(dir_, &out);
     return out;
   }();
   ASSERT_EQ(logged.size(), 1u);
-  EXPECT_EQ(logged[0].index, grid.size());
+  EXPECT_EQ(logged[0].index, grid_end());
   archive(dir_);
 
   auto restarted = serve(dir_);
@@ -402,6 +413,39 @@ TEST_F(EvalPathTest, ALiveEvalIsArchivedAndFoundAfterARestart) {
   EXPECT_EQ(live.substr(0, live.find("source=")),
             again.substr(0, again.find("source=")));
   EXPECT_EQ(restarted->server->live_evals(), 0u);
+}
+
+TEST_F(EvalPathTest, LiveEvalIndicesNeverMatchAnArchivedRowsIndex) {
+  // The sweep skips the grid's inert-axis twins, so its indices have
+  // gaps and run past the row count.
+  record(dir_, kConfig);
+  archive(dir_);
+  std::set<std::size_t> held;
+  for (const auto& record : search::RunLog::load(dir_)) {
+    held.insert(record.index);
+  }
+  ASSERT_GT(*held.rbegin(), held.size());
+  const auto points = off_grid(0);
+  {
+    auto served = serve(dir_);
+    const std::string reply = served->server->execute_line(eval_line(points[0]));
+    ASSERT_NE(reply.find(" source=live\n"), std::string::npos) << reply;
+  }
+  // After a restart the first live record sits in the delta.
+  auto restarted = serve(dir_);
+  EXPECT_EQ(restarted->stat("delta_records"), "1");
+  for (std::size_t i = 1; i < points.size(); ++i) {
+    const std::string reply =
+        restarted->server->execute_line(eval_line(points[i]));
+    ASSERT_NE(reply.find(" source=live\n"), std::string::npos) << reply;
+  }
+  std::vector<explore::EvalResult> live;
+  search::RunLog::load_logs(dir_, &live);
+  ASSERT_EQ(live.size(), points.size());
+  for (const auto& record : live) {
+    EXPECT_TRUE(held.insert(record.index).second)
+        << "live index " << record.index << " is already held";
+  }
 }
 
 TEST_F(EvalPathTest, StartUpReadsUnderOnePercentOfTheArchive) {

@@ -23,6 +23,7 @@
 #include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
+#include "search/space.hpp"
 #include "serve/server.hpp"
 #include "util/rng.hpp"
 
@@ -73,7 +74,7 @@ explore::EvalResult live_record(const QueryServer& server,
 
 /// The scenario's grid with its ranking fields rewritten into ties: a
 /// quarter of the records are twins of the three best live points (their
-/// exact speedup and core count, numbered like live evaluations), the
+/// exact speedup and core count, numbered just past the row count), the
 /// rest get whole-number speedups, core counts in steps of 4 and indices
 /// from a range a third the record count, and every seventh record is
 /// infeasible.  Design points stay distinct, as a deduplicated archive
@@ -89,7 +90,7 @@ std::vector<explore::EvalResult> crafted_grid(
   for (std::size_t i = 0; i < grid.size(); ++i) {
     explore::EvalResult& record = grid[i];
     if (rng.bounded(4) == 0) {
-      // A twin of a top live point, numbered like a live evaluation.
+      // A twin of a top live point, numbered past the row count.
       const explore::EvalResult& twin =
           top[static_cast<std::size_t>(rng.bounded(top.size()))];
       record.speedup = twin.speedup;
@@ -159,6 +160,20 @@ class RankIndexTest : public ::testing::Test {
   std::string dir_;
 };
 
+/// The index the server gives its first live evaluation: past every
+/// grid index and every index the archive or the delta holds.
+std::size_t first_live_index(const std::vector<explore::EvalResult>& archived,
+                             const std::vector<explore::EvalResult>& delta) {
+  std::size_t first = static_cast<std::size_t>(
+      search::SearchSpace(explore::from_config(kConfig, "serve")).size());
+  for (const auto* records : {&archived, &delta}) {
+    for (const explore::EvalResult& record : *records) {
+      first = std::max(first, record.index + 1);
+    }
+  }
+  return first;
+}
+
 std::vector<explore::EvalResult> concat(
     std::vector<explore::EvalResult> head,
     const std::vector<explore::EvalResult>& tail) {
@@ -172,7 +187,7 @@ TEST_F(RankIndexTest, RepliesMatchAFullScanThroughCraftedTies) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     std::vector<explore::EvalResult> archived, delta;
     auto server = serve(seed, nullptr, &archived, &delta);
-    const std::size_t first_live = archived.size() + delta.size();
+    const std::size_t first_live = first_live_index(archived, delta);
     std::set<std::string> evaluated;
     util::Xoshiro256 rng(seed * 7919);
     for (int step = 0; step < 400; ++step) {
@@ -223,10 +238,8 @@ TEST_F(RankIndexTest, RepliesMatchAFullScanThroughCraftedTies) {
     // union (a crafted twin at a lower index may hold it).
     EXPECT_EQ(server->live_evals(), evaluated.size());
     double live_best = 0.0;
-    for (const explore::EvalResult& record : delta) {
-      if (record.index >= first_live) {
-        live_best = std::max(live_best, record.speedup);
-      }
+    for (const std::string& line : lines) {
+      live_best = std::max(live_best, live_record(*server, line, 0).speedup);
     }
     EXPECT_EQ(explore::best_result(concat(archived, delta))->speedup,
               live_best);

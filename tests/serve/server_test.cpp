@@ -13,6 +13,7 @@
 #include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
+#include "search/space.hpp"
 #include "serve/served_run.hpp"
 
 namespace mergescale::serve {
@@ -178,7 +179,9 @@ TEST_F(ServerTest, LiveEvalSurvivesARestart) {
   auto restarted = serve();
   EXPECT_EQ(restarted->stat("archive_records"),
             std::to_string(
-                explore::from_config(kConfig, "serve").job_count() + 1));
+                search::SearchSpace(explore::from_config(kConfig, "serve"))
+                        .point_count() +
+                    1));
   const std::string second = restarted->server->execute_line(query);
   EXPECT_NE(second.find("source=archive"), std::string::npos) << second;
   EXPECT_EQ(restarted->server->live_evals(), 0u);
