@@ -18,8 +18,9 @@
 //   anneal    the annealing strategy at --walkers 1 (the old sequential
 //             walker) vs. the parallel multi-walker front
 //   report    explore::write_csv and write_ndjson over the sweep's full
-//             result set, rows/sec, into a stream that drops the bytes
-//             (rendering cost, not disk speed)
+//             result set on the engine's --threads team, rows/sec, into
+//             a stream that drops the bytes (rendering cost, not disk
+//             speed)
 //
 // Emits a BENCH_throughput.json with every number so CI can archive the
 // perf trajectory.  Exits nonzero only when the batch and scalar paths
@@ -138,12 +139,13 @@ class CountingBuf : public std::streambuf {
 /// Rows/sec of one report writer over `results`; `bytes` gets its size.
 SweepStats timed_report(const std::vector<explore::EvalResult>& results,
                         void (*write)(std::ostream&,
-                                      const std::vector<explore::EvalResult>&),
-                        std::uint64_t& bytes) {
+                                      const std::vector<explore::EvalResult>&,
+                                      runtime::ThreadTeam*),
+                        runtime::ThreadTeam& team, std::uint64_t& bytes) {
   CountingBuf sink;
   std::ostream os(&sink);
   const auto start = std::chrono::steady_clock::now();
-  write(os, results);
+  write(os, results, &team);
   SweepStats stats;
   stats.seconds = seconds_since(start);
   stats.points = results.size();
@@ -349,8 +351,11 @@ int main(int argc, char** argv) try {
   {
     const std::vector<explore::EvalResult> results = search::run_sweep(
         engine, space, search::ShardPlan(space.size(), 1).range(0));
-    csv_stats = timed_report(results, explore::write_csv, csv_bytes);
-    ndjson_stats = timed_report(results, explore::write_ndjson, ndjson_bytes);
+    // Rendered on the engine's team, as explore_cli renders its reports.
+    csv_stats =
+        timed_report(results, explore::write_csv, engine.team(), csv_bytes);
+    ndjson_stats = timed_report(results, explore::write_ndjson, engine.team(),
+                                ndjson_bytes);
   }
   std::cout << "report:  csv " << util::format_double(csv_stats.pps(), 0)
             << " rows/s (" << csv_bytes << " B), ndjson "

@@ -71,6 +71,7 @@
 
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
+#include "runtime/thread_team.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
 #include "search/space.hpp"
@@ -273,19 +274,28 @@ int main(int argc, char** argv) try {
   const auto flush_every = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("flush-every")));
 
+  // --threads sizes every parallel stage: the sweep's evaluations, the
+  // archive encoder and the report renderer.  None of their output bytes
+  // depend on it.
+  const int threads = runtime::ThreadTeam::resolve_size(
+      static_cast<int>(cli.get_int("threads")));
+
   if (cli.get_flag("dump")) {
     // The grep/diff view of a run: every record load() reads (archive,
-    // unsharded log, then shard logs), undeduplicated, in file order.
-    explore::write_ndjson(std::cout,
-                          search::RunLog::load(action_dir(cli, "--dump")));
+    // unsharded log, then shard logs), undeduplicated, in file order,
+    // rendered on --threads workers.
+    runtime::ThreadTeam team(threads);
+    explore::write_ndjson(
+        std::cout, search::RunLog::load(action_dir(cli, "--dump")), &team);
     return 0;
   }
 
   if (cli.get_flag("archive")) {
     const std::string dir = action_dir(cli, "--archive");
+    runtime::ThreadTeam team(threads);
     // An already archived directory (a fresh sweep ends so) is checked,
     // not rewritten.
-    if (const auto stats = search::RunLog::fold(dir, merge_from)) {
+    if (const auto stats = search::RunLog::fold(dir, merge_from, &team)) {
       print_archive(*stats, dir);
     } else {
       std::cout << "archive: nothing to archive in " << dir << "\n";
@@ -319,7 +329,7 @@ int main(int argc, char** argv) try {
       resume_dir.empty() ? cli.get_string("run-dir") : resume_dir;
 
   explore::EngineOptions options;
-  options.threads = static_cast<int>(cli.get_int("threads"));
+  options.threads = threads;
   // The memo cache serves points evaluated before: an adaptive search's
   // repeated proposals or a resume's warmed records.  A fresh exhaustive
   // sweep visits each canonical design point once, so it could never
@@ -543,18 +553,19 @@ int main(int argc, char** argv) try {
     // them from memory — the bytes --archive would write from
     // dedup(load(dir)) — instead of reloading them.
     log.reset();
-    print_archive(search::RunLog::archive(run_dir, results), run_dir);
+    print_archive(search::RunLog::archive(run_dir, results, &engine.team()),
+                  run_dir);
   }
 
-  // Persist the full result set.
+  // Persist the full result set, rendered on the engine's workers.
   const std::string prefix = cli.get_string("out");
   const bool written =
       write_report(prefix + ".csv",
                    [&](std::ostream& os) {
-                     explore::write_csv(os, results);
+                     explore::write_csv(os, results, &engine.team());
                    }) &&
       write_report(prefix + ".ndjson", [&](std::ostream& os) {
-        explore::write_ndjson(os, results);
+        explore::write_ndjson(os, results, &engine.team());
       });
   if (!written) return 1;
   std::cout << "wrote " << prefix << ".csv and " << prefix << ".ndjson\n\n";

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <bit>
 #include <cmath>
-#include <thread>
 
 #include "util/check.hpp"
 
@@ -98,12 +97,6 @@ void settle_freshness(std::span<const EvalJob> jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     if (missed[i] != 0) results[i].from_cache = false;
   }
-}
-
-int resolve_threads(int requested) {
-  if (requested > 0) return requested;
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
 }  // namespace
@@ -226,7 +219,7 @@ double cost_of(const EvalResult& result, CostMetric metric) noexcept {
 
 ExploreEngine::ExploreEngine(EngineOptions options)
     : options_(options),
-      team_(resolve_threads(options.threads)),
+      team_(runtime::ThreadTeam::resolve_size(options.threads)),
       cache_(options.cache_shards) {}
 
 std::vector<EvalResult> ExploreEngine::run(const ScenarioSpec& spec) {

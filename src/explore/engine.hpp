@@ -128,6 +128,11 @@ class ExploreEngine {
   /// Worker count actually in use.
   int threads() const noexcept { return team_.size(); }
 
+  /// The engine's thread team, for parallel work between runs (report
+  /// rendering, archive encoding), so one --threads setting governs a
+  /// whole sweep.  Not usable while run() is in progress.
+  runtime::ThreadTeam& team() noexcept { return team_; }
+
   /// The memo cache (hit/miss stats, size) — cumulative across runs.
   const MemoCache& cache() const noexcept { return cache_; }
 

@@ -1,6 +1,7 @@
 #include "explore/report.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -8,6 +9,7 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
+#include <thread>
 
 #include "util/check.hpp"
 #include "util/format.hpp"
@@ -272,37 +274,38 @@ util::Table strategy_comparison(
 }
 
 // The report writers.  A million-row sweep report costs about as much as
-// writing its bytes: rows render straight into one reused chunk buffer
-// that is handed to the stream whole, with no per-row or per-cell
-// strings.  report.hpp states the byte-level format they keep.
+// writing its bytes: rows render straight into reused per-worker block
+// buffers that are handed to the stream whole, with no per-row or
+// per-cell strings.  report.hpp states the byte-level format they keep.
 
 namespace {
 
-/// Report bytes buffered per stream write.
-constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
+/// Rows per rendered block, the archive's block size: a team renders
+/// team.size() blocks per round, about 1 MB of NDJSON each.
+constexpr std::size_t kBlockRows = 4096;
 
-/// Streams text through one fixed-size buffer, handing full chunks to an
-/// ostream.  The caller flush()es once at the end.
-class ChunkWriter {
+/// One block of report text in a reused buffer that grows to fit (a
+/// block of ordinary rows needs about 1 MB; a huge label grows it once).
+/// Each worker's writer sits on its own cache line: the write position
+/// moves on every cell, and two writers sharing a line would stall each
+/// other.
+class alignas(64) BlockWriter {
  public:
-  explicit ChunkWriter(std::ostream& os) : os_(os), buf_(kChunkBytes) {}
+  void clear() { used_ = 0; }
+
+  void write_to(std::ostream& os) const {
+    os.write(buf_.data(), static_cast<std::streamsize>(used_));
+  }
 
   // mslint: hot-path — everything down to the end of write_ndjson runs
   // once per report row or cell.
   void put(char c) {
-    if (used_ == buf_.size()) flush();
-    buf_[used_++] = c;
+    *room(1) = c;
+    ++used_;
   }
 
   void put(std::string_view text) {
-    if (text.size() > buf_.size() - used_) {
-      flush();
-      if (text.size() > buf_.size()) {
-        os_.write(text.data(), static_cast<std::streamsize>(text.size()));
-        return;
-      }
-    }
-    std::memcpy(buf_.data() + used_, text.data(), text.size());
+    std::memcpy(room(text.size()), text.data(), text.size());
     used_ += text.size();
   }
 
@@ -345,15 +348,12 @@ class ChunkWriter {
     put('"');
   }
 
-  void flush() {
-    os_.write(buf_.data(), static_cast<std::streamsize>(used_));
-    used_ = 0;
-  }
-
  private:
-  /// `n` (<= kChunkBytes) contiguous free bytes at the write position.
+  /// `n` contiguous free bytes at the write position.
   char* room(std::size_t n) {
-    if (buf_.size() - used_ < n) flush();
+    if (buf_.size() - used_ < n) {
+      buf_.resize(std::max({std::size_t{1} << 16, 2 * buf_.size(), used_ + n}));
+    }
     return buf_.data() + used_;
   }
 
@@ -361,72 +361,147 @@ class ChunkWriter {
     used_ = static_cast<std::size_t>(end - buf_.data());
   }
 
-  std::ostream& os_;
   std::vector<char> buf_;
   std::size_t used_ = 0;
 };
 
-}  // namespace
-
-void write_csv(std::ostream& os, const std::vector<EvalResult>& results) {
-  ChunkWriter out(os);
-  out.put("scenario,variant,n,app,growth,topology,r,rl,cores,feasible,"
-          "speedup,cached\n");
-  for (const auto& result : results) {
-    out.csv(result.scenario);
-    out.put(',');
-    out.csv(core::model_variant_name(result.variant));
-    out.put(',');
-    out.general(result.n, 9);
-    out.put(',');
-    out.csv(result.app);
-    out.put(',');
-    out.csv(result.growth);
-    out.put(',');
-    out.csv(result.topology);
-    out.put(',');
-    out.general(result.r, 9);
-    out.put(',');
-    out.general(result.rl, 9);
-    out.put(',');
-    out.general(result.cores, 9);
-    out.put(result.feasible ? ",yes," : ",no,");
-    out.fixed(result.speedup, 3);
-    out.put(result.from_cache ? ",yes\n" : ",no\n");
-  }
-  out.flush();
+void csv_row(BlockWriter& out, const EvalResult& result) {
+  out.csv(result.scenario);
+  out.put(',');
+  out.csv(core::model_variant_name(result.variant));
+  out.put(',');
+  out.general(result.n, 9);
+  out.put(',');
+  out.csv(result.app);
+  out.put(',');
+  out.csv(result.growth);
+  out.put(',');
+  out.csv(result.topology);
+  out.put(',');
+  out.general(result.r, 9);
+  out.put(',');
+  out.general(result.rl, 9);
+  out.put(',');
+  out.general(result.cores, 9);
+  out.put(result.feasible ? ",yes," : ",no,");
+  out.fixed(result.speedup, 3);
+  out.put(result.from_cache ? ",yes\n" : ",no\n");
 }
 
-void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results) {
-  ChunkWriter out(os);
-  for (const auto& result : results) {
-    out.put("{\"index\":");
-    out.integer(result.index);
-    out.put(",\"scenario\":");
-    out.json(result.scenario);
-    out.put(",\"variant\":\"");
-    out.put(core::model_variant_name(result.variant));
-    out.put("\",\"n\":");
-    out.precise(result.n);
-    out.put(",\"app\":");
-    out.json(result.app);
-    out.put(",\"growth\":");
-    out.json(result.growth);
-    out.put(",\"topology\":");
-    out.json(result.topology);
-    out.put(",\"r\":");
-    out.precise(result.r);
-    out.put(",\"rl\":");
-    out.precise(result.rl);
-    out.put(",\"cores\":");
-    out.precise(result.cores);
-    out.put(result.feasible ? ",\"feasible\":true" : ",\"feasible\":false");
-    out.put(",\"speedup\":");
-    out.precise(result.speedup);
-    out.put(result.from_cache ? ",\"cached\":true}\n" : ",\"cached\":false}\n");
-  }
-  out.flush();
+void ndjson_row(BlockWriter& out, const EvalResult& result) {
+  out.put("{\"index\":");
+  out.integer(result.index);
+  out.put(",\"scenario\":");
+  out.json(result.scenario);
+  out.put(",\"variant\":\"");
+  out.put(core::model_variant_name(result.variant));
+  out.put("\",\"n\":");
+  out.precise(result.n);
+  out.put(",\"app\":");
+  out.json(result.app);
+  out.put(",\"growth\":");
+  out.json(result.growth);
+  out.put(",\"topology\":");
+  out.json(result.topology);
+  out.put(",\"r\":");
+  out.precise(result.r);
+  out.put(",\"rl\":");
+  out.precise(result.rl);
+  out.put(",\"cores\":");
+  out.precise(result.cores);
+  out.put(result.feasible ? ",\"feasible\":true" : ",\"feasible\":false");
+  out.put(",\"speedup\":");
+  out.precise(result.speedup);
+  out.put(result.from_cache ? ",\"cached\":true}\n" : ",\"cached\":false}\n");
 }
 // mslint: cold
+
+/// One slot of write_blocks' ring: a block's text and whether it is
+/// rendered and not yet written.
+struct BlockSlot {
+  BlockWriter out;
+  std::atomic<bool> ready{false};
+};
+
+/// The one ordered block renderer behind both writers, one parallel
+/// region per report.  The team claims blocks of kBlockRows rows in row
+/// order and renders each into a slot of a ring of 2 × team.size()
+/// buffers.  The caller (tid 0) writes the rendered blocks to `os` in
+/// block order, and renders a block itself whenever the next one to
+/// write is not ready yet, so the stream write overlaps the rendering.
+/// A block is claimed only once the block a ring's length before it is
+/// written: memory stays at about 2 MB per worker, and the bytes are
+/// those of one sequential loop for any team size — a team of one is
+/// that loop.
+template <typename Row>
+void write_blocks(std::ostream& os, const std::vector<EvalResult>& results,
+                  runtime::ThreadTeam* team, Row row) {
+  runtime::ThreadTeam solo(1);
+  runtime::ThreadTeam& workers = team != nullptr ? *team : solo;
+  const std::size_t blocks = (results.size() + kBlockRows - 1) / kBlockRows;
+  std::vector<BlockSlot> ring(2 * static_cast<std::size_t>(workers.size()));
+  std::atomic<std::size_t> claimed{0};  // blocks handed to a renderer
+  std::atomic<std::size_t> written{0};  // blocks written to `os`, in order
+  std::atomic<bool> failed{false};      // a worker threw: all stop
+
+  // Claims the next block and renders it, if its slot is free.  False
+  // when no block could be claimed.
+  const auto render_next = [&]() {
+    std::size_t b = claimed.load(std::memory_order_relaxed);
+    if (b >= blocks ||
+        b >= written.load(std::memory_order_acquire) + ring.size()) {
+      return false;
+    }
+    // A lost race only means another worker took block b.
+    if (!claimed.compare_exchange_strong(b, b + 1,
+                                         std::memory_order_relaxed)) {
+      return true;
+    }
+    BlockSlot& slot = ring[b % ring.size()];
+    slot.out.clear();
+    const std::size_t end = std::min(results.size(), (b + 1) * kBlockRows);
+    for (std::size_t i = b * kBlockRows; i < end; ++i) row(slot.out, results[i]);
+    slot.ready.store(true, std::memory_order_release);
+    return true;
+  };
+
+  workers.run([&](int tid, int /*team_size*/) {
+    try {
+      while (!failed.load(std::memory_order_relaxed)) {
+        if (tid == 0) {
+          const std::size_t next = written.load(std::memory_order_relaxed);
+          if (next == blocks) return;
+          BlockSlot& slot = ring[next % ring.size()];
+          if (slot.ready.load(std::memory_order_acquire)) {
+            slot.out.write_to(os);
+            slot.ready.store(false, std::memory_order_relaxed);
+            written.store(next + 1, std::memory_order_release);
+            continue;
+          }
+        } else if (claimed.load(std::memory_order_relaxed) >= blocks) {
+          return;
+        }
+        if (!render_next()) std::this_thread::yield();
+      }
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  });
+}
+
+}  // namespace
+
+void write_csv(std::ostream& os, const std::vector<EvalResult>& results,
+               runtime::ThreadTeam* team) {
+  os << "scenario,variant,n,app,growth,topology,r,rl,cores,feasible,"
+        "speedup,cached\n";
+  write_blocks(os, results, team, csv_row);
+}
+
+void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results,
+                  runtime::ThreadTeam* team) {
+  write_blocks(os, results, team, ndjson_row);
+}
 
 }  // namespace mergescale::explore

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "explore/engine.hpp"
+#include "runtime/thread_team.hpp"
 #include "util/table.hpp"
 
 namespace mergescale::explore {
@@ -101,15 +102,24 @@ util::Table to_table(const std::vector<EvalResult>& results);
 /// result, with a cell double-quoted (inner quotes doubled) when it holds
 /// a comma, quote or newline.  The bytes are a contract — the same as
 /// to_table(results).to_csv() — so reports stay cmp-comparable across
-/// versions; rows stream through a fixed buffer, never a Table.
-void write_csv(std::ostream& os, const std::vector<EvalResult>& results);
+/// versions; rows render into reused block buffers, never a Table.
+///
+/// Both writers render blocks of 4096 rows on `team` (the calling thread
+/// alone when null), team.size() blocks per round, each worker into its
+/// own buffer, and write the blocks in row order: the output bytes do
+/// not depend on the team size (explore_cli's --threads).  `team` must
+/// not be running a region of its own.
+void write_csv(std::ostream& os, const std::vector<EvalResult>& results,
+               runtime::ThreadTeam* team = nullptr);
 
 /// Writes one JSON object per line (NDJSON): index, scenario, variant, n,
 /// app, growth, topology, r, rl, cores, feasible, speedup, cached in that
 /// order, numbers as printf "%.17g" (exact round-trip; `null` when not
 /// finite) and strings escaped as util::json_escaped does.  Byte-stable
-/// like write_csv; `explore_cli --dump` prints records this way.
-void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results);
+/// like write_csv, and rendered the same way; `explore_cli --dump`
+/// prints records through it.
+void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results,
+                  runtime::ThreadTeam* team = nullptr);
 
 /// One row of a strategy-vs-baseline comparison (filled in by callers —
 /// typically from a search::SearchOutcome, but report stays independent

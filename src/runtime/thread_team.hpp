@@ -36,6 +36,10 @@ class ThreadTeam {
   ThreadTeam(const ThreadTeam&) = delete;
   ThreadTeam& operator=(const ThreadTeam&) = delete;
 
+  /// The team size a `--threads`-style request means: `requested` when
+  /// positive, else the hardware concurrency (1 when unknown).
+  static int resolve_size(int requested);
+
   /// Number of workers (including the master).
   int size() const noexcept { return size_; }
 

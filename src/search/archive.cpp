@@ -147,26 +147,64 @@ bool zone_admits(const Zone& zone, const ArchivePredicate& p) {
 namespace {
 
 /// Dense dictionary ids for the four label columns, assigned in
-/// first-seen order through util::intern: the process-wide interner
-/// dedups label strings once; the archive stores a dense remap of the
-/// interner ids it saw plus the sidecar name map.  Neighbouring rows
-/// mostly repeat their labels, so each column remembers its last label
-/// and only a change pays for the interner's lock and hash.
+/// first-seen order.  Neighbouring rows mostly repeat their labels, so
+/// lookups keep a Recent memo of the last label per column and only a
+/// change pays for a hash lookup.
 class LabelDict {
  public:
-  std::uint32_t id(int col, const std::string& name) {
-    Last& last = last_[static_cast<std::size_t>(col - kColScenario)];
-    if (last.name != nullptr && *last.name == name) return last.id;
-    const std::uint32_t intern_id = util::intern(name);
-    const auto [it, inserted] = dense_of_intern_.emplace(
-        intern_id, static_cast<std::uint32_t>(interns_.size()));
-    if (inserted) interns_.push_back(intern_id);
-    last = {&name, it->second};
-    return it->second;
+  struct Last {
+    const std::string* name = nullptr;
+    std::uint32_t id = 0;
+  };
+  /// One thread's memo of the last label it resolved per label column.
+  using Recent = std::array<Last, kColTopology - kColScenario + 1>;
+
+  /// Gives `name` the next id unless it has one.
+  void add(const std::string& name) {
+    const auto [it, inserted] =
+        ids_.emplace(name, static_cast<std::uint32_t>(names_.size()));
+    if (inserted) names_.push_back(&it->first);
+  }
+
+  /// Adds the labels of rows [begin, end) of `row`, in row order.
+  template <typename Row>
+  void add_rows(const Row& row, std::uint64_t begin, std::uint64_t end) {
+    std::array<const std::string*, kColTopology - kColScenario + 1> last{};
+    const auto see = [&](int col, const std::string& name) {
+      const std::string*& seen = last[static_cast<std::size_t>(col - kColScenario)];
+      if (seen == nullptr || *seen != name) {
+        add(name);
+        seen = &name;
+      }
+    };
+    for (std::uint64_t i = begin; i < end; ++i) {
+      const explore::EvalResult& r = row(i);
+      see(kColScenario, r.scenario);
+      see(kColApp, r.app);
+      see(kColGrowth, r.growth);
+      see(kColTopology, r.topology);
+    }
+  }
+
+  /// Adds `other`'s names in its id order: merging the dictionaries of
+  /// consecutive row ranges in range order gives the first-seen ids of
+  /// the whole.
+  void merge(const LabelDict& other) {
+    for (const std::string* name : other.names_) add(*name);
+  }
+
+  /// The id add() gave `name`.  Const, so a team's workers share one
+  /// dictionary, each with its own Recent.
+  std::uint32_t id(int col, const std::string& name, Recent& recent) const {
+    Last& last = recent[static_cast<std::size_t>(col - kColScenario)];
+    if (last.name == nullptr || *last.name != name) {
+      last = {&name, ids_.find(name)->second};
+    }
+    return last.id;
   }
 
   std::uint32_t entries() const {
-    return static_cast<std::uint32_t>(interns_.size());
+    return static_cast<std::uint32_t>(names_.size());
   }
 
   /// The dictionary section: entry count, length-prefixed names in id
@@ -174,63 +212,30 @@ class LabelDict {
   std::string encode() const {
     std::string out;
     put_u32(out, entries());
-    for (const std::uint32_t intern_id : interns_) {
-      const std::string& name = util::interned_name(intern_id);
-      put_u32(out, static_cast<std::uint32_t>(name.size()));
-      out += name;
+    for (const std::string* name : names_) {
+      put_u32(out, static_cast<std::uint32_t>(name->size()));
+      out += *name;
     }
     put_u32(out, crc32(out));
     return out;
   }
 
  private:
-  struct Last {
-    const std::string* name = nullptr;
-    std::uint32_t id = 0;
-  };
-  std::array<Last, kColTopology - kColScenario + 1> last_{};
-  std::unordered_map<std::uint32_t, std::uint32_t> dense_of_intern_;
-  std::vector<std::uint32_t> interns_;
+  std::unordered_map<std::string, std::uint32_t> ids_;
+  std::vector<const std::string*> names_;  ///< keys of ids_, in id order
 };
 
-std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
-                              std::uint32_t block_rows, ArchiveStats* stats) {
-  if (block_rows == 0) {
-    throw std::invalid_argument("archive: block_rows must be positive");
-  }
-  const std::uint64_t rows = records.size();
-  const Layout lay = Layout::make(rows, block_rows);
-
-  // Stable index sort: equal indices (possible after cross-directory
-  // folds) keep their load order, so the archive reproduces the exact
-  // record order a full-scan consumer saw.
-  std::vector<std::uint64_t> perm(records.size());
-  std::iota(perm.begin(), perm.end(), std::uint64_t{0});
-  std::stable_sort(perm.begin(), perm.end(),
-                   [&records](std::uint64_t a, std::uint64_t b) {
-                     return records[static_cast<std::size_t>(a)].index <
-                            records[static_cast<std::size_t>(b)].index;
-                   });
-
-  // The dictionary first, in the row loop's own order (so its ids are
-  // the ones the loop writes): its size completes the file's, and the
-  // buffer is allocated once at full size — never grown, which would
-  // briefly hold two copies of the archive.
-  LabelDict dict;
-  for (const std::uint64_t i : perm) {
-    const explore::EvalResult& r = records[static_cast<std::size_t>(i)];
-    dict.id(kColScenario, r.scenario);
-    dict.id(kColApp, r.app);
-    dict.id(kColGrowth, r.growth);
-    dict.id(kColTopology, r.topology);
-  }
-  const std::string dict_section = dict.encode();
-  std::string bytes(lay.dict_off + dict_section.size(), '\0');
-  std::vector<Zone> zones(lay.blocks);
-  std::uint64_t feasible_total = 0;
-
-  for (std::uint64_t i = 0; i < rows; ++i) {
-    const explore::EvalResult& r = records[static_cast<std::size_t>(perm[i])];
+/// Fills block `b` of every column from `row(i)` (records in archive
+/// order), then its zone and its slice CRCs.  Blocks touch disjoint
+/// bytes, so a team fills them concurrently.
+template <typename Row>
+void fill_block(std::uint32_t b, const Layout& lay, const LabelDict& dict,
+                const Row& row, char* bytes, Zone& zone,
+                LabelDict::Recent& recent) {
+  const std::uint64_t first = std::uint64_t{b} * lay.block_rows;
+  const std::uint64_t last = first + lay.rows_in_block(b);
+  for (std::uint64_t i = first; i < last; ++i) {
+    const explore::EvalResult& r = row(i);
     // Mirror the log loaders' non-finite convention: keep the design
     // point, archive it as infeasible with cores/speedup zeroed.
     const bool finite = is_finite_record(r);
@@ -239,26 +244,24 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
     const double speedup = finite ? r.speedup : 0.0;
 
     const auto slot = [&](int col) {
-      return bytes.data() + lay.col_off[static_cast<std::size_t>(col)] +
+      return bytes + lay.col_off[static_cast<std::size_t>(col)] +
              i * kColumnWidth[static_cast<std::size_t>(col)];
     };
     poke_u64(slot(kColIndex), r.index);
     *slot(kColVariant) = static_cast<char>(r.variant);
     *slot(kColFeasible) = static_cast<char>(feasible ? 1 : 0);
     *slot(kColFromCache) = static_cast<char>(r.from_cache ? 1 : 0);
-    poke_u32(slot(kColScenario), dict.id(kColScenario, r.scenario));
-    poke_u32(slot(kColApp), dict.id(kColApp, r.app));
-    poke_u32(slot(kColGrowth), dict.id(kColGrowth, r.growth));
-    poke_u32(slot(kColTopology), dict.id(kColTopology, r.topology));
+    poke_u32(slot(kColScenario), dict.id(kColScenario, r.scenario, recent));
+    poke_u32(slot(kColApp), dict.id(kColApp, r.app, recent));
+    poke_u32(slot(kColGrowth), dict.id(kColGrowth, r.growth, recent));
+    poke_u32(slot(kColTopology), dict.id(kColTopology, r.topology, recent));
     poke_f64(slot(kColN), r.n);
     poke_f64(slot(kColR), r.r);
     poke_f64(slot(kColRl), r.rl);
     poke_f64(slot(kColCores), cores);
     poke_f64(slot(kColSpeedup), speedup);
 
-    Zone& zone = zones[static_cast<std::size_t>(i / block_rows)];
-    const bool first_in_block = i % block_rows == 0;
-    if (first_in_block) {
+    if (i == first) {
       zone.min_index = zone.max_index = r.index;
       zone.min_speedup = zone.max_speedup = speedup;
       zone.min_cores = zone.max_cores = cores;
@@ -279,16 +282,102 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
       zone.min_n = std::min(zone.min_n, r.n);
       zone.max_n = std::max(zone.max_n, r.n);
     }
-    if (feasible) {
-      ++zone.feasible_rows;
-      ++feasible_total;
-    }
+    if (feasible) ++zone.feasible_rows;
   }
+
+  for (int col = 0; col < kColumnCount; ++col) {
+    const std::uint64_t size =
+        lay.rows_in_block(b) * kColumnWidth[static_cast<std::size_t>(col)];
+    const std::uint32_t crc =
+        crc32(bytes + lay.slice_off(b, col), static_cast<std::size_t>(size));
+    poke_u32(bytes + lay.crcs_off +
+                 (std::uint64_t{b} * kColumnCount +
+                  static_cast<std::uint32_t>(col)) *
+                     4,
+             crc);
+  }
+}
+
+/// Encodes `records` into a buffer `alloc(size)` returns (anything
+/// with data(); every byte of it is written, so it need not be
+/// zeroed) and returns the buffer.  The label dictionary is collected
+/// and the blocks are filled on `team`.
+template <typename Alloc>
+auto encode_with(const std::vector<explore::EvalResult>& records,
+                 std::uint32_t block_rows, runtime::ThreadTeam* team,
+                 ArchiveStats* stats, Alloc alloc) {
+  if (block_rows == 0) {
+    throw std::invalid_argument("archive: block_rows must be positive");
+  }
+  const std::uint64_t rows = records.size();
+  const Layout lay = Layout::make(rows, block_rows);
+  runtime::ThreadTeam solo(1);
+  runtime::ThreadTeam& workers = team != nullptr ? *team : solo;
+
+  // Stable index sort: equal indices (possible after cross-directory
+  // folds) keep their load order, so the archive reproduces the exact
+  // record order a full-scan consumer saw.  Records already in index
+  // order (a sweep's, a fold's of contiguous shards) need no permutation.
+  std::vector<std::uint64_t> perm;
+  if (!std::is_sorted(records.begin(), records.end(),
+                      [](const explore::EvalResult& a,
+                         const explore::EvalResult& b) {
+                        return a.index < b.index;
+                      })) {
+    perm.resize(records.size());
+    std::iota(perm.begin(), perm.end(), std::uint64_t{0});
+    std::stable_sort(perm.begin(), perm.end(),
+                     [&records](std::uint64_t a, std::uint64_t b) {
+                       return records[static_cast<std::size_t>(a)].index <
+                              records[static_cast<std::size_t>(b)].index;
+                     });
+  }
+  const auto row = [&records, &perm](std::uint64_t i) -> const auto& {
+    return records[static_cast<std::size_t>(perm.empty() ? i : perm[i])];
+  };
+
+  // Worker t owns a contiguous share of the blocks in both passes.
+  const auto share = [&lay](int tid, int team_size) {
+    return runtime::ThreadTeam::partition(0, lay.blocks, tid, team_size);
+  };
+
+  // The dictionary first: its size completes the file's, so the buffer
+  // is allocated once at full size — never grown, which would briefly
+  // hold two copies of the archive.  Each worker collects its share's
+  // labels in row order, and the shares merge in block order, so the
+  // ids are the whole file's first-seen ids whatever the team size.
+  std::vector<LabelDict> shares(static_cast<std::size_t>(workers.size()));
+  workers.run([&](int tid, int team_size) {
+    const auto [first, last] = share(tid, team_size);
+    shares[static_cast<std::size_t>(tid)].add_rows(
+        row, first * block_rows, std::min<std::uint64_t>(rows, last * block_rows));
+  });
+  LabelDict dict;
+  for (const LabelDict& part : shares) dict.merge(part);
+  shares.clear();
+  const std::string dict_section = dict.encode();
+  auto buffer = alloc(static_cast<std::size_t>(lay.dict_off) +
+                      dict_section.size());
+  char* const bytes = buffer.data();
+
+  // Rows, zones and slice CRCs, block-parallel.  No byte depends on the
+  // team size.
+  std::vector<Zone> zones(lay.blocks);
+  workers.run([&](int tid, int team_size) {
+    const auto [first, last] = share(tid, team_size);
+    LabelDict::Recent own{};
+    for (std::size_t b = first; b < last; ++b) {
+      fill_block(static_cast<std::uint32_t>(b), lay, dict, row, bytes,
+                 zones[b], own);
+    }
+  });
+  std::uint64_t feasible_total = 0;
+  for (const Zone& zone : zones) feasible_total += zone.feasible_rows;
 
   // Zone-map section (+ section CRC).
   for (std::uint32_t b = 0; b < lay.blocks; ++b) {
     const Zone& zone = zones[b];
-    char* p = bytes.data() + lay.zones_off + std::uint64_t{b} * kZoneBytes;
+    char* p = bytes + lay.zones_off + std::uint64_t{b} * kZoneBytes;
     poke_u64(p, zone.min_index);
     poke_u64(p + 8, zone.max_index);
     poke_u32(p + 16, zone.feasible_rows);
@@ -300,31 +389,16 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
     poke_f64(p + 60, zone.max_n);
   }
   const std::uint64_t zones_size = std::uint64_t{lay.blocks} * kZoneBytes;
-  poke_u32(bytes.data() + lay.zones_off + zones_size,
-           crc32(bytes.data() + lay.zones_off,
-                 static_cast<std::size_t>(zones_size)));
+  poke_u32(bytes + lay.zones_off + zones_size,
+           crc32(bytes + lay.zones_off, static_cast<std::size_t>(zones_size)));
 
-  // Per-(block, column) slice CRCs (+ section CRC).
-  for (std::uint32_t b = 0; b < lay.blocks; ++b) {
-    for (int col = 0; col < kColumnCount; ++col) {
-      const std::uint64_t size =
-          lay.rows_in_block(b) * kColumnWidth[static_cast<std::size_t>(col)];
-      const std::uint32_t crc = crc32(bytes.data() + lay.slice_off(b, col),
-                                      static_cast<std::size_t>(size));
-      poke_u32(bytes.data() + lay.crcs_off +
-                   (std::uint64_t{b} * kColumnCount +
-                    static_cast<std::uint32_t>(col)) *
-                       4,
-               crc);
-    }
-  }
+  // The slice-CRC section's own CRC.
   const std::uint64_t crcs_size = std::uint64_t{lay.blocks} * kColumnCount * 4;
-  poke_u32(
-      bytes.data() + lay.crcs_off + crcs_size,
-      crc32(bytes.data() + lay.crcs_off, static_cast<std::size_t>(crcs_size)));
+  poke_u32(bytes + lay.crcs_off + crcs_size,
+           crc32(bytes + lay.crcs_off, static_cast<std::size_t>(crcs_size)));
 
-  std::memcpy(bytes.data() + lay.dict_off, dict_section.data(),
-              dict_section.size());
+  std::memcpy(bytes + lay.dict_off, dict_section.data(), dict_section.size());
+  const std::uint64_t size = lay.dict_off + dict_section.size();
 
   // Header, CRC'd over everything before its own trailing CRC.
   std::string header;
@@ -339,9 +413,9 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
   put_u64(header, lay.zones_off);
   put_u64(header, lay.crcs_off);
   put_u64(header, lay.dict_off);
-  put_u64(header, bytes.size());
+  put_u64(header, size);
   put_u32(header, crc32(header));
-  std::memcpy(bytes.data(), header.data(), kHeaderSize);
+  std::memcpy(bytes, header.data(), kHeaderSize);
 
   if (stats != nullptr) {
     stats->rows = rows;
@@ -349,9 +423,9 @@ std::string encode_with_stats(const std::vector<explore::EvalResult>& records,
     stats->block_rows = block_rows;
     stats->blocks = lay.blocks;
     stats->dict_entries = dict.entries();
-    stats->bytes = bytes.size();
+    stats->bytes = size;
   }
-  return bytes;
+  return buffer;
 }
 
 void check_io(const util::IoResult& result, const char* what,
@@ -365,15 +439,29 @@ void check_io(const util::IoResult& result, const char* what,
 }  // namespace
 
 std::string encode_archive(const std::vector<explore::EvalResult>& records,
-                           std::uint32_t block_rows) {
-  return encode_with_stats(records, block_rows, nullptr);
+                           std::uint32_t block_rows,
+                           runtime::ThreadTeam* team) {
+  return encode_with(records, block_rows, team, nullptr,
+                     [](std::size_t size) { return std::string(size, '\0'); });
 }
 
 ArchiveStats write_archive(const std::string& path,
                            const std::vector<explore::EvalResult>& records,
-                           std::uint32_t block_rows) {
+                           std::uint32_t block_rows,
+                           runtime::ThreadTeam* team) {
+  // An uninitialized buffer: the encoder writes every byte, so the
+  // workers' first writes are the only pass over the pages.
+  struct Buffer {
+    std::unique_ptr<char[]> bytes;
+    char* data() { return bytes.get(); }
+  };
   ArchiveStats stats;
-  const std::string bytes = encode_with_stats(records, block_rows, &stats);
+  const Buffer buffer = encode_with(
+      records, block_rows, team, &stats, [](std::size_t size) {
+        return Buffer{std::make_unique_for_overwrite<char[]>(size)};
+      });
+  const std::string_view bytes(buffer.bytes.get(),
+                               static_cast<std::size_t>(stats.bytes));
   util::IoEnv& env = util::io_env();
   const std::string tmp = path + ".tmp";
   std::unique_ptr<util::WritableFile> out;

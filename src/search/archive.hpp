@@ -15,9 +15,8 @@
 //     block CRCs  one CRC-32 per (block, column) slice, verified
 //                 lazily on a slice's first touch, so a query pays for
 //                 exactly the bytes its zone maps admit
-//     dictionary  dense id -> name sidecar for the four label columns
-//                 (ids are assigned through util::intern, the
-//                 interner-backed dictionary the roadmap names)
+//     dictionary  dense id -> name sidecar for the four label columns,
+//                 ids in first-seen row order
 //
 // The reader opens the file read-only through util::IoEnv
 // (RealIoEnv serves reads from a private mmap; FaultyIoEnv keeps
@@ -41,6 +40,7 @@
 #include <vector>
 
 #include "explore/engine.hpp"
+#include "runtime/thread_team.hpp"
 #include "search/design_key.hpp"
 
 namespace mergescale::search {
@@ -64,17 +64,24 @@ struct ArchiveStats {
 
 /// Encodes `records` into the archive byte format (sorted stably by
 /// index; the caller is expected to have deduplicated — duplicate
-/// design points would occupy two rows and two query ranks).  Throws
+/// design points would occupy two rows and two query ranks).  After a
+/// serial dictionary pass, `team` (the calling thread alone when null)
+/// fills the blocks' rows, zone maps and slice CRCs in parallel; the
+/// bytes do not depend on the team size (explore_cli's --threads).
+/// `team` must not be running a region of its own.  Throws
 /// std::invalid_argument when `block_rows` is zero.
 std::string encode_archive(
     const std::vector<explore::EvalResult>& records,
-    std::uint32_t block_rows = kDefaultArchiveBlockRows);
+    std::uint32_t block_rows = kDefaultArchiveBlockRows,
+    runtime::ThreadTeam* team = nullptr);
 
-/// Encodes and atomically writes `path` (temp file + fsync + rename)
-/// through util::io_env().  Throws std::runtime_error on I/O failure.
+/// Encodes (through encode_archive, on `team`) and atomically writes
+/// `path` (temp file + fsync + rename) through util::io_env().  Throws
+/// std::runtime_error on I/O failure.
 ArchiveStats write_archive(
     const std::string& path, const std::vector<explore::EvalResult>& records,
-    std::uint32_t block_rows = kDefaultArchiveBlockRows);
+    std::uint32_t block_rows = kDefaultArchiveBlockRows,
+    runtime::ThreadTeam* team = nullptr);
 
 /// Conjunction of range filters for ArchiveReader::query() — the
 /// "speedup >= X and cores <= Y" class of question.  Every bound is

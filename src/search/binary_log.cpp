@@ -238,6 +238,9 @@ void BinaryLog::flush() {
     check_io(out_->append(group), "write to", path_);
     check_io(out_->flush(), "flush", path_);
   }
+  // Written: the next group reuses its capacity instead of regrowing.
+  group.clear();
+  buffer_.swap(group);
   if (sync_every_flush_) check_io(out_->sync(), "fsync", path_);
 }
 

@@ -177,10 +177,12 @@ std::vector<std::string> RunLog::result_logs(const std::string& dir) {
 }
 
 ArchiveStats RunLog::archive(const std::string& dir,
-                             const std::vector<explore::EvalResult>& records) {
+                             const std::vector<explore::EvalResult>& records,
+                             runtime::ThreadTeam* team) {
   util::IoEnv& env = util::io_env();
   check_io(env.create_directories(dir), "create", dir);
-  const ArchiveStats stats = write_archive(archive_path(dir), records);
+  const ArchiveStats stats = write_archive(
+      archive_path(dir), records, kDefaultArchiveBlockRows, team);
   // The archive now holds every record the logs did, so the logs come
   // off disk; meta.json stays, it still fingerprints the configuration a
   // resume verifies.
@@ -191,7 +193,8 @@ ArchiveStats RunLog::archive(const std::string& dir,
 }
 
 std::optional<ArchiveStats> RunLog::fold(
-    const std::string& dir, const std::vector<std::string>& sources) {
+    const std::string& dir, const std::vector<std::string>& sources,
+    runtime::ThreadTeam* team) {
   // Refuse before reading a record: unioning a member recorded under
   // another space, strategy or shard count would poison every later
   // resume of the archive.
@@ -247,7 +250,7 @@ std::optional<ArchiveStats> RunLog::fold(
     }
     records = dedup(std::move(records));
     if (records.empty()) return std::nullopt;
-    stats = archive(dir, records);
+    stats = archive(dir, records, team);
   }
   // Also on the check-only path, so a retry after a crash between the
   // archive and this write (or an archive an older build left with its

@@ -146,9 +146,11 @@ class RunLog {
   /// from memory — the same records, so the same bytes.  A crash
   /// between the archive's rename and the removals is benign: load()
   /// reads the archive first and dedup() drops the logged overlap.
-  /// Throws std::runtime_error on I/O failure.
+  /// The archive is encoded on `team` (write_archive).  Throws
+  /// std::runtime_error on I/O failure.
   static ArchiveStats archive(const std::string& dir,
-                              const std::vector<explore::EvalResult>& records);
+                              const std::vector<explore::EvalResult>& records,
+                              runtime::ThreadTeam* team = nullptr);
 
   /// `explore_cli --archive [--merge-from a,b]`: folds `dir` and every
   /// source directory into `dir`'s archive.  Every source, and `dir` if
@@ -162,8 +164,10 @@ class RunLog {
   /// run it equals.  Returns the archive's stats; std::nullopt, touching
   /// nothing, when no member holds a record.  Throws std::runtime_error
   /// on a refusal, an I/O failure or a corrupt archive.
+  /// A rewritten archive is encoded on `team`.
   static std::optional<ArchiveStats> fold(
-      const std::string& dir, const std::vector<std::string>& sources = {});
+      const std::string& dir, const std::vector<std::string>& sources = {},
+      runtime::ThreadTeam* team = nullptr);
 
   /// True when `dir` holds recorded results: a result log — unsharded
   /// or belonging to any shard — or a columnar archive.

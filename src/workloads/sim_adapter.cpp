@@ -122,8 +122,10 @@ SimPhases simulate_kmeans(const PointSet& points,
   PartialBuffers<double> center_parts(threads, width);
   PartialBuffers<std::uint64_t> count_parts(threads,
                                             static_cast<std::size_t>(clusters));
-  std::vector<double> center_sums(width);
-  std::vector<std::uint64_t> counts(static_cast<std::size_t>(clusters));
+  // Merge destinations start on a cache line, like the partials, so the
+  // simulated merge touches the same lines in every build.
+  runtime::LineVector<double> center_sums(width);
+  runtime::LineVector<std::uint64_t> counts(static_cast<std::size_t>(clusters));
 
   SimPhases phases;
   std::vector<Trace> traces(static_cast<std::size_t>(threads));
@@ -186,8 +188,8 @@ SimPhases simulate_fuzzy(const PointSet& points, const ClusteringConfig& config,
   PartialBuffers<double> num_parts(threads, width);
   PartialBuffers<double> den_parts(threads,
                                    static_cast<std::size_t>(clusters));
-  std::vector<double> num(width);
-  std::vector<double> den(static_cast<std::size_t>(clusters));
+  runtime::LineVector<double> num(width);
+  runtime::LineVector<double> den(static_cast<std::size_t>(clusters));
   std::vector<std::vector<double>> scratch(
       static_cast<std::size_t>(threads),
       std::vector<double>(static_cast<std::size_t>(clusters)));
@@ -429,7 +431,7 @@ SimPhases simulate_apriori(const TransactionSet& data,
     traces.resize(static_cast<std::size_t>(threads));
 
     // Merging phase under the configured strategy.
-    std::vector<std::uint64_t> counts(width, 0);
+    runtime::LineVector<std::uint64_t> counts(width, 0);
     merge_with_strategy(config.strategy, partials,
                         std::span<std::uint64_t>(counts), machine,
                         phases.reduction, phases.reduction_mem);

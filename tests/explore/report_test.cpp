@@ -464,6 +464,34 @@ TEST(ReportOracle, ChunkBoundariesAndOversizedCellsMatchTheReference) {
   EXPECT_TRUE(ndjson_of(results) == reference_ndjson(results));
 }
 
+TEST(ReportOracle, BlockRenderingMatchesTheReferenceForEveryTeamSize) {
+  // Row counts around the 4096-row render block, rendered by teams that
+  // leave the last round's blocks partly or wholly empty; stress records
+  // carry labels with commas, quotes and newlines and non-finite numbers.
+  std::mt19937_64 rng(2024);
+  std::vector<EvalResult> pool(3 * 4096 + 17);
+  for (auto& result : pool) result = stress_record(rng);
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4095}, std::size_t{4096},
+        std::size_t{4097}, pool.size()}) {
+    const std::vector<EvalResult> results(
+        pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(count));
+    const std::string csv = reference_csv(results);
+    const std::string ndjson = reference_ndjson(results);
+    for (const int size : {1, 2, 3, 5}) {
+      runtime::ThreadTeam team(size);
+      std::ostringstream csv_out;
+      write_csv(csv_out, results, &team);
+      EXPECT_TRUE(csv_out.str() == csv)
+          << count << " rows, team of " << size;
+      std::ostringstream ndjson_out;
+      write_ndjson(ndjson_out, results, &team);
+      EXPECT_TRUE(ndjson_out.str() == ndjson)
+          << count << " rows, team of " << size;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Ranking oracle: top_k / pareto_frontier against naive copy-and-sort
 // references (stable sorts of whole records), over inputs with heavy

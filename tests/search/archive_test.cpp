@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
+#include "runtime/thread_team.hpp"
 #include "search/run_log.hpp"
 #include "util/rng.hpp"
 
@@ -311,6 +313,79 @@ TEST_F(ArchiveTest, NonFiniteValuesArchiveAsInfeasible) {
   EXPECT_DOUBLE_EQ(loaded[0].r, 4.0);
   EXPECT_EQ(reader.feasible_count(), 0u);
   EXPECT_FALSE(reader.best().has_value());
+}
+
+/// Records for the encoder's determinism check: labels holding commas,
+/// quotes and newlines that change every few rows (so each worker's
+/// label memo misses often), non-finite numbers, and indices either
+/// ascending or shuffled with repeats (the stable-sort path).
+std::vector<explore::EvalResult> awkward_records(std::size_t count,
+                                                 bool shuffled) {
+  const std::string labels[] = {"kmeans", "a,b", "say \"hi\"", "two\nlines",
+                                "", "-", "caf\xc3\xa9"};
+  const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
+                             std::numeric_limits<double>::infinity(),
+                             -std::numeric_limits<double>::infinity(), -0.0};
+  util::Xoshiro256 rng(count + (shuffled ? 1 : 0));
+  std::vector<explore::EvalResult> records(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    explore::EvalResult& r = records[i];
+    r.index = shuffled ? rng.bounded(count / 2 + 1) : i;
+    r.scenario = labels[(i / 5) % 7];
+    r.app = labels[(i / 3) % 7];
+    r.growth = labels[(i / 7) % 7];
+    r.topology = labels[(i / 11) % 7];
+    r.variant = static_cast<core::ModelVariant>(i % 4);
+    r.n = i % 13 == 0 ? specials[i % 4] : 64.0 * static_cast<double>(1 + i % 4);
+    r.r = i % 17 == 0 ? specials[(i + 1) % 4] : 1.0 + static_cast<double>(i % 5);
+    r.rl = static_cast<double>(i % 9);
+    r.feasible = i % 6 != 0;
+    r.cores = i % 19 == 0 ? specials[(i + 2) % 4] : rng.uniform(1.0, 300.0);
+    r.speedup = i % 23 == 0 ? specials[(i + 3) % 4] : rng.uniform(0.5, 200.0);
+    r.from_cache = i % 2 == 0;
+  }
+  return records;
+}
+
+TEST_F(ArchiveTest, EncodedBytesDoNotDependOnTheTeamSize) {
+  for (const std::size_t count :
+       {std::size_t{0}, std::size_t{1}, std::size_t{4095}, std::size_t{4096},
+        std::size_t{4097}, std::size_t{3 * 4096 + 17}}) {
+    for (const bool shuffled : {false, true}) {
+      const auto records = awkward_records(count, shuffled);
+      for (const std::uint32_t block_rows : {kDefaultArchiveBlockRows, 7u}) {
+        const std::string alone = encode_archive(records, block_rows);
+        for (const int size : {1, 2, 3, 5}) {
+          runtime::ThreadTeam team(size);
+          EXPECT_TRUE(encode_archive(records, block_rows, &team) == alone)
+              << count << " records, shuffled " << shuffled << ", blocks of "
+              << block_rows << ", team of " << size;
+          // write_archive encodes into a buffer it does not zero first.
+          write_archive(path_, records, block_rows, &team);
+          std::ifstream file(path_, std::ios::binary);
+          const std::string written((std::istreambuf_iterator<char>(file)),
+                                    std::istreambuf_iterator<char>());
+          EXPECT_TRUE(written == alone)
+              << count << " records written, team of " << size;
+        }
+        // And the bytes hold the records: stable index order, non-finite
+        // rows archived as infeasible.
+        const ArchiveReader reader = ArchiveReader::from_buffer(alone);
+        EXPECT_NO_THROW(reader.verify());
+        const auto loaded = reader.load_all();
+        const auto want = sorted_by_index(records);
+        ASSERT_EQ(loaded.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+          EXPECT_EQ(loaded[i].index, want[i].index);
+          EXPECT_EQ(loaded[i].scenario, want[i].scenario);
+          EXPECT_EQ(loaded[i].app, want[i].app);
+          EXPECT_EQ(loaded[i].growth, want[i].growth);
+          EXPECT_EQ(loaded[i].topology, want[i].topology);
+          EXPECT_EQ(loaded[i].from_cache, want[i].from_cache);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -50,6 +50,33 @@ TEST(Format, NumbersMatchPrintfForEveryDoubleClass) {
   }
 }
 
+TEST(Format, IntegralValuesMatchPrintfAtEveryDigitCount) {
+  // put_general prints integral values with fewer digits than the
+  // precision as plain integers; check both sides of every 10^p edge,
+  // signed zeros and values past 2^53.
+  auto check = [](double value) {
+    for (int precision = 0; precision <= 17; ++precision) {
+      ASSERT_EQ(format_general(value, precision),
+                printf_string("%.*g", precision, value))
+          << value << " precision " << precision;
+    }
+  };
+  check(0.0);
+  check(-0.0);
+  double power = 1.0;
+  for (int digits = 0; digits <= 18; ++digits, power *= 10.0) {
+    for (const double value : {power - 1.0, power, power + 1.0,
+                               std::nextafter(power, 0.0),
+                               std::nextafter(power, 2 * power)}) {
+      check(value);
+      check(-value);
+    }
+  }
+  check(9007199254740993.0);
+  check(-123456789.0);
+  check(2048.0);
+}
+
 TEST(Format, FixedNeverTruncatesHugeValues) {
   // 1e300 has 301 integer digits; the whole number must come out.
   const std::string text = format_double(1e300, 3);
