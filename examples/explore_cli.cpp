@@ -47,7 +47,9 @@
 //   ./build/explore_cli --archive --run-dir /tmp/a --merge-from /tmp/b
 //                                        # fold another recorded dir in
 //
-// Writes <out>.csv and <out>.ndjson (exhaustive runs), and
+// Writes <out>.csv and <out>.ndjson (exhaustive runs), rendered on the
+// --threads team like archive.msca and --dump (the bytes do not depend
+// on the team size), and
 // <dir>/results.msbin (results.shard-<i>.msbin under --shard) +
 // <dir>/meta.json when persistence is on.  --archive is the one way to
 // fold a run directory (search::RunLog::fold): it replaces the result
@@ -208,7 +210,9 @@ int main(int argc, char** argv) try {
   cli.opt("fcon", 0.60, "constant serial share (apps=custom)");
   cli.opt("fored", 0.80, "reduction growth coefficient (apps=custom)");
   cli.opt("threads", static_cast<long long>(0),
-          "worker threads (0 = hardware concurrency)");
+          "worker threads for the sweep, the archive encoder and the "
+          "report renderer (0 = hardware concurrency); no output byte "
+          "depends on it");
   cli.opt("top", static_cast<long long>(5), "top-k designs to print");
   cli.opt("cost", std::string("area"),
           "Pareto cost metric: area | cores");

@@ -274,20 +274,21 @@ util::Table strategy_comparison(
 }
 
 // The report writers.  A million-row sweep report costs about as much as
-// writing its bytes: rows render straight into reused per-worker block
-// buffers that are handed to the stream whole, with no per-row or
-// per-cell strings.  report.hpp states the byte-level format they keep.
+// writing its bytes: rows render straight into reused block buffers
+// that are handed to the stream whole, with no per-row or per-cell
+// strings, on as many workers as the caller's team holds.  report.hpp
+// states the byte-level format they keep.
 
 namespace {
 
-/// Rows per rendered block, the archive's block size: a team renders
-/// team.size() blocks per round, about 1 MB of NDJSON each.
+/// Rows per rendered block, the archive's block size: about 1 MB of
+/// NDJSON.
 constexpr std::size_t kBlockRows = 4096;
 
 /// One block of report text in a reused buffer that grows to fit (a
 /// block of ordinary rows needs about 1 MB; a huge label grows it once).
-/// Each worker's writer sits on its own cache line: the write position
-/// moves on every cell, and two writers sharing a line would stall each
+/// Each writer sits on its own cache line: the write position moves on
+/// every cell, and two workers' writers sharing a line would stall each
 /// other.
 class alignas(64) BlockWriter {
  public:
@@ -297,7 +298,7 @@ class alignas(64) BlockWriter {
     os.write(buf_.data(), static_cast<std::streamsize>(used_));
   }
 
-  // mslint: hot-path — everything down to the end of write_ndjson runs
+  // mslint: hot-path — everything down to the end of ndjson_row runs
   // once per report row or cell.
   void put(char c) {
     *room(1) = c;
@@ -352,7 +353,8 @@ class alignas(64) BlockWriter {
   /// `n` contiguous free bytes at the write position.
   char* room(std::size_t n) {
     if (buf_.size() - used_ < n) {
-      buf_.resize(std::max({std::size_t{1} << 16, 2 * buf_.size(), used_ + n}));
+      buf_.resize(
+          std::max({std::size_t{1} << 16, 2 * buf_.size(), used_ + n}));
     }
     return buf_.data() + used_;
   }
@@ -460,7 +462,9 @@ void write_blocks(std::ostream& os, const std::vector<EvalResult>& results,
     BlockSlot& slot = ring[b % ring.size()];
     slot.out.clear();
     const std::size_t end = std::min(results.size(), (b + 1) * kBlockRows);
-    for (std::size_t i = b * kBlockRows; i < end; ++i) row(slot.out, results[i]);
+    for (std::size_t i = b * kBlockRows; i < end; ++i) {
+      row(slot.out, results[i]);
+    }
     slot.ready.store(true, std::memory_order_release);
     return true;
   };

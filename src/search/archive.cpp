@@ -171,7 +171,8 @@ class LabelDict {
   void add_rows(const Row& row, std::uint64_t begin, std::uint64_t end) {
     std::array<const std::string*, kColTopology - kColScenario + 1> last{};
     const auto see = [&](int col, const std::string& name) {
-      const std::string*& seen = last[static_cast<std::size_t>(col - kColScenario)];
+      const std::string*& seen =
+          last[static_cast<std::size_t>(col - kColScenario)];
       if (seen == nullptr || *seen != name) {
         add(name);
         seen = &name;
@@ -350,7 +351,8 @@ auto encode_with(const std::vector<explore::EvalResult>& records,
   workers.run([&](int tid, int team_size) {
     const auto [first, last] = share(tid, team_size);
     shares[static_cast<std::size_t>(tid)].add_rows(
-        row, first * block_rows, std::min<std::uint64_t>(rows, last * block_rows));
+        row, first * block_rows,
+        std::min<std::uint64_t>(rows, last * block_rows));
   });
   LabelDict dict;
   for (const LabelDict& part : shares) dict.merge(part);

@@ -336,8 +336,10 @@ std::vector<explore::EvalResult> awkward_records(std::size_t count,
     r.growth = labels[(i / 7) % 7];
     r.topology = labels[(i / 11) % 7];
     r.variant = static_cast<core::ModelVariant>(i % 4);
-    r.n = i % 13 == 0 ? specials[i % 4] : 64.0 * static_cast<double>(1 + i % 4);
-    r.r = i % 17 == 0 ? specials[(i + 1) % 4] : 1.0 + static_cast<double>(i % 5);
+    r.n = i % 13 == 0 ? specials[i % 4]
+                      : 64.0 * static_cast<double>(1 + i % 4);
+    r.r = i % 17 == 0 ? specials[(i + 1) % 4]
+                      : 1.0 + static_cast<double>(i % 5);
     r.rl = static_cast<double>(i % 9);
     r.feasible = i % 6 != 0;
     r.cores = i % 19 == 0 ? specials[(i + 2) % 4] : rng.uniform(1.0, 300.0);
