@@ -449,46 +449,40 @@ void write_blocks(std::ostream& os, const std::vector<EvalResult>& results,
   // Claims the next block and renders it, if its slot is free.  False
   // when no block could be claimed.
   const auto render_next = [&]() {
-    std::size_t b = claimed.load(std::memory_order_relaxed);
-    if (b >= blocks ||
-        b >= written.load(std::memory_order_acquire) + ring.size()) {
-      return false;
-    }
+    std::size_t b = claimed.load();
+    if (b >= blocks || b >= written.load() + ring.size()) return false;
     // A lost race only means another worker took block b.
-    if (!claimed.compare_exchange_strong(b, b + 1,
-                                         std::memory_order_relaxed)) {
-      return true;
-    }
+    if (!claimed.compare_exchange_strong(b, b + 1)) return true;
     BlockSlot& slot = ring[b % ring.size()];
     slot.out.clear();
     const std::size_t end = std::min(results.size(), (b + 1) * kBlockRows);
     for (std::size_t i = b * kBlockRows; i < end; ++i) {
       row(slot.out, results[i]);
     }
-    slot.ready.store(true, std::memory_order_release);
+    slot.ready.store(true);
     return true;
   };
 
   workers.run([&](int tid, int /*team_size*/) {
     try {
-      while (!failed.load(std::memory_order_relaxed)) {
+      while (!failed.load()) {
         if (tid == 0) {
-          const std::size_t next = written.load(std::memory_order_relaxed);
+          const std::size_t next = written.load();
           if (next == blocks) return;
           BlockSlot& slot = ring[next % ring.size()];
-          if (slot.ready.load(std::memory_order_acquire)) {
+          if (slot.ready.load()) {
             slot.out.write_to(os);
-            slot.ready.store(false, std::memory_order_relaxed);
-            written.store(next + 1, std::memory_order_release);
+            slot.ready.store(false);
+            written.store(next + 1);
             continue;
           }
-        } else if (claimed.load(std::memory_order_relaxed) >= blocks) {
+        } else if (claimed.load() >= blocks) {
           return;
         }
         if (!render_next()) std::this_thread::yield();
       }
     } catch (...) {
-      failed.store(true, std::memory_order_relaxed);
+      failed.store(true);
       throw;
     }
   });
