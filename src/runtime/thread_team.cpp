@@ -1,34 +1,8 @@
 #include "runtime/thread_team.hpp"
 
-#ifdef __linux__
-#include <sched.h>
-#endif
-
 #include "util/check.hpp"
 
 namespace mergescale::runtime {
-
-namespace {
-
-#ifdef __linux__
-/// Starts the calling worker on CPU `cpu`, then hands it back every CPU
-/// in `allowed`: a placement, not a pin.  A new thread starts on its
-/// creator's CPU, and where the kernel does not balance load (a cpuset
-/// with load balancing off) it would stay there for good, so a team
-/// would time-share one CPU.  Where the kernel does balance, the worker
-/// is as free to move as any other thread.  Failures leave the thread
-/// where it is.
-void start_on(int cpu, const cpu_set_t& allowed) {
-  cpu_set_t one;
-  CPU_ZERO(&one);
-  CPU_SET(cpu, &one);
-  if (sched_setaffinity(0, sizeof one, &one) == 0) {
-    (void)sched_setaffinity(0, sizeof allowed, &allowed);
-  }
-}
-#endif
-
-}  // namespace
 
 ThreadTeam::ThreadTeam(int size)
     : size_(size),
@@ -37,34 +11,7 @@ ThreadTeam::ThreadTeam(int size)
       errors_(static_cast<std::size_t>(size)) {
   MS_CHECK(size >= 1, "thread team needs at least one worker");
   threads_.reserve(static_cast<std::size_t>(size - 1));
-#ifdef __linux__
-  // Worker t starts on the t-th allowed CPU after the caller's (tid 0),
-  // cyclically, so a team no larger than the CPU set gets one each.
-  cpu_set_t allowed;
-  CPU_ZERO(&allowed);
-  std::vector<int> cpus;
-  if (size > 1 && sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
-    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
-      if (CPU_ISSET(cpu, &allowed)) cpus.push_back(cpu);
-    }
-  }
-  const int home = sched_getcpu();
-  std::size_t first = 0;
-  while (first < cpus.size() && cpus[first] != home) ++first;
-  if (first == cpus.size()) first = 0;
-#endif
   for (int tid = 1; tid < size; ++tid) {
-#ifdef __linux__
-    if (cpus.size() > 1) {
-      const int cpu =
-          cpus[(first + static_cast<std::size_t>(tid)) % cpus.size()];
-      threads_.emplace_back([this, tid, cpu, allowed] {
-        start_on(cpu, allowed);
-        worker_loop(tid);
-      });
-      continue;
-    }
-#endif
     threads_.emplace_back([this, tid] { worker_loop(tid); });
   }
 }
