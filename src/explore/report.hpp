@@ -105,10 +105,10 @@ util::Table to_table(const std::vector<EvalResult>& results);
 /// versions; rows render into reused block buffers, never a Table.
 ///
 /// Both writers render blocks of 4096 rows on `team` (the calling thread
-/// alone when null), team.size() blocks per round, each worker into its
-/// own buffer, and write the blocks in row order: the output bytes do
-/// not depend on the team size (explore_cli's --threads).  `team` must
-/// not be running a region of its own.
+/// alone when null), at most two blocks per worker in memory at once,
+/// while the calling thread writes the rendered blocks in row order: the
+/// output bytes do not depend on the team size (explore_cli's
+/// --threads).  `team` must not be running a region of its own.
 void write_csv(std::ostream& os, const std::vector<EvalResult>& results,
                runtime::ThreadTeam* team = nullptr);
 

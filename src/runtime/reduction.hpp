@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
-#include <new>
 #include <span>
 #include <vector>
 
@@ -38,44 +37,9 @@ constexpr const char* reduction_strategy_name(ReductionStrategy s) noexcept {
   return "?";
 }
 
-/// Cache-line size the buffers below are laid out for.
-inline constexpr std::size_t kLineBytes = 64;
-
-/// Allocator that starts a vector's storage on a cache-line boundary
-/// (plain new promises only 16 bytes).  The row padding below relies on
-/// it, and so does the simulator, which charges cache lines from host
-/// addresses: a merge over line-aligned buffers touches the same lines
-/// whatever the heap allocator (or a sanitizer's) hands out.
-template <typename T>
-struct LineAllocator {
-  using value_type = T;
-
-  LineAllocator() = default;
-  template <typename U>
-  LineAllocator(const LineAllocator<U>& /*other*/) noexcept {}
-
-  T* allocate(std::size_t n) {
-    return static_cast<T*>(
-        ::operator new(n * sizeof(T), std::align_val_t{kLineBytes}));
-  }
-  void deallocate(T* p, std::size_t /*n*/) noexcept {
-    ::operator delete(p, std::align_val_t{kLineBytes});
-  }
-
-  template <typename U>
-  bool operator==(const LineAllocator<U>& /*other*/) const noexcept {
-    return true;
-  }
-};
-
-/// A vector whose elements start on a cache line.
-template <typename T>
-using LineVector = std::vector<T, LineAllocator<T>>;
-
 /// Per-thread privatized accumulation buffers: `threads` rows of `width`
-/// elements, zero-initialized.  Storage starts on a cache line and rows
-/// are padded to a cache-line multiple, so no two threads' rows share a
-/// line (no false sharing in the parallel phases).
+/// elements, zero-initialized.  Rows are padded to a cache-line multiple
+/// to avoid false sharing between threads in the parallel phases.
 template <typename T>
 class PartialBuffers {
  public:
@@ -105,15 +69,14 @@ class PartialBuffers {
 
  private:
   static std::size_t padded(std::size_t width) {
-    constexpr std::size_t line =
-        kLineBytes / sizeof(T) == 0 ? 1 : kLineBytes / sizeof(T);
+    constexpr std::size_t line = 64 / sizeof(T) == 0 ? 1 : 64 / sizeof(T);
     return (width + line - 1) / line * line;
   }
 
   int threads_;
   std::size_t width_;
   std::size_t stride_;
-  LineVector<T> data_;
+  std::vector<T> data_;
 };
 
 /// Serial reduction (paper Algorithm 1): `dest[i] = op(dest[i],

@@ -5,7 +5,9 @@
 // per-core traces through the timing model.  Ops are packed into 8 bytes
 // so full-size phases (tens of millions of ops) stay memory-friendly.
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -46,23 +48,70 @@ struct Op {
 /// A dynamic operation stream of one core for one phase.
 using Trace = std::vector<Op>;
 
+/// Gives the host buffers a simulated kernel touches one canonical
+/// layout: each registered buffer starts on its own cache line, packed
+/// in registration order above every host address.  A trace recorded
+/// through the map names the same addresses whatever the heap handed
+/// out, so the simulated caches see the same line splits and set
+/// conflicts in every run and build.  Addresses outside every registered
+/// buffer pass through unchanged.
+class AddressMap {
+ public:
+  /// Registers the `bytes` bytes at `p` as the next buffer.
+  void add(const void* p, std::size_t bytes) {
+    const auto begin = reinterpret_cast<std::uintptr_t>(p);
+    regions_.push_back({begin, begin + bytes, next_});
+    next_ += (bytes + kLine - 1) / kLine * kLine;
+  }
+
+  template <typename T>
+  void add(std::span<T> buffer) {
+    add(buffer.data(), buffer.size_bytes());
+  }
+
+  /// The canonical address of host address `addr`.
+  std::uint64_t translate(std::uintptr_t addr) const {
+    for (const Region& region : regions_) {
+      if (addr >= region.begin && addr < region.end) {
+        return region.base + (addr - region.begin);
+      }
+    }
+    return addr;
+  }
+
+ private:
+  static constexpr std::uint64_t kLine = 64;  ///< a multiple of any line
+  /// Above the 47-bit user address space, below Op's 62-bit payload.
+  static constexpr std::uint64_t kBase = std::uint64_t{1} << 48;
+
+  struct Region {
+    std::uintptr_t begin = 0;
+    std::uintptr_t end = 0;
+    std::uint64_t base = 0;
+  };
+  std::vector<Region> regions_;
+  std::uint64_t next_ = kBase;
+};
+
 /// Recording executor: satisfies the workload Executor interface (see
 /// workloads/executor.hpp) by appending operations to a trace.  Compute
 /// operations are run-length-coalesced on the fly.
 class RecordingExecutor {
  public:
-  /// Records into `trace` (not owned; must outlive the executor).
-  explicit RecordingExecutor(Trace& trace) : trace_(&trace) {}
+  /// Records into `trace` (not owned; must outlive the executor), with
+  /// addresses through `map` when one is given (not owned either).
+  explicit RecordingExecutor(Trace& trace, const AddressMap* map = nullptr)
+      : trace_(&trace), map_(map) {}
 
   /// Records a load of the line containing `p`.
   void load(const void* p) {
     flush_compute();
-    trace_->push_back(Op::load(reinterpret_cast<std::uintptr_t>(p)));
+    trace_->push_back(Op::load(address(p)));
   }
   /// Records a store to the line containing `p`.
   void store(const void* p) {
     flush_compute();
-    trace_->push_back(Op::store(reinterpret_cast<std::uintptr_t>(p)));
+    trace_->push_back(Op::store(address(p)));
   }
   /// Records `n` arithmetic operations.
   void compute(std::uint64_t n) { pending_compute_ += n; }
@@ -77,7 +126,13 @@ class RecordingExecutor {
   }
 
  private:
+  std::uint64_t address(const void* p) const {
+    const auto addr = reinterpret_cast<std::uintptr_t>(p);
+    return map_ != nullptr ? map_->translate(addr) : addr;
+  }
+
   Trace* trace_;
+  const AddressMap* map_;
   std::uint64_t pending_compute_ = 0;
 };
 

@@ -42,17 +42,19 @@ void account_serial(sim::Machine& machine, Trace& trace,
 /// serial on core 0 (linear growth), tree as log2(t) barrier-separated
 /// combine levels (logarithmic growth), or privatized with every core
 /// reducing a slice across all partials (flat compute, all-to-all
-/// communication).
+/// communication).  Addresses are recorded through `map` (none when
+/// null).
 template <typename T>
 void merge_with_strategy(runtime::ReductionStrategy strategy,
                          runtime::PartialBuffers<T>& partials,
                          std::span<T> dest, sim::Machine& machine,
-                         std::uint64_t& bucket, sim::MemoryStats& mem) {
+                         std::uint64_t& bucket, sim::MemoryStats& mem,
+                         const sim::AddressMap* map) {
   const int threads = partials.threads();
   switch (strategy) {
     case runtime::ReductionStrategy::kSerial: {
       Trace trace;
-      RecordingExecutor ex(trace);
+      RecordingExecutor ex(trace, map);
       merge_serial_kernel(ex, partials, dest);
       ex.flush_compute();
       account_serial(machine, trace, bucket, mem);
@@ -64,14 +66,14 @@ void merge_with_strategy(runtime::ReductionStrategy strategy,
       for (int stride = 1; stride < threads; stride *= 2) {
         std::vector<Trace> traces(static_cast<std::size_t>(threads));
         for (int t = 0; t + stride < threads; t += 2 * stride) {
-          RecordingExecutor ex(traces[static_cast<std::size_t>(t)]);
+          RecordingExecutor ex(traces[static_cast<std::size_t>(t)], map);
           merge_tree_step_kernel(ex, partials, t, t + stride);
           ex.flush_compute();
         }
         account(machine, traces, bucket, mem);
       }
       Trace trace;
-      RecordingExecutor ex(trace);
+      RecordingExecutor ex(trace, map);
       merge_tree_final_kernel(ex, partials, dest);
       ex.flush_compute();
       account_serial(machine, trace, bucket, mem);
@@ -81,7 +83,7 @@ void merge_with_strategy(runtime::ReductionStrategy strategy,
       std::vector<Trace> traces(static_cast<std::size_t>(threads));
       for (int tid = 0; tid < threads; ++tid) {
         auto [lo, hi] = ThreadTeam::partition(0, dest.size(), tid, threads);
-        RecordingExecutor ex(traces[static_cast<std::size_t>(tid)]);
+        RecordingExecutor ex(traces[static_cast<std::size_t>(tid)], map);
         merge_privatized_kernel(ex, partials, dest, lo, hi);
         ex.flush_compute();
       }
@@ -90,6 +92,13 @@ void merge_with_strategy(runtime::ReductionStrategy strategy,
     }
   }
   MS_CHECK(false, "unknown reduction strategy");
+}
+
+/// Registers every thread's row of `partials` with `map`.
+template <typename T>
+void add_partials(sim::AddressMap& map,
+                  runtime::PartialBuffers<T>& partials) {
+  for (int t = 0; t < partials.threads(); ++t) map.add(partials.partial(t));
 }
 
 }  // namespace
@@ -122,10 +131,19 @@ SimPhases simulate_kmeans(const PointSet& points,
   PartialBuffers<double> center_parts(threads, width);
   PartialBuffers<std::uint64_t> count_parts(threads,
                                             static_cast<std::size_t>(clusters));
-  // Merge destinations start on a cache line, like the partials, so the
-  // simulated merge touches the same lines in every build.
-  runtime::LineVector<double> center_sums(width);
-  runtime::LineVector<std::uint64_t> counts(static_cast<std::size_t>(clusters));
+  std::vector<double> center_sums(width);
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(clusters));
+
+  // Every buffer the kernels touch, at canonical addresses: the cycle
+  // counts do not depend on where the heap put them.
+  sim::AddressMap map;
+  map.add(points.flat());
+  map.add(std::span(result.centers));
+  map.add(std::span(result.assignments));
+  add_partials(map, center_parts);
+  add_partials(map, count_parts);
+  map.add(std::span(center_sums));
+  map.add(std::span(counts));
 
   SimPhases phases;
   std::vector<Trace> traces(static_cast<std::size_t>(threads));
@@ -137,7 +155,7 @@ SimPhases simulate_kmeans(const PointSet& points,
     count_parts.clear();
     for (int tid = 0; tid < threads; ++tid) {
       auto [lo, hi] = ThreadTeam::partition(0, points.size(), tid, threads);
-      RecordingExecutor ex(traces[static_cast<std::size_t>(tid)]);
+      RecordingExecutor ex(traces[static_cast<std::size_t>(tid)], &map);
       kmeans_assign_block(ex, points, result.centers, clusters, lo, hi,
                           result.assignments, center_parts.partial(tid),
                           count_parts.partial(tid));
@@ -152,14 +170,14 @@ SimPhases simulate_kmeans(const PointSet& points,
     std::fill(counts.begin(), counts.end(), 0);
     merge_with_strategy(config.strategy, center_parts,
                         std::span<double>(center_sums), machine,
-                        phases.reduction, phases.reduction_mem);
+                        phases.reduction, phases.reduction_mem, &map);
     merge_with_strategy(config.strategy, count_parts,
                         std::span<std::uint64_t>(counts), machine,
-                        phases.reduction, phases.reduction_mem);
+                        phases.reduction, phases.reduction_mem, &map);
 
     // Constant serial phase: center update on core 0.
     {
-      RecordingExecutor ex(serial_trace);
+      RecordingExecutor ex(serial_trace, &map);
       kmeans_update_centers(ex, std::span<double>(result.centers),
                             center_sums, counts, dims);
       ex.flush_compute();
@@ -188,11 +206,22 @@ SimPhases simulate_fuzzy(const PointSet& points, const ClusteringConfig& config,
   PartialBuffers<double> num_parts(threads, width);
   PartialBuffers<double> den_parts(threads,
                                    static_cast<std::size_t>(clusters));
-  runtime::LineVector<double> num(width);
-  runtime::LineVector<double> den(static_cast<std::size_t>(clusters));
+  std::vector<double> num(width);
+  std::vector<double> den(static_cast<std::size_t>(clusters));
   std::vector<std::vector<double>> scratch(
       static_cast<std::size_t>(threads),
       std::vector<double>(static_cast<std::size_t>(clusters)));
+
+  // Every buffer the kernels touch, at canonical addresses (see
+  // simulate_kmeans).
+  sim::AddressMap map;
+  map.add(points.flat());
+  map.add(std::span(result.centers));
+  add_partials(map, num_parts);
+  add_partials(map, den_parts);
+  map.add(std::span(num));
+  map.add(std::span(den));
+  for (auto& row : scratch) map.add(std::span(row));
 
   SimPhases phases;
   std::vector<Trace> traces(static_cast<std::size_t>(threads));
@@ -203,7 +232,7 @@ SimPhases simulate_fuzzy(const PointSet& points, const ClusteringConfig& config,
     den_parts.clear();
     for (int tid = 0; tid < threads; ++tid) {
       auto [lo, hi] = ThreadTeam::partition(0, points.size(), tid, threads);
-      RecordingExecutor ex(traces[static_cast<std::size_t>(tid)]);
+      RecordingExecutor ex(traces[static_cast<std::size_t>(tid)], &map);
       fuzzy_accumulate_block(ex, points, result.centers, clusters,
                              config.fuzziness, lo, hi, num_parts.partial(tid),
                              den_parts.partial(tid),
@@ -216,12 +245,14 @@ SimPhases simulate_fuzzy(const PointSet& points, const ClusteringConfig& config,
     std::fill(num.begin(), num.end(), 0.0);
     std::fill(den.begin(), den.end(), 0.0);
     merge_with_strategy(config.strategy, num_parts, std::span<double>(num),
-                        machine, phases.reduction, phases.reduction_mem);
+                        machine, phases.reduction, phases.reduction_mem,
+                        &map);
     merge_with_strategy(config.strategy, den_parts, std::span<double>(den),
-                        machine, phases.reduction, phases.reduction_mem);
+                        machine, phases.reduction, phases.reduction_mem,
+                        &map);
 
     {
-      RecordingExecutor ex(serial_trace);
+      RecordingExecutor ex(serial_trace, &map);
       fuzzy_update_centers(ex, std::span<double>(result.centers), num, den,
                            dims);
       ex.flush_compute();
@@ -431,10 +462,10 @@ SimPhases simulate_apriori(const TransactionSet& data,
     traces.resize(static_cast<std::size_t>(threads));
 
     // Merging phase under the configured strategy.
-    runtime::LineVector<std::uint64_t> counts(width, 0);
+    std::vector<std::uint64_t> counts(width, 0);
     merge_with_strategy(config.strategy, partials,
                         std::span<std::uint64_t>(counts), machine,
-                        phases.reduction, phases.reduction_mem);
+                        phases.reduction, phases.reduction_mem, nullptr);
 
     // Serial prune + candidate generation.
     {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "sim/machine.hpp"
 #include "workloads/dataset.hpp"
 #include "workloads/sim_adapter.hpp"
@@ -52,6 +54,33 @@ TEST(SimStrategies, SingleCoreAllStrategiesCostTheSame) {
   const auto priv = run(points, ReductionStrategy::kPrivatized, 1);
   EXPECT_EQ(tree.reduction, serial.reduction);
   EXPECT_EQ(priv.reduction, serial.reduction);
+}
+
+TEST(SimStrategies, CycleCountsDoNotDependOnWhereTheHeapPutsTheBuffers) {
+  // Live ballast of odd sizes moves where each run's buffers land, and
+  // the copied point set lives elsewhere too; the simulated machine must
+  // count the same cycles anyway.
+  const PointSet points = dataset();
+  ClusteringConfig config;
+  config.iterations = 2;
+  config.strategy = ReductionStrategy::kTree;
+  const auto simulate = [&config](const PointSet& input, bool fuzzy) {
+    sim::Machine machine(sim::MachineConfig::icpp2011(4));
+    return fuzzy ? simulate_fuzzy(input, config, machine)
+                 : simulate_kmeans(input, config, machine);
+  };
+  for (const bool fuzzy : {false, true}) {
+    const SimPhases reference = simulate(points, fuzzy);
+    std::vector<std::vector<char>> ballast;
+    for (const std::size_t bytes : {24u, 40u, 200u, 1000u, 3000u, 70000u}) {
+      ballast.emplace_back(bytes);
+      const PointSet moved = points;
+      const SimPhases again = simulate(moved, fuzzy);
+      EXPECT_EQ(again.parallel, reference.parallel) << fuzzy << " " << bytes;
+      EXPECT_EQ(again.reduction, reference.reduction) << fuzzy << " " << bytes;
+      EXPECT_EQ(again.serial, reference.serial) << fuzzy << " " << bytes;
+    }
+  }
 }
 
 TEST(SimStrategies, SerialGrowsFasterThanTree) {
