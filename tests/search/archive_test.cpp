@@ -390,6 +390,41 @@ TEST_F(ArchiveTest, EncodedBytesDoNotDependOnTheTeamSize) {
   }
 }
 
+/// 64-bit FNV-1a.  Not a CRC-32 of the file: every section but the
+/// columns ends with its own CRC, and a CRC over a message followed by
+/// its CRC does not depend on the message.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : bytes) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+TEST_F(ArchiveTest, EncodedBytesArePinned) {
+  // Size and digest of two fixed encodings, as the earlier serial,
+  // byte-at-a-time encoder wrote them: zone maps, slice CRCs and
+  // dictionary ids included.  An intended format change updates these
+  // together with kVersion.
+  struct Pin {
+    std::size_t count;
+    bool shuffled;
+    std::uint32_t block_rows;
+    std::size_t size;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{3 * 4096 + 17, true, kDefaultArchiveBlockRows,
+                             825067, 0x9570BFD52DCE1BF7ull},
+                         Pin{4097, false, 7, 344971, 0xDFB2D670F5A2CA43ull}}) {
+    runtime::ThreadTeam team(3);
+    const std::string bytes = encode_archive(
+        awkward_records(pin.count, pin.shuffled), pin.block_rows, &team);
+    EXPECT_EQ(bytes.size(), pin.size) << pin.count;
+    EXPECT_EQ(fnv1a(bytes), pin.digest) << pin.count;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Corruption.  The loader's contract: refuse loudly (std::runtime_error
 // with a diagnosable message), never crash, never fabricate a record.
