@@ -3,6 +3,9 @@
 // the columnar archive (search/archive): CRC-32 and little-endian
 // integer / double encoding, independent of host byte order.  Internal
 // to src/search; both on-disk formats are defined in terms of these.
+// Every value depends only on the bytes given, so the files these build
+// do not depend on --threads, even where a thread team encodes the
+// archive's blocks.
 
 #include <array>
 #include <bit>
@@ -20,7 +23,8 @@ namespace mergescale::search::bytes {
 /// independent lookups.  The values are the byte-at-a-time ones
 /// (crc32("123456789") == 0xCBF43926), so the log and archive bytes do
 /// not depend on how the CRC is computed.
-inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables = [] {
+inline constexpr std::array<std::array<std::uint32_t, 256>, 8> kCrcTables =
+    [] {
   std::array<std::array<std::uint32_t, 256>, 8> tables{};
   for (std::uint32_t i = 0; i < 256; ++i) {
     std::uint32_t c = i;
