@@ -80,7 +80,8 @@ class AddressMap {
   }
 
  private:
-  static constexpr std::uint64_t kLine = 64;  ///< a multiple of any line
+  /// Buffer alignment: MachineConfig's cache line size.
+  static constexpr std::uint64_t kLine = 64;
   /// Above the 47-bit user address space, below Op's 62-bit payload.
   static constexpr std::uint64_t kBase = std::uint64_t{1} << 48;
 
