@@ -26,6 +26,8 @@
 #include "core/app_params.hpp"
 #include "explore/engine.hpp"
 #include "search/archive.hpp"
+#include "search/space.hpp"
+#include "search/strategy.hpp"
 #include "serve/served_run.hpp"
 #include "serve/server.hpp"
 #include "util/cli.hpp"
@@ -53,7 +55,11 @@ std::vector<explore::EvalResult> make_records(serve::ServedRun* run) {
   run->config = "bench";
   run->spec = spec;
   explore::ExploreEngine engine;
-  return engine.run(spec);
+  // Canonical flat indices, as explore_cli records them: eval finds an
+  // on-grid point by its index.
+  const search::SearchSpace space(spec);
+  return search::run_sweep(engine, space,
+                           search::ShardPlan(space.size(), 1).range(0));
 }
 
 /// Queries/sec of `clients` threads driving the mixed workload through
@@ -105,9 +111,11 @@ int main(int argc, char** argv) try {
   std::cout << "archive: " << records.size() << " records\n";
   // Each server gets its own in-memory archive over the same records, as
   // serve_cli builds one for a directory without archive.msca.
-  auto served = [&records] {
-    return serve::ServedRecords{search::ArchiveReader::from_records(records),
-                                {}};
+  auto served = [&records, &run] {
+    return serve::ServedRecords{
+        serve::ServedArchive(search::ArchiveReader::from_records(records),
+                             run.spec),
+        {}};
   };
 
   auto measure = [&](int threads) {

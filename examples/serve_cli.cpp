@@ -95,8 +95,8 @@ int main(int argc, char** argv) try {
   }
 
   serve::ServedRun run = serve::open_served_run(run_dir, sources);
-  serve::ServedRecords records = serve::open_served_records(run_dir, sources);
-  std::cout << "serve: " << records.archive.row_count()
+  serve::ServedRecords records = serve::open_served_records(run, sources);
+  std::cout << "serve: " << records.archive.reader().row_count()
             << " archived records + " << records.delta.size()
             << " delta records from " << run_dir;
   if (!sources.empty()) std::cout << " + " << sources.size() << " more dir(s)";

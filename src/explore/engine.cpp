@@ -219,8 +219,7 @@ double cost_of(const EvalResult& result, CostMetric metric) noexcept {
 
 ExploreEngine::ExploreEngine(EngineOptions options)
     : options_(options),
-      team_(runtime::ThreadTeam::resolve_size(options.threads)),
-      cache_(options.cache_shards) {}
+      team_(runtime::ThreadTeam::resolve_size(options.threads)) {}
 
 std::vector<EvalResult> ExploreEngine::run(const ScenarioSpec& spec) {
   return run(spec.expand());

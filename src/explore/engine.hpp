@@ -101,7 +101,6 @@ void evaluate_jobs(std::span<const EvalJob> jobs,
 struct EngineOptions {
   int threads = 0;             ///< worker count; 0 = hardware concurrency
   bool use_cache = true;       ///< memoize evaluations
-  std::size_t cache_shards = 16;
 };
 
 /// Reusable exploration engine: the thread team and the memo cache

@@ -4,11 +4,11 @@
 #include <array>
 #include <atomic>
 #include <bit>
-#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <limits>
 #include <numeric>
+#include <ranges>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -128,6 +128,7 @@ struct Zone {
 };
 
 bool zone_admits(const Zone& zone, const ArchivePredicate& p) {
+  if (p.min_index && zone.max_index < *p.min_index) return false;
   if (p.feasible_only && zone.feasible_rows == 0) return false;
   if (p.min_speedup && zone.max_speedup < *p.min_speedup) return false;
   if (p.max_speedup && zone.min_speedup > *p.max_speedup) return false;
@@ -604,17 +605,6 @@ struct ArchiveReader::Impl {
   /// CRCs, dictionary).  Column data is validated lazily per slice.
   void parse();
 
-  /// find()'s table, open addressing over a power-of-two slot count:
-  /// each slot holds (hash >> 32) << 32 | (row + 1), 0 when empty.
-  /// Written once under key_mu, published by key_built.
-  mutable util::Mutex key_mu;
-  mutable std::atomic<bool> key_built{false};
-  mutable std::vector<std::uint64_t> key_slots;
-  mutable std::atomic<double> key_ms{0.0};
-
-  /// Fills key_slots from the variant/label/n/r/rl columns.
-  void build_key_table() const;
-
   /// The rows of the k best feasible records, best first: top_k's scan.
   std::vector<std::uint64_t> rank_rows(std::size_t k) const;
 
@@ -697,53 +687,6 @@ std::vector<std::uint64_t> ArchiveReader::Impl::rank_rows(
   rows.reserve(kept.size());
   for (const Cand& cand : kept) rows.push_back(cand.row);
   return rows;
-}
-
-void ArchiveReader::Impl::build_key_table() const {
-  const auto start = std::chrono::steady_clock::now();
-  if (lay.rows >= 0xFFFFFFFFull) fail("too many rows for a point-lookup table");
-  std::vector<std::uint64_t> label_hash(names.size());
-  for (std::size_t id = 0; id < names.size(); ++id) {
-    label_hash[id] = DesignKeyHash::label(names[id]);
-  }
-  const std::uint64_t mask =
-      std::bit_ceil(std::max<std::uint64_t>(16, lay.rows * 2)) - 1;
-  std::vector<std::uint64_t> slots(static_cast<std::size_t>(mask + 1), 0);
-  std::array<std::string, 7> scratch;
-  for (std::uint32_t b = 0; b < lay.blocks; ++b) {
-    const std::string_view variant = slice(b, kColVariant, &scratch[0]);
-    const std::string_view app = slice(b, kColApp, &scratch[1]);
-    const std::string_view growth = slice(b, kColGrowth, &scratch[2]);
-    const std::string_view topology = slice(b, kColTopology, &scratch[3]);
-    const std::string_view n = slice(b, kColN, &scratch[4]);
-    const std::string_view r = slice(b, kColR, &scratch[5]);
-    const std::string_view rl = slice(b, kColRl, &scratch[6]);
-    const std::uint64_t rows_in = lay.rows_in_block(b);
-    const std::uint64_t first_row = std::uint64_t{b} * lay.block_rows;
-    for (std::uint64_t i = 0; i < rows_in; ++i) {
-      const auto label = [&](std::string_view column) {
-        const std::uint32_t id = get_u32(column.data() + i * 4);
-        if (id >= names.size()) {
-          fail("block " + std::to_string(b) +
-               " references a dictionary entry the archive does not hold");
-        }
-        return label_hash[id];
-      };
-      const std::uint64_t hash = DesignKeyHash::combine(
-          static_cast<core::ModelVariant>(
-              static_cast<unsigned char>(variant[i])),
-          get_f64(n.data() + i * 8), get_f64(r.data() + i * 8),
-          get_f64(rl.data() + i * 8), label(app), label(growth),
-          label(topology));
-      std::uint64_t at = hash & mask;
-      while (slots[at] != 0) at = (at + 1) & mask;
-      slots[at] = (hash >> 32 << 32) | (first_row + i + 1);
-    }
-  }
-  key_slots = std::move(slots);
-  key_ms.store(std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - start)
-                   .count());
 }
 
 void ArchiveReader::Impl::parse() {
@@ -1001,7 +944,7 @@ std::vector<explore::EvalResult> ArchiveReader::query(
     const ArchivePredicate& predicate) const {
   const Impl& impl = *impl_;
   std::vector<explore::EvalResult> out;
-  std::array<std::string, 4> scratch;
+  std::array<std::string, 5> scratch;
   std::vector<std::uint32_t> matches;
   for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
     if (!zone_admits(impl.zones[b], predicate)) continue;
@@ -1019,10 +962,17 @@ std::vector<explore::EvalResult> ArchiveReader::query(
     const std::string_view n = predicate.min_n || predicate.max_n
                                    ? impl.slice(b, kColN, &scratch[3])
                                    : std::string_view();
+    const std::string_view index =
+        predicate.min_index ? impl.slice(b, kColIndex, &scratch[4])
+                            : std::string_view();
     matches.clear();
     const std::uint64_t rows_in = impl.lay.rows_in_block(b);
     for (std::uint64_t i = 0; i < rows_in; ++i) {
       if (!feas.empty() && static_cast<unsigned char>(feas[i]) == 0) continue;
+      if (!index.empty() &&
+          get_u64(index.data() + i * 8) < *predicate.min_index) {
+        continue;
+      }
       if (!speedup.empty()) {
         const double value = get_f64(speedup.data() + i * 8);
         if (predicate.min_speedup && !(value >= *predicate.min_speedup)) {
@@ -1059,30 +1009,35 @@ std::uint32_t ArchiveReader::candidate_blocks(
 }
 
 std::optional<explore::EvalResult> ArchiveReader::find(
-    const DesignKey& key) const {
+    std::uint64_t index, const DesignKey& key) const {
   const Impl& impl = *impl_;
-  if (!impl.key_built.load(std::memory_order_acquire)) {
-    util::MutexLock lock(impl.key_mu);
-    if (!impl.key_built.load(std::memory_order_relaxed)) {
-      impl.build_key_table();  // a throw leaves the table unbuilt
-      impl.key_built.store(true, std::memory_order_release);
+  // Rows are sorted by index, so the zones' index bounds are too: the
+  // first block whose max reaches `index` holds its first row, and its
+  // run of rows may continue into the next blocks.
+  auto block = static_cast<std::uint32_t>(
+      std::partition_point(impl.zones.begin(), impl.zones.end(),
+                           [index](const Zone& zone) {
+                             return zone.max_index < index;
+                           }) -
+      impl.zones.begin());
+  std::string scratch;
+  for (; block < impl.zones.size() && impl.zones[block].min_index <= index;
+       ++block) {
+    const std::string_view column = impl.slice(block, kColIndex, &scratch);
+    const auto at = [&column](std::uint64_t row) {
+      return get_u64(column.data() + row * 8);
+    };
+    const auto rows =
+        std::views::iota(std::uint64_t{0}, impl.lay.rows_in_block(block));
+    const std::uint64_t first_row = std::uint64_t{block} * impl.lay.block_rows;
+    for (auto row = std::ranges::partition_point(
+             rows, [&](std::uint64_t r) { return at(r) < index; });
+         row != rows.end() && at(*row) == index; ++row) {
+      explore::EvalResult record = impl.row(first_row + *row);
+      if (DesignKey::of(record) == key) return record;
     }
   }
-  // Linear probing never deletes, so equal keys sit in row order along
-  // one probe sequence: the first verified match is the first row.
-  const std::uint64_t hash = DesignKeyHash{}(key);
-  const std::uint64_t mask = impl.key_slots.size() - 1;
-  for (std::uint64_t at = hash & mask;; at = (at + 1) & mask) {
-    const std::uint64_t slot = impl.key_slots[at];
-    if (slot == 0) return std::nullopt;
-    if (slot >> 32 != hash >> 32) continue;
-    explore::EvalResult row = impl.row((slot & 0xFFFFFFFFull) - 1);
-    if (DesignKey::of(row) == key) return row;
-  }
-}
-
-double ArchiveReader::key_table_ms() const noexcept {
-  return impl_->key_ms.load(std::memory_order_relaxed);
+  return std::nullopt;
 }
 
 std::vector<explore::EvalResult> ArchiveReader::load_all() const {

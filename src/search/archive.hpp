@@ -87,6 +87,7 @@ ArchiveStats write_archive(
 /// "speedup >= X and cores <= Y" class of question.  Every bound is
 /// inclusive; unset bounds don't filter.
 struct ArchivePredicate {
+  std::optional<std::uint64_t> min_index;
   std::optional<double> min_speedup;
   std::optional<double> max_speedup;
   std::optional<double> min_cores;
@@ -162,18 +163,14 @@ class ArchiveReader {
   /// so tests can assert pruning actually happens.
   std::uint32_t candidate_blocks(const ArchivePredicate& predicate) const;
 
-  /// The row holding `key`'s design point, or nullopt.  The first call
-  /// builds a table of row ids keyed by design point from the key
-  /// columns alone (once, under a once-guard, timed by key_table_ms());
-  /// later calls probe it and re-check the candidate row's columns, so a
-  /// hash collision never returns another point's row.  Among duplicate
-  /// rows the first wins, as RunLog::dedup would keep it.  open() stays
-  /// O(header) and best/top_k/pareto never pay for the table.
-  std::optional<explore::EvalResult> find(const DesignKey& key) const;
-
-  /// Milliseconds the first find() spent building its key table; 0
-  /// until then.
-  double key_table_ms() const noexcept;
+  /// The first row with index `index` whose design point is `key`, or
+  /// nullopt — the row RunLog::dedup would keep among them.  Two binary
+  /// searches find the index's rows: the zone maps' index bounds give
+  /// the block, its index slice the row; only the candidate rows of
+  /// that index are materialized and compared.  Allocates no table, so
+  /// open() stays O(header) and no find() pays for another.
+  std::optional<explore::EvalResult> find(std::uint64_t index,
+                                          const DesignKey& key) const;
 
   /// Every record, index-ascending (block by block; the one full
   /// materialization, for RunLog::load()).

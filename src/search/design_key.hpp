@@ -1,8 +1,10 @@
 #pragma once
 // Design-point identity: the (variant, n, r, rl, app, growth, topology)
 // tuple under which RunLog::dedup (and so RunLog::fold), the archive's
-// point lookup (ArchiveReader::find) and the query server's delta map
-// decide that two records describe the same design.
+// point lookup (SearchSpace::index_of, then ArchiveReader::find among
+// the rows of that index) and the query server's maps of the delta and
+// of the archive's past-grid rows decide that two records describe the
+// same design.
 //
 // Doubles compare by bit pattern, so -0.0 and +0.0 are different points
 // and infinities match themselves.  NaNs compare by sign alone (payload
@@ -55,29 +57,16 @@ struct DesignKey {
 
 struct DesignKeyHash {
   std::size_t operator()(const DesignKey& key) const noexcept {
-    return static_cast<std::size_t>(combine(key.variant, key.n, key.r, key.rl,
-                                            label(key.app), label(key.growth),
-                                            label(key.topology)));
-  }
-
-  /// One label's contribution.  The archive's key table hashes each
-  /// dictionary entry once and combine()s per row; the result equals
-  /// operator() over the same fields.
-  static std::uint64_t label(std::string_view text) noexcept {
-    return std::hash<std::string_view>{}(text);
-  }
-
-  static std::uint64_t combine(core::ModelVariant variant, double n, double r,
-                               double rl, std::uint64_t app,
-                               std::uint64_t growth,
-                               std::uint64_t topology) noexcept {
     // Multiply-xor accumulation with a splitmix64 finalizer: every input
-    // word reaches every output bit, which the archive's table relies on
-    // (its home slot is the low bits, its collision tag the high ones).
-    std::uint64_t h = static_cast<std::uint64_t>(variant) + 0x9E3779B97F4A7C15ull;
+    // word reaches every output bit, which RunLog's dedup table relies
+    // on (its home slot is the low bits).
+    const std::hash<std::string_view> label;
+    std::uint64_t h =
+        static_cast<std::uint64_t>(key.variant) + 0x9E3779B97F4A7C15ull;
     for (const std::uint64_t word :
-         {design_bits(n), design_bits(r), design_bits(rl), app, growth,
-          topology}) {
+         {design_bits(key.n), design_bits(key.r), design_bits(key.rl),
+          std::uint64_t{label(key.app)}, std::uint64_t{label(key.growth)},
+          std::uint64_t{label(key.topology)}}) {
       h = (h ^ word) * 0xBF58476D1CE4E5B9ull;
       h ^= h >> 31;
     }
@@ -85,7 +74,7 @@ struct DesignKeyHash {
     h *= 0xBF58476D1CE4E5B9ull;
     h ^= h >> 27;
     h *= 0x94D049BB133111EBull;
-    return h ^ (h >> 31);
+    return static_cast<std::size_t>(h ^ (h >> 31));
   }
 };
 

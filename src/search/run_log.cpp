@@ -7,11 +7,11 @@
 #include <charconv>
 #include <filesystem>
 #include <stdexcept>
+#include <string_view>
 
 #include "explore/memo_cache.hpp"
 #include "search/archive.hpp"
 #include "search/design_key.hpp"
-#include "search/ndjson.hpp"
 #include "util/format.hpp"
 #include "util/io_env.hpp"
 
@@ -26,6 +26,47 @@ void check_io(const util::IoResult& result, const char* what,
     throw std::runtime_error("run log: " + std::string(what) + " " + path +
                              " failed: " + result.message);
   }
+}
+
+/// The config of meta.json's one record, `{"config":"..."}` as
+/// write_meta writes it, with util::json_escape inverted (\", \\ and
+/// \u00xx).  std::nullopt for anything else — a torn line, another
+/// object, an escape json_escape never writes.
+std::optional<std::string> parse_meta_record(std::string_view line) {
+  constexpr std::string_view kHead = "{\"config\":\"";
+  constexpr std::string_view kTail = "\"}";
+  while (!line.empty() && (line.back() == '\r' || line.back() == ' ')) {
+    line.remove_suffix(1);
+  }
+  if (line.size() < kHead.size() + kTail.size() || !line.starts_with(kHead) ||
+      !line.ends_with(kTail)) {
+    return std::nullopt;
+  }
+  const std::string_view body = line.substr(
+      kHead.size(), line.size() - kHead.size() - kTail.size());
+  std::string config;
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    if (body[i] == '"') return std::nullopt;  // the string ended early
+    if (body[i] != '\\') {
+      config.push_back(body[i]);
+      continue;
+    }
+    if (++i == body.size()) return std::nullopt;
+    if (body[i] == '"' || body[i] == '\\') {
+      config.push_back(body[i]);
+      continue;
+    }
+    unsigned byte = 0;
+    const char* hex = body.data() + i + 1;
+    if (body[i] != 'u' || body.size() - i < 5 ||
+        std::from_chars(hex, hex + 4, byte, 16).ptr != hex + 4 ||
+        byte >= 0x80) {
+      return std::nullopt;
+    }
+    config.push_back(static_cast<char>(byte));
+    i += 4;
+  }
+  return config;
 }
 
 /// keep[i] is set when records[i] is the first record of its design
@@ -397,14 +438,14 @@ std::optional<std::string> RunLog::read_meta(const std::string& dir) {
                              " is empty — truncated by a crash? Delete the "
                              "run directory to start over");
   }
-  const std::string line = bytes.substr(0, bytes.find('\n'));
-  const auto object = parse_flat_object(line);
-  if (!object || object->find("config") == object->end()) {
+  std::optional<std::string> config =
+      parse_meta_record(std::string_view(bytes).substr(0, bytes.find('\n')));
+  if (!config) {
     throw std::runtime_error("run log: " + meta_path(dir) +
                              " is corrupt (not a {\"config\":...} record); "
                              "delete the run directory to start over");
   }
-  return object->find("config")->second;
+  return config;
 }
 
 }  // namespace mergescale::search

@@ -13,26 +13,54 @@ namespace mergescale::search {
 
 namespace {
 
+/// Positions of `axis` sorted by key_of(), equal keys in position order.
+template <typename Entry, typename KeyOf>
+std::vector<std::size_t> sorted_positions(const std::vector<Entry>& axis,
+                                          KeyOf key_of) {
+  std::vector<std::size_t> order(axis.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return key_of(axis[a]) < key_of(axis[b]);
+                   });
+  return order;
+}
+
 /// For each entry of `axis`, the position of the first entry with the
 /// same key_of(): the value a repeated entry is canonicalized to.  Sorts
 /// positions by key, so a long size axis costs one allocation.
 template <typename Entry, typename KeyOf>
 std::vector<std::size_t> first_occurrences(const std::vector<Entry>& axis,
                                            KeyOf key_of) {
-  std::vector<std::size_t> order(axis.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  const auto less = [&](std::size_t a, std::size_t b) {
-    return key_of(axis[a]) < key_of(axis[b]);
-  };
-  // Stable: equal keys stay in position order, first occurrence first.
-  std::stable_sort(order.begin(), order.end(), less);
+  const std::vector<std::size_t> order = sorted_positions(axis, key_of);
   std::vector<std::size_t> first(axis.size());
   for (std::size_t k = 0; k < order.size(); ++k) {
-    const bool repeat = k > 0 && !less(order[k - 1], order[k]);
+    const bool repeat =
+        k > 0 && !(key_of(axis[order[k - 1]]) < key_of(axis[order[k]]));
     first[order[k]] = repeat ? first[order[k - 1]] : order[k];
   }
   return first;
 }
+
+/// The first position of `axis` whose key_of() is `key`, by binary
+/// search of `sorted` (sorted_positions of the same key_of).
+template <typename Entry, typename KeyOf, typename Key>
+std::optional<std::size_t> position_of(const std::vector<std::size_t>& sorted,
+                                       const std::vector<Entry>& axis,
+                                       KeyOf key_of, const Key& key) {
+  const auto it = std::partition_point(
+      sorted.begin(), sorted.end(),
+      [&](std::size_t pos) { return key_of(axis[pos]) < key; });
+  if (it == sorted.end() || !(key_of(axis[*it]) == key)) return std::nullopt;
+  return *it;
+}
+
+// index_of's keys: DesignKey's own comparison of each coordinate.
+constexpr auto kBitsOf = [](double value) { return design_bits(value); };
+constexpr auto kLabelOf = [](const auto& entry) {
+  return explore::label_of(entry);
+};
+constexpr auto kVariantOf = [](core::ModelVariant variant) { return variant; };
 
 }  // namespace
 
@@ -68,6 +96,13 @@ SearchSpace::SearchSpace(explore::ScenarioSpec spec) : spec_(std::move(spec)) {
                                       [](noc::Topology t) { return t; });
   first_[5] = first_occurrences(smalls_, value_of);
   first_[6] = first_occurrences(sizes_, value_of);
+  by_key_[0] = sorted_positions(spec_.chip_budgets, kBitsOf);
+  by_key_[1] = sorted_positions(spec_.apps, kLabelOf);
+  by_key_[2] = sorted_positions(spec_.growths, kLabelOf);
+  by_key_[3] = sorted_positions(spec_.variants, kVariantOf);
+  by_key_[4] = sorted_positions(spec_.topologies, kLabelOf);
+  by_key_[5] = sorted_positions(smalls_, kBitsOf);
+  by_key_[6] = sorted_positions(sizes_, kBitsOf);
   size_ = 1;
   for (std::size_t dim = 0; dim < kDims; ++dim) size_ *= axis_size(dim);
 }
@@ -106,6 +141,40 @@ std::optional<std::uint64_t> SearchSpace::canonical(std::uint64_t flat) const {
   if (!core::is_comm_variant(variant)) coords[4] = 0;
   if (!core::is_asymmetric_variant(variant)) coords[5] = 0;
   if (!in_bounds(coords)) return std::nullopt;
+  return encode(coords);
+}
+
+std::optional<std::uint64_t> SearchSpace::index_of(
+    const DesignKey& key) const {
+  // The first position holding a key is its value's first occurrence,
+  // the coordinate canonical() picks; the inert axes stay 0, as there.
+  Coords coords{};
+  const auto at = [&](std::size_t dim, std::optional<std::size_t> pos) {
+    if (pos) coords[dim] = *pos;
+    return pos.has_value();
+  };
+  const auto value_at = [&](std::size_t dim, const std::vector<double>& axis,
+                            double value) {
+    return at(dim, position_of(by_key_[dim], axis, kBitsOf,
+                               design_bits(value)));
+  };
+  // job_at's r is the small core for the asymmetric variants and the one
+  // core size otherwise; rl is the large core, or 0 when unused.
+  const bool asym = core::is_asymmetric_variant(key.variant);
+  const bool found =
+      value_at(0, spec_.chip_budgets, key.n) &&
+      at(1, position_of(by_key_[1], spec_.apps, kLabelOf, key.app)) &&
+      at(2, position_of(by_key_[2], spec_.growths, kLabelOf, key.growth)) &&
+      at(3, position_of(by_key_[3], spec_.variants, kVariantOf,
+                        key.variant)) &&
+      (core::is_comm_variant(key.variant)
+           ? at(4, position_of(by_key_[4], spec_.topologies, kLabelOf,
+                               key.topology))
+           : key.topology == "-") &&
+      (asym ? value_at(5, smalls_, key.r) && value_at(6, sizes_, key.rl)
+            : design_bits(key.rl) == design_bits(0.0) &&
+                  value_at(6, sizes_, key.r));
+  if (!found || !in_bounds(coords)) return std::nullopt;
   return encode(coords);
 }
 

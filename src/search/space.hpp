@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "explore/scenario.hpp"
+#include "search/design_key.hpp"
 
 namespace mergescale::search {
 
@@ -61,6 +62,14 @@ class SearchSpace {
   /// when their canonical indices are equal.
   std::optional<std::uint64_t> canonical(std::uint64_t flat) const;
 
+  /// Inverse of job_at() up to canonical(): the canonical flat index of
+  /// the design point `key` names, matched the way DesignKey matches
+  /// (doubles by bit pattern, labels byte-exact; r and rl as job_at sets
+  /// them, rl = 0 and topology "-" where the variant ignores them).
+  /// std::nullopt when a coordinate is off its axis or the point is out
+  /// of bounds.  O(log axis) per coordinate; allocates nothing.
+  std::optional<std::uint64_t> index_of(const DesignKey& key) const;
+
   /// Number of distinct design points: the flats with canonical(flat) ==
   /// flat, counted from the axes without enumerating the grid.
   std::uint64_t point_count() const;
@@ -87,6 +96,9 @@ class SearchSpace {
   std::vector<core::GrowthFunction> comm_laws_;  ///< per spec topology
   /// Per axis, the position of each value's first occurrence.
   std::array<std::vector<std::size_t>, kDims> first_;
+  /// Per axis, its positions sorted by index_of's key (value bits or
+  /// label), ties by position.
+  std::array<std::vector<std::size_t>, kDims> by_key_;
   std::uint64_t size_ = 0;
 };
 

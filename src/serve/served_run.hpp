@@ -15,11 +15,16 @@
 // decoded, into a small in-memory delta.  A directory without an
 // archive serves an in-memory archive built over its decoded logs.
 
+#include <cstdint>
+#include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "explore/scenario.hpp"
 #include "search/archive.hpp"
+#include "search/design_key.hpp"
+#include "search/space.hpp"
 
 namespace mergescale::serve {
 
@@ -29,11 +34,42 @@ struct ServedRun {
   explore::ScenarioSpec spec;  ///< space the records were drawn from
 };
 
+/// An archive and eval's lookup of a design point in it.  An on-grid
+/// point is found at its canonical flat index (SearchSpace::index_of,
+/// then ArchiveReader::find).  The rows past the grid — off-grid live
+/// evaluations a fold took in, and on-grid points that older builds
+/// numbered there — are materialized once, by zone pruning on the
+/// index, into a lookup-only map.  Immutable, so thread-safe.
+class ServedArchive {
+ public:
+  ServedArchive(search::ArchiveReader reader,
+                const explore::ScenarioSpec& spec);
+
+  /// Zone-map query engine for best/topk/pareto and the counts.
+  const search::ArchiveReader& reader() const noexcept { return reader_; }
+  /// The served scenario's grid.
+  const search::SearchSpace& space() const noexcept { return space_; }
+
+  /// The first archived row, in row order, whose design point is `key`;
+  /// nullopt when none is.
+  std::optional<explore::EvalResult> find(const search::DesignKey& key) const;
+
+ private:
+  search::ArchiveReader reader_;
+  search::SearchSpace space_;
+  /// The rows with index >= space_.size(), index-ascending.
+  std::vector<explore::EvalResult> past_grid_;
+  /// The first of past_grid_'s rows for each design point.
+  std::unordered_map<search::DesignKey, const explore::EvalResult*,
+                     search::DesignKeyHash>
+      past_grid_keys_;
+};
+
 /// The records a server answers from.
 struct ServedRecords {
-  /// Zone-map query engine: the file-backed archive.msca, or an
-  /// in-memory archive over the decoded logs when there is none.
-  search::ArchiveReader archive;
+  /// The file-backed archive.msca, or an in-memory archive over the
+  /// decoded logs when there is none.
+  ServedArchive archive;
   /// Decoded records the archive does not hold, deduplicated by first
   /// occurrence (search/design_key) and free of any design point the
   /// archive holds.
@@ -48,13 +84,13 @@ struct ServedRecords {
 ServedRun open_served_run(const std::string& dir,
                           const std::vector<std::string>& sources = {});
 
-/// Opens the records of `dir` and `sources` (validate them with
-/// open_served_run first): `dir`'s archive.msca through
-/// ArchiveReader::open, and `dir`'s result logs plus every source's
-/// records (a source equal to `dir` contributes nothing new) as the
+/// Opens the records of `run.dir` and `sources` (validated by
+/// open_served_run): `run.dir`'s archive.msca through
+/// ArchiveReader::open, and `run.dir`'s result logs plus every source's
+/// records (a source equal to `run.dir` contributes nothing new) as the
 /// delta.  Without an archive the same union is deduplicated into an
 /// in-memory archive and the delta stays empty.
-ServedRecords open_served_records(const std::string& dir,
+ServedRecords open_served_records(const ServedRun& run,
                                   const std::vector<std::string>& sources = {});
 
 }  // namespace mergescale::serve

@@ -39,10 +39,10 @@ QueryServer::QueryServer(ServedRun run, ServedRecords records,
       log_(log),
       options_(std::move(options)),
       archive_(std::move(records.archive)) {
-  // Live evals are numbered past every on-grid index and every index
-  // already held, so none collides with a recorded point's.
-  std::uint64_t next = std::max(search::SearchSpace(run_.spec).size(),
-                                archive_.index_end());
+  // Off-grid live evals are numbered past every on-grid index and every
+  // index already held, so none collides with a recorded point's.
+  std::uint64_t next =
+      std::max(archive_.space().size(), archive_.reader().index_end());
   util::WriterLock lock(delta_mu_);
   for (explore::EvalResult& record : records.delta) {
     next = std::max<std::uint64_t>(next, record.index + 1);
@@ -295,7 +295,8 @@ std::string QueryServer::execute(const Query& query) {
 
 std::string QueryServer::answer_best() const {
   std::vector<explore::EvalResult> pool;
-  if (std::optional<explore::EvalResult> archived = archive_.best()) {
+  if (std::optional<explore::EvalResult> archived =
+          archive_.reader().best()) {
     pool.push_back(std::move(*archived));
   }
   {
@@ -313,7 +314,7 @@ std::string QueryServer::answer_best() const {
 }
 
 std::string QueryServer::answer_topk(std::size_t k) const {
-  std::vector<explore::EvalResult> pool = archive_.top_k(k);
+  std::vector<explore::EvalResult> pool = archive_.reader().top_k(k);
   {
     util::ReaderLock lock(delta_mu_);
     const std::size_t head = std::min(k, delta_rank_.size());
@@ -325,7 +326,8 @@ std::string QueryServer::answer_topk(std::size_t k) const {
 }
 
 std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
-  const std::vector<explore::EvalResult> archived = archive_.pareto(metric);
+  const std::vector<explore::EvalResult> archived =
+      archive_.reader().pareto(metric);
   explore::ParetoReduction reduction;
   for (std::size_t i = 0; i < archived.size(); ++i) {
     reduction.offer(explore::cost_of(archived[i], metric), archived[i].speedup,
@@ -465,7 +467,10 @@ std::string QueryServer::answer_eval(const Query& query) {
       }
       explore::EvalResult fresh =
           explore::evaluate_job(job, nullptr, /*use_cache=*/false);
-      fresh.index = next_index_.fetch_add(1, std::memory_order_relaxed);
+      // An on-grid point takes the index a sweep records for it.
+      const std::optional<std::uint64_t> flat = archive_.space().index_of(key);
+      fresh.index = flat ? static_cast<std::size_t>(*flat)
+                         : next_index_.fetch_add(1, std::memory_order_relaxed);
       // The delta takes the record only after it is durably logged, so a
       // failed append cannot leave behind an answer a restarted server
       // would not have.
@@ -506,12 +511,12 @@ std::string QueryServer::answer_stats() const {
   }
   // Archived rows plus the delta: the whole union the server answers
   // over.
-  os << "archive_records=" << archive_.row_count() + delta_records << "\n"
+  os << "archive_records=" << archive_.reader().row_count() + delta_records
+     << "\n"
      << "archive_dir=" << run_.dir << "\n"
      << "config=" << run_.config << "\n"
      << "delta_records=" << delta_records << "\n"
      << "eval_hits=" << eval_hits_.load(std::memory_order_relaxed) << "\n"
-     << "eval_index_ms=" << compact(archive_.key_table_ms()) << "\n"
      << "queries=" << completed_.load(std::memory_order_relaxed) << "\n"
      << "live_evals=" << live_used_.load(std::memory_order_relaxed) << "\n"
      << "live_budget=" << options_.live_budget << "\n"

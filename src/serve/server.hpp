@@ -5,10 +5,11 @@
 // ask `best` / `topk` / `pareto` / `eval` / `stats` over the
 // newline-delimited protocol (serve/protocol).  Every answer comes from
 // the memory-mapped archive plus that small in-memory delta — `eval`
-// looks its design point up in the archive, then in the delta, and
-// falls back to budgeted live evaluation through core::evaluate, every
-// live answer appended to the run log so the next server start (or any
-// explore_cli --resume) inherits it.
+// looks its design point up in the archive (by its canonical flat
+// index; rows past the grid through a map built at start-up), then in
+// the delta, and falls back to budgeted live evaluation through
+// core::evaluate, every live answer appended to the run log so the next
+// server start (or any explore_cli --resume) inherits it.
 //
 // Each ranking query costs what it returns, not what the delta holds:
 // `best` and `topk k` read at most k records off the head of a rank
@@ -123,7 +124,7 @@ class QueryServer {
       MS_EXCLUDES(delta_mu_);
   std::string answer_eval(const Query& query)
       MS_EXCLUDES(live_mu_, delta_mu_);
-  /// Appends `record` to the delta, its key table and its rank index.
+  /// Appends `record` to the delta, its design-key map and its rank index.
   void add_delta(explore::EvalResult record) MS_REQUIRES(delta_mu_);
   /// The delta's record for `key`, copied out under a reader lock.
   std::optional<explore::EvalResult> find_delta(
@@ -140,10 +141,11 @@ class QueryServer {
   search::RunLog* log_;
   ServerOptions options_;
 
-  /// Zone-map query engine over the archived records (search/archive).
-  /// Immutable; its query methods are const and internally thread-safe,
-  /// so every query runs them without holding delta_mu_.
-  const search::ArchiveReader archive_;
+  /// The archived records and eval's point lookup in them
+  /// (serve/served_run).  Immutable; its query methods are const and
+  /// internally thread-safe, so every query runs them without holding
+  /// delta_mu_.
+  const ServedArchive archive_;
   /// Guards the delta and its indexes (readers: every query; writer:
   /// the live-eval append path).  best/topk copy at most k records off
   /// delta_rank_ under a reader lock, pareto folds the delta into its
@@ -169,7 +171,8 @@ class QueryServer {
   /// cannot double-append or double-spend.
   util::Mutex live_mu_;
   std::atomic<std::uint64_t> live_used_{0};
-  /// Index of the next live eval: past the grid and every held index.
+  /// Index of the next off-grid live eval: past the grid and every held
+  /// index.  An on-grid live eval takes its canonical flat index.
   std::atomic<std::size_t> next_index_{0};
   /// Sticky archive-only mode: set when a run-log append throws.  The
   /// log's own errors are sticky too (a dead writer thread / full

@@ -83,7 +83,8 @@ void json_escaped(std::string_view text, Put&& put) {
 }
 
 /// `text` JSON-escaped as a string (json_escaped's rule), for writers
-/// that build a line in memory.  search::parse_flat_object inverts it.
+/// that build a line in memory.  search::RunLog::read_meta inverts it
+/// for meta.json's one record.
 std::string json_escape(std::string_view text);
 
 }  // namespace mergescale::util

@@ -543,46 +543,60 @@ TEST_F(ArchiveTest, VerifyChecksEverySlice) {
 }
 
 // ---------------------------------------------------------------------------
-// Point lookup: find() by design point.
+// Point lookup: find() by index and design point.
 // ---------------------------------------------------------------------------
 
-TEST_F(ArchiveTest, FindReturnsTheFirstRowOfEveryDesignPoint) {
-  // synth_records repeats its design points every 420 indices, so the
-  // archive holds duplicates; find must answer with the first, as
-  // RunLog::dedup over the archive's row order would keep it.
-  const auto records = synth_records(1000, 5);
-  write_archive(path_, records, 64);
+/// synth_records renumbered so runs of up to 7 rows share an index (a
+/// run may straddle a block boundary) and some rows repeat an earlier
+/// row's design point under the same index, with another speedup.
+std::vector<explore::EvalResult> shared_index_records(std::size_t count,
+                                                      std::uint64_t seed) {
+  auto records = sorted_by_index(synth_records(count, seed));
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    records[i].index = 3 * (i / 7) + (i % 7 == 6 ? 1 : 0);
+    if (i % 7 == 5) {
+      const double speedup = records[i].speedup + 1.0;
+      records[i] = records[i - 2];
+      records[i].speedup = speedup;
+    }
+  }
+  return records;
+}
+
+TEST_F(ArchiveTest, FindReturnsTheFirstRowOfAnIndexHoldingTheKey) {
+  const auto records = shared_index_records(1000, 5);
+  write_archive(path_, records, 16);
   const ArchiveReader file = ArchiveReader::open(path_);
-  const ArchiveReader memory = ArchiveReader::from_records(records, 64);
-  EXPECT_EQ(file.key_table_ms(), 0.0);  // open() builds nothing
-  const auto firsts = RunLog::dedup(sorted_by_index(records));
-  ASSERT_LT(firsts.size(), records.size());
-  std::unordered_map<std::size_t, std::size_t> first_of;  // index -> first
-  for (const auto& record : sorted_by_index(records)) {
-    for (const auto& first : firsts) {
-      if (DesignKey::of(first) == DesignKey::of(record)) {
-        first_of[record.index] = first.index;
-        break;
-      }
-    }
-  }
+  const ArchiveReader memory = ArchiveReader::from_records(records, 16);
   for (const auto& record : records) {
+    // The archive keeps input order among equal indices, so the first
+    // record with this index and key is the row find() must return.
+    const auto first = std::find_if(
+        records.begin(), records.end(), [&](const explore::EvalResult& r) {
+          return r.index == record.index &&
+                 DesignKey::of(r) == DesignKey::of(record);
+        });
     for (const ArchiveReader* reader : {&file, &memory}) {
-      const auto found = reader->find(DesignKey::of(record));
+      const auto found = reader->find(record.index, DesignKey::of(record));
       ASSERT_TRUE(found.has_value()) << record.index;
-      EXPECT_EQ(found->index, first_of.at(record.index));
-      EXPECT_TRUE(DesignKey::of(*found) == DesignKey::of(record));
+      expect_all_equal({*found}, {*first});
     }
   }
-  EXPECT_GT(file.key_table_ms(), 0.0);
+  // Indices no row holds: below, between and past the held ones.
+  const DesignKey key = DesignKey::of(records[0]);
+  for (const std::uint64_t index : {std::uint64_t{2}, std::uint64_t{5},
+                                    records.back().index + 1,
+                                    std::uint64_t{1} << 40}) {
+    EXPECT_FALSE(file.find(index, key).has_value()) << index;
+  }
 }
 
 TEST_F(ArchiveTest, FindMissesEveryOtherPoint) {
   const auto records = synth_records(300, 9);
   const ArchiveReader reader = ArchiveReader::from_records(records, 32);
   for (const auto& record : records) {
-    auto probe = [&reader](explore::EvalResult point) {
-      return reader.find(DesignKey::of(point)).has_value();
+    auto probe = [&](explore::EvalResult point) {
+      return reader.find(record.index, DesignKey::of(point)).has_value();
     };
     explore::EvalResult other = record;
     other.rl = -record.rl;  // symmetric rows hold +0.0: -0.0 is another point
@@ -598,15 +612,18 @@ TEST_F(ArchiveTest, FindMissesEveryOtherPoint) {
     EXPECT_FALSE(probe(other));
     // Fields outside the identity do not matter.
     other = record;
-    other.index += 100000;
     other.scenario = "elsewhere";
     other.speedup += 1.0;
     EXPECT_TRUE(probe(other));
+    // The point's row is found only under its own index.
+    EXPECT_FALSE(
+        reader.find(record.index + 420, DesignKey::of(record)).has_value());
   }
-  EXPECT_FALSE(ArchiveReader::from_records({}).find(DesignKey{}).has_value());
+  EXPECT_FALSE(
+      ArchiveReader::from_records({}).find(0, DesignKey{}).has_value());
 }
 
-TEST_F(ArchiveTest, ConcurrentFirstFindsBuildOneTable) {
+TEST_F(ArchiveTest, ConcurrentFindsSeeEveryRow) {
   const auto records = synth_records(2000, 17);
   const ArchiveReader reader = ArchiveReader::from_records(records, 128);
   std::vector<std::thread> threads;
@@ -615,7 +632,9 @@ TEST_F(ArchiveTest, ConcurrentFirstFindsBuildOneTable) {
     threads.emplace_back([&, t] {
       for (std::size_t i = static_cast<std::size_t>(t); i < records.size();
            i += 4) {
-        if (!reader.find(DesignKey::of(records[i]))) misses.fetch_add(1);
+        if (!reader.find(records[i].index, DesignKey::of(records[i]))) {
+          misses.fetch_add(1);
+        }
       }
     });
   }
@@ -623,18 +642,20 @@ TEST_F(ArchiveTest, ConcurrentFirstFindsBuildOneTable) {
   EXPECT_EQ(misses.load(), 0);
 }
 
-TEST_F(ArchiveTest, FindRefusesACorruptKeyColumnEveryTime) {
+TEST_F(ArchiveTest, FindRefusesACorruptColumnEveryTime) {
   const auto records = synth_records(256, 23);
-  std::string bytes = encode_archive(records, 64);
+  const std::string pristine = encode_archive(records, 64);
   // Header (76 bytes) + the 8-byte index column over 256 rows: the
   // variant column of block 0 starts at byte 2124.
-  bytes[2124 + 5] = static_cast<char>(bytes[2124 + 5] ^ '\x01');
-  const ArchiveReader reader = ArchiveReader::from_buffer(bytes);
-  const DesignKey key = DesignKey::of(records[0]);
-  EXPECT_THROW(reader.find(key), std::runtime_error);
-  // The failed build left no half-built table behind.
-  EXPECT_THROW(reader.find(key), std::runtime_error);
-  EXPECT_EQ(reader.key_table_ms(), 0.0);
+  for (const std::size_t at :
+       {std::size_t{76 + 5 * 8}, std::size_t{2124 + 5}}) {
+    std::string bytes = pristine;
+    bytes[at] = static_cast<char>(bytes[at] ^ '\x01');
+    const ArchiveReader reader = ArchiveReader::from_buffer(bytes);
+    const DesignKey key = DesignKey::of(sorted_by_index(records)[5]);
+    EXPECT_THROW(reader.find(5, key), std::runtime_error) << at;
+    EXPECT_THROW(reader.find(5, key), std::runtime_error) << at;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -145,16 +145,5 @@ TEST(DesignKeyTest, DedupKeepsWhatTheStringKeyedDedupKeeps) {
   }
 }
 
-TEST(DesignKeyTest, CombineOverLabelHashesEqualsTheKeyHash) {
-  for (const auto& record : random_records(200, 99)) {
-    const DesignKey key = DesignKey::of(record);
-    EXPECT_EQ(DesignKeyHash{}(key),
-              DesignKeyHash::combine(key.variant, key.n, key.r, key.rl,
-                                     DesignKeyHash::label(record.app),
-                                     DesignKeyHash::label(record.growth),
-                                     DesignKeyHash::label(record.topology)));
-  }
-}
-
 }  // namespace
 }  // namespace mergescale::search

@@ -9,7 +9,6 @@
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
-#include "search/ndjson.hpp"
 
 namespace mergescale::search {
 namespace {
@@ -317,23 +316,36 @@ TEST_F(RunLogTest, RefusesDirectoriesHoldingARetiredNdjsonLog) {
   }
 }
 
-TEST(NdjsonParser, HandlesTheFlatObjectSubset) {
-  const auto object =
-      parse_flat_object("{\"a\":1.5,\"b\":\"x,\\\"y\\\"\",\"c\":true}");
-  ASSERT_TRUE(object.has_value());
-  EXPECT_EQ(object->at("a"), "1.5");
-  EXPECT_EQ(object->at("b"), "x,\"y\"");
-  EXPECT_EQ(object->at("c"), "true");
+TEST_F(RunLogTest, MetaRoundTripsEscapedQuotesBackslashesAndControlBytes) {
+  std::string config = "apps=\"a\",\\b\\;sizes=\\\"";
+  for (char byte = 0x01; byte < 0x20; ++byte) config.push_back(byte);
+  config += "\"end\\";
+  RunLog::write_meta(dir_, config);
+  std::ifstream in(RunLog::meta_path(dir_));
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  // One line on disk: every control byte went out as \u00xx.
+  EXPECT_EQ(bytes.find('\n'), bytes.size() - 1);
+  EXPECT_NE(bytes.find("\\u001f"), std::string::npos);
+  const auto read = RunLog::read_meta(dir_);
+  ASSERT_TRUE(read.has_value());
+  EXPECT_EQ(*read, config);
+}
 
-  EXPECT_TRUE(parse_flat_object("{}").has_value());
-  EXPECT_TRUE(parse_flat_object("  {\"k\":\"v\"}  ").has_value());
-  EXPECT_FALSE(parse_flat_object("").has_value());
-  EXPECT_FALSE(parse_flat_object("{").has_value());
-  EXPECT_FALSE(parse_flat_object("{\"k\":}").has_value());
-  EXPECT_FALSE(parse_flat_object("{\"k\":[1]}").has_value());
-  EXPECT_FALSE(parse_flat_object("{\"k\":{\"n\":1}}").has_value());
-  EXPECT_FALSE(parse_flat_object("{\"k\":\"v\"} trailing").has_value());
-  EXPECT_FALSE(parse_flat_object("{\"k\":\"unterminated").has_value());
+TEST_F(RunLogTest, ReadMetaRefusesAnythingButOneConfigRecord) {
+  std::filesystem::create_directories(dir_);
+  for (const char* line :
+       {"{", "{}", "{\"config\":}", "{\"config\":1}",
+        "{\"config\":\"v\"} trailing", "{\"config\":\"unterminated",
+        "{\"config\":\"v\",\"other\":\"w\"}", "{\"other\":\"v\"}",
+        "{\"config\":\"a\"b\"}", "{\"config\":\"ends in \\\"}",
+        "{\"config\":\"\\n\"}", "{\"config\":\"\\u00f\"}",
+        "{\"config\":\"\\u0080\"}", " {\"config\":\"v\"}"}) {
+    { std::ofstream out(RunLog::meta_path(dir_)); out << line << "\n"; }
+    EXPECT_THROW(RunLog::read_meta(dir_), std::runtime_error) << line;
+  }
+  { std::ofstream out(RunLog::meta_path(dir_)); out << "{\"config\":\"\"}"; }
+  EXPECT_EQ(RunLog::read_meta(dir_), std::optional<std::string>(""));
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <random>
 #include <string>
@@ -232,6 +234,74 @@ TEST(SearchSpace, CanonicalIsTheDesignPointIdentity) {
       }
     }
     EXPECT_EQ(ascending, expanded);
+  }
+}
+
+// index_of() inverts job_at() up to canonical(): the design key of any
+// in-bounds flat's job names its canonical flat, and a key with one
+// coordinate moved off its axis (or out of its chip) names none.
+TEST(SearchSpace, IndexOfInvertsJobAtUpToCanonical) {
+  const auto moved = [](double value) {
+    return std::nextafter(value, std::numeric_limits<double>::infinity());
+  };
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const explore::ScenarioSpec spec = random_spec(rng);
+    const SearchSpace space(spec);
+    const auto absent = [](const auto& pool, const auto& axis) {
+      for (const auto& value : pool) {
+        if (std::find(axis.begin(), axis.end(), value) == axis.end()) {
+          return value;
+        }
+      }
+      ADD_FAILURE() << "every value is on the axis";
+      return pool.front();
+    };
+    const core::ModelVariant other_variant =
+        absent(std::vector<core::ModelVariant>{
+                   core::ModelVariant::kSymmetric,
+                   core::ModelVariant::kAsymmetric,
+                   core::ModelVariant::kSymmetricComm,
+                   core::ModelVariant::kAsymmetricComm},
+               spec.variants);
+    const std::string other_topology(noc::topology_name(
+        absent(std::vector<noc::Topology>{noc::Topology::kBus,
+                                          noc::Topology::kRing,
+                                          noc::Topology::kMesh2D},
+               spec.topologies)));
+    const double widest =
+        *std::max_element(space.sizes().begin(), space.sizes().end());
+    for (std::uint64_t flat = 0; flat < space.size(); ++flat) {
+      explore::EvalJob job;
+      if (!space.job_at(space.decode(flat), &job)) continue;
+      const core::EvalRequest& request = job.request;
+      const DesignKey key{request.variant,      request.chip.n,
+                          request.r,            request.rl,
+                          request.app.name,     request.growth.name(),
+                          job.topology};
+      ASSERT_EQ(space.index_of(key), space.canonical(flat)) << flat;
+
+      const bool asym = core::is_asymmetric_variant(key.variant);
+      std::vector<DesignKey> off(8, key);
+      off[0].n = moved(key.n);
+      off[1].app = "nope";
+      off[2].growth = "nope";
+      off[3].variant = other_variant;
+      off[4].topology = core::is_comm_variant(key.variant)
+                            ? std::string_view(other_topology)
+                            : std::string_view(
+                                  noc::topology_name(spec.topologies[0]));
+      off[5].r = moved(key.r);
+      off[6].rl = asym ? moved(key.rl) : -0.0;
+      // The widest size is on the axis but may not fit this chip.
+      (asym ? off[7].rl : off[7].r) = widest;
+      for (std::size_t i = 0; i < off.size(); ++i) {
+        if (i == 7 && widest <= key.n) continue;
+        EXPECT_EQ(space.index_of(off[i]), std::nullopt)
+            << "flat " << flat << " coordinate " << i;
+      }
+    }
   }
 }
 

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include "search/run_log.hpp"
+#include "search/space.hpp"
+#include "search/strategy.hpp"
 #include "serve/served_run.hpp"
 #include "serve/server.hpp"
 #include "util/failpoint.hpp"
@@ -44,9 +46,10 @@ class DegradedTest : public ::testing::Test {
                .string();
     std::filesystem::remove_all(dir_);
 
-    const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
+    const search::SearchSpace space(explore::from_config(kConfig, "serve"));
     explore::ExploreEngine engine(explore::EngineOptions{2});
-    const std::vector<explore::EvalResult> results = engine.run(spec);
+    const std::vector<explore::EvalResult> results = search::run_sweep(
+        engine, space, search::ShardPlan(space.size(), 1).range(0));
     ASSERT_FALSE(results.empty());
     search::RunLog::write_meta(dir_, kConfig);
     search::RunLog log(dir_);
@@ -66,7 +69,7 @@ class DegradedTest : public ::testing::Test {
   std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100) {
     auto harness = std::make_unique<Harness>();
     ServedRun run = open_served_run(dir_);
-    ServedRecords records = open_served_records(dir_);
+    ServedRecords records = open_served_records(run);
     harness->log = std::make_unique<search::RunLog>(dir_);
     ServerOptions options;
     options.live_budget = live_budget;

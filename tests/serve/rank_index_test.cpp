@@ -135,10 +135,12 @@ class RankIndexTest : public ::testing::Test {
     // throwaway server resolves the lines as the real one will.
     std::vector<explore::EvalResult> live;
     {
-      QueryServer probe(ServedRun{dir_, kConfig, spec},
-                        ServedRecords{search::ArchiveReader::from_records({}),
-                                      {}},
-                        nullptr, ServerOptions{});
+      QueryServer probe(
+          ServedRun{dir_, kConfig, spec},
+          ServedRecords{
+              ServedArchive(search::ArchiveReader::from_records({}), spec),
+              {}},
+          nullptr, ServerOptions{});
       for (const std::string& line : live_lines()) {
         live.push_back(live_record(probe, line, 0));
       }
@@ -154,7 +156,8 @@ class RankIndexTest : public ::testing::Test {
     *archived = archive.load_all();
     return std::make_unique<QueryServer>(
         ServedRun{dir_, kConfig, spec},
-        ServedRecords{std::move(archive), *delta}, log, ServerOptions{});
+        ServedRecords{ServedArchive(std::move(archive), spec), *delta}, log,
+        ServerOptions{});
   }
 
   std::string dir_;

@@ -8,12 +8,14 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/run_log.hpp"
 #include "search/space.hpp"
+#include "search/strategy.hpp"
 #include "serve/served_run.hpp"
 
 namespace mergescale::serve {
@@ -44,9 +46,10 @@ class ServerTest : public ::testing::Test {
   /// Records a real run directory: meta + one result per job of the
   /// config's scenario, exactly what explore_cli leaves behind.
   void record() {
-    const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
+    const search::SearchSpace space(explore::from_config(kConfig, "serve"));
     explore::ExploreEngine engine(explore::EngineOptions{2});
-    const std::vector<explore::EvalResult> results = engine.run(spec);
+    const std::vector<explore::EvalResult> results = search::run_sweep(
+        engine, space, search::ShardPlan(space.size(), 1).range(0));
     ASSERT_FALSE(results.empty());
     search::RunLog::write_meta(dir_, kConfig);
     search::RunLog log(dir_);
@@ -76,7 +79,7 @@ class ServerTest : public ::testing::Test {
                                  bool with_log = true) {
     auto harness = std::make_unique<Harness>();
     ServedRun run = open_served_run(dir_);
-    ServedRecords records = open_served_records(dir_);
+    ServedRecords records = open_served_records(run);
     if (with_log) {
       harness->log = std::make_unique<search::RunLog>(dir_);
     }
@@ -258,8 +261,8 @@ TEST_F(ServerTest, QuitAndStatsAreFramedReplies) {
   const std::string stats = harness->server->execute_line("stats");
   EXPECT_EQ(stats.rfind("OK stats", 0), 0u);
   for (const char* key :
-       {"archive_records=", "delta_records=", "eval_hits=", "eval_index_ms=",
-        "queries=", "live_budget="}) {
+       {"archive_records=", "delta_records=", "eval_hits=", "queries=",
+        "live_budget="}) {
     EXPECT_NE(stats.find(key), std::string::npos) << key << "\n" << stats;
   }
 }
@@ -302,10 +305,48 @@ TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
   // Unioning a directory with itself must not double-count: the served
   // records are deduplicated by design point.
   EXPECT_NO_THROW(open_served_run(dir_, {dir_}));
-  const ServedRecords plain = open_served_records(dir_);
-  const ServedRecords self_union = open_served_records(dir_, {dir_});
-  EXPECT_EQ(self_union.archive.row_count() + self_union.delta.size(),
-            plain.archive.row_count() + plain.delta.size());
+  const ServedRun run = open_served_run(dir_);
+  const ServedRecords plain = open_served_records(run);
+  const ServedRecords self_union = open_served_records(run, {dir_});
+  EXPECT_EQ(self_union.archive.reader().row_count() + self_union.delta.size(),
+            plain.archive.reader().row_count() + plain.delta.size());
+}
+
+TEST_F(ServerTest, ServedArchiveFindsAPointsFirstRowInRowOrder) {
+  // A hand-built archive (a fold would have deduplicated it): grid point
+  // `a` at its canonical index and again past the grid, grid point `b`
+  // twice past the grid, off-grid point `c` once.  find() answers as a
+  // scan of the rows in order would: with the first row of the point.
+  const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
+  const search::SearchSpace space(spec);
+  explore::ExploreEngine engine(explore::EngineOptions{1});
+  const std::vector<explore::EvalResult> grid = search::run_sweep(
+      engine, space, search::ShardPlan(space.size(), 1).range(0));
+  ASSERT_GE(grid.size(), 3u);
+  const auto row = [](explore::EvalResult record, std::size_t index,
+                      double speedup) {
+    record.index = index;
+    record.speedup = speedup;
+    return record;
+  };
+  explore::EvalResult off = grid[0];
+  off.n = 96.0;
+  const auto end = static_cast<std::size_t>(space.size());
+  const ServedArchive archive(
+      search::ArchiveReader::from_records(
+          {row(grid[0], grid[0].index, 1.0), row(grid[0], end, 2.0),
+           row(grid[1], end + 1, 3.0), row(grid[1], end + 2, 4.0),
+           row(off, end + 3, 5.0)},
+          /*block_rows=*/2),
+      spec);
+  for (const auto& [point, speedup] :
+       {std::pair{grid[0], 1.0}, std::pair{grid[1], 3.0},
+        std::pair{off, 5.0}}) {
+    const auto found = archive.find(search::DesignKey::of(point));
+    ASSERT_TRUE(found.has_value()) << point.index;
+    EXPECT_EQ(found->speedup, speedup) << point.index;
+  }
+  EXPECT_FALSE(archive.find(search::DesignKey::of(grid[2])).has_value());
 }
 
 TEST_F(ServerTest, OpenServedRecordsRefusesARetiredNdjsonLog) {
@@ -314,9 +355,10 @@ TEST_F(ServerTest, OpenServedRecordsRefusesARetiredNdjsonLog) {
   record();
   search::write_archive(search::RunLog::archive_path(dir_), union_records());
   std::filesystem::remove(search::RunLog::binary_results_path(dir_));
+  const ServedRun run = open_served_run(dir_);
   std::ofstream(std::filesystem::path(dir_) / "results.ndjson") << "{}\n";
   try {
-    open_served_records(dir_);
+    open_served_records(run);
     FAIL() << "served a directory holding results.ndjson";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("results.ndjson"),

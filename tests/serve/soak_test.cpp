@@ -93,7 +93,8 @@ class SoakTest : public ::testing::Test {
 };
 
 TEST_F(SoakTest, TenThousandConnectionsLeaveThreadsAndMemoryFlat) {
-  QueryServer server(open_served_run(dir_), open_served_records(dir_),
+  QueryServer server(open_served_run(dir_),
+                     open_served_records(open_served_run(dir_)),
                      nullptr, ServerOptions{});
   server.start();
   // Warm up past one-time allocations (thread stacks, socket buffers)
@@ -125,7 +126,8 @@ TEST_F(SoakTest, TenThousandConnectionsLeaveThreadsAndMemoryFlat) {
 }
 
 TEST_F(SoakTest, StopEndsSessionsThatAreStillOpen) {
-  QueryServer server(open_served_run(dir_), open_served_records(dir_),
+  QueryServer server(open_served_run(dir_),
+                     open_served_records(open_served_run(dir_)),
                      nullptr, ServerOptions{});
   server.start();
   // Sessions left open mid-conversation (each answered once, so each
