@@ -92,11 +92,13 @@ int main(int argc, char** argv) try {
 
   explore::EngineOptions options;
   options.threads = static_cast<int>(cli.get_int("threads"));
+  options.use_cache = false;
 
-  // Exhaustive baseline: enumerate the spec, count unique evaluations.
+  // Exhaustive baseline: sweep every design point once.
   explore::ExploreEngine baseline_engine(options);
   const auto baseline_start = std::chrono::steady_clock::now();
-  const std::vector<explore::EvalResult> all = baseline_engine.run(spec);
+  const std::vector<explore::EvalResult> all = search::run_sweep(
+      baseline_engine, space, search::ShardPlan(space.size(), 1).range(0));
   const double baseline_elapsed = seconds_since(baseline_start);
   const explore::EvalResult* best = explore::best_result(all);
   if (best == nullptr) {
@@ -105,7 +107,7 @@ int main(int argc, char** argv) try {
   }
   explore::StrategySummary baseline;
   baseline.strategy = "exhaustive";
-  baseline.evaluations = baseline_engine.cache().stats().misses;
+  baseline.evaluations = all.size();
   baseline.best_speedup = best->speedup;
   baseline.to_within_1pct = baseline.evaluations;
   baseline.converged = true;
@@ -133,7 +135,7 @@ int main(int argc, char** argv) try {
        {search::Strategy::kRandom, search::Strategy::kHillClimb,
         search::Strategy::kAnneal, search::Strategy::kGenetic,
         search::Strategy::kPareto}) {
-    explore::ExploreEngine engine(options);  // cold cache per strategy
+    explore::ExploreEngine engine(options);
     search::SearchOptions search_options;
     search_options.strategy = strategy;
     search_options.budget = std::max<std::uint64_t>(1, budget);

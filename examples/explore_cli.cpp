@@ -3,22 +3,23 @@
 // scenario (chip budgets × apps × growth functions × model variants ×
 // topologies), then either enumerates it exhaustively over a thread team
 // or searches it adaptively (random / hill-climb / anneal / genetic /
-// pareto) under a hard evaluation budget.  The pareto strategy trades
-// speedup against a cost metric (--cost-metric area|cores) and reports
-// its incremental non-dominated archive with a hypervolume summary.
-// Every record carries its design point's canonical flat index
-// (search::SearchSpace::canonical): the exhaustive sweep
-// (search::run_sweep, sharded or not) evaluates each canonical point
-// once, in ascending flat order, skipping the grid coordinates an inert
-// axis or a repeated value makes twins, so a fresh sweep runs without
-// the memo cache (it could never hit).
-// Results stream into an optional run directory as an
-// append-only binary log, written in groups of --flush-every records
-// (default 64), so a killed run resumed with --resume continues where
-// it stopped instead of recomputing: it loses at most one unflushed
-// group.  A fresh, unsharded exhaustive sweep, once it finishes, writes
-// archive.msca from its in-memory results and removes the log it no
-// longer needs.
+// pareto) under a hard budget of distinct design points.  The pareto
+// strategy trades speedup against a cost metric (--cost-metric
+// area|cores) and reports its incremental non-dominated archive with a
+// hypervolume summary.
+// A design point is named by its canonical flat index
+// (search::SearchSpace::canonical), which every record carries: the
+// sweep (search::run_sweep, sharded or not) evaluates each canonical
+// point once, in ascending flat order, and a search evaluates each point
+// it proposes once, so the engine runs without its memo cache.
+// Results stream into an optional run directory as an append-only
+// binary log, written in groups of --flush-every records (default 64):
+// a killed run loses at most one unflushed group.  --resume seeds the
+// run with the design points its records name (search::prior_points):
+// a sweep copies those records, a search charges them against its
+// budget and replays its trajectory without evaluating them again.  A
+// fresh, unsharded sweep, once it finishes, writes archive.msca from
+// its in-memory results and removes the log it no longer needs.
 //
 //   ./build/explore_cli                                # paper defaults
 //   ./build/explore_cli --apps kmeans,hop --budgets 64,256,1024
@@ -28,7 +29,7 @@
 //   ./build/explore_cli --strategy hill-climb --budget 500
 //       --run-dir /tmp/run1              # persist fresh evaluations
 //   ./build/explore_cli --strategy hill-climb --budget 500
-//       --resume /tmp/run1               # warm-start from the run log
+//       --resume /tmp/run1               # continue from the run log
 //   ./build/explore_cli --strategy anneal --walkers 16 --budget 100000
 //       --run-dir /tmp/run2 --flush-every 1024
 //                                        # million-point-scale persistence
@@ -49,17 +50,11 @@
 //
 // Writes <out>.csv and <out>.ndjson (exhaustive runs), rendered on the
 // --threads team like archive.msca and --dump (the bytes do not depend
-// on the team size), and
-// <dir>/results.msbin (results.shard-<i>.msbin under --shard) +
-// <dir>/meta.json when persistence is on.  --archive is the one way to
-// fold a run directory (search::RunLog::fold): it replaces the result
-// logs with <dir>/archive.msca (search/archive), column-per-field blocks
-// sorted by flat index with per-block zone maps, which serve_cli and
-// resume read back without replaying a row-per-record log.  On a
-// directory that already holds an archive and no result logs (what a
-// fresh sweep leaves), --archive checks every block CRC and rewrites
-// nothing.  It refuses an adaptive sharded run, whose shards each resume
-// from their own log.
+// on the team size), and <dir>/results.msbin (results.shard-<i>.msbin
+// under --shard) + <dir>/meta.json when persistence is on.  --archive is
+// the one way to fold a run directory (search::RunLog::fold) into
+// <dir>/archive.msca, the columnar, zone-mapped form serve_cli and
+// resume read; see its --help text.
 
 #include <algorithm>
 #include <chrono>
@@ -102,7 +97,7 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
 /// axes that define the search space (explore::to_config), plus — for
 /// the adaptive strategies — everything that shapes the proposal
 /// sequence (strategy, seed, batch).  Resuming under a different space
-/// would silently warm the cache with foreign points; resuming under a
+/// would silently seed the run with foreign points; resuming under a
 /// different proposal sequence would charge the prior run's spend
 /// against an unrelated trajectory.  Budget is deliberately *not*
 /// pinned: extending a finished search with a larger budget is a
@@ -221,7 +216,7 @@ int main(int argc, char** argv) try {
   cli.opt("strategy", std::string("exhaustive"),
           "exhaustive|random|hill-climb|anneal|genetic|pareto");
   cli.opt("budget", static_cast<long long>(2000),
-          "max unique evaluations for the adaptive strategies (hard cap)");
+          "max design points for the adaptive strategies (hard cap)");
   cli.opt("seed", static_cast<long long>(1), "search RNG seed");
   cli.opt("batch", static_cast<long long>(64),
           "random-search proposals per round");
@@ -234,7 +229,8 @@ int main(int argc, char** argv) try {
   cli.opt("run-dir", std::string(),
           "persist fresh evaluations to <dir>/results.msbin");
   cli.opt("resume", std::string(),
-          "resume from a previous --run-dir (implies --run-dir <dir>)");
+          "resume a previous --run-dir (implies --run-dir <dir>); its "
+          "recorded design points are not evaluated again");
   cli.opt("log-format", std::string("binary"),
           "run-log encoding: binary, the only one (--dump prints NDJSON)");
   cli.opt("flush-every", static_cast<long long>(search::kSweepFlushEvery),
@@ -332,26 +328,22 @@ int main(int argc, char** argv) try {
   const std::string run_dir =
       resume_dir.empty() ? cli.get_string("run-dir") : resume_dir;
 
-  explore::EngineOptions options;
-  options.threads = threads;
-  // The memo cache serves points evaluated before: an adaptive search's
-  // repeated proposals or a resume's warmed records.  A fresh exhaustive
-  // sweep visits each canonical design point once, so it could never
-  // hit one and runs without it.
-  options.use_cache = adaptive || !resume_dir.empty();
-  explore::ExploreEngine engine(options);
+  const search::SearchSpace space(spec);
+  // A sweep meets each design point once and a search answers a revisit
+  // from its visited set, so nothing would ever hit the memo cache.
+  explore::ExploreEngine engine({.threads = threads, .use_cache = false});
 
   // Persistence: --run-dir starts a *fresh* recorded run (the directory
   // must not already hold one), --resume continues an existing one — it
-  // verifies the recorded space config, then warm-loads the memo cache so
-  // already-done points are served as hits instead of recomputed.  A
-  // shard warms from (and appends to) only its own results.shard-<i>
+  // verifies the recorded space config, then seeds the run with the
+  // design points its records name, which are not evaluated again.  A
+  // shard resumes from (and appends to) only its own results.shard-<i>
   // file: sibling shards' records must not skip this shard's appends or
-  // inflate its already-spent budget — the folded union, not any single
-  // shard, is what covers the whole run.
+  // inflate its spent budget — the folded union, not any single shard,
+  // is what covers the whole run.
   std::unique_ptr<search::RunLog> log;
   std::vector<explore::EvalResult> prior_records;
-  std::size_t warmed = 0;
+  std::vector<search::PriorPoint> prior;
   if (!run_dir.empty()) {
     const auto meta = search::RunLog::read_meta(run_dir);
     const bool own_results =
@@ -373,7 +365,7 @@ int main(int argc, char** argv) try {
       if (shard && search::RunLog::has_archive(run_dir)) {
         // --archive drops the shard count from meta.json.  A directory
         // archived with it kept (by an older build) still matches
-        // `config` but holds no shard log to warm from.
+        // `config` but holds no shard log to resume from.
         throw std::runtime_error(
             run_dir + " was archived with its shard count kept; run "
             "`explore_cli --archive --run-dir " + run_dir +
@@ -384,9 +376,9 @@ int main(int argc, char** argv) try {
       } else {
         prior_records = search::RunLog::load(run_dir);
       }
-      warmed = search::RunLog::warm(prior_records, spec, engine);
-      std::cout << "resume: warmed " << warmed << " cache entries from "
-                << run_dir << "\n";
+      prior = search::prior_points(space, prior_records);
+      std::cout << "resume: seeded " << prior.size()
+                << " design points from " << run_dir << "\n";
       // meta.json already holds exactly `config`; rewriting it would
       // serve no purpose — it records this very configuration.
     } else if (shard) {
@@ -431,7 +423,6 @@ int main(int argc, char** argv) try {
   };
 
   if (adaptive) {
-    search::SearchSpace space(spec);
     search::SearchOptions search_options;
     search_options.strategy = search::parse_strategy(strategy_text);
     search_options.budget = static_cast<std::uint64_t>(
@@ -452,14 +443,11 @@ int main(int argc, char** argv) try {
     search_options.walkers = static_cast<std::size_t>(
         std::max<long long>(1, cli.get_int("walkers")));
     search_options.cost_metric = search_cost;
-    // A resumed run continues the *same* budget: the warm-loaded log is
-    // what the killed run already spent, so the sum of fresh evaluations
-    // across all resumes never exceeds --budget and the final best
-    // matches an uninterrupted run's.
-    search_options.already_spent = warmed;
+    // A resume continues the *same* budget: run_search charges `prior`
+    // as spent, and ends on an uninterrupted run's best.
     std::cout << "search: " << strategy_text << " over " << space.size()
               << " grid points, budget " << search_options.budget
-              << " unique evaluations (" << warmed << " already spent), "
+              << " design points (" << prior.size() << " already spent), "
               << engine.threads() << " thread(s)";
     if (shard) {
       std::cout << ", shard " << shard->index << "/" << shard->count
@@ -469,9 +457,9 @@ int main(int argc, char** argv) try {
 
     const auto start = std::chrono::steady_clock::now();
     const search::SearchOutcome outcome =
-        search::run_search(engine, space, search_options, log.get());
+        search::run_search(engine, space, search_options, log.get(), prior);
     const double elapsed = seconds_since(start);
-    std::cout << "search: " << outcome.evaluations << " unique evaluations ("
+    std::cout << "search: " << outcome.evaluations << " design points ("
               << outcome.proposals << " proposals, " << outcome.restarts
               << " restarts) in " << util::format_double(elapsed * 1e3, 2)
               << " ms\n";
@@ -480,34 +468,17 @@ int main(int argc, char** argv) try {
       std::cout << "log: " << log->appended()
                 << " fresh results appended to " << log->path() << "\n";
     }
-    // The replayed trajectory normally re-surfaces the prior best (same
-    // seed → same proposals), but if the budget was already exhausted at
-    // resume time no rounds run at all — recover the best from the log.
-    const explore::EvalResult* prior_best =
-        explore::best_result(prior_records);
-    const explore::EvalResult* best = outcome.found ? &outcome.best : nullptr;
-    if (prior_best != nullptr &&
-        (best == nullptr || prior_best->speedup > best->speedup)) {
-      best = prior_best;
-    }
-    if (best == nullptr) {
+    if (!outcome.found) {
       std::cout << "no feasible design point\n";
       return 1;
     }
-    print_best(*best);
+    print_best(outcome.best);
     if (search_options.strategy == search::Strategy::kPareto) {
       const double ref_cost = explore::hypervolume_ref_cost(spec);
       const explore::CostMetric archive_cost = search_options.cost_metric;
-      // The replayed trajectory normally rebuilds the prior archive; the
-      // already-exhausted-at-resume corner (no rounds run) does not, so
-      // fold the prior records in — archive_summary/hypervolume reduce
-      // to the non-dominated set anyway.
-      std::vector<explore::EvalResult> archive = outcome.archive;
-      archive.insert(archive.end(), prior_records.begin(),
-                     prior_records.end());
-      const std::size_t points =
-          explore::pareto_frontier(archive, archive_cost).size();
-      std::cout << "archive: " << points
+      // The incremental archive is its own Pareto frontier.
+      const std::vector<explore::EvalResult>& archive = outcome.archive;
+      std::cout << "archive: " << archive.size()
                 << " non-dominated points, hypervolume "
                 << util::format_double(
                        explore::hypervolume(archive, archive_cost, ref_cost),
@@ -528,14 +499,12 @@ int main(int argc, char** argv) try {
   // indices (all of them unsharded: shard 0 of 1), each canonical design
   // point evaluated once, in ascending flat order, so the union of all
   // shards' logs is what one process would record.
-  const search::SearchSpace space(spec);
   const search::ShardSpec part = shard.value_or(search::ShardSpec{});
   const search::ShardRange range =
       search::ShardPlan(space.size(), part.count).range(part.index);
   // Counted from the axes: nothing is enumerated before this line.
   std::cout << "scenario: " << space.point_count() << " jobs over "
-            << engine.threads() << " thread(s), cache "
-            << (options.use_cache ? "on" : "off");
+            << engine.threads() << " thread(s)";
   if (shard) {
     std::cout << "; shard " << part.index << "/" << part.count
               << " owns grid points [" << range.begin << ", " << range.end
@@ -544,15 +513,16 @@ int main(int argc, char** argv) try {
   std::cout << "\n";
   const auto start = std::chrono::steady_clock::now();
   const std::vector<explore::EvalResult> results =
-      search::run_sweep(engine, space, range, log.get());
+      search::run_sweep(engine, space, range, log.get(), prior);
   const double elapsed = seconds_since(start);
-  const auto stats = engine.cache().stats();
+  const auto from_log = static_cast<std::size_t>(
+      std::ranges::count(results, true, &explore::EvalResult::from_cache));
   std::cout << "run 1: " << results.size() << " points in "
             << util::format_double(elapsed * 1e3, 2) << " ms ("
             << util::format_double(results.size() / elapsed, 0)
-            << " evals/s); cache hits " << stats.hits << ", misses "
-            << stats.misses << ", entries " << engine.cache().size() << "\n";
-  if (log && !shard && !options.use_cache) {
+            << " evals/s); " << results.size() - from_log << " fresh, "
+            << from_log << " from the log\n";
+  if (log && !shard && resume_dir.empty()) {
     // A fresh unsharded sweep's log holds exactly `results`, so archive
     // them from memory — the bytes --archive would write from
     // dedup(load(dir)) — instead of reloading them.

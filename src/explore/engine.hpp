@@ -1,9 +1,11 @@
 #pragma once
 // Parallel design-space exploration engine.  Expands a ScenarioSpec (or
-// takes a pre-expanded job list), fans the jobs out over a persistent
-// runtime::ThreadTeam via a shared work queue, and memoizes every
-// evaluation in a sharded cache so overlapping or repeated sweeps are
-// served from memory.
+// takes a pre-expanded job list) and fans the jobs out over a persistent
+// runtime::ThreadTeam via a shared work queue.  Which points need
+// evaluating is the caller's call: search::run_sweep and
+// search::run_search evaluate each canonical design point once, so
+// explore_cli runs without the memo cache, which stays (use_cache,
+// cache(), cache_keys) only for perfbench/tool/replay.cpp.
 //
 // Determinism: result i always corresponds to job i (workers claim job
 // *indices* and write results into the matching slot), so the evaluated
@@ -66,6 +68,7 @@ double cost_of(const EvalResult& result, CostMetric metric) noexcept;
 EvalResult evaluate_job(const EvalJob& job, MemoCache* cache, bool use_cache);
 
 /// cache_key over a job block: fills `keys[i] = cache_key(jobs[i].request)`.
+/// Kept only for perfbench/tool/replay.cpp.
 void cache_keys(std::span<const EvalJob> jobs, std::span<CacheKey> keys);
 
 /// Reusable per-worker scratch for evaluate_jobs: the SoA batch planes
@@ -100,7 +103,7 @@ void evaluate_jobs(std::span<const EvalJob> jobs,
 /// Engine configuration.
 struct EngineOptions {
   int threads = 0;             ///< worker count; 0 = hardware concurrency
-  bool use_cache = true;       ///< memoize evaluations
+  bool use_cache = true;       ///< memoize (only replay.cpp still does)
 };
 
 /// Reusable exploration engine: the thread team and the memo cache
@@ -133,14 +136,10 @@ class ExploreEngine {
   runtime::ThreadTeam& team() noexcept { return team_; }
 
   /// The memo cache (hit/miss stats, size) — cumulative across runs.
+  /// Kept only for perfbench/tool/replay.cpp, as is the mutable form
+  /// search::RunLog::warm fills.
   const MemoCache& cache() const noexcept { return cache_; }
-
-  /// Mutable cache access, for warm-loading persisted results before a
-  /// run (see search::RunLog::warm).
   MemoCache& cache() noexcept { return cache_; }
-
-  /// Drops memoized entries and resets the cache counters.
-  void clear_cache() { cache_.clear(); }
 
  private:
   EngineOptions options_;

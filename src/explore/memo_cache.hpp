@@ -9,6 +9,10 @@
 // *name* (the callable itself cannot be fingerprinted); give custom laws
 // unique names or caching will conflate them.  The built-in families are
 // fully captured by kind + exponent.
+//
+// explore_cli and serve_cli no longer read it (design points are named
+// by search::SearchSpace::canonical); MemoCache, CacheKey and
+// cache_key(s) stay only because perfbench/tool/replay.cpp names them.
 
 #include <array>
 #include <atomic>
@@ -30,14 +34,15 @@ struct EvalOutcome {
   core::DesignPoint point;
 };
 
-/// Value fingerprint of an EvalRequest — a fixed-size POD: building,
-/// hashing, and comparing a key never allocates.  Names enter the key as
-/// util::intern IDs, which the interner pins to the verbatim strings
-/// with full-string comparison on the (rare) intern slow path; ID
-/// equality is therefore exactly verbatim-name equality, so neither a
-/// 64-bit hash collision nor two name tuples that happen to concatenate
-/// identically can return a wrong result — the same guarantee the key
-/// gave when it carried the strings themselves.
+/// Value fingerprint of an EvalRequest (kept for replay.cpp) — a
+/// fixed-size POD: building, hashing, and comparing a key never
+/// allocates.  Names enter the key as util::intern IDs, which the
+/// interner pins to the verbatim strings with full-string comparison on
+/// the (rare) intern slow path; ID equality is therefore exactly
+/// verbatim-name equality, so neither a 64-bit hash collision nor two
+/// name tuples that happen to concatenate identically can return a
+/// wrong result — the same guarantee the key gave when it carried the
+/// strings themselves.
 ///
 /// Fields that a variant does not read are normalized away: the comm
 /// growth, comp_share, and (for the comm variants' label) topology only
@@ -58,9 +63,9 @@ struct CacheKey {
   bool operator==(const CacheKey&) const = default;
 };
 
-/// Builds the fingerprint of a request.  Hot path: performs no heap
-/// allocation and touches no string bytes (names were interned when the
-/// laws were constructed).
+/// Builds the fingerprint of a request (kept for replay.cpp).  Performs
+/// no heap allocation and touches no string bytes (names were interned
+/// when the laws were constructed).
 CacheKey cache_key(const core::EvalRequest& request);
 
 /// Batch form: fills `keys[i] = cache_key(requests[i])`.  One call keys a
@@ -77,6 +82,7 @@ struct CacheKeyHash {
 
 /// Thread-safe memoization cache, sharded to keep lock contention off the
 /// explore engine's hot path.  Shard count is fixed at construction.
+/// Kept for replay.cpp (see the file comment).
 ///
 /// Reads take a shared lock: a warmed cache probed from several threads
 /// (a resumed run's engine workers) is mostly lookups of entries that

@@ -375,14 +375,8 @@ std::size_t RunLog::warm(const std::vector<explore::EvalResult>& records,
     if (record.feasible) {
       outcome.point = core::DesignPoint{record.r, record.rl, record.speedup};
     }
-    // Count *distinct* keys, not records: load() concatenates the
-    // archive, the unsharded log and every shard log, so a directory can
-    // yield duplicate records (live evals after an archive, a kill
-    // between an archive's rename and its log cleanup).  Each unique
-    // design point was one budget-charged evaluation; counting
-    // duplicates would inflate `already_spent` and make a resumed run
-    // silently under-spend its budget.  insert() reports newness, so
-    // one shard probe both stores the outcome and counts the key.
+    // Count distinct keys, not records: load() can yield duplicates
+    // (live evals after an archive, a kill mid-fold).
     if (engine.cache().insert(explore::cache_key(job.request), outcome)) {
       ++warmed;
     }

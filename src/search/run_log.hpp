@@ -16,7 +16,8 @@
 // loses at most 64 records (with `fsync`, also under power loss) and a
 // resume evaluates exactly those again.  Opening for append repairs a
 // torn tail (truncating past the last CRC-verified frame), load() skips
-// corrupt records, and resume is cache warming.  `explore_cli --dump`
+// corrupt records, and a resume seeds its run with the design points the
+// loaded records name (search::prior_points).  `explore_cli --dump`
 // prints a directory's records as one JSON object per line for grep and
 // diff.
 //
@@ -40,7 +41,7 @@
 // across processes — while meta.json (written atomically, so concurrent
 // shard starts cannot tear it) pins the shared configuration including
 // the shard count.  load() unions every result file in shard order,
-// load_shard() reads one shard's file (what that shard's resume warms
+// load_shard() reads one shard's file (what that shard's resume seeds
 // from), and fold() turns an exhaustive union into the archive and
 // meta.json a single-process run would have left.
 
@@ -185,9 +186,9 @@ class RunLog {
   static std::vector<explore::EvalResult> load(const std::string& dir);
 
   /// Parses only shard `shard`'s log under `dir` — what a resumed
-  /// shard warms its cache (and counts its already-spent budget) from.
-  /// Sibling shards' records must NOT warm an adaptive shard: its
-  /// budget accounting replays its own trajectory, not the union's.
+  /// shard seeds its run (and charges its spent budget) from.  Sibling
+  /// shards' records must NOT seed an adaptive shard: its budget
+  /// accounting replays its own trajectory, not the union's.
   static std::vector<explore::EvalResult> load_shard(const std::string& dir,
                                                      std::size_t shard);
 
@@ -204,7 +205,9 @@ class RunLog {
   static std::vector<explore::EvalResult> dedup(
       std::vector<explore::EvalResult> records);
 
-  /// Seeds `engine`'s memo cache from `records`, rebuilding each
+  /// Kept only for perfbench/tool/replay.cpp (a resume seeds its run
+  /// through search::prior_points).  Seeds `engine`'s memo cache from
+  /// `records`, rebuilding each
   /// record's request with explore::point_job — the builder expand()
   /// and job_at use, so a warmed key is the key the run evaluated.
   /// Labels are matched to the spec's axes with explore::find_label;

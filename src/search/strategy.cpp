@@ -8,7 +8,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
-#include "explore/memo_cache.hpp"
+#include "search/design_key.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -19,10 +19,10 @@ namespace {
 /// Consecutive rounds allowed to propose nothing the run has not already
 /// proposed before a strategy concludes the reachable space is
 /// exhausted.  Without this a budget larger than the space would spin
-/// forever on cache hits.  Stalls are measured against *distinct
-/// proposals of this run* — not cache misses — so replaying a resumed
-/// trajectory through a warm cache (all hits, zero fresh evaluations)
-/// registers as progress rather than as a stall.
+/// forever on revisits.  Stalls are measured against *distinct
+/// proposals of this run* — not the visited set — so replaying a resumed
+/// trajectory through seeded points (zero fresh evaluations) registers
+/// as progress rather than as a stall.
 constexpr std::uint64_t kMaxStallRounds = 64;
 
 /// Folds one entry into a 2-D frontier kept cost ascending with strictly
@@ -56,134 +56,115 @@ void fold_into_frontier(std::vector<Entry>& frontier, Entry entry,
   frontier.erase(tail, done);
 }
 
-/// Funnels candidate coordinates through the engine: batches become job
-/// lists (parallel + memoized), out-of-bounds points short-circuit to
-/// infeasible placeholders, fresh evaluations stream into the run log,
-/// and the incumbent best and the Pareto archive are maintained as
-/// results arrive.
+/// What a strategy learns from a proposal (out of bounds: infeasible).
+struct Score {
+  bool feasible = false;
+  double speedup = 0.0;
+  double cost = 0.0;  ///< explore::cost_of under SearchOptions::cost_metric
+};
+
+/// Funnels candidate coordinates through the engine.  An in-bounds
+/// proposal is named by its canonical flat index; the visited set maps
+/// each index the run has charged (seeded or evaluated) to its score.
 class Funnel {
  public:
   Funnel(explore::ExploreEngine& engine, const SearchSpace& space,
-         RunLog* log, SearchOutcome* outcome, std::uint64_t already_spent,
-         explore::CostMetric metric)
+         RunLog* log, SearchOutcome* outcome, explore::CostMetric metric,
+         std::span<const PriorPoint> prior)
       : engine_(engine),
         space_(space),
         log_(log),
         outcome_(outcome),
         metric_(metric),
-        already_spent_(already_spent),
-        base_misses_(engine.cache().stats().misses) {}
-
-  /// Unique model evaluations charged against the budget: the fresh
-  /// misses of this run plus whatever a resumed predecessor spent.
-  std::uint64_t evaluations() const {
-    return already_spent_ + engine_.cache().stats().misses - base_misses_;
-  }
-
-  /// Evaluations the run may still spend.  Every strategy bounds its
-  /// next batch by this (via affordable_prefix), which makes `budget` a
-  /// hard cap.
-  std::uint64_t remaining(std::uint64_t budget) const {
-    const std::uint64_t spent = evaluations();
-    return budget > spent ? budget - spent : 0;
-  }
-
-  /// Length of the longest prefix of `batch` whose *fresh* proposals —
-  /// distinct in-bounds keys not yet memoized, each a guaranteed cache
-  /// miss — number at most `room`.  Already-cached and out-of-bounds
-  /// coordinates are free, which is what lets a resumed run replay its
-  /// predecessor's warm trajectory without tripping budget starvation:
-  /// the cut condition (fresh > room) lands on the same batch element in
-  /// a resumed run as in an uninterrupted one, because every key the
-  /// predecessor already paid for is warm and `room` is smaller by
-  /// exactly the amount it paid.
-  std::size_t affordable_prefix(const std::vector<Coords>& batch,
-                                std::uint64_t room) const {
-    std::size_t length = 0;
-    std::uint64_t fresh = 0;
-    // Full keys, not fingerprints: an undercount here would overshoot
-    // the hard budget cap.
-    std::unordered_set<explore::CacheKey, explore::CacheKeyHash> planned;
-    for (const Coords& coords : batch) {
-      explore::EvalJob job;
-      if (space_.job_at(coords, &job)) {
-        explore::CacheKey key = explore::cache_key(job.request);
-        if (!engine_.cache().contains(key) &&
-            planned.find(key) == planned.end()) {
-          if (fresh == room) break;  // this proposal would overflow
-          ++fresh;
-          planned.insert(std::move(key));
-        }
-      }
-      ++length;
+        prior_(prior) {
+    for (const PriorPoint& seed : prior) {
+      visited_.try_emplace(seed.flat, Point{score_of(*seed.record), seed.record});
     }
-    return length;
+  }
+
+  /// Distinct design points charged against the budget.
+  std::uint64_t evaluations() const { return visited_.size(); }
+
+  /// Points the run may still charge.
+  std::uint64_t remaining(std::uint64_t budget) const {
+    return budget > evaluations() ? budget - evaluations() : 0;
+  }
+
+  /// Cuts `batch` to its longest prefix whose fresh proposals — distinct
+  /// in-bounds indices not yet visited — fit the remaining budget; true
+  /// when the cut dropped a proposal.  Every strategy builds its batch
+  /// whole (a fixed RNG use), cuts it so, and when the cut bites spends
+  /// the prefix and stops: `budget` is a hard cap, and an interrupted
+  /// run's proposals are a prefix of an uninterrupted run's.  Visited
+  /// and out-of-bounds coordinates are free, so the cut lands on the
+  /// same element in a resumed run as in an uninterrupted one.
+  bool cut_to_budget(std::vector<Coords>& batch, std::uint64_t budget) {
+    std::uint64_t room = remaining(budget);
+    std::size_t length = 0;
+    planned_.clear();
+    for (; length < batch.size(); ++length) {
+      const std::optional<std::uint64_t> flat = flat_of(batch[length]);
+      if (flat && !visited_.contains(*flat) && planned_.insert(*flat).second) {
+        if (room == 0) break;  // this proposal would overflow
+        --room;
+      }
+    }
+    const bool cut = length < batch.size();
+    batch.resize(length);
+    return cut;
   }
 
   double best_speedup() const noexcept {
     return outcome_->found ? outcome_->best.speedup : 0.0;
   }
 
-  /// Distinct in-bounds points this run has proposed so far (by key
-  /// fingerprint).  The strategies' stall detection watches this: a
-  /// round that proposes only already-visited points is a stall even
-  /// when the cache made it free, and a replayed (resumed) trajectory
-  /// is progress even though it costs no fresh evaluations.
-  std::uint64_t distinct_proposed() const {
-    return static_cast<std::uint64_t>(proposed_.size());
-  }
+  /// Distinct in-bounds points this run has proposed: what stall
+  /// detection watches, so a replayed (resumed) trajectory is progress.
+  std::uint64_t distinct_proposed() const { return distinct_proposed_; }
 
-  /// Evaluates one batch; result i corresponds to batch[i] (out-of-bounds
-  /// coordinates yield a default infeasible result).  Coordinates that
-  /// fingerprint to the same cache key — inert-axis twins, revisited
-  /// neighbors — are submitted once and fanned back out, so the cache
-  /// miss count (the budget currency) is independent of thread
-  /// scheduling inside the engine.  Each result carries the canonical
-  /// flat index of the proposal that produced its job.
-  std::vector<explore::EvalResult> evaluate(const std::vector<Coords>& batch) {
-    constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-    std::vector<explore::EvalJob> jobs;
-    std::vector<std::uint64_t> flats;
-    std::vector<std::size_t> job_of(batch.size(), kNone);
-    std::unordered_map<explore::CacheKey, std::size_t, explore::CacheKeyHash>
-        unique;
-    jobs.reserve(batch.size());
+  /// Scores one batch; score i belongs to batch[i].  Each index not yet
+  /// visited is evaluated once and logged; a point is folded into the
+  /// best and the archive when the run first proposes it.
+  std::vector<Score> evaluate(const std::vector<Coords>& batch) {
+    jobs_.clear();
+    firsts_.clear();
+    std::vector<Point*> slot(batch.size(), nullptr);
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      explore::EvalJob job;
-      if (!space_.job_at(batch[i], &job)) continue;
-      // Only in-bounds coordinates count as proposals: out-of-bounds ones
-      // never become jobs, so counting them would inflate the
-      // proposals/evaluations ratio in traces and reports.
+      const std::optional<std::uint64_t> flat = flat_of(batch[i]);
+      if (!flat) continue;  // out of bounds: not a proposal
       ++outcome_->proposals;
-      explore::CacheKey key = explore::cache_key(job.request);
-      proposed_.insert(explore::CacheKeyHash{}(key));
-      const auto [it, inserted] =
-          unique.try_emplace(std::move(key), jobs.size());
+      const auto [it, inserted] = visited_.try_emplace(*flat);
+      Point& point = *(slot[i] = &it->second);
       if (inserted) {
-        job.index = jobs.size();
-        jobs.push_back(std::move(job));
-        flats.push_back(*space_.canonical(space_.encode(batch[i])));
+        explore::EvalJob& job = jobs_.emplace_back();
+        space_.job_at(batch[i], &job);
+        job.index = jobs_.size() - 1;
       }
-      job_of[i] = it->second;
+      if (!point.proposed) {  // inserted just now, or seeded
+        point.proposed = true;
+        ++distinct_proposed_;
+        firsts_.push_back({*flat, &point});
+      }
     }
 
-    std::vector<explore::EvalResult> evaluated = engine_.run(jobs);
-    for (std::size_t k = 0; k < evaluated.size(); ++k) {
-      explore::EvalResult& result = evaluated[k];
-      result.index = static_cast<std::size_t>(flats[k]);
-      if (log_ != nullptr && !result.from_cache) log_->append(result);
-      if (result.feasible &&
-          (!outcome_->found || result.speedup > outcome_->best.speedup)) {
-        outcome_->found = true;
-        outcome_->best = result;
+    // The jobs are the unseeded firsts, in order.
+    std::vector<explore::EvalResult> evaluated = engine_.run(jobs_);
+    auto result = evaluated.begin();
+    for (const First& first : firsts_) {
+      if (first.point->seed != nullptr) {
+        fold(*first.point->seed);
+        continue;
       }
-      update_archive(result);
+      result->index = static_cast<std::size_t>(first.flat);
+      if (log_ != nullptr) log_->append(*result);
+      first.point->score = score_of(*result);
+      fold(*result++);
     }
-    std::vector<explore::EvalResult> results(batch.size());
+    std::vector<Score> scores(batch.size());
     for (std::size_t i = 0; i < batch.size(); ++i) {
-      if (job_of[i] != kNone) results[i] = evaluated[job_of[i]];
+      if (slot[i] != nullptr) scores[i] = slot[i]->score;
     }
-    return results;
+    return scores;
   }
 
   void record_trace() {
@@ -191,9 +172,42 @@ class Funnel {
     outcome_->trace.push_back(TracePoint{evaluations(), best_speedup()});
   }
 
+  /// Folds the prior points the run never proposed, in flat order.
+  void fold_unproposed_prior() {
+    for (const PriorPoint& seed : prior_) {
+      if (!visited_.at(seed.flat).proposed) fold(*seed.record);
+    }
+  }
+
  private:
-  /// Folds one result into the outcome's incremental Pareto archive.
-  void update_archive(const explore::EvalResult& result) {
+  struct Point {
+    Score score;
+    const explore::EvalResult* seed = nullptr;  ///< a prior point's record
+    bool proposed = false;  ///< proposed by this run, not only seeded
+  };
+  /// A point the batch proposes first.
+  struct First {
+    std::uint64_t flat;
+    Point* point;
+  };
+
+  /// The canonical flat index of `coords`; std::nullopt out of bounds.
+  std::optional<std::uint64_t> flat_of(const Coords& coords) const {
+    return space_.canonical(space_.encode(coords));
+  }
+
+  Score score_of(const explore::EvalResult& result) const {
+    return Score{result.feasible, result.speedup,
+                 explore::cost_of(result, metric_)};
+  }
+
+  /// Folds one result into the incumbent best and the Pareto archive.
+  void fold(const explore::EvalResult& result) {
+    if (result.feasible &&
+        (!outcome_->found || result.speedup > outcome_->best.speedup)) {
+      outcome_->found = true;
+      outcome_->best = result;
+    }
     fold_archive(outcome_->archive, result, metric_);
   }
 
@@ -202,12 +216,13 @@ class Funnel {
   RunLog* log_;
   SearchOutcome* outcome_;
   explore::CostMetric metric_;
-  std::uint64_t already_spent_;
-  std::uint64_t base_misses_;
-  /// Key fingerprints of every in-bounds point proposed this run.  A
-  /// 64-bit hash stands in for the full key: a collision can only make
-  /// the stall heuristic marginally more eager, never corrupt results.
-  std::unordered_set<std::size_t> proposed_;
+  std::span<const PriorPoint> prior_;
+  std::unordered_map<std::uint64_t, Point> visited_;
+  std::uint64_t distinct_proposed_ = 0;
+  // Per-batch scratch, kept for its capacity.
+  std::unordered_set<std::uint64_t> planned_;
+  std::vector<explore::EvalJob> jobs_;
+  std::vector<First> firsts_;
 };
 
 Coords random_coords(const SearchSpace& space, util::Xoshiro256& rng) {
@@ -218,8 +233,8 @@ Coords random_coords(const SearchSpace& space, util::Xoshiro256& rng) {
   return coords;
 }
 
-double value_of(const explore::EvalResult& result) noexcept {
-  return result.feasible ? result.speedup : 0.0;
+double value_of(const Score& score) noexcept {
+  return score.feasible ? score.speedup : 0.0;
 }
 
 /// Perturbs `coords[dim]`: mostly a ±1 step, occasionally (1 in 8) a
@@ -295,25 +310,14 @@ void hill_climb(Funnel& funnel, const SearchSpace& space,
     for (;;) {
       if (funnel.evaluations() >= options.budget) break;
       std::vector<Coords> neighbors = neighbors_of(space, current);
-      // A full 2×kDims neighborhood submitted after only checking
-      // `evaluations() < budget` could overshoot the unique-evaluation
-      // cap by up to 2×kDims − 1.  When the whole neighborhood no longer
-      // fits the remaining budget, spend the tail on the affordable
-      // prefix (its results still update the incumbent best) and stop:
-      // a fair step decision needs the full neighborhood, and stopping
-      // here keeps an interrupted run's proposals a prefix of an
-      // uninterrupted run's — which is what makes warm-cache resume
-      // replay exact.
-      const std::size_t affordable = funnel.affordable_prefix(
-          neighbors, funnel.remaining(options.budget));
-      if (affordable < neighbors.size()) {
-        neighbors.resize(affordable);
+      // A fair step needs the whole neighborhood: when it does not fit,
+      // spend the prefix (it still updates the best) and stop.
+      if (funnel.cut_to_budget(neighbors, options.budget)) {
         funnel.evaluate(neighbors);
         funnel.record_trace();
         return;
       }
-      const std::vector<explore::EvalResult> results =
-          funnel.evaluate(neighbors);
+      const std::vector<Score> results = funnel.evaluate(neighbors);
       std::size_t best_index = neighbors.size();
       double best_value = current_value;
       for (std::size_t i = 0; i < results.size(); ++i) {
@@ -344,14 +348,6 @@ constexpr std::uint64_t kExchangeInterval = 16;
 /// a single deduped batch, so the engine's thread team evaluates a
 /// neighborhood's worth of moves per dispatch instead of idling between
 /// the single moves of a sequential walker.
-///
-/// Determinism and budget exactness follow the genetic strategy's rule:
-/// the round's batch is always built whole (fixed RNG consumption, a
-/// pure function of the seed and the — deterministic — evaluation
-/// results), then cut to its affordable prefix; if the cut bites, the
-/// budget's tail is spent on the prefix and the run stops, keeping an
-/// interrupted run's proposals a prefix of an uninterrupted run's for
-/// exact warm-cache resume replay.
 void anneal(Funnel& funnel, const SearchSpace& space,
             const SearchOptions& options, util::Xoshiro256& rng,
             SearchOutcome* outcome) {
@@ -391,12 +387,9 @@ void anneal(Funnel& funnel, const SearchSpace& space,
         batch.push_back(candidate);
       }
     }
-    const std::size_t affordable = funnel.affordable_prefix(
-        batch, funnel.remaining(options.budget));
-    const bool starved = affordable < batch.size();
-    batch.resize(affordable);
+    const bool starved = funnel.cut_to_budget(batch, options.budget);
     const std::uint64_t before = funnel.distinct_proposed();
-    const std::vector<explore::EvalResult> results = funnel.evaluate(batch);
+    const std::vector<Score> results = funnel.evaluate(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       Walker& walker = walkers[i];
       const double candidate_value = value_of(results[i]);
@@ -476,7 +469,7 @@ void anneal(Funnel& funnel, const SearchSpace& space,
 /// expected one axis per child (±1 step with occasional full-axis
 /// jumps), and the top `options.elite` individuals carry over unchanged.
 /// Elites were evaluated in the previous generation, so resubmitting
-/// them costs cache hits, not budget.  One child in four is a random
+/// them costs revisits, not budget.  One child in four is a random
 /// immigrant, which keeps the search ergodic: given enough budget the
 /// strategy reaches every grid point instead of collapsing onto a
 /// converged population.
@@ -488,21 +481,15 @@ void genetic(Funnel& funnel, const SearchSpace& space,
   std::vector<Coords> population;
   std::vector<double> fitness;
   auto install = [&](std::vector<Coords> batch) {
-    const std::vector<explore::EvalResult> results = funnel.evaluate(batch);
+    const std::vector<Score> scores = funnel.evaluate(batch);
     population = std::move(batch);
     fitness.clear();
-    fitness.reserve(results.size());
-    for (const explore::EvalResult& result : results) {
-      fitness.push_back(value_of(result));
-    }
+    fitness.reserve(scores.size());
+    for (const Score& score : scores) fitness.push_back(value_of(score));
     funnel.record_trace();
   };
 
-  // Seed generation: uniform random individuals.  The batch is always
-  // drawn whole (so the RNG stream is independent of budget state) and
-  // then cut to its affordable prefix; if cut, spend what is left on the
-  // prefix and stop — same truncate-then-stop rule as the generation
-  // loop below.
+  // Seed generation: uniform random individuals.
   if (funnel.evaluations() >= options.budget) return;
   {
     std::vector<Coords> batch;
@@ -510,10 +497,7 @@ void genetic(Funnel& funnel, const SearchSpace& space,
     for (std::size_t i = 0; i < pop; ++i) {
       batch.push_back(random_coords(space, rng));
     }
-    const std::size_t affordable = funnel.affordable_prefix(
-        batch, funnel.remaining(options.budget));
-    const bool starved = affordable < batch.size();
-    batch.resize(affordable);
+    const bool starved = funnel.cut_to_budget(batch, options.budget);
     if (!batch.empty()) install(std::move(batch));
     if (starved || population.empty()) return;
   }
@@ -568,15 +552,8 @@ void genetic(Funnel& funnel, const SearchSpace& space,
       }
       next.push_back(child);
     }
-    // The generation was built whole (full RNG consumption, elites
-    // first — they are already cached and cost nothing).  Cut it to the
-    // affordable prefix: if the cut bites, spend the budget's tail on
-    // the prefix and stop, which keeps an interrupted run's proposals a
-    // prefix of an uninterrupted run's for exact resume replay.
-    const std::size_t affordable = funnel.affordable_prefix(
-        next, funnel.remaining(options.budget));
-    const bool starved = affordable < next.size();
-    next.resize(affordable);
+    // Elites come first: they are visited already and cost nothing.
+    const bool starved = funnel.cut_to_budget(next, options.budget);
     const std::uint64_t before = funnel.distinct_proposed();
     if (!next.empty()) install(std::move(next));
     if (starved || population.empty()) return;
@@ -599,13 +576,10 @@ void pareto_search(Funnel& funnel, const SearchSpace& space,
     double speedup;
   };
   std::vector<Member> pool;
-  auto update_pool = [&](const Coords& coords,
-                         const explore::EvalResult& result) {
-    if (!result.feasible) return;
+  auto update_pool = [&](const Coords& coords, const Score& score) {
+    if (!score.feasible) return;
     fold_into_frontier(
-        pool,
-        Member{coords, explore::cost_of(result, options.cost_metric),
-               result.speedup},
+        pool, Member{coords, score.cost, score.speedup},
         [](const Member& m) { return m.cost; },
         [](const Member& m) { return m.speedup; });
   };
@@ -628,14 +602,9 @@ void pareto_search(Funnel& funnel, const SearchSpace& space,
         batch.push_back(child);
       }
     }
-    // Built whole, cut to the affordable prefix, truncate-then-stop —
-    // same replay-exact rule as genetic.
-    const std::size_t affordable = funnel.affordable_prefix(
-        batch, funnel.remaining(options.budget));
-    const bool starved = affordable < batch.size();
-    batch.resize(affordable);
+    const bool starved = funnel.cut_to_budget(batch, options.budget);
     const std::uint64_t before = funnel.distinct_proposed();
-    const std::vector<explore::EvalResult> results = funnel.evaluate(batch);
+    const std::vector<Score> results = funnel.evaluate(batch);
     for (std::size_t i = 0; i < batch.size(); ++i) {
       update_pool(batch[i], results[i]);
     }
@@ -687,10 +656,30 @@ std::optional<TracePoint> SearchOutcome::first_within(
   return std::nullopt;
 }
 
+std::vector<PriorPoint> prior_points(
+    const SearchSpace& space, std::span<const explore::EvalResult> records) {
+  std::vector<PriorPoint> points;
+  points.reserve(records.size());
+  for (const explore::EvalResult& record : records) {
+    if (const auto flat = space.index_of(DesignKey::of(record))) {
+      points.push_back({*flat, &record});
+    }
+  }
+  // Ties sort by record address, so each point keeps its first record.
+  std::sort(points.begin(), points.end());
+  points.erase(std::unique(points.begin(), points.end(),
+                           [](const PriorPoint& a, const PriorPoint& b) {
+                             return a.flat == b.flat;
+                           }),
+               points.end());
+  return points;
+}
+
 std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
                                            const SearchSpace& space,
                                            const ShardRange& range,
-                                           RunLog* log) {
+                                           RunLog* log,
+                                           std::span<const PriorPoint> prior) {
   std::vector<explore::EvalResult> results;
   results.reserve(static_cast<std::size_t>(
       std::min(range.size(), space.point_count())));
@@ -698,12 +687,21 @@ std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
   // construct than to fill.
   std::vector<explore::EvalJob> jobs;
   std::vector<std::uint64_t> flats;
+  auto seed = prior.begin();
+  while (seed != prior.end() && seed->flat < range.begin) ++seed;
   for (std::uint64_t begin = range.begin; begin < range.end;
        begin += kSweepChunk) {
     const std::uint64_t end = std::min(begin + kSweepChunk, range.end);
+    const auto chunk_seeds = seed;
+    while (seed != prior.end() && seed->flat < end) ++seed;
     flats.clear();
+    auto next = chunk_seeds;
     for (std::uint64_t flat = begin; flat < end; ++flat) {
       if (space.canonical(flat) != flat) continue;
+      if (next != seed && next->flat == flat) {
+        ++next;  // copied below
+        continue;
+      }
       if (flats.size() == jobs.size()) jobs.emplace_back();
       space.job_at(space.decode(flat), &jobs[flats.size()]);
       jobs[flats.size()].index = flats.size();
@@ -716,8 +714,21 @@ std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
     for (std::size_t i = 0; i < flats.size(); ++i) {
       explore::EvalResult& result = results[first + i];
       result.index = static_cast<std::size_t>(flats[i]);
-      if (log != nullptr && !result.from_cache) log->append(result);
+      if (log != nullptr) log->append(result);
     }
+    // The chunk's seeded flats: copies of their records, merged in.
+    const auto copied = static_cast<std::ptrdiff_t>(results.size());
+    for (auto from = chunk_seeds; from != seed; ++from) {
+      explore::EvalResult& copy = results.emplace_back(*from->record);
+      copy.index = static_cast<std::size_t>(from->flat);
+      copy.from_cache = true;
+    }
+    std::inplace_merge(results.begin() + static_cast<std::ptrdiff_t>(first),
+                       results.begin() + copied, results.end(),
+                       [](const explore::EvalResult& a,
+                          const explore::EvalResult& b) {
+                         return a.index < b.index;
+                       });
   }
   if (log != nullptr) log->flush();
   return results;
@@ -725,14 +736,14 @@ std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
 
 SearchOutcome run_search(explore::ExploreEngine& engine,
                          const SearchSpace& space,
-                         const SearchOptions& options, RunLog* log) {
+                         const SearchOptions& options, RunLog* log,
+                         std::span<const PriorPoint> prior) {
   MS_CHECK(options.budget >= 1, "search budget must be at least 1");
   MS_CHECK(options.t0 > 0.0 && options.cooling > 0.0 &&
                options.cooling < 1.0 && options.t_min > 0.0,
            "annealing schedule parameters out of range");
   SearchOutcome outcome;
-  Funnel funnel(engine, space, log, &outcome, options.already_spent,
-                options.cost_metric);
+  Funnel funnel(engine, space, log, &outcome, options.cost_metric, prior);
   util::Xoshiro256 rng(options.seed);
   switch (options.strategy) {
     case Strategy::kRandom:
@@ -751,6 +762,7 @@ SearchOutcome run_search(explore::ExploreEngine& engine,
       pareto_search(funnel, space, options, rng);
       break;
   }
+  funnel.fold_unproposed_prior();
   funnel.record_trace();
   return outcome;
 }

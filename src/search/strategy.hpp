@@ -3,30 +3,29 @@
 // hill-climbing with random restarts, simulated annealing, a
 // population-based genetic strategy, and archive-guided multi-objective
 // (Pareto) search.  All of them funnel their candidate points through an
-// ExploreEngine, so evaluations are parallel (neighborhoods, random
-// batches, and whole generations are evaluated as one job list) and
-// memoized — revisiting a point costs a cache hit, not a model
-// evaluation.
+// ExploreEngine, so neighborhoods, random batches and whole generations
+// are evaluated in parallel as one job list.
 //
-// Budget accounting: `SearchOptions::budget` caps *unique* model
-// evaluations, measured as the engine cache's miss delta.  Duplicate
-// coordinates, revisited neighbors, and warm-loaded (resumed) results are
-// free, which makes budgets comparable to the exhaustive baseline's job
-// count.  Every batch is clamped to the remaining budget before
-// submission, so `SearchOutcome::evaluations <= budget` holds for every
-// strategy — the budget is a hard cap, never overshot.
+// A design point is named by its canonical flat index
+// (SearchSpace::canonical), as in the sweep, the log, the archive and
+// serve's `eval`.  A run keeps one visited set of those indices with
+// each point's score: a revisit is answered from it, and
+// `SearchOptions::budget` caps its size — distinct design points, never
+// overshot, since every batch is cut to the remaining budget before
+// submission.  A resumed run seeds the set with the points of its prior
+// records (prior_points), which are charged once and not evaluated
+// again.
 //
-// run_sweep is the exhaustive counterpart: every canonical design point
-// of a flat-index range, in ascending order, each evaluated once.
-//
-// Determinism: given the same space, options, and engine cache state,
-// every strategy proposes the same point sequence (util::Xoshiro256
-// seeded from `seed`), and same-key points inside one batch are deduped
-// before submission — so the miss count cannot race inside the engine
-// and searches are bit-reproducible across runs and thread counts.
+// Determinism: given the same space, options and prior records, every
+// strategy proposes the same point sequence (util::Xoshiro256 seeded
+// from `seed`), and same-index points inside one batch are submitted
+// once, so a search is bit-reproducible across runs and thread counts
+// and a resumed run replays its predecessor's trajectory.
 
+#include <compare>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -58,12 +57,9 @@ Strategy parse_strategy(std::string_view name);
 
 struct SearchOptions {
   Strategy strategy = Strategy::kHillClimb;
-  std::uint64_t budget = 1000;  ///< max unique model evaluations (hard cap)
-  /// Unique evaluations a previous (killed, then resumed) run already
-  /// spent against the same budget — typically the warm-loaded run-log
-  /// size.  Counted toward `budget`, so a resumed run replays the prior
-  /// trajectory for free (same seed → same proposals, all cache hits)
-  /// and then stops exactly where an uninterrupted run would have.
+  std::uint64_t budget = 1000;  ///< max distinct design points (hard cap)
+  /// Not read: run_search charges a resume's `prior` itself.  Kept only
+  /// for perfbench/tool/replay.cpp.
   std::uint64_t already_spent = 0;
   std::uint64_t seed = 0x2011'1CBBULL;
   std::size_t batch = 64;       ///< random-search proposals per round
@@ -91,23 +87,22 @@ struct SearchOptions {
 /// One point of a strategy's convergence curve, recorded after every
 /// round (batch, climb step, annealing move, or generation).
 struct TracePoint {
-  std::uint64_t evaluations = 0;  ///< unique evaluations consumed so far
+  std::uint64_t evaluations = 0;  ///< distinct design points charged so far
   double best_speedup = 0.0;      ///< best feasible speedup found so far
 };
 
 struct SearchOutcome {
   bool found = false;             ///< at least one feasible point was seen
   explore::EvalResult best;       ///< best feasible result (when found)
-  std::uint64_t evaluations = 0;  ///< unique model evaluations consumed,
-                                  ///< including `already_spent`;
-                                  ///< always <= SearchOptions::budget
+  std::uint64_t evaluations = 0;  ///< distinct design points charged
+                                  ///< (prior ones too); <= budget
   std::uint64_t proposals = 0;    ///< in-bounds points proposed (incl.
-                                  ///< cache hits; out-of-bounds coords
+                                  ///< revisits; out-of-bounds coords
                                   ///< never become jobs and don't count)
   std::uint64_t restarts = 0;     ///< restarts taken (hill-climb / anneal)
   std::vector<TracePoint> trace;  ///< convergence curve, best nondecreasing
   /// Incremental Pareto archive (speedup vs. SearchOptions::cost_metric)
-  /// over every feasible result seen, maintained during the run: cost
+  /// over every feasible result seen (prior records included): cost
   /// ascending, speedup strictly increasing, one entry per cost value —
   /// the same shape explore::pareto_frontier returns for an exhaustive
   /// sweep.
@@ -116,7 +111,7 @@ struct SearchOutcome {
   /// Earliest trace point whose best speedup is within `fraction` (e.g.
   /// 0.01) of `target`; std::nullopt when the trace never gets there.
   /// The optional distinguishes "never reached" from "reached with 0
-  /// evaluations" (a warm-loaded resume can start inside the band).
+  /// evaluations" (a resumed run can start inside the band).
   std::optional<TracePoint> first_within(double target,
                                          double fraction) const noexcept;
 };
@@ -133,31 +128,52 @@ void fold_archive(std::vector<explore::EvalResult>& archive,
                   const explore::EvalResult& result,
                   explore::CostMetric metric);
 
+/// A design point a resumed run's records name, with the first of them.
+struct PriorPoint {
+  std::uint64_t flat = 0;
+  const explore::EvalResult* record = nullptr;
+
+  auto operator<=>(const PriorPoint&) const = default;
+};
+
+/// The design points of `space` that `records` name — by
+/// SearchSpace::index_of(DesignKey::of(record)), the inverse serve's
+/// `eval` uses — in flat order, each with its first record.  Records
+/// naming no point of the space are left out; the result points into
+/// `records`.
+std::vector<PriorPoint> prior_points(
+    const SearchSpace& space, std::span<const explore::EvalResult> records);
+
 /// Flat indices one run_sweep chunk spans.  A chunk is one engine
 /// dispatch; its fresh results reach the log when it completes.
 inline constexpr std::uint64_t kSweepChunk = 8192;
 
 /// The exhaustive sweep over `range` of `space` — a whole run is
 /// ShardPlan(space.size(), 1).range(0), shard i of K is
-/// ShardPlan(space.size(), K).range(i).  Evaluates, in ascending chunks
-/// of kSweepChunk flats, exactly the flats that are their own
+/// ShardPlan(space.size(), K).range(i).  Visits, in ascending chunks of
+/// kSweepChunk flats, exactly the flats that are their own
 /// SearchSpace::canonical index, and returns their results in flat
 /// order, each with its flat as its index.  So the sweep meets no design
 /// point twice, and the union of a K-shard run's results is the 1-shard
-/// run's.  When `log` is non-null each chunk's fresh (non-cached)
-/// results are appended as the chunk completes, and the log is flushed
-/// at the end: a failed final group fails the sweep.
-std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
-                                           const SearchSpace& space,
-                                           const ShardRange& range,
-                                           RunLog* log = nullptr);
+/// run's.  A flat in `prior` (sorted, as prior_points returns it) is
+/// not evaluated: its result is a copy of its record, marked
+/// `from_cache`.  When `log` is non-null each chunk's evaluated results
+/// are appended as the chunk completes, and the log is flushed at the
+/// end: a failed final group fails the sweep.
+std::vector<explore::EvalResult> run_sweep(
+    explore::ExploreEngine& engine, const SearchSpace& space,
+    const ShardRange& range, RunLog* log = nullptr,
+    std::span<const PriorPoint> prior = {});
 
-/// Runs `options.strategy` over `space` through `engine` (which must have
-/// memoization enabled — budgets are measured as cache misses).  When
-/// `log` is non-null every *fresh* evaluation (cache miss) is appended,
-/// so a killed search can be resumed by warm-loading the log.
+/// Runs `options.strategy` over `space` through `engine`, its visited
+/// set seeded with `prior`.  A prior point is folded into `best` and
+/// `archive` when the run first proposes it, where an uninterrupted run
+/// evaluated it (one never proposed, at the end), so a resume with the
+/// same options ends with an uninterrupted run's best, archive and
+/// spend.  When `log` is non-null every evaluation is appended.
 SearchOutcome run_search(explore::ExploreEngine& engine,
                          const SearchSpace& space,
-                         const SearchOptions& options, RunLog* log = nullptr);
+                         const SearchOptions& options, RunLog* log = nullptr,
+                         std::span<const PriorPoint> prior = {});
 
 }  // namespace mergescale::search

@@ -9,14 +9,14 @@
 #   - on a grid with inert axes, a repeated size and an out-of-bounds
 #     size, the plain sweep's archive.msca equals its 1-, 3- and 4-shard
 #     folds byte for byte;
-#   - a repeated budget is one budget, swept without the memo cache, and
-#     an app with another app's f/fcon/fored is a design point of its
-#     own;
+#   - a repeated budget is one budget, and an app with another app's
+#     f/fcon/fored is a design point of its own, in the sweep and in
+#     every adaptive strategy;
 #   - --archive refuses adaptive shards and leaves their logs as they
 #     were, so each shard still resumes from its own log;
 #   - --archive folds 4 exhaustive shards into the archive a 1-shard run
 #     folds to, drops ";shards=" from meta.json, and the directory
-#     resumes single-process with "misses 0"; a --merge-from source
+#     resumes single-process with "0 fresh"; a --merge-from source
 #     recorded under another config is refused before anything is
 #     written.
 # Invoked by ctest as:
@@ -80,8 +80,11 @@ endfunction()
 
 # A fresh sweep archives itself from memory.
 run_cli(${spec} --run-dir "${WORK}/fresh" --out "${WORK}/fresh")
-if(NOT out MATCHES "cache off")
-  message(FATAL_ERROR "a repeat-free fresh sweep kept the memo cache: ${out}")
+if(NOT out MATCHES "run 1: ([0-9]+) points")
+  message(FATAL_ERROR "no 'run 1:' line: ${out}")
+endif()
+if(NOT out MATCHES "; ${CMAKE_MATCH_1} fresh, 0 from the log")
+  message(FATAL_ERROR "a fresh sweep took points from a log: ${out}")
 endif()
 archive_line("${out}")
 set(sweep_line "${line}")
@@ -173,8 +176,9 @@ set(twins --quiet --apps kmeans --budgets 64
     --small-cores 1,4 --sizes 2,4,4,16,128)
 run_cli(${twins} --run-dir "${WORK}/twins" --out "${WORK}/twins")
 # symmetric 3 + asymmetric 2 x 3 + symmetric-comm 2 x 3 distinct sizes
-if(NOT out MATCHES "scenario: 15 jobs" OR NOT out MATCHES "cache off")
-  message(FATAL_ERROR "the twin grid is not 15 points, cache off: ${out}")
+if(NOT out MATCHES "scenario: 15 jobs" OR
+   NOT out MATCHES "run 1: 15 points[^\n]*; 15 fresh, 0 from the log")
+  message(FATAL_ERROR "the twin grid is not 15 fresh points: ${out}")
 endif()
 foreach(count 1 3 4)
   math(EXPR last "${count} - 1")
@@ -188,7 +192,7 @@ foreach(count 1 3 4)
                      "a plain sweep vs its ${count}-shard fold")
 endforeach()
 
-# A repeated budget is one budget: the same points, no memo cache.
+# A repeated budget is one budget: the same points, each evaluated once.
 run_cli(--quiet --apps kmeans --budgets 64 --out "${WORK}/one_budget")
 if(NOT out MATCHES "scenario: ([0-9]+) jobs")
   message(FATAL_ERROR "no scenario line: ${out}")
@@ -196,10 +200,9 @@ endif()
 set(one_budget_points "${CMAKE_MATCH_1}")
 run_cli(--quiet --apps kmeans --budgets 64,64 --out "${WORK}/twin_budgets")
 if(NOT out MATCHES "scenario: ${one_budget_points} jobs" OR
-   NOT out MATCHES "cache off" OR
-   NOT out MATCHES "run 1: ${one_budget_points} points")
+   NOT out MATCHES "run 1: ${one_budget_points} points[^\n]*; ${one_budget_points} fresh,")
   message(FATAL_ERROR "--budgets 64,64 is not --budgets 64's "
-                      "${one_budget_points} points, cache off: ${out}")
+                      "${one_budget_points} fresh points: ${out}")
 endif()
 # An app with kmeans' parameters under its own label is its own point.
 run_cli(--quiet --apps kmeans,custom --f 0.99985 --fcon 0.57 --fored 0.72
@@ -212,6 +215,26 @@ foreach(app kmeans custom)
     message(FATAL_ERROR "kmeans,custom logged ${records} ${app} records, "
                         "not one per design point (35)")
   endif()
+endforeach()
+# So does every adaptive strategy: with a budget past the 70 points, each
+# evaluates all of them, 35 under each label.
+foreach(strategy random hill-climb anneal genetic pareto)
+  run_cli(--quiet --apps kmeans,custom --f 0.99985 --fcon 0.57 --fored 0.72
+          --budgets 64 --budget 1000 --strategy ${strategy}
+          --run-dir "${WORK}/twin_apps_${strategy}")
+  if(NOT out MATCHES "log: 70 fresh results appended")
+    message(FATAL_ERROR "${strategy} over kmeans,custom did not evaluate "
+                        "its 70 design points: ${out}")
+  endif()
+  run_cli(--dump --run-dir "${WORK}/twin_apps_${strategy}")
+  foreach(app kmeans custom)
+    string(REGEX MATCHALL "\"app\":\"${app}\"" lines "${out}")
+    list(LENGTH lines records)
+    if(NOT records EQUAL 35)
+      message(FATAL_ERROR "${strategy} over kmeans,custom logged ${records} "
+                          "${app} records, not 35")
+    endif()
+  endforeach()
 endforeach()
 
 # Adaptive shards: --archive refuses them and rewrites nothing, so a
@@ -233,9 +256,9 @@ if(EXISTS "${WORK}/anneal/archive.msca")
   message(FATAL_ERROR "a refused --archive left an archive.msca")
 endif()
 run_cli(${anneal} --shard 0/2 --resume "${WORK}/anneal")
-if(NOT out MATCHES "resume: warmed ([0-9]+) cache entries" OR
+if(NOT out MATCHES "resume: seeded ([0-9]+) design points" OR
    CMAKE_MATCH_1 EQUAL 0)
-  message(FATAL_ERROR "shard 0 resumed without warming its log: ${out}")
+  message(FATAL_ERROR "shard 0 resumed without seeding from its log: ${out}")
 endif()
 if(NOT out MATCHES "log: 0 fresh results appended")
   message(FATAL_ERROR "a fully spent shard spent again on resume: ${out}")
@@ -284,8 +307,9 @@ if(NOT refolded_meta STREQUAL folded_meta)
                       "${refolded_meta}, not ${folded_meta}")
 endif()
 run_cli(${spec} --resume "${WORK}/shards" --out "${WORK}/shards")
-if(NOT out MATCHES "misses 0,")
-  message(FATAL_ERROR "the folded shards resumed with misses: ${out}")
+if(NOT out MATCHES "; 0 fresh, ")
+  message(FATAL_ERROR "the folded shards resumed with fresh evaluations: "
+                      "${out}")
 endif()
 
 file(REMOVE_RECURSE "${WORK}")

@@ -219,7 +219,7 @@ TEST(ExploreEngine, ClearCacheForcesReevaluation) {
   const ScenarioSpec spec = mixed_spec();
   ExploreEngine engine({.threads = 2});
   engine.run(spec);
-  engine.clear_cache();
+  engine.cache().clear();
   const auto rerun = engine.run(spec);
   for (const auto& result : rerun) EXPECT_FALSE(result.from_cache);
 }

@@ -237,8 +237,9 @@ TEST_F(BinaryLogTest, UnflushedGroupIsTheOnlyCrashLossWindow) {
 }
 
 TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
-  // The end-to-end resume contract, binary edition: warm-load a killed
-  // run's log, continue the same budget, land on the identical best.
+  // The end-to-end resume contract, binary edition: seed a run with a
+  // killed run's logged design points, continue the same budget, land
+  // on the identical best.
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
   SearchOptions options;
@@ -246,7 +247,7 @@ TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
   options.budget = 60;
   options.seed = 11;
 
-  explore::ExploreEngine uninterrupted;
+  explore::ExploreEngine uninterrupted({.use_cache = false});
   const SearchOutcome reference = run_search(uninterrupted, space, options);
 
   // "Killed" slice of the same budget, persisted to binary.
@@ -254,21 +255,23 @@ TEST_F(BinaryLogTest, ResumeFromBinaryMatchesAnUninterruptedSearch) {
   SearchOptions slice = options;
   slice.budget = 25;
   {
-    explore::ExploreEngine engine;
+    explore::ExploreEngine engine({.use_cache = false});
     RunLog log(run_dir, {LogFormat::kBinary, 4});
     run_search(engine, space, slice, &log);
   }
-  // Resume: warm the cache from the binary log, continue the budget.
-  explore::ExploreEngine resumed;
+  // Resume: seed the run from the binary log, continue the budget.
   const auto records = RunLog::load(run_dir);
   ASSERT_FALSE(records.empty());
-  const std::size_t warmed = RunLog::warm(records, spec, resumed);
-  EXPECT_EQ(warmed, records.size());
-  SearchOptions rest = options;
-  rest.already_spent = warmed;
-  const SearchOutcome continued = run_search(resumed, space, rest);
+  const std::vector<PriorPoint> prior = prior_points(space, records);
+  EXPECT_EQ(prior.size(), records.size());
+  explore::ExploreEngine resumed({.use_cache = false});
+  RunLog log(run_dir, {LogFormat::kBinary, 4});
+  const SearchOutcome continued =
+      run_search(resumed, space, options, &log, prior);
+  log.flush();
 
   EXPECT_EQ(continued.evaluations, reference.evaluations);
+  EXPECT_EQ(log.appended(), reference.evaluations - records.size());
   ASSERT_EQ(continued.found, reference.found);
   if (reference.found) {
     EXPECT_DOUBLE_EQ(continued.best.speedup, reference.best.speedup);
@@ -303,23 +306,22 @@ TEST_F(BinaryLogTest, FoldDropsDuplicateKeys) {
     ASSERT_NE(first, before.end());
     expect_equal(record, *first);
   }
-  // Folding must not lose any design point: warming from the archive
-  // covers the full spec exactly like the unfolded log would.
-  explore::ExploreEngine warmed;
-  RunLog::warm(folded, sample_spec(), warmed);
-  warmed.run(sample_spec());
-  EXPECT_EQ(warmed.cache().stats().misses, 0u);
+  // Folding must not lose any design point: the archive names every
+  // point of the space, as the unfolded log does.
+  EXPECT_EQ(prior_points(SearchSpace(sample_spec()), folded).size(),
+            SearchSpace(sample_spec()).point_count());
 }
 
-TEST_F(BinaryLogTest, WarmCountsDistinctKeysWhenFilesOverlap) {
+TEST_F(BinaryLogTest, PriorPointsCountDistinctPointsWhenFilesOverlap) {
   // A directory can legitimately hold duplicate records across its
   // result files (a kill between an archive's rename and its cleanup of
-  // the logs).  warm() must count *unique* design points, or
-  // already_spent would double and a resumed search would silently
-  // under-spend its budget.
-  const explore::ScenarioSpec spec = sample_spec();
-  explore::ExploreEngine engine;
-  const auto results = engine.run(spec);
+  // the logs).  A resume must seed each design point once, or its spend
+  // would double and a resumed search would silently under-spend its
+  // budget.
+  const SearchSpace space(sample_spec());
+  explore::ExploreEngine engine({.use_cache = false});
+  const auto results =
+      run_sweep(engine, space, ShardPlan(space.size(), 1).range(0));
   {
     RunLog unsharded(dir_, {LogFormat::kBinary, 1});
     RunLogOptions options{LogFormat::kBinary, 8};
@@ -332,12 +334,13 @@ TEST_F(BinaryLogTest, WarmCountsDistinctKeysWhenFilesOverlap) {
   }
   const auto records = RunLog::load(dir_);
   ASSERT_EQ(records.size(), 2 * results.size());
-  explore::ExploreEngine warmed_engine;
-  const std::size_t warmed = RunLog::warm(records, spec, warmed_engine);
-  EXPECT_EQ(warmed, warmed_engine.cache().size());
-  EXPECT_EQ(warmed, engine.cache().stats().misses);  // unique evals, once
-  warmed_engine.run(spec);
-  EXPECT_EQ(warmed_engine.cache().stats().misses, 0u);
+  const std::vector<PriorPoint> prior = prior_points(space, records);
+  ASSERT_EQ(prior.size(), results.size());
+  for (std::size_t i = 0; i < prior.size(); ++i) {
+    EXPECT_EQ(prior[i].flat, results[i].index);
+    // The first record of each point: the unsharded log's.
+    EXPECT_EQ(prior[i].record, &records[i]);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <filesystem>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -117,15 +118,17 @@ struct Sweep {
   bool failed = false;         ///< an append or the final flush threw
 };
 
-/// explore_cli's checkpointing sweep of `spec`, unsharded, into `log`.
-/// An I/O failure ends the sweep, as it ends the CLI run.
+/// explore_cli's checkpointing sweep of `spec`, unsharded, into `log`,
+/// seeded with `prior` when it resumes.  An I/O failure ends the sweep,
+/// as it ends the CLI run.
 Sweep sweep(explore::ExploreEngine& engine, RunLog& log,
-            const explore::ScenarioSpec& spec) {
+            const explore::ScenarioSpec& spec,
+            std::span<const PriorPoint> prior = {}) {
   const SearchSpace space(spec);
   Sweep run;
   try {
-    run.results =
-        run_sweep(engine, space, ShardPlan(space.size(), 1).range(0), &log);
+    run.results = run_sweep(engine, space,
+                            ShardPlan(space.size(), 1).range(0), &log, prior);
   } catch (const std::exception&) {
     run.failed = true;
   }
@@ -142,21 +145,29 @@ std::vector<explore::EvalResult> uninterrupted(
 }
 
 /// Resumes an interrupted sweep of `spec` in `dir` the way explore_cli
-/// --resume does (reopen the log, warm the cache, sweep again) and checks
-/// that it evaluates exactly the points the log lost, reaches the
-/// uninterrupted run's best, and leaves every point logged once.
+/// --resume does (reopen the log, seed the sweep with the logged design
+/// points, sweep again) and checks that it evaluates exactly the points
+/// the log lost, reaches the uninterrupted run's best, and leaves every
+/// point logged once.
 void expect_resume_completes(const std::string& dir,
                              const explore::ScenarioSpec& spec,
                              std::size_t persisted) {
   const std::vector<explore::EvalResult> reference = uninterrupted(spec);
   {
     RunLog log(dir, RunLogOptions{LogFormat::kBinary, kSweepFlushEvery});
-    explore::ExploreEngine engine({2, true});
-    EXPECT_EQ(RunLog::warm(RunLog::load(dir), spec, engine), persisted);
-    const Sweep resumed = sweep(engine, log, spec);
+    explore::ExploreEngine engine({2, false});
+    const std::vector<explore::EvalResult> records = RunLog::load(dir);
+    const std::vector<PriorPoint> prior =
+        prior_points(SearchSpace(spec), records);
+    EXPECT_EQ(prior.size(), persisted);
+    const Sweep resumed = sweep(engine, log, spec, prior);
     ASSERT_FALSE(resumed.failed);
     EXPECT_EQ(resumed.appended, reference.size() - persisted);
-    EXPECT_EQ(engine.cache().stats().misses, reference.size() - persisted);
+    EXPECT_EQ(std::count_if(resumed.results.begin(), resumed.results.end(),
+                            [](const explore::EvalResult& result) {
+                              return result.from_cache;
+                            }),
+              static_cast<std::ptrdiff_t>(persisted));
     ASSERT_NE(explore::best_result(resumed.results), nullptr);
     EXPECT_EQ(explore::best_line(*explore::best_result(resumed.results)),
               explore::best_line(*explore::best_result(reference)));

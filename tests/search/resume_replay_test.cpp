@@ -13,8 +13,9 @@
 
 // Resumed adaptive runs must replay deterministically: kill a persisted
 // search mid-flight (simulated by byte-truncating its log, which also
-// leaves a torn tail to repair), resume by warm-loading, and the
-// continued run must reproduce the uninterrupted run's SearchOutcome —
+// leaves a torn tail to repair), resume by seeding the run with the
+// log's design points, and the continued run must reproduce the
+// uninterrupted run's SearchOutcome —
 // not just the best point but the whole observable outcome.  CI
 // smoke-tests this at the shell level; this pins it in ctest.
 
@@ -49,15 +50,15 @@ explore::ScenarioSpec sample_spec() {
   return spec;
 }
 
-/// Asserts `resumed` reproduces `reference`.  `already_spent` is the
-/// resumed run's warm-loaded spend: the replayed rounds are cache hits,
-/// so the resumed trace's evaluation coordinate sits at
-/// max(already_spent, reference) — flat across the warm region, then
+/// Asserts `resumed` reproduces `reference`.  `seeded` is the
+/// resumed run's seeded spend: the replayed rounds revisit seeded
+/// points, so the resumed trace's evaluation coordinate sits at
+/// max(seeded, reference) — flat across the seeded region, then
 /// identical — while every other observable (round count, per-round
 /// best, proposals, restarts, best point, archive) matches exactly.
 void expect_same_outcome(const SearchOutcome& resumed,
                          const SearchOutcome& reference,
-                         std::uint64_t already_spent,
+                         std::uint64_t seeded,
                          const std::string& label) {
   EXPECT_EQ(resumed.found, reference.found) << label;
   EXPECT_EQ(resumed.evaluations, reference.evaluations) << label;
@@ -74,7 +75,7 @@ void expect_same_outcome(const SearchOutcome& resumed,
   ASSERT_EQ(resumed.trace.size(), reference.trace.size()) << label;
   for (std::size_t i = 0; i < resumed.trace.size(); ++i) {
     EXPECT_EQ(resumed.trace[i].evaluations,
-              std::max(already_spent, reference.trace[i].evaluations))
+              std::max(seeded, reference.trace[i].evaluations))
         << label << " trace[" << i << "]";
     EXPECT_DOUBLE_EQ(resumed.trace[i].best_speedup,
                      reference.trace[i].best_speedup)
@@ -121,19 +122,20 @@ TEST_F(ResumeReplayTest, KilledAnnealResumesIdentically) {
   }
   truncate_to_fraction(RunLog::binary_results_path(dir_), 0.55);
 
-  // Resume: warm from the damaged log, charge what survived against the
-  // same budget, and replay.
-  explore::ExploreEngine engine;
+  // Resume: seed the run with what survived of the damaged log, charged
+  // against the same budget, and replay.
+  explore::ExploreEngine engine({.use_cache = false});
   const auto records = RunLog::load(dir_);
   ASSERT_FALSE(records.empty());
-  const std::size_t warmed = RunLog::warm(records, spec, engine);
-  ASSERT_GT(warmed, 0u);
-  ASSERT_LT(warmed, reference.evaluations);  // really mid-run
-  SearchOptions rest = options;
-  rest.already_spent = warmed;
+  const std::vector<PriorPoint> prior = prior_points(space, records);
+  ASSERT_EQ(prior.size(), records.size());
+  ASSERT_LT(prior.size(), reference.evaluations);  // really mid-run
   RunLog log(dir_, {LogFormat::kBinary, 8});  // repairs the torn tail
-  expect_same_outcome(run_search(engine, space, rest, &log), reference,
-                      warmed, "anneal-resume");
+  expect_same_outcome(run_search(engine, space, options, &log, prior),
+                      reference, prior.size(), "anneal-resume");
+  log.flush();
+  // Only what the cut lost is evaluated again.
+  EXPECT_EQ(log.appended(), reference.evaluations - prior.size());
 }
 
 TEST_F(ResumeReplayTest, KilledGeneticResumesIdentically) {
@@ -156,13 +158,13 @@ TEST_F(ResumeReplayTest, KilledGeneticResumesIdentically) {
   }
   truncate_to_fraction(RunLog::binary_results_path(dir_), 0.6);
 
-  explore::ExploreEngine engine;
-  const std::size_t warmed = RunLog::warm(RunLog::load(dir_), spec, engine);
-  ASSERT_GT(warmed, 0u);
-  SearchOptions rest = options;
-  rest.already_spent = warmed;
-  const SearchOutcome continued = run_search(engine, space, rest);
-  expect_same_outcome(continued, reference, warmed, "genetic-resume");
+  explore::ExploreEngine engine({.use_cache = false});
+  const auto records = RunLog::load(dir_);
+  const std::vector<PriorPoint> prior = prior_points(space, records);
+  ASSERT_GT(prior.size(), 0u);
+  const SearchOutcome continued =
+      run_search(engine, space, options, nullptr, prior);
+  expect_same_outcome(continued, reference, prior.size(), "genetic-resume");
 }
 
 }  // namespace

@@ -9,6 +9,8 @@
 
 #include "core/app_params.hpp"
 #include "explore/report.hpp"
+#include "search/space.hpp"
+#include "search/strategy.hpp"
 
 namespace mergescale::search {
 namespace {
@@ -126,32 +128,36 @@ TEST_F(RunLogTest, RepairsATornTailBeforeAppending) {
   expect_equal(loaded[1], results[1]);
 }
 
-TEST_F(RunLogTest, WarmedCacheServesAResumedRunWithoutRecompute) {
-  const explore::ScenarioSpec spec = sample_spec();
-  explore::ExploreEngine first;
-  const auto results = first.run(spec);
+TEST_F(RunLogTest, ResumedSweepEvaluatesNothingLogged) {
+  const SearchSpace space(sample_spec());
+  const ShardRange all = ShardPlan(space.size(), 1).range(0);
+  explore::ExploreEngine engine({.use_cache = false});
   {
     RunLog log(dir_);
-    for (const auto& result : results) log.append(result);
+    run_sweep(engine, space, all, &log);
   }
 
-  explore::ExploreEngine resumed;
-  const std::size_t warmed = RunLog::warm(RunLog::load(dir_), spec, resumed);
-  EXPECT_EQ(warmed, results.size());
-  const auto again = resumed.run(spec);
-  EXPECT_EQ(resumed.cache().stats().misses, 0u);  // nothing recomputed
-  ASSERT_EQ(again.size(), results.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
+  const auto records = RunLog::load(dir_);
+  ASSERT_EQ(records.size(), space.point_count());
+  RunLog log(dir_);
+  const auto again =
+      run_sweep(engine, space, all, &log, prior_points(space, records));
+  log.flush();
+  EXPECT_EQ(log.appended(), 0u);  // nothing recomputed
+  ASSERT_EQ(again.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_TRUE(again[i].from_cache);
-    EXPECT_DOUBLE_EQ(again[i].speedup, results[i].speedup);
-    EXPECT_EQ(again[i].feasible, results[i].feasible);
+    EXPECT_EQ(again[i].index, records[i].index);
+    EXPECT_DOUBLE_EQ(again[i].speedup, records[i].speedup);
+    EXPECT_EQ(again[i].feasible, records[i].feasible);
   }
 }
 
 TEST_F(RunLogTest, PartialLogResumesToTheSameBestAsAnUninterruptedRun) {
-  const explore::ScenarioSpec spec = sample_spec();
-  explore::ExploreEngine uninterrupted;
-  const auto full = uninterrupted.run(spec);
+  const SearchSpace space(sample_spec());
+  const ShardRange all = ShardPlan(space.size(), 1).range(0);
+  explore::ExploreEngine engine({.use_cache = false});
+  const auto full = run_sweep(engine, space, all);
   const explore::EvalResult* expected = explore::best_result(full);
   ASSERT_NE(expected, nullptr);
 
@@ -160,16 +166,29 @@ TEST_F(RunLogTest, PartialLogResumesToTheSameBestAsAnUninterruptedRun) {
     RunLog log(dir_);
     for (std::size_t i = 0; i < full.size() / 2; ++i) log.append(full[i]);
   }
-  explore::ExploreEngine resumed;
-  RunLog::warm(RunLog::load(dir_), spec, resumed);
-  const auto results = resumed.run(spec);
+  const auto records = RunLog::load(dir_);
+  RunLog log(dir_);
+  const auto results =
+      run_sweep(engine, space, all, &log, prior_points(space, records));
+  log.flush();
   // Only the un-persisted half is recomputed...
-  EXPECT_EQ(resumed.cache().stats().misses, full.size() - full.size() / 2);
+  EXPECT_EQ(log.appended(), full.size() - full.size() / 2);
   // ... and the outcome matches the uninterrupted run exactly.
   const explore::EvalResult* best = explore::best_result(results);
   ASSERT_NE(best, nullptr);
   EXPECT_EQ(best->index, expected->index);
   EXPECT_DOUBLE_EQ(best->speedup, expected->speedup);
+}
+
+TEST_F(RunLogTest, PriorPointsSkipRecordsForeignToTheSpace) {
+  explore::ExploreEngine engine({.use_cache = false});
+  const SearchSpace space(sample_spec());
+  const auto results =
+      run_sweep(engine, space, ShardPlan(space.size(), 1).range(0));
+  explore::ScenarioSpec other = sample_spec();
+  other.apps = {core::presets::fuzzy()};  // no kmeans/hop any more
+  EXPECT_TRUE(prior_points(SearchSpace(other), results).empty());
+  EXPECT_EQ(prior_points(space, results).size(), results.size());
 }
 
 TEST_F(RunLogTest, WarmSkipsRecordsForeignToTheSpec) {

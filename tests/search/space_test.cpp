@@ -9,6 +9,7 @@
 #include <random>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "core/app_params.hpp"
@@ -303,6 +304,57 @@ TEST(SearchSpace, IndexOfInvertsJobAtUpToCanonical) {
       }
     }
   }
+}
+
+TEST(SearchSpace, CanonicalIsTheCacheKeyPlusLabels) {
+  // The search names a design point by canonical(); the memo cache named
+  // it by cache_key, which reads values, not labels.  On the same random
+  // specs, two in-bounds flats share a canonical index exactly when
+  // their jobs share a cache key and their app and topology labels: the
+  // identities differ only on label twins, axis entries with equal
+  // values under different labels.
+  struct Identity {
+    explore::CacheKey key;
+    std::string app;
+    std::string topology;
+    bool operator==(const Identity&) const = default;
+  };
+  struct IdentityHash {
+    std::size_t operator()(const Identity& id) const noexcept {
+      const std::hash<std::string> label;
+      return explore::CacheKeyHash{}(id.key) ^ (label(id.app) * 31) ^
+             (label(id.topology) * 131);
+    }
+  };
+  std::size_t label_twins = 0;
+  for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    std::mt19937_64 rng(seed);
+    const SearchSpace space(random_spec(rng));
+    std::unordered_map<Identity, std::uint64_t, IdentityHash> canonical_of;
+    std::unordered_map<std::uint64_t, Identity> identity_of;
+    std::unordered_map<explore::CacheKey, std::uint64_t, explore::CacheKeyHash>
+        point_of_key;
+    for (std::uint64_t flat = 0; flat < space.size(); ++flat) {
+      const std::optional<std::uint64_t> canonical = space.canonical(flat);
+      if (!canonical) continue;
+      explore::EvalJob job;
+      ASSERT_TRUE(space.job_at(space.decode(flat), &job));
+      const Identity id{explore::cache_key(job.request),
+                        job.request.app.name, job.topology};
+      EXPECT_EQ(canonical_of.try_emplace(id, *canonical).first->second,
+                *canonical)
+          << "flat " << flat << ": one identity, two canonical indices";
+      EXPECT_TRUE(identity_of.try_emplace(*canonical, id).first->second == id)
+          << "flat " << flat << ": one canonical index, two identities";
+      const auto [at, fresh] = point_of_key.try_emplace(id.key, *canonical);
+      if (!fresh && at->second != *canonical && flat == *canonical) {
+        ++label_twins;
+      }
+    }
+  }
+  // Not vacuous: some specs pick kmeans and its unchanged "custom" copy.
+  EXPECT_GT(label_twins, 0u);
 }
 
 TEST(SearchSpace, RejectsAnInvalidSpec) {

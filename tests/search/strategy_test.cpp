@@ -4,6 +4,7 @@
 
 #include <filesystem>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -30,6 +31,52 @@ explore::ScenarioSpec sample_spec() {
   spec.variants = {core::ModelVariant::kSymmetric,
                    core::ModelVariant::kAsymmetric};
   return spec;
+}
+
+/// A run directory unique to this test and `tag`, removed when it goes
+/// out of scope.
+class ScratchDir {
+ public:
+  explicit ScratchDir(const std::string& tag)
+      : path_((std::filesystem::temp_directory_path() /
+               ("mergescale_strategy_" +
+                std::to_string(
+                    ::testing::UnitTest::GetInstance()->random_seed()) +
+                "_" +
+                ::testing::UnitTest::GetInstance()
+                    ->current_test_info()
+                    ->name() +
+                "_" + tag))
+                  .string()) {
+    std::filesystem::remove_all(path_);
+  }
+  ~ScratchDir() { std::filesystem::remove_all(path_); }
+  ScratchDir(const ScratchDir&) = delete;
+  ScratchDir& operator=(const ScratchDir&) = delete;
+
+  const std::string& path() const noexcept { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// A search run with a log in `dir`: its outcome and the records it
+/// appended, which are its fresh evaluations.
+struct Logged {
+  SearchOutcome outcome;
+  std::uint64_t appended = 0;
+};
+
+Logged run_logged(const SearchSpace& space, const SearchOptions& options,
+                  const std::string& dir,
+                  std::span<const PriorPoint> prior = {}) {
+  explore::ExploreEngine engine({.threads = 2, .use_cache = false});
+  RunLog log(dir, RunLogOptions{});
+  Logged run;
+  run.outcome = run_search(engine, space, options, &log, prior);
+  log.flush();
+  run.appended = log.appended();
+  return run;
 }
 
 double exhaustive_best(const explore::ScenarioSpec& spec) {
@@ -65,7 +112,7 @@ TEST(Strategy, EveryStrategyFindsTheExhaustiveBestGivenEnoughBudget) {
 
 TEST(Strategy, TerminatesWhenTheBudgetExceedsTheSpace) {
   // The reachable space is far smaller than the budget: the strategies
-  // must detect the stall (all proposals hitting the cache) and stop
+  // must detect the stall (all proposals revisits) and stop
   // instead of spinning forever.
   explore::ScenarioSpec spec = sample_spec();
   spec.chip_budgets = {64.0};
@@ -116,17 +163,18 @@ TEST(Strategy, DeterministicForAFixedSeed) {
 TEST(Strategy, TraceBestIsNondecreasing) {
   const SearchSpace space(sample_spec());
   for (Strategy strategy : kAllStrategies) {
-    explore::ExploreEngine engine;
     SearchOptions options;
     options.strategy = strategy;
     options.budget = 25;
-    const SearchOutcome outcome = run_search(engine, space, options);
+    const ScratchDir dir(std::string(strategy_name(strategy)));
+    const Logged run = run_logged(space, options, dir.path());
     double last = 0.0;
-    for (const TracePoint& point : outcome.trace) {
+    for (const TracePoint& point : run.outcome.trace) {
       EXPECT_GE(point.best_speedup, last);
       last = point.best_speedup;
     }
-    EXPECT_EQ(outcome.evaluations, engine.cache().stats().misses);
+    // A fresh run evaluates each charged point once.
+    EXPECT_EQ(run.outcome.evaluations, run.appended);
   }
 }
 
@@ -140,14 +188,15 @@ TEST(Strategy, BudgetIsAHardCapForEveryStrategy) {
   const SearchSpace space(sample_spec());
   for (Strategy strategy : kAllStrategies) {
     for (std::uint64_t budget : {1ull, 5ull, 13ull, 25ull, 60ull, 150ull}) {
-      explore::ExploreEngine engine;
       SearchOptions options;
       options.strategy = strategy;
       options.budget = budget;
-      const SearchOutcome outcome = run_search(engine, space, options);
-      EXPECT_LE(outcome.evaluations, budget)
+      const ScratchDir dir(std::string(strategy_name(strategy)) + "_" +
+                           std::to_string(budget));
+      const Logged run = run_logged(space, options, dir.path());
+      EXPECT_LE(run.outcome.evaluations, budget)
           << strategy_name(strategy) << " budget " << budget;
-      EXPECT_EQ(outcome.evaluations, engine.cache().stats().misses)
+      EXPECT_EQ(run.outcome.evaluations, run.appended)
           << strategy_name(strategy) << " budget " << budget;
     }
   }
@@ -164,16 +213,23 @@ TEST(Strategy, BudgetHoldsAcrossKillAndResume) {
       slice.strategy = strategy;
       slice.budget = slice_budget;
       slice.seed = 11;
-      explore::ExploreEngine engine;
-      const SearchOutcome partial = run_search(engine, space, slice);
-      EXPECT_LE(partial.evaluations, slice_budget)
+      const ScratchDir dir(std::string(strategy_name(strategy)) + "_" +
+                           std::to_string(slice_budget));
+      const Logged partial = run_logged(space, slice, dir.path());
+      EXPECT_LE(partial.outcome.evaluations, slice_budget)
           << strategy_name(strategy);
 
+      // Resume from the log: its points are charged, not evaluated.
+      const std::vector<explore::EvalResult> records = RunLog::load(dir.path());
+      const std::vector<PriorPoint> prior = prior_points(space, records);
+      EXPECT_EQ(prior.size(), partial.appended) << strategy_name(strategy);
       SearchOptions rest = slice;
       rest.budget = 60;
-      rest.already_spent = partial.evaluations;
-      const SearchOutcome resumed = run_search(engine, space, rest);
-      EXPECT_LE(resumed.evaluations, rest.budget)
+      const Logged resumed = run_logged(space, rest, dir.path(), prior);
+      EXPECT_LE(resumed.outcome.evaluations, rest.budget)
+          << strategy_name(strategy) << " slice " << slice_budget;
+      EXPECT_EQ(partial.appended + resumed.appended,
+                resumed.outcome.evaluations)
           << strategy_name(strategy) << " slice " << slice_budget;
     }
   }
@@ -333,26 +389,38 @@ TEST(Strategy, FirstWithinDistinguishesNeverFromImmediately) {
   EXPECT_FALSE(never.first_within(100.0, 0.01).has_value());
 }
 
-TEST(Strategy, WarmCacheDoesNotChargeTheBudget) {
-  const explore::ScenarioSpec spec = sample_spec();
-  const SearchSpace space(spec);
-  explore::ExploreEngine engine;
-  engine.run(spec);  // pre-warm every spec point
-  SearchOptions options;
-  options.strategy = Strategy::kRandom;
-  options.budget = 1000000;
-  const SearchOutcome outcome = run_search(engine, space, options);
-  // Every spec-reachable proposal is a hit; only grid points outside the
-  // spec's expansion (none here — axes coincide) would miss.
-  EXPECT_EQ(outcome.evaluations, 0u);
-  EXPECT_TRUE(outcome.found);
+TEST(Strategy, PriorPointsAreChargedButNeverEvaluated) {
+  const SearchSpace space(sample_spec());
+  explore::ExploreEngine sweeper({.threads = 2, .use_cache = false});
+  const std::vector<explore::EvalResult> all =
+      run_sweep(sweeper, space, ShardPlan(space.size(), 1).range(0));
+  const std::vector<PriorPoint> prior = prior_points(space, all);
+  ASSERT_EQ(prior.size(), space.point_count());
+  const explore::EvalResult* best = explore::best_result(all);
+  ASSERT_NE(best, nullptr);
+  for (Strategy strategy : kAllStrategies) {
+    SearchOptions options;
+    options.strategy = strategy;
+    options.budget = 1000000;
+    const ScratchDir dir(std::string(strategy_name(strategy)));
+    const Logged run = run_logged(space, options, dir.path(), prior);
+    // Every proposal is a seeded point: nothing is evaluated, and the
+    // seeds alone make up the best.
+    EXPECT_EQ(run.appended, 0u) << strategy_name(strategy);
+    EXPECT_EQ(run.outcome.evaluations, space.point_count())
+        << strategy_name(strategy);
+    ASSERT_TRUE(run.outcome.found) << strategy_name(strategy);
+    EXPECT_EQ(run.outcome.best.speedup, best->speedup)
+        << strategy_name(strategy);
+  }
 }
 
 TEST(Strategy, ResumedRunContinuesTheSameBudget) {
   // A run killed partway and resumed must land on the same best design
   // as an uninterrupted run of the full budget: the resumed run replays
-  // the identical proposal sequence (same seed), serves the prior
-  // trajectory from the warm cache, and stops at the same total spend.
+  // the identical proposal sequence (same seed), answers the prior
+  // trajectory from its seeded points, and stops at the same total
+  // spend.
   const explore::ScenarioSpec spec = sample_spec();
   const SearchSpace space(spec);
   for (Strategy strategy : kAllStrategies) {
@@ -366,24 +434,26 @@ TEST(Strategy, ResumedRunContinuesTheSameBudget) {
     // "Kill" after a slice of the same budget — including a slice that
     // leaves less than one batch/neighborhood/generation of remaining
     // budget, which used to starve the resumed run into stopping before
-    // replaying (the batch-affordability planner must see the warm
+    // replaying (the batch-affordability planner must see the seeded
     // trajectory as free).
     for (const std::uint64_t slice_budget : {20ull, 55ull}) {
       SearchOptions slice = full;
       slice.budget = slice_budget;
-      explore::ExploreEngine engine;
-      const SearchOutcome partial = run_search(engine, space, slice);
-      // Resume against the warm cache with the prior spend counted.
-      SearchOptions rest = full;
-      rest.already_spent = partial.evaluations;
-      const SearchOutcome resumed = run_search(engine, space, rest);
+      const ScratchDir dir(std::string(strategy_name(strategy)) + "_" +
+                           std::to_string(slice_budget));
+      const Logged partial = run_logged(space, slice, dir.path());
+      const std::vector<explore::EvalResult> records = RunLog::load(dir.path());
+      const Logged resumed =
+          run_logged(space, full, dir.path(), prior_points(space, records));
 
-      EXPECT_EQ(resumed.evaluations, reference.evaluations)
+      EXPECT_EQ(resumed.outcome.evaluations, reference.evaluations)
           << strategy_name(strategy) << " slice " << slice_budget;
-      ASSERT_EQ(resumed.found, reference.found)
+      EXPECT_EQ(partial.appended + resumed.appended, reference.evaluations)
+          << strategy_name(strategy) << " slice " << slice_budget;
+      ASSERT_EQ(resumed.outcome.found, reference.found)
           << strategy_name(strategy) << " slice " << slice_budget;
       if (reference.found) {
-        EXPECT_DOUBLE_EQ(resumed.best.speedup, reference.best.speedup)
+        EXPECT_DOUBLE_EQ(resumed.outcome.best.speedup, reference.best.speedup)
             << strategy_name(strategy) << " slice " << slice_budget;
       }
     }
@@ -393,16 +463,26 @@ TEST(Strategy, ResumedRunContinuesTheSameBudget) {
 TEST(Strategy, ExhaustedBudgetAtResumeRunsNothing) {
   const SearchSpace space(sample_spec());
   for (Strategy strategy : kAllStrategies) {
-    explore::ExploreEngine engine;
     SearchOptions options;
     options.strategy = strategy;
     options.budget = 50;
-    options.already_spent = 50;
-    const SearchOutcome outcome = run_search(engine, space, options);
-    EXPECT_EQ(outcome.proposals, 0u) << strategy_name(strategy);
-    EXPECT_EQ(outcome.evaluations, 50u) << strategy_name(strategy);
-    EXPECT_FALSE(outcome.found) << strategy_name(strategy);
-    EXPECT_EQ(engine.cache().stats().misses, 0u) << strategy_name(strategy);
+    const ScratchDir dir(std::string(strategy_name(strategy)));
+    const Logged spent = run_logged(space, options, dir.path());
+    ASSERT_EQ(spent.appended, 50u) << strategy_name(strategy);
+    const std::vector<explore::EvalResult> records = RunLog::load(dir.path());
+    const Logged resumed =
+        run_logged(space, options, dir.path(), prior_points(space, records));
+    EXPECT_EQ(resumed.outcome.proposals, 0u) << strategy_name(strategy);
+    EXPECT_EQ(resumed.outcome.evaluations, 50u) << strategy_name(strategy);
+    EXPECT_EQ(resumed.appended, 0u) << strategy_name(strategy);
+    // The prior records alone still make up the best and the archive.
+    ASSERT_EQ(resumed.outcome.found, spent.outcome.found)
+        << strategy_name(strategy);
+    EXPECT_EQ(explore::best_line(resumed.outcome.best),
+              explore::best_line(spent.outcome.best))
+        << strategy_name(strategy);
+    EXPECT_EQ(resumed.outcome.archive.size(), spent.outcome.archive.size())
+        << strategy_name(strategy);
   }
 }
 
