@@ -37,9 +37,9 @@ using namespace mergescale;
 
 namespace {
 
-/// The records every regime serves: an asymmetric sweep big enough that
-/// topk/pareto scans do real work.
-std::vector<explore::EvalResult> make_records(serve::ServedRun* run) {
+/// The scenario every regime serves: an asymmetric sweep big enough
+/// that topk/pareto scans do real work.
+explore::ScenarioSpec make_spec() {
   explore::ScenarioSpec spec;
   spec.name = "serve-bench";
   spec.apps = {core::presets::kmeans(), core::presets::fuzzy(),
@@ -50,16 +50,7 @@ std::vector<explore::EvalResult> make_records(serve::ServedRun* run) {
   spec.chip_budgets = {128.0, 256.0};
   spec.small_core_sizes = {1.0, 2.0, 4.0, 8.0, 16.0};
   spec.sizes = {2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0};
-
-  run->dir = "(in-memory)";
-  run->config = "bench";
-  run->spec = spec;
-  explore::ExploreEngine engine;
-  // Canonical flat indices, as explore_cli records them: eval finds an
-  // on-grid point by its index.
-  const search::SearchSpace space(spec);
-  return search::run_sweep(engine, space,
-                           search::ShardPlan(space.size(), 1).range(0));
+  return spec;
 }
 
 /// Queries/sec of `clients` threads driving the mixed workload through
@@ -106,20 +97,26 @@ int main(int argc, char** argv) try {
   const int clients = static_cast<int>(cli.get_int("clients"));
   const double seconds = cli.get_double("seconds");
 
-  serve::ServedRun run;
-  const std::vector<explore::EvalResult> records = make_records(&run);
+  const explore::ScenarioSpec spec = make_spec();
+  // Canonical flat indices, as explore_cli records them: eval finds an
+  // on-grid point by its index.
+  const search::SearchSpace space(spec);
+  explore::ExploreEngine engine;
+  const std::vector<explore::EvalResult> records = search::run_sweep(
+      engine, space, search::ShardPlan(space.size(), 1).range(0));
   std::cout << "archive: " << records.size() << " records\n";
   // Each server gets its own in-memory archive over the same records, as
   // serve_cli builds one for a directory without archive.msca.
-  auto served = [&records, &run] {
-    return serve::ServedRecords{
+  auto served = [&records, &spec] {
+    return serve::ServedRun{
+        "(in-memory)", "bench", spec,
         serve::ServedArchive(search::ArchiveReader::from_records(records),
-                             run.spec),
+                             spec),
         {}};
   };
 
   auto measure = [&](int threads) {
-    serve::QueryServer server(run, served(), nullptr, serve::ServerOptions{});
+    serve::QueryServer server(served(), nullptr, serve::ServerOptions{});
     return hammer(server, threads, seconds);
   };
   const double qps_1 = measure(1);

@@ -3,10 +3,10 @@
 // scenario (chip budgets × apps × growth functions × model variants ×
 // topologies), then either enumerates it exhaustively over a thread team
 // or searches it adaptively (random / hill-climb / anneal / genetic /
-// pareto) under a hard budget of distinct design points.  The pareto
-// strategy trades speedup against a cost metric (--cost-metric
-// area|cores) and reports its incremental non-dominated archive with a
-// hypervolume summary.
+// pareto) under a hard budget of distinct design points.  One cost
+// metric (--cost-metric area|cores) is the cost axis of both Pareto
+// views: the exhaustive report's frontier, and the pareto strategy's
+// incremental non-dominated archive with its hypervolume summary.
 // A design point is named by its canonical flat index
 // (search::SearchSpace::canonical), which every record carries: the
 // sweep (search::run_sweep, sharded or not) evaluates each canonical
@@ -45,8 +45,10 @@
 //                                        # byte-identical to an unsharded
 //                                        # sweep's, that resumes without
 //                                        # --shard
-//   ./build/explore_cli --archive --run-dir /tmp/a --merge-from /tmp/b
-//                                        # fold another recorded dir in
+//   ./build/explore_cli --archive --run-dir /tmp/ab --merge-from /tmp/a,/tmp/b
+//                                        # fold recorded dirs into a fresh
+//                                        # one (serve_cli --run-dir /tmp/ab
+//                                        # serves the union)
 //
 // Writes <out>.csv and <out>.ndjson (exhaustive runs), rendered on the
 // --threads team like archive.msca and --dump (the bytes do not depend
@@ -81,8 +83,7 @@ using namespace mergescale;
 namespace {
 
 explore::CostMetric cost_metric_from(const std::string& name) {
-  if (name == "area") return explore::CostMetric::kCoreArea;
-  if (name == "cores") return explore::CostMetric::kCoreCount;
+  if (const auto metric = explore::parse_cost_metric(name)) return *metric;
   throw std::invalid_argument("unknown cost metric: " + name +
                               " (expected area|cores)");
 }
@@ -209,8 +210,6 @@ int main(int argc, char** argv) try {
           "report renderer (0 = hardware concurrency); no output byte "
           "depends on it");
   cli.opt("top", static_cast<long long>(5), "top-k designs to print");
-  cli.opt("cost", std::string("area"),
-          "Pareto cost metric: area | cores");
   cli.opt("out", std::string("explore_results"),
           "output prefix for <out>.csv and <out>.ndjson");
   cli.opt("strategy", std::string("exhaustive"),
@@ -225,7 +224,8 @@ int main(int argc, char** argv) try {
   cli.opt("population", static_cast<long long>(32),
           "genetic/pareto individuals per generation");
   cli.opt("cost-metric", std::string("area"),
-          "search Pareto-archive cost axis: area | cores");
+          "cost axis of the exhaustive Pareto frontier and of the pareto "
+          "strategy's archive: area | cores");
   cli.opt("run-dir", std::string(),
           "persist fresh evaluations to <dir>/results.msbin");
   cli.opt("resume", std::string(),
@@ -248,7 +248,8 @@ int main(int argc, char** argv) try {
           "<run-dir>/results.shard-i.msbin");
   cli.opt("merge-from", std::string(),
           "comma list of additional recorded run dirs --archive folds "
-          "into --run-dir (configs must match)");
+          "into --run-dir (configs must match; a fresh --run-dir takes "
+          "their config, so serve_cli can serve the union)");
   cli.flag("archive",
            "fold --run-dir's records (shard logs and --merge-from dirs "
            "included) into one deduplicated columnar archive "
@@ -310,10 +311,7 @@ int main(int argc, char** argv) try {
   const explore::ScenarioSpec spec =
       explore::from_config(config, "explore_cli");
 
-  const explore::CostMetric cost = cost_metric_from(cli.get_string("cost"));
-  // Validated up front so a typo fails loudly even when the exhaustive
-  // path (which does not use it) is taken.
-  const explore::CostMetric search_cost =
+  const explore::CostMetric cost =
       cost_metric_from(cli.get_string("cost-metric"));
 
   const std::string strategy_text = cli.get_string("strategy");
@@ -442,7 +440,7 @@ int main(int argc, char** argv) try {
         std::max<long long>(2, cli.get_int("population")));
     search_options.walkers = static_cast<std::size_t>(
         std::max<long long>(1, cli.get_int("walkers")));
-    search_options.cost_metric = search_cost;
+    search_options.cost_metric = cost;
     // A resume continues the *same* budget: run_search charges `prior`
     // as spent, and ends on an uninterrupted run's best.
     std::cout << "search: " << strategy_text << " over " << space.size()
@@ -475,22 +473,17 @@ int main(int argc, char** argv) try {
     print_best(outcome.best);
     if (search_options.strategy == search::Strategy::kPareto) {
       const double ref_cost = explore::hypervolume_ref_cost(spec);
-      const explore::CostMetric archive_cost = search_options.cost_metric;
       // The incremental archive is its own Pareto frontier.
       const std::vector<explore::EvalResult>& archive = outcome.archive;
       std::cout << "archive: " << archive.size()
                 << " non-dominated points, hypervolume "
                 << util::format_double(
-                       explore::hypervolume(archive, archive_cost, ref_cost),
-                       2)
+                       explore::hypervolume(archive, cost, ref_cost), 2)
                 << "\n";
-      explore::archive_summary(archive, archive_cost, ref_cost)
-          .print(std::cout,
-                 std::string("Pareto archive (speedup vs. ") +
-                     (archive_cost == explore::CostMetric::kCoreArea
-                          ? "core area"
-                          : "core count") +
-                     ")");
+      explore::archive_summary(archive, cost, ref_cost)
+          .print(std::cout, "Pareto archive (speedup vs. " +
+                                std::string(explore::cost_metric_label(cost)) +
+                                ")");
     }
     return 0;
   }
@@ -555,16 +548,14 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  const auto top =
-      explore::top_k(results, static_cast<std::size_t>(cli.get_int("top")));
-  explore::to_table(top).print(std::cout, "top-k designs by speedup");
-
-  const auto frontier = explore::pareto_frontier(results, cost);
-  explore::to_table(frontier).print(
-      std::cout, std::string("Pareto frontier (speedup vs. ") +
-                     (cost == explore::CostMetric::kCoreArea ? "core area"
-                                                             : "core count") +
-                     ")");
+  // The shared renderers keep these tables byte-identical to serve_cli's
+  // `topk` and `pareto` answers over the same records.
+  std::cout << explore::top_k_text(explore::top_k(
+                   results, static_cast<std::size_t>(cli.get_int("top"))))
+            << '\n'
+            << explore::pareto_text(explore::pareto_frontier(results, cost),
+                                    cost)
+            << '\n';
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "explore_cli: " << e.what() << "\n";

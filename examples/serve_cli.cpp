@@ -1,9 +1,8 @@
-// serve_cli: exploration-as-a-service over a recorded run directory.
+// serve_cli: exploration-as-a-service over one recorded run directory.
 // Start-up reads meta.json, opens the directory's columnar archive
 // (archive.msca) in place and decodes only what it does not hold — result
-// logs written after it and any --merge-from sources — then answers
-// design-space queries over a newline-delimited TCP protocol on
-// 127.0.0.1:
+// logs written after it — then answers design-space queries over a
+// newline-delimited TCP protocol on 127.0.0.1:
 //
 //   best                      highest-speedup feasible design
 //   topk <k>                  top-k table
@@ -25,6 +24,12 @@
 //   ./build/serve_cli --run-dir /tmp/run --port-file /tmp/run.port &
 //   printf 'best\nquit\n' | ./build/serve_client --port-file /tmp/run.port
 //
+// To serve several recorded directories as one, fold them into a new
+// directory first and serve that:
+//
+//   ./build/explore_cli --archive --run-dir /tmp/all --merge-from /tmp/a,/tmp/b
+//   ./build/serve_cli --run-dir /tmp/all
+//
 // The server answers best/topk/pareto byte-identically to explore_cli's
 // report over the same records.  Runs until SIGINT/SIGTERM (or
 // --max-seconds); a kill -9 loses at most nothing — every live answer
@@ -45,14 +50,12 @@ using namespace mergescale;
 
 int main(int argc, char** argv) try {
   util::Cli cli("serve_cli",
-                "query server over recorded exploration runs: serve the "
+                "query server over a recorded exploration run: serve its "
                 "columnar archive in place and answer best / topk / pareto "
-                "/ eval / stats over a line protocol");
+                "/ eval / stats over a line protocol (to serve a union, "
+                "fold it with explore_cli --archive --merge-from first)");
   cli.opt("run-dir", std::string(),
           "recorded run directory to serve (live evals append here)");
-  cli.opt("merge-from", std::string(),
-          "comma list of additional recorded run dirs to union in "
-          "(configs must match modulo sharding)");
   cli.opt("port", static_cast<long long>(0),
           "TCP port on 127.0.0.1 (0 = ephemeral)");
   cli.opt("port-file", std::string(),
@@ -79,8 +82,6 @@ int main(int argc, char** argv) try {
   if (run_dir.empty()) {
     throw std::invalid_argument("serve_cli needs --run-dir <recorded dir>");
   }
-  const std::vector<std::string> sources =
-      util::split_list(cli.get_string("merge-from"));
   const long long port = cli.get_int("port");
   if (port < 0 || port > 65535) {
     throw std::invalid_argument("--port must be in [0, 65535], got " +
@@ -94,15 +95,12 @@ int main(int argc, char** argv) try {
     }
   }
 
-  serve::ServedRun run = serve::open_served_run(run_dir, sources);
-  serve::ServedRecords records = serve::open_served_records(run, sources);
-  std::cout << "serve: " << records.archive.reader().row_count()
-            << " archived records + " << records.delta.size()
-            << " delta records from " << run_dir;
-  if (!sources.empty()) std::cout << " + " << sources.size() << " more dir(s)";
-  std::cout << "\n";
+  serve::ServedRun run = serve::open_served_run(run_dir);
+  std::cout << "serve: " << run.archive.reader().row_count()
+            << " archived records + " << run.delta.size()
+            << " delta records from " << run_dir << "\n";
 
-  // Live evals append to the *target* directory's results.msbin.
+  // Live evals append to the served directory's results.msbin.
   search::RunLogOptions log_options{log_format, 1};
   log_options.fsync = cli.get_flag("fsync");
   search::RunLog log(run_dir, log_options);
@@ -121,8 +119,7 @@ int main(int argc, char** argv) try {
   sigaddset(&signals, SIGTERM);
   pthread_sigmask(SIG_BLOCK, &signals, nullptr);
 
-  serve::QueryServer server(std::move(run), std::move(records), &log,
-                            options);
+  serve::QueryServer server(std::move(run), &log, options);
   server.start();
   std::cout << "serve: listening on 127.0.0.1:" << server.port()
             << " (live budget " << options.live_budget << ")\n"

@@ -6,11 +6,10 @@
 //   printf 'best\ntopk 3\nquit\n' |
 //     ./build/serve_client --port-file /tmp/run.port
 //
-// Each request carries a deadline (--timeout-ms, falling back to
-// --timeout-seconds) and a retry budget (--retries) with jittered
-// exponential backoff: a connect failure, a dropped connection, or a
-// deadline expiry closes the socket and retries the whole request on a
-// fresh one.  A reply is only printed once it is complete, so a
+// Each request carries a deadline (--timeout-ms, 30 s by default) and a
+// retry budget (--retries) with jittered exponential backoff: a connect
+// failure, a dropped connection, or a deadline expiry closes the socket
+// and retries the whole request on a fresh one.  A reply is only printed once it is complete, so a
 // half-received attempt never leaks partial output; when every attempt
 // fails the client prints a single `ERR deadline ...` line instead of
 // hanging.
@@ -154,11 +153,8 @@ int main(int argc, char** argv) try {
           "read the port from this file (what serve_cli --port-file wrote)");
   cli.opt("query", std::string(),
           "send this single query instead of reading stdin");
-  cli.opt("timeout-seconds", static_cast<long long>(30),
-          "per-request deadline (coarse form of --timeout-ms)");
-  cli.opt("timeout-ms", static_cast<long long>(0),
-          "per-request deadline in milliseconds (overrides "
-          "--timeout-seconds when > 0)");
+  cli.opt("timeout-ms", static_cast<long long>(30000),
+          "per-request deadline in milliseconds");
   cli.opt("retries", static_cast<long long>(0),
           "transport retries per request, each on a fresh connection "
           "with jittered exponential backoff");
@@ -181,9 +177,7 @@ int main(int argc, char** argv) try {
   }
 
   const long long timeout_ms =
-      cli.get_int("timeout-ms") > 0
-          ? cli.get_int("timeout-ms")
-          : std::max<long long>(1, cli.get_int("timeout-seconds")) * 1000;
+      std::max<long long>(1, cli.get_int("timeout-ms"));
   serve::RetryPolicy policy;
   policy.retries = static_cast<int>(std::max<long long>(0,
                                                         cli.get_int("retries")));

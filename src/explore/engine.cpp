@@ -217,6 +217,16 @@ double cost_of(const EvalResult& result, CostMetric metric) noexcept {
   util::unreachable("cost_of: unhandled CostMetric");
 }
 
+std::optional<CostMetric> parse_cost_metric(std::string_view name) noexcept {
+  if (name == "area") return CostMetric::kCoreArea;
+  if (name == "cores") return CostMetric::kCoreCount;
+  return std::nullopt;
+}
+
+std::string_view cost_metric_label(CostMetric metric) noexcept {
+  return metric == CostMetric::kCoreArea ? "core area" : "core count";
+}
+
 ExploreEngine::ExploreEngine(EngineOptions options)
     : options_(options),
       team_(runtime::ThreadTeam::resolve_size(options.threads)) {}

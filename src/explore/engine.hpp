@@ -18,6 +18,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/eval_batch.hpp"
@@ -55,6 +56,12 @@ enum class CostMetric {
 
 /// Cost of one (feasible) result under `metric`.
 double cost_of(const EvalResult& result, CostMetric metric) noexcept;
+
+/// The metric explore_cli's --cost-metric and the server's `pareto`
+/// name ("area" | "cores"); std::nullopt for any other text.
+std::optional<CostMetric> parse_cost_metric(std::string_view name) noexcept;
+/// The cost axis as the Pareto titles name it: "core area" | "core count".
+std::string_view cost_metric_label(CostMetric metric) noexcept;
 
 /// Evaluates one job into a result — the per-job path inside
 /// ExploreEngine::run, exposed for callers that already hold their own

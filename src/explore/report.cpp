@@ -243,6 +243,17 @@ util::Table to_table(const std::vector<EvalResult>& results) {
   return table;
 }
 
+std::string top_k_text(const std::vector<EvalResult>& top) {
+  return to_table(top).to_text("top-k designs by speedup");
+}
+
+std::string pareto_text(const std::vector<EvalResult>& frontier,
+                        CostMetric metric) {
+  return to_table(frontier).to_text("Pareto frontier (speedup vs. " +
+                                    std::string(cost_metric_label(metric)) +
+                                    ")");
+}
+
 util::Table strategy_comparison(
     const StrategySummary& baseline,
     const std::vector<StrategySummary>& strategies) {

@@ -98,6 +98,14 @@ util::Table archive_summary(const std::vector<EvalResult>& archive,
 /// cached): n, r, rl and cores as printf "%.9g", speedup as "%.3f".
 util::Table to_table(const std::vector<EvalResult>& results);
 
+/// The top-k and Pareto-frontier table texts: to_table() under the
+/// titles "top-k designs by speedup" and "Pareto frontier (speedup vs.
+/// <cost_metric_label(metric)>)".  explore_cli prints them and the
+/// server answers `topk`/`pareto` with them, like best_line.
+std::string top_k_text(const std::vector<EvalResult>& top);
+std::string pareto_text(const std::vector<EvalResult>& frontier,
+                        CostMetric metric);
+
 /// Writes the CSV report: the to_table() header and cells, one line per
 /// result, with a cell double-quoted (inner quotes doubled) when it holds
 /// a comma, quote or newline.  The bytes are a contract — the same as

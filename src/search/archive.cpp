@@ -15,7 +15,6 @@
 
 #include "explore/report.hpp"
 #include "search/byte_codec.hpp"
-#include "util/interner.hpp"
 #include "util/io_env.hpp"
 #include "util/sync.hpp"
 
@@ -67,11 +66,6 @@ constexpr std::uint64_t row_bytes() {
 /// Zone-map entry: 2 x u64 index bounds, u32 feasible-row count, then
 /// min/max of speedup, cores, n as f64 pairs.
 constexpr std::size_t kZoneBytes = 8 + 8 + 4 + 6 * 8;
-
-bool is_finite_record(const explore::EvalResult& r) {
-  return std::isfinite(r.n) && std::isfinite(r.r) && std::isfinite(r.rl) &&
-         std::isfinite(r.cores) && std::isfinite(r.speedup);
-}
 
 /// Section geometry derived from (rows, block_rows) alone; the header's
 /// recorded offsets must agree exactly, so a tampered or truncated
@@ -238,12 +232,7 @@ void fill_block(std::uint32_t b, const Layout& lay, const LabelDict& dict,
   const std::uint64_t last = first + lay.rows_in_block(b);
   for (std::uint64_t i = first; i < last; ++i) {
     const explore::EvalResult& r = row(i);
-    // Mirror the log loaders' non-finite convention: keep the design
-    // point, archive it as infeasible with cores/speedup zeroed.
-    const bool finite = is_finite_record(r);
-    const bool feasible = finite && r.feasible;
-    const double cores = finite ? r.cores : 0.0;
-    const double speedup = finite ? r.speedup : 0.0;
+    const auto [feasible, cores, speedup] = stored_outcome(r);
 
     const auto slot = [&](int col) {
       return bytes + lay.col_off[static_cast<std::size_t>(col)] +
@@ -792,9 +781,6 @@ void ArchiveReader::Impl::parse() {
       cursor += 4;
       if (entries.size() - cursor < len) impl.fail("dictionary is malformed");
       impl.names.emplace_back(entries.substr(cursor, len));
-      // Pin the name in the process interner: materialized records and
-      // live evaluations then agree on label identity for free.
-      util::intern(impl.names.back());
       cursor += len;
     }
     if (cursor != entries.size()) impl.fail("dictionary is malformed");

@@ -1,7 +1,7 @@
 #include "search/binary_log.hpp"
 
-#include <cmath>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 
 #include "search/byte_codec.hpp"
@@ -117,11 +117,6 @@ void check_io(const util::IoResult& result, const char* what,
   }
 }
 
-bool is_finite_record(const explore::EvalResult& r) {
-  return std::isfinite(r.n) && std::isfinite(r.r) && std::isfinite(r.rl) &&
-         std::isfinite(r.cores) && std::isfinite(r.speedup);
-}
-
 }  // namespace
 
 BinaryLog::BinaryLog(std::string path, std::size_t flush_every,
@@ -179,25 +174,31 @@ BinaryLog::~BinaryLog() {
   }
 }
 
-std::uint32_t BinaryLog::string_id(const std::string& name) {
-  const auto it = string_ids_.find(name);
-  if (it != string_ids_.end()) return it->second;
-  const std::uint32_t id = next_string_id_++;
-  string_ids_.emplace(name, id);
-  std::string payload;
-  payload.reserve(4 + name.size());
-  put_u32(payload, id);
-  payload += name;
-  put_frame(buffer_, kStringFrame, payload);
-  return id;
+std::uint32_t BinaryLog::string_id(std::size_t column,
+                                   const std::string& name) {
+  LastLabel& last = last_labels_[column];
+  if (last.set && last.text == name) return last.id;
+  const auto [it, fresh] = string_ids_.try_emplace(name, next_string_id_);
+  last.set = true;
+  last.text = name;
+  last.id = it->second;
+  if (fresh) {
+    ++next_string_id_;
+    std::string payload;
+    payload.reserve(4 + name.size());
+    put_u32(payload, last.id);
+    payload += name;
+    put_frame(buffer_, kStringFrame, payload);
+  }
+  return last.id;
 }
 
 void BinaryLog::append(const explore::EvalResult& result) {
   // String-table frames first (rare: once per distinct label per file).
-  const std::uint32_t scenario = string_id(result.scenario);
-  const std::uint32_t app = string_id(result.app);
-  const std::uint32_t growth = string_id(result.growth);
-  const std::uint32_t topology = string_id(result.topology);
+  const std::uint32_t scenario = string_id(0, result.scenario);
+  const std::uint32_t app = string_id(1, result.app);
+  const std::uint32_t growth = string_id(2, result.growth);
+  const std::uint32_t topology = string_id(3, result.topology);
 
   // The eval frame is fixed-width; encode it straight into a stack
   // buffer — appending a record must not allocate, it runs once per
@@ -290,14 +291,8 @@ std::vector<explore::EvalResult> BinaryLog::load(const std::string& path) {
         result.app = app->second;
         result.growth = growth->second;
         result.topology = topology->second;
-        if (!is_finite_record(result)) {
-          // A non-finite value is no usable design: the design point is
-          // kept (so resume does not re-spend budget on it) but loads
-          // as infeasible.
-          result.feasible = false;
-          result.cores = 0.0;
-          result.speedup = 0.0;
-        }
+        std::tie(result.feasible, result.cores, result.speedup) =
+            stored_outcome(result);
         records.push_back(std::move(result));
       }
     }

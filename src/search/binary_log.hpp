@@ -38,6 +38,7 @@
 //     framing itself — a torn or overwritten length — ends the readable
 //     prefix.
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -99,7 +100,12 @@ class BinaryLog {
   static std::vector<explore::EvalResult> load(const std::string& path);
 
  private:
-  std::uint32_t string_id(const std::string& name);
+  /// The string-table id of `name` in label column `column` (scenario,
+  /// app, growth, topology), queuing its frame when the name is new.
+  /// Neighbouring records mostly repeat their labels, so a one-entry
+  /// memo per column answers a repeat and only a change pays for the
+  /// hash lookup.
+  std::uint32_t string_id(std::size_t column, const std::string& name);
 
   std::string path_;
   std::size_t flush_every_;
@@ -110,6 +116,14 @@ class BinaryLog {
   std::size_t buffered_records_ = 0;
   std::uint64_t appended_ = 0;
   std::unordered_map<std::string, std::uint32_t> string_ids_;
+  /// Each label column's memo: the text, not a pointer into a caller's
+  /// record, so nothing can dangle.
+  struct LastLabel {
+    bool set = false;
+    std::string text;
+    std::uint32_t id = 0;
+  };
+  std::array<LastLabel, 4> last_labels_;
   /// Next ID to assign: one past the largest ID on disk, so an ID whose
   /// defining frame was CRC-skipped is never reused for a new name
   /// (records resolve labels in walk order; reuse would rebind them).

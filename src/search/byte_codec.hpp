@@ -1,7 +1,8 @@
 #pragma once
 // Byte-level codecs shared by the binary run log (search/binary_log) and
-// the columnar archive (search/archive): CRC-32 and little-endian
-// integer / double encoding, independent of host byte order.  Internal
+// the columnar archive (search/archive): CRC-32, little-endian integer /
+// double encoding, independent of host byte order, and the one rule
+// both formats apply to a record holding a non-finite number.  Internal
 // to src/search; both on-disk formats are defined in terms of these.
 // Every value depends only on the bytes given, so the files these build
 // do not depend on --threads, even where a thread team encodes the
@@ -9,10 +10,14 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <tuple>
+
+#include "explore/engine.hpp"
 
 namespace mergescale::search::bytes {
 
@@ -113,6 +118,20 @@ inline std::uint32_t get_u32(const char* p) {
 inline std::uint64_t get_u64(const char* p) { return peek<8>(p); }
 inline double get_f64(const char* p) {
   return std::bit_cast<double>(get_u64(p));
+}
+
+/// The (feasible, cores, speedup) a record is stored as.  A record
+/// holding a non-finite n, r, rl, cores or speedup is no usable design,
+/// yet its design point is kept — a resume must not re-spend budget on
+/// it — as infeasible with cores and speedup zeroed.  The log applies
+/// this when it loads a record, the archive when it encodes one.
+inline std::tuple<bool, double, double> stored_outcome(
+    const explore::EvalResult& r) noexcept {
+  if (std::isfinite(r.n) && std::isfinite(r.r) && std::isfinite(r.rl) &&
+      std::isfinite(r.cores) && std::isfinite(r.speedup)) {
+    return {r.feasible, r.cores, r.speedup};
+  }
+  return {false, 0.0, 0.0};
 }
 
 }  // namespace mergescale::search::bytes

@@ -157,7 +157,10 @@ class RunLog {
   /// source directory into `dir`'s archive.  Every source, and `dir` if
   /// it has a meta.json, must carry the same meta config, and at least
   /// one must have one; an adaptive sharded run is refused (each shard
-  /// resumes its own trajectory from its own log).  With no sources and
+  /// resumes its own trajectory from its own log).  `dir` may be a
+  /// fresh directory: it is created and takes the sources' config, which
+  /// is how several recorded directories become one a server can serve
+  /// (serve::open_served_run).  With no sources and
   /// no result logs, an existing archive only has its block CRCs checked
   /// (ArchiveReader::verify); otherwise dedup(load(dir) + load(source)
   /// ...) goes through archive().  meta.json then drops its ";shards=K"

@@ -168,14 +168,13 @@ std::optional<Query> parse_query(std::string_view line, std::string* error) {
   } else if (command == "pareto") {
     if (!arity(2)) return std::nullopt;
     query.kind = QueryKind::kPareto;
-    if (tokens[1] == "area") {
-      query.metric = explore::CostMetric::kCoreArea;
-    } else if (tokens[1] == "cores") {
-      query.metric = explore::CostMetric::kCoreCount;
-    } else {
+    const std::optional<explore::CostMetric> metric =
+        explore::parse_cost_metric(tokens[1]);
+    if (!metric) {
       fail(error, "pareto expects 'area' or 'cores'");
       return std::nullopt;
     }
+    query.metric = *metric;
   } else if (command == "eval") {
     query.kind = QueryKind::kEval;
     if (!parse_eval(tokens, &query, error)) return std::nullopt;

@@ -1,40 +1,11 @@
 #include "serve/served_run.hpp"
 
-#include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 #include "search/run_log.hpp"
 
 namespace mergescale::serve {
-
-ServedRun open_served_run(const std::string& dir,
-                          const std::vector<std::string>& sources) {
-  // Configs compare modulo the shard token: a read-only union of a
-  // sharded run with its folded (token-stripped) form is harmless —
-  // nothing resumes against the served union, so the token's
-  // mis-charging hazard does not apply.
-  const auto config_of = [](const std::string& member) {
-    const auto meta = search::RunLog::read_meta(member);
-    if (!meta) {
-      throw std::runtime_error(
-          "load: " + member +
-          " holds no meta.json — was it recorded with --run-dir?");
-    }
-    return explore::strip_shard_config(*meta);
-  };
-  ServedRun run{dir, config_of(dir), {}};
-  for (const std::string& source : sources) {
-    const std::string config = config_of(source);
-    if (config != run.config) {
-      throw std::runtime_error(
-          "load: " + source +
-          " was recorded under a different configuration (" + config +
-          " vs " + run.config + "); refusing to union mismatched runs");
-    }
-  }
-  run.spec = explore::from_config(run.config, "serve");
-  return run;
-}
 
 ServedArchive::ServedArchive(search::ArchiveReader reader,
                              const explore::ScenarioSpec& spec)
@@ -60,37 +31,32 @@ std::optional<explore::EvalResult> ServedArchive::find(
   return *it->second;
 }
 
-ServedRecords open_served_records(const ServedRun& run,
-                                  const std::vector<std::string>& sources) {
+ServedRun open_served_run(const std::string& dir) {
+  const auto meta = search::RunLog::read_meta(dir);
+  if (!meta) {
+    throw std::runtime_error(
+        "load: " + dir + " holds no meta.json — was it recorded with "
+        "--run-dir?");
+  }
+  std::string config = explore::strip_shard_config(*meta);
+  explore::ScenarioSpec spec = explore::from_config(config, "serve");
   std::vector<explore::EvalResult> decoded;
-  search::RunLog::load_logs(run.dir, &decoded);
-  for (const std::string& source : sources) {
-    std::error_code ec;
-    if (source == run.dir || std::filesystem::equivalent(source, run.dir, ec)) {
-      continue;  // the target's own records are already in
-    }
-    std::vector<explore::EvalResult> foreign = search::RunLog::load(source);
-    decoded.insert(decoded.end(), std::make_move_iterator(foreign.begin()),
-                   std::make_move_iterator(foreign.end()));
-  }
-  if (!search::RunLog::has_archive(run.dir)) {
-    return {ServedArchive(search::ArchiveReader::from_records(
-                              search::RunLog::dedup(std::move(decoded))),
-                          run.spec),
-            {}};
-  }
-  // The archive loads first in the union, so first-occurrence dedup
-  // keeps its row for any point it shares with the decoded records.
-  ServedRecords records{
-      ServedArchive(
-          search::ArchiveReader::open(search::RunLog::archive_path(run.dir)),
-          run.spec),
-      {}};
-  std::erase_if(decoded, [&records](const explore::EvalResult& record) {
-    return records.archive.find(search::DesignKey::of(record)).has_value();
+  search::RunLog::load_logs(dir, &decoded);
+  // Without archive.msca the decoded logs become the archive, leaving
+  // nothing for the delta.
+  ServedArchive archive(
+      search::RunLog::has_archive(dir)
+          ? search::ArchiveReader::open(search::RunLog::archive_path(dir))
+          : search::ArchiveReader::from_records(
+                search::RunLog::dedup(std::exchange(decoded, {}))),
+      spec);
+  // The archive holds the folded history, so its row wins over any
+  // logged record of the same design point.
+  std::erase_if(decoded, [&archive](const explore::EvalResult& record) {
+    return archive.find(search::DesignKey::of(record)).has_value();
   });
-  records.delta = search::RunLog::dedup(std::move(decoded));
-  return records;
+  return {dir, std::move(config), std::move(spec), std::move(archive),
+          search::RunLog::dedup(std::move(decoded))};
 }
 
 }  // namespace mergescale::serve

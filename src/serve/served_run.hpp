@@ -1,19 +1,22 @@
 #pragma once
-// What a query server serves: a recorded run directory (plus optional
-// --merge-from sources) and the scenario it was recorded under.  The
-// scenario is *parsed from the run meta itself* by the one run-config
-// codec (explore::from_config) — the same text explore_cli parsed into
-// the spec it evaluated, and the fingerprint resume verifies against —
-// so a server pointed at a run directory serves exactly the space that
-// was explored, numbers bit-exact, with no re-specification on the
-// serve command line to drift out of sync.
+// What a query server serves: one recorded run directory, the scenario
+// it was recorded under and its records.  The scenario is *parsed from
+// the run meta itself* by the one run-config codec
+// (explore::from_config) — the same text explore_cli parsed into the
+// spec it evaluated, and the fingerprint resume verifies against — so a
+// server pointed at a run directory serves exactly the space that was
+// explored, numbers bit-exact, with no re-specification on the serve
+// command line to drift out of sync.
 //
 // The records are served where they lie.  A directory's columnar
 // archive (archive.msca) is opened, never decoded: queries run against
 // its memory-mapped columns.  Only what the archive does not hold —
-// result-log records written after it and the sources' records — is
-// decoded, into a small in-memory delta.  A directory without an
-// archive serves an in-memory archive built over its decoded logs.
+// result-log records written after it — is decoded, into a small
+// in-memory delta.  A directory without an archive serves an in-memory
+// archive built over its decoded logs.  To serve the union of several
+// directories, fold them into a new one first (`explore_cli --archive
+// --run-dir <new> --merge-from a,b`, search::RunLog::fold) and serve
+// that.
 
 #include <cstdint>
 #include <optional>
@@ -27,12 +30,6 @@
 #include "search/space.hpp"
 
 namespace mergescale::serve {
-
-struct ServedRun {
-  std::string dir;     ///< target run directory (live appends go here)
-  std::string config;  ///< meta config, shard token stripped
-  explore::ScenarioSpec spec;  ///< space the records were drawn from
-};
 
 /// An archive and eval's lookup of a design point in it.  An on-grid
 /// point is found at its canonical flat index (SearchSpace::index_of,
@@ -65,8 +62,11 @@ class ServedArchive {
       past_grid_keys_;
 };
 
-/// The records a server answers from.
-struct ServedRecords {
+/// A recorded run as a server answers from it.
+struct ServedRun {
+  std::string dir;     ///< run directory (live appends go here)
+  std::string config;  ///< meta config, shard token stripped
+  explore::ScenarioSpec spec;  ///< space the records were drawn from
   /// The file-backed archive.msca, or an in-memory archive over the
   /// decoded logs when there is none.
   ServedArchive archive;
@@ -76,21 +76,12 @@ struct ServedRecords {
   std::vector<explore::EvalResult> delta;
 };
 
-/// Reads the meta config of `dir` and every source.  They must agree
-/// modulo the shard token (a sharded run may be unioned with its
-/// folded form); an unrecorded directory or a mismatch throws
-/// std::runtime_error, as RunLog::fold refuses them.  The spec
-/// is explore::from_config of the shared config, named "serve".
-ServedRun open_served_run(const std::string& dir,
-                          const std::vector<std::string>& sources = {});
-
-/// Opens the records of `run.dir` and `sources` (validated by
-/// open_served_run): `run.dir`'s archive.msca through
-/// ArchiveReader::open, and `run.dir`'s result logs plus every source's
-/// records (a source equal to `run.dir` contributes nothing new) as the
-/// delta.  Without an archive the same union is deduplicated into an
-/// in-memory archive and the delta stays empty.
-ServedRecords open_served_records(const ServedRun& run,
-                                  const std::vector<std::string>& sources = {});
+/// Opens `dir` for serving.  Its meta config, shard token stripped, is
+/// parsed into the spec (named "serve"); a directory without meta.json
+/// throws std::runtime_error.  archive.msca is opened through
+/// ArchiveReader::open and the result logs decode into the delta;
+/// without an archive the logs are deduplicated into an in-memory
+/// archive and the delta stays empty.  A retired NDJSON log throws.
+ServedRun open_served_run(const std::string& dir);
 
 }  // namespace mergescale::serve

@@ -32,22 +32,22 @@ std::string sys_error(const char* what) {
 
 }  // namespace
 
-QueryServer::QueryServer(ServedRun run, ServedRecords records,
-                         search::RunLog* log, ServerOptions options)
+QueryServer::QueryServer(ServedRun run, search::RunLog* log,
+                         ServerOptions options)
     : run_(std::move(run)),
       comm_laws_(explore::comm_laws(run_.spec)),
       log_(log),
-      options_(std::move(options)),
-      archive_(std::move(records.archive)) {
+      options_(std::move(options)) {
   // Off-grid live evals are numbered past every on-grid index and every
   // index already held, so none collides with a recorded point's.
-  std::uint64_t next =
-      std::max(archive_.space().size(), archive_.reader().index_end());
+  std::uint64_t next = std::max(run_.archive.space().size(),
+                                run_.archive.reader().index_end());
   util::WriterLock lock(delta_mu_);
-  for (explore::EvalResult& record : records.delta) {
+  for (explore::EvalResult& record : run_.delta) {
     next = std::max<std::uint64_t>(next, record.index + 1);
     add_delta(std::move(record));
   }
+  run_.delta = {};
   next_index_.store(static_cast<std::size_t>(next), std::memory_order_relaxed);
 }
 
@@ -296,7 +296,7 @@ std::string QueryServer::execute(const Query& query) {
 std::string QueryServer::answer_best() const {
   std::vector<explore::EvalResult> pool;
   if (std::optional<explore::EvalResult> archived =
-          archive_.reader().best()) {
+          run_.archive.reader().best()) {
     pool.push_back(std::move(*archived));
   }
   {
@@ -314,20 +314,19 @@ std::string QueryServer::answer_best() const {
 }
 
 std::string QueryServer::answer_topk(std::size_t k) const {
-  std::vector<explore::EvalResult> pool = archive_.reader().top_k(k);
+  std::vector<explore::EvalResult> pool = run_.archive.reader().top_k(k);
   {
     util::ReaderLock lock(delta_mu_);
     const std::size_t head = std::min(k, delta_rank_.size());
     for (std::size_t i = 0; i < head; ++i) pool.push_back(*delta_rank_[i]);
   }
-  const std::string payload = explore::to_table(explore::top_k(pool, k))
-                                  .to_text("top-k designs by speedup");
+  const std::string payload = explore::top_k_text(explore::top_k(pool, k));
   return ok_header(QueryKind::kTopK, count_lines(payload)) + payload + "END\n";
 }
 
 std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
   const std::vector<explore::EvalResult> archived =
-      archive_.reader().pareto(metric);
+      run_.archive.reader().pareto(metric);
   explore::ParetoReduction reduction;
   for (std::size_t i = 0; i < archived.size(); ++i) {
     reduction.offer(explore::cost_of(archived[i], metric), archived[i].speedup,
@@ -350,12 +349,7 @@ std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
                              : delta_[id - archived.size()]);
     }
   }
-  const std::string payload =
-      explore::to_table(frontier).to_text(
-          std::string("Pareto frontier (speedup vs. ") +
-          (metric == explore::CostMetric::kCoreArea ? "core area"
-                                                    : "core count") +
-          ")");
+  const std::string payload = explore::pareto_text(frontier, metric);
   return ok_header(QueryKind::kPareto, count_lines(payload)) + payload +
          "END\n";
 }
@@ -439,7 +433,7 @@ std::string QueryServer::answer_eval(const Query& query) {
   point.r = job.request.r;
   point.rl = job.request.rl;
   const search::DesignKey key = search::DesignKey::of(point);
-  std::optional<explore::EvalResult> held = archive_.find(key);
+  std::optional<explore::EvalResult> held = run_.archive.find(key);
   if (!held) held = find_delta(key);
   if (!held) {
     // A sticky run-log failure means a fresh result could not be made
@@ -468,7 +462,8 @@ std::string QueryServer::answer_eval(const Query& query) {
       explore::EvalResult fresh =
           explore::evaluate_job(job, nullptr, /*use_cache=*/false);
       // An on-grid point takes the index a sweep records for it.
-      const std::optional<std::uint64_t> flat = archive_.space().index_of(key);
+      const std::optional<std::uint64_t> flat =
+          run_.archive.space().index_of(key);
       fresh.index = flat ? static_cast<std::size_t>(*flat)
                          : next_index_.fetch_add(1, std::memory_order_relaxed);
       // The delta takes the record only after it is durably logged, so a
@@ -511,8 +506,8 @@ std::string QueryServer::answer_stats() const {
   }
   // Archived rows plus the delta: the whole union the server answers
   // over.
-  os << "archive_records=" << archive_.reader().row_count() + delta_records
-     << "\n"
+  os << "archive_records="
+     << run_.archive.reader().row_count() + delta_records << "\n"
      << "archive_dir=" << run_.dir << "\n"
      << "config=" << run_.config << "\n"
      << "delta_records=" << delta_records << "\n"

@@ -1,8 +1,7 @@
 #pragma once
-// Exploration-as-a-service: a TCP query server over a recorded run.
-// Start-up opens the run's columnar archive (archive.msca) and decodes
-// only the records it does not hold (serve/served_run); clients then
-// ask `best` / `topk` / `pareto` / `eval` / `stats` over the
+// Exploration-as-a-service: a TCP query server over one recorded run
+// directory, opened by serve::open_served_run (serve/served_run).
+// Clients ask `best` / `topk` / `pareto` / `eval` / `stats` over the
 // newline-delimited protocol (serve/protocol).  Every answer comes from
 // the memory-mapped archive plus that small in-memory delta — `eval`
 // looks its design point up in the archive (by its canonical flat
@@ -15,6 +14,8 @@
 // `best` and `topk k` read at most k records off the head of a rank
 // index over the delta, and `pareto` folds the delta into one per-cost
 // reduction (explore::ParetoReduction) and copies only its winners.
+// They render through explore_cli's renderers (explore::best_line,
+// top_k_text, pareto_text), so the bytes are the CLI report's.
 //
 // Each connection gets one session thread, and that thread runs its own
 // queries: there is no admission limit in front of execution.  Queries
@@ -57,11 +58,10 @@ struct ServerOptions {
 
 class QueryServer {
  public:
-  /// Serves `run` from `records` (see open_served_records); `log`, when
-  /// non-null, receives every live evaluation (flushed per record) and
-  /// must outlive the server.
-  QueryServer(ServedRun run, ServedRecords records, search::RunLog* log,
-              ServerOptions options);
+  /// Serves `run` (see open_served_run; its delta moves into the
+  /// server); `log`, when non-null, receives every live evaluation
+  /// (flushed per record) and must outlive the server.
+  QueryServer(ServedRun run, search::RunLog* log, ServerOptions options);
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;
@@ -133,19 +133,14 @@ class QueryServer {
   void acceptor_main() MS_EXCLUDES(sessions_mu_);
   void session_main(int fd, std::size_t slot) MS_EXCLUDES(sessions_mu_);
 
-  /// Immutable after construction: resolve_eval and answer_stats read
-  /// it without a lock.
-  const ServedRun run_;
+  /// Immutable once the constructor has moved its delta into delta_, so
+  /// every query reads it without a lock; run_.archive's query methods
+  /// are const and internally thread-safe.
+  ServedRun run_;
   /// explore::comm_laws(run_.spec), built once for resolve_eval.
   const std::vector<core::GrowthFunction> comm_laws_;
   search::RunLog* log_;
   ServerOptions options_;
-
-  /// The archived records and eval's point lookup in them
-  /// (serve/served_run).  Immutable; its query methods are const and
-  /// internally thread-safe, so every query runs them without holding
-  /// delta_mu_.
-  const ServedArchive archive_;
   /// Guards the delta and its indexes (readers: every query; writer:
   /// the live-eval append path).  best/topk copy at most k records off
   /// delta_rank_ under a reader lock, pareto folds the delta into its
@@ -153,8 +148,8 @@ class QueryServer {
   /// renders run OUTSIDE the lock.
   mutable util::SharedMutex delta_mu_;
   /// Records the archive does not hold — decoded at start-up, then every
-  /// live evaluation — folded into every answer on top of archive_.  A
-  /// deque, so the indexes' views into its records stay valid as it
+  /// live evaluation — folded into every answer on top of run_.archive.
+  /// A deque, so the indexes' views into its records stay valid as it
   /// grows.
   std::deque<explore::EvalResult> delta_ MS_GUARDED_BY(delta_mu_);
   std::unordered_map<search::DesignKey, const explore::EvalResult*,

@@ -15,15 +15,17 @@ endif()
 file(REMOVE_RECURSE "${WORK}")
 file(MAKE_DIRECTORY "${WORK}")
 
+set(GRID
+    --variants symmetric,asymmetric,symmetric-comm,asymmetric-comm
+    --topologies mesh,bus --apps kmeans,hop --growths linear,log
+    --budgets 64,256 --small-cores 1,2.5,4,24
+    --sizes 1,1.5,2,2,3,4,6.25,8,12,16,24.5,32,48,60,64,100,128,200,250,256)
+
 # The reports are rendered on the --threads team; their bytes must not
 # depend on its size.
 foreach(threads 2 1 3)
   execute_process(
-      COMMAND ${CLI} --quiet --threads ${threads}
-          --variants symmetric,asymmetric,symmetric-comm,asymmetric-comm
-          --topologies mesh,bus --apps kmeans,hop --growths linear,log
-          --budgets 64,256 --small-cores 1,2.5,4,24
-          --sizes 1,1.5,2,2,3,4,6.25,8,12,16,24.5,32,48,60,64,100,128,200,250,256
+      COMMAND ${CLI} --quiet --threads ${threads} ${GRID}
           --out "${WORK}/report"
       RESULT_VARIABLE status
       OUTPUT_VARIABLE out
@@ -47,6 +49,32 @@ foreach(threads 2 1 3)
                           "inspection")
     endif()
   endforeach()
+endforeach()
+
+# --cost-metric is the sweep's Pareto cost axis too (the search's
+# archive already took it); the reports do not depend on it.
+execute_process(
+    COMMAND ${CLI} --quiet --threads 2 ${GRID} --cost-metric cores
+        --out "${WORK}/cores"
+    RESULT_VARIABLE status
+    OUTPUT_VARIABLE out
+    ERROR_VARIABLE err)
+if(NOT status EQUAL 0)
+  message(FATAL_ERROR "the --cost-metric cores sweep failed (${status}): "
+                      "${err}")
+endif()
+if(NOT out MATCHES "== Pareto frontier \\(speedup vs\\. core count\\) ==")
+  message(FATAL_ERROR "--cost-metric cores did not pick the sweep's Pareto "
+                      "table: ${out}")
+endif()
+foreach(ext csv ndjson)
+  execute_process(
+      COMMAND ${CMAKE_COMMAND} -E compare_files
+          "${WORK}/cores.${ext}" "${GOLDEN}/report_golden.${ext}"
+      RESULT_VARIABLE differs)
+  if(NOT differs EQUAL 0)
+    message(FATAL_ERROR "cores.${ext} differs from report_golden.${ext}")
+  endif()
 endforeach()
 
 file(REMOVE_RECURSE "${WORK}")

@@ -2,8 +2,9 @@
 # validation: record a tiny run with the real explore_cli, serve it for
 # 1.5 s with --metrics while serve_client sends a few queries, then
 # require NDJSON window lines carrying window, qps and a non-decreasing
-# completed count.  An out-of-range --port and a retired admission flag
-# must each exit 1.  Invoked by ctest as:
+# completed count.  An out-of-range --port and the retired flags (the
+# admission limit, --merge-from; serve_client's --timeout-seconds) must
+# each exit 1.  Invoked by ctest as:
 #   cmake -DEXPLORE=<explore_cli> -DSERVER=<serve_cli>
 #         -DCLIENT=<serve_client> -DWORK=<scratch dir>
 #         -P expect_serve_metrics.cmake
@@ -124,5 +125,17 @@ endfunction()
 expect_rejected(port 70000)
 expect_rejected(port -1)
 expect_rejected(probe-step 2)
+# A union is served by folding it first (explore_cli --archive
+# --merge-from), not by serve_cli.
+expect_rejected(merge-from "${run}")
+
+# --timeout-ms is serve_client's one deadline knob.
+execute_process(
+    COMMAND ${CLIENT} --timeout-seconds 3 --query best
+    RESULT_VARIABLE status
+    ERROR_VARIABLE err)
+if(NOT status EQUAL 1 OR NOT err MATCHES "unknown option --timeout-seconds")
+  message(FATAL_ERROR "serve_client --timeout-seconds: exit ${status}: ${err}")
+endif()
 
 file(REMOVE_RECURSE "${WORK}")

@@ -1,8 +1,8 @@
 # Regression driver for the CLI's unknown-flag path: the real explore_cli
 # binary, run with a typo'd option, must exit nonzero and print a usage
-# message (the unknown name plus the option list) on stderr; a flag used
-# without the action it belongs to (--merge-from without --archive) must
-# exit 1 naming it.  Invoked by
+# message (the unknown name plus the option list) on stderr, the retired
+# --cost included; a flag used without the action it belongs to
+# (--merge-from without --archive) must exit 1 naming it.  Invoked by
 # ctest as:  cmake -DCLI=<path-to-explore_cli> -P expect_unknown_flag.cmake
 if(NOT DEFINED CLI)
   message(FATAL_ERROR "pass -DCLI=<path to explore_cli>")
@@ -37,6 +37,15 @@ if(status2 EQUAL 0)
 endif()
 if(NOT err2 MATCHES "expects an integer")
   message(FATAL_ERROR "stderr does not explain the bad value: ${err2}")
+endif()
+
+# --cost-metric is the one cost knob; the retired --cost is unknown.
+execute_process(
+    COMMAND ${CLI} --cost area --quiet
+    RESULT_VARIABLE status4
+    ERROR_VARIABLE err4)
+if(NOT status4 EQUAL 1 OR NOT err4 MATCHES "unknown option --cost")
+  message(FATAL_ERROR "--cost area exited ${status4}: ${err4}")
 endif()
 
 # --merge-from only means something to --archive: alone it must fail

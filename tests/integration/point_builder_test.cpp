@@ -265,11 +265,10 @@ TEST(PointBuilderDifferential, ConfigRoundTripAndEveryCallerKeysAlike) {
 
     // resolve_eval on each job's coordinates as an eval query.
     serve::QueryServer server(
-        serve::ServedRun{"", config, parsed},
-        serve::ServedRecords{
-            serve::ServedArchive(search::ArchiveReader::from_records({}),
-                                 parsed),
-            {}},
+        serve::ServedRun{"", config, parsed,
+                         serve::ServedArchive(
+                             search::ArchiveReader::from_records({}), parsed),
+                         {}},
         nullptr, serve::ServerOptions{});
     for (std::size_t i = 0; i < jobs.size(); ++i) {
       serve::Query query;

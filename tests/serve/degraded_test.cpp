@@ -69,12 +69,11 @@ class DegradedTest : public ::testing::Test {
   std::unique_ptr<Harness> serve(std::uint64_t live_budget = 100) {
     auto harness = std::make_unique<Harness>();
     ServedRun run = open_served_run(dir_);
-    ServedRecords records = open_served_records(run);
     harness->log = std::make_unique<search::RunLog>(dir_);
     ServerOptions options;
     options.live_budget = live_budget;
     harness->server = std::make_unique<QueryServer>(
-        std::move(run), std::move(records), harness->log.get(), options);
+        std::move(run), harness->log.get(), options);
     return harness;
   }
 

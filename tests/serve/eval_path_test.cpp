@@ -229,7 +229,8 @@ class EvalPathTest : public ::testing::Test {
 
   /// Off-grid records the scenario's laws still resolve, numbered from
   /// `index`, evaluated like a live eval would be.
-  static std::vector<explore::EvalResult> off_grid(std::size_t index) {
+  static std::vector<explore::EvalResult> off_grid(std::size_t index,
+                                                   double r = 2.0) {
     const explore::ScenarioSpec spec = explore::from_config(kConfig, "serve");
     std::vector<explore::EvalResult> out;
     for (const double rl : {24.0, 40.0, 48.0}) {
@@ -238,7 +239,7 @@ class EvalPathTest : public ::testing::Test {
       job.request.chip = core::ChipConfig{96.0, spec.perf};
       job.request.app = spec.apps[0];
       job.request.growth = spec.growths[0];
-      job.request.r = 2.0;
+      job.request.r = r;
       job.request.rl = rl;
       job.scenario = spec.name;
       job.index = index++;
@@ -274,15 +275,12 @@ class EvalPathTest : public ::testing::Test {
     }
   };
 
-  static std::unique_ptr<Served> serve(
-      const std::string& dir, const std::vector<std::string>& sources = {}) {
+  static std::unique_ptr<Served> serve(const std::string& dir) {
     auto served = std::make_unique<Served>();
-    ServedRun run = open_served_run(dir, sources);
-    ServedRecords records = open_served_records(run, sources);
+    ServedRun run = open_served_run(dir);
     served->log = std::make_unique<search::RunLog>(dir);
     served->server = std::make_unique<QueryServer>(
-        std::move(run), std::move(records), served->log.get(),
-        ServerOptions{});
+        std::move(run), served->log.get(), ServerOptions{});
     return served;
   }
 
@@ -352,14 +350,24 @@ TEST_F(EvalPathTest, ALogTailOverTheArchiveNeverRanksAPointTwice) {
   }
 }
 
-TEST_F(EvalPathTest, MergeFromUnionsSourcesAndRefusesMismatches) {
+TEST_F(EvalPathTest, AFoldIntoAFreshDirectoryServesTheUnionOfItsMembers) {
+  // The target: the grid archived, then a log tail of off-grid points and
+  // a re-recorded archived point whose speedup is inflated (a double
+  // rank would top every table).
   const auto grid = record(dir_, kConfig);
   archive(dir_);
-  // A source recorded as one shard of the same run: the shard token is
-  // ignored, its archived-point duplicates lose to the target's rows.
-  const std::string source = base_ + "/shard";
-  search::RunLog::write_meta(source, std::string(kConfig) + ";shards=2");
-  std::vector<explore::EvalResult> foreign = off_grid(grid_end());
+  std::vector<explore::EvalResult> tail = off_grid(grid_end());
+  explore::EvalResult rerecorded = grid[11];
+  rerecorded.speedup *= 10.0;
+  tail.push_back(rerecorded);
+  append(dir_, tail);
+  // The source, recorded under the same config: other off-grid points,
+  // numbered from grid_end() as its own server would have numbered them,
+  // and a speedup-inflated copy of an archived point, which loses to the
+  // target's row.
+  const std::string source = base_ + "/source";
+  search::RunLog::write_meta(source, kConfig);
+  std::vector<explore::EvalResult> foreign = off_grid(grid_end(), 3.0);
   explore::EvalResult duplicate = grid[5];
   duplicate.speedup *= 10.0;
   foreign.push_back(duplicate);
@@ -369,24 +377,23 @@ TEST_F(EvalPathTest, MergeFromUnionsSourcesAndRefusesMismatches) {
   const auto from_source = search::RunLog::load(source);
   everything.insert(everything.end(), from_source.begin(), from_source.end());
   const auto records = search::RunLog::dedup(everything);
-  auto served = serve(dir_, {source, dir_});
+  ASSERT_EQ(records.size(), grid.size() + 2 * (foreign.size() - 1));
+
+  // explore_cli --archive --run-dir <fresh> --merge-from <target>,<source>
+  const std::string fresh = base_ + "/union";
+  ASSERT_TRUE(search::RunLog::fold(fresh, {dir_, source}).has_value());
+  EXPECT_EQ(search::RunLog::read_meta(fresh).value_or(""), kConfig);
+  auto served = serve(fresh);
   EXPECT_EQ(served->stat("archive_records"), std::to_string(records.size()));
+  EXPECT_EQ(served->stat("delta_records"), "0");
   EXPECT_EQ(scans(*served->server), reference_scans(records));
   MemoCacheOracle oracle(records, explore::from_config(kConfig, "serve"));
-  for (const auto& record : foreign) {
-    EXPECT_EQ(served->server->execute_line(eval_line(record)),
-              oracle.reply(record));
+  for (const auto& record : records) {
+    const std::string reply = served->server->execute_line(eval_line(record));
+    EXPECT_EQ(reply, oracle.reply(record)) << eval_line(record);
   }
+  EXPECT_EQ(served->server->live_evals(), 0u);
 
-  // A source recorded under another space, or never recorded, is refused.
-  const std::string other = base_ + "/other";
-  search::RunLog::write_meta(
-      other,
-      "apps=hop;budgets=32;growths=log;variants=symmetric;topologies=ring;"
-      "small-cores=1;sizes=8;comp-share=0.5;f=0.9;fcon=0.01;fored=0.01;"
-      "strategy=exhaustive");
-  EXPECT_THROW(open_served_run(dir_, {source, other}), std::runtime_error);
-  EXPECT_THROW(open_served_run(dir_, {base_ + "/missing"}), std::runtime_error);
   EXPECT_THROW(open_served_run(base_ + "/missing"), std::runtime_error);
 }
 
@@ -551,9 +558,7 @@ TEST_F(EvalPathTest, StartUpReadsUnderOnePercentOfTheArchive) {
   std::string reply;
   {
     util::ScopedIoEnv scope(&counting);
-    QueryServer server(open_served_run(dir_),
-                       open_served_records(open_served_run(dir_)),
-                       nullptr, ServerOptions{});
+    QueryServer server(open_served_run(dir_), nullptr, ServerOptions{});
     reply = server.execute_line("best");
   }
   EXPECT_EQ(reply, ok_header(QueryKind::kBest, 1) +

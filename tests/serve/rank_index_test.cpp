@@ -136,10 +136,10 @@ class RankIndexTest : public ::testing::Test {
     std::vector<explore::EvalResult> live;
     {
       QueryServer probe(
-          ServedRun{dir_, kConfig, spec},
-          ServedRecords{
-              ServedArchive(search::ArchiveReader::from_records({}), spec),
-              {}},
+          ServedRun{dir_, kConfig, spec,
+                    ServedArchive(search::ArchiveReader::from_records({}),
+                                  spec),
+                    {}},
           nullptr, ServerOptions{});
       for (const std::string& line : live_lines()) {
         live.push_back(live_record(probe, line, 0));
@@ -155,9 +155,9 @@ class RankIndexTest : public ::testing::Test {
         search::ArchiveReader::from_records(to_archive, /*block_rows=*/8);
     *archived = archive.load_all();
     return std::make_unique<QueryServer>(
-        ServedRun{dir_, kConfig, spec},
-        ServedRecords{ServedArchive(std::move(archive), spec), *delta}, log,
-        ServerOptions{});
+        ServedRun{dir_, kConfig, spec,
+                  ServedArchive(std::move(archive), spec), *delta},
+        log, ServerOptions{});
   }
 
   std::string dir_;

@@ -101,9 +101,7 @@ TEST(Saturation, MultiClientLoadDoesNotCollapseThroughput) {
     for (const auto& result : results) log.append(result);
   }
 
-  QueryServer server(open_served_run(dir),
-                     open_served_records(open_served_run(dir)), nullptr,
-                     ServerOptions{});
+  QueryServer server(open_served_run(dir), nullptr, ServerOptions{});
   server.start();
   ASSERT_GT(server.port(), 0);
 

@@ -79,14 +79,13 @@ class ServerTest : public ::testing::Test {
                                  bool with_log = true) {
     auto harness = std::make_unique<Harness>();
     ServedRun run = open_served_run(dir_);
-    ServedRecords records = open_served_records(run);
     if (with_log) {
       harness->log = std::make_unique<search::RunLog>(dir_);
     }
     ServerOptions options;
     options.live_budget = live_budget;
     harness->server = std::make_unique<QueryServer>(
-        std::move(run), std::move(records), harness->log.get(), options);
+        std::move(run), harness->log.get(), options);
     return harness;
   }
 
@@ -278,38 +277,35 @@ TEST_F(ServerTest, ServesWithoutALogButCannotPersist) {
   EXPECT_EQ(harness->server->live_evals(), 1u);
 }
 
-TEST_F(ServerTest, OpenServedRunRefusesForeignConfigsAndSelfUnionDedups) {
-  record();
-  // A second directory recorded under a different space must be refused,
-  // exactly as RunLog::fold would refuse it.
-  const std::string foreign = dir_ + "/foreign";
-  search::RunLog::write_meta(
-      foreign,
-      "apps=hop;budgets=32;growths=log;variants=symmetric;topologies=ring;"
-      "small-cores=1;sizes=8;comp-share=0.5;f=0.9;fcon=0.01;fored=0.01;"
-      "strategy=exhaustive");
-  {
-    search::RunLog log(foreign);
-    explore::EvalResult result;
-    result.scenario = "foreign";
-    result.app = "hop";
-    result.growth = "log";
-    result.n = 32.0;
-    result.r = 8.0;
-    log.append(result);
-    log.flush();
+TEST_F(ServerTest, OpenServedRunStripsTheDirectorysShardToken) {
+  // An exhaustive two-shard run that was never folded: both shards' logs
+  // and the shared meta config with its shard count.  Served, it answers
+  // as the single-process run it equals, under the config without the
+  // token.
+  const search::SearchSpace space(explore::from_config(kConfig, "serve"));
+  const search::ShardPlan plan(space.size(), 2);
+  explore::ExploreEngine engine(explore::EngineOptions{2});
+  search::RunLog::write_meta(dir_, std::string(kConfig) + ";shards=2");
+  std::vector<explore::EvalResult> results;
+  for (std::size_t shard = 0; shard < 2; ++shard) {
+    search::RunLogOptions options;
+    options.shard = shard;
+    search::RunLog log(dir_, options);
+    for (const auto& result :
+         search::run_sweep(engine, space, plan.range(shard))) {
+      log.append(result);
+      results.push_back(result);
+    }
   }
-  EXPECT_THROW(open_served_run(dir_, {foreign}), std::runtime_error);
-  std::filesystem::remove_all(foreign);
-
-  // Unioning a directory with itself must not double-count: the served
-  // records are deduplicated by design point.
-  EXPECT_NO_THROW(open_served_run(dir_, {dir_}));
   const ServedRun run = open_served_run(dir_);
-  const ServedRecords plain = open_served_records(run);
-  const ServedRecords self_union = open_served_records(run, {dir_});
-  EXPECT_EQ(self_union.archive.reader().row_count() + self_union.delta.size(),
-            plain.archive.reader().row_count() + plain.delta.size());
+  EXPECT_EQ(run.config, kConfig);
+  EXPECT_EQ(run.archive.reader().row_count(), results.size());
+  auto harness = serve(/*live_budget=*/100, /*with_log=*/false);
+  EXPECT_EQ(harness->stat("config"), kConfig);
+  EXPECT_EQ(harness->server->execute_line("best"),
+            ok_header(QueryKind::kBest, 1) +
+                explore::best_line(*explore::best_result(results)) +
+                "\nEND\n");
 }
 
 TEST_F(ServerTest, ServedArchiveFindsAPointsFirstRowInRowOrder) {
@@ -349,16 +345,16 @@ TEST_F(ServerTest, ServedArchiveFindsAPointsFirstRowInRowOrder) {
   EXPECT_FALSE(archive.find(search::DesignKey::of(grid[2])).has_value());
 }
 
-TEST_F(ServerTest, OpenServedRecordsRefusesARetiredNdjsonLog) {
+TEST_F(ServerTest, OpenServedRunRefusesARetiredNdjsonLog) {
   // Archived, so the refusal cannot hide behind the archive fast path:
   // the delta decode must refuse an NDJSON log, not skip it.
   record();
   search::write_archive(search::RunLog::archive_path(dir_), union_records());
   std::filesystem::remove(search::RunLog::binary_results_path(dir_));
-  const ServedRun run = open_served_run(dir_);
+  ASSERT_NO_THROW(open_served_run(dir_));
   std::ofstream(std::filesystem::path(dir_) / "results.ndjson") << "{}\n";
   try {
-    open_served_records(run);
+    open_served_run(dir_);
     FAIL() << "served a directory holding results.ndjson";
   } catch (const std::runtime_error& error) {
     EXPECT_NE(std::string(error.what()).find("results.ndjson"),

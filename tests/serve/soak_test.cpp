@@ -93,9 +93,7 @@ class SoakTest : public ::testing::Test {
 };
 
 TEST_F(SoakTest, TenThousandConnectionsLeaveThreadsAndMemoryFlat) {
-  QueryServer server(open_served_run(dir_),
-                     open_served_records(open_served_run(dir_)),
-                     nullptr, ServerOptions{});
+  QueryServer server(open_served_run(dir_), nullptr, ServerOptions{});
   server.start();
   // Warm up past one-time allocations (thread stacks, socket buffers)
   // before taking the baseline.
@@ -126,9 +124,7 @@ TEST_F(SoakTest, TenThousandConnectionsLeaveThreadsAndMemoryFlat) {
 }
 
 TEST_F(SoakTest, StopEndsSessionsThatAreStillOpen) {
-  QueryServer server(open_served_run(dir_),
-                     open_served_records(open_served_run(dir_)),
-                     nullptr, ServerOptions{});
+  QueryServer server(open_served_run(dir_), nullptr, ServerOptions{});
   server.start();
   // Sessions left open mid-conversation (each answered once, so each
   // was accepted), plus a reaped slot for one of them to reuse.
