@@ -14,7 +14,9 @@
 // it proposes once, so the engine runs without its memo cache.
 // Results stream into an optional run directory as an append-only
 // binary log, written in groups of --flush-every records (default 64):
-// a killed run loses at most one unflushed group.  --resume seeds the
+// a killed run loses at most one unflushed group, and a killed sweep
+// also the blocks its --threads workers evaluated ahead of the writes
+// (at most two 4096-flat blocks per worker).  --resume seeds the
 // run with the design points its records name (search::prior_points):
 // a sweep copies those records, a search charges them against its
 // budget and replays its trajectory without evaluating them again.  A
@@ -50,10 +52,12 @@
 //                                        # one (serve_cli --run-dir /tmp/ab
 //                                        # serves the union)
 //
-// Writes <out>.csv and <out>.ndjson (exhaustive runs), rendered on the
-// --threads team like archive.msca and --dump (the bytes do not depend
-// on the team size), and <dir>/results.msbin (results.shard-<i>.msbin
-// under --shard) + <dir>/meta.json when persistence is on.  --archive is
+// The sweep, archive.msca, the reports and --dump all run on the
+// --threads team, and so does the closing best / top-k / Pareto
+// reduction (explore::summarize); no output byte depends on the team
+// size.  Writes <out>.csv and <out>.ndjson (exhaustive runs), and
+// <dir>/results.msbin (results.shard-<i>.msbin under --shard) +
+// <dir>/meta.json when persistence is on.  --archive is
 // the one way to fold a run directory (search::RunLog::fold) into
 // <dir>/archive.msca, the columnar, zone-mapped form serve_cli and
 // resume read; see its --help text.
@@ -206,9 +210,9 @@ int main(int argc, char** argv) try {
   cli.opt("fcon", 0.60, "constant serial share (apps=custom)");
   cli.opt("fored", 0.80, "reduction growth coefficient (apps=custom)");
   cli.opt("threads", static_cast<long long>(0),
-          "worker threads for the sweep, the archive encoder and the "
-          "report renderer (0 = hardware concurrency); no output byte "
-          "depends on it");
+          "worker threads for the sweep, the archive encoder, the "
+          "report renderer and the best/top-k/Pareto reduction (0 = "
+          "hardware concurrency); no output byte depends on it");
   cli.opt("top", static_cast<long long>(5), "top-k designs to print");
   cli.opt("out", std::string("explore_results"),
           "output prefix for <out>.csv and <out>.ndjson");
@@ -275,9 +279,9 @@ int main(int argc, char** argv) try {
   const auto flush_every = static_cast<std::size_t>(
       std::max<long long>(1, cli.get_int("flush-every")));
 
-  // --threads sizes every parallel stage: the sweep's evaluations, the
-  // archive encoder and the report renderer.  None of their output bytes
-  // depend on it.
+  // --threads sizes every parallel stage: the sweep pipeline, the
+  // archive encoder, the report renderer and the closing reduction.
+  // None of their output bytes depend on it.
   const int threads = runtime::ThreadTeam::resolve_size(
       static_cast<int>(cli.get_int("threads")));
 
@@ -541,21 +545,20 @@ int main(int argc, char** argv) try {
     explore::to_table(results).print(std::cout, "all evaluated points");
   }
 
-  if (const explore::EvalResult* best = explore::best_result(results)) {
-    print_best(*best);
-  } else {
+  // best_result, top_k and pareto_frontier in one pass on the team.
+  const explore::Summary summary = explore::summarize(
+      results, static_cast<std::size_t>(cli.get_int("top")), cost,
+      &engine.team());
+  if (summary.best == nullptr) {
     std::cout << "no feasible design point\n";
     return 1;
   }
+  print_best(*summary.best);
 
   // The shared renderers keep these tables byte-identical to serve_cli's
   // `topk` and `pareto` answers over the same records.
-  std::cout << explore::top_k_text(explore::top_k(
-                   results, static_cast<std::size_t>(cli.get_int("top"))))
-            << '\n'
-            << explore::pareto_text(explore::pareto_frontier(results, cost),
-                                    cost)
-            << '\n';
+  std::cout << explore::top_k_text(summary.top) << '\n'
+            << explore::pareto_text(summary.frontier, cost) << '\n';
   return 0;
 } catch (const std::exception& e) {
   std::cerr << "explore_cli: " << e.what() << "\n";

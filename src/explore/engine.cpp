@@ -229,7 +229,8 @@ std::string_view cost_metric_label(CostMetric metric) noexcept {
 
 ExploreEngine::ExploreEngine(EngineOptions options)
     : options_(options),
-      team_(runtime::ThreadTeam::resolve_size(options.threads)) {}
+      team_(runtime::ThreadTeam::resolve_size(options.threads)),
+      scratch_(static_cast<std::size_t>(team_.size())) {}
 
 std::vector<EvalResult> ExploreEngine::run(const ScenarioSpec& spec) {
   return run(spec.expand());
@@ -258,18 +259,22 @@ void ExploreEngine::run(std::span<const EvalJob> jobs,
 
   const std::size_t block = claim_block(jobs.size(), team_.size());
   std::atomic<std::size_t> next{0};
-  team_.run([&](int /*tid*/, int /*team_size*/) {
-    BatchScratch scratch;
+  team_.run([&](int tid, int /*team_size*/) {
     for (;;) {
       const std::size_t begin = next.fetch_add(block);
       if (begin >= jobs.size()) break;
       const std::size_t end = std::min(begin + block, jobs.size());
-      evaluate_jobs(jobs.subspan(begin, end - begin),
-                    results.subspan(begin, end - begin), &cache_,
-                    options_.use_cache, scratch);
+      evaluate_block(tid, jobs.subspan(begin, end - begin),
+                     results.subspan(begin, end - begin));
     }
   });
   if (options_.use_cache) settle_freshness(jobs, results);
+}
+
+void ExploreEngine::evaluate_block(int tid, std::span<const EvalJob> jobs,
+                                   std::span<EvalResult> results) {
+  evaluate_jobs(jobs, results, &cache_, options_.use_cache,
+                scratch_[static_cast<std::size_t>(tid)]);
 }
 
 }  // namespace mergescale::explore

@@ -80,7 +80,8 @@ void cache_keys(std::span<const EvalJob> jobs, std::span<CacheKey> keys);
 
 /// Reusable per-worker scratch for evaluate_jobs: the SoA batch planes
 /// plus the keying/miss-filter staging.  Transient working state; hold
-/// one per worker thread to amortize allocations across claim blocks.
+/// one per worker thread to amortize allocations across claim blocks
+/// (ExploreEngine keeps one per team worker across runs).
 struct BatchScratch {
   core::EvalBatch batch;
   std::vector<CacheKey> keys;
@@ -137,10 +138,21 @@ class ExploreEngine {
   /// Worker count actually in use.
   int threads() const noexcept { return team_.size(); }
 
-  /// The engine's thread team, for parallel work between runs (report
-  /// rendering, archive encoding), so one --threads setting governs a
-  /// whole sweep.  Not usable while run() is in progress.
+  /// The engine's thread team, for parallel work between runs (the
+  /// sweep pipeline, report rendering, archive encoding), so one
+  /// --threads setting governs a whole sweep.  Not usable while run() is
+  /// in progress.
   runtime::ThreadTeam& team() noexcept { return team_; }
+
+  /// Evaluates one block of jobs on team worker `tid`: evaluate_jobs
+  /// through the engine's cache settings, on the scratch the engine
+  /// keeps for that worker across runs.  What run()'s workers do per
+  /// claimed block, for a region of the caller's own on team()
+  /// (search::run_sweep).  Each result takes its job's index; unlike
+  /// run(), nothing re-derives `from_cache` across blocks, so a caller
+  /// whose jobs repeat a design point gets timing-dependent flags.
+  void evaluate_block(int tid, std::span<const EvalJob> jobs,
+                      std::span<EvalResult> results);
 
   /// The memo cache (hit/miss stats, size) — cumulative across runs.
   /// Kept only for perfbench/tool/replay.cpp, as is the mutable form
@@ -151,6 +163,7 @@ class ExploreEngine {
  private:
   EngineOptions options_;
   runtime::ThreadTeam team_;
+  std::vector<BatchScratch> scratch_;  ///< one per team worker
   MemoCache cache_;
 };
 

@@ -1,7 +1,6 @@
 #include "explore/report.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -9,8 +8,8 @@
 #include <ostream>
 #include <sstream>
 #include <string_view>
-#include <thread>
 
+#include "runtime/ordered_blocks.hpp"
 #include "util/check.hpp"
 #include "util/format.hpp"
 
@@ -127,6 +126,12 @@ void ParetoReduction::grow() {
   }
 }
 
+void ParetoReduction::merge(const ParetoReduction& later) {
+  for (const Winner& winner : later.winners_) {
+    offer(winner.cost, winner.speedup, winner.index, winner.id);
+  }
+}
+
 std::vector<std::size_t> ParetoReduction::frontier() const {
   std::vector<const Winner*> by_cost;
   by_cost.reserve(winners_.size());
@@ -160,6 +165,63 @@ std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
     frontier.push_back(results[i]);
   }
   return frontier;
+}
+
+Summary summarize(const std::vector<EvalResult>& results, std::size_t k,
+                  CostMetric metric, runtime::ThreadTeam* team) {
+  /// One worker's reduction of its share, on its own cache lines.
+  struct alignas(64) Share {
+    const EvalResult* best = nullptr;
+    std::vector<RankKey> top;  ///< a heap of the k best, the worst first
+    ParetoReduction pareto;
+  };
+  runtime::ThreadTeam solo(1);
+  runtime::ThreadTeam& workers = team != nullptr ? *team : solo;
+  std::vector<Share> shares(static_cast<std::size_t>(workers.size()));
+  workers.run([&](int tid, int team_size) {
+    const auto [begin, end] =
+        runtime::ThreadTeam::partition(0, results.size(), tid, team_size);
+    Share& share = shares[static_cast<std::size_t>(tid)];
+    share.top.reserve(std::min(k, end - begin));
+    // mslint: hot-path — once per result.
+    for (std::size_t i = begin; i < end; ++i) {
+      const EvalResult& result = results[i];
+      if (!result.feasible) continue;
+      if (share.best == nullptr || better(result, *share.best)) {
+        share.best = &result;
+      }
+      const RankKey key{result.speedup, result.index, i};
+      if (share.top.size() < k) {
+        share.top.push_back(key);
+        std::push_heap(share.top.begin(), share.top.end(), ranks_before);
+      } else if (k > 0 && ranks_before(key, share.top.front())) {
+        std::pop_heap(share.top.begin(), share.top.end(), ranks_before);
+        share.top.back() = key;
+        std::push_heap(share.top.begin(), share.top.end(), ranks_before);
+      }
+      share.pareto.offer(cost_of(result, metric), result.speedup,
+                         result.index, i);
+    }
+    // mslint: cold
+  });
+  Summary summary;
+  std::vector<RankKey> top;
+  ParetoReduction pareto;
+  for (const Share& share : shares) {
+    if (share.best != nullptr &&
+        (summary.best == nullptr || better(*share.best, *summary.best))) {
+      summary.best = share.best;
+    }
+    top.insert(top.end(), share.top.begin(), share.top.end());
+    pareto.merge(share.pareto);
+  }
+  std::sort(top.begin(), top.end(), ranks_before);
+  top.resize(std::min(k, top.size()));
+  for (const RankKey& key : top) summary.top.push_back(results[key.position]);
+  for (const std::size_t id : pareto.frontier()) {
+    summary.frontier.push_back(results[id]);
+  }
+  return summary;
 }
 
 double hypervolume_ref_cost(const ScenarioSpec& spec) {
@@ -429,74 +491,32 @@ void ndjson_row(BlockWriter& out, const EvalResult& result) {
 }
 // mslint: cold
 
-/// One slot of write_blocks' ring: a block's text and whether it is
-/// rendered and not yet written.
-struct BlockSlot {
-  BlockWriter out;
-  std::atomic<bool> ready{false};
-};
-
 /// The one ordered block renderer behind both writers, one parallel
-/// region per report.  The team claims blocks of kBlockRows rows in row
-/// order and renders each into a slot of a ring of 2 × team.size()
-/// buffers.  The caller (tid 0) writes the rendered blocks to `os` in
-/// block order, and renders a block itself whenever the next one to
-/// write is not ready yet, so the stream write overlaps the rendering.
-/// A block is claimed only once the block a ring's length before it is
-/// written: memory stays at about 2 MB per worker, and the bytes are
-/// those of one sequential loop for any team size — a team of one is
-/// that loop.
+/// region per report (runtime::run_ordered_blocks).  The team renders
+/// blocks of kBlockRows rows in row order into a ring of 2 × team.size()
+/// reused buffers while the caller writes the rendered blocks to `os`
+/// in block order: memory stays at about 2 MB per worker, and the bytes
+/// are those of one sequential loop for any team size — a team of one
+/// is that loop.  `row` is a lambda, not a function pointer, so the
+/// renderer inlines into the block loop (a pointer call cost the CSV
+/// writer about 10% of its rows/s).
 template <typename Row>
 void write_blocks(std::ostream& os, const std::vector<EvalResult>& results,
                   runtime::ThreadTeam* team, Row row) {
   runtime::ThreadTeam solo(1);
   runtime::ThreadTeam& workers = team != nullptr ? *team : solo;
-  const std::size_t blocks = (results.size() + kBlockRows - 1) / kBlockRows;
-  std::vector<BlockSlot> ring(2 * static_cast<std::size_t>(workers.size()));
-  std::atomic<std::size_t> claimed{0};  // blocks handed to a renderer
-  std::atomic<std::size_t> written{0};  // blocks written to `os`, in order
-  std::atomic<bool> failed{false};      // a worker threw: all stop
-
-  // Claims the next block and renders it, if its slot is free.  False
-  // when no block could be claimed.
-  const auto render_next = [&]() {
-    std::size_t b = claimed.load();
-    if (b >= blocks || b >= written.load() + ring.size()) return false;
-    // A lost race only means another worker took block b.
-    if (!claimed.compare_exchange_strong(b, b + 1)) return true;
-    BlockSlot& slot = ring[b % ring.size()];
-    slot.out.clear();
-    const std::size_t end = std::min(results.size(), (b + 1) * kBlockRows);
-    for (std::size_t i = b * kBlockRows; i < end; ++i) {
-      row(slot.out, results[i]);
-    }
-    slot.ready.store(true);
-    return true;
-  };
-
-  workers.run([&](int tid, int /*team_size*/) {
-    try {
-      while (!failed.load()) {
-        if (tid == 0) {
-          const std::size_t next = written.load();
-          if (next == blocks) return;
-          BlockSlot& slot = ring[next % ring.size()];
-          if (slot.ready.load()) {
-            slot.out.write_to(os);
-            slot.ready.store(false);
-            written.store(next + 1);
-            continue;
-          }
-        } else if (claimed.load() >= blocks) {
-          return;
+  std::vector<BlockWriter> ring(2 * static_cast<std::size_t>(workers.size()));
+  runtime::run_ordered_blocks(
+      workers, (results.size() + kBlockRows - 1) / kBlockRows, ring,
+      [&](BlockWriter& out, std::size_t block, int /*tid*/) {
+        out.clear();
+        const std::size_t end =
+            std::min(results.size(), (block + 1) * kBlockRows);
+        for (std::size_t i = block * kBlockRows; i < end; ++i) {
+          row(out, results[i]);
         }
-        if (!render_next()) std::this_thread::yield();
-      }
-    } catch (...) {
-      failed.store(true);
-      throw;
-    }
-  });
+      },
+      [&](const BlockWriter& out, std::size_t /*block*/) { out.write_to(os); });
 }
 
 }  // namespace
@@ -505,12 +525,18 @@ void write_csv(std::ostream& os, const std::vector<EvalResult>& results,
                runtime::ThreadTeam* team) {
   os << "scenario,variant,n,app,growth,topology,r,rl,cores,feasible,"
         "speedup,cached\n";
-  write_blocks(os, results, team, csv_row);
+  write_blocks(os, results, team,
+               [](BlockWriter& out, const EvalResult& result) {
+                 csv_row(out, result);
+               });
 }
 
 void write_ndjson(std::ostream& os, const std::vector<EvalResult>& results,
                   runtime::ThreadTeam* team) {
-  write_blocks(os, results, team, ndjson_row);
+  write_blocks(os, results, team,
+               [](BlockWriter& out, const EvalResult& result) {
+                 ndjson_row(out, result);
+               });
 }
 
 }  // namespace mergescale::explore

@@ -42,6 +42,11 @@ class ParetoReduction {
  public:
   void offer(double cost, double speedup, std::size_t index, std::size_t id);
 
+  /// Offers `later`'s per-cost winners in its first-seen order.  Merging
+  /// the reductions of consecutive input shares in share order leaves
+  /// the reduction one pass over the whole input leaves.
+  void merge(const ParetoReduction& later);
+
   /// Ids of the frontier, cost ascending: the per-cost winners whose
   /// speedup strictly exceeds every cheaper winner's.
   std::vector<std::size_t> frontier() const;
@@ -70,6 +75,23 @@ class ParetoReduction {
 /// the frontier.
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric);
+
+/// best_result, top_k and pareto_frontier of one result set — what
+/// explore_cli reports after a sweep — from summarize().
+struct Summary {
+  const EvalResult* best = nullptr;  ///< best_result(results)
+  std::vector<EvalResult> top;       ///< top_k(results, k)
+  std::vector<EvalResult> frontier;  ///< pareto_frontier(results, metric)
+};
+
+/// The three reductions in one pass on `team` (the calling thread alone
+/// when null): each worker reduces a contiguous share of `results` to
+/// its best, its k best rank keys (a bounded heap) and a
+/// ParetoReduction, and the shares merge in share order, so every tie
+/// resolves as in the serial functions and nothing depends on the team
+/// size.  `team` must not be running a region of its own.
+Summary summarize(const std::vector<EvalResult>& results, std::size_t k,
+                  CostMetric metric, runtime::ThreadTeam* team = nullptr);
 
 /// 2-D hypervolume of a non-dominated set (maximize speedup, minimize
 /// cost) against the reference point (`ref_cost`, speedup 0): the area of

@@ -1,10 +1,12 @@
 #include "search/binary_log.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <tuple>
 #include <utility>
 
 #include "search/byte_codec.hpp"
+#include "util/check.hpp"
 
 namespace mergescale::search {
 
@@ -27,6 +29,7 @@ constexpr std::size_t kFrameOverhead = 7;  // crc u32 + len u16 + type u8
 constexpr std::uint8_t kStringFrame = 0;
 constexpr std::uint8_t kEvalFrame = 1;
 constexpr std::size_t kEvalPayload = 68;
+static_assert(BinaryLog::kRecordBytes == kFrameOverhead + kEvalPayload);
 
 std::string encode_header() {
   std::string header;
@@ -174,36 +177,32 @@ BinaryLog::~BinaryLog() {
   }
 }
 
-std::uint32_t BinaryLog::string_id(std::size_t column,
-                                   const std::string& name) {
-  LastLabel& last = last_labels_[column];
-  if (last.set && last.text == name) return last.id;
-  const auto [it, fresh] = string_ids_.try_emplace(name, next_string_id_);
-  last.set = true;
-  last.text = name;
-  last.id = it->second;
+std::uint32_t BinaryLog::label_id(std::string_view name) {
+  const auto [it, fresh] = string_ids_.try_emplace(std::string(name),
+                                                   next_string_id_);
   if (fresh) {
     ++next_string_id_;
     std::string payload;
     payload.reserve(4 + name.size());
-    put_u32(payload, last.id);
+    put_u32(payload, it->second);
     payload += name;
     put_frame(buffer_, kStringFrame, payload);
   }
+  return it->second;
+}
+
+std::uint32_t BinaryLog::string_id(std::size_t column,
+                                   const std::string& name) {
+  LastLabel& last = last_labels_[column];
+  if (last.set && last.text == name) return last.id;
+  last.set = true;
+  last.text = name;
+  last.id = label_id(name);
   return last.id;
 }
 
-void BinaryLog::append(const explore::EvalResult& result) {
-  // String-table frames first (rare: once per distinct label per file).
-  const std::uint32_t scenario = string_id(0, result.scenario);
-  const std::uint32_t app = string_id(1, result.app);
-  const std::uint32_t growth = string_id(2, result.growth);
-  const std::uint32_t topology = string_id(3, result.topology);
-
-  // The eval frame is fixed-width; encode it straight into a stack
-  // buffer — appending a record must not allocate, it runs once per
-  // evaluation of a million-point search.
-  char frame[kFrameOverhead + kEvalPayload];
+void BinaryLog::encode_record(const explore::EvalResult& result,
+                              const RecordLabels& labels, char* frame) {
   poke_u16(frame + 4, static_cast<std::uint16_t>(kEvalPayload));
   frame[6] = static_cast<char>(kEvalFrame);
   char* p = frame + kFrameOverhead;  // the payload, as load() reads it
@@ -212,22 +211,55 @@ void BinaryLog::append(const explore::EvalResult& result) {
   p[9] = static_cast<char>(result.feasible ? 1 : 0);
   p[10] = static_cast<char>(result.from_cache ? 1 : 0);
   p[11] = 0;  // pad
-  poke_u32(p + 12, scenario);
-  poke_u32(p + 16, app);
-  poke_u32(p + 20, growth);
-  poke_u32(p + 24, topology);
+  for (std::size_t column = 0; column < labels.size(); ++column) {
+    poke_u32(p + 12 + 4 * column, labels[column]);
+  }
   poke_f64(p + 28, result.n);
   poke_f64(p + 36, result.r);
   poke_f64(p + 44, result.rl);
   poke_f64(p + 52, result.cores);
   poke_f64(p + 60, result.speedup);
   poke_u32(frame, crc32(frame + 4, 3 + kEvalPayload));  // crc last
-  buffer_.append(frame, sizeof frame);
-  ++appended_;
-  if (++buffered_records_ >= flush_every_) flush();
+}
+
+void BinaryLog::append(const explore::EvalResult& result) {
+  // String-table frames first (rare: once per distinct label per file).
+  const RecordLabels labels{
+      string_id(0, result.scenario), string_id(1, result.app),
+      string_id(2, result.growth), string_id(3, result.topology)};
+  // Appending a record must not allocate: it runs once per evaluation
+  // of a million-point search.
+  char frame[kRecordBytes];
+  encode_record(result, labels, frame);
+  append_records(std::string_view(frame, sizeof frame));
+}
+
+void BinaryLog::append_records(std::string_view frames) {
+  MS_CHECK(frames.size() % kRecordBytes == 0,
+           "append_records takes whole record frames");
+  while (!frames.empty()) {
+    const std::size_t take = std::min(flush_every_ - buffered_records_,
+                                      frames.size() / kRecordBytes);
+    const std::string_view group = frames.substr(0, take * kRecordBytes);
+    frames.remove_prefix(group.size());
+    appended_ += take;
+    if (take == flush_every_ && buffer_.empty()) {
+      write_group(group);  // a whole group in place: no copy
+      continue;
+    }
+    buffer_.append(group);
+    buffered_records_ += take;
+    if (buffered_records_ >= flush_every_) flush();
+  }
 }
 
 void BinaryLog::flush() {
+  // A group is whole records: string-table frames with no record after
+  // them yet stay buffered for the group that carries one.
+  if (buffered_records_ == 0) {
+    if (sync_every_flush_) check_io(out_->sync(), "fsync", path_);
+    return;
+  }
   // Hand the group off before writing: a failed group is LOST (that is
   // the documented window), never silently retried by a later flush or
   // the destructor — a retry that happened to succeed would persist
@@ -235,13 +267,15 @@ void BinaryLog::flush() {
   std::string group;
   group.swap(buffer_);
   buffered_records_ = 0;
-  if (!group.empty()) {
-    check_io(out_->append(group), "write to", path_);
-    check_io(out_->flush(), "flush", path_);
-  }
+  write_group(group);
   // Written: the next group reuses its capacity instead of regrowing.
   group.clear();
   buffer_.swap(group);
+}
+
+void BinaryLog::write_group(std::string_view group) {
+  check_io(out_->append(group), "write to", path_);
+  check_io(out_->flush(), "flush", path_);
   if (sync_every_flush_) check_io(out_->sync(), "fsync", path_);
 }
 

@@ -26,10 +26,11 @@
 //   - Appends are buffered and flushed every `flush_every` records (and
 //     on destruction), so a SIGKILL loses at most the unflushed group:
 //     one record at this class's default, up to 64 at explore_cli's
-//     (search::kSweepFlushEvery), which writes a sweep's log in about
-//     one write per engine claim block.  A failed group write throws
-//     and the group is lost, never retried; callers flush() before
-//     reporting success, since the destructor swallows errors.
+//     (search::kSweepFlushEvery).  A group is whole records; string-table
+//     frames travel with the first group that follows them.  A failed
+//     group write throws and the group is lost, never retried; callers
+//     flush() before reporting success, since the destructor swallows
+//     errors.
 //   - Opening for append repairs a torn tail: the file is truncated to
 //     the end of its last CRC-verified frame, so new appends can never
 //     glue onto a fragment.
@@ -42,6 +43,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -77,9 +79,33 @@ class BinaryLog {
   BinaryLog(const BinaryLog&) = delete;
   BinaryLog& operator=(const BinaryLog&) = delete;
 
+  /// Bytes of one encoded eval-record frame.
+  static constexpr std::size_t kRecordBytes = 75;
+
+  /// A record's string-table ids, in label column order: scenario, app,
+  /// growth, topology.
+  using RecordLabels = std::array<std::uint32_t, 4>;
+
   /// Encodes one result into the append buffer; writes the buffer
   /// through every `flush_every` records.
   void append(const explore::EvalResult& result);
+
+  /// The string-table id of `name`, queuing its frame when the name is
+  /// new; the frame reaches the file with the next record's group.  A
+  /// writer that knows its labels up front registers them once and
+  /// encodes records with encode_record.
+  std::uint32_t label_id(std::string_view name);
+
+  /// Encodes `result` as one eval-record frame (kRecordBytes bytes at
+  /// `frame`, CRC included) naming its labels by `labels`, ids
+  /// label_id() returned.  Touches no log state: any thread may encode.
+  static void encode_record(const explore::EvalResult& result,
+                            const RecordLabels& labels, char* frame);
+
+  /// Appends whole encoded record frames (a multiple of kRecordBytes),
+  /// in order, exactly as that many append() calls would: a group is
+  /// written every `flush_every` records.
+  void append_records(std::string_view frames);
 
   /// Writes the buffer through to the OS (and fsyncs it when
   /// sync_every_flush is set).  A group whose write fails is lost — the
@@ -106,6 +132,10 @@ class BinaryLog {
   /// memo per column answers a repeat and only a change pays for the
   /// hash lookup.
   std::uint32_t string_id(std::size_t column, const std::string& name);
+
+  /// Writes one group through (and fsyncs it when sync_every_flush is
+  /// set); throws when any step fails.
+  void write_group(std::string_view group);
 
   std::string path_;
   std::size_t flush_every_;

@@ -12,12 +12,15 @@
 // Appends are buffered and flushed every `flush_every` records (and on
 // destruction), so a killed run loses at most the one unflushed group.
 // The library default is one record per group; explore_cli writes
-// groups of kSweepFlushEvery = 64 records, so a killed sweep or search
-// loses at most 64 records (with `fsync`, also under power loss) and a
-// resume evaluates exactly those again.  Opening for append repairs a
-// torn tail (truncating past the last CRC-verified frame), load() skips
-// corrupt records, and a resume seeds its run with the design points the
-// loaded records name (search::prior_points).  `explore_cli --dump`
+// groups of kSweepFlushEvery = 64 records, so a killed search loses at
+// most 64 records (with `fsync`, also under power loss) and a resume
+// evaluates exactly those again.  A killed sweep also loses the blocks
+// its workers evaluated that the calling thread had not yet appended
+// (search::run_sweep: at most its ring of 2 blocks per worker).
+// Opening for append repairs a torn tail (truncating past the last
+// CRC-verified frame), load() skips corrupt records, and a resume seeds
+// its run with the design points the loaded records name
+// (search::prior_points).  `explore_cli --dump`
 // prints a directory's records as one JSON object per line for grep and
 // diff.
 //
@@ -71,8 +74,8 @@ enum class LogFormat {
 LogFormat parse_log_format(std::string_view name);
 
 /// The flush group explore_cli appends with unless --flush-every says
-/// otherwise: about one write per engine claim block of a sweep instead
-/// of one per record.  RunLogOptions keeps its default of 1.
+/// otherwise: one write per 64 records (4.8 KB) instead of one per
+/// record.  RunLogOptions keeps its default of 1.
 inline constexpr std::size_t kSweepFlushEvery = 64;
 
 /// Sentinel shard index: the run is not sharded.
@@ -109,6 +112,14 @@ class RunLog {
 
   /// Appends one result; the write reaches disk with its flush group.
   void append(const explore::EvalResult& result) { log_.append(result); }
+
+  /// BinaryLog::label_id and BinaryLog::append_records on this log: the
+  /// sweep registers its axis labels once, encodes record frames on its
+  /// workers and appends them in flat order.
+  std::uint32_t label_id(std::string_view name) { return log_.label_id(name); }
+  void append_records(std::string_view frames) {
+    log_.append_records(frames);
+  }
 
   /// Writes any buffered records through to disk.
   void flush() { log_.flush(); }

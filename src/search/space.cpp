@@ -132,16 +132,24 @@ std::uint64_t SearchSpace::encode(const Coords& coords) const {
   return flat;
 }
 
-std::optional<std::uint64_t> SearchSpace::canonical(std::uint64_t flat) const {
-  Coords coords = decode(flat);
+Coords SearchSpace::canonical_coords(Coords coords) const {
   for (std::size_t dim = 0; dim < kDims; ++dim) {
     coords[dim] = first_[dim][coords[dim]];
   }
   const core::ModelVariant variant = spec_.variants[coords[3]];
   if (!core::is_comm_variant(variant)) coords[4] = 0;
   if (!core::is_asymmetric_variant(variant)) coords[5] = 0;
+  return coords;
+}
+
+std::optional<std::uint64_t> SearchSpace::canonical(std::uint64_t flat) const {
+  const Coords coords = canonical_coords(decode(flat));
   if (!in_bounds(coords)) return std::nullopt;
   return encode(coords);
+}
+
+bool SearchSpace::is_canonical(const Coords& coords) const {
+  return canonical_coords(coords) == coords && in_bounds(coords);
 }
 
 std::optional<std::uint64_t> SearchSpace::index_of(

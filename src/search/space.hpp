@@ -62,6 +62,12 @@ class SearchSpace {
   /// when their canonical indices are equal.
   std::optional<std::uint64_t> canonical(std::uint64_t flat) const;
 
+  /// Whether `coords` is in bounds and its flat index is its own
+  /// canonical index (canonical(encode(coords)) == encode(coords)),
+  /// decided on the coordinates: no decode or encode.  The sweep's
+  /// per-flat filter.
+  bool is_canonical(const Coords& coords) const;
+
   /// Inverse of job_at() up to canonical(): the canonical flat index of
   /// the design point `key` names, matched the way DesignKey matches
   /// (doubles by bit pattern, labels byte-exact; r and rl as job_at sets
@@ -89,6 +95,10 @@ class SearchSpace {
  private:
   /// False when `coords` is out of bounds for its own budget.
   bool in_bounds(const Coords& coords) const;
+
+  /// `coords` with the inert axes zeroed and every axis value mapped to
+  /// its first occurrence: canonical() before the bounds check.
+  Coords canonical_coords(Coords coords) const;
 
   explore::ScenarioSpec spec_;
   std::vector<double> sizes_;   ///< resolved size grid

@@ -1,6 +1,7 @@
 #include "search/strategy.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <numeric>
 #include <span>
@@ -8,6 +9,7 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "runtime/ordered_blocks.hpp"
 #include "search/design_key.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -675,61 +677,170 @@ std::vector<PriorPoint> prior_points(
   return points;
 }
 
+namespace {
+
+/// Jobs a sweep worker evaluates at once (ExploreEngine::evaluate_block):
+/// the engine's largest claim block, a batch the SoA kernels fill.
+constexpr std::size_t kSweepBatch = 256;
+
+/// One slot of run_sweep's ring: a block's results in flat order, its
+/// evaluated ones and its copied seeds, and the log frames of the
+/// evaluated ones.  The vectors keep their capacity from block to block.
+struct SweepBlock {
+  std::vector<explore::EvalResult> results;  ///< the first `count` in use
+  std::size_t count = 0;
+  std::vector<char> frames;  ///< the first `fresh` records' frames
+  std::size_t fresh = 0;
+};
+
+/// A sweep worker's reused job slots and each queued job's log labels.
+struct SweepWorker {
+  std::vector<explore::EvalJob> jobs =
+      std::vector<explore::EvalJob>(kSweepBatch);
+  std::vector<BinaryLog::RecordLabels> labels =
+      std::vector<BinaryLog::RecordLabels>(kSweepBatch);
+  std::size_t queued = 0;
+};
+
+/// The log's string-table ids of a space's axis labels, registered
+/// before the sweep's first block, so a record's ids follow from its
+/// coordinates the way job_at's labels do.
+struct AxisLabels {
+  std::uint32_t scenario = 0;
+  std::vector<std::uint32_t> apps;
+  std::vector<std::uint32_t> growths;
+  std::vector<std::uint32_t> topologies;
+  std::uint32_t no_topology = 0;  ///< "-": the variants without a NoC
+
+  AxisLabels(const explore::ScenarioSpec& spec, RunLog& log)
+      : scenario(log.label_id(spec.name)) {
+    for (const core::AppParams& app : spec.apps) {
+      apps.push_back(log.label_id(explore::label_of(app)));
+    }
+    for (const core::GrowthFunction& growth : spec.growths) {
+      growths.push_back(log.label_id(explore::label_of(growth)));
+    }
+    for (const noc::Topology topology : spec.topologies) {
+      topologies.push_back(log.label_id(explore::label_of(topology)));
+    }
+    no_topology = log.label_id("-");
+  }
+
+  BinaryLog::RecordLabels of(const explore::ScenarioSpec& spec,
+                             const Coords& coords) const {
+    return {scenario, apps[coords[1]], growths[coords[2]],
+            core::is_comm_variant(spec.variants[coords[3]])
+                ? topologies[coords[4]]
+                : no_topology};
+  }
+};
+
+}  // namespace
+
 std::vector<explore::EvalResult> run_sweep(explore::ExploreEngine& engine,
                                            const SearchSpace& space,
                                            const ShardRange& range,
                                            RunLog* log,
                                            std::span<const PriorPoint> prior) {
+  const explore::ScenarioSpec& spec = space.spec();
+  std::optional<AxisLabels> labels;
+  if (log != nullptr) labels.emplace(spec, *log);
+  std::array<std::size_t, SearchSpace::kDims> radix{};
+  for (std::size_t dim = 0; dim < SearchSpace::kDims; ++dim) {
+    radix[dim] = space.axis_size(dim);
+  }
+  runtime::ThreadTeam& team = engine.team();
+  std::vector<SweepWorker> workers(static_cast<std::size_t>(team.size()));
+  std::vector<SweepBlock> ring(2 * workers.size());
+  if (log != nullptr) {
+    for (SweepBlock& slot : ring) {
+      slot.frames.resize(kSweepBlock * BinaryLog::kRecordBytes);
+    }
+  }
+
+  // Evaluates worker `tid`'s queued jobs into the next slots of `out`
+  // and encodes their frames.
+  const auto evaluate_queued = [&](SweepBlock& out, int tid) {
+    SweepWorker& worker = workers[static_cast<std::size_t>(tid)];
+    if (worker.queued == 0) return;
+    const std::size_t at = out.count;
+    out.count += worker.queued;
+    if (out.results.size() < out.count) out.results.resize(out.count);
+    engine.evaluate_block(
+        tid,
+        std::span<const explore::EvalJob>(worker.jobs).first(worker.queued),
+        std::span(out.results).subspan(at, worker.queued));
+    if (log != nullptr) {
+      for (std::size_t i = 0; i < worker.queued; ++i) {
+        BinaryLog::encode_record(
+            out.results[at + i], worker.labels[i],
+            out.frames.data() + (out.fresh + i) * BinaryLog::kRecordBytes);
+      }
+    }
+    out.fresh += worker.queued;
+    worker.queued = 0;
+  };
+
   std::vector<explore::EvalResult> results;
   results.reserve(static_cast<std::size_t>(
       std::min(range.size(), space.point_count())));
-  // Job slots are reused across chunks: a fresh EvalJob costs more to
-  // construct than to fill.
-  std::vector<explore::EvalJob> jobs;
-  std::vector<std::uint64_t> flats;
-  auto seed = prior.begin();
-  while (seed != prior.end() && seed->flat < range.begin) ++seed;
-  for (std::uint64_t begin = range.begin; begin < range.end;
-       begin += kSweepChunk) {
-    const std::uint64_t end = std::min(begin + kSweepChunk, range.end);
-    const auto chunk_seeds = seed;
-    while (seed != prior.end() && seed->flat < end) ++seed;
-    flats.clear();
-    auto next = chunk_seeds;
-    for (std::uint64_t flat = begin; flat < end; ++flat) {
-      if (space.canonical(flat) != flat) continue;
-      if (next != seed && next->flat == flat) {
-        ++next;  // copied below
-        continue;
-      }
-      if (flats.size() == jobs.size()) jobs.emplace_back();
-      space.job_at(space.decode(flat), &jobs[flats.size()]);
-      jobs[flats.size()].index = flats.size();
-      flats.push_back(flat);
-    }
-    const std::size_t first = results.size();
-    results.resize(first + flats.size());
-    engine.run(std::span(jobs).first(flats.size()),
-               std::span(results).subspan(first));
-    for (std::size_t i = 0; i < flats.size(); ++i) {
-      explore::EvalResult& result = results[first + i];
-      result.index = static_cast<std::size_t>(flats[i]);
-      if (log != nullptr) log->append(result);
-    }
-    // The chunk's seeded flats: copies of their records, merged in.
-    const auto copied = static_cast<std::ptrdiff_t>(results.size());
-    for (auto from = chunk_seeds; from != seed; ++from) {
-      explore::EvalResult& copy = results.emplace_back(*from->record);
-      copy.index = static_cast<std::size_t>(from->flat);
-      copy.from_cache = true;
-    }
-    std::inplace_merge(results.begin() + static_cast<std::ptrdiff_t>(first),
-                       results.begin() + copied, results.end(),
-                       [](const explore::EvalResult& a,
-                          const explore::EvalResult& b) {
-                         return a.index < b.index;
-                       });
-  }
+  runtime::run_ordered_blocks(
+      team, static_cast<std::size_t>((range.size() + kSweepBlock - 1) /
+                                     kSweepBlock),
+      ring,
+      [&](SweepBlock& out, std::size_t block, int tid) {
+        SweepWorker& worker = workers[static_cast<std::size_t>(tid)];
+        out.count = 0;
+        out.fresh = 0;
+        const std::uint64_t first = range.begin + block * kSweepBlock;
+        const std::uint64_t last = std::min(first + kSweepBlock, range.end);
+        auto seed = std::partition_point(
+            prior.begin(), prior.end(),
+            [first](const PriorPoint& point) { return point.flat < first; });
+        Coords coords = space.decode(first);
+        // mslint: hot-path — once per flat of the sweep.
+        for (std::uint64_t flat = first; flat < last; ++flat) {
+          if (space.is_canonical(coords)) {
+            if (seed != prior.end() && seed->flat == flat) {
+              // A seeded point: a copy of its record, in flat order.
+              evaluate_queued(out, tid);
+              if (out.results.size() == out.count) {
+                out.results.emplace_back();
+              }
+              explore::EvalResult& copy = out.results[out.count++];
+              copy = *seed->record;
+              copy.index = static_cast<std::size_t>(flat);
+              copy.from_cache = true;
+              ++seed;
+            } else {
+              if (worker.queued == kSweepBatch) evaluate_queued(out, tid);
+              explore::EvalJob& job = worker.jobs[worker.queued];
+              space.job_at(coords, &job);
+              job.index = static_cast<std::size_t>(flat);
+              if (labels) {
+                worker.labels[worker.queued] = labels->of(spec, coords);
+              }
+              ++worker.queued;
+            }
+          }
+          // Mixed-radix increment: the coordinates of flat + 1.
+          for (std::size_t dim = SearchSpace::kDims; dim-- > 0;) {
+            if (++coords[dim] < radix[dim]) break;
+            coords[dim] = 0;
+          }
+        }
+        // mslint: cold
+        evaluate_queued(out, tid);
+      },
+      [&](SweepBlock& in, std::size_t /*block*/) {
+        if (log != nullptr) {
+          log->append_records(std::string_view(
+              in.frames.data(), in.fresh * BinaryLog::kRecordBytes));
+        }
+        for (std::size_t i = 0; i < in.count; ++i) {
+          results.push_back(std::move(in.results[i]));
+        }
+      });
   if (log != nullptr) log->flush();
   return results;
 }

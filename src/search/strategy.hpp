@@ -144,22 +144,33 @@ struct PriorPoint {
 std::vector<PriorPoint> prior_points(
     const SearchSpace& space, std::span<const explore::EvalResult> records);
 
-/// Flat indices one run_sweep chunk spans.  A chunk is one engine
-/// dispatch; its fresh results reach the log when it completes.
-inline constexpr std::uint64_t kSweepChunk = 8192;
+/// Flat indices one run_sweep block spans: the unit a worker claims,
+/// evaluates and encodes, and the calling thread appends to the log.
+inline constexpr std::uint64_t kSweepBlock = 4096;
 
 /// The exhaustive sweep over `range` of `space` — a whole run is
 /// ShardPlan(space.size(), 1).range(0), shard i of K is
-/// ShardPlan(space.size(), K).range(i).  Visits, in ascending chunks of
-/// kSweepChunk flats, exactly the flats that are their own
-/// SearchSpace::canonical index, and returns their results in flat
-/// order, each with its flat as its index.  So the sweep meets no design
-/// point twice, and the union of a K-shard run's results is the 1-shard
-/// run's.  A flat in `prior` (sorted, as prior_points returns it) is
-/// not evaluated: its result is a copy of its record, marked
-/// `from_cache`.  When `log` is non-null each chunk's evaluated results
-/// are appended as the chunk completes, and the log is flushed at the
-/// end: a failed final group fails the sweep.
+/// ShardPlan(space.size(), K).range(i).  Visits exactly the flats that
+/// are their own SearchSpace::canonical index and returns their results
+/// in flat order, each with its flat as its index.  So the sweep meets
+/// no design point twice, and the union of a K-shard run's results is
+/// the 1-shard run's.  A flat in `prior` (sorted, as prior_points
+/// returns it) is not evaluated: its result is a copy of its record,
+/// marked `from_cache`.  The engine's cache settings apply
+/// (ExploreEngine::evaluate_block); the sweep meets no design point
+/// twice, so a cached result is one the cache held before the sweep.
+///
+/// One ordered block pipeline on engine.team() (runtime::
+/// run_ordered_blocks): workers claim blocks of kSweepBlock flats in
+/// ascending order, filter them to canonical flats, build and evaluate
+/// their jobs and, when `log` is non-null, encode their fresh results'
+/// log frames; the calling thread appends each block's frames to `log`
+/// and moves its results into the returned vector in block order, and
+/// evaluates blocks itself when the next one is not ready.  The log's
+/// bytes do not depend on the team size.  The log is flushed at the
+/// end: a failed group fails the sweep, after the team has joined.  A
+/// killed sweep loses the log's filling group and the blocks evaluated
+/// but not yet appended, at most the ring of 2 blocks per worker.
 std::vector<explore::EvalResult> run_sweep(
     explore::ExploreEngine& engine, const SearchSpace& space,
     const ShardRange& range, RunLog* log = nullptr,

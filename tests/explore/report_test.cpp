@@ -648,5 +648,72 @@ TEST(RankingOracle, ParetoFrontierHypervolumeAndSummaryMatchTheReference) {
   }
 }
 
+/// Checks summarize() against best_result, top_k and pareto_frontier at
+/// team sizes 1-4: the same best record, and byte-equal texts.
+void expect_summary_matches(const std::vector<EvalResult>& results,
+                            const std::string& what) {
+  const std::size_t feasible = feasible_copy(results).size();
+  for (int threads = 1; threads <= 4; ++threads) {
+    runtime::ThreadTeam team(threads);
+    for (std::size_t k : {std::size_t{0}, std::size_t{1}, std::size_t{5},
+                          feasible, feasible + 10}) {
+      for (CostMetric metric :
+           {CostMetric::kCoreArea, CostMetric::kCoreCount}) {
+        const std::string where = what + " threads " +
+                                  std::to_string(threads) + " k " +
+                                  std::to_string(k) + " metric " +
+                                  std::string(cost_metric_label(metric));
+        const Summary summary = summarize(results, k, metric, &team);
+        const EvalResult* best = best_result(results);
+        EXPECT_EQ(summary.best, best) << where;
+        if (best != nullptr && summary.best != nullptr) {
+          EXPECT_EQ(best_line(*summary.best), best_line(*best)) << where;
+        }
+        EXPECT_EQ(top_k_text(summary.top), top_k_text(top_k(results, k)))
+            << where;
+        EXPECT_EQ(pareto_text(summary.frontier, metric),
+                  pareto_text(pareto_frontier(results, metric), metric))
+            << where;
+      }
+    }
+  }
+}
+
+TEST(RankingOracle, SummarizeMatchesTheSerialReductionsForEveryTeamSize) {
+  // Equal speedups, indices repeated at two positions (as after a
+  // --merge-from fold) and -0.0 speedups, split across every team.
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    std::mt19937_64 rng(seed);
+    expect_summary_matches(tied_records(rng, rng() % 400),
+                           "seed " + std::to_string(seed));
+  }
+  // An index at two positions with equal speedups: the earlier wins.
+  std::vector<EvalResult> twins;
+  for (std::size_t i = 0; i < 9; ++i) {
+    twins.push_back(point(i % 3, 1.0 + i % 2, 0.0, 4.0, 7.0));
+    twins.back().scenario = "twin" + std::to_string(i);
+  }
+  expect_summary_matches(twins, "twins");
+  // Nothing feasible: no best, empty tables.
+  std::vector<EvalResult> infeasible;
+  for (std::size_t i = 0; i < 11; ++i) {
+    infeasible.push_back(point(i, 1.0, 2.0, 3.0, 5.0, /*feasible=*/false));
+  }
+  expect_summary_matches(infeasible, "infeasible");
+  expect_summary_matches({}, "empty");
+  // -0.0 and NaN costs under both metrics: -0.0 is one cost with 0.0,
+  // NaN is never kept.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  std::vector<EvalResult> odd_costs;
+  for (std::size_t i = 0; i < 24; ++i) {
+    const double r = i % 4 == 0 ? -0.0 : i % 4 == 1 ? nan : 0.0;
+    const double cores = i % 3 == 0 ? -0.0 : i % 3 == 1 ? nan : 2.0;
+    odd_costs.push_back(point(i % 7, r, i % 4 == 3 ? 1.0 : 0.0, cores,
+                              static_cast<double>(i % 5)));
+    odd_costs.back().scenario = "odd" + std::to_string(i);
+  }
+  expect_summary_matches(odd_costs, "odd costs");
+}
+
 }  // namespace
 }  // namespace mergescale::explore

@@ -4,10 +4,11 @@
 // contract — what load() returns is a PREFIX of what was appended
 // (never a fabricated or reordered record), and the loss is bounded by
 // the documented crash window: the one flush group still filling.
-// The sweep tests run explore_cli's sweep (search::run_sweep: chunks of
-// kSweepChunk flat indices, fresh results appended in groups of
-// kSweepFlushEvery) and check that a killed disk costs at most one
-// group, which a resume evaluates again and nothing more.
+// The sweep tests run explore_cli's sweep (search::run_sweep: blocks of
+// kSweepBlock flat indices evaluated and encoded on the team, their
+// frames appended in groups of kSweepFlushEvery by the calling thread)
+// and check that a killed disk costs at most one group, which a resume
+// evaluates again and nothing more.
 
 #include <algorithm>
 #include <filesystem>
@@ -234,6 +235,61 @@ TEST_F(CrashConsistencyTest, StickyWriteFailureMidSweepLosesAtMostOneGroup) {
   EXPECT_EQ(loaded.size(), 9 * kSweepFlushEvery);
   EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
   expect_resume_completes(dir_, spec, loaded.size());
+}
+
+TEST_F(CrashConsistencyTest, PipelineGroupWriteFailureLosesOneGroup) {
+  util::FaultyIoEnv faulty;
+  util::ScopedIoEnv scope(&faulty);
+  const explore::ScenarioSpec spec = sweep_spec();
+  const SearchSpace space(spec);
+  const std::vector<explore::EvalResult> reference = uninterrupted(spec);
+  // The seventh group's write fails (the header is the first write);
+  // three workers keep blocks in flight around it.
+  constexpr std::size_t kFailedGroup = 7;
+  util::FailPoints::instance().arm(
+      "io.write", "nth:" + std::to_string(kFailedGroup + 1) + "@results");
+  RunLog::write_meta(dir_, kConfig);
+  explore::ExploreEngine engine({3, false});
+  Sweep run;
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
+    run = sweep(engine, log, spec);
+  }
+  util::FailPoints::instance().disarm_all();
+  ASSERT_TRUE(run.failed);
+  // The team joined: the same engine sweeps again.
+  EXPECT_EQ(run_sweep(engine, space, ShardPlan(space.size(), 1).range(0))
+                .size(),
+            reference.size());
+
+  // Exactly the groups before the failed one load.
+  const auto loaded = RunLog::load(dir_);
+  expect_prefix(loaded, reference);
+  EXPECT_EQ(loaded.size(), (kFailedGroup - 1) * kSweepFlushEvery);
+  EXPECT_LE(run.appended - loaded.size(), kSweepFlushEvery);
+
+  // explore_cli --resume, then --archive: the archive an uninterrupted
+  // sweep writes, byte for byte.
+  {
+    RunLog log(dir_, options(kSweepFlushEvery, /*fsync=*/false));
+    const std::vector<explore::EvalResult> records = RunLog::load(dir_);
+    const Sweep resumed =
+        sweep(engine, log, spec, prior_points(space, records));
+    ASSERT_FALSE(resumed.failed);
+    EXPECT_EQ(resumed.appended, reference.size() - loaded.size());
+  }
+  ASSERT_TRUE(RunLog::fold(dir_).has_value());
+  const std::string plain = dir_ + "/uninterrupted";
+  RunLog::archive(plain, reference);
+  std::string resumed_bytes;
+  std::string plain_bytes;
+  ASSERT_TRUE(
+      util::io_env().read_file(RunLog::archive_path(dir_), &resumed_bytes).ok());
+  ASSERT_TRUE(
+      util::io_env().read_file(RunLog::archive_path(plain), &plain_bytes).ok());
+  EXPECT_FALSE(plain_bytes.empty());
+  EXPECT_TRUE(resumed_bytes == plain_bytes)
+      << "the resumed sweep's archive differs from an uninterrupted one";
 }
 
 TEST_F(CrashConsistencyTest, FailedLogRemovalAfterArchiveRenameIsBenign) {
