@@ -11,7 +11,12 @@
 // (search::SearchSpace::canonical), which every record carries: the
 // sweep (search::run_sweep, sharded or not) evaluates each canonical
 // point once, in ascending flat order, and a search evaluates each point
-// it proposes once, so the engine runs without its memo cache.
+// it proposes once, so the engine runs without its memo cache.  Every
+// best, top-k and Pareto answer, a search's included, follows one rank
+// order (explore::ranks_before): on a grid with exact twins (say two
+// apps with equal f/fcon/fored) a search reports the lower canonical
+// index, whichever twin it evaluated first, as the sweep and serve_cli
+// do; builds before that reported the twin it evaluated first.
 // Results stream into an optional run directory as an append-only
 // binary log, written in groups of --flush-every records (default 64):
 // a killed run loses at most one unflushed group, and a killed sweep

@@ -206,17 +206,6 @@ void evaluate_jobs(std::span<const EvalJob> jobs,
   }
 }
 
-double cost_of(const EvalResult& result, CostMetric metric) noexcept {
-  switch (metric) {
-    case CostMetric::kCoreArea: return std::max(result.r, result.rl);
-    case CostMetric::kCoreCount: return result.cores;
-  }
-  // Exhaustive by construction: a CostMetric added without a case above
-  // must fail loudly here — the old fall-through returned 0.0, which
-  // would silently rank every design as free under the new metric.
-  util::unreachable("cost_of: unhandled CostMetric");
-}
-
 std::optional<CostMetric> parse_cost_metric(std::string_view name) noexcept {
   if (name == "area") return CostMetric::kCoreArea;
   if (name == "cores") return CostMetric::kCoreCount;

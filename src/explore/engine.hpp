@@ -14,6 +14,7 @@
 // point the cache did not hold before *this* run: it flips on repeats,
 // but never with scheduling, even for duplicate points inside one batch.
 
+#include <algorithm>
 #include <cstddef>
 #include <optional>
 #include <span>
@@ -25,6 +26,7 @@
 #include "explore/memo_cache.hpp"
 #include "explore/scenario.hpp"
 #include "runtime/thread_team.hpp"
+#include "util/check.hpp"
 
 namespace mergescale::explore {
 
@@ -54,8 +56,23 @@ enum class CostMetric {
   kCoreCount,  ///< total number of cores on the chip
 };
 
+/// Cost under `metric` of a design with core sizes `r` and `rl` and
+/// `cores` cores: the one definition of each metric.  The archive's
+/// column scans call this form on raw columns.
+inline double cost_of(CostMetric metric, double r, double rl,
+                      double cores) noexcept {
+  switch (metric) {
+    case CostMetric::kCoreArea: return std::max(r, rl);
+    case CostMetric::kCoreCount: return cores;
+  }
+  // A metric without a case fails loudly, never ranks designs as free.
+  util::unreachable("cost_of: unhandled CostMetric");
+}
+
 /// Cost of one (feasible) result under `metric`.
-double cost_of(const EvalResult& result, CostMetric metric) noexcept;
+inline double cost_of(const EvalResult& result, CostMetric metric) noexcept {
+  return cost_of(metric, result.r, result.rl, result.cores);
+}
 
 /// The metric explore_cli's --cost-metric and the server's `pareto`
 /// name ("area" | "cores"); std::nullopt for any other text.

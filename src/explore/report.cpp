@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <string_view>
@@ -16,30 +17,6 @@
 namespace mergescale::explore {
 
 namespace {
-
-/// speedup-descending, index-ascending on ties.
-bool better(const EvalResult& a, const EvalResult& b) {
-  if (a.speedup != b.speedup) return a.speedup > b.speedup;
-  return a.index < b.index;
-}
-
-/// What top_k sorts instead of whole EvalResults (which carry four
-/// strings each): the ranking fields of one feasible result plus its
-/// position in the input.  Position is the last tiebreak, so the order
-/// is total and reproduces a stable sort of the records themselves; only
-/// the winners are copied out.
-struct RankKey {
-  double speedup = 0.0;
-  std::size_t index = 0;
-  std::size_t position = 0;
-};
-
-/// `better` on keys, with input position as the final tiebreak.
-bool ranks_before(const RankKey& a, const RankKey& b) {
-  if (a.speedup != b.speedup) return a.speedup > b.speedup;
-  if (a.index != b.index) return a.index < b.index;
-  return a.position < b.position;
-}
 
 /// ParetoReduction's slot hash of a cost; -0.0 hashes as 0.0, which it
 /// equals.
@@ -53,14 +30,50 @@ std::size_t cost_hash(double cost) {
 
 }  // namespace
 
+TopK::TopK(std::size_t k, std::size_t offers) : k_(k) {
+  heap_.reserve(std::min(k, offers));
+}
+
+// mslint: hot-path — once per feasible result in summarize's shares.
+void TopK::offer(const RankKey& key) {
+  if (heap_.size() < k_) {
+    heap_.push_back(key);
+    std::push_heap(heap_.begin(), heap_.end(), ranks_before);
+  } else if (k_ > 0 && ranks_before(key, heap_.front())) {
+    std::pop_heap(heap_.begin(), heap_.end(), ranks_before);
+    heap_.back() = key;
+    std::push_heap(heap_.begin(), heap_.end(), ranks_before);
+  }
+}
+// mslint: cold
+
+void TopK::merge(const TopK& later) {
+  for (const RankKey& key : later.heap_) offer(key);
+}
+
+std::vector<std::size_t> TopK::ids() const {
+  std::vector<RankKey> sorted = heap_;
+  std::sort_heap(sorted.begin(), sorted.end(), ranks_before);
+  std::vector<std::size_t> ids(sorted.size());
+  std::ranges::transform(sorted, ids.begin(), &RankKey::id);
+  return ids;
+}
+
+const RankKey* TopK::cutoff() const noexcept {
+  return k_ > 0 && heap_.size() == k_ ? &heap_.front() : nullptr;
+}
+
 const EvalResult* best_result(
     const std::vector<EvalResult>& results) noexcept {
-  const EvalResult* best = nullptr;
-  for (const auto& result : results) {
-    if (!result.feasible) continue;
-    if (best == nullptr || better(result, *best)) best = &result;
+  std::size_t best = results.size();
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    if (!results[i].feasible) continue;
+    if (best == results.size() ||
+        ranks_before(rank_key(results[i], i), rank_key(results[best], best))) {
+      best = i;
+    }
   }
-  return best;
+  return best == results.size() ? nullptr : &results[best];
 }
 
 std::string best_line(const EvalResult& best) {
@@ -74,26 +87,16 @@ std::string best_line(const EvalResult& best) {
 
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k) {
-  std::vector<RankKey> keys;
-  keys.reserve(results.size());
+  TopK selection(k, results.size());
   for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].feasible) {
-      keys.push_back({results[i].speedup, results[i].index, i});
-    }
+    if (results[i].feasible) selection.offer(rank_key(results[i], i));
   }
-  const std::size_t keep = std::min(k, keys.size());
-  std::partial_sort(keys.begin(), keys.begin() + keep, keys.end(),
-                    ranks_before);
   std::vector<EvalResult> top;
-  top.reserve(keep);
-  for (std::size_t i = 0; i < keep; ++i) {
-    top.push_back(results[keys[i].position]);
-  }
+  for (const std::size_t i : selection.ids()) top.push_back(results[i]);
   return top;
 }
 
-void ParetoReduction::offer(double cost, double speedup, std::size_t index,
-                            std::size_t id) {
+void ParetoReduction::offer(double cost, const RankKey& key) {
   if (std::isnan(cost)) return;
   if (2 * (winners_.size() + 1) > slots_.size()) grow();
   const std::size_t mask = slots_.size() - 1;
@@ -101,16 +104,12 @@ void ParetoReduction::offer(double cost, double speedup, std::size_t index,
     const std::uint32_t slot = slots_[at];
     if (slot == 0) {
       slots_[at] = static_cast<std::uint32_t>(winners_.size() + 1);
-      winners_.push_back({cost, speedup, index, id});
+      winners_.push_back({cost, key});
       return;
     }
     Winner& winner = winners_[slot - 1];
     if (winner.cost == cost) {
-      // Strictly better only: on a full tie the earlier offer stays.
-      if (speedup > winner.speedup ||
-          (speedup == winner.speedup && index < winner.index)) {
-        winner = {cost, speedup, index, id};
-      }
+      if (ranks_before(key, winner.key)) winner.key = key;
       return;
     }
   }
@@ -128,7 +127,7 @@ void ParetoReduction::grow() {
 
 void ParetoReduction::merge(const ParetoReduction& later) {
   for (const Winner& winner : later.winners_) {
-    offer(winner.cost, winner.speedup, winner.index, winner.id);
+    offer(winner.cost, winner.key);
   }
 }
 
@@ -142,8 +141,8 @@ std::vector<std::size_t> ParetoReduction::frontier() const {
   std::vector<std::size_t> ids;
   const Winner* last = nullptr;  // the last winner kept
   for (const Winner* winner : by_cost) {
-    if (last == nullptr || winner->speedup > last->speedup) {
-      ids.push_back(winner->id);
+    if (last == nullptr || winner->key.speedup > last->key.speedup) {
+      ids.push_back(winner->key.id);
       last = winner;
     }
   }
@@ -156,8 +155,7 @@ std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
   for (std::size_t i = 0; i < results.size(); ++i) {
     const EvalResult& result = results[i];
     if (result.feasible) {
-      reduction.offer(cost_of(result, metric), result.speedup, result.index,
-                      i);
+      reduction.offer(cost_of(result, metric), rank_key(result, i));
     }
   }
   std::vector<EvalResult> frontier;
@@ -171,10 +169,11 @@ Summary summarize(const std::vector<EvalResult>& results, std::size_t k,
                   CostMetric metric, runtime::ThreadTeam* team) {
   /// One worker's reduction of its share, on its own cache lines.
   struct alignas(64) Share {
-    const EvalResult* best = nullptr;
-    std::vector<RankKey> top;  ///< a heap of the k best, the worst first
+    TopK top{0};
     ParetoReduction pareto;
   };
+  // One selection serves the best and the top k.
+  const std::size_t keep = std::max<std::size_t>(k, 1);
   runtime::ThreadTeam solo(1);
   runtime::ThreadTeam& workers = team != nullptr ? *team : solo;
   std::vector<Share> shares(static_cast<std::size_t>(workers.size()));
@@ -182,42 +181,29 @@ Summary summarize(const std::vector<EvalResult>& results, std::size_t k,
     const auto [begin, end] =
         runtime::ThreadTeam::partition(0, results.size(), tid, team_size);
     Share& share = shares[static_cast<std::size_t>(tid)];
-    share.top.reserve(std::min(k, end - begin));
+    share.top = TopK(keep, end - begin);
     // mslint: hot-path — once per result.
     for (std::size_t i = begin; i < end; ++i) {
       const EvalResult& result = results[i];
       if (!result.feasible) continue;
-      if (share.best == nullptr || better(result, *share.best)) {
-        share.best = &result;
-      }
-      const RankKey key{result.speedup, result.index, i};
-      if (share.top.size() < k) {
-        share.top.push_back(key);
-        std::push_heap(share.top.begin(), share.top.end(), ranks_before);
-      } else if (k > 0 && ranks_before(key, share.top.front())) {
-        std::pop_heap(share.top.begin(), share.top.end(), ranks_before);
-        share.top.back() = key;
-        std::push_heap(share.top.begin(), share.top.end(), ranks_before);
-      }
-      share.pareto.offer(cost_of(result, metric), result.speedup,
-                         result.index, i);
+      const RankKey key = rank_key(result, i);
+      share.top.offer(key);
+      share.pareto.offer(cost_of(result, metric), key);
     }
     // mslint: cold
   });
-  Summary summary;
-  std::vector<RankKey> top;
+  TopK top(keep);
   ParetoReduction pareto;
   for (const Share& share : shares) {
-    if (share.best != nullptr &&
-        (summary.best == nullptr || better(*share.best, *summary.best))) {
-      summary.best = share.best;
-    }
-    top.insert(top.end(), share.top.begin(), share.top.end());
+    top.merge(share.top);
     pareto.merge(share.pareto);
   }
-  std::sort(top.begin(), top.end(), ranks_before);
-  top.resize(std::min(k, top.size()));
-  for (const RankKey& key : top) summary.top.push_back(results[key.position]);
+  Summary summary;
+  const std::vector<std::size_t> ids = top.ids();
+  if (!ids.empty()) summary.best = &results[ids.front()];
+  for (std::size_t i = 0; i < std::min(k, ids.size()); ++i) {
+    summary.top.push_back(results[ids[i]]);
+  }
   for (const std::size_t id : pareto.frontier()) {
     summary.frontier.push_back(results[id]);
   }
@@ -232,47 +218,48 @@ double hypervolume_ref_cost(const ScenarioSpec& spec) {
          1.0;
 }
 
-double hypervolume(const std::vector<EvalResult>& frontier, CostMetric metric,
-                   double ref_cost) {
-  // Reduce to the true non-dominated subset (sorted, speedup strictly
-  // increasing with cost) so overlapping rectangles never double-count.
-  const std::vector<EvalResult> clean = pareto_frontier(frontier, metric);
-  double volume = 0.0;
+namespace {
+
+/// The hypervolume slab of each member of `clean`, a pareto_frontier
+/// (sorted, speedup strictly increasing with cost, so slabs never
+/// overlap), against `ref_cost`: member i dominates the cost slice
+/// [cost_i, cost_{i+1}) up to its own speedup — later (costlier) members
+/// only ever dominate more speedup — and a member at or beyond
+/// `ref_cost` dominates nothing.
+std::vector<double> slab_areas(const std::vector<EvalResult>& clean,
+                               CostMetric metric, double ref_cost) {
+  std::vector<double> areas(clean.size(), 0.0);
   for (std::size_t i = 0; i < clean.size(); ++i) {
     const double cost = cost_of(clean[i], metric);
     if (cost >= ref_cost) break;
-    // Point i dominates the cost slice [cost_i, cost_{i+1}) up to its own
-    // speedup; later (costlier) points only ever dominate *more* speedup.
     const double next = i + 1 < clean.size()
                             ? std::min(cost_of(clean[i + 1], metric), ref_cost)
                             : ref_cost;
-    volume += (next - cost) * clean[i].speedup;
+    areas[i] = (next - cost) * clean[i].speedup;
   }
-  return volume;
+  return areas;
+}
+
+}  // namespace
+
+double hypervolume(const std::vector<EvalResult>& frontier, CostMetric metric,
+                   double ref_cost) {
+  const std::vector<double> areas =
+      slab_areas(pareto_frontier(frontier, metric), metric, ref_cost);
+  return std::accumulate(areas.begin(), areas.end(), 0.0);
 }
 
 util::Table archive_summary(const std::vector<EvalResult>& archive,
                             CostMetric metric, double ref_cost) {
   const std::vector<EvalResult> clean = pareto_frontier(archive, metric);
+  const std::vector<double> areas = slab_areas(clean, metric, ref_cost);
   util::Table table({"cost", "speedup", "hv share", "variant", "n", "app",
                      "growth", "topology", "r", "rl"});
   for (std::size_t i = 0; i < clean.size(); ++i) {
-    const double cost = cost_of(clean[i], metric);
-    double share = 0.0;
-    if (cost < ref_cost) {
-      const double next =
-          i + 1 < clean.size()
-              ? std::min(cost_of(clean[i + 1], metric), ref_cost)
-              : ref_cost;
-      // The cost slice this point is the best dominator of, times its
-      // speedup: the slab decomposition of the hypervolume, so the
-      // column sums to hypervolume(archive, metric, ref_cost).
-      share = (next - cost) * clean[i].speedup;
-    }
     table.new_row()
-        .cell(util::format_general(cost, 9))
+        .cell(util::format_general(cost_of(clean[i], metric), 9))
         .num(clean[i].speedup, 3)
-        .num(share, 3)
+        .num(areas[i], 3)
         .cell(std::string(core::model_variant_name(clean[i].variant)))
         .cell(util::format_general(clean[i].n, 9))
         .cell(clean[i].app)

@@ -15,8 +15,58 @@
 
 namespace mergescale::explore {
 
-/// Highest-speedup feasible result, or nullptr when every result is
-/// infeasible (the aggregate analogue of core::try_best_point).
+/// The one rank order behind every best, top-k and Pareto answer in
+/// explore, search and serve: speedup descending; ties go to the lower
+/// canonical index, then to the earlier input.  `id` is the caller's
+/// "earlier" (an input position, an archive row, a delta position).
+/// With distinct ids the order is total, so partial answers — a sweep's
+/// shares, an archive and its delta, a search's folds — merge in any
+/// order to the answer of one pass.
+struct RankKey {
+  double speedup = 0.0;
+  std::size_t index = 0;
+  std::size_t id = 0;
+};
+
+/// Whether `a` ranks strictly before `b` under the rank order.
+constexpr bool ranks_before(const RankKey& a, const RankKey& b) noexcept {
+  if (a.speedup != b.speedup) return a.speedup > b.speedup;
+  if (a.index != b.index) return a.index < b.index;
+  return a.id < b.id;
+}
+
+constexpr RankKey rank_key(const EvalResult& result, std::size_t id) noexcept {
+  return {result.speedup, result.index, id};
+}
+
+/// The bounded selection every best and top-k answer is read from: of
+/// the keys offered, the k that rank first.
+class TopK {
+ public:
+  /// Reserves room for min(k, `offers`) keys, so the first `offers`
+  /// offer() calls never allocate.
+  explicit TopK(std::size_t k, std::size_t offers = 0);
+
+  void offer(const RankKey& key);
+
+  /// Offers `later`'s keys: the selections of an input's shares, merged
+  /// in any order, leave the selection of one pass over the input.
+  void merge(const TopK& later);
+
+  /// Ids of the kept keys, best first.
+  std::vector<std::size_t> ids() const;
+
+  /// The worst kept key once k are kept, else nullptr: the cutoff a key
+  /// must rank before to enter, where a zone-map scan can stop.
+  const RankKey* cutoff() const noexcept;
+
+ private:
+  std::size_t k_;
+  std::vector<RankKey> heap_;  ///< a ranks_before heap: the worst on top
+};
+
+/// The feasible result that ranks first (ids being input positions), or
+/// nullptr when every result is infeasible.
 const EvalResult* best_result(const std::vector<EvalResult>& results) noexcept;
 
 /// The canonical one-line "best: ..." summary (no trailing newline).
@@ -25,22 +75,21 @@ const EvalResult* best_result(const std::vector<EvalResult>& results) noexcept;
 /// same records.
 std::string best_line(const EvalResult& best);
 
-/// The k highest-speedup feasible results, speedup-descending; ties break
-/// toward the lower job index (then the earlier input position) so the
-/// output is deterministic.  Sorts compact keys, copies only the winners.
+/// The k feasible results that rank first, best first, ids being input
+/// positions.  A TopK over the input; copies only the winners.
 std::vector<EvalResult> top_k(const std::vector<EvalResult>& results,
                               std::size_t k);
 
 /// The per-cost reduction every Pareto frontier is built from.  Only the
 /// best candidate at each distinct cost (compared with ==) can reach the
-/// frontier, so a caller offer()s its feasible candidates in input order,
-/// each under an id of its own (input position, archive row, ...), and
-/// materializes only frontier()'s ids.  Per cost the highest speedup
-/// wins, ties toward the lower index, then the earlier offer.  Memory is
-/// one entry per distinct cost; a NaN cost is never kept.
+/// frontier, so a caller offer()s its feasible candidates, each under an
+/// id of its own (input position, archive row, ...) in ascending order,
+/// and materializes only frontier()'s ids.  Per cost the key that ranks
+/// first wins.  Memory is one entry per distinct cost; a NaN cost is
+/// never kept.
 class ParetoReduction {
  public:
-  void offer(double cost, double speedup, std::size_t index, std::size_t id);
+  void offer(double cost, const RankKey& key);
 
   /// Offers `later`'s per-cost winners in its first-seen order.  Merging
   /// the reductions of consecutive input shares in share order leaves
@@ -54,9 +103,7 @@ class ParetoReduction {
  private:
   struct Winner {
     double cost = 0.0;
-    double speedup = 0.0;
-    std::size_t index = 0;
-    std::size_t id = 0;
+    RankKey key;
   };
   /// Rebuilds slots_ at twice the size.
   void grow();
@@ -69,10 +116,9 @@ class ParetoReduction {
 
 /// 2-D Pareto frontier over feasible results: maximize speedup, minimize
 /// cost.  Returns the non-dominated set sorted by cost ascending (one
-/// result per cost value, the speedup-best; ties toward lower index, then
-/// the earlier input position), so speedup is strictly increasing along
-/// the returned vector.  A ParetoReduction over the input; copies only
-/// the frontier.
+/// result per cost value, the one that ranks first, ids being input
+/// positions), so speedup strictly increases along it.  A
+/// ParetoReduction over the input; copies only the frontier.
 std::vector<EvalResult> pareto_frontier(const std::vector<EvalResult>& results,
                                         CostMetric metric);
 
@@ -85,11 +131,11 @@ struct Summary {
 };
 
 /// The three reductions in one pass on `team` (the calling thread alone
-/// when null): each worker reduces a contiguous share of `results` to
-/// its best, its k best rank keys (a bounded heap) and a
-/// ParetoReduction, and the shares merge in share order, so every tie
-/// resolves as in the serial functions and nothing depends on the team
-/// size.  `team` must not be running a region of its own.
+/// when null): each worker reduces a contiguous share of `results` to a
+/// TopK of max(k, 1) keys and a ParetoReduction, and the shares merge in
+/// share order, so every tie resolves as in the serial functions and
+/// nothing depends on the team size.  The best is the selection's first
+/// id.  `team` must not be running a region of its own.
 Summary summarize(const std::vector<EvalResult>& results, std::size_t k,
                   CostMetric metric, runtime::ThreadTeam* team = nullptr);
 

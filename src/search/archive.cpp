@@ -595,38 +595,22 @@ struct ArchiveReader::Impl {
   void parse();
 
   /// The rows of the k best feasible records, best first: top_k's scan.
-  std::vector<std::uint64_t> rank_rows(std::size_t k) const;
+  std::vector<std::size_t> rank_rows(std::size_t k) const;
 
   /// top_k's ranking, memoized: the rows of the largest k ranked so
   /// far.  The archive never changes and the order is total, so any
   /// smaller k is a prefix — best() and repeated top_k calls materialize
   /// rows instead of rescanning blocks.
   mutable util::Mutex rank_mu;
-  mutable std::shared_ptr<const std::vector<std::uint64_t>> ranked
+  mutable std::shared_ptr<const std::vector<std::size_t>> ranked
       MS_GUARDED_BY(rank_mu);
 };
 
-std::vector<std::uint64_t> ArchiveReader::Impl::rank_rows(
+std::vector<std::size_t> ArchiveReader::Impl::rank_rows(
     std::size_t k) const {
-  // Candidate selection never materializes records: it scans the
-  // feasible/speedup/index columns of blocks visited in descending zone
-  // max-speedup, stopping once no remaining block can displace the
-  // current k-th best.
-  struct Cand {
-    double speedup = 0.0;
-    std::uint64_t index = 0;
-    std::uint64_t row = 0;
-  };
-  // explore::top_k's order: speedup descending, then the lower index,
-  // then the earlier row (its input position) — equal indices do occur
-  // in folded and adaptive runs, and the order must be total for the
-  // output to be.
-  const auto cand_better = [](const Cand& a, const Cand& b) {
-    if (a.speedup != b.speedup) return a.speedup > b.speedup;
-    if (a.index != b.index) return a.index < b.index;
-    return a.row < b.row;
-  };
-
+  // Candidate selection never materializes records: one explore::TopK
+  // (rows as ids) takes the feasible/speedup/index columns of blocks in
+  // descending zone max-speedup until no block left can pass its cutoff.
   std::vector<std::uint32_t> order;
   order.reserve(zones.size());
   for (std::uint32_t b = 0; b < zones.size(); ++b) {
@@ -640,14 +624,11 @@ std::vector<std::uint64_t> ArchiveReader::Impl::rank_rows(
               return a < b;
             });
 
-  // `kept` is a heap with the WORST kept candidate on top (cand_better
-  // as the strict weak order makes the heap's max the least-good).
-  std::vector<Cand> kept;
-  kept.reserve(std::min<std::size_t>(k, 1024));
+  explore::TopK top(k, 1024);
   std::string feas_scratch, speedup_scratch, index_scratch;
   for (const std::uint32_t b : order) {
-    if (kept.size() == k &&
-        zones[b].max_speedup < kept.front().speedup) {
+    if (const explore::RankKey* kth = top.cutoff();
+        kth != nullptr && zones[b].max_speedup < kth->speedup) {
       break;  // nothing below this zone ceiling can displace the k-th
     }
     const std::string_view feas = slice(b, kColFeasible, &feas_scratch);
@@ -658,24 +639,12 @@ std::vector<std::uint64_t> ArchiveReader::Impl::rank_rows(
     const std::uint64_t first_row = std::uint64_t{b} * lay.block_rows;
     for (std::uint64_t i = 0; i < rows_in; ++i) {
       if (static_cast<unsigned char>(feas[i]) == 0) continue;
-      const Cand cand{get_f64(speedup.data() + i * 8),
-                      get_u64(index.data() + i * 8), first_row + i};
-      if (kept.size() < k) {
-        kept.push_back(cand);
-        std::push_heap(kept.begin(), kept.end(), cand_better);
-      } else if (cand_better(cand, kept.front())) {
-        std::pop_heap(kept.begin(), kept.end(), cand_better);
-        kept.back() = cand;
-        std::push_heap(kept.begin(), kept.end(), cand_better);
-      }
+      top.offer({get_f64(speedup.data() + i * 8),
+                 static_cast<std::size_t>(get_u64(index.data() + i * 8)),
+                 static_cast<std::size_t>(first_row + i)});
     }
   }
-
-  std::sort(kept.begin(), kept.end(), cand_better);
-  std::vector<std::uint64_t> rows;
-  rows.reserve(kept.size());
-  for (const Cand& cand : kept) rows.push_back(cand.row);
-  return rows;
+  return top.ids();
 }
 
 void ArchiveReader::Impl::parse() {
@@ -861,13 +830,13 @@ std::vector<explore::EvalResult> ArchiveReader::top_k(std::size_t k) const {
   const auto want =
       static_cast<std::size_t>(std::min<std::uint64_t>(k, impl.feasible));
   if (want == 0) return {};
-  std::shared_ptr<const std::vector<std::uint64_t>> ranked;
+  std::shared_ptr<const std::vector<std::size_t>> ranked;
   {
     util::MutexLock lock(impl.rank_mu);
     ranked = impl.ranked;
   }
   if (ranked == nullptr || ranked->size() < want) {
-    ranked = std::make_shared<const std::vector<std::uint64_t>>(
+    ranked = std::make_shared<const std::vector<std::size_t>>(
         impl.rank_rows(want));
     util::MutexLock lock(impl.rank_mu);
     if (impl.ranked == nullptr || impl.ranked->size() < ranked->size()) {
@@ -889,33 +858,34 @@ std::vector<explore::EvalResult> ArchiveReader::pareto(
   // frontier is byte-identical to explore::pareto_frontier over the same
   // records while holding one candidate per distinct cost.
   explore::ParetoReduction reduction;
-  std::string feas_scratch, speedup_scratch, index_scratch, cost_a_scratch,
-      cost_b_scratch;
+  std::string feas_scratch, speedup_scratch, index_scratch, r_scratch,
+      rl_scratch, cores_scratch;
+  const auto value = [](std::string_view column, std::uint64_t i) {
+    return column.empty() ? 0.0 : get_f64(column.data() + i * 8);
+  };
   for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
     if (impl.zones[b].feasible_rows == 0) continue;
     const std::string_view feas = impl.slice(b, kColFeasible, &feas_scratch);
     const std::string_view speedup =
         impl.slice(b, kColSpeedup, &speedup_scratch);
     const std::string_view index = impl.slice(b, kColIndex, &index_scratch);
-    std::string_view cost_a, cost_b;
+    // The columns the cost reads; explore::cost_of ignores the others.
+    std::string_view r, rl, cores;
     if (metric == explore::CostMetric::kCoreArea) {
-      cost_a = impl.slice(b, kColR, &cost_a_scratch);
-      cost_b = impl.slice(b, kColRl, &cost_b_scratch);
+      r = impl.slice(b, kColR, &r_scratch);
+      rl = impl.slice(b, kColRl, &rl_scratch);
     } else {
-      cost_a = impl.slice(b, kColCores, &cost_a_scratch);
+      cores = impl.slice(b, kColCores, &cores_scratch);
     }
     const std::uint64_t rows_in = impl.lay.rows_in_block(b);
     const std::uint64_t first_row = std::uint64_t{b} * impl.lay.block_rows;
     for (std::uint64_t i = 0; i < rows_in; ++i) {
       if (static_cast<unsigned char>(feas[i]) == 0) continue;
-      const double cost =
-          metric == explore::CostMetric::kCoreArea
-              ? std::max(get_f64(cost_a.data() + i * 8),
-                         get_f64(cost_b.data() + i * 8))
-              : get_f64(cost_a.data() + i * 8);
-      reduction.offer(cost, get_f64(speedup.data() + i * 8),
-                      static_cast<std::size_t>(get_u64(index.data() + i * 8)),
-                      static_cast<std::size_t>(first_row + i));
+      reduction.offer(
+          explore::cost_of(metric, value(r, i), value(rl, i), value(cores, i)),
+          {get_f64(speedup.data() + i * 8),
+           static_cast<std::size_t>(get_u64(index.data() + i * 8)),
+           static_cast<std::size_t>(first_row + i)});
     }
   }
 

@@ -132,18 +132,15 @@ class ArchiveReader {
   std::uint64_t index_end() const noexcept;
   ArchiveStats stats() const noexcept;
 
-  /// Highest-speedup feasible record (ties toward the lower index);
-  /// nullopt when nothing is feasible.  Equals explore::best_result
-  /// over the archived records.
+  /// explore::best_result over the archived records; nullopt when
+  /// nothing is feasible.
   std::optional<explore::EvalResult> best() const;
 
-  /// The k best feasible records under (speedup desc, index asc, row
-  /// asc) — byte-equal to explore::top_k over load_all(), ties between
-  /// equal indices included.  Blocks are visited in descending zone
-  /// max-speedup and the scan stops once no remaining block can beat
-  /// the current k-th candidate.  The ranked rows are memoized, so a
-  /// later call for a k no larger than one already ranked (best()
-  /// included) only materializes its rows.
+  /// explore::top_k over load_all(), rows being the ids: one
+  /// explore::TopK fed blocks in descending zone max-speedup, stopping
+  /// once no remaining block can beat its cutoff.  The ranked rows are
+  /// memoized, so a later call for a k no larger than one already
+  /// ranked (best() included) only materializes its rows.
   std::vector<explore::EvalResult> top_k(std::size_t k) const;
 
   /// The speedup-vs-cost Pareto frontier, cost ascending — byte-equal

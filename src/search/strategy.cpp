@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
-#include <numeric>
 #include <span>
 #include <stdexcept>
 #include <unordered_map>
 #include <unordered_set>
 
+#include "explore/report.hpp"
 #include "runtime/ordered_blocks.hpp"
 #include "search/design_key.hpp"
 #include "util/check.hpp"
@@ -28,25 +28,26 @@ namespace {
 constexpr std::uint64_t kMaxStallRounds = 64;
 
 /// Folds one entry into a 2-D frontier kept cost ascending with strictly
-/// increasing speedup and one entry per cost value — the incremental
-/// form of the invariants explore::pareto_frontier establishes for a
-/// full sweep.  Shared by the outcome archive (EvalResult entries) and
-/// the kPareto parent pool (coordinate entries); `cost_fn`/`speedup_fn`
-/// project the objectives out of an entry.
-template <typename Entry, typename CostFn, typename SpeedupFn>
+/// increasing speedup and one entry per cost value, the one that ranks
+/// first — the incremental form of explore::pareto_frontier, which it
+/// equals for any fold order.  Shared by the outcome archive
+/// (EvalResult entries) and the kPareto parent pool (coordinate
+/// entries); `cost_fn` and `key_fn` project an entry's cost and rank
+/// key.  Keys carry equal ids, so on a full tie the earlier fold stays.
+template <typename Entry, typename CostFn, typename KeyFn>
 void fold_into_frontier(std::vector<Entry>& frontier, Entry entry,
-                        CostFn cost_fn, SpeedupFn speedup_fn) {
+                        CostFn cost_fn, KeyFn key_fn) {
   const double cost = cost_fn(entry);
-  const double speedup = speedup_fn(entry);
+  const explore::RankKey key = key_fn(entry);
   auto slot = std::lower_bound(
       frontier.begin(), frontier.end(), cost,
       [&](const Entry& member, double c) { return cost_fn(member) < c; });
   if (slot != frontier.end() && cost_fn(*slot) == cost) {
-    if (speedup <= speedup_fn(*slot)) return;  // dominated twin
+    if (!explore::ranks_before(key, key_fn(*slot))) return;
     *slot = std::move(entry);
   } else {
     if (slot != frontier.begin() &&
-        speedup_fn(*std::prev(slot)) >= speedup) {
+        key_fn(*std::prev(slot)).speedup >= key.speedup) {
       return;  // a cheaper entry is at least as fast
     }
     slot = frontier.insert(slot, std::move(entry));
@@ -54,7 +55,9 @@ void fold_into_frontier(std::vector<Entry>& frontier, Entry entry,
   // Drop costlier members the improved entry now dominates.
   const auto tail = std::next(slot);
   auto done = tail;
-  while (done != frontier.end() && speedup_fn(*done) <= speedup) ++done;
+  while (done != frontier.end() && key_fn(*done).speedup <= key.speedup) {
+    ++done;
+  }
   frontier.erase(tail, done);
 }
 
@@ -63,6 +66,7 @@ struct Score {
   bool feasible = false;
   double speedup = 0.0;
   double cost = 0.0;  ///< explore::cost_of under SearchOptions::cost_metric
+  std::size_t index = 0;  ///< the point's canonical flat index
 };
 
 /// Funnels candidate coordinates through the engine.  An in-bounds
@@ -200,13 +204,17 @@ class Funnel {
 
   Score score_of(const explore::EvalResult& result) const {
     return Score{result.feasible, result.speedup,
-                 explore::cost_of(result, metric_)};
+                 explore::cost_of(result, metric_), result.index};
   }
 
-  /// Folds one result into the incumbent best and the Pareto archive.
+  /// Folds one result into the incumbent best and the Pareto archive,
+  /// under explore's rank order.  A run folds each design point once; on
+  /// a full tie (equal ids) the earlier fold stays.
   void fold(const explore::EvalResult& result) {
     if (result.feasible &&
-        (!outcome_->found || result.speedup > outcome_->best.speedup)) {
+        (!outcome_->found ||
+         explore::ranks_before(explore::rank_key(result, 0),
+                               explore::rank_key(outcome_->best, 0)))) {
       outcome_->found = true;
       outcome_->best = result;
     }
@@ -518,23 +526,15 @@ void genetic(Funnel& funnel, const SearchSpace& space,
   std::uint64_t stalls = 0;
   while (!population.empty() && funnel.evaluations() < options.budget &&
          stalls < kMaxStallRounds) {
-    // Rank by fitness (ties toward lower index) for elitism.
-    std::vector<std::size_t> order(population.size());
-    std::iota(order.begin(), order.end(), 0);
-    const std::size_t keep = std::min(elite, order.size());
-    std::partial_sort(order.begin(), order.begin() + keep, order.end(),
-                      [&](std::size_t a, std::size_t b) {
-                        if (fitness[a] != fitness[b]) {
-                          return fitness[a] > fitness[b];
-                        }
-                        return a < b;
-                      });
-
+    // Elitism: the `elite` fittest, ties toward the lower slot (ids are
+    // slots; the index is unused).
+    explore::TopK fittest(elite, population.size());
+    for (std::size_t i = 0; i < population.size(); ++i) {
+      fittest.offer({fitness[i], 0, i});
+    }
     std::vector<Coords> next;
     next.reserve(pop);
-    for (std::size_t i = 0; i < keep; ++i) {
-      next.push_back(population[order[i]]);
-    }
+    for (const std::size_t i : fittest.ids()) next.push_back(population[i]);
     const std::size_t offspring = pop - next.size();
     for (std::size_t i = 0; i < offspring; ++i) {
       Coords child;
@@ -575,15 +575,15 @@ void pareto_search(Funnel& funnel, const SearchSpace& space,
   struct Member {
     Coords coords;
     double cost;
-    double speedup;
+    explore::RankKey key;  ///< speedup and canonical flat index
   };
   std::vector<Member> pool;
   auto update_pool = [&](const Coords& coords, const Score& score) {
     if (!score.feasible) return;
     fold_into_frontier(
-        pool, Member{coords, score.cost, score.speedup},
+        pool, Member{coords, score.cost, {score.speedup, score.index, 0}},
         [](const Member& m) { return m.cost; },
-        [](const Member& m) { return m.speedup; });
+        [](const Member& m) { return m.key; });
   };
 
   std::uint64_t stalls = 0;
@@ -627,7 +627,7 @@ void fold_archive(std::vector<explore::EvalResult>& archive,
       [metric](const explore::EvalResult& r) {
         return explore::cost_of(r, metric);
       },
-      [](const explore::EvalResult& r) { return r.speedup; });
+      [](const explore::EvalResult& r) { return explore::rank_key(r, 0); });
 }
 
 std::string_view strategy_name(Strategy strategy) noexcept {

@@ -93,7 +93,10 @@ struct TracePoint {
 
 struct SearchOutcome {
   bool found = false;             ///< at least one feasible point was seen
-  explore::EvalResult best;       ///< best feasible result (when found)
+  /// explore::best_result over the run's records (prior ones included),
+  /// when found: of two points with equal speedup, the lower canonical
+  /// index, whichever the run met first.
+  explore::EvalResult best;
   std::uint64_t evaluations = 0;  ///< distinct design points charged
                                   ///< (prior ones too); <= budget
   std::uint64_t proposals = 0;    ///< in-bounds points proposed (incl.
@@ -102,10 +105,8 @@ struct SearchOutcome {
   std::uint64_t restarts = 0;     ///< restarts taken (hill-climb / anneal)
   std::vector<TracePoint> trace;  ///< convergence curve, best nondecreasing
   /// Incremental Pareto archive (speedup vs. SearchOptions::cost_metric)
-  /// over every feasible result seen (prior records included): cost
-  /// ascending, speedup strictly increasing, one entry per cost value —
-  /// the same shape explore::pareto_frontier returns for an exhaustive
-  /// sweep.
+  /// over the run's records (prior ones included): explore::
+  /// pareto_frontier over them, record for record.
   std::vector<explore::EvalResult> archive;
 
   /// Earliest trace point whose best speedup is within `fraction` (e.g.
@@ -118,12 +119,12 @@ struct SearchOutcome {
 
 /// Folds one result into a 2-D Pareto archive maintained incrementally
 /// (cost ascending, speedup strictly increasing, one entry per cost
-/// value) — the exact operation run_search applies to
+/// value: the one that ranks first under explore::ranks_before, the
+/// earlier fold on a full tie) — the operation run_search applies to
 /// SearchOutcome::archive after every evaluation.  Infeasible results
-/// are ignored.  Exposed so merge tooling can rebuild an archive from a
-/// unioned run log and so tests can drive adversarial insertion orders
-/// directly; for any insertion sequence the final archive equals
-/// explore::pareto_frontier over the whole sequence.
+/// are ignored.  For any insertion sequence the final archive equals
+/// explore::pareto_frontier over the whole sequence, record for
+/// record, so tests can drive adversarial insertion orders directly.
 void fold_archive(std::vector<explore::EvalResult>& archive,
                   const explore::EvalResult& result,
                   explore::CostMetric metric);

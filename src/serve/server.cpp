@@ -57,15 +57,12 @@ void QueryServer::add_delta(explore::EvalResult record) {
   const explore::EvalResult& added = delta_.emplace_back(std::move(record));
   delta_keys_.emplace(search::DesignKey::of(added), &added);
   if (!added.feasible) return;
-  // After every entry that ranks equal: ties keep insertion order.
-  const auto at = std::upper_bound(
-      delta_rank_.begin(), delta_rank_.end(), &added,
-      [](const explore::EvalResult* a, const explore::EvalResult* b) {
-        if (a->speedup != b->speedup) return a->speedup > b->speedup;
-        return a->index < b->index;
-      });
+  // Delta positions are the ids: a later record ranks after its equals.
+  const explore::RankKey key = explore::rank_key(added, delta_.size() - 1);
+  const auto at = std::upper_bound(delta_rank_.begin(), delta_rank_.end(),
+                                   key, explore::ranks_before);
   if (at == delta_rank_.end() && delta_rank_.size() == kMaxTopK) return;
-  delta_rank_.insert(at, &added);
+  delta_rank_.insert(at, key);
   if (delta_rank_.size() > kMaxTopK) delta_rank_.pop_back();
 }
 
@@ -281,46 +278,37 @@ std::string QueryServer::execute(const Query& query) {
   return err_reply("internal error: unhandled query kind");
 }
 
-// The best/topk/pareto answers fold the archive engine's result with
-// the live delta: the engine's pruned scan already returns the exact
-// archive-side answer (top_k/pareto are closed under refolding — the
-// frontier of frontier(A) ∪ D is the frontier of A ∪ D, and likewise
-// for the k-best), so re-running the reference reduction over
-// engine-result + delta is byte-identical to the reference over the
-// full union, while touching only zone-admitted blocks.  The archive's
-// candidates go first and the delta's follow in insertion order (the
-// rank index keeps that order among equals), so ties resolve as in the
-// reference.  delta_mu_ is held while the delta is read; the archive
-// scan and the table render both run outside it.
+// The best/topk/pareto answers rerun explore's reductions over the
+// archive's own (pruned, exact) answer plus the delta, archive rows
+// first: the k best and the frontier are closed under refolding, so the
+// bytes are those over the whole union.  delta_mu_ is held while the
+// delta is read; the archive scan and the table render run outside it.
 
-std::string QueryServer::answer_best() const {
-  std::vector<explore::EvalResult> pool;
-  if (std::optional<explore::EvalResult> archived =
-          run_.archive.reader().best()) {
-    pool.push_back(std::move(*archived));
-  }
-  {
-    util::ReaderLock lock(delta_mu_);
-    if (!delta_rank_.empty()) pool.push_back(*delta_rank_.front());
-  }
-  const explore::EvalResult* best = explore::best_result(pool);
-  if (best == nullptr) {
-    return err_reply("no feasible design point in the archive");
-  }
-  // explore::best_line is the very rendering explore_cli prints, so this
-  // answer is byte-identical to the CLI's report over the same records.
-  const std::string payload = explore::best_line(*best) + "\n";
-  return ok_header(QueryKind::kBest, 1) + payload + "END\n";
-}
-
-std::string QueryServer::answer_topk(std::size_t k) const {
+std::vector<explore::EvalResult> QueryServer::ranked(std::size_t k) const {
   std::vector<explore::EvalResult> pool = run_.archive.reader().top_k(k);
   {
     util::ReaderLock lock(delta_mu_);
     const std::size_t head = std::min(k, delta_rank_.size());
-    for (std::size_t i = 0; i < head; ++i) pool.push_back(*delta_rank_[i]);
+    for (std::size_t i = 0; i < head; ++i) {
+      pool.push_back(delta_[delta_rank_[i].id]);
+    }
   }
-  const std::string payload = explore::top_k_text(explore::top_k(pool, k));
+  return explore::top_k(pool, k);
+}
+
+std::string QueryServer::answer_best() const {
+  const std::vector<explore::EvalResult> best = ranked(1);
+  if (best.empty()) {
+    return err_reply("no feasible design point in the archive");
+  }
+  // explore::best_line is the very rendering explore_cli prints, so this
+  // answer is byte-identical to the CLI's report over the same records.
+  const std::string payload = explore::best_line(best.front()) + "\n";
+  return ok_header(QueryKind::kBest, 1) + payload + "END\n";
+}
+
+std::string QueryServer::answer_topk(std::size_t k) const {
+  const std::string payload = explore::top_k_text(ranked(k));
   return ok_header(QueryKind::kTopK, count_lines(payload)) + payload + "END\n";
 }
 
@@ -329,8 +317,8 @@ std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
       run_.archive.reader().pareto(metric);
   explore::ParetoReduction reduction;
   for (std::size_t i = 0; i < archived.size(); ++i) {
-    reduction.offer(explore::cost_of(archived[i], metric), archived[i].speedup,
-                    archived[i].index, i);
+    reduction.offer(explore::cost_of(archived[i], metric),
+                    explore::rank_key(archived[i], i));
   }
   // Ids past the archive's candidates name delta positions.
   std::vector<explore::EvalResult> frontier;
@@ -339,8 +327,8 @@ std::string QueryServer::answer_pareto(explore::CostMetric metric) const {
     for (std::size_t i = 0; i < delta_.size(); ++i) {
       const explore::EvalResult& record = delta_[i];
       if (record.feasible) {
-        reduction.offer(explore::cost_of(record, metric), record.speedup,
-                        record.index, archived.size() + i);
+        reduction.offer(explore::cost_of(record, metric),
+                        explore::rank_key(record, archived.size() + i));
       }
     }
     for (const std::size_t id : reduction.frontier()) {

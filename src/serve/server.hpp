@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "explore/report.hpp"
 #include "search/archive.hpp"
 #include "search/design_key.hpp"
 #include "search/run_log.hpp"
@@ -118,6 +119,9 @@ class QueryServer {
  private:
   /// Executes a parsed query into a framed reply.
   std::string execute(const Query& query);
+  /// The k records of the archive and the delta that rank first.
+  std::vector<explore::EvalResult> ranked(std::size_t k) const
+      MS_EXCLUDES(delta_mu_);
   std::string answer_best() const MS_EXCLUDES(delta_mu_);
   std::string answer_topk(std::size_t k) const MS_EXCLUDES(delta_mu_);
   std::string answer_pareto(explore::CostMetric metric) const
@@ -155,12 +159,12 @@ class QueryServer {
   std::unordered_map<search::DesignKey, const explore::EvalResult*,
                      search::DesignKeyHash>
       delta_keys_ MS_GUARDED_BY(delta_mu_);
-  /// The delta's feasible records in rank order — speedup descending,
-  /// then index ascending, then insertion order — capped at kMaxTopK
-  /// entries: the delta only grows, so a record pushed past the cap can
-  /// never again reach a best/topk reply.
-  std::vector<const explore::EvalResult*> delta_rank_
-      MS_GUARDED_BY(delta_mu_);
+  /// The rank keys of the delta's feasible records, ids being delta_
+  /// positions, sorted by explore::ranks_before — speedup descending,
+  /// then index ascending, then insertion order — and capped at
+  /// kMaxTopK entries: the delta only grows, so a record pushed past the
+  /// cap can never again reach a best/topk reply.
+  std::vector<explore::RankKey> delta_rank_ MS_GUARDED_BY(delta_mu_);
   /// Serializes live evaluations: re-check the delta, spend budget,
   /// append to log + delta as one step, so a racing duplicate miss
   /// cannot double-append or double-spend.

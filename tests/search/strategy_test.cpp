@@ -362,6 +362,68 @@ TEST(Strategy, ArchiveIsMaintainedForEveryStrategy) {
   }
 }
 
+/// Two apps with equal f/fcon/fored under different names: every design
+/// point has an exact twin, equal in cost and speedup, at another
+/// canonical index.
+explore::ScenarioSpec twin_spec() {
+  explore::ScenarioSpec spec;
+  spec.name = "twin-test";
+  spec.chip_budgets = {64.0, 256.0};
+  core::AppParams twin = core::presets::kmeans();
+  twin.name = "twin";
+  spec.apps = {core::presets::kmeans(), twin};
+  spec.variants = {core::ModelVariant::kSymmetric,
+                   core::ModelVariant::kAsymmetric};
+  return spec;
+}
+
+void expect_same_record(const explore::EvalResult& got,
+                        const explore::EvalResult& want,
+                        const std::string& what) {
+  EXPECT_EQ(got.index, want.index) << what;
+  EXPECT_TRUE(DesignKey::of(got) == DesignKey::of(want)) << what;
+  EXPECT_EQ(got.speedup, want.speedup) << what;
+}
+
+TEST(Strategy, OutcomeAgreesWithTheRankOrderOverItsRecords) {
+  // The one rank order: whatever order a search evaluates twins in, its
+  // best and its archive are what best_result and pareto_frontier pick
+  // over the records it logged — what the sweep, the archive and the
+  // server answer over the same records.
+  const SearchSpace space(twin_spec());
+  for (Strategy strategy : kAllStrategies) {
+    for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+      for (const std::uint64_t budget : {40u, 400u}) {
+        const std::string what = std::string(strategy_name(strategy)) +
+                                 " seed " + std::to_string(seed) +
+                                 " budget " + std::to_string(budget);
+        const ScratchDir dir(std::to_string(seed) + "_" +
+                             std::to_string(budget) + "_" +
+                             std::string(strategy_name(strategy)));
+        SearchOptions options;
+        options.strategy = strategy;
+        options.seed = seed;
+        options.budget = budget;
+        const SearchOutcome outcome =
+            run_logged(space, options, dir.path()).outcome;
+        const std::vector<explore::EvalResult> records =
+            RunLog::load(dir.path());
+        const explore::EvalResult* best = explore::best_result(records);
+        ASSERT_NE(best, nullptr) << what;
+        ASSERT_TRUE(outcome.found) << what;
+        expect_same_record(outcome.best, *best, what + " best");
+        const std::vector<explore::EvalResult> frontier =
+            explore::pareto_frontier(records, options.cost_metric);
+        ASSERT_EQ(outcome.archive.size(), frontier.size()) << what;
+        for (std::size_t i = 0; i < frontier.size(); ++i) {
+          expect_same_record(outcome.archive[i], frontier[i],
+                             what + " archive[" + std::to_string(i) + "]");
+        }
+      }
+    }
+  }
+}
+
 TEST(Strategy, FirstWithinFindsTheEarliestQualifyingTracePoint) {
   SearchOutcome outcome;
   outcome.trace = {{10, 50.0}, {20, 98.5}, {30, 99.5}, {40, 100.0}};
@@ -561,6 +623,9 @@ TEST(ParetoArchive, RandomSequencesConvergeToTheBatchFrontier) {
   // The property behind the fixture: for ANY insertion sequence, the
   // incremental archive equals explore::pareto_frontier over the whole
   // sequence — the greedy prune loses nothing the batch frontier keeps.
+  // Insertion runs in a shuffled order, so equal speedups at one cost
+  // arrive in either index order and the tie must still go to the lower
+  // index.
   util::Xoshiro256 rng(4242);
   for (int trial = 0; trial < 25; ++trial) {
     std::vector<explore::EvalResult> sequence;
@@ -570,18 +635,25 @@ TEST(ParetoArchive, RandomSequencesConvergeToTheBatchFrontier) {
       const double speedup = 1.0 + 0.5 * static_cast<double>(rng.bounded(12));
       sequence.push_back(frontier_point(cost, speedup, i));
     }
-    std::vector<explore::EvalResult> archive;
-    for (const auto& point : sequence) {
-      fold_archive(archive, point, explore::CostMetric::kCoreArea);
-    }
     const auto frontier =
         explore::pareto_frontier(sequence, explore::CostMetric::kCoreArea);
-    ASSERT_EQ(archive.size(), frontier.size()) << "trial " << trial;
-    for (std::size_t i = 0; i < archive.size(); ++i) {
-      EXPECT_DOUBLE_EQ(
-          explore::cost_of(archive[i], explore::CostMetric::kCoreArea),
-          explore::cost_of(frontier[i], explore::CostMetric::kCoreArea));
-      EXPECT_DOUBLE_EQ(archive[i].speedup, frontier[i].speedup);
+    std::vector<explore::EvalResult> shuffled = sequence;
+    for (int order = 0; order < 8; ++order) {
+      for (std::size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1], shuffled[rng.bounded(i)]);
+      }
+      std::vector<explore::EvalResult> archive;
+      for (const auto& point : shuffled) {
+        fold_archive(archive, point, explore::CostMetric::kCoreArea);
+      }
+      ASSERT_EQ(archive.size(), frontier.size()) << "trial " << trial;
+      for (std::size_t i = 0; i < archive.size(); ++i) {
+        EXPECT_EQ(archive[i].index, frontier[i].index) << "trial " << trial;
+        EXPECT_DOUBLE_EQ(
+            explore::cost_of(archive[i], explore::CostMetric::kCoreArea),
+            explore::cost_of(frontier[i], explore::CostMetric::kCoreArea));
+        EXPECT_DOUBLE_EQ(archive[i].speedup, frontier[i].speedup);
+      }
     }
   }
 }
