@@ -24,6 +24,17 @@ std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
   return h;
 }
 
+/// One lane step: xor the word in and multiply, then fold the product's
+/// high half down and multiply again.  A bare `(h ^ word) * odd` only
+/// carries bits upward: words that differ only in their high bits —
+/// power-of-two doubles differ only in the exponent — would leave the
+/// lanes differing in their top few bits alone, and the lanes' xor would
+/// collide.
+std::uint64_t lane(std::uint64_t h, std::uint64_t word, std::uint64_t m) {
+  h = (h ^ word) * m;
+  return (h ^ (h >> 32)) * m;
+}
+
 }  // namespace
 
 CacheKey cache_key(const core::EvalRequest& request) {
@@ -80,17 +91,19 @@ std::size_t CacheKeyHash::operator()(const CacheKey& key) const noexcept {
   constexpr std::uint64_t kM2 = 0xc2b2ae3d27d4eb4full;
   std::uint64_t a = kSeed;
   std::uint64_t b = ~kSeed;
-  a = (a ^ ((static_cast<std::uint64_t>(key.variant) << 16) |
-            (static_cast<std::uint64_t>(key.growth_kind) << 8) |
-            key.comm_growth_kind)) *
-      kM1;
-  b = (b ^ ((static_cast<std::uint64_t>(key.perf_name) << 32) |
-            key.growth_name)) *
-      kM2;
-  a = (a ^ key.comm_growth_name) * kM1;
+  a = lane(a,
+           (static_cast<std::uint64_t>(key.variant) << 16) |
+               (static_cast<std::uint64_t>(key.growth_kind) << 8) |
+               key.comm_growth_kind,
+           kM1);
+  b = lane(b,
+           (static_cast<std::uint64_t>(key.perf_name) << 32) |
+               key.growth_name,
+           kM2);
+  a = lane(a, key.comm_growth_name, kM1);
   for (std::size_t i = 0; i + 1 < key.nums.size(); i += 2) {
-    a = (a ^ std::bit_cast<std::uint64_t>(key.nums[i])) * kM1;
-    b = (b ^ std::bit_cast<std::uint64_t>(key.nums[i + 1])) * kM2;
+    a = lane(a, std::bit_cast<std::uint64_t>(key.nums[i]), kM1);
+    b = lane(b, std::bit_cast<std::uint64_t>(key.nums[i + 1]), kM2);
   }
   return static_cast<std::size_t>(mix(a, b));
 }

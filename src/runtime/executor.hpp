@@ -1,12 +1,13 @@
 #pragma once
-// Executor abstraction: the mechanism that lets one workload source run
-// both natively (for real-hardware validation, paper §V-B) and on the
-// timing simulator (parameter extraction, §IV).
+// Executor abstraction: the mechanism that lets one kernel source run
+// natively (real-hardware validation, paper §V-B) and on the timing
+// simulator (parameter extraction, §IV).
 //
-// Workload kernels are templates over an Executor `E` and annotate their
-// own dynamic behaviour: `e.load(p)` / `e.store(p)` before touching
-// memory that matters for timing, `e.compute(n)` for arithmetic work.
-// With NativeExecutor the annotations compile to nothing; with
+// Kernels — the merging strategies in reduction.hpp and every workload
+// phase — are templates over an Executor `E` and annotate their own
+// dynamic behaviour: `e.load(p)` / `e.store(p)` before touching memory
+// that matters for timing, `e.compute(n)` for arithmetic work.  With
+// NativeExecutor the annotations compile to nothing; with
 // CountingExecutor they count abstract operations (machine-independent
 // work measurement); with sim::RecordingExecutor they emit a trace for
 // the timing model.  The kernels always perform the real computation, so
@@ -15,7 +16,7 @@
 #include <concepts>
 #include <cstdint>
 
-namespace mergescale::workloads {
+namespace mergescale::runtime {
 
 /// Structural requirements on an executor.
 template <typename E>
@@ -50,4 +51,4 @@ struct CountingExecutor {
 static_assert(Executor<NativeExecutor>);
 static_assert(Executor<CountingExecutor>);
 
-}  // namespace mergescale::workloads
+}  // namespace mergescale::runtime

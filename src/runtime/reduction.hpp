@@ -6,15 +6,18 @@
 // linearly with the thread count.  The alternatives it analyzes are a
 // tree (logarithmic critical path) and a privatized parallel reduction
 // (constant computational critical path, communication modelled
-// separately in §V-E).  All three are implemented generically here and
-// used by the workloads and the ablation benches.
+// separately in §V-E).  Each strategy's per-core work is one
+// Executor-annotated kernel here; reduce() runs the kernels on a thread
+// team, and the simulator backend (workloads/sim_adapter.hpp) records
+// the same kernels core by core.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
+#include "runtime/executor.hpp"
 #include "runtime/thread_team.hpp"
 #include "util/check.hpp"
 
@@ -79,82 +82,86 @@ class PartialBuffers {
   std::vector<T> data_;
 };
 
-/// Serial reduction (paper Algorithm 1): `dest[i] = op(dest[i],
-/// partials[t][i])` for every element i and thread t, executed by the
-/// caller.  Work on the critical path: threads · width operations.
-template <typename T, typename Op = std::plus<T>>
-void serial_reduce(std::span<T> dest, const PartialBuffers<T>& partials,
-                   Op op = {}) {
-  MS_CHECK(dest.size() == partials.width(), "dest size mismatch");
-  for (std::size_t i = 0; i < dest.size(); ++i) {
+/// Accumulates elements [lo, hi) of every thread's partial into `dest`:
+/// one core's slice of the privatized merge, whose all-to-all reads are
+/// what §V-E's communication model charges for.  Over [0, width) on one
+/// core it is the serial merge (paper Algorithm 1).
+template <Executor E, typename T>
+void merge_slice(E& ex, const PartialBuffers<T>& partials, std::span<T> dest,
+                 std::size_t lo, std::size_t hi) {
+  for (std::size_t i = lo; i < hi; ++i) {
     for (int t = 0; t < partials.threads(); ++t) {
-      dest[i] = op(dest[i], partials.partial(t)[i]);
+      const T& partial = partials.partial(t)[i];
+      ex.load(&partial);
+      ex.load(&dest[i]);
+      dest[i] += partial;
+      ex.store(&dest[i]);
+      ex.compute(1);
     }
   }
 }
 
-/// Tree reduction executed by the team: level k combines buffers that are
-/// 2^k apart, halving the live buffer count per level; the result lands in
-/// partial(0) and is copied into `dest`.  Critical path:
-/// ceil(log2(threads)) · width operations.  Destroys the partials.
-template <typename T, typename Op = std::plus<T>>
-void tree_reduce(ThreadTeam& team, std::span<T> dest,
-                 PartialBuffers<T>& partials, Op op = {}) {
-  MS_CHECK(dest.size() == partials.width(), "dest size mismatch");
-  MS_CHECK(team.size() == partials.threads(),
-           "team size must match partial buffer count");
-  const int threads = partials.threads();
-  team.run([&](int tid, int) {
-    for (int stride = 1; stride < threads; stride *= 2) {
-      if (tid % (2 * stride) == 0 && tid + stride < threads) {
-        auto into = partials.partial(tid);
-        auto from = partials.partial(tid + stride);
-        for (std::size_t i = 0; i < into.size(); ++i) {
-          into[i] = op(into[i], from[i]);
-        }
-      }
-      team.barrier();
-    }
-  });
-  auto combined = partials.partial(0);
-  for (std::size_t i = 0; i < dest.size(); ++i) {
-    dest[i] = op(dest[i], combined[i]);
+/// Folds `from` into `into` element by element: one core's step of a tree
+/// level, and the tree's final combine of partial(0) into the result.
+template <Executor E, typename T>
+void merge_row(E& ex, std::span<const T> from, std::span<T> into) {
+  for (std::size_t i = 0; i < into.size(); ++i) {
+    ex.load(&from[i]);
+    ex.load(&into[i]);
+    into[i] += from[i];
+    ex.store(&into[i]);
+    ex.compute(1);
   }
 }
 
-/// Privatized parallel reduction: each thread owns a contiguous slice of
-/// the elements and accumulates that slice across *all* threads' partials
-/// (all-to-all communication, constant computational critical path of
-/// width operations).
-template <typename T, typename Op = std::plus<T>>
-void privatized_reduce(ThreadTeam& team, std::span<T> dest,
-                       PartialBuffers<T>& partials, Op op = {}) {
-  MS_CHECK(dest.size() == partials.width(), "dest size mismatch");
-  MS_CHECK(team.size() == partials.threads(),
-           "team size must match partial buffer count");
-  team.run([&](int tid, int team_size) {
-    auto [lo, hi] = ThreadTeam::partition(0, dest.size(), tid, team_size);
-    for (std::size_t i = lo; i < hi; ++i) {
-      for (int t = 0; t < partials.threads(); ++t) {
-        dest[i] = op(dest[i], partials.partial(t)[i]);
-      }
-    }
-  });
+/// The partial that core `tid` folds into its own at the tree level
+/// combining buffers `stride` apart, or -1 when the core idles there.
+/// Levels run for stride = 1, 2, 4, ... < threads.
+constexpr int tree_source(int tid, int stride, int threads) noexcept {
+  return tid % (2 * stride) == 0 && tid + stride < threads ? tid + stride
+                                                           : -1;
 }
 
-/// Dispatches to one of the three strategies.
-template <typename T, typename Op = std::plus<T>>
+/// Merges every thread's partial into `dest` (`dest[i] += Σ_t
+/// partials[t][i]`) under `strategy` on `team`:
+///   serial      the caller walks all partials — threads·width operations
+///               on the critical path (linear growth);
+///   tree        ceil(log2(threads)) barrier-separated levels, then the
+///               caller folds partial(0) into `dest` (logarithmic growth;
+///               destroys the partials);
+///   privatized  each thread reduces a contiguous slice of the elements
+///               across all partials (flat compute).
+template <typename T>
 void reduce(ReductionStrategy strategy, ThreadTeam& team, std::span<T> dest,
-            PartialBuffers<T>& partials, Op op = {}) {
+            PartialBuffers<T>& partials) {
+  MS_CHECK(dest.size() == partials.width(), "dest size mismatch");
+  MS_CHECK(strategy == ReductionStrategy::kSerial ||
+               team.size() == partials.threads(),
+           "team size must match partial buffer count");
+  NativeExecutor ex;
   switch (strategy) {
     case ReductionStrategy::kSerial:
-      serial_reduce(dest, partials, op);
+      merge_slice(ex, partials, dest, 0, dest.size());
       return;
     case ReductionStrategy::kTree:
-      tree_reduce(team, dest, partials, op);
+      team.run([&](int tid, int threads) {
+        NativeExecutor core;
+        for (int stride = 1; stride < threads; stride *= 2) {
+          if (const int src = tree_source(tid, stride, threads); src >= 0) {
+            merge_row(core, std::span<const T>(partials.partial(src)),
+                      partials.partial(tid));
+          }
+          team.barrier();
+        }
+      });
+      merge_row(ex, std::span<const T>(partials.partial(0)), dest);
       return;
     case ReductionStrategy::kPrivatized:
-      privatized_reduce(team, dest, partials, op);
+      team.run([&](int tid, int threads) {
+        NativeExecutor core;
+        auto [lo, hi] = ThreadTeam::partition(0, dest.size(), tid, threads);
+        merge_slice(core, partials, dest, lo, hi);
+      });
       return;
   }
   MS_CHECK(false, "unknown reduction strategy");

@@ -94,8 +94,8 @@ class AddressMap {
   std::uint64_t next_ = kBase;
 };
 
-/// Recording executor: satisfies the workload Executor interface (see
-/// workloads/executor.hpp) by appending operations to a trace.  Compute
+/// Recording executor: satisfies the runtime::Executor interface (see
+/// runtime/executor.hpp) by appending operations to a trace.  Compute
 /// operations are run-length-coalesced on the fly.
 class RecordingExecutor {
  public:

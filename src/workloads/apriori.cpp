@@ -5,6 +5,8 @@
 #include "runtime/thread_team.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "workloads/phases.hpp"
+#include "workloads/sim_adapter.hpp"
 
 namespace mergescale::workloads {
 
@@ -46,37 +48,33 @@ TransactionSet synthetic_transactions(std::size_t n, int universe,
   return data;
 }
 
-AprioriResult run_apriori_native(const TransactionSet& data,
-                                 const AprioriConfig& config, int threads,
-                                 runtime::PhaseLedger& ledger) {
-  MS_CHECK(threads >= 1, "need at least one thread");
+namespace {
+
+/// The apriori phase sequence, written once for both backends
+/// (phases.hpp).
+template <typename P>
+AprioriResult apriori_phases(P& phases, const TransactionSet& data,
+                             const AprioriConfig& config) {
   MS_CHECK(config.min_support > 0.0 && config.min_support <= 1.0,
            "min_support must lie in (0, 1]");
   MS_CHECK(config.max_level >= 1, "max_level must be positive");
   const std::size_t n = data.transactions();
   const auto min_count = static_cast<std::uint64_t>(
       config.min_support * static_cast<double>(n));
+  const int threads = phases.threads();
 
   AprioriResult result;
-  runtime::ThreadTeam team(threads);
-  std::vector<CountingExecutor> counters(static_cast<std::size_t>(threads));
-  auto drain = [&](runtime::Phase phase) {
-    for (auto& ex : counters) {
-      ledger.add_ops(phase, ex.total());
-      ex = CountingExecutor{};
-    }
-  };
 
   // Level-1 candidates: every item in the universe that occurs.
-  ledger.start(runtime::Phase::kInit);
-  std::int32_t max_item = 0;
-  for (std::int32_t item : data.items) max_item = std::max(max_item, item);
-  std::vector<std::int32_t> candidates;
-  for (std::int32_t item = 0; item <= max_item; ++item) {
-    candidates.push_back(item);
-  }
-  ledger.stop();
-  ledger.add_ops(runtime::Phase::kInit, data.items.size());
+  std::vector<std::int32_t> candidates = phases.init(data.items.size(), [&] {
+    std::int32_t max_item = 0;
+    for (std::int32_t item : data.items) max_item = std::max(max_item, item);
+    std::vector<std::int32_t> items;
+    for (std::int32_t item = 0; item <= max_item; ++item) {
+      items.push_back(item);
+    }
+    return items;
+  });
 
   int k = 1;
   while (!candidates.empty() && k <= config.max_level) {
@@ -84,41 +82,47 @@ AprioriResult run_apriori_native(const TransactionSet& data,
 
     // --- parallel phase: privatized support counting ---
     runtime::PartialBuffers<std::uint64_t> partials(threads, width);
-    ledger.start(runtime::Phase::kParallel);
-    team.run([&](int tid, int team_size) {
+    phases.parallel([&](auto& ex, int tid, int team_size) {
       auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
-      apriori_count_block(counters[static_cast<std::size_t>(tid)], data,
-                          candidates, k, lo, hi, partials.partial(tid));
+      apriori_count_block(ex, data, candidates, k, lo, hi,
+                          partials.partial(tid));
     });
-    ledger.stop();
-    drain(runtime::Phase::kParallel);
 
     // --- merging phase: reduce per-thread count tables ---
     std::vector<std::uint64_t> counts(width, 0);
-    ledger.start(runtime::Phase::kReduction);
-    runtime::reduce(config.strategy, team, std::span<std::uint64_t>(counts),
-                    partials);
-    ledger.stop();
-    ledger.add_ops(runtime::Phase::kReduction,
-                   runtime::critical_path_ops(config.strategy, threads,
-                                              width));
+    phases.merge(config.strategy, partials, std::span<std::uint64_t>(counts));
 
     // --- serial phase: prune + generate next level ---
-    ledger.start(runtime::Phase::kSerial);
-    CountingExecutor& serial_ex = counters[0];
-    std::vector<FrequentItemset> frequent = apriori_prune(
-        serial_ex, std::span<const std::int32_t>(candidates), k,
-        std::span<const std::uint64_t>(counts), min_count);
-    candidates = k < config.max_level
-                     ? apriori_generate(serial_ex, frequent, k)
-                     : std::vector<std::int32_t>{};
-    ledger.stop();
-    drain(runtime::Phase::kSerial);
-
-    result.levels.push_back(std::move(frequent));
+    phases.serial(runtime::Phase::kSerial, [&](auto& ex) {
+      std::vector<FrequentItemset> frequent = apriori_prune(
+          ex, std::span<const std::int32_t>(candidates), k,
+          std::span<const std::uint64_t>(counts), min_count);
+      candidates = k < config.max_level
+                       ? apriori_generate(ex, frequent, k)
+                       : std::vector<std::int32_t>{};
+      result.levels.push_back(std::move(frequent));
+    });
     ++k;
   }
   return result;
+}
+
+}  // namespace
+
+AprioriResult run_apriori_native(const TransactionSet& data,
+                                 const AprioriConfig& config, int threads,
+                                 runtime::PhaseLedger& ledger) {
+  NativePhases phases(threads, ledger);
+  return apriori_phases(phases, data, config);
+}
+
+SimPhases simulate_apriori(const TransactionSet& data,
+                           const AprioriConfig& config, sim::Machine& machine,
+                           AprioriResult* result_out) {
+  SimulatedPhases phases(machine);
+  AprioriResult result = apriori_phases(phases, data, config);
+  if (result_out != nullptr) *result_out = std::move(result);
+  return phases.phases();
 }
 
 }  // namespace mergescale::workloads

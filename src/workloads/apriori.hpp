@@ -25,7 +25,7 @@
 
 #include "runtime/phase_ledger.hpp"
 #include "runtime/reduction.hpp"
-#include "workloads/executor.hpp"
+#include "workloads/workload_types.hpp"
 
 namespace mergescale::workloads {
 

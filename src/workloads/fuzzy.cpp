@@ -4,84 +4,79 @@
 
 #include "runtime/thread_team.hpp"
 #include "util/check.hpp"
-#include "workloads/kmeans.hpp"  // init_centers, merge kernels
+#include "workloads/kmeans.hpp"  // init_centers
+#include "workloads/phases.hpp"
+#include "workloads/sim_adapter.hpp"
 
 namespace mergescale::workloads {
 
-ClusteringResult run_fuzzy_native(const PointSet& points,
-                                  const ClusteringConfig& config, int threads,
-                                  runtime::PhaseLedger& ledger) {
-  MS_CHECK(threads >= 1, "need at least one thread");
+namespace {
+
+/// The fuzzy c-means phase sequence, written once for both backends
+/// (phases.hpp).
+template <typename P>
+ClusteringResult fuzzy_phases(P& phases, const PointSet& points,
+                              const ClusteringConfig& config) {
   MS_CHECK(config.iterations >= 1, "need at least one iteration");
   MS_CHECK(config.fuzziness > 1.0, "fuzziness exponent must exceed 1");
   const int dims = points.dims();
   const int clusters = config.clusters;
+  const int threads = phases.threads();
   const std::size_t width =
       static_cast<std::size_t>(clusters) * static_cast<std::size_t>(dims);
 
   ClusteringResult result;
   result.centers.assign(width, 0.0);
   result.assignments.assign(points.size(), -1);
-
-  {
-    runtime::PhaseLedger::Scope scope(ledger, runtime::Phase::kInit);
+  phases.init(width, [&] {
     init_centers(points, clusters, config.seed, result.centers);
-    ledger.add_ops(runtime::Phase::kInit, width);
-  }
+  });
 
-  runtime::ThreadTeam team(threads);
   runtime::PartialBuffers<double> num_parts(threads, width);
   runtime::PartialBuffers<double> den_parts(threads,
                                             static_cast<std::size_t>(clusters));
   std::vector<double> num(width);
   std::vector<double> den(static_cast<std::size_t>(clusters));
-  std::vector<CountingExecutor> counters(static_cast<std::size_t>(threads));
   std::vector<std::vector<double>> scratch(
       static_cast<std::size_t>(threads),
       std::vector<double>(static_cast<std::size_t>(clusters)));
 
+  // Every buffer the kernels touch, at canonical simulated addresses (see
+  // kmeans.cpp).
+  phases.place(points.flat());
+  phases.place(std::span(result.centers));
+  phases.place(num_parts);
+  phases.place(den_parts);
+  phases.place(std::span(num));
+  phases.place(std::span(den));
+  for (auto& row : scratch) phases.place(std::span(row));
+
   for (int iter = 0; iter < config.iterations; ++iter) {
-    ledger.start(runtime::Phase::kParallel);
     num_parts.clear();
     den_parts.clear();
-    team.run([&](int tid, int team_size) {
+    phases.parallel([&](auto& ex, int tid, int team_size) {
       auto [lo, hi] =
           runtime::ThreadTeam::partition(0, points.size(), tid, team_size);
-      CountingExecutor& ex = counters[static_cast<std::size_t>(tid)];
       fuzzy_accumulate_block(ex, points, result.centers, clusters,
                              config.fuzziness, lo, hi, num_parts.partial(tid),
                              den_parts.partial(tid),
                              scratch[static_cast<std::size_t>(tid)]);
     });
-    ledger.stop();
-    for (auto& ex : counters) {
-      ledger.add_ops(runtime::Phase::kParallel, ex.total());
-      ex = CountingExecutor{};
-    }
 
-    ledger.start(runtime::Phase::kReduction);
     std::fill(num.begin(), num.end(), 0.0);
     std::fill(den.begin(), den.end(), 0.0);
-    runtime::reduce(config.strategy, team, std::span<double>(num), num_parts);
-    runtime::reduce(config.strategy, team, std::span<double>(den), den_parts);
-    ledger.stop();
-    ledger.add_ops(
-        runtime::Phase::kReduction,
-        runtime::critical_path_ops(config.strategy, threads, width) +
-            runtime::critical_path_ops(config.strategy, threads,
-                                       static_cast<std::size_t>(clusters)));
+    phases.merge(config.strategy, num_parts, std::span<double>(num));
+    phases.merge(config.strategy, den_parts, std::span<double>(den));
 
-    ledger.start(runtime::Phase::kSerial);
-    NativeExecutor native;
-    fuzzy_update_centers(native, std::span<double>(result.centers), num, den,
-                         dims);
-    ledger.stop();
-    ledger.add_ops(runtime::Phase::kSerial, 6 * width);
-
+    phases.serial(runtime::Phase::kSerial, 6 * width, [&](auto& ex) {
+      fuzzy_update_centers(ex, std::span<double>(result.centers), num, den,
+                           dims);
+    });
     result.iterations = iter + 1;
   }
 
-  // Hard assignments + inertia for result reporting.
+  // Hard assignments + inertia for result reporting (not part of the
+  // timed phases).
   double inertia = 0.0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     auto point = points.row(i);
@@ -105,6 +100,23 @@ ClusteringResult run_fuzzy_native(const PointSet& points,
   }
   result.inertia = inertia;
   return result;
+}
+
+}  // namespace
+
+ClusteringResult run_fuzzy_native(const PointSet& points,
+                                  const ClusteringConfig& config, int threads,
+                                  runtime::PhaseLedger& ledger) {
+  NativePhases phases(threads, ledger);
+  return fuzzy_phases(phases, points, config);
+}
+
+SimPhases simulate_fuzzy(const PointSet& points, const ClusteringConfig& config,
+                         sim::Machine& machine, ClusteringResult* result_out) {
+  SimulatedPhases phases(machine);
+  ClusteringResult result = fuzzy_phases(phases, points, config);
+  if (result_out != nullptr) *result_out = std::move(result);
+  return phases.phases();
 }
 
 }  // namespace mergescale::workloads

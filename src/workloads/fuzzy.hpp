@@ -12,7 +12,6 @@
 #include "runtime/phase_ledger.hpp"
 #include "runtime/reduction.hpp"
 #include "workloads/dataset.hpp"
-#include "workloads/executor.hpp"
 #include "workloads/workload_types.hpp"
 
 namespace mergescale::workloads {

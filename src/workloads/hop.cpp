@@ -4,134 +4,132 @@
 
 #include "runtime/thread_team.hpp"
 #include "util/check.hpp"
+#include "workloads/phases.hpp"
+#include "workloads/sim_adapter.hpp"
 
 namespace mergescale::workloads {
 
-HopResult run_hop_native(const PointSet& particles, const HopConfig& config,
-                         int threads, runtime::PhaseLedger& ledger) {
-  MS_CHECK(threads >= 1, "need at least one thread");
+namespace {
+
+/// The HOP phase sequence, written once for both backends (phases.hpp).
+template <typename P>
+HopResult hop_phases(P& phases, const PointSet& particles,
+                     const HopConfig& config) {
   MS_CHECK(config.density_neighbors >= 1, "need at least one neighbor");
   MS_CHECK(config.hop_neighbors >= 1 &&
                config.hop_neighbors <= config.density_neighbors,
            "hop neighbors must lie in [1, density_neighbors]");
   const std::size_t n = particles.size();
+  const int threads = phases.threads();
 
   HopResult result;
   result.density.assign(n, 0.0);
   result.group_of.assign(n, -1);
 
-  ledger.start(runtime::Phase::kInit);
-  KdTree tree(particles, config.leaf_size);
+  KdTree tree =
+      phases.init(0, [&] { return KdTree(particles, config.leaf_size); });
   std::vector<std::uint32_t> neighbors(
       n * static_cast<std::size_t>(config.hop_neighbors));
   std::vector<std::uint32_t> parent(n);
   std::vector<std::uint32_t> root(n);
   std::vector<std::int32_t> group_of(n, -1);
-  ledger.stop();
 
-  runtime::ThreadTeam team(threads);
-  std::vector<CountingExecutor> counters(static_cast<std::size_t>(threads));
-  auto drain_counters = [&](runtime::Phase phase) {
-    for (auto& ex : counters) {
-      ledger.add_ops(phase, ex.total());
-      ex = CountingExecutor{};
-    }
-  };
-
-  // --- parallel phase: tree construction (serial top + subtrees) ---
-  ledger.start(runtime::Phase::kParallel);
+  // --- parallel phase: tree construction.  The serial top occupies core
+  // 0 while the others idle: it counts toward the parallel (tree
+  // construction) phase, which is what makes this kernel non-scaling.
   std::vector<KdTree::SubtreeTask> tasks;
-  team.run([&](int tid, int team_size) {
-    if (tid == 0) {
-      tasks = tree.build_top(counters[0], team_size);
-    }
-    team.barrier();
-    CountingExecutor& ex = counters[static_cast<std::size_t>(tid)];
+  phases.serial(runtime::Phase::kParallel,
+                [&](auto& ex) { tasks = tree.build_top(ex, threads); });
+  phases.parallel([&](auto& ex, int tid, int team_size) {
     for (std::size_t i = static_cast<std::size_t>(tid); i < tasks.size();
          i += static_cast<std::size_t>(team_size)) {
       tree.build_subtree(ex, tasks[i]);
     }
   });
-  ledger.stop();
-  drain_counters(runtime::Phase::kParallel);
 
   // --- parallel phase: density estimation ---
-  ledger.start(runtime::Phase::kParallel);
-  team.run([&](int tid, int team_size) {
+  phases.parallel([&](auto& ex, int tid, int team_size) {
     auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
     std::vector<Neighbor> scratch;
-    scratch.reserve(static_cast<std::size_t>(config.density_neighbors));
-    hop_density_block(counters[static_cast<std::size_t>(tid)], tree,
-                      config.density_neighbors, config.hop_neighbors, lo, hi,
-                      std::span<double>(result.density),
+    hop_density_block(ex, tree, config.density_neighbors, config.hop_neighbors,
+                      lo, hi, std::span<double>(result.density),
                       std::span<std::uint32_t>(neighbors), scratch);
   });
-  ledger.stop();
-  drain_counters(runtime::Phase::kParallel);
 
-  // --- parallel phase: hop to densest neighbor, then chase chains ---
-  ledger.start(runtime::Phase::kParallel);
-  team.run([&](int tid, int team_size) {
+  // --- parallel phases: hop to the densest neighbor, then chase chains
+  // (all parents final before any chase) ---
+  phases.parallel([&](auto& ex, int tid, int team_size) {
     auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
-    CountingExecutor& ex = counters[static_cast<std::size_t>(tid)];
     hop_parent_block(ex, result.density, neighbors, config.hop_neighbors, lo,
                      hi, std::span<std::uint32_t>(parent));
-    team.barrier();  // all parents final before any chase
+  });
+  phases.parallel([&](auto& ex, int tid, int team_size) {
+    auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
     hop_chase_block(ex, parent, lo, hi, std::span<std::uint32_t>(root));
   });
-  ledger.stop();
-  drain_counters(runtime::Phase::kParallel);
 
   // --- constant serial phase: group indexing ---
-  ledger.start(runtime::Phase::kSerial);
   std::vector<std::uint32_t> peak_of_group;
-  const int groups = hop_index_groups(counters[0], root,
-                                      std::span<std::int32_t>(group_of),
-                                      peak_of_group);
-  ledger.stop();
-  drain_counters(runtime::Phase::kSerial);
+  int groups = 0;
+  phases.serial(runtime::Phase::kSerial, [&](auto& ex) {
+    groups = hop_index_groups(ex, root, std::span<std::int32_t>(group_of),
+                              peak_of_group);
+  });
 
   // --- parallel phase: privatized group histograms + boundary lists ---
   runtime::PartialBuffers<std::uint64_t> partial_sizes(
       threads, static_cast<std::size_t>(groups));
   std::vector<std::vector<HopBoundary>> boundaries(
       static_cast<std::size_t>(threads));
-  ledger.start(runtime::Phase::kParallel);
-  team.run([&](int tid, int team_size) {
+  phases.parallel([&](auto& ex, int tid, int team_size) {
     auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
-    hop_boundary_block(counters[static_cast<std::size_t>(tid)], group_of,
-                       result.density, neighbors, config.hop_neighbors, lo, hi,
-                       partial_sizes.partial(tid),
+    hop_boundary_block(ex, group_of, result.density, neighbors,
+                       config.hop_neighbors, lo, hi, partial_sizes.partial(tid),
                        boundaries[static_cast<std::size_t>(tid)]);
   });
-  ledger.stop();
-  drain_counters(runtime::Phase::kParallel);
 
-  // --- merging phase: reduce histograms + join groups across saddles ---
-  ledger.start(runtime::Phase::kReduction);
+  // --- merging phase on core 0: reduce histograms + join groups across
+  // saddles ---
   std::vector<std::uint64_t> group_sizes(static_cast<std::size_t>(groups), 0);
   util::UnionFind uf(static_cast<std::size_t>(groups));
-  hop_merge_groups(counters[0], partial_sizes,
-                   std::span<std::uint64_t>(group_sizes), boundaries,
-                   result.density, peak_of_group, config.merge_saddle, uf);
-  ledger.stop();
-  drain_counters(runtime::Phase::kReduction);
+  phases.serial(runtime::Phase::kReduction, [&](auto& ex) {
+    hop_merge_groups(ex, partial_sizes, std::span<std::uint64_t>(group_sizes),
+                     boundaries, result.density, peak_of_group,
+                     config.merge_saddle, uf);
+  });
 
   // --- constant serial phase: final relabeling ---
-  ledger.start(runtime::Phase::kSerial);
-  std::vector<std::int32_t> dense_id(static_cast<std::size_t>(groups), -1);
-  int final_groups = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t rep =
-        uf.find(static_cast<std::uint32_t>(group_of[i]));
-    if (dense_id[rep] < 0) dense_id[rep] = final_groups++;
-    result.group_of[i] = dense_id[rep];
-  }
-  result.groups = final_groups;
-  ledger.stop();
-  ledger.add_ops(runtime::Phase::kSerial, 3 * n);
-
+  phases.serial(runtime::Phase::kSerial, 3 * n, [&](auto& ex) {
+    std::vector<std::int32_t> dense_id(static_cast<std::size_t>(groups), -1);
+    int final_groups = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ex.load(&group_of[i]);
+      const std::uint32_t rep =
+          uf.find(static_cast<std::uint32_t>(group_of[i]));
+      if (dense_id[rep] < 0) dense_id[rep] = final_groups++;
+      result.group_of[i] = dense_id[rep];
+      ex.store(&result.group_of[i]);
+      ex.compute(2);
+    }
+    result.groups = final_groups;
+  });
   return result;
+}
+
+}  // namespace
+
+HopResult run_hop_native(const PointSet& particles, const HopConfig& config,
+                         int threads, runtime::PhaseLedger& ledger) {
+  NativePhases phases(threads, ledger);
+  return hop_phases(phases, particles, config);
+}
+
+SimPhases simulate_hop(const PointSet& particles, const HopConfig& config,
+                       sim::Machine& machine, HopResult* result_out) {
+  SimulatedPhases phases(machine);
+  HopResult result = hop_phases(phases, particles, config);
+  if (result_out != nullptr) *result_out = std::move(result);
+  return phases.phases();
 }
 
 }  // namespace mergescale::workloads

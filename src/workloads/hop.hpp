@@ -12,8 +12,9 @@
 //             reduced on the master and groups joined across saddle
 //             points — the merging phase whose cost grows with threads.
 //
-// All kernels are Executor templates; the native driver times phases with
-// a PhaseLedger and the simulator adapter replays recorded traces.
+// All kernels are Executor templates, and the phase sequence is written
+// once over a phase backend (phases.hpp): natively it is timed with a
+// PhaseLedger, on the simulator its recorded traces are replayed.
 
 #include <cstdint>
 #include <span>
@@ -23,7 +24,6 @@
 #include "runtime/reduction.hpp"
 #include "util/union_find.hpp"
 #include "workloads/dataset.hpp"
-#include "workloads/executor.hpp"
 #include "workloads/kdtree.hpp"
 #include "workloads/workload_types.hpp"
 
@@ -192,16 +192,7 @@ void hop_merge_groups(E& ex,
                       std::span<const std::uint32_t> peak_of_group,
                       double merge_saddle, util::UnionFind& uf) {
   // Histogram reduction: for every group, accumulate every thread's count.
-  for (std::size_t g = 0; g < group_sizes.size(); ++g) {
-    for (int t = 0; t < partials.threads(); ++t) {
-      const std::uint64_t& partial = partials.partial(t)[g];
-      ex.load(&partial);
-      ex.load(&group_sizes[g]);
-      group_sizes[g] += partial;
-      ex.store(&group_sizes[g]);
-      ex.compute(1);
-    }
-  }
+  runtime::merge_slice(ex, partials, group_sizes, 0, group_sizes.size());
   // Boundary merge across all threads' lists.
   for (const auto& list : boundaries) {
     for (const HopBoundary& b : list) {

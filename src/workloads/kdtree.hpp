@@ -6,9 +6,9 @@
 // the paper observes that "the parallel tree construction kernel does not
 // scale up to 16 cores" for HOP.
 //
-// All build and query routines are Executor templates (executor.hpp) and
-// annotate their dynamic loads/stores/compute, so the same code is timed
-// natively and on the simulator.
+// All build and query routines are Executor templates
+// (runtime/executor.hpp) and annotate their dynamic loads/stores/compute,
+// so the same code is timed natively and on the simulator.
 
 #include <algorithm>
 #include <cstdint>
@@ -16,7 +16,7 @@
 
 #include "util/check.hpp"
 #include "workloads/dataset.hpp"
-#include "workloads/executor.hpp"
+#include "workloads/workload_types.hpp"
 
 namespace mergescale::workloads {
 

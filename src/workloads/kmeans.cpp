@@ -5,6 +5,8 @@
 #include "runtime/thread_team.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "workloads/phases.hpp"
+#include "workloads/sim_adapter.hpp"
 
 namespace mergescale::workloads {
 
@@ -34,76 +36,68 @@ void init_centers(const PointSet& points, int clusters, std::uint64_t seed,
   }
 }
 
-ClusteringResult run_kmeans_native(const PointSet& points,
-                                   const ClusteringConfig& config, int threads,
-                                   runtime::PhaseLedger& ledger) {
-  MS_CHECK(threads >= 1, "need at least one thread");
+namespace {
+
+/// The k-means phase sequence, written once for both backends
+/// (phases.hpp).
+template <typename P>
+ClusteringResult kmeans_phases(P& phases, const PointSet& points,
+                               const ClusteringConfig& config) {
   MS_CHECK(config.iterations >= 1, "need at least one iteration");
   const int dims = points.dims();
   const int clusters = config.clusters;
+  const int threads = phases.threads();
   const std::size_t width =
       static_cast<std::size_t>(clusters) * static_cast<std::size_t>(dims);
 
   ClusteringResult result;
   result.centers.assign(width, 0.0);
   result.assignments.assign(points.size(), -1);
-
-  {
-    runtime::PhaseLedger::Scope scope(ledger, runtime::Phase::kInit);
+  phases.init(width, [&] {
     init_centers(points, clusters, config.seed, result.centers);
-    ledger.add_ops(runtime::Phase::kInit, width);
-  }
+  });
 
-  runtime::ThreadTeam team(threads);
   runtime::PartialBuffers<double> center_parts(threads, width);
   runtime::PartialBuffers<std::uint64_t> count_parts(
       threads, static_cast<std::size_t>(clusters));
   std::vector<double> center_sums(width);
   std::vector<std::uint64_t> counts(static_cast<std::size_t>(clusters));
-  std::vector<CountingExecutor> counters(static_cast<std::size_t>(threads));
+
+  // Every buffer the kernels touch, at canonical simulated addresses:
+  // the cycle counts do not depend on where the heap put them.
+  phases.place(points.flat());
+  phases.place(std::span(result.centers));
+  phases.place(std::span(result.assignments));
+  phases.place(center_parts);
+  phases.place(count_parts);
+  phases.place(std::span(center_sums));
+  phases.place(std::span(counts));
 
   for (int iter = 0; iter < config.iterations; ++iter) {
     // --- parallel phase: assignment + privatized accumulation ---
-    ledger.start(runtime::Phase::kParallel);
     center_parts.clear();
     count_parts.clear();
-    team.run([&](int tid, int team_size) {
+    phases.parallel([&](auto& ex, int tid, int team_size) {
       auto [lo, hi] =
           runtime::ThreadTeam::partition(0, points.size(), tid, team_size);
-      CountingExecutor& ex = counters[static_cast<std::size_t>(tid)];
       kmeans_assign_block(ex, points, result.centers, clusters, lo, hi,
                           result.assignments, center_parts.partial(tid),
                           count_parts.partial(tid));
     });
-    ledger.stop();
-    // Parallel work: total annotated events across the team.
-    for (auto& ex : counters) {
-      ledger.add_ops(runtime::Phase::kParallel, ex.total());
-      ex = CountingExecutor{};
-    }
 
     // --- merging phase: reduce partial sums into globals ---
-    ledger.start(runtime::Phase::kReduction);
     std::fill(center_sums.begin(), center_sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0);
-    runtime::reduce(config.strategy, team, std::span<double>(center_sums),
-                    center_parts);
-    runtime::reduce(config.strategy, team, std::span<std::uint64_t>(counts),
-                    count_parts);
-    ledger.stop();
-    ledger.add_ops(
-        runtime::Phase::kReduction,
-        runtime::critical_path_ops(config.strategy, threads, width) +
-            runtime::critical_path_ops(config.strategy, threads,
-                                       static_cast<std::size_t>(clusters)));
+    phases.merge(config.strategy, center_parts,
+                 std::span<double>(center_sums));
+    phases.merge(config.strategy, count_parts,
+                 std::span<std::uint64_t>(counts));
 
     // --- serial phase: center update ---
-    ledger.start(runtime::Phase::kSerial);
-    NativeExecutor native;
-    kmeans_update_centers(native, std::span<double>(result.centers),
-                          center_sums, counts, dims);
-    ledger.stop();
-    ledger.add_ops(runtime::Phase::kSerial, 6 * width);
+    phases.serial(runtime::Phase::kSerial, 6 * width, [&](auto& ex) {
+      kmeans_update_centers(ex, std::span<double>(result.centers),
+                            center_sums, counts, dims);
+    });
 
     result.iterations = iter + 1;
   }
@@ -122,6 +116,24 @@ ClusteringResult run_kmeans_native(const PointSet& points,
   }
   result.inertia = inertia;
   return result;
+}
+
+}  // namespace
+
+ClusteringResult run_kmeans_native(const PointSet& points,
+                                   const ClusteringConfig& config, int threads,
+                                   runtime::PhaseLedger& ledger) {
+  NativePhases phases(threads, ledger);
+  return kmeans_phases(phases, points, config);
+}
+
+SimPhases simulate_kmeans(const PointSet& points,
+                          const ClusteringConfig& config, sim::Machine& machine,
+                          ClusteringResult* result_out) {
+  SimulatedPhases phases(machine);
+  ClusteringResult result = kmeans_phases(phases, points, config);
+  if (result_out != nullptr) *result_out = std::move(result);
+  return phases.phases();
 }
 
 }  // namespace mergescale::workloads

@@ -11,8 +11,9 @@
 //   serial phase     new centers are computed from the global sums
 //                    (constant work, independent of thread count).
 //
-// All kernels are Executor templates (see executor.hpp) so the same code
-// runs natively and on the timing simulator.
+// All kernels are Executor templates (runtime/executor.hpp), and the phase
+// sequence is written once over a phase backend (phases.hpp), so the same
+// code runs natively and on the timing simulator (simulate_kmeans).
 
 #include <cstdint>
 #include <span>
@@ -20,7 +21,6 @@
 #include "runtime/phase_ledger.hpp"
 #include "runtime/reduction.hpp"
 #include "workloads/dataset.hpp"
-#include "workloads/executor.hpp"
 #include "workloads/workload_types.hpp"
 
 namespace mergescale::workloads {
@@ -77,37 +77,6 @@ void kmeans_assign_block(E& ex, const PointSet& points,
     ++partial_counts[best];
     ex.store(&partial_counts[best]);
     ex.compute(1);
-  }
-}
-
-/// The paper's Algorithm 1 — serial merging phase: for every reduction
-/// element, accumulate each thread's partial into the global buffer.
-/// Used by the simulator path and by the serial reduction strategy.
-template <Executor E>
-void merge_partials_serial(E& ex,
-                           const runtime::PartialBuffers<double>& centers_parts,
-                           const runtime::PartialBuffers<std::uint64_t>& count_parts,
-                           std::span<double> center_sums,
-                           std::span<std::uint64_t> counts) {
-  for (std::size_t i = 0; i < center_sums.size(); ++i) {
-    for (int t = 0; t < centers_parts.threads(); ++t) {
-      const double& partial = centers_parts.partial(t)[i];
-      ex.load(&partial);
-      ex.load(&center_sums[i]);
-      center_sums[i] += partial;
-      ex.store(&center_sums[i]);
-      ex.compute(1);
-    }
-  }
-  for (std::size_t c = 0; c < counts.size(); ++c) {
-    for (int t = 0; t < count_parts.threads(); ++t) {
-      const std::uint64_t& partial = count_parts.partial(t)[c];
-      ex.load(&partial);
-      ex.load(&counts[c]);
-      counts[c] += partial;
-      ex.store(&counts[c]);
-      ex.compute(1);
-    }
   }
 }
 

@@ -1,18 +1,28 @@
 #pragma once
-// Simulator adapter: runs the clustering workloads on the sim::Machine
-// timing model, reproducing the paper's SESC methodology (§IV).
+// Simulator backend: runs the workloads' phase sequences on the
+// sim::Machine timing model, reproducing the paper's SESC methodology
+// (§IV).
 //
-// Every phase of a workload is (a) executed for real — results are
-// identical to the native driver's — while a RecordingExecutor captures
-// each participating core's operation trace, and (b) replayed through the
-// machine's L1/MESI/L2 timing model with interleaving.  Phase durations
-// in cycles are accumulated per phase class, yielding the
-// core::PhaseProfile the calibration pipeline consumes.
+// SimulatedPhases is the phases.hpp backend the simulate_* entry points
+// instantiate each workload's one phase sequence with.  Every phase is
+// (a) executed for real — results are identical to the native run's —
+// while a RecordingExecutor captures each participating core's operation
+// trace, and (b) replayed through the machine's L1/MESI/L2 timing model
+// with interleaving.  Phase durations in cycles are accumulated per phase
+// class, yielding the core::PhaseProfile the calibration pipeline
+// consumes.  Setup (init) is not simulated.
 
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "core/calibrate.hpp"
+#include "runtime/phase_ledger.hpp"
+#include "runtime/reduction.hpp"
+#include "runtime/thread_team.hpp"
 #include "sim/machine.hpp"
+#include "sim/trace.hpp"
+#include "util/check.hpp"
 #include "workloads/apriori.hpp"
 #include "workloads/dataset.hpp"
 #include "workloads/workload_types.hpp"
@@ -37,8 +47,136 @@ struct SimPhases {
   std::uint64_t serial_section() const noexcept {
     return serial + reduction;
   }
-  /// Conversion to the calibration input (cycles as the time unit).
+  /// Conversion to the calibration input type (cycles as the time unit).
   core::PhaseProfile profile(int cores) const;
+};
+
+/// Simulator backend (see phases.hpp for the operations): one thread per
+/// simulated core.  A parallel phase is one replay of every core's
+/// trace; a serial phase replays core 0's.  The merging phase records
+/// runtime/reduction.hpp's kernels core by core: serial on core 0,
+/// each tree level as its own replay phase (the barrier between levels
+/// is the phase boundary) followed by the final combine on core 0, and
+/// privatized as one phase of every core's slice.  Buffers given to
+/// place() are traced at canonical addresses; all others at their host
+/// addresses.
+class SimulatedPhases {
+ public:
+  explicit SimulatedPhases(sim::Machine& machine)
+      : machine_(&machine),
+        traces_(static_cast<std::size_t>(machine.cores())) {}
+
+  int threads() const noexcept { return machine_->cores(); }
+  /// The cycles and memory activity accumulated so far.
+  const SimPhases& phases() const noexcept { return phases_; }
+
+  template <typename Fn>
+  auto init(std::uint64_t, Fn&& fn) {
+    return fn();
+  }
+
+  template <typename Body>
+  void parallel(Body&& body) {
+    record(traces_, runtime::Phase::kParallel, body);
+    traces_.resize(static_cast<std::size_t>(threads()));
+  }
+
+  template <typename Body>
+  void serial(runtime::Phase phase, Body&& body) {
+    record_serial(serial_trace_, phase, body);
+  }
+
+  template <typename Body>
+  void serial(runtime::Phase phase, std::uint64_t, Body&& body) {
+    record_serial(serial_trace_, phase, body);
+  }
+
+  template <typename T>
+  void merge(runtime::ReductionStrategy strategy,
+             runtime::PartialBuffers<T>& partials, std::span<T> dest) {
+    using runtime::Phase;
+    const int cores = threads();
+    switch (strategy) {
+      case runtime::ReductionStrategy::kSerial: {
+        sim::Trace trace;
+        record_serial(trace, Phase::kReduction, [&](auto& ex) {
+          runtime::merge_slice(ex, partials, dest, 0, dest.size());
+        });
+        return;
+      }
+      case runtime::ReductionStrategy::kTree: {
+        for (int stride = 1; stride < cores; stride *= 2) {
+          std::vector<sim::Trace> traces(static_cast<std::size_t>(cores));
+          record(traces, Phase::kReduction, [&](auto& ex, int tid, int) {
+            if (const int src = runtime::tree_source(tid, stride, cores);
+                src >= 0) {
+              runtime::merge_row(ex, std::span<const T>(partials.partial(src)),
+                                 partials.partial(tid));
+            }
+          });
+        }
+        sim::Trace trace;
+        record_serial(trace, Phase::kReduction, [&](auto& ex) {
+          runtime::merge_row(ex, std::span<const T>(partials.partial(0)),
+                             dest);
+        });
+        return;
+      }
+      case runtime::ReductionStrategy::kPrivatized: {
+        std::vector<sim::Trace> traces(static_cast<std::size_t>(cores));
+        record(traces, Phase::kReduction, [&](auto& ex, int tid, int) {
+          auto [lo, hi] =
+              runtime::ThreadTeam::partition(0, dest.size(), tid, cores);
+          runtime::merge_slice(ex, partials, dest, lo, hi);
+        });
+        return;
+      }
+    }
+    MS_CHECK(false, "unknown reduction strategy");
+  }
+
+  template <typename T>
+  void place(std::span<T> buffer) {
+    map_.add(buffer);
+  }
+  template <typename T>
+  void place(runtime::PartialBuffers<T>& partials) {
+    for (int t = 0; t < partials.threads(); ++t) map_.add(partials.partial(t));
+  }
+
+ private:
+  /// Records body(ex, tid, threads) for every core into `traces`, then
+  /// replays them as one phase charged to `phase` (the traces are
+  /// cleared).
+  template <typename Body>
+  void record(std::vector<sim::Trace>& traces, runtime::Phase phase,
+              Body&& body) {
+    for (int tid = 0; tid < threads(); ++tid) {
+      sim::RecordingExecutor ex(traces[static_cast<std::size_t>(tid)], &map_);
+      body(ex, tid, threads());
+      ex.flush_compute();
+    }
+    replay(traces, phase);
+  }
+
+  /// Records body(ex) into `trace`, then replays it on core 0 charged to
+  /// `phase` (the trace is cleared).
+  template <typename Body>
+  void record_serial(sim::Trace& trace, runtime::Phase phase, Body&& body) {
+    sim::RecordingExecutor ex(trace, &map_);
+    body(ex);
+    ex.flush_compute();
+    replay_serial(trace, phase);
+  }
+
+  void replay(std::vector<sim::Trace>& traces, runtime::Phase phase);
+  void replay_serial(sim::Trace& trace, runtime::Phase phase);
+
+  sim::Machine* machine_;
+  sim::AddressMap map_;
+  std::vector<sim::Trace> traces_;
+  sim::Trace serial_trace_;
+  SimPhases phases_;
 };
 
 /// Simulates k-means on `machine` (one thread per simulated core).

@@ -8,6 +8,11 @@
 
 namespace mergescale::workloads {
 
+// Every workload kernel is a template over a runtime::Executor.
+using runtime::CountingExecutor;
+using runtime::Executor;
+using runtime::NativeExecutor;
+
 /// Common knobs of the kmeans / fuzzy c-means drivers.
 struct ClusteringConfig {
   int clusters = 8;       ///< C

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_set>
+
 #include "core/app_params.hpp"
 #include "core/comm_model.hpp"
+#include "explore/scenario.hpp"
 
 namespace mergescale::explore {
 namespace {
@@ -213,6 +216,32 @@ TEST(MemoCache, SpreadsDistinctKeysAcrossEntries) {
     cache.insert(cache_key(request), EvalOutcome{});
   }
   EXPECT_EQ(cache.size(), 64u);
+}
+
+// Regression: each hash lane used to be a bare `(lane ^ word) * odd`,
+// which never carries a word's high bits down, and core sizes that are
+// powers of two differ only in their exponent bits.  The CI anneal grid's
+// 6,144 distinct keys hashed to 6,080 values.
+TEST(CacheKeyHash, SeparatesEveryKeyOfTheAnnealGrid) {
+  ScenarioConfig grid;
+  grid.apps = "kmeans,fuzzy,hop";
+  grid.budgets = "64,128,256,512";
+  grid.growths = "linear";
+  grid.variants = "asymmetric";
+  grid.topologies = "mesh";
+  grid.small_cores = "1,2,3,4,5,6,7,8";
+  for (int size = 1; size <= 64; ++size) {
+    grid.sizes += (size > 1 ? "," : "") + std::to_string(size);
+  }
+  const ScenarioSpec spec = from_config(to_config(grid), "anneal-grid");
+  std::unordered_set<CacheKey, CacheKeyHash> keys;
+  std::unordered_set<std::size_t> hashes;
+  for (const EvalJob& job : spec.expand()) {
+    const CacheKey key = cache_key(job.request);
+    if (keys.insert(key).second) hashes.insert(CacheKeyHash{}(key));
+  }
+  EXPECT_EQ(keys.size(), 6144u);
+  EXPECT_EQ(hashes.size(), keys.size());
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "sim/machine.hpp"
+#include "workloads/apriori.hpp"
 #include "workloads/dataset.hpp"
 #include "workloads/fuzzy.hpp"
 #include "workloads/hop.hpp"
@@ -65,6 +66,32 @@ TEST(SimVsNative, HopResultsIdentical) {
   simulate_hop(particles, config, machine, &simulated);
   EXPECT_EQ(simulated.groups, native.groups);
   EXPECT_EQ(simulated.group_of, native.group_of);
+}
+
+TEST(SimVsNative, AprioriResultsIdentical) {
+  const TransactionSet data = synthetic_transactions(500, 24, 5, 31);
+  for (runtime::ReductionStrategy strategy :
+       {runtime::ReductionStrategy::kSerial, runtime::ReductionStrategy::kTree,
+        runtime::ReductionStrategy::kPrivatized}) {
+    AprioriConfig config;
+    config.min_support = 0.05;
+    config.strategy = strategy;
+    runtime::PhaseLedger ledger;
+    const AprioriResult native = run_apriori_native(data, config, 3, ledger);
+    sim::Machine machine = make_machine(3);
+    AprioriResult simulated;
+    simulate_apriori(data, config, machine, &simulated);
+    ASSERT_EQ(simulated.levels.size(), native.levels.size());
+    ASSERT_GE(native.levels.size(), 2u) << "the data must reach level 2";
+    for (std::size_t k = 0; k < native.levels.size(); ++k) {
+      ASSERT_EQ(simulated.levels[k].size(), native.levels[k].size()) << k;
+      for (std::size_t i = 0; i < native.levels[k].size(); ++i) {
+        EXPECT_EQ(simulated.levels[k][i].items, native.levels[k][i].items);
+        EXPECT_EQ(simulated.levels[k][i].support,
+                  native.levels[k][i].support);
+      }
+    }
+  }
 }
 
 TEST(SimTiming, KmeansParallelPhaseScales) {

@@ -115,29 +115,17 @@ TEST(ReductionStrategies, IntegerSums) {
   }
 }
 
-TEST(ReductionStrategies, CustomOperation) {
-  ThreadTeam team(3);
-  PartialBuffers<double> buffers(3, 4);
-  for (int t = 0; t < 3; ++t) {
-    for (std::size_t i = 0; i < 4; ++i) {
-      buffers.partial(t)[i] = t + 2.0;  // 2, 3, 4
-    }
-  }
-  std::vector<double> dest(4, 1.0);
-  serial_reduce(std::span<double>(dest), buffers, std::multiplies<double>());
-  for (double v : dest) EXPECT_DOUBLE_EQ(v, 24.0);
-}
-
 TEST(ReductionStrategies, SizeMismatchThrows) {
   ThreadTeam team(2);
   PartialBuffers<double> buffers(2, 8);
   std::vector<double> wrong(7, 0.0);
-  EXPECT_THROW(serial_reduce(std::span<double>(wrong), buffers),
+  EXPECT_THROW(reduce(ReductionStrategy::kSerial, team,
+                      std::span<double>(wrong), buffers),
                std::invalid_argument);
   PartialBuffers<double> other(3, 8);
   std::vector<double> dest(8, 0.0);
   EXPECT_THROW(
-      tree_reduce(team, std::span<double>(dest), other),
+      reduce(ReductionStrategy::kTree, team, std::span<double>(dest), other),
       std::invalid_argument);
 }
 

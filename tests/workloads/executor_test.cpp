@@ -1,11 +1,11 @@
-#include "workloads/executor.hpp"
+#include "runtime/executor.hpp"
 
 #include <gtest/gtest.h>
 
+#include "runtime/reduction.hpp"
 #include "sim/trace.hpp"
-#include "workloads/merge_kernels.hpp"
 
-namespace mergescale::workloads {
+namespace mergescale::runtime {
 namespace {
 
 TEST(ExecutorConcept, AllExecutorsSatisfyIt) {
@@ -29,8 +29,8 @@ TEST(CountingExecutor, CountsEachAnnotationKind) {
   EXPECT_EQ(ex.total(), 10u);
 }
 
-TEST(MergeKernels, SerialKernelEqualsRuntimeSerialReduce) {
-  runtime::PartialBuffers<double> partials(3, 8);
+TEST(MergeKernels, SerialKernelEqualsLoopOracle) {
+  PartialBuffers<double> partials(3, 8);
   for (int t = 0; t < 3; ++t) {
     auto row = partials.partial(t);
     for (std::size_t i = 0; i < row.size(); ++i) {
@@ -38,17 +38,19 @@ TEST(MergeKernels, SerialKernelEqualsRuntimeSerialReduce) {
     }
   }
   std::vector<double> via_kernel(8, 1.0);
-  std::vector<double> via_runtime(8, 1.0);
+  std::vector<double> oracle(8, 1.0);
   NativeExecutor ex;
-  merge_serial_kernel(ex, partials, std::span<double>(via_kernel));
-  runtime::serial_reduce(std::span<double>(via_runtime), partials);
-  EXPECT_EQ(via_kernel, via_runtime);
+  merge_slice(ex, partials, std::span<double>(via_kernel), 0, 8);
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    for (int t = 0; t < 3; ++t) oracle[i] += partials.partial(t)[i];
+  }
+  EXPECT_EQ(via_kernel, oracle);
 }
 
 TEST(MergeKernels, TreeStepsComposeToFullSum) {
   constexpr int kThreads = 8;
   constexpr std::size_t kWidth = 5;
-  runtime::PartialBuffers<double> partials(kThreads, kWidth);
+  PartialBuffers<double> partials(kThreads, kWidth);
   for (int t = 0; t < kThreads; ++t) {
     auto row = partials.partial(t);
     for (std::size_t i = 0; i < kWidth; ++i) {
@@ -57,12 +59,16 @@ TEST(MergeKernels, TreeStepsComposeToFullSum) {
   }
   NativeExecutor ex;
   for (int stride = 1; stride < kThreads; stride *= 2) {
-    for (int t = 0; t + stride < kThreads; t += 2 * stride) {
-      merge_tree_step_kernel(ex, partials, t, t + stride);
+    for (int t = 0; t < kThreads; ++t) {
+      if (const int src = tree_source(t, stride, kThreads); src >= 0) {
+        merge_row(ex, std::span<const double>(partials.partial(src)),
+                  partials.partial(t));
+      }
     }
   }
   std::vector<double> dest(kWidth, 0.0);
-  merge_tree_final_kernel(ex, partials, std::span<double>(dest));
+  merge_row(ex, std::span<const double>(partials.partial(0)),
+            std::span<double>(dest));
   for (double v : dest) {
     EXPECT_DOUBLE_EQ(v, 36.0);  // 1+2+...+8
   }
@@ -71,7 +77,7 @@ TEST(MergeKernels, TreeStepsComposeToFullSum) {
 TEST(MergeKernels, PrivatizedSlicesCoverEverything) {
   constexpr int kThreads = 4;
   constexpr std::size_t kWidth = 11;  // not divisible by kThreads
-  runtime::PartialBuffers<std::uint64_t> partials(kThreads, kWidth);
+  PartialBuffers<std::uint64_t> partials(kThreads, kWidth);
   for (int t = 0; t < kThreads; ++t) {
     auto row = partials.partial(t);
     for (std::size_t i = 0; i < kWidth; ++i) row[i] = i + 1;
@@ -79,10 +85,8 @@ TEST(MergeKernels, PrivatizedSlicesCoverEverything) {
   std::vector<std::uint64_t> dest(kWidth, 0);
   NativeExecutor ex;
   for (int tid = 0; tid < kThreads; ++tid) {
-    auto [lo, hi] =
-        runtime::ThreadTeam::partition(0, kWidth, tid, kThreads);
-    merge_privatized_kernel(ex, partials, std::span<std::uint64_t>(dest), lo,
-                            hi);
+    auto [lo, hi] = ThreadTeam::partition(0, kWidth, tid, kThreads);
+    merge_slice(ex, partials, std::span<std::uint64_t>(dest), lo, hi);
   }
   for (std::size_t i = 0; i < kWidth; ++i) {
     EXPECT_EQ(dest[i], kThreads * (i + 1)) << i;
@@ -90,11 +94,11 @@ TEST(MergeKernels, PrivatizedSlicesCoverEverything) {
 }
 
 TEST(MergeKernels, RecordingExecutorSeesAllElements) {
-  runtime::PartialBuffers<double> partials(2, 4);
+  PartialBuffers<double> partials(2, 4);
   std::vector<double> dest(4, 0.0);
   sim::Trace trace;
   sim::RecordingExecutor ex(trace);
-  merge_serial_kernel(ex, partials, std::span<double>(dest));
+  merge_slice(ex, partials, std::span<double>(dest), 0, 4);
   ex.flush_compute();
   const sim::TraceSummary summary = sim::summarize(trace);
   // Per element and thread: load partial + load dest + store dest.
@@ -104,4 +108,4 @@ TEST(MergeKernels, RecordingExecutorSeesAllElements) {
 }
 
 }  // namespace
-}  // namespace mergescale::workloads
+}  // namespace mergescale::runtime
