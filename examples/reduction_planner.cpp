@@ -32,10 +32,11 @@ double measure_seconds(ReductionStrategy strategy, int threads,
     }
   }
   std::vector<double> dest(width);
+  const auto schedule = runtime::merge_schedule(strategy, threads, width);
   const auto start = std::chrono::steady_clock::now();
   for (int rep = 0; rep < repeats; ++rep) {
     std::fill(dest.begin(), dest.end(), 0.0);
-    runtime::reduce(strategy, team, std::span<double>(dest), buffers);
+    runtime::reduce(schedule, team, std::span<double>(dest), buffers);
   }
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        start)

@@ -49,8 +49,8 @@ class PhaseLedger {
 
   /// Adds `ops` abstract work units to `phase` (no timing involved).
   void add_ops(Phase phase, std::uint64_t ops) noexcept;
-  /// Adds seconds directly (used by the simulator backend where "time" is
-  /// simulated cycles, and by tests).
+  /// Adds seconds directly, for callers that measure time themselves
+  /// (the tests do).
   void add_seconds(Phase phase, double seconds) noexcept;
 
   /// Accumulated seconds in `phase`.

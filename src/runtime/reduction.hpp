@@ -6,13 +6,13 @@
 // linearly with the thread count.  The alternatives it analyzes are a
 // tree (logarithmic critical path) and a privatized parallel reduction
 // (constant computational critical path, communication modelled
-// separately in §V-E).  Each strategy's per-core work is one
-// Executor-annotated kernel here; reduce() runs the kernels on a thread
-// team, and the simulator backend (workloads/sim_adapter.hpp) records
-// the same kernels core by core.
+// separately in §V-E).  Each strategy is written once, as a schedule:
+// ordered steps saying what every core merges (merge_schedule).  reduce()
+// runs a schedule on a thread team, the simulator backend
+// (workloads/sim_adapter.hpp) records and replays it step by step, and
+// the native ledger charges its critical path.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -55,6 +55,8 @@ class PartialBuffers {
 
   int threads() const noexcept { return threads_; }
   std::size_t width() const noexcept { return width_; }
+  /// Elements from the start of one row to the start of the next.
+  std::size_t stride() const noexcept { return stride_; }
 
   /// Mutable view of thread `tid`'s partial array.
   std::span<T> partial(int tid) {
@@ -82,99 +84,104 @@ class PartialBuffers {
   std::vector<T> data_;
 };
 
-/// Accumulates elements [lo, hi) of every thread's partial into `dest`:
-/// one core's slice of the privatized merge, whose all-to-all reads are
-/// what §V-E's communication model charges for.  Over [0, width) on one
-/// core it is the serial merge (paper Algorithm 1).
+/// What one core merges in one step of a merging schedule: rows
+/// [first, last) of the partials folded element-wise into row `into`
+/// (kDest: the result) over elements [lo, hi).  An idle core's work is
+/// empty.
+struct MergeWork {
+  static constexpr int kDest = -1;
+
+  int first = 0;
+  int last = 0;
+  int into = kDest;
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+
+  /// Element merges this work performs.
+  std::uint64_t merges() const noexcept {
+    return static_cast<std::uint64_t>(last - first) * (hi - lo);
+  }
+};
+
+/// One step of a schedule: entry `tid` is core tid's work.  A step of a
+/// single entry runs on core 0 alone; cores synchronize between steps.
+using MergeStep = std::vector<MergeWork>;
+
+/// `strategy`'s merging phase over `threads` partials of `width`
+/// elements, as ordered steps:
+///   serial      one core-0 step over every partial (Algorithm 1; linear
+///               growth);
+///   tree        per stride 1, 2, 4, ... < threads, core tid (a multiple
+///               of 2·stride) folds partial(tid + stride) into its own;
+///               then core 0 folds partial(0) into the result
+///               (logarithmic growth; destroys the partials);
+///   privatized  one step in which each core merges its
+///               ThreadTeam::partition slice of every partial (flat).
+std::vector<MergeStep> merge_schedule(ReductionStrategy strategy, int threads,
+                                      std::size_t width);
+
+/// Operations on a schedule's critical path: the busiest core's element
+/// merges, summed over the steps.  This is the quantity the analytical
+/// model's growth functions describe.
+std::uint64_t critical_path(const std::vector<MergeStep>& schedule);
+
+/// Runs one core's `work` of a schedule step, annotated on `ex`: per
+/// element, every row's value is added into the target.
 template <Executor E, typename T>
-void merge_slice(E& ex, const PartialBuffers<T>& partials, std::span<T> dest,
-                 std::size_t lo, std::size_t hi) {
+void merge(E& ex, const MergeWork& work, PartialBuffers<T>& partials,
+           std::span<T> dest) {
+  const auto [first, last, target, lo, hi] = work;
+  T* into = (target == MergeWork::kDest ? dest : partials.partial(target))
+                .data();
+  const T* rows = partials.partial(first).data();
+  const auto fold = [&ex](const T& from, T& to) {
+    ex.load(&from);
+    ex.load(&to);
+    to += from;
+    ex.store(&to);
+    ex.compute(1);
+  };
+  if (last - first == 1) {  // one row: a plain, vectorizable row loop
+    for (std::size_t i = lo; i < hi; ++i) fold(rows[i], into[i]);
+    return;
+  }
+  const std::size_t stride = partials.stride();
   for (std::size_t i = lo; i < hi; ++i) {
-    for (int t = 0; t < partials.threads(); ++t) {
-      const T& partial = partials.partial(t)[i];
-      ex.load(&partial);
-      ex.load(&dest[i]);
-      dest[i] += partial;
-      ex.store(&dest[i]);
-      ex.compute(1);
+    for (int t = 0; t < last - first; ++t) {
+      fold(rows[static_cast<std::size_t>(t) * stride + i], into[i]);
     }
   }
 }
 
-/// Folds `from` into `into` element by element: one core's step of a tree
-/// level, and the tree's final combine of partial(0) into the result.
-template <Executor E, typename T>
-void merge_row(E& ex, std::span<const T> from, std::span<T> into) {
-  for (std::size_t i = 0; i < into.size(); ++i) {
-    ex.load(&from[i]);
-    ex.load(&into[i]);
-    into[i] += from[i];
-    ex.store(&into[i]);
-    ex.compute(1);
-  }
-}
-
-/// The partial that core `tid` folds into its own at the tree level
-/// combining buffers `stride` apart, or -1 when the core idles there.
-/// Levels run for stride = 1, 2, 4, ... < threads.
-constexpr int tree_source(int tid, int stride, int threads) noexcept {
-  return tid % (2 * stride) == 0 && tid + stride < threads ? tid + stride
-                                                           : -1;
-}
-
-/// Merges every thread's partial into `dest` (`dest[i] += Σ_t
-/// partials[t][i]`) under `strategy` on `team`:
-///   serial      the caller walks all partials — threads·width operations
-///               on the critical path (linear growth);
-///   tree        ceil(log2(threads)) barrier-separated levels, then the
-///               caller folds partial(0) into `dest` (logarithmic growth;
-///               destroys the partials);
-///   privatized  each thread reduces a contiguous slice of the elements
-///               across all partials (flat compute).
+/// Runs `schedule` (`dest[i] += Σ_t partials[t][i]`) natively: the
+/// leading multi-core steps in one region of `team`, separated by
+/// barriers, then the trailing core-0 steps on the calling thread, so a
+/// serial merge opens no region.
 template <typename T>
-void reduce(ReductionStrategy strategy, ThreadTeam& team, std::span<T> dest,
-            PartialBuffers<T>& partials) {
+void reduce(const std::vector<MergeStep>& schedule, ThreadTeam& team,
+            std::span<T> dest, PartialBuffers<T>& partials) {
   MS_CHECK(dest.size() == partials.width(), "dest size mismatch");
-  MS_CHECK(strategy == ReductionStrategy::kSerial ||
-               team.size() == partials.threads(),
-           "team size must match partial buffer count");
-  NativeExecutor ex;
-  switch (strategy) {
-    case ReductionStrategy::kSerial:
-      merge_slice(ex, partials, dest, 0, dest.size());
-      return;
-    case ReductionStrategy::kTree:
-      team.run([&](int tid, int threads) {
-        NativeExecutor core;
-        for (int stride = 1; stride < threads; stride *= 2) {
-          if (const int src = tree_source(tid, stride, threads); src >= 0) {
-            merge_row(core, std::span<const T>(partials.partial(src)),
-                      partials.partial(tid));
-          }
-          team.barrier();
-        }
-      });
-      merge_row(ex, std::span<const T>(partials.partial(0)), dest);
-      return;
-    case ReductionStrategy::kPrivatized:
-      team.run([&](int tid, int threads) {
-        NativeExecutor core;
-        auto [lo, hi] = ThreadTeam::partition(0, dest.size(), tid, threads);
-        merge_slice(core, partials, dest, lo, hi);
-      });
-      return;
+  std::size_t team_steps = 0;
+  while (team_steps < schedule.size() && schedule[team_steps].size() > 1) {
+    ++team_steps;
   }
-  MS_CHECK(false, "unknown reduction strategy");
+  if (team_steps > 0) {
+    MS_CHECK(team.size() == partials.threads(),
+             "team size must match partial buffer count");
+    team.run([&](int tid, int) {
+      NativeExecutor core;
+      for (std::size_t s = 0; s < team_steps; ++s) {
+        if (s > 0) team.barrier();
+        merge(core, schedule[s][static_cast<std::size_t>(tid)], partials,
+              dest);
+      }
+    });
+  }
+  NativeExecutor ex;
+  for (std::size_t s = team_steps; s < schedule.size(); ++s) {
+    MS_CHECK(schedule[s].size() == 1, "core-0 steps must come last");
+    merge(ex, schedule[s][0], partials, dest);
+  }
 }
-
-/// Operations on the merging phase's critical path for `threads` partials
-/// of `width` elements — the quantity the analytical model's growth
-/// functions describe (linear / logarithmic / constant respectively).
-std::uint64_t critical_path_ops(ReductionStrategy strategy, int threads,
-                                std::size_t width);
-
-/// Element transfers of the all-to-one + broadcast-back pattern the
-/// communication model charges for: 2·(threads − 1)·width (§V-E).
-std::uint64_t communication_elements(int threads, std::size_t width);
 
 }  // namespace mergescale::runtime

@@ -85,8 +85,4 @@ ReplayResult replay(Machine& machine, const std::vector<Trace>& traces) {
   return result;
 }
 
-ReplayResult replay_serial(Machine& machine, const Trace& trace) {
-  return replay(machine, std::vector<Trace>{trace});
-}
-
 }  // namespace mergescale::sim

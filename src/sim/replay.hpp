@@ -32,7 +32,4 @@ struct ReplayResult {
 /// latency.  Returns the phase timing and statistics.
 ReplayResult replay(Machine& machine, const std::vector<Trace>& traces);
 
-/// Convenience: replays a single trace on core 0 (serial/merging phases).
-ReplayResult replay_serial(Machine& machine, const Trace& trace);
-
 }  // namespace mergescale::sim

@@ -57,10 +57,17 @@ using Trace = std::vector<Op>;
 /// buffer pass through unchanged.
 class AddressMap {
  public:
-  /// Registers the `bytes` bytes at `p` as the next buffer.
+  /// Registers the `bytes` bytes at `p` as the next buffer.  A registered
+  /// buffer that overlaps it has been freed, and its region is dropped,
+  /// so the heap reusing a freed range cannot mistranslate a new buffer.
   void add(const void* p, std::size_t bytes) {
+    if (bytes == 0) return;
     const auto begin = reinterpret_cast<std::uintptr_t>(p);
-    regions_.push_back({begin, begin + bytes, next_});
+    const std::uintptr_t end = begin + bytes;
+    std::erase_if(regions_, [&](const Region& region) {
+      return region.begin < end && begin < region.end;
+    });
+    regions_.push_back({begin, end, next_});
     next_ += (bytes + kLine - 1) / kLine * kLine;
   }
 

@@ -76,12 +76,20 @@ AprioriResult apriori_phases(P& phases, const TransactionSet& data,
     return items;
   });
 
+  // Every buffer the kernels trace, at canonical simulated addresses.
+  // Each level allocates its own, so the map drops the regions of the
+  // levels before it when the heap reuses their ranges.
+  phases.place(std::span(data.items));
   int k = 1;
   while (!candidates.empty() && k <= config.max_level) {
     const std::size_t width = candidates.size() / static_cast<std::size_t>(k);
+    runtime::PartialBuffers<std::uint64_t> partials(threads, width);
+    std::vector<std::uint64_t> counts(width, 0);
+    phases.place(std::span(candidates));
+    phases.place(partials);
+    phases.place(std::span(counts));
 
     // --- parallel phase: privatized support counting ---
-    runtime::PartialBuffers<std::uint64_t> partials(threads, width);
     phases.parallel([&](auto& ex, int tid, int team_size) {
       auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
       apriori_count_block(ex, data, candidates, k, lo, hi,
@@ -89,7 +97,6 @@ AprioriResult apriori_phases(P& phases, const TransactionSet& data,
     });
 
     // --- merging phase: reduce per-thread count tables ---
-    std::vector<std::uint64_t> counts(width, 0);
     phases.merge(config.strategy, partials, std::span<std::uint64_t>(counts));
 
     // --- serial phase: prune + generate next level ---

@@ -130,7 +130,7 @@ std::vector<FrequentItemset> apriori_prune(
     itemset.support = counts[c];
     itemset.items.assign(candidates.begin() + c * k,
                          candidates.begin() + (c + 1) * k);
-    for (int i = 0; i < k; ++i) ex.load(&itemset.items[i]);
+    for (int i = 0; i < k; ++i) ex.load(&candidates[c * k + i]);
     frequent.push_back(std::move(itemset));
   }
   return frequent;

@@ -34,12 +34,26 @@ HopResult hop_phases(P& phases, const PointSet& particles,
   std::vector<std::uint32_t> root(n);
   std::vector<std::int32_t> group_of(n, -1);
 
+  // Every buffer the kernels trace, at canonical simulated addresses once
+  // it has its final size (see kmeans.cpp).
+  phases.place(particles.flat());
+  phases.place(std::span(tree.order()));
+  phases.place(std::span(result.density));
+  phases.place(std::span(result.group_of));
+  phases.place(std::span(neighbors));
+  phases.place(std::span(parent));
+  phases.place(std::span(root));
+  phases.place(std::span(group_of));
+
   // --- parallel phase: tree construction.  The serial top occupies core
   // 0 while the others idle: it counts toward the parallel (tree
   // construction) phase, which is what makes this kernel non-scaling.
   std::vector<KdTree::SubtreeTask> tasks;
-  phases.serial(runtime::Phase::kParallel,
-                [&](auto& ex) { tasks = tree.build_top(ex, threads); });
+  phases.serial(runtime::Phase::kParallel, [&](auto& ex) {
+    tree.allocate_nodes(threads);
+    phases.place(tree.nodes());
+    tasks = tree.build_top(ex, threads);
+  });
   phases.parallel([&](auto& ex, int tid, int team_size) {
     for (std::size_t i = static_cast<std::size_t>(tid); i < tasks.size();
          i += static_cast<std::size_t>(team_size)) {
@@ -75,12 +89,14 @@ HopResult hop_phases(P& phases, const PointSet& particles,
     groups = hop_index_groups(ex, root, std::span<std::int32_t>(group_of),
                               peak_of_group);
   });
+  phases.place(std::span(peak_of_group));
 
   // --- parallel phase: privatized group histograms + boundary lists ---
   runtime::PartialBuffers<std::uint64_t> partial_sizes(
       threads, static_cast<std::size_t>(groups));
   std::vector<std::vector<HopBoundary>> boundaries(
       static_cast<std::size_t>(threads));
+  phases.place(partial_sizes);
   phases.parallel([&](auto& ex, int tid, int team_size) {
     auto [lo, hi] = runtime::ThreadTeam::partition(0, n, tid, team_size);
     hop_boundary_block(ex, group_of, result.density, neighbors,
@@ -91,6 +107,8 @@ HopResult hop_phases(P& phases, const PointSet& particles,
   // --- merging phase on core 0: reduce histograms + join groups across
   // saddles ---
   std::vector<std::uint64_t> group_sizes(static_cast<std::size_t>(groups), 0);
+  for (const auto& list : boundaries) phases.place(std::span(list));
+  phases.place(std::span(group_sizes));
   util::UnionFind uf(static_cast<std::size_t>(groups));
   phases.serial(runtime::Phase::kReduction, [&](auto& ex) {
     hop_merge_groups(ex, partial_sizes, std::span<std::uint64_t>(group_sizes),

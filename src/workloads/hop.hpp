@@ -185,14 +185,18 @@ void hop_boundary_block(E& ex, std::span<const std::int32_t> group_of,
 /// smaller peak density.  Work grows with the thread count.
 template <Executor E>
 void hop_merge_groups(E& ex,
-                      const runtime::PartialBuffers<std::uint64_t>& partials,
+                      runtime::PartialBuffers<std::uint64_t>& partials,
                       std::span<std::uint64_t> group_sizes,
                       const std::vector<std::vector<HopBoundary>>& boundaries,
                       std::span<const double> density,
                       std::span<const std::uint32_t> peak_of_group,
                       double merge_saddle, util::UnionFind& uf) {
   // Histogram reduction: for every group, accumulate every thread's count.
-  runtime::merge_slice(ex, partials, group_sizes, 0, group_sizes.size());
+  runtime::merge(ex,
+                 runtime::MergeWork{0, partials.threads(),
+                                    runtime::MergeWork::kDest, 0,
+                                    group_sizes.size()},
+                 partials, group_sizes);
   // Boundary merge across all threads' lists.
   for (const auto& list : boundaries) {
     for (const HopBoundary& b : list) {

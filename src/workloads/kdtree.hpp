@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/check.hpp"
@@ -57,6 +58,13 @@ class KdTree {
   /// Prepares an (unbuilt) tree over `points`; `leaf_size` >= 1.
   KdTree(const PointSet& points, int leaf_size);
 
+  /// Allocates the node array for build_top(ex, min_tasks), which calls
+  /// it itself; call it earlier to fix where the nodes live.
+  void allocate_nodes(int min_tasks) {
+    nodes_.resize(node_bound(static_cast<std::uint32_t>(order_.size())) +
+                  16 * static_cast<std::uint32_t>(min_tasks) + 64);
+  }
+
   /// Serial top-phase: splits the root until at least `min_tasks`
   /// frontier subtrees exist (or everything became leaves) and returns
   /// the frontier as independent tasks.  Must be called exactly once.
@@ -84,10 +92,10 @@ class KdTree {
   /// Point-index permutation; leaves reference ranges of this array.
   const std::vector<std::uint32_t>& order() const noexcept { return order_; }
   const Node& node(std::size_t i) const { return nodes_.at(i); }
+  /// The node array (empty until allocate_nodes() or build_top()).
+  std::span<const Node> nodes() const noexcept { return nodes_; }
   /// Root node index (0) — valid once build_top() has run.
   std::size_t root() const noexcept { return 0; }
-  /// Number of allocated nodes (top section only until subtrees built).
-  std::size_t allocated_nodes() const noexcept { return top_bump_; }
   bool build_started() const noexcept { return top_bump_ > 0; }
 
  private:
@@ -209,8 +217,7 @@ std::vector<KdTree::SubtreeTask> KdTree::build_top(E& ex, int min_tasks) {
     std::uint32_t slot, begin, end;
     int depth;
   };
-  nodes_.resize(node_bound(static_cast<std::uint32_t>(order_.size())) +
-                16 * static_cast<std::uint32_t>(min_tasks) + 64);
+  allocate_nodes(min_tasks);
   std::vector<Pending> pending;
   pending.push_back({0, 0, static_cast<std::uint32_t>(order_.size()), 0});
   top_bump_ = 1;

@@ -19,7 +19,8 @@
 //                          fixed `ops` instead of the annotated events;
 //   merge(strategy, partials, dest)
 //                          the merging phase: dest += Σ partials under
-//                          `strategy` (runtime/reduction.hpp's kernels);
+//                          `strategy`, following its
+//                          runtime::merge_schedule;
 //   place(buffer)          gives a buffer a canonical simulated address
 //                          (sim::AddressMap); a no-op natively.
 //
@@ -39,7 +40,8 @@ namespace mergescale::workloads {
 
 /// Native backend: phases run on a ThreadTeam, timed by a PhaseLedger
 /// that also counts each phase's annotated operations.  The merging
-/// phase is runtime::reduce, charged its critical-path operations.
+/// phase runs the strategy's runtime::merge_schedule with runtime::reduce
+/// and is charged the schedule's critical path.
 class NativePhases {
  public:
   NativePhases(int threads, runtime::PhaseLedger& ledger)
@@ -86,12 +88,13 @@ class NativePhases {
   template <typename T>
   void merge(runtime::ReductionStrategy strategy,
              runtime::PartialBuffers<T>& partials, std::span<T> dest) {
+    const auto schedule =
+        runtime::merge_schedule(strategy, partials.threads(), dest.size());
     ledger_->start(runtime::Phase::kReduction);
-    runtime::reduce(strategy, team_, dest, partials);
+    runtime::reduce(schedule, team_, dest, partials);
     ledger_->stop();
     ledger_->add_ops(runtime::Phase::kReduction,
-                     runtime::critical_path_ops(strategy, threads(),
-                                                dest.size()));
+                     runtime::critical_path(schedule));
   }
 
   template <typename Buffer>

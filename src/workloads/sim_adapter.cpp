@@ -43,15 +43,9 @@ core::PhaseProfile SimPhases::profile(int cores) const {
   return p;
 }
 
-void SimulatedPhases::replay(std::vector<sim::Trace>& traces,
-                             runtime::Phase phase) {
-  charge(phases_, phase, sim::replay(*machine_, traces));
-  traces.clear();
-}
-
-void SimulatedPhases::replay_serial(sim::Trace& trace, runtime::Phase phase) {
-  charge(phases_, phase, sim::replay_serial(*machine_, trace));
-  trace.clear();
+void SimulatedPhases::replay(runtime::Phase phase) {
+  charge(phases_, phase, sim::replay(*machine_, traces_));
+  traces_.assign(traces_.size(), sim::Trace{});
 }
 
 }  // namespace mergescale::workloads

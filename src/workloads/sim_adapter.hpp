@@ -52,14 +52,13 @@ struct SimPhases {
 };
 
 /// Simulator backend (see phases.hpp for the operations): one thread per
-/// simulated core.  A parallel phase is one replay of every core's
-/// trace; a serial phase replays core 0's.  The merging phase records
-/// runtime/reduction.hpp's kernels core by core: serial on core 0,
-/// each tree level as its own replay phase (the barrier between levels
-/// is the phase boundary) followed by the final combine on core 0, and
-/// privatized as one phase of every core's slice.  Buffers given to
-/// place() are traced at canonical addresses; all others at their host
-/// addresses.
+/// simulated core.  Every phase records each core's trace and replays
+/// the set once: a parallel phase records every core, a serial phase
+/// core 0 alone (the other traces stay empty), and the merging phase
+/// replays each step of the strategy's runtime::merge_schedule as its
+/// own phase (the barrier between steps is the phase boundary).  Buffers
+/// given to place() are traced at canonical addresses; all others at
+/// their host addresses.
 class SimulatedPhases {
  public:
   explicit SimulatedPhases(sim::Machine& machine)
@@ -77,62 +76,35 @@ class SimulatedPhases {
 
   template <typename Body>
   void parallel(Body&& body) {
-    record(traces_, runtime::Phase::kParallel, body);
-    traces_.resize(static_cast<std::size_t>(threads()));
+    record(runtime::Phase::kParallel, body);
   }
 
   template <typename Body>
   void serial(runtime::Phase phase, Body&& body) {
-    record_serial(serial_trace_, phase, body);
+    record(phase, [&](auto& ex, int tid, int) {
+      if (tid == 0) body(ex);
+    });
   }
 
   template <typename Body>
   void serial(runtime::Phase phase, std::uint64_t, Body&& body) {
-    record_serial(serial_trace_, phase, body);
+    serial(phase, body);
   }
 
   template <typename T>
   void merge(runtime::ReductionStrategy strategy,
              runtime::PartialBuffers<T>& partials, std::span<T> dest) {
-    using runtime::Phase;
-    const int cores = threads();
-    switch (strategy) {
-      case runtime::ReductionStrategy::kSerial: {
-        sim::Trace trace;
-        record_serial(trace, Phase::kReduction, [&](auto& ex) {
-          runtime::merge_slice(ex, partials, dest, 0, dest.size());
-        });
-        return;
-      }
-      case runtime::ReductionStrategy::kTree: {
-        for (int stride = 1; stride < cores; stride *= 2) {
-          std::vector<sim::Trace> traces(static_cast<std::size_t>(cores));
-          record(traces, Phase::kReduction, [&](auto& ex, int tid, int) {
-            if (const int src = runtime::tree_source(tid, stride, cores);
-                src >= 0) {
-              runtime::merge_row(ex, std::span<const T>(partials.partial(src)),
-                                 partials.partial(tid));
-            }
-          });
+    MS_CHECK(partials.threads() == threads(),
+             "need one partial per simulated core");
+    for (const runtime::MergeStep& step :
+         runtime::merge_schedule(strategy, threads(), dest.size())) {
+      record(runtime::Phase::kReduction, [&](auto& ex, int tid, int) {
+        if (static_cast<std::size_t>(tid) < step.size()) {
+          runtime::merge(ex, step[static_cast<std::size_t>(tid)], partials,
+                         dest);
         }
-        sim::Trace trace;
-        record_serial(trace, Phase::kReduction, [&](auto& ex) {
-          runtime::merge_row(ex, std::span<const T>(partials.partial(0)),
-                             dest);
-        });
-        return;
-      }
-      case runtime::ReductionStrategy::kPrivatized: {
-        std::vector<sim::Trace> traces(static_cast<std::size_t>(cores));
-        record(traces, Phase::kReduction, [&](auto& ex, int tid, int) {
-          auto [lo, hi] =
-              runtime::ThreadTeam::partition(0, dest.size(), tid, cores);
-          runtime::merge_slice(ex, partials, dest, lo, hi);
-        });
-        return;
-      }
+      });
     }
-    MS_CHECK(false, "unknown reduction strategy");
   }
 
   template <typename T>
@@ -145,37 +117,25 @@ class SimulatedPhases {
   }
 
  private:
-  /// Records body(ex, tid, threads) for every core into `traces`, then
-  /// replays them as one phase charged to `phase` (the traces are
-  /// cleared).
+  /// Records body(ex, tid, threads) for every core, then replays the
+  /// traces as one phase charged to `phase`.
   template <typename Body>
-  void record(std::vector<sim::Trace>& traces, runtime::Phase phase,
-              Body&& body) {
+  void record(runtime::Phase phase, Body&& body) {
     for (int tid = 0; tid < threads(); ++tid) {
-      sim::RecordingExecutor ex(traces[static_cast<std::size_t>(tid)], &map_);
+      sim::RecordingExecutor ex(traces_[static_cast<std::size_t>(tid)],
+                                &map_);
       body(ex, tid, threads());
       ex.flush_compute();
     }
-    replay(traces, phase);
+    replay(phase);
   }
 
-  /// Records body(ex) into `trace`, then replays it on core 0 charged to
-  /// `phase` (the trace is cleared).
-  template <typename Body>
-  void record_serial(sim::Trace& trace, runtime::Phase phase, Body&& body) {
-    sim::RecordingExecutor ex(trace, &map_);
-    body(ex);
-    ex.flush_compute();
-    replay_serial(trace, phase);
-  }
-
-  void replay(std::vector<sim::Trace>& traces, runtime::Phase phase);
-  void replay_serial(sim::Trace& trace, runtime::Phase phase);
+  /// Replays the recorded traces charged to `phase`, then empties them.
+  void replay(runtime::Phase phase);
 
   sim::Machine* machine_;
   sim::AddressMap map_;
   std::vector<sim::Trace> traces_;
-  sim::Trace serial_trace_;
   SimPhases phases_;
 };
 

@@ -6,10 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/machine.hpp"
+#include "workloads/apriori.hpp"
 #include "workloads/dataset.hpp"
+#include "workloads/hop.hpp"
 #include "workloads/sim_adapter.hpp"
 
 namespace mergescale::workloads {
@@ -58,27 +61,33 @@ TEST(SimStrategies, SingleCoreAllStrategiesCostTheSame) {
 
 TEST(SimStrategies, CycleCountsDoNotDependOnWhereTheHeapPutsTheBuffers) {
   // Live ballast of odd sizes moves where each run's buffers land, and
-  // the copied point set lives elsewhere too; the simulated machine must
-  // count the same cycles anyway.
+  // every run copies its input somewhere else too; the simulated machine
+  // must count the same cycles anyway.
   const PointSet points = dataset();
-  ClusteringConfig config;
-  config.iterations = 2;
-  config.strategy = ReductionStrategy::kTree;
-  const auto simulate = [&config](const PointSet& input, bool fuzzy) {
+  const TransactionSet transactions = synthetic_transactions(600, 32, 6, 17);
+  ClusteringConfig clustering;
+  clustering.iterations = 2;
+  clustering.strategy = ReductionStrategy::kTree;
+  AprioriConfig mining;
+  mining.strategy = ReductionStrategy::kTree;
+  const auto simulate = [&](const std::string& app) {
+    const PointSet moved = points;
+    const TransactionSet moved_transactions = transactions;
     sim::Machine machine(sim::MachineConfig::icpp2011(4));
-    return fuzzy ? simulate_fuzzy(input, config, machine)
-                 : simulate_kmeans(input, config, machine);
+    if (app == "kmeans") return simulate_kmeans(moved, clustering, machine);
+    if (app == "fuzzy") return simulate_fuzzy(moved, clustering, machine);
+    if (app == "hop") return simulate_hop(moved, HopConfig{}, machine);
+    return simulate_apriori(moved_transactions, mining, machine);
   };
-  for (const bool fuzzy : {false, true}) {
-    const SimPhases reference = simulate(points, fuzzy);
+  for (const std::string app : {"kmeans", "fuzzy", "hop", "apriori"}) {
+    const SimPhases reference = simulate(app);
     std::vector<std::vector<char>> ballast;
     for (const std::size_t bytes : {24u, 40u, 200u, 1000u, 3000u, 70000u}) {
       ballast.emplace_back(bytes);
-      const PointSet moved = points;
-      const SimPhases again = simulate(moved, fuzzy);
-      EXPECT_EQ(again.parallel, reference.parallel) << fuzzy << " " << bytes;
-      EXPECT_EQ(again.reduction, reference.reduction) << fuzzy << " " << bytes;
-      EXPECT_EQ(again.serial, reference.serial) << fuzzy << " " << bytes;
+      const SimPhases again = simulate(app);
+      EXPECT_EQ(again.parallel, reference.parallel) << app << " " << bytes;
+      EXPECT_EQ(again.reduction, reference.reduction) << app << " " << bytes;
+      EXPECT_EQ(again.serial, reference.serial) << app << " " << bytes;
     }
   }
 }

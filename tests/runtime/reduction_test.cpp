@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "sim/machine.hpp"
+#include "workloads/sim_adapter.hpp"
+
 namespace mergescale::runtime {
 namespace {
 
@@ -72,7 +75,8 @@ TEST_P(ReductionStrategies, ComputesExactSum) {
   PartialBuffers<double> buffers(threads, kWidth);
   fill_pattern(buffers);
   std::vector<double> dest(kWidth, 0.0);
-  reduce(strategy, team, std::span<double>(dest), buffers);
+  reduce(merge_schedule(strategy, threads, kWidth), team,
+         std::span<double>(dest), buffers);
   for (std::size_t i = 0; i < kWidth; ++i) {
     EXPECT_DOUBLE_EQ(dest[i], expected_value<double>(threads, i))
         << "i=" << i << " strategy="
@@ -86,10 +90,26 @@ TEST_P(ReductionStrategies, AccumulatesOntoExistingDest) {
   PartialBuffers<double> buffers(threads, 8);
   fill_pattern(buffers);
   std::vector<double> dest(8, 100.0);
-  reduce(strategy, team, std::span<double>(dest), buffers);
+  reduce(merge_schedule(strategy, threads, 8), team, std::span<double>(dest),
+         buffers);
   for (std::size_t i = 0; i < 8; ++i) {
     EXPECT_DOUBLE_EQ(dest[i], 100.0 + expected_value<double>(threads, i));
   }
+}
+
+TEST_P(ReductionStrategies, SimulatedMergeComputesExactSum) {
+  const auto [strategy, threads] = GetParam();
+  constexpr std::size_t kWidth = 37;
+  sim::Machine machine(sim::MachineConfig::icpp2011(threads));
+  workloads::SimulatedPhases phases(machine);
+  PartialBuffers<double> buffers(threads, kWidth);
+  fill_pattern(buffers);
+  std::vector<double> dest(kWidth, 0.0);
+  phases.merge(strategy, buffers, std::span<double>(dest));
+  for (std::size_t i = 0; i < kWidth; ++i) {
+    EXPECT_DOUBLE_EQ(dest[i], expected_value<double>(threads, i)) << i;
+  }
+  EXPECT_GT(phases.phases().reduction, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -108,8 +128,8 @@ TEST(ReductionStrategies, IntegerSums) {
   PartialBuffers<std::uint64_t> buffers(4, 16);
   fill_pattern(buffers);
   std::vector<std::uint64_t> dest(16, 0);
-  reduce(ReductionStrategy::kTree, team, std::span<std::uint64_t>(dest),
-         buffers);
+  reduce(merge_schedule(ReductionStrategy::kTree, 4, 16), team,
+         std::span<std::uint64_t>(dest), buffers);
   for (std::size_t i = 0; i < 16; ++i) {
     EXPECT_EQ(dest[i], expected_value<std::uint64_t>(4, i));
   }
@@ -119,40 +139,90 @@ TEST(ReductionStrategies, SizeMismatchThrows) {
   ThreadTeam team(2);
   PartialBuffers<double> buffers(2, 8);
   std::vector<double> wrong(7, 0.0);
-  EXPECT_THROW(reduce(ReductionStrategy::kSerial, team,
+  EXPECT_THROW(reduce(merge_schedule(ReductionStrategy::kSerial, 2, 7), team,
                       std::span<double>(wrong), buffers),
                std::invalid_argument);
   PartialBuffers<double> other(3, 8);
   std::vector<double> dest(8, 0.0);
-  EXPECT_THROW(
-      reduce(ReductionStrategy::kTree, team, std::span<double>(dest), other),
-      std::invalid_argument);
+  EXPECT_THROW(reduce(merge_schedule(ReductionStrategy::kTree, 3, 8), team,
+                      std::span<double>(dest), other),
+               std::invalid_argument);
+}
+
+/// The merging-phase operations the ledger charges: the critical path of
+/// the strategy's schedule.
+std::uint64_t charge(ReductionStrategy strategy, int threads,
+                     std::size_t width) {
+  return critical_path(merge_schedule(strategy, threads, width));
 }
 
 TEST(CriticalPathOps, SerialIsLinearInThreads) {
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kSerial, 1, 100), 100u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kSerial, 8, 100), 800u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kSerial, 16, 100), 1600u);
+  EXPECT_EQ(charge(ReductionStrategy::kSerial, 1, 100), 100u);
+  EXPECT_EQ(charge(ReductionStrategy::kSerial, 8, 100), 800u);
+  EXPECT_EQ(charge(ReductionStrategy::kSerial, 16, 100), 1600u);
 }
 
 TEST(CriticalPathOps, TreeIsLogarithmicInThreads) {
   // levels = ceil(log2(t)), plus the final combine into dest.
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kTree, 1, 100), 100u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kTree, 2, 100), 200u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kTree, 8, 100), 400u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kTree, 16, 100), 500u);
+  EXPECT_EQ(charge(ReductionStrategy::kTree, 1, 100), 100u);
+  EXPECT_EQ(charge(ReductionStrategy::kTree, 2, 100), 200u);
+  EXPECT_EQ(charge(ReductionStrategy::kTree, 8, 100), 400u);
+  EXPECT_EQ(charge(ReductionStrategy::kTree, 16, 100), 500u);
 }
 
 TEST(CriticalPathOps, PrivatizedIsConstantInThreads) {
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kPrivatized, 1, 100), 100u);
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kPrivatized, 4, 100), 100u);
+  EXPECT_EQ(charge(ReductionStrategy::kPrivatized, 1, 100), 100u);
+  EXPECT_EQ(charge(ReductionStrategy::kPrivatized, 4, 100), 100u);
   // Imbalance rounding: 100/16 -> 7 per thread, 7*16 = 112.
-  EXPECT_EQ(critical_path_ops(ReductionStrategy::kPrivatized, 16, 100), 112u);
+  EXPECT_EQ(charge(ReductionStrategy::kPrivatized, 16, 100), 112u);
 }
 
-TEST(CommunicationElements, MatchesPaperFormula) {
-  EXPECT_EQ(communication_elements(1, 72), 0u);
-  EXPECT_EQ(communication_elements(16, 72), 2u * 15u * 72u);
+TEST(CriticalPathOps, EqualsTheClosedForms) {
+  // The per-strategy formulas the ledger charged before the schedules
+  // existed: serial t·w, tree w per level plus w for the combine,
+  // privatized ceil(w/t)·t.
+  for (int t = 1; t <= 64; ++t) {
+    std::uint64_t levels = 0;
+    for (int span = 1; span < t; span *= 2) ++levels;
+    const auto ut = static_cast<std::uint64_t>(t);
+    for (std::uint64_t w = 1; w <= 300; ++w) {
+      EXPECT_EQ(charge(ReductionStrategy::kSerial, t, w), ut * w);
+      EXPECT_EQ(charge(ReductionStrategy::kTree, t, w), (levels + 1) * w);
+      EXPECT_EQ(charge(ReductionStrategy::kPrivatized, t, w),
+                (w + ut - 1) / ut * ut)
+          << "t=" << t << " w=" << w;
+    }
+  }
+}
+
+TEST(MergeSchedule, StepsKeepTheNativeTimingShape) {
+  // Serial: one core-0 step, so reduce() opens no team region.
+  const auto serial = merge_schedule(ReductionStrategy::kSerial, 8, 10);
+  ASSERT_EQ(serial.size(), 1u);
+  EXPECT_EQ(serial[0].size(), 1u);
+  // Tree: log2(8) = 3 team-wide levels, then the core-0 combine.
+  const auto tree = merge_schedule(ReductionStrategy::kTree, 8, 10);
+  ASSERT_EQ(tree.size(), 4u);
+  for (std::size_t s = 0; s < 3; ++s) EXPECT_EQ(tree[s].size(), 8u);
+  EXPECT_EQ(tree[3].size(), 1u);
+  // Privatized: one team-wide step.
+  const auto priv = merge_schedule(ReductionStrategy::kPrivatized, 8, 10);
+  ASSERT_EQ(priv.size(), 1u);
+  EXPECT_EQ(priv[0].size(), 8u);
+}
+
+TEST(MergeSchedule, SerialRunsWithoutTheTeam) {
+  // A serial merge never enters a team region, so the team's size does
+  // not have to match the partials.
+  ThreadTeam team(3);
+  PartialBuffers<std::uint64_t> buffers(5, 6);
+  fill_pattern(buffers);
+  std::vector<std::uint64_t> dest(6, 0);
+  reduce(merge_schedule(ReductionStrategy::kSerial, 5, 6), team,
+         std::span<std::uint64_t>(dest), buffers);
+  for (std::size_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(dest[i], expected_value<std::uint64_t>(5, i));
+  }
 }
 
 }  // namespace

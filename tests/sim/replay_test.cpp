@@ -21,7 +21,7 @@ TEST(Replay, EmptyTraceListIsZeroCycles) {
 TEST(Replay, ComputeOnlyTraceTimedByIssueWidth) {
   Machine m = make_machine(1);
   Trace trace{Op::compute(100)};
-  const ReplayResult r = replay_serial(m, trace);
+  const ReplayResult r = replay(m, {trace});
   // 100 ops at width 4 = 25 cycles.
   EXPECT_EQ(r.cycles, 25u);
   EXPECT_EQ(r.ops.compute, 100u);
@@ -30,13 +30,13 @@ TEST(Replay, ComputeOnlyTraceTimedByIssueWidth) {
 TEST(Replay, ComputeRoundsUpPartialGroups) {
   Machine m = make_machine(1);
   Trace trace{Op::compute(5)};
-  EXPECT_EQ(replay_serial(m, trace).cycles, 2u);  // ceil(5/4)
+  EXPECT_EQ(replay(m, {trace}).cycles, 2u);  // ceil(5/4)
 }
 
 TEST(Replay, MemoryOpsUseMachineLatency) {
   Machine m = make_machine(1);
   Trace trace{Op::load(0x1000), Op::load(0x1008)};
-  const ReplayResult r = replay_serial(m, trace);
+  const ReplayResult r = replay(m, {trace});
   // Cold miss + L1 hit.
   const auto& c = m.config();
   EXPECT_EQ(r.cycles, static_cast<std::uint64_t>(
@@ -62,7 +62,7 @@ TEST(Replay, BalancedTracesScale) {
   // The same total work split across 4 cores takes ~1/4 the time.
   Machine m1 = make_machine(1);
   Trace whole{Op::compute(4000)};
-  const std::uint64_t serial_cycles = replay_serial(m1, whole).cycles;
+  const std::uint64_t serial_cycles = replay(m1, {whole}).cycles;
 
   Machine m4 = make_machine(4);
   std::vector<Trace> quarters(4, Trace{Op::compute(1000)});
@@ -90,19 +90,19 @@ TEST(Replay, MachineClockAdvancesAcrossPhases) {
   Machine m = make_machine(1);
   EXPECT_EQ(m.now(), 0u);
   Trace t1{Op::compute(40)};
-  replay_serial(m, t1);
+  replay(m, {t1});
   EXPECT_EQ(m.now(), 10u);
   Trace t2{Op::compute(40)};
-  replay_serial(m, t2);
+  replay(m, {t2});
   EXPECT_EQ(m.now(), 20u);
 }
 
 TEST(Replay, WarmCachesCarryBetweenPhases) {
   Machine m = make_machine(1);
   Trace t1{Op::load(0x1000)};
-  replay_serial(m, t1);  // cold miss
+  replay(m, {t1});  // cold miss
   Trace t2{Op::load(0x1000)};
-  const ReplayResult r = replay_serial(m, t2);  // warm hit
+  const ReplayResult r = replay(m, {t2});  // warm hit
   EXPECT_EQ(r.cycles, static_cast<std::uint64_t>(m.config().l1_hit_latency));
 }
 

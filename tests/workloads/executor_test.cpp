@@ -29,6 +29,15 @@ TEST(CountingExecutor, CountsEachAnnotationKind) {
   EXPECT_EQ(ex.total(), 10u);
 }
 
+/// Runs every step of `schedule` core by core with executor `ex`.
+template <typename T>
+void run_schedule(NativeExecutor& ex, const std::vector<MergeStep>& schedule,
+                  PartialBuffers<T>& partials, std::span<T> dest) {
+  for (const MergeStep& step : schedule) {
+    for (const MergeWork& work : step) merge(ex, work, partials, dest);
+  }
+}
+
 TEST(MergeKernels, SerialKernelEqualsLoopOracle) {
   PartialBuffers<double> partials(3, 8);
   for (int t = 0; t < 3; ++t) {
@@ -40,7 +49,8 @@ TEST(MergeKernels, SerialKernelEqualsLoopOracle) {
   std::vector<double> via_kernel(8, 1.0);
   std::vector<double> oracle(8, 1.0);
   NativeExecutor ex;
-  merge_slice(ex, partials, std::span<double>(via_kernel), 0, 8);
+  merge(ex, MergeWork{0, 3, MergeWork::kDest, 0, 8}, partials,
+        std::span<double>(via_kernel));
   for (std::size_t i = 0; i < oracle.size(); ++i) {
     for (int t = 0; t < 3; ++t) oracle[i] += partials.partial(t)[i];
   }
@@ -58,17 +68,9 @@ TEST(MergeKernels, TreeStepsComposeToFullSum) {
     }
   }
   NativeExecutor ex;
-  for (int stride = 1; stride < kThreads; stride *= 2) {
-    for (int t = 0; t < kThreads; ++t) {
-      if (const int src = tree_source(t, stride, kThreads); src >= 0) {
-        merge_row(ex, std::span<const double>(partials.partial(src)),
-                  partials.partial(t));
-      }
-    }
-  }
   std::vector<double> dest(kWidth, 0.0);
-  merge_row(ex, std::span<const double>(partials.partial(0)),
-            std::span<double>(dest));
+  run_schedule(ex, merge_schedule(ReductionStrategy::kTree, kThreads, kWidth),
+               partials, std::span<double>(dest));
   for (double v : dest) {
     EXPECT_DOUBLE_EQ(v, 36.0);  // 1+2+...+8
   }
@@ -84,10 +86,9 @@ TEST(MergeKernels, PrivatizedSlicesCoverEverything) {
   }
   std::vector<std::uint64_t> dest(kWidth, 0);
   NativeExecutor ex;
-  for (int tid = 0; tid < kThreads; ++tid) {
-    auto [lo, hi] = ThreadTeam::partition(0, kWidth, tid, kThreads);
-    merge_slice(ex, partials, std::span<std::uint64_t>(dest), lo, hi);
-  }
+  run_schedule(ex,
+               merge_schedule(ReductionStrategy::kPrivatized, kThreads, kWidth),
+               partials, std::span<std::uint64_t>(dest));
   for (std::size_t i = 0; i < kWidth; ++i) {
     EXPECT_EQ(dest[i], kThreads * (i + 1)) << i;
   }
@@ -98,7 +99,8 @@ TEST(MergeKernels, RecordingExecutorSeesAllElements) {
   std::vector<double> dest(4, 0.0);
   sim::Trace trace;
   sim::RecordingExecutor ex(trace);
-  merge_slice(ex, partials, std::span<double>(dest), 0, 4);
+  merge(ex, MergeWork{0, 2, MergeWork::kDest, 0, 4}, partials,
+        std::span<double>(dest));
   ex.flush_compute();
   const sim::TraceSummary summary = sim::summarize(trace);
   // Per element and thread: load partial + load dest + store dest.

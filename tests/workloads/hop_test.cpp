@@ -1,6 +1,7 @@
 #include "workloads/hop.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>

@@ -1,5 +1,7 @@
 #include "workloads/kmeans.hpp"
 
+#include <cmath>
+
 #include <gtest/gtest.h>
 
 #include "workloads/dataset.hpp"
