@@ -1,16 +1,17 @@
 // bench_archive_query: per-query latency of the columnar archive's
-// zone-map engine against the path it replaced — sequentially loading
-// the run log and scanning every record per query (the O(archive) serve
-// scan).  Synthesizes a ~1M-record run, persists it both ways (binary
-// run log, columnar archive), then times three query classes:
+// engine against the path it replaced — sequentially loading the run
+// log and scanning every record per query (the O(archive) serve scan).
+// Synthesizes a ~1M-record run, persists it both ways (binary run log,
+// columnar archive), then times the three classes serve asks of it:
 //
 //   best        highest-speedup feasible point
 //   topk        top-10 by (speedup desc, index asc)
-//   predicate   "speedup >= X and cores <= Y" range filter
+//   find        the row of one index and design point (serve's eval)
 //
 // For each class the baseline is a full scan over the materialized
 // record vector (what answer_topk did under the archive lock before the
-// archive engine existed) and the archive number is the same question
+// archive engine existed; for find, a walk to the first record with
+// that index and DesignKey) and the archive number is the same question
 // answered through ArchiveReader on an opened file — zone maps pruning
 // the blocks, columns read instead of records.  Cold-start costs
 // (RunLog::load vs ArchiveReader::open) are reported separately.
@@ -35,6 +36,7 @@
 #include "explore/engine.hpp"
 #include "explore/report.hpp"
 #include "search/archive.hpp"
+#include "search/design_key.hpp"
 #include "search/run_log.hpp"
 #include "util/cli.hpp"
 #include "util/rng.hpp"
@@ -89,17 +91,15 @@ double time_us(int reps, Fn&& fn) {
   return std::chrono::duration<double, std::micro>(elapsed).count() / reps;
 }
 
-/// Full-scan reference for the predicate class.
-std::vector<explore::EvalResult> scan_predicate(
-    const std::vector<explore::EvalResult>& records, double min_speedup,
-    double max_cores) {
-  std::vector<explore::EvalResult> out;
+/// Linear-scan reference for find(): the first record with `index`
+/// whose design point is `key`.
+const explore::EvalResult* scan_find(
+    const std::vector<explore::EvalResult>& records, std::uint64_t index,
+    const search::DesignKey& key) {
   for (const auto& r : records) {
-    if (r.feasible && r.speedup >= min_speedup && r.cores <= max_cores) {
-      out.push_back(r);
-    }
+    if (r.index == index && search::DesignKey::of(r) == key) return &r;
   }
-  return out;
+  return nullptr;
 }
 
 }  // namespace
@@ -150,13 +150,17 @@ int main(int argc, char** argv) {
 
   const search::ArchiveReader reader = search::ArchiveReader::open(
       archive_path);
-  // Selective tail query: only the last ~3% of blocks can hold rows at
-  // this speedup (the trend tops out at 160 + 40 jitter), so zone maps
-  // get to do their job; the baseline still walks every record.
-  const double top = 195.0;
-  search::ArchivePredicate predicate;
-  predicate.min_speedup = top;
-  predicate.max_cores = 150.0;
+  // Point lookups spread uniformly over the archive, as serve's evals
+  // are: the scan walks half the records on average.
+  std::vector<const explore::EvalResult*> probes;
+  {
+    util::Xoshiro256 rng(7);
+    for (int i = 0; i < query_reps; ++i) {
+      probes.push_back(&records[static_cast<std::size_t>(rng.bounded(count))]);
+    }
+  }
+  std::size_t next_probe = 0;
+  const auto probe = [&] { return probes[next_probe++ % probes.size()]; };
 
   // Sanity before timing: the archive answers the scan's answers.
   {
@@ -168,11 +172,15 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: archive top_k disagrees with the reference scan\n";
       return 1;
     }
-    const auto matches = scan_predicate(records, top, 150.0);
-    if (reader.query(predicate).size() != matches.size()) {
-      std::cerr << "FAIL: archive predicate query disagrees with the "
-                   "reference scan\n";
-      return 1;
+    for (const explore::EvalResult* p : probes) {
+      const search::DesignKey key = search::DesignKey::of(*p);
+      const auto found = reader.find(p->index, key);
+      const explore::EvalResult* scanned = scan_find(records, p->index, key);
+      if (!found || scanned == nullptr || found->index != scanned->index ||
+          found->speedup != scanned->speedup) {
+        std::cerr << "FAIL: archive find disagrees with the reference scan\n";
+        return 1;
+      }
     }
   }
 
@@ -183,16 +191,23 @@ int main(int argc, char** argv) {
       time_us(scan_reps, [&] { explore::top_k(records, 10); });
   const double archive_topk_us =
       time_us(query_reps, [&] { reader.top_k(10); });
-  const double scan_pred_us =
-      time_us(scan_reps, [&] { scan_predicate(records, top, 150.0); });
-  const double archive_pred_us =
-      time_us(query_reps, [&] { reader.query(predicate); });
+  // The scan is inline and pure: keep its answer so it is not elided.
+  const explore::EvalResult* volatile scanned = nullptr;
+  const double scan_find_us = time_us(scan_reps, [&] {
+    const explore::EvalResult* p = probe();
+    scanned = scan_find(records, p->index, search::DesignKey::of(*p));
+  });
+  next_probe = 0;
+  const double archive_find_us = time_us(query_reps, [&] {
+    const explore::EvalResult* p = probe();
+    reader.find(p->index, search::DesignKey::of(*p));
+  });
 
   const double speedup_best = scan_best_us / archive_best_us;
   const double speedup_topk = scan_topk_us / archive_topk_us;
-  const double speedup_pred = scan_pred_us / archive_pred_us;
+  const double speedup_find = scan_find_us / archive_find_us;
   const double worst =
-      std::min({speedup_best, speedup_topk, speedup_pred});
+      std::min({speedup_best, speedup_topk, speedup_find});
 
   const auto row = [](const char* name, double scan_us, double archive_us) {
     std::cout << "  " << name << ": scan "
@@ -204,10 +219,7 @@ int main(int argc, char** argv) {
             << " ms, open() " << util::format_double(open_ms, 2) << " ms\n";
   row("best     ", scan_best_us, archive_best_us);
   row("topk10   ", scan_topk_us, archive_topk_us);
-  row("predicate", scan_pred_us, archive_pred_us);
-  std::cout << "pruning: predicate touches "
-            << reader.candidate_blocks(predicate) << " of " << stats.blocks
-            << " blocks\n";
+  row("find     ", scan_find_us, archive_find_us);
 
   std::ofstream json(cli.get_string("out"));
   json << "{\n"
@@ -220,13 +232,11 @@ int main(int argc, char** argv) {
        << "  \"archive_best_us\": " << archive_best_us << ",\n"
        << "  \"scan_topk_us\": " << scan_topk_us << ",\n"
        << "  \"archive_topk_us\": " << archive_topk_us << ",\n"
-       << "  \"scan_predicate_us\": " << scan_pred_us << ",\n"
-       << "  \"archive_predicate_us\": " << archive_pred_us << ",\n"
-       << "  \"predicate_candidate_blocks\": "
-       << reader.candidate_blocks(predicate) << ",\n"
+       << "  \"scan_find_us\": " << scan_find_us << ",\n"
+       << "  \"archive_find_us\": " << archive_find_us << ",\n"
        << "  \"query_speedup_best\": " << speedup_best << ",\n"
        << "  \"query_speedup_topk\": " << speedup_topk << ",\n"
-       << "  \"query_speedup_predicate\": " << speedup_pred << ",\n"
+       << "  \"query_speedup_find\": " << speedup_find << ",\n"
        << "  \"query_speedup_min\": " << worst << "\n"
        << "}\n";
   json.flush();

@@ -109,6 +109,10 @@ struct Layout {
   }
 };
 
+/// One block's zone-map entry.  The writer fills every field; readers
+/// use only the index bounds, the feasible-row count and max_speedup.
+/// min_speedup and the cores and n bounds are format-v2 bytes that no
+/// reader uses.
 struct Zone {
   std::uint64_t min_index = 0;
   std::uint64_t max_index = 0;
@@ -120,18 +124,6 @@ struct Zone {
   double min_n = 0.0;
   double max_n = 0.0;
 };
-
-bool zone_admits(const Zone& zone, const ArchivePredicate& p) {
-  if (p.min_index && zone.max_index < *p.min_index) return false;
-  if (p.feasible_only && zone.feasible_rows == 0) return false;
-  if (p.min_speedup && zone.max_speedup < *p.min_speedup) return false;
-  if (p.max_speedup && zone.min_speedup > *p.max_speedup) return false;
-  if (p.min_cores && zone.max_cores < *p.min_cores) return false;
-  if (p.max_cores && zone.min_cores > *p.max_cores) return false;
-  if (p.min_n && zone.max_n < *p.min_n) return false;
-  if (p.max_n && zone.min_n > *p.max_n) return false;
-  return true;
-}
 
 }  // namespace
 
@@ -535,6 +527,34 @@ struct ArchiveReader::Impl {
     return bytes;
   }
 
+  /// Rows are sorted by index, so the zones' index bounds are too: the
+  /// first block whose max index reaches `index`, or zones.size().
+  std::uint32_t block_reaching(std::uint64_t index) const {
+    return static_cast<std::uint32_t>(
+        std::ranges::partition_point(zones,
+                                     [index](const Zone& zone) {
+                                       return zone.max_index < index;
+                                     }) -
+        zones.begin());
+  }
+
+  /// The first row of a block whose index reaches `index`, found in the
+  /// block's index slice `column`; the block's row count when none does.
+  static std::uint32_t row_reaching(std::string_view column,
+                                    std::uint64_t index) {
+    const auto rows =
+        std::views::iota(std::uint32_t{0},
+                         static_cast<std::uint32_t>(column.size() / 8));
+    return static_cast<std::uint32_t>(
+        std::ranges::partition_point(rows,
+                                     [&](std::uint32_t row) {
+                                       return get_u64(column.data() +
+                                                      std::uint64_t{row} * 8) <
+                                              index;
+                                     }) -
+        rows.begin());
+  }
+
   /// Materializes the given block-local rows (ascending or not — output
   /// preserves the given order), appending to `out`.
   void materialize(std::uint32_t block, const std::vector<std::uint32_t>& local,
@@ -704,12 +724,7 @@ void ArchiveReader::Impl::parse() {
       zone.min_index = get_u64(p);
       zone.max_index = get_u64(p + 8);
       zone.feasible_rows = get_u32(p + 16);
-      zone.min_speedup = get_f64(p + 20);
       zone.max_speedup = get_f64(p + 28);
-      zone.min_cores = get_f64(p + 36);
-      zone.max_cores = get_f64(p + 44);
-      zone.min_n = get_f64(p + 52);
-      zone.max_n = get_f64(p + 60);
       if (zone.feasible_rows > impl.lay.rows_in_block(b)) {
         impl.fail("zone map is inconsistent with the block geometry");
       }
@@ -796,16 +811,8 @@ std::uint64_t ArchiveReader::row_count() const noexcept {
   return impl_->lay.rows;
 }
 
-std::uint64_t ArchiveReader::feasible_count() const noexcept {
-  return impl_->feasible;
-}
-
 std::uint64_t ArchiveReader::index_end() const noexcept {
-  std::uint64_t end = 0;
-  for (const Zone& zone : impl_->zones) {
-    end = std::max(end, zone.max_index + 1);
-  }
-  return end;
+  return impl_->zones.empty() ? 0 : impl_->zones.back().max_index + 1;
 }
 
 ArchiveStats ArchiveReader::stats() const noexcept {
@@ -896,116 +903,45 @@ std::vector<explore::EvalResult> ArchiveReader::pareto(
   return out;
 }
 
-std::vector<explore::EvalResult> ArchiveReader::query(
-    const ArchivePredicate& predicate) const {
-  const Impl& impl = *impl_;
-  std::vector<explore::EvalResult> out;
-  std::array<std::string, 5> scratch;
-  std::vector<std::uint32_t> matches;
-  for (std::uint32_t b = 0; b < impl.zones.size(); ++b) {
-    if (!zone_admits(impl.zones[b], predicate)) continue;
-    const std::string_view feas =
-        predicate.feasible_only ? impl.slice(b, kColFeasible, &scratch[0])
-                                : std::string_view();
-    const std::string_view speedup =
-        predicate.min_speedup || predicate.max_speedup
-            ? impl.slice(b, kColSpeedup, &scratch[1])
-            : std::string_view();
-    const std::string_view cores =
-        predicate.min_cores || predicate.max_cores
-            ? impl.slice(b, kColCores, &scratch[2])
-            : std::string_view();
-    const std::string_view n = predicate.min_n || predicate.max_n
-                                   ? impl.slice(b, kColN, &scratch[3])
-                                   : std::string_view();
-    const std::string_view index =
-        predicate.min_index ? impl.slice(b, kColIndex, &scratch[4])
-                            : std::string_view();
-    matches.clear();
-    const std::uint64_t rows_in = impl.lay.rows_in_block(b);
-    for (std::uint64_t i = 0; i < rows_in; ++i) {
-      if (!feas.empty() && static_cast<unsigned char>(feas[i]) == 0) continue;
-      if (!index.empty() &&
-          get_u64(index.data() + i * 8) < *predicate.min_index) {
-        continue;
-      }
-      if (!speedup.empty()) {
-        const double value = get_f64(speedup.data() + i * 8);
-        if (predicate.min_speedup && !(value >= *predicate.min_speedup)) {
-          continue;
-        }
-        if (predicate.max_speedup && !(value <= *predicate.max_speedup)) {
-          continue;
-        }
-      }
-      if (!cores.empty()) {
-        const double value = get_f64(cores.data() + i * 8);
-        if (predicate.min_cores && !(value >= *predicate.min_cores)) continue;
-        if (predicate.max_cores && !(value <= *predicate.max_cores)) continue;
-      }
-      if (!n.empty()) {
-        const double value = get_f64(n.data() + i * 8);
-        if (predicate.min_n && !(value >= *predicate.min_n)) continue;
-        if (predicate.max_n && !(value <= *predicate.max_n)) continue;
-      }
-      matches.push_back(static_cast<std::uint32_t>(i));
-    }
-    impl.materialize(b, matches, &out);
-  }
-  return out;
-}
-
-std::uint32_t ArchiveReader::candidate_blocks(
-    const ArchivePredicate& predicate) const {
-  std::uint32_t count = 0;
-  for (const Zone& zone : impl_->zones) {
-    if (zone_admits(zone, predicate)) ++count;
-  }
-  return count;
-}
-
 std::optional<explore::EvalResult> ArchiveReader::find(
     std::uint64_t index, const DesignKey& key) const {
   const Impl& impl = *impl_;
-  // Rows are sorted by index, so the zones' index bounds are too: the
-  // first block whose max reaches `index` holds its first row, and its
-  // run of rows may continue into the next blocks.
-  auto block = static_cast<std::uint32_t>(
-      std::partition_point(impl.zones.begin(), impl.zones.end(),
-                           [index](const Zone& zone) {
-                             return zone.max_index < index;
-                           }) -
-      impl.zones.begin());
+  // The first block reaching `index` holds its first row, and its run
+  // of rows may continue into the next blocks.
   std::string scratch;
-  for (; block < impl.zones.size() && impl.zones[block].min_index <= index;
+  for (std::uint32_t block = impl.block_reaching(index);
+       block < impl.zones.size() && impl.zones[block].min_index <= index;
        ++block) {
     const std::string_view column = impl.slice(block, kColIndex, &scratch);
-    const auto at = [&column](std::uint64_t row) {
-      return get_u64(column.data() + row * 8);
-    };
-    const auto rows =
-        std::views::iota(std::uint64_t{0}, impl.lay.rows_in_block(block));
     const std::uint64_t first_row = std::uint64_t{block} * impl.lay.block_rows;
-    for (auto row = std::ranges::partition_point(
-             rows, [&](std::uint64_t r) { return at(r) < index; });
-         row != rows.end() && at(*row) == index; ++row) {
-      explore::EvalResult record = impl.row(first_row + *row);
+    for (std::uint64_t row = Impl::row_reaching(column, index);
+         row < column.size() / 8 && get_u64(column.data() + row * 8) == index;
+         ++row) {
+      explore::EvalResult record = impl.row(first_row + row);
       if (DesignKey::of(record) == key) return record;
     }
   }
   return std::nullopt;
 }
 
-std::vector<explore::EvalResult> ArchiveReader::load_all() const {
+std::vector<explore::EvalResult> ArchiveReader::load_all(
+    std::uint64_t min_index) const {
   const Impl& impl = *impl_;
+  // Blocks wholly below the bound are never read; in the first block
+  // left, the rows below it are a prefix of its index slice.
+  const std::uint32_t first_block = impl.block_reaching(min_index);
   std::vector<explore::EvalResult> out;
-  out.reserve(static_cast<std::size_t>(impl.lay.rows));
-  std::vector<std::uint32_t> all;
-  for (std::uint32_t b = 0; b < impl.lay.blocks; ++b) {
-    const std::uint64_t rows_in = impl.lay.rows_in_block(b);
-    all.resize(static_cast<std::size_t>(rows_in));
-    std::iota(all.begin(), all.end(), std::uint32_t{0});
-    impl.materialize(b, all, &out);
+  if (first_block == 0) out.reserve(static_cast<std::size_t>(impl.lay.rows));
+  std::vector<std::uint32_t> rows;
+  std::string scratch;
+  for (std::uint32_t b = first_block; b < impl.lay.blocks; ++b) {
+    std::uint32_t first = 0;
+    if (b == first_block && impl.zones[b].min_index < min_index) {
+      first = Impl::row_reaching(impl.slice(b, kColIndex, &scratch), min_index);
+    }
+    rows.resize(static_cast<std::size_t>(impl.lay.rows_in_block(b) - first));
+    std::iota(rows.begin(), rows.end(), first);
+    impl.materialize(b, rows, &out);
   }
   return out;
 }

@@ -1,6 +1,6 @@
 #pragma once
 // Columnar archive over folded run logs: the storage format top-k,
-// Pareto, and predicate queries run against without replaying the log.
+// Pareto and point queries run against without replaying the log.
 //
 //   <dir>/archive.msca   one file, little-endian throughout:
 //
@@ -83,20 +83,6 @@ ArchiveStats write_archive(
     std::uint32_t block_rows = kDefaultArchiveBlockRows,
     runtime::ThreadTeam* team = nullptr);
 
-/// Conjunction of range filters for ArchiveReader::query() — the
-/// "speedup >= X and cores <= Y" class of question.  Every bound is
-/// inclusive; unset bounds don't filter.
-struct ArchivePredicate {
-  std::optional<std::uint64_t> min_index;
-  std::optional<double> min_speedup;
-  std::optional<double> max_speedup;
-  std::optional<double> min_cores;
-  std::optional<double> max_cores;
-  std::optional<double> min_n;
-  std::optional<double> max_n;
-  bool feasible_only = true;
-};
-
 /// Read-only query engine over one archive.  All query methods are
 /// const and thread-safe (slice-validation state is atomic), so a
 /// server can answer concurrent queries through one reader.  Methods
@@ -126,7 +112,6 @@ class ArchiveReader {
   ArchiveReader& operator=(const ArchiveReader&) = delete;
 
   std::uint64_t row_count() const noexcept;
-  std::uint64_t feasible_count() const noexcept;
   /// One past the largest index a row holds (from the zone maps); 0 for
   /// an empty archive.
   std::uint64_t index_end() const noexcept;
@@ -150,16 +135,6 @@ class ArchiveReader {
   /// cost, and only the frontier's rows are materialized.
   std::vector<explore::EvalResult> pareto(explore::CostMetric metric) const;
 
-  /// Records matching `predicate`, in archive (index-ascending) order.
-  /// Blocks whose zone ranges cannot intersect the bounds are never
-  /// read.
-  std::vector<explore::EvalResult> query(
-      const ArchivePredicate& predicate) const;
-
-  /// Blocks query(predicate) would scan after zone pruning — exposed
-  /// so tests can assert pruning actually happens.
-  std::uint32_t candidate_blocks(const ArchivePredicate& predicate) const;
-
   /// The first row with index `index` whose design point is `key`, or
   /// nullopt — the row RunLog::dedup would keep among them.  Two binary
   /// searches find the index's rows: the zone maps' index bounds give
@@ -169,9 +144,13 @@ class ArchiveReader {
   std::optional<explore::EvalResult> find(std::uint64_t index,
                                           const DesignKey& key) const;
 
-  /// Every record, index-ascending (block by block; the one full
-  /// materialization, for RunLog::load()).
-  std::vector<explore::EvalResult> load_all() const;
+  /// Every record whose index is at least `min_index`, index-ascending —
+  /// the one call that materializes rows in bulk: RunLog::load() takes
+  /// them all, serve's start-up the rows past the grid.  Blocks whose
+  /// zone max index is below the bound are never read; the first block
+  /// read starts at the bound's row, found by a binary search of its
+  /// index slice.
+  std::vector<explore::EvalResult> load_all(std::uint64_t min_index = 0) const;
 
   /// Checks every (block, column) slice against its CRC at once — the
   /// check queries make lazily, slice by slice.  Throws

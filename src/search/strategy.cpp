@@ -352,6 +352,16 @@ void hill_climb(Funnel& funnel, const SearchSpace& space,
 /// the chains onto one trajectory between exchanges.
 constexpr std::uint64_t kExchangeInterval = 16;
 
+/// Annealing schedule: a walker starts (and reheats) at kInitialTemp, a
+/// fraction of the current best speedup, cools by kCooling per move and
+/// restarts once at or below kMinTemp.
+constexpr double kInitialTemp = 0.05;
+constexpr double kCooling = 0.98;
+constexpr double kMinTemp = 1e-4;
+static_assert(kInitialTemp > 0.0 && kCooling > 0.0 && kCooling < 1.0 &&
+                  kMinTemp > 0.0,
+              "annealing schedule parameters out of range");
+
 /// Parallel simulated annealing: `options.walkers` interacting chains,
 /// each with its own RNG stream, temperature, and current state.  Every
 /// round builds one candidate per walker and submits the whole front as
@@ -406,13 +416,14 @@ void anneal(Funnel& funnel, const SearchSpace& space,
       if (!walker.seeded) {
         walker.coords = batch[i];
         walker.value = candidate_value;
-        walker.temperature = options.t0;
+        walker.temperature = kInitialTemp;
         walker.seeded = true;
         ++outcome->restarts;
         continue;
       }
       // Relative acceptance: deltas are normalized by the incumbent best
-      // so t0 is a speedup *fraction*, independent of the space's scale.
+      // so kInitialTemp is a speedup *fraction*, independent of the
+      // space's scale.
       const double scale = std::max(funnel.best_speedup(), 1.0);
       const double delta = (candidate_value - walker.value) / scale;
       if (delta >= 0.0 ||
@@ -420,8 +431,8 @@ void anneal(Funnel& funnel, const SearchSpace& space,
         walker.coords = batch[i];
         walker.value = candidate_value;
       }
-      walker.temperature *= options.cooling;
-      if (walker.temperature <= options.t_min) walker.seeded = false;
+      walker.temperature *= kCooling;
+      if (walker.temperature <= kMinTemp) walker.seeded = false;
     }
     funnel.record_trace();
     if (starved) return;
@@ -443,7 +454,7 @@ void anneal(Funnel& funnel, const SearchSpace& space,
       if (best != walker_count && worst != best) {
         walkers[worst].coords = walkers[best].coords;
         walkers[worst].value = walkers[best].value;
-        walkers[worst].temperature = options.t0;  // reheat at the new basin
+        walkers[worst].temperature = kInitialTemp;  // reheat at the new basin
       }
     }
     if (funnel.distinct_proposed() == before) {
@@ -471,13 +482,17 @@ void anneal(Funnel& funnel, const SearchSpace& space,
   }
 }
 
+/// Genetic: the fittest individuals carried into the next generation
+/// unchanged.
+constexpr std::size_t kElite = 2;
+
 /// Population-based genetic search.  Whole generations are submitted as
 /// one deduped batch, so the engine's thread team stays saturated instead
 /// of idling between single annealing moves.  Selection is a 3-way
 /// tournament on fitness (feasible speedup), recombination is per-axis
 /// uniform crossover over the mixed-radix grid, mutation perturbs an
 /// expected one axis per child (±1 step with occasional full-axis
-/// jumps), and the top `options.elite` individuals carry over unchanged.
+/// jumps), and the top kElite individuals carry over unchanged.
 /// Elites were evaluated in the previous generation, so resubmitting
 /// them costs revisits, not budget.  One child in four is a random
 /// immigrant, which keeps the search ergodic: given enough budget the
@@ -486,7 +501,7 @@ void anneal(Funnel& funnel, const SearchSpace& space,
 void genetic(Funnel& funnel, const SearchSpace& space,
              const SearchOptions& options, util::Xoshiro256& rng) {
   const std::size_t pop = std::max<std::size_t>(2, options.population);
-  const std::size_t elite = std::min<std::size_t>(options.elite, pop - 1);
+  const std::size_t elite = std::min<std::size_t>(kElite, pop - 1);
 
   std::vector<Coords> population;
   std::vector<double> fitness;
@@ -850,9 +865,6 @@ SearchOutcome run_search(explore::ExploreEngine& engine,
                          const SearchOptions& options, RunLog* log,
                          std::span<const PriorPoint> prior) {
   MS_CHECK(options.budget >= 1, "search budget must be at least 1");
-  MS_CHECK(options.t0 > 0.0 && options.cooling > 0.0 &&
-               options.cooling < 1.0 && options.t_min > 0.0,
-           "annealing schedule parameters out of range");
   SearchOutcome outcome;
   Funnel funnel(engine, space, log, &outcome, options.cost_metric, prior);
   util::Xoshiro256 rng(options.seed);

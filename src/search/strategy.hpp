@@ -63,10 +63,6 @@ struct SearchOptions {
   std::uint64_t already_spent = 0;
   std::uint64_t seed = 0x2011'1CBBULL;
   std::size_t batch = 64;       ///< random-search proposals per round
-  double t0 = 0.05;             ///< annealing: initial temperature, as a
-                                ///< fraction of the current best speedup
-  double cooling = 0.98;        ///< annealing: geometric factor per move
-  double t_min = 1e-4;          ///< annealing: restart threshold
   /// Annealing: number of interacting walkers.  Every round submits one
   /// candidate per walker as a single deduped batch, so the engine's
   /// thread team evaluates a full front of moves in parallel instead of
@@ -77,8 +73,6 @@ struct SearchOptions {
   std::size_t walkers = 8;
   std::size_t population = 32;  ///< genetic/pareto: individuals per
                                 ///< generation (submitted as one batch)
-  std::size_t elite = 2;        ///< genetic: top individuals carried into
-                                ///< the next generation unchanged
   /// Cost axis of the Pareto archive (and of the kPareto selection
   /// pressure); the archive is maintained for every strategy.
   explore::CostMetric cost_metric = explore::CostMetric::kCoreArea;

@@ -9,11 +9,9 @@ namespace mergescale::serve {
 
 ServedArchive::ServedArchive(search::ArchiveReader reader,
                              const explore::ScenarioSpec& spec)
-    : reader_(std::move(reader)), space_(spec) {
-  search::ArchivePredicate past_grid;
-  past_grid.min_index = space_.size();
-  past_grid.feasible_only = false;
-  past_grid_ = reader_.query(past_grid);
+    : reader_(std::move(reader)),
+      space_(spec),
+      past_grid_(reader_.load_all(space_.size())) {
   for (const explore::EvalResult& row : past_grid_) {
     past_grid_keys_.emplace(search::DesignKey::of(row), &row);
   }

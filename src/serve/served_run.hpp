@@ -35,8 +35,8 @@ namespace mergescale::serve {
 /// point is found at its canonical flat index (SearchSpace::index_of,
 /// then ArchiveReader::find).  The rows past the grid — off-grid live
 /// evaluations a fold took in, and on-grid points that older builds
-/// numbered there — are materialized once, by zone pruning on the
-/// index, into a lookup-only map.  Immutable, so thread-safe.
+/// numbered there — are read once, by ArchiveReader::load_all from the
+/// grid's size, into a lookup-only map.  Immutable, so thread-safe.
 class ServedArchive {
  public:
   ServedArchive(search::ArchiveReader reader,

@@ -12,7 +12,10 @@
 #
 # The script also runs as the client half of the check (-DMODE=client):
 # for each run it waits for that server's port file, then sends the
-# queries.
+# queries; and as one server (-DMODE=server -DRUN=<run>), which writes
+# its output to files of its own.  The three halves run concurrently
+# as one pipeline, but none writes to the pipe: a server whose stdout
+# fed the next one would die of SIGPIPE when that one exited first.
 
 cmake_policy(SET CMP0007 NEW)  # lists keep their empty elements
 set(runs random pareto)
@@ -38,6 +41,21 @@ if(MODE STREQUAL "client")
       message(FATAL_ERROR "serve_client failed on the ${run} run (${status})")
     endif()
   endforeach()
+  return()
+endif()
+
+if(MODE STREQUAL "server")
+  execute_process(
+      COMMAND ${SERVER} --run-dir "${WORK}/${RUN}" --port 0
+          --port-file "${WORK}/${RUN}.port" --max-seconds 2
+      OUTPUT_FILE "${WORK}/${RUN}.server.out"
+      ERROR_FILE "${WORK}/${RUN}.server.err"
+      RESULT_VARIABLE status)
+  if(NOT status EQUAL 0)
+    file(READ "${WORK}/${RUN}.server.err" err)
+    message(FATAL_ERROR "serve_cli failed on the ${RUN} run (${status}): "
+                        "${err}")
+  endif()
   return()
 endif()
 
@@ -70,10 +88,10 @@ file(WRITE "${WORK}/queries.txt" "best\npareto area\nquit\n")
 execute_process(
     COMMAND ${CMAKE_COMMAND} -DMODE=client -DCLIENT=${CLIENT} -DWORK=${WORK}
         -P ${CMAKE_CURRENT_LIST_FILE}
-    COMMAND ${SERVER} --run-dir "${WORK}/random" --port 0
-        --port-file "${WORK}/random.port" --max-seconds 2
-    COMMAND ${SERVER} --run-dir "${WORK}/pareto" --port 0
-        --port-file "${WORK}/pareto.port" --max-seconds 2
+    COMMAND ${CMAKE_COMMAND} -DMODE=server -DRUN=random -DSERVER=${SERVER}
+        -DWORK=${WORK} -P ${CMAKE_CURRENT_LIST_FILE}
+    COMMAND ${CMAKE_COMMAND} -DMODE=server -DRUN=pareto -DSERVER=${SERVER}
+        -DWORK=${WORK} -P ${CMAKE_CURRENT_LIST_FILE}
     RESULTS_VARIABLE statuses
     OUTPUT_VARIABLE out
     ERROR_VARIABLE err)

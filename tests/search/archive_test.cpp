@@ -104,24 +104,6 @@ std::vector<explore::EvalResult> sorted_by_index(
   return records;
 }
 
-/// Full-scan reference for ArchiveReader::query().
-std::vector<explore::EvalResult> reference_query(
-    const std::vector<explore::EvalResult>& records,
-    const ArchivePredicate& p) {
-  std::vector<explore::EvalResult> out;
-  for (const auto& r : sorted_by_index(records)) {
-    if (p.feasible_only && !r.feasible) continue;
-    if (p.min_speedup && !(r.speedup >= *p.min_speedup)) continue;
-    if (p.max_speedup && !(r.speedup <= *p.max_speedup)) continue;
-    if (p.min_cores && !(r.cores >= *p.min_cores)) continue;
-    if (p.max_cores && !(r.cores <= *p.max_cores)) continue;
-    if (p.min_n && !(r.n >= *p.min_n)) continue;
-    if (p.max_n && !(r.n <= *p.max_n)) continue;
-    out.push_back(r);
-  }
-  return out;
-}
-
 void expect_all_equal(const std::vector<explore::EvalResult>& got,
                       const std::vector<explore::EvalResult>& want) {
   ASSERT_EQ(got.size(), want.size());
@@ -143,7 +125,7 @@ TEST_F(ArchiveTest, RoundTripsThroughTheFileSortedByIndex) {
   EXPECT_EQ(reader.stats().blocks, stats.blocks);
   std::uint64_t feasible = 0;
   for (const auto& r : records) feasible += r.feasible ? 1 : 0;
-  EXPECT_EQ(reader.feasible_count(), feasible);
+  EXPECT_EQ(reader.stats().feasible_rows, feasible);
   expect_all_equal(reader.load_all(), sorted_by_index(records));
 }
 
@@ -240,58 +222,6 @@ TEST_F(ArchiveTest, BestMatchesTheExploreReference) {
   EXPECT_TRUE(ArchiveReader::from_records({}).load_all().empty());
 }
 
-TEST_F(ArchiveTest, PredicateQueriesMatchAFullScan) {
-  const auto records = synth_records(900, 1234);
-  const ArchiveReader reader = ArchiveReader::from_records(records, 64);
-  util::Xoshiro256 rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    ArchivePredicate p;
-    if (rng.bounded(2)) p.min_speedup = rng.uniform(0.0, 220.0);
-    if (rng.bounded(2)) p.max_speedup = rng.uniform(0.0, 220.0);
-    if (rng.bounded(2)) p.min_cores = rng.uniform(0.0, 320.0);
-    if (rng.bounded(2)) p.max_cores = rng.uniform(0.0, 320.0);
-    if (rng.bounded(2)) p.min_n = rng.uniform(32.0, 512.0);
-    if (rng.bounded(2)) p.max_n = rng.uniform(32.0, 512.0);
-    p.feasible_only = rng.bounded(2) != 0;
-    expect_all_equal(reader.query(p), reference_query(records, p));
-  }
-}
-
-TEST_F(ArchiveTest, ZoneMapsPruneBlocksForSelectiveQueries) {
-  // Speedup grows with the index, so a high min_speedup bound admits
-  // only the tail blocks — pruning must be visible, not just possible.
-  std::vector<explore::EvalResult> records;
-  for (std::size_t i = 0; i < 64 * 16; ++i) {
-    explore::EvalResult r;
-    r.index = i;
-    r.scenario = "prune";
-    r.app = "kmeans";
-    r.growth = "linear";
-    r.n = 64.0;
-    r.r = 1.0;
-    r.rl = 8.0;
-    r.feasible = true;
-    r.cores = static_cast<double>(i % 100);
-    r.speedup = static_cast<double>(i);
-    records.push_back(std::move(r));
-  }
-  const ArchiveReader reader = ArchiveReader::from_records(records, 64);
-  ASSERT_EQ(reader.stats().blocks, 16u);
-
-  ArchivePredicate all;
-  EXPECT_EQ(reader.candidate_blocks(all), 16u);
-
-  ArchivePredicate tail;
-  tail.min_speedup = 64.0 * 15;  // only the last block qualifies
-  EXPECT_EQ(reader.candidate_blocks(tail), 1u);
-  expect_all_equal(reader.query(tail), reference_query(records, tail));
-
-  ArchivePredicate none;
-  none.min_speedup = 1e9;
-  EXPECT_EQ(reader.candidate_blocks(none), 0u);
-  EXPECT_TRUE(reader.query(none).empty());
-}
-
 TEST_F(ArchiveTest, NonFiniteValuesArchiveAsInfeasible) {
   explore::EvalResult r;
   r.index = 0;
@@ -311,7 +241,7 @@ TEST_F(ArchiveTest, NonFiniteValuesArchiveAsInfeasible) {
   EXPECT_DOUBLE_EQ(loaded[0].cores, 0.0);
   EXPECT_DOUBLE_EQ(loaded[0].speedup, 0.0);
   EXPECT_DOUBLE_EQ(loaded[0].r, 4.0);
-  EXPECT_EQ(reader.feasible_count(), 0u);
+  EXPECT_EQ(reader.stats().feasible_rows, 0u);
   EXPECT_FALSE(reader.best().has_value());
 }
 
@@ -656,6 +586,68 @@ TEST_F(ArchiveTest, FindRefusesACorruptColumnEveryTime) {
     EXPECT_THROW(reader.find(5, key), std::runtime_error) << at;
     EXPECT_THROW(reader.find(5, key), std::runtime_error) << at;
   }
+}
+
+TEST_F(ArchiveTest, LoadAllFromAnIndexIsAFilteredLoadAll) {
+  const auto records = shared_index_records(1000, 5);
+  const std::string pristine = encode_archive(records, 16);
+  const ArchiveReader reader = ArchiveReader::from_buffer(pristine);
+  const auto all = reader.load_all();
+  ASSERT_EQ(all.size(), records.size());
+  const auto from = [&all](std::uint64_t min_index) {
+    std::vector<explore::EvalResult> out;
+    std::copy_if(all.begin(), all.end(), std::back_inserter(out),
+                 [&](const explore::EvalResult& r) {
+                   return r.index >= min_index;
+                 });
+    return out;
+  };
+
+  // Bounds at the first row of a block whose index the block before
+  // does not hold, mid-block, inside a run of repeated indices that
+  // straddles a block boundary, at an index no row holds, and past
+  // index_end().
+  std::uint64_t boundary = 0, mid_block = 0, straddling = 0;
+  for (std::size_t b = 1; b * 16 < all.size(); ++b) {
+    const std::size_t row = b * 16;
+    if (all[row].index != all[row - 1].index && boundary == 0) {
+      boundary = all[row].index;
+    }
+    if (all[row].index == all[row - 1].index && straddling == 0) {
+      straddling = all[row].index;
+    }
+    if (row + 8 < all.size() && all[row + 8].index != all[row + 7].index &&
+        mid_block == 0) {
+      mid_block = all[row + 8].index;
+    }
+  }
+  ASSERT_NE(boundary, 0u);
+  ASSERT_NE(mid_block, 0u);
+  ASSERT_NE(straddling, 0u);
+  const std::uint64_t unheld = 3 * 50 + 2;  // shared_index_records skips 3q+2
+  const std::uint64_t end = reader.index_end();
+  ASSERT_EQ(end, all.back().index + 1);
+  for (const std::uint64_t min_index :
+       {std::uint64_t{0}, boundary, mid_block, straddling, unheld,
+        all.back().index, end, end + 1000}) {
+    const auto want = from(min_index);
+    if (min_index != 0 && min_index <= all.back().index) {
+      ASSERT_FALSE(want.empty()) << min_index;
+      ASSERT_LT(want.size(), all.size()) << min_index;
+    }
+    expect_all_equal(reader.load_all(min_index), want);
+  }
+
+  // Pruning: a flipped byte in block 0's index slice fails a full load,
+  // but a bound inside the last block never reads block 0.
+  std::string bytes = pristine;
+  bytes[76 + 5 * 8] = static_cast<char>(bytes[76 + 5 * 8] ^ '\x01');
+  const ArchiveReader corrupt = ArchiveReader::from_buffer(bytes);
+  EXPECT_THROW(corrupt.load_all(), std::runtime_error);
+  const std::uint64_t last_block = all[(all.size() - 1) / 16 * 16 + 3].index;
+  const auto tail = corrupt.load_all(last_block);
+  ASSERT_FALSE(tail.empty());
+  expect_all_equal(tail, from(last_block));
 }
 
 // ---------------------------------------------------------------------------
